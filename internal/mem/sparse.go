@@ -1,10 +1,20 @@
 package mem
 
+import "encoding/binary"
+
 // Sparse is a page-granular sparse byte memory implementing the functional
 // (architectural) data store of one address space. It satisfies
 // alpha.Memory. Unmapped bytes read as zero.
+//
+// Pages live in a map; a direct-mapped cache of resident pages in front of
+// it, indexed by hash so that arrays a power of two apart do not share a
+// slot, keeps the map off the per-access path.
 type Sparse struct {
 	pages map[uint64]*[PageSize]byte
+	front [64]struct {
+		vpage uint64
+		p     *[PageSize]byte // nil: empty slot
+	}
 }
 
 // NewSparse returns an empty sparse memory.
@@ -12,74 +22,80 @@ func NewSparse() *Sparse {
 	return &Sparse{pages: make(map[uint64]*[PageSize]byte)}
 }
 
+// page resolves vpage, allocating it if create is set; otherwise an absent
+// page is nil and stays absent.
 func (s *Sparse) page(vpage uint64, create bool) *[PageSize]byte {
-	p, ok := s.pages[vpage]
-	if !ok && create {
+	c := &s.front[keyHash(0, vpage)%uint64(len(s.front))]
+	if c.p != nil && c.vpage == vpage {
+		return c.p
+	}
+	p := s.pages[vpage]
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([PageSize]byte)
 		s.pages[vpage] = p
 	}
+	c.vpage, c.p = vpage, p
 	return p
 }
 
-// Load reads size bytes at addr, little-endian. Accesses contained in one
-// page (every aligned access) take a single-map-lookup fast path; only
-// page-straddling accesses fall back to the byte loop.
+// Load reads size (at most 8) bytes at addr, little-endian. Unless addr is
+// in the last 7 bytes of its page, that is one 8-byte read and a mask.
 func (s *Sparse) Load(addr uint64, size int) uint64 {
-	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize {
-		p := s.pages[PageOf(addr)]
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		p := s.page(PageOf(addr), false)
 		if p == nil {
 			return 0
 		}
-		var v uint64
-		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(p[off+uint64(i)])
-		}
-		return v
+		return binary.LittleEndian.Uint64(p[off:]) &^ (^uint64(0) << (8 * size))
 	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		if p := s.page(PageOf(a), false); p != nil {
-			v |= uint64(p[a&(PageSize-1)]) << (8 * i)
-		}
-	}
-	return v
+	var b [8]byte
+	s.read(addr, b[:size])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
-// Store writes the low size bytes of val at addr, little-endian. Like Load,
-// within-page accesses resolve the page once.
+// Store writes the low size (at most 8) bytes of val at addr, little-endian.
 func (s *Sparse) Store(addr uint64, size int, val uint64) {
-	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize {
-		p := s.page(PageOf(addr), true)
-		for i := 0; i < size; i++ {
-			p[off+uint64(i)] = byte(val >> (8 * i))
-		}
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		w := s.page(PageOf(addr), true)[off:]
+		keep := ^uint64(0) << (8 * size)
+		binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)&keep|val&^keep)
 		return
 	}
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		p := s.page(PageOf(a), true)
-		p[a&(PageSize-1)] = byte(val >> (8 * i))
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], val)
+	s.WriteBytes(addr, b[:size])
+}
+
+// WriteBytes copies b into memory at addr, a page-sized chunk at a time.
+func (s *Sparse) WriteBytes(addr uint64, b []byte) {
+	for len(b) > 0 {
+		n := copy(s.page(PageOf(addr), true)[addr&(PageSize-1):], b)
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 
-// WriteBytes copies b into memory at addr (loader convenience).
-func (s *Sparse) WriteBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		a := addr + uint64(i)
-		s.page(PageOf(a), true)[a&(PageSize-1)] = c
+// read fills b, zeroed by the caller, from memory at addr; absent pages
+// stay absent.
+func (s *Sparse) read(addr uint64, b []byte) {
+	for len(b) > 0 {
+		off := addr & (PageSize - 1)
+		n := min(len(b), PageSize-int(off))
+		if p := s.page(PageOf(addr), false); p != nil {
+			copy(b[:n], p[off:])
+		}
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 
 // ReadBytes copies n bytes starting at addr.
 func (s *Sparse) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		a := addr + uint64(i)
-		if p := s.page(PageOf(a), false); p != nil {
-			out[i] = p[a&(PageSize-1)]
-		}
-	}
+	s.read(addr, out)
 	return out
 }
 

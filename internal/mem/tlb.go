@@ -9,21 +9,33 @@ const PageSize = 1 << PageShift
 // PageOf returns the virtual or physical page number of addr.
 func PageOf(addr uint64) uint64 { return addr >> PageShift }
 
+// keyHash spreads an (address space, page or region number) key over the
+// memory path's tables: TLB, page mapper and sparse memory index by its low
+// bits.
+func keyHash(asn uint32, n uint64) uint64 {
+	return (n ^ uint64(asn)<<32) * 0x9e3779b97f4a7c15 >> 32
+}
+
 // TLB is a fully associative translation buffer with LRU replacement,
 // modeling the 21164's ITB/DTB. Entries are (ASN, virtual page) pairs so
 // multiple address spaces can coexist without flushing.
+//
+// It is a fixed array searched linearly behind a table of most-recently-used
+// slots: at 48–128 entries a scan of one small array beats hashing into a
+// map, and nothing is allocated after NewTLB.
 type TLB struct {
-	capacity int
-	entries  map[tlbKey]uint64 // -> recency stamp
-	tick     uint64
+	entries []tlbEntry
+	mru     [256]uint32 // by key hash: the slot that key was last found in, tried before the scan
+	tick    uint64
 
 	Hits   uint64
 	Misses uint64
 }
 
-type tlbKey struct {
-	asn   uint32
+type tlbEntry struct {
 	vpage uint64
+	stamp uint64 // tick of the last use, unique per entry; 0 marks a free slot
+	asn   uint32
 }
 
 // NewTLB builds a TLB with the given number of entries.
@@ -31,60 +43,81 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("mem: TLB capacity must be positive")
 	}
-	return &TLB{capacity: capacity, entries: make(map[tlbKey]uint64, capacity)}
+	return &TLB{entries: make([]tlbEntry, capacity)}
+}
+
+// find returns the slot holding (asn, vpage) and true; or false and the slot
+// a fill should take: the smallest stamp, which is a free slot (0) if there
+// is one and the least recently used entry otherwise.
+func (t *TLB) find(asn uint32, vpage uint64) (int, bool) {
+	mru := &t.mru[keyHash(asn, vpage)%uint64(len(t.mru))]
+	if e := &t.entries[*mru]; e.vpage == vpage && e.asn == asn && e.stamp != 0 {
+		return int(*mru), true
+	}
+	victim, oldest := 0, ^uint64(0)
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.vpage == vpage && e.asn == asn && e.stamp != 0 {
+			*mru = uint32(i)
+			return i, true
+		}
+		if e.stamp < oldest {
+			victim, oldest = i, e.stamp
+		}
+	}
+	*mru = uint32(victim)
+	return victim, false
 }
 
 // Lookup checks for (asn, vpage) and fills the entry on a miss, evicting the
 // least recently used translation if full. It reports whether it hit.
 func (t *TLB) Lookup(asn uint32, vpage uint64) bool {
 	t.tick++
-	k := tlbKey{asn, vpage}
-	if _, ok := t.entries[k]; ok {
-		t.entries[k] = t.tick
+	i, hit := t.find(asn, vpage)
+	if hit {
 		t.Hits++
-		return true
+	} else {
+		t.Misses++
+		t.entries[i].vpage, t.entries[i].asn = vpage, asn
 	}
-	t.Misses++
-	if len(t.entries) >= t.capacity {
-		var victim tlbKey
-		oldest := ^uint64(0)
-		for key, stamp := range t.entries {
-			if stamp < oldest {
-				victim, oldest = key, stamp
-			}
-		}
-		delete(t.entries, victim)
-	}
-	t.entries[k] = t.tick
-	return false
+	t.entries[i].stamp = t.tick
+	return hit
 }
 
 // Probe reports whether (asn, vpage) is resident, without filling or
 // touching recency or statistics.
 func (t *TLB) Probe(asn uint32, vpage uint64) bool {
-	_, ok := t.entries[tlbKey{asn, vpage}]
-	return ok
+	_, hit := t.find(asn, vpage)
+	return hit
 }
 
 // Flush drops all translations (e.g. on a full TLB invalidate).
 func (t *TLB) Flush() {
-	t.entries = make(map[tlbKey]uint64, t.capacity)
+	clear(t.entries)
 }
 
 // FlushASN drops translations belonging to one address space.
 func (t *TLB) FlushASN(asn uint32) {
-	for k := range t.entries {
-		if k.asn == asn {
-			delete(t.entries, k)
+	for i := range t.entries {
+		if t.entries[i].asn == asn {
+			t.entries[i].stamp = 0
 		}
 	}
 }
 
 // Len returns the number of resident translations.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].stamp != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Capacity returns the TLB's entry count.
-func (t *TLB) Capacity() int { return t.capacity }
+func (t *TLB) Capacity() int { return len(t.entries) }
 
 // MissRate returns misses/lookups, or 0 if none.
 func (t *TLB) MissRate() float64 {

@@ -45,6 +45,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dcpi/internal/dcpi"
 	"dcpi/internal/image"
@@ -71,8 +72,8 @@ type Runner struct {
 	// Obs attaches the optional self-observability layer: per-run wall
 	// time and queue wait (histograms), cache hit/miss counters, and a
 	// worker-occupancy counter track in the trace. Set it right after New,
-	// before the first Submit; timestamps come from Obs.Tracer.Now (real
-	// time), unlike the collection stack's simulated-clock trace.
+	// before the first Submit; timestamps are real time (see now), unlike
+	// the collection stack's simulated-clock trace.
 	Obs obs.Hooks
 
 	// SimCPUs, when nonzero, overrides Config.SimCPUs on every submitted
@@ -106,6 +107,10 @@ type Runner struct {
 	ShardSink func(key string, blob []byte)
 
 	active atomic.Int64 // workers currently simulating (occupancy track)
+
+	// Host time inside Machine.Run and instructions retired, summed over
+	// the simulations this runner executed (sim.host_ns_per_inst).
+	simHostNanos, simInsts atomic.Int64
 }
 
 // call is one in-flight or completed simulation.
@@ -310,7 +315,7 @@ func (r *Runner) execute(c *call, cfg dcpi.Config) {
 	if r.SimCPUs != 0 {
 		cfg.SimCPUs = r.SimCPUs
 	}
-	submitted := r.Obs.Tracer.Now() // 0 when tracing is off
+	submitted := r.now()
 	slot := <-r.slots
 	defer func() { r.slots <- slot }()
 
@@ -319,13 +324,33 @@ func (r *Runner) execute(c *call, cfg dcpi.Config) {
 		defer r.finishRun(cfg, slot)
 	}
 	c.res, c.err = r.runFn(cfg)
+	if r.Obs.Registry != nil && c.res != nil && c.res.Machine != nil {
+		r.simHostNanos.Add(c.res.Machine.HostRunNanos())
+		r.simInsts.Add(int64(c.res.MachineStats.Instructions))
+	}
+}
+
+// epoch is the zero of the metrics-only clock.
+var epoch = time.Now()
+
+// now returns the runner's timestamp in microseconds: the tracer's clock
+// when tracing, so that events share its epoch; a monotonic clock when only
+// metrics are on; and 0, with no clock read, when Obs is off.
+func (r *Runner) now() int64 {
+	switch {
+	case r.Obs.Tracer != nil:
+		return r.Obs.Tracer.Now()
+	case r.Obs.Registry != nil:
+		return time.Since(epoch).Microseconds()
+	}
+	return 0
 }
 
 // observeRun records the start of a simulation: queue wait, occupancy, and
 // the opening timestamp of the per-run slice (stored per slot since slots
 // are exclusive while the run executes).
 func (r *Runner) observeRun(cfg dcpi.Config, slot int, submitted int64) {
-	now := r.Obs.Tracer.Now()
+	now := r.now()
 	r.Obs.Registry.Histogram("runner.queue_wait_us", queueWaitBuckets()).
 		Observe(float64(now - submitted))
 	occ := r.active.Add(1)
@@ -343,7 +368,7 @@ func (r *Runner) observeRun(cfg dcpi.Config, slot int, submitted int64) {
 
 // finishRun closes the per-run slice and updates occupancy.
 func (r *Runner) finishRun(cfg dcpi.Config, slot int) {
-	now := r.Obs.Tracer.Now()
+	now := r.now()
 	r.statsMu.Lock()
 	start := r.runStart[slot]
 	r.statsMu.Unlock()
@@ -439,6 +464,9 @@ func (r *Runner) PublishMetrics() {
 	}
 	if total := s.Requests(); total > 0 {
 		reg.Gauge("runner.cache_hit_rate").Set(float64(s.MemHits+s.DiskHits) / float64(total))
+	}
+	if insts := r.simInsts.Load(); insts > 0 {
+		reg.Gauge("sim.host_ns_per_inst").Set(float64(r.simHostNanos.Load()) / float64(insts))
 	}
 	if r.Disk != nil {
 		r.Disk.PublishMetrics()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dcpi/internal/dcpi"
+	"dcpi/internal/obs"
 	"dcpi/internal/sim"
 )
 
@@ -149,6 +150,37 @@ func TestWorkerPoolBound(t *testing.T) {
 	}
 	if got := peak.Load(); got > workers {
 		t.Errorf("peak concurrency %d exceeds pool bound %d", got, workers)
+	}
+}
+
+// TestRunTimingWithMetricsOnly: with a registry but no tracer (dcpieval
+// -metrics-out without -trace-out) the runner still needs a clock. Both
+// histograms used to be fed from the nil tracer's Now and held only zeros.
+func TestRunTimingWithMetricsOnly(t *testing.T) {
+	const runs, delay = 4, 5 * time.Millisecond
+	r := New(1)
+	r.Obs = obs.Hooks{Registry: obs.NewRegistry()}
+	var calls atomic.Int64
+	stub(r, &calls, delay)
+	var pending []*Pending
+	for i := 0; i < runs; i++ {
+		pending = append(pending, r.Submit(dcpi.Config{Workload: "compress", Seed: uint64(i + 1)}))
+	}
+	for _, p := range pending {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wall := r.Obs.Registry.Histogram("runner.run_wall_us", runWallBuckets())
+	if wall.Count() != runs || wall.Min() < float64(delay.Microseconds()) {
+		t.Errorf("run_wall_us: %d observations, min %v us; want %d of at least %d us",
+			wall.Count(), wall.Min(), runs, delay.Microseconds())
+	}
+	// One worker: every run but the first waits for those ahead of it.
+	wait := r.Obs.Registry.Histogram("runner.queue_wait_us", queueWaitBuckets())
+	if wait.Count() != runs || wait.Max() < float64(delay.Microseconds()) {
+		t.Errorf("queue_wait_us: %d observations, max %v us; want %d with one of at least %d us",
+			wait.Count(), wait.Max(), runs, delay.Microseconds())
 	}
 }
 

@@ -133,6 +133,11 @@ type Machine struct {
 	lastWorkers   int
 	cycleSkew     int64
 	mergeWaitNano int64
+
+	// hostRunNanos is the host wall time spent inside Run, summed over
+	// calls: two clock reads per Run and none per step, so it is kept
+	// whether or not anyone reads it.
+	hostRunNanos int64
 }
 
 // NewMachine builds a machine. The loader must already hold the kernel
@@ -261,6 +266,7 @@ func (m *Machine) Run(maxCycles int64) int64 {
 	workers, borrowed := m.workers()
 	defer par.Default().Release(borrowed)
 	m.lastWorkers = workers
+	start := time.Now()
 
 	m.running.Store(true)
 	if workers <= 1 {
@@ -290,6 +296,7 @@ func (m *Machine) Run(maxCycles int64) int64 {
 		}
 	}
 	m.cycleSkew = wall - minClock
+	m.hostRunNanos += time.Since(start).Nanoseconds()
 	return wall
 }
 
@@ -379,6 +386,11 @@ func (m *Machine) Stats() Stats {
 	return s
 }
 
+// HostRunNanos returns the host wall time spent inside Run so far. Divided
+// by Stats().Instructions it is the simulator's own speed, host nanoseconds
+// per simulated instruction (the sim.host_ns_per_inst gauge).
+func (m *Machine) HostRunNanos() int64 { return m.hostRunNanos }
+
 // PublishMetrics writes the machine-wide statistics into reg (call once,
 // at the end of a run): the denominators every per-sample self-measurement
 // in the metrics artifact is normalized against.
@@ -405,6 +417,9 @@ func (m *Machine) PublishMetrics(reg *obs.Registry) {
 	reg.Gauge("sim.workers").Set(float64(m.lastWorkers))
 	reg.Gauge("sim.cycle_skew_cycles").Set(float64(m.cycleSkew))
 	reg.Gauge("sim.merge_wait_us").Set(float64(m.mergeWaitNano) / 1e3)
+	if s.Instructions > 0 {
+		reg.Gauge("sim.host_ns_per_inst").Set(float64(m.hostRunNanos) / float64(s.Instructions))
+	}
 	par.Default().PublishMetrics(reg)
 }
 

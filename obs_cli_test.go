@@ -72,7 +72,7 @@ func TestCLIObservability(t *testing.T) {
 	for _, key := range []string{
 		"machine.wall_cycles", "driver.miss_rate", "driver.avg_handler_cycles",
 		"daemon.unknown_rate", "daemon.cycles_per_sample", "daemon.memory_bytes",
-		"db.epoch", "db.disk_bytes",
+		"db.epoch", "db.disk_bytes", "sim.host_ns_per_inst",
 	} {
 		if _, ok := metrics.Gauges[key]; !ok {
 			t.Errorf("metrics missing gauge %q", key)
@@ -153,6 +153,16 @@ func TestCLIObservability(t *testing.T) {
 	if stats.DiskHits != 0 || stats.ShardSkipped != 0 {
 		t.Errorf("cache-stats reports disk/shard activity without -cache-dir/-shard: %+v", stats)
 	}
+
+	// Metrics on, tracing off: host-side timings need a clock of their own
+	// (they used to read the nil tracer's and record zeros).
+	m2 := readMetrics(t, filepath.Join(dirObs, "m2.json"))
+	if m2.Gauges["sim.host_ns_per_inst"] <= 0 {
+		t.Errorf("sim.host_ns_per_inst = %g without -trace-out, want > 0", m2.Gauges["sim.host_ns_per_inst"])
+	}
+	if h := m2.Histograms["runner.run_wall_us"]; h.Count == 0 || h.Max <= 0 {
+		t.Errorf("runner.run_wall_us without -trace-out: count %d, max %g us; want real durations", h.Count, h.Max)
+	}
 }
 
 // metricsFile mirrors the obs.Snapshot JSON layout.
@@ -161,6 +171,7 @@ type metricsFile struct {
 	Gauges     map[string]float64 `json:"gauges"`
 	Histograms map[string]struct {
 		Count uint64  `json:"count"`
+		Max   float64 `json:"max"`
 		P50   float64 `json:"p50"`
 		P99   float64 `json:"p99"`
 	} `json:"histograms"`

@@ -29,6 +29,11 @@ go build ./...
 echo "== go test -race ./..." >&2
 go test -race -count=1 ./...
 
+echo "== bench module builds and passes its smoke test (cd bench && go test ./...)" >&2
+# bench/ is its own module (dcpi/bench), which ./... above does not reach:
+# without this step nothing notices an API change that breaks the benchmark.
+(cd bench && go test -count=1 ./...)
+
 echo "== fault-scenario smoke (dcpid -fault)" >&2
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
