@@ -7,24 +7,26 @@ import (
 	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
-	"dcpi/internal/workload"
 )
 
-// SetupImages builds a workload's loader (kernel, executables, shared
+// legacyScale is the scale offline tools stage images at when nothing
+// recorded the run's: databases written before the metadata carried a scale,
+// and SetupImages, which has only a name to go on.
+const legacyScale = 0.01
+
+// SetupImages returns a workload's loader (kernel, executables, shared
 // libraries, processes) without running anything — offline tools use it to
-// symbolize profiles read from a database.
+// symbolize profiles read from a database. It is the no-metadata form: the
+// images are staged at legacyScale, which differs from the profiled code
+// only where a workload bakes its scaled repeat count into an instruction
+// (gcc, vortex); OpenView, which has the metadata, uses the recorded scale.
+// The loader is the shared shell's (see Result): read-only.
 func SetupImages(workloadName string) (*loader.Loader, error) {
-	spec, ok := workload.Get(workloadName)
-	if !ok {
-		return nil, fmt.Errorf("dcpi: unknown workload %q (have %v)", workloadName, workload.Names())
-	}
-	kernel, abi := workload.Kernel()
-	l := loader.New(kernel)
-	m := sim.NewMachine(sim.Options{NumCPUs: spec.NumCPUs, ABI: abi, Loader: l})
-	if err := spec.Setup(&workload.Ctx{Loader: l, Machine: m, Scale: 0.01}); err != nil {
+	sh, err := sharedShell(Config{Workload: workloadName, Scale: legacyScale})
+	if err != nil {
 		return nil, err
 	}
-	return l, nil
+	return sh.loader, nil
 }
 
 // OfflineView resolves profiles from an on-disk database against a
@@ -34,10 +36,13 @@ type OfflineView struct {
 	DB       *profiledb.DB
 	Meta     profiledb.Meta
 	profiles []*profiledb.Profile
+	machine  *sim.Machine // the shell's, so Result.Model() works
 }
 
 // OpenView loads a database and the images of the workload recorded in its
-// metadata (or workloadName if the database has none).
+// metadata (or workloadName if the database has none), staged at the scale
+// the metadata records so that code generated from the scale matches what
+// was profiled.
 func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	db, err := profiledb.Open(dbDir)
 	if err != nil {
@@ -56,7 +61,11 @@ func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	if workloadName != "" {
 		meta.Workload = workloadName
 	}
-	l, err := SetupImages(meta.Workload)
+	scale := meta.Scale
+	if scale == 0 {
+		scale = legacyScale
+	}
+	sh, err := sharedShell(Config{Workload: meta.Workload, Scale: scale})
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +73,7 @@ func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OfflineView{Loader: l, DB: db, Meta: meta, profiles: profiles}, nil
+	return &OfflineView{Loader: sh.loader, DB: db, Meta: meta, profiles: profiles, machine: sh.machine}, nil
 }
 
 // Result adapts the view to the live-run tool surface.
@@ -86,13 +95,8 @@ func (v *OfflineView) Result() *Result {
 		Loader:   v.Loader,
 		DB:       v.DB,
 		profiles: v.profiles,
-		Machine:  offlineMachine(v.Loader),
+		Machine:  v.machine,
 	}
-}
-
-// offlineMachine builds a non-running machine so Result.Model() works.
-func offlineMachine(l *loader.Loader) *sim.Machine {
-	return sim.NewMachine(sim.Options{Loader: l})
 }
 
 // AnalyzeOffline runs the §6 analysis for one procedure using database

@@ -127,11 +127,18 @@ type Config struct {
 // captured by Run after the final flush. They — not the live Machine/
 // Driver/Daemon pointers — are what the persistent run cache serializes
 // (see snapshot.go), so a Result rehydrated from disk carries the same
-// numbers a fresh simulation would. Analysis consumers (ProcRows,
-// AnalyzeProc, ...) additionally use Loader and Machine.Model, both of
-// which are rebuilt deterministically from the workload definition when a
-// cached result is decoded, the same way OfflineView resolves a database
-// against a workload's images.
+// numbers a fresh simulation would.
+//
+// Analysis consumers (ProcRows, AnalyzeProc, ...) additionally use Loader
+// and Machine.Model. A rehydrated Result does not own those: it points at
+// the shell shared by every result of the same shape (workload, scale,
+// machine, rewrites; see shell.go) — the images, processes, mappings and
+// registers the live run's set-up produced, with no process memory behind
+// them and a machine that never ran. Results are already shared between
+// callers through the runner's memory tier and treated as immutable; the
+// same holds, across results, for a rehydrated Loader and Machine: read
+// them, never register an image, map, spawn or run. (Process.Lookup keeps a
+// last-hit cache, so concurrent Lookups on one shell process need a lock.)
 type Result struct {
 	Config   Config
 	Wall     int64 // wall-clock cycles (max over CPUs)
@@ -197,6 +204,14 @@ func ParseSimCPUs(s string) (int, error) {
 	return n, nil
 }
 
+// numCPUs resolves the machine size of a run of spec under cfg.
+func (cfg Config) numCPUs(spec workload.Spec) int {
+	if cfg.NumCPUs > 0 {
+		return cfg.NumCPUs
+	}
+	return spec.NumCPUs
+}
+
 // Run executes one profiled workload run.
 func Run(cfg Config) (*Result, error) {
 	spec, ok := workload.Get(cfg.Workload)
@@ -206,32 +221,11 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.HW.Validate(); err != nil {
 		return nil, fmt.Errorf("dcpi: %w", err)
 	}
-	ncpu := spec.NumCPUs
-	if cfg.NumCPUs > 0 {
-		ncpu = cfg.NumCPUs
-	}
+	ncpu := cfg.numCPUs(spec)
 
 	kernel, abi := workload.Kernel()
 	l := loader.New(kernel)
-	var rewriteErr error
-	if len(cfg.Rewrites) > 0 {
-		l.Transform = func(im *image.Image) *image.Image {
-			for _, lay := range cfg.Rewrites {
-				if lay.Path != im.Path {
-					continue
-				}
-				rw, err := im.WithLayout(lay)
-				if err != nil {
-					if rewriteErr == nil {
-						rewriteErr = err
-					}
-					return nil
-				}
-				return rw
-			}
-			return nil
-		}
-	}
+	rewriteErr := installRewrites(l, cfg.Rewrites)
 
 	var (
 		drv            *driver.Driver
@@ -316,8 +310,8 @@ func Run(cfg Config) (*Result, error) {
 	if err := spec.Setup(ctx); err != nil {
 		return nil, err
 	}
-	if rewriteErr != nil {
-		return nil, fmt.Errorf("dcpi: rewrite failed: %w", rewriteErr)
+	if err := rewriteErr(); err != nil {
+		return nil, err
 	}
 
 	maxCycles := spec.MaxCycles

@@ -9,13 +9,20 @@ package dcpi
 // trace, and every collected profile (reusing profiledb's delta-varint
 // profile codec). Everything else a Result offers — symbolization, CFGs,
 // the §6 analysis — is a pure function of that snapshot plus the
-// workload's images, and the images are rebuilt deterministically from the
-// workload definition at decode time, exactly the way OfflineView resolves
-// an on-disk database. Decode therefore returns a Result whose accessors
-// (Profiles, ProcRows, AnalyzeProc, Summarize, ...) produce byte-identical
-// output to the freshly simulated run; only the live Machine/Driver/Daemon
-// pointers are absent (the Machine is a non-running shell carrying the
-// model and CPU count).
+// workload's images, and the images come from the shell the process shares
+// between all results of the same shape (shell.go): what the workload's
+// set-up registers, with no process data, exactly what OfflineView resolves
+// an on-disk database against. Decoding therefore costs a varint pass over
+// the blob, and returns a Result whose accessors (Profiles, ProcRows,
+// AnalyzeProc, Summarize, ...) produce byte-identical output to the freshly
+// simulated run; only the live Driver/Daemon pointers are absent, and the
+// Machine is the shell's, which never ran and carries the model and CPU
+// count.
+//
+// A blob is untrusted: its envelope CRC says it arrived intact, not that
+// this build wrote it (shard archives travel between machines). Every count
+// in it is checked against the bytes that remain before anything is sized
+// from it.
 //
 // Versioning: SnapshotVersion stamps the blob layout; bump it whenever the
 // encoding below changes. Callers additionally mix SimVersion into the
@@ -31,11 +38,8 @@ import (
 	"sort"
 
 	"dcpi/internal/atomicio"
-	"dcpi/internal/image"
-	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
-	"dcpi/internal/workload"
 )
 
 // SnapshotVersion identifies the blob layout written by EncodeSnapshot.
@@ -178,10 +182,10 @@ func EncodeSnapshot(r *Result) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a run from its serialized snapshot. cfg must
 // be the configuration the blob was keyed under (the caller looked the
-// blob up by runner.Key(cfg), so it has the config in hand); the
-// workload's images are rebuilt from it deterministically.
+// blob up by runner.Key(cfg), so it has the config in hand); it selects
+// the shared shell the result's Loader and Machine point at (see Result).
 func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
-	r := &snapReader{r: bufio.NewReader(bytes.NewReader(blob))}
+	r := &snapReader{r: bytes.NewReader(blob)}
 
 	if v := r.uvarint(); r.err == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("dcpi: snapshot version %d, want %d", v, SnapshotVersion)
@@ -240,14 +244,14 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 
 	if r.uvarint() == 1 {
 		exact := &sim.Counts{Exec: map[uint32][]uint64{}, Taken: map[uint32][]uint64{}}
-		nimg := int(r.uvarint())
+		nimg := r.count(3) // an id and two lengths
 		for i := 0; i < nimg && r.err == nil; i++ {
 			id := uint32(r.uvarint())
-			exec := make([]uint64, r.uvarint())
+			exec := make([]uint64, r.count(1))
 			for j := range exec {
 				exec[j] = r.uvarint()
 			}
-			taken := make([]uint64, r.uvarint())
+			taken := make([]uint64, r.count(1))
 			for j := range taken {
 				taken[j] = r.uvarint()
 			}
@@ -257,7 +261,7 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 		res.Exact = exact
 	}
 
-	if n := int(r.uvarint()); n > 0 && r.err == nil {
+	if n := r.count(6); n > 0 { // six varints a sample
 		res.Trace = make([]sim.Sample, n)
 		for i := range res.Trace {
 			s := &res.Trace[i]
@@ -270,15 +274,10 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 		}
 	}
 
-	nprof := int(r.uvarint())
+	nprof := r.count(1)
 	for i := 0; i < nprof && r.err == nil; i++ {
-		plen := int(r.uvarint())
+		pb := r.bytes()
 		if r.err != nil {
-			break
-		}
-		pb := make([]byte, plen)
-		if _, err := io.ReadFull(r.r, pb); err != nil {
-			r.err = err
 			break
 		}
 		p, err := profiledb.ReadProfile(bytes.NewReader(pb))
@@ -292,78 +291,36 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dcpi: decoding snapshot: %w", r.err)
 	}
 
-	l, m, err := rebuildImages(cfg, res.NumCPUs)
+	sh, err := sharedShell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.Loader = l
-	res.Machine = m
+	// Run records the machine size it resolved from the same configuration;
+	// a blob that disagrees was not measured under cfg.
+	if ncpu := len(sh.machine.CPUs); res.NumCPUs != ncpu {
+		return nil, fmt.Errorf("dcpi: snapshot measured on %d CPUs, config wants %d", res.NumCPUs, ncpu)
+	}
+	res.Loader = sh.loader
+	res.Machine = sh.machine
 	return res, nil
 }
 
-// rebuildImages reconstructs the loader and a non-running machine shell
-// for a configuration, mirroring what Run's setup phase produces: same
-// workload, same scale, same machine size, so image IDs, symbols, code,
-// and source lines all match the live run's.
-func rebuildImages(cfg Config, ncpu int) (*loader.Loader, *sim.Machine, error) {
-	spec, ok := workload.Get(cfg.Workload)
-	if !ok {
-		return nil, nil, fmt.Errorf("dcpi: unknown workload %q (have %v)", cfg.Workload, workload.Names())
-	}
-	if ncpu <= 0 {
-		ncpu = spec.NumCPUs
-		if cfg.NumCPUs > 0 {
-			ncpu = cfg.NumCPUs
-		}
-	}
-	kernel, abi := workload.Kernel()
-	l := loader.New(kernel)
-	if len(cfg.Rewrites) > 0 {
-		// Apply the run's rewrites exactly as Run did, so a rehydrated
-		// result's images (symbols, offsets, code) match what was profiled.
-		l.Transform = func(im *image.Image) *image.Image {
-			for _, lay := range cfg.Rewrites {
-				if lay.Path == im.Path {
-					rw, err := im.WithLayout(lay)
-					if err != nil {
-						return nil
-					}
-					return rw
-				}
-			}
-			return nil
-		}
-	}
-	// The shell carries the run's hardware description so rehydrated
-	// consumers (Result.Model, the analysis) see the machine that was
-	// actually measured.
-	m := sim.NewMachine(sim.Options{HW: cfg.HW, NumCPUs: ncpu, ABI: abi, Loader: l})
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	if err := spec.Setup(&workload.Ctx{Loader: l, Machine: m, Scale: scale}); err != nil {
-		return nil, nil, err
-	}
-	return l, m, nil
-}
-
 // PlaceholderResult builds an empty but structurally complete run for a
-// configuration: real images and machine shell, zero samples, zero stats,
-// empty (non-nil) exact counts. Sharded evaluation (dcpieval -shard) hands
-// these to experiment code for runs belonging to other shards, so sections
-// can keep iterating — and keep submitting their remaining runs — while
-// their rendered output is discarded.
+// configuration: the shared shell's images and machine, zero samples, zero
+// stats, empty (non-nil) exact counts. Sharded evaluation (dcpieval -shard)
+// hands these to experiment code for runs belonging to other shards, so
+// sections can keep iterating — and keep submitting their remaining runs —
+// while their rendered output is discarded.
 func PlaceholderResult(cfg Config) (*Result, error) {
-	l, m, err := rebuildImages(cfg, 0)
+	sh, err := sharedShell(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Config:  cfg,
-		Loader:  l,
-		Machine: m,
-		NumCPUs: len(m.CPUs),
+		Loader:  sh.loader,
+		Machine: sh.machine,
+		NumCPUs: len(sh.machine.CPUs),
 		Exact:   &sim.Counts{Exec: map[uint32][]uint64{}, Taken: map[uint32][]uint64{}},
 	}, nil
 }
@@ -394,8 +351,31 @@ func (s *snapWriter) str(v string) {
 }
 
 type snapReader struct {
-	r   *bufio.Reader
+	r   *bytes.Reader
 	err error
+}
+
+// count reads the number of elements that follow, each at least width bytes
+// long on the wire, and fails if the blob is too short to hold them, so a
+// corrupt count can never size an allocation.
+func (s *snapReader) count(width int) int {
+	n := s.uvarint()
+	if s.err == nil && n > uint64(s.r.Len()/width) {
+		s.err = fmt.Errorf("count %d exceeds the %d bytes that remain", n, s.r.Len())
+	}
+	if s.err != nil {
+		return 0 // a failed read still returns the bits it got
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string, aliasing nothing.
+func (s *snapReader) bytes() []byte {
+	b := make([]byte, s.count(1))
+	if s.err == nil {
+		_, s.err = io.ReadFull(s.r, b)
+	}
+	return b
 }
 
 func (s *snapReader) uvarint() uint64 {
@@ -416,19 +396,4 @@ func (s *snapReader) varint() int64 {
 	return v
 }
 
-func (s *snapReader) str() string {
-	n := s.uvarint()
-	if s.err != nil {
-		return ""
-	}
-	if n > 1<<16 {
-		s.err = fmt.Errorf("unreasonable string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		s.err = err
-		return ""
-	}
-	return string(b)
-}
+func (s *snapReader) str() string { return string(s.bytes()) }

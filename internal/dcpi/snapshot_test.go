@@ -1,13 +1,23 @@
 package dcpi
 
 import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dcpi/internal/daemon"
 	"dcpi/internal/driver"
 	"dcpi/internal/sim"
 )
+
+var updateCorpus = flag.Bool("update", false, "re-record the FuzzDecodeSnapshot seed corpus")
 
 func snapshotTestConfig() Config {
 	return Config{
@@ -158,5 +168,140 @@ func TestSnapshotPinsStatsFields(t *testing.T) {
 	}
 	if n := reflect.TypeOf(sim.Stats{}).NumField(); n != 11 {
 		t.Errorf("sim.Stats has %d fields, snapshot codec encodes 11: update EncodeSnapshot/DecodeSnapshot and bump SnapshotVersion", n)
+	}
+}
+
+// snapshotPrefix writes a well-formed blob for cfg up to and including the
+// machine statistics, every number zero except the machine size: what
+// precedes the first count DecodeSnapshot sizes an allocation from.
+func snapshotPrefix(cfg Config, ncpu uint64) (*snapWriter, *bytes.Buffer) {
+	var buf bytes.Buffer
+	w := &snapWriter{w: bufio.NewWriter(&buf)}
+	w.uvarint(SnapshotVersion)
+	w.str(cfg.HW.String())
+	w.varint(0) // wall
+	w.uvarint(ncpu)
+	for i := 0; i < 12+15+11; i++ { // driver, daemon, machine stats
+		w.uvarint(0)
+	}
+	return w, &buf
+}
+
+// A blob is untrusted: a count that the remaining bytes cannot hold must
+// fail the decode, not size an allocation (these panicked or tried to
+// allocate terabytes before the counts were bounded).
+func TestDecodeSnapshotBoundsCounts(t *testing.T) {
+	cfg := Config{Workload: "compress", Scale: 0.02}
+	const huge = 1 << 40
+	tails := map[string][]uint64{
+		"images":   {1, huge},
+		"exec":     {1, 1, 7, huge},
+		"taken":    {1, 1, 7, 0, huge},
+		"trace":    {0, huge},
+		"profiles": {0, 0, huge},
+		"profile":  {0, 0, 1, huge},
+	}
+	for name, tail := range tails {
+		w, buf := snapshotPrefix(cfg, 1)
+		for _, v := range tail {
+			w.uvarint(v)
+		}
+		if err := w.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(buf.Bytes(), cfg); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s count of 2^40: err = %v, want a bounds error", name, err)
+		}
+	}
+
+	// The machine size is checked against the configuration instead: it
+	// would otherwise pick how many CPUs the shell's machine is built with.
+	w, buf := snapshotPrefix(cfg, huge)
+	for i := 0; i < 3; i++ { // no exact counts, no trace, no profiles
+		w.uvarint(0)
+	}
+	if err := w.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(buf.Bytes(), cfg); err == nil || !strings.Contains(err.Error(), "CPUs") {
+		t.Errorf("machine size of 2^40: err = %v, want a CPU-count mismatch", err)
+	}
+}
+
+// fuzzSnapshotConfig is the configuration FuzzDecodeSnapshot decodes under
+// and the committed corpus was recorded with (testdata/fuzz).
+func fuzzSnapshotConfig() Config {
+	return Config{Workload: "compress", Scale: 0.02, Mode: sim.ModeDefault, Seed: 7}
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary bytes: it must fail or
+// succeed without panicking or allocating past its input, and whatever it
+// accepts must survive its own codec. The corpus is seeded from real
+// snapshots, with and without exact counts and trace; re-record it with
+// go test ./internal/dcpi -run TestSnapshotFuzzCorpus -update
+// after a SnapshotVersion bump.
+func FuzzDecodeSnapshot(f *testing.F) {
+	cfg := fuzzSnapshotConfig()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		res, err := DecodeSnapshot(blob, cfg)
+		if err != nil {
+			return
+		}
+		again, err := EncodeSnapshot(res)
+		if err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		}
+		if _, err := DecodeSnapshot(again, cfg); err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+	})
+}
+
+// TestSnapshotFuzzCorpus keeps the committed seed corpus honest: every seed
+// must still decode (a seed that stopped decoding exercises nothing past the
+// version check).
+func TestSnapshotFuzzCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")
+	if *updateCorpus {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, shape := range map[string][2]bool{
+			"seed-plain": {false, false}, "seed-exact": {true, false},
+			"seed-trace": {false, true}, "seed-exact-trace": {true, true},
+		} {
+			cfg := fuzzSnapshotConfig()
+			cfg.CollectExact, cfg.TraceSamples = shape[0], shape[1]
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := EncodeSnapshot(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", blob)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seeds, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil || len(seeds) < 4 {
+		t.Fatalf("corpus has %d seeds (%v), want the four real snapshots", len(seeds), err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(data), "go test fuzz v1\n[]byte("), ")\n")
+		blob, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := DecodeSnapshot([]byte(blob), fuzzSnapshotConfig()); err != nil {
+			t.Errorf("%s no longer decodes: %v", path, err)
+		}
 	}
 }

@@ -3,10 +3,13 @@ package runner
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"dcpi/internal/dcpi"
+	"dcpi/internal/image"
+	"dcpi/internal/obs"
 	"dcpi/internal/runcache"
 	"dcpi/internal/sim"
 )
@@ -216,5 +219,82 @@ func TestShardOfRangeAndDeterminism(t *testing.T) {
 				t.Errorf("ShardOf(%q, %d) = %d out of range", key, n, s1)
 			}
 		}
+	}
+}
+
+// A cached entry whose layout no longer applies must not be served: the
+// decode fails as dcpi.Run would, the entry is quarantined, and the
+// re-simulation surfaces Run's own error.
+func TestStaleLayoutEntryIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	res, err := dcpi.Run(diskCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := dcpi.EncodeSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := diskCfg()
+	stale.Rewrites = []image.Layout{{Path: "/usr/bin/compress",
+		Procs: []image.ProcLayout{{Name: "main"}, {Name: "no_such_procedure"}}}}
+	testDisk(t, dir).Put(Key(stale), blob)
+
+	r := New(1)
+	r.Disk = testDisk(t, dir)
+	var calls atomic.Int64
+	realRun(r, &calls)
+	_, err = r.Run(stale)
+	if err == nil || !strings.Contains(err.Error(), "rewrite failed") {
+		t.Errorf("err = %v, want Run's rewrite failure", err)
+	}
+	if st := r.Stats(); st.DiskHits != 0 || calls.Load() != 1 {
+		t.Errorf("stats = %+v with %d simulations, want no disk hit and one simulation", st, calls.Load())
+	}
+	if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) != 1 {
+		t.Errorf("stale entry not quarantined: %v", bad)
+	}
+}
+
+// With Obs on, every rehydration is timed and accounted to a shell build or
+// a shell hit in the runner's registry; the results keep the configuration
+// they were submitted with.
+func TestRehydrationMetrics(t *testing.T) {
+	dir := t.TempDir()
+	cold := New(1)
+	cold.Disk = testDisk(t, dir)
+	cfgs := make([]dcpi.Config, 5)
+	for i := range cfgs {
+		cfgs[i] = dcpi.Config{Workload: "compress", Scale: 0.020004, Mode: sim.ModeCycles, Seed: uint64(i + 1)}
+		if _, err := cold.Run(cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm := New(2)
+	warm.Disk = testDisk(t, dir)
+	reg := obs.NewRegistry()
+	warm.Obs = obs.Hooks{Registry: reg}
+	for _, cfg := range cfgs {
+		res, err := warm.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Config.Obs.Enabled() {
+			t.Error("the runner's registry leaked into the result's configuration")
+		}
+	}
+	if st := warm.Stats(); st.DiskHits != len(cfgs) {
+		t.Fatalf("stats = %+v, want %d disk hits", st, len(cfgs))
+	}
+	// The cold runner's simulations do not touch the shell table, so the
+	// first rehydration builds this shape's shell.
+	builds, hits := reg.Counter("dcpi.shell_builds").Value(), reg.Counter("dcpi.shell_hits").Value()
+	if builds != 1 || hits != uint64(len(cfgs)-1) {
+		t.Errorf("%d shell builds and %d hits over %d rehydrations of one shape, want 1 and %d",
+			builds, hits, len(cfgs), len(cfgs)-1)
+	}
+	if n := reg.Histogram("runner.rehydrate_us", rehydrateBuckets()).Count(); n != uint64(len(cfgs)) {
+		t.Errorf("runner.rehydrate_us has %d observations, want %d", n, len(cfgs))
 	}
 }

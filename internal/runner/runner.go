@@ -66,8 +66,7 @@ type Runner struct {
 	stats    CacheStats
 	runStart map[int]int64 // per-slot start timestamp of the running simulation
 
-	shardMu      sync.Mutex              // serializes ShardSink calls
-	placeholders map[string]*dcpi.Result // memoized inert results for out-of-shard runs
+	shardMu sync.Mutex // serializes ShardSink calls
 
 	// Obs attaches the optional self-observability layer: per-run wall
 	// time and queue wait (histograms), cache hit/miss counters, and a
@@ -241,13 +240,13 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 
 	// Out-of-shard runs complete instantly with an inert placeholder.
 	if r.NumShards > 1 && ShardOf(key, r.NumShards) != r.Shard {
-		c.res, c.err = r.placeholder(cfg)
+		c.res, c.err = dcpi.PlaceholderResult(cfg)
 		r.noteShardSkipped(cfg)
 		return
 	}
 
 	if blob, ok := r.Preload[key]; ok {
-		if res, err := dcpi.DecodeSnapshot(blob, cfg); err == nil {
+		if res, err := r.rehydrate(blob, cfg); err == nil {
 			c.res = res
 			r.noteDiskHit(cfg)
 			return
@@ -258,7 +257,7 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 
 	if r.Disk != nil {
 		if blob, ok := r.Disk.Get(key); ok {
-			if res, err := dcpi.DecodeSnapshot(blob, cfg); err == nil {
+			if res, err := r.rehydrate(blob, cfg); err == nil {
 				c.res = res
 				r.noteDiskHit(cfg)
 				return
@@ -288,25 +287,24 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 	}
 }
 
-// placeholder returns the memoized inert result for a configuration's
-// workload shape (placeholders carry no measurements, so any two configs
-// with the same workload, scale, and CPU count can share one).
-func (r *Runner) placeholder(cfg dcpi.Config) (*dcpi.Result, error) {
-	pkey := fmt.Sprintf("%s|%g|%d", cfg.Workload, cfg.Scale, cfg.NumCPUs)
-	r.shardMu.Lock()
-	defer r.shardMu.Unlock()
-	if res, ok := r.placeholders[pkey]; ok {
-		return res, nil
+// rehydrate decodes a stored snapshot. With Obs on it times the decode and
+// lends the decode the runner's registry, which is where dcpi counts the
+// shared shells it built and reused (dcpi.shell_builds, dcpi.shell_hits);
+// the result keeps the configuration as submitted.
+func (r *Runner) rehydrate(blob []byte, cfg dcpi.Config) (*dcpi.Result, error) {
+	reg := r.Obs.Registry
+	if reg == nil {
+		return dcpi.DecodeSnapshot(blob, cfg)
 	}
-	res, err := dcpi.PlaceholderResult(cfg)
-	if err != nil {
-		return nil, err
+	lent := cfg
+	lent.Obs.Registry = reg
+	start := r.now()
+	res, err := dcpi.DecodeSnapshot(blob, lent)
+	reg.Histogram("runner.rehydrate_us", rehydrateBuckets()).Observe(float64(r.now() - start))
+	if err == nil {
+		res.Config = cfg
 	}
-	if r.placeholders == nil {
-		r.placeholders = make(map[string]*dcpi.Result)
-	}
-	r.placeholders[pkey] = res
-	return res, nil
+	return res, err
 }
 
 // execute performs one simulation under the worker-pool bound. The caller
@@ -386,6 +384,9 @@ func (r *Runner) finishRun(cfg dcpi.Config, slot int) {
 
 // queueWaitBuckets spans 100µs .. ~3s.
 func queueWaitBuckets() []float64 { return obs.ExpBuckets(100, 2.2, 14) }
+
+// rehydrateBuckets spans 10µs .. ~0.3s: a shell hit to a first build.
+func rehydrateBuckets() []float64 { return obs.ExpBuckets(10, 2.2, 14) }
 
 // runWallBuckets spans 1ms .. ~1000s.
 func runWallBuckets() []float64 { return obs.ExpBuckets(1000, 2.7, 14) }

@@ -96,13 +96,13 @@ func setupClassify(ctx *Ctx) error {
 		return fmt.Errorf("workload classify: image not registered")
 	}
 	const pltBase = loader.HeapBase + 3<<20
-	if err := plt(p, pltBase, []pltEntry{{exec, "checksum"}}); err != nil {
+	if err := ctx.plt(p, pltBase, []pltEntry{{exec, "checksum"}}); err != nil {
 		return err
 	}
 	p.Regs.WriteI(alpha.RegGP, pltBase)
 	p.Regs.WriteI(alpha.RegA0, loader.HeapBase)
 	p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(400)))
-	fillMemory(p, loader.HeapBase, 1024, 21)
+	ctx.fillMemory(p, loader.HeapBase, 1024, 21)
 	return nil
 }
 

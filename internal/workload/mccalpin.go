@@ -139,6 +139,9 @@ func setupStream(src string, threeArrays bool) func(*Ctx) error {
 			p.Regs.WriteI(alpha.RegA5, thirdBase)
 		}
 		p.Regs.F[0] = math.Float64bits(3.0)
+		if !ctx.runs() {
+			return nil
+		}
 		// Seed the source arrays with FP-friendly values (small integers as
 		// floats) so fp kernels compute on sane data.
 		for i := 0; i < streamElems; i++ {

@@ -104,8 +104,8 @@ func setupAltaVista(ctx *Ctx) error {
 		p.Regs.WriteI(alpha.RegA1, loader.HeapBase+8<<20)
 		p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(250)))
 		p.Regs.WriteI(alpha.RegS1, loader.HeapBase+48<<20)
-		fillMemory(p, loader.HeapBase, 1<<16/8*8, uint64(31+i))
-		fillMemory(p, loader.HeapBase+8<<20, 1<<18, uint64(37+i))
+		ctx.fillMemory(p, loader.HeapBase, 1<<16/8*8, uint64(31+i))
+		ctx.fillMemory(p, loader.HeapBase+8<<20, 1<<18, uint64(37+i))
 	}
 	return nil
 }
@@ -146,7 +146,7 @@ func setupDSS(ctx *Ctx) error {
 		p.Regs.WriteI(alpha.RegA0, loader.HeapBase)
 		p.Regs.WriteI(alpha.RegA2, 32*1024) // rows
 		p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(8)))
-		fillMemory(p, loader.HeapBase, 32*1024*4, uint64(53+i))
+		ctx.fillMemory(p, loader.HeapBase, 32*1024*4, uint64(53+i))
 	}
 	return nil
 }

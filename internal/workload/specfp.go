@@ -153,12 +153,15 @@ func setupWave5(ctx *Ctx) error {
 	for i, v := range []float64{1.000244, 0.5, 0.333333, 1.000122} {
 		p.Regs.F[10+i] = math.Float64bits(v)
 	}
-	fillFP(p, loader.HeapBase, 3*1<<20/8)
+	ctx.fillFP(p, loader.HeapBase, 3*1<<20/8)
 	return nil
 }
 
 // fillFP seeds n quadwords with small floating-point values.
-func fillFP(p *loader.Process, base uint64, n int) {
+func (c *Ctx) fillFP(p *loader.Process, base uint64, n int) {
+	if !c.runs() {
+		return
+	}
 	for i := 0; i < n; i++ {
 		p.Mem.Store(base+uint64(i)*8, 8, math.Float64bits(1.0+float64(i%97)/97))
 	}
@@ -219,8 +222,8 @@ func setupFP(name, src string, repeats int) func(*Ctx) error {
 		p.Regs.WriteI(alpha.RegA1, loader.HeapBase+1<<20)
 		p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(repeats)))
 		p.Regs.F[10] = math.Float64bits(0.25)
-		fillFP(p, loader.HeapBase, 4096)
-		fillFP(p, loader.HeapBase+1<<20, 4096)
+		ctx.fillFP(p, loader.HeapBase, 4096)
+		ctx.fillFP(p, loader.HeapBase+1<<20, 4096)
 		return nil
 	}
 }

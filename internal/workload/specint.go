@@ -110,7 +110,7 @@ func setupGCC(ctx *Ctx) error {
 		p.Regs.WriteI(alpha.RegA0, loader.HeapBase)
 		p.Regs.WriteI(alpha.RegA1, loader.HeapBase+1<<20)
 		p.Regs.WriteI(alpha.RegA2, loader.HeapBase+2<<20)
-		fillMemory(p, loader.HeapBase, 2048, uint64(100+i))
+		ctx.fillMemory(p, loader.HeapBase, 2048, uint64(100+i))
 	}
 	return nil
 }
@@ -211,10 +211,10 @@ func setupSimple(name, path, src string, repeats int, listChase bool) func(*Ctx)
 		p.Regs.WriteI(alpha.RegA2, loader.HeapBase+2<<20)
 		p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(repeats)))
 		if listChase {
-			buildConsList(p, loader.HeapBase, 4096)
+			ctx.buildConsList(p, loader.HeapBase, 4096)
 		} else {
-			fillMemory(p, loader.HeapBase, 8192, 7)
-			fillMemory(p, loader.HeapBase+1<<20, 1024, 9)
+			ctx.fillMemory(p, loader.HeapBase, 8192, 7)
+			ctx.fillMemory(p, loader.HeapBase+1<<20, 1024, 9)
 		}
 		return nil
 	}
@@ -222,7 +222,10 @@ func setupSimple(name, path, src string, repeats int, listChase bool) func(*Ctx)
 
 // buildConsList lays out a pseudo-random circular linked list of (car, cdr)
 // cells so the li-like chase has data-dependent addresses.
-func buildConsList(p *loader.Process, base uint64, cells int) {
+func (c *Ctx) buildConsList(p *loader.Process, base uint64, cells int) {
+	if !c.runs() {
+		return
+	}
 	perm := make([]int, cells)
 	for i := range perm {
 		perm[i] = i

@@ -66,7 +66,7 @@ func setupTimeshare(ctx *Ctx) error {
 			p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(k.bursts)))
 			p.Regs.WriteI(alpha.RegA4, uint64(k.length))
 			p.Regs.WriteI(alpha.RegA5, uint64(k.sleep))
-			fillMemory(p, loader.HeapBase, 512, uint64(71+id))
+			ctx.fillMemory(p, loader.HeapBase, 512, uint64(71+id))
 			id++
 		}
 	}

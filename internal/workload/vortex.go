@@ -62,7 +62,7 @@ func setupVortex(ctx *Ctx) error {
 		return err
 	}
 	p.Regs.WriteI(alpha.RegA0, loader.HeapBase)
-	fillMemory(p, loader.HeapBase, 4096, 17)
+	ctx.fillMemory(p, loader.HeapBase, 4096, 17)
 	return nil
 }
 

@@ -13,11 +13,21 @@ import (
 
 // Ctx is handed to a workload's Setup to create and place its processes.
 type Ctx struct {
-	Loader  *loader.Loader
+	Loader *loader.Loader
+	// Machine is what the processes are spawned on. With a nil Machine
+	// nothing will run, and Setup builds a shell for the offline tools,
+	// which read images and never a process's data: the same images
+	// registered in the same order, the same processes with their mappings
+	// and registers, and no process memory written (see runs).
 	Machine *sim.Machine
 	// Scale multiplies repeat counts; 1.0 is the default experiment size.
 	Scale float64
 }
+
+// runs reports whether the processes being set up will execute. Everything
+// that writes a process's initial data checks it, so a shell allocates no
+// memory pages.
+func (c *Ctx) runs() bool { return c.Machine != nil }
 
 func (c *Ctx) scaled(n int) int {
 	s := c.Scale
@@ -83,24 +93,34 @@ func All() []Spec {
 }
 
 // newProcess assembles src into an executable image, creates a process with
-// the given shared libraries, and spawns it on the machine.
+// the given shared libraries, and spawns it on the machine (if there is one).
+// The loader keeps one image per path, so only the first process of a
+// program (gcc has 14) pays for the assembly.
 func newProcess(ctx *Ctx, procName, path, src string, libs ...*image.Image) (*loader.Process, error) {
-	asm, err := alpha.Assemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", procName, err)
+	exec, ok := ctx.Loader.ImageByPath(path)
+	if !ok {
+		asm, err := alpha.Assemble(src)
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", procName, err)
+		}
+		exec = image.New(procName, path, image.KindExecutable, asm)
 	}
-	exec := image.New(procName, path, image.KindExecutable, asm)
 	p, err := ctx.Loader.NewProcess(procName, exec, libs...)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Machine.Spawn(p)
+	if ctx.runs() {
+		ctx.Machine.Spawn(p)
+	}
 	return p, nil
 }
 
 // fillMemory writes a deterministic pseudo-random pattern of n quadwords at
 // base, so loads see varied values and data-dependent branches have texture.
-func fillMemory(p *loader.Process, base uint64, n int, seed uint64) {
+func (c *Ctx) fillMemory(p *loader.Process, base uint64, n int, seed uint64) {
+	if !c.runs() {
+		return
+	}
 	x := seed*2654435761 + 12345
 	for i := 0; i < n; i++ {
 		x ^= x << 13
@@ -113,7 +133,7 @@ func fillMemory(p *loader.Process, base uint64, n int, seed uint64) {
 // plt writes a procedure-linkage table into process memory: the resolved
 // virtual addresses of (image, symbol) pairs, 8 bytes each, at base. Code
 // reaches cross-image procedures with ldq pv, 8*i(gp); jsr ra, (pv).
-func plt(p *loader.Process, base uint64, entries []pltEntry) error {
+func (c *Ctx) plt(p *loader.Process, base uint64, entries []pltEntry) error {
 	for i, e := range entries {
 		var addr uint64
 		found := false
@@ -131,7 +151,9 @@ func plt(p *loader.Process, base uint64, entries []pltEntry) error {
 		if !found {
 			return fmt.Errorf("workload: image %s not mapped", e.im.Name)
 		}
-		p.Mem.Store(base+uint64(i)*8, 8, addr)
+		if c.runs() {
+			p.Mem.Store(base+uint64(i)*8, 8, addr)
+		}
 	}
 	return nil
 }

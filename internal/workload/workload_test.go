@@ -149,3 +149,46 @@ func TestTimeshareSleepsAndWakes(t *testing.T) {
 		t.Errorf("context switches = %d", switches)
 	}
 }
+
+// A Ctx without a machine builds a shell: set-up must produce the same
+// processes, registers and mappings as for a run, and write no memory.
+func TestSetupWithoutMachineWritesNoMemory(t *testing.T) {
+	for _, spec := range All() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			kernel, abi := Kernel()
+			live := loader.New(kernel)
+			m := sim.NewMachine(sim.Options{NumCPUs: spec.NumCPUs, ABI: abi, Loader: live})
+			if err := spec.Setup(&Ctx{Loader: live, Machine: m, Scale: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+			kernel, _ = Kernel()
+			shell := loader.New(kernel)
+			if err := spec.Setup(&Ctx{Loader: shell, Scale: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+
+			lp, sp := live.Processes(), shell.Processes()
+			if len(lp) != len(sp) {
+				t.Fatalf("shell has %d processes, run %d", len(sp), len(lp))
+			}
+			written := 0
+			for i, want := range lp {
+				got := sp[i]
+				if got.PID != want.PID || got.Name != want.Name || got.PC != want.PC || got.Regs != want.Regs {
+					t.Errorf("process %d (%s): identity or registers differ from the run's", i, want.Name)
+				}
+				if len(got.Mappings()) != len(want.Mappings()) {
+					t.Errorf("%s: %d mappings, run has %d", want.Name, len(got.Mappings()), len(want.Mappings()))
+				}
+				if n := got.Mem.Pages(); n != 0 {
+					t.Errorf("%s: shell holds %d pages", got.Name, n)
+				}
+				written += want.Mem.Pages()
+			}
+			if written == 0 {
+				t.Error("the run's set-up wrote no memory either; the shell check shows nothing")
+			}
+		})
+	}
+}

@@ -202,7 +202,7 @@ func setupX11(ctx *Ctx) error {
 		reqBase = loader.HeapBase + 2<<20
 		etBase  = loader.HeapBase + 3<<20
 	)
-	if err := plt(p, pltBase, []pltEntry{
+	if err := ctx.plt(p, pltBase, []pltEntry{
 		{libdix, "Dispatch"},
 		{libos, "ReadRequestFromClient"},
 		{libmi, "miCreateETandAET"},
@@ -219,8 +219,8 @@ func setupX11(ctx *Ctx) error {
 	p.Regs.WriteI(alpha.RegS1, reqBase)
 	p.Regs.WriteI(alpha.RegS2, etBase)
 	p.Regs.WriteI(alpha.RegA3, uint64(ctx.scaled(3000))) // queries
-	fillMemory(p, reqBase, 512/8, 11)
-	fillMemory(p, etBase, 4096, 13)
+	ctx.fillMemory(p, reqBase, 512/8, 11)
+	ctx.fillMemory(p, etBase, 4096, 13)
 	return nil
 }
 

@@ -33,10 +33,10 @@ baseline="${BENCH_BASELINE:-BENCH_baseline.json}"
 echo "== go test -race ./internal/runner ./internal/eval" >&2
 go test -race -count=1 ./internal/runner ./internal/eval
 
-echo "== go test -bench=. -benchmem (root, driver, sim, mem, optimize, tsdb, collect, whatif)" >&2
+echo "== go test -bench=. -benchmem (root, dcpi, driver, sim, mem, optimize, tsdb, collect, whatif)" >&2
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
-go test -run '^$' -bench=. -benchmem . ./internal/driver ./internal/sim ./internal/mem ./internal/optimize ./internal/tsdb ./internal/collect ./internal/whatif | tee "$tmp" >&2
+go test -run '^$' -bench=. -benchmem . ./internal/dcpi ./internal/driver ./internal/sim ./internal/mem ./internal/optimize ./internal/tsdb ./internal/collect ./internal/whatif | tee "$tmp" >&2
 
 go run ./scripts/benchjson < "$tmp" > "$out"
 echo "== wrote $out" >&2

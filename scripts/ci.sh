@@ -78,6 +78,32 @@ cmp "$tmp/cold.out" "$tmp/warm.out"
 grep "dcpieval-cache-stats" "$tmp/warm.err" | grep -q '"simulated":0'
 ! grep "dcpieval-cache-stats" "$tmp/warm.err" | grep -q '"disk_hits":0,'
 
+echo "== shared-shell smoke (dcpi.shell_builds / dcpi.shell_hits in -metrics-out)" >&2
+# Figure 6 is 3 workloads x 4 modes x runs. Rehydrating it must build each
+# workload's images at most once however many runs share them, and every
+# rehydration must be accounted to a build or a hit: counts, not timings.
+# counter FILE NAME prints one counter of a -metrics-out file; a counter
+# that was never incremented is absent, which reads as 0.
+counter() {
+	v="$(sed -n "s/^ *\"$2\": \([0-9][0-9]*\),\{0,1\}$/\1/p" "$1" | head -n 1)"
+	echo "${v:-0}"
+}
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -cache-dir "$tmp/runcache" \
+	>"$tmp/fig6-cold.out" 2>/dev/null
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -cache-dir "$tmp/runcache" \
+	-metrics-out "$tmp/fig6-metrics.json" >"$tmp/fig6-warm.out" 2>"$tmp/fig6-warm.err"
+cmp "$tmp/fig6-cold.out" "$tmp/fig6-warm.out"
+grep "dcpieval-cache-stats" "$tmp/fig6-warm.err" | grep -q '"simulated":0'
+builds="$(counter "$tmp/fig6-metrics.json" dcpi.shell_builds)"
+hits="$(counter "$tmp/fig6-metrics.json" dcpi.shell_hits)"
+rehydrated="$(counter "$tmp/fig6-metrics.json" runner.disk_hits)"
+echo "   $rehydrated runs rehydrated: $builds shell builds, $hits shell hits" >&2
+[ "$rehydrated" -eq 24 ]
+[ "$builds" -ge 1 ]
+[ "$builds" -le 3 ]
+[ "$((builds + hits))" -eq "$rehydrated" ]
+grep -q '"runner.rehydrate_us"' "$tmp/fig6-metrics.json"
+
 echo "== sharded-evaluation smoke (dcpieval -shard / -merge-shards)" >&2
 # Two shard passes plus a merge must reproduce the unsharded output byte
 # for byte (missing runs, if any, are re-simulated by the merge).
@@ -183,6 +209,7 @@ go test ./internal/tsdb/ -run '^$' -fuzz FuzzTSDBSegmentDecode -fuzztime 5s
 go test ./internal/tsdb/ -run '^$' -fuzz FuzzTSDBBlockDecode -fuzztime 5s
 go test ./internal/optimize/ -run '^$' -fuzz FuzzReorderProcedure -fuzztime 5s
 go test ./internal/hw/ -run '^$' -fuzz FuzzParseHWConfig -fuzztime 5s
+go test ./internal/dcpi/ -run '^$' -fuzz FuzzDecodeSnapshot -fuzztime 5s
 
 if [ "${BENCH:-0}" = "1" ]; then
 	echo "== benchmark regression gate (BENCH=1)" >&2
