@@ -1,7 +1,7 @@
-// Package atomicio holds the small durable-file primitives shared by the
+// Package atomicio holds the one durable-file primitive shared by the
 // on-disk stores (profiledb's profile/metadata files, runcache's persisted
-// run results): crash-safe whole-file replacement and the varint framing
-// both formats use.
+// run results, tsdb's segments and blocks): crash-safe whole-file
+// replacement. What goes in the files is internal/wire's business.
 //
 // The write protocol is the classic temp+fsync+rename sequence: data is
 // written to a temporary file in the target's directory, synced, closed,
@@ -13,8 +13,6 @@
 package atomicio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"io"
 	"os"
 )
@@ -43,33 +41,4 @@ func WriteFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// WriteUvarint appends v in unsigned LEB128 form, checking the write error
-// (bufio.Writer errors are sticky, but callers that sync to disk need the
-// first failure, not a later Flush surprise).
-func WriteUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-// WriteVarint appends v in zig-zag signed LEB128 form.
-func WriteVarint(w *bufio.Writer, v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
-}
-
-// ReadUvarint mirrors WriteUvarint (a thin wrapper so codecs read and write
-// through one package).
-func ReadUvarint(r io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-// ReadVarint mirrors WriteVarint.
-func ReadVarint(r io.ByteReader) (int64, error) {
-	return binary.ReadVarint(r)
 }

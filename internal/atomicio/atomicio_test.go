@@ -1,8 +1,6 @@
 package atomicio
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -55,36 +53,5 @@ func TestWriteFileFailureLeavesOldContent(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Error("temp file left behind after failed write")
-	}
-}
-
-func TestVarintRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	uvals := []uint64{0, 1, 127, 128, 1 << 32, ^uint64(0)}
-	ivals := []int64{0, -1, 1, -64, 64, 1 << 40, -(1 << 40)}
-	for _, v := range uvals {
-		if err := WriteUvarint(bw, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, v := range ivals {
-		if err := WriteVarint(bw, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bw.Flush()
-	br := bufio.NewReader(&buf)
-	for _, want := range uvals {
-		got, err := ReadUvarint(br)
-		if err != nil || got != want {
-			t.Fatalf("ReadUvarint = %d, %v; want %d", got, err, want)
-		}
-	}
-	for _, want := range ivals {
-		got, err := ReadVarint(br)
-		if err != nil || got != want {
-			t.Fatalf("ReadVarint = %d, %v; want %d", got, err, want)
-		}
 	}
 }

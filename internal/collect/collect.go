@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -136,6 +137,12 @@ func (c *Collector) Statuses() []TargetStatus {
 	return out
 }
 
+// maxBodyBytes caps how much of a target's response is read. A target is
+// another machine: the JSON decoder buffers a value whole, so an endless
+// body would otherwise be held in memory until the request timed out. Real
+// /profiles payloads are tens of kilobytes.
+const maxBodyBytes = 16 << 20
+
 // get fetches url into v (JSON), retrying with exponential backoff. Every
 // attempt gets its own timeout; retries stop when ctx is cancelled.
 func (c *Collector) get(ctx context.Context, url string, v any) error {
@@ -166,7 +173,14 @@ func (c *Collector) get(ctx context.Context, url string, v any) error {
 			if resp.StatusCode != http.StatusOK {
 				return fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
 			}
-			return json.NewDecoder(resp.Body).Decode(v)
+			body := &io.LimitedReader{R: resp.Body, N: maxBodyBytes}
+			if err := json.NewDecoder(body).Decode(v); err != nil {
+				if body.N <= 0 {
+					return fmt.Errorf("%s: response exceeds %d bytes", url, maxBodyBytes)
+				}
+				return err
+			}
+			return nil
 		}()
 		cancel()
 		if err == nil {
@@ -190,7 +204,7 @@ func (c *Collector) scrapeTarget(ctx context.Context, t Target) (int, int, error
 
 	var nEpochs, nPoints int
 	for _, e := range epochs.Epochs {
-		if !e.Sealed || uint64(e.Epoch) <= last {
+		if !e.Sealed || e.Epoch < 1 || uint64(e.Epoch) <= last {
 			continue
 		}
 		url := fmt.Sprintf("%s/profiles?epoch=%d", t.URL, e.Epoch)
@@ -201,10 +215,17 @@ func (c *Collector) scrapeTarget(ctx context.Context, t Target) (int, int, error
 		if err := c.get(ctx, url, &pp); err != nil {
 			return nEpochs, nPoints, err
 		}
+		// The payload must be the sealed epoch that was asked for: anything
+		// else would land under the wrong epoch (or change after ingestion)
+		// while LastEpoch moved past the one requested.
+		if pp.Epoch != e.Epoch || !pp.Sealed {
+			return nEpochs, nPoints, fmt.Errorf("epoch %d: target answered with epoch %d, sealed=%v",
+				e.Epoch, pp.Epoch, pp.Sealed)
+		}
 		batch := tsdb.Batch{
 			Machine:  t.Name,
 			Workload: pp.Workload,
-			Epoch:    uint64(pp.Epoch),
+			Epoch:    uint64(e.Epoch),
 		}
 		if pp.Meta != nil {
 			batch.Wall = pp.Meta.WallCycles

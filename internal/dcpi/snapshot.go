@@ -20,9 +20,9 @@ package dcpi
 // count.
 //
 // A blob is untrusted: its envelope CRC says it arrived intact, not that
-// this build wrote it (shard archives travel between machines). Every count
-// in it is checked against the bytes that remain before anything is sized
-// from it.
+// this build wrote it (shard archives travel between machines). It is read
+// through internal/wire, which checks every count against the bytes that
+// remain before anything is sized from it.
 //
 // Versioning: SnapshotVersion stamps the blob layout; bump it whenever the
 // encoding below changes. Callers additionally mix SimVersion into the
@@ -31,15 +31,12 @@ package dcpi
 // encoding, ...) even though the configuration key is unchanged.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"sort"
 
-	"dcpi/internal/atomicio"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 // SnapshotVersion identifies the blob layout written by EncodeSnapshot.
@@ -62,122 +59,108 @@ func CacheStamp() string {
 	return fmt.Sprintf("%s/snap-%d", SimVersion, SnapshotVersion)
 }
 
-// EncodeSnapshot serializes a completed run's measurement snapshot.
+// EncodeSnapshot serializes a completed run's measurement snapshot. Encoding
+// appends to memory and cannot fail: the error is always nil, kept for the
+// callers that compile against this signature.
 func EncodeSnapshot(r *Result) ([]byte, error) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	w := &snapWriter{w: bw}
+	var w wire.Enc
 
-	w.uvarint(SnapshotVersion)
-	w.str(r.Config.HW.String())
-	w.varint(r.Wall)
-	w.uvarint(uint64(r.NumCPUs))
+	w.Uvarint(SnapshotVersion)
+	w.Str(r.Config.HW.String())
+	w.Varint(r.Wall)
+	w.Uvarint(uint64(r.NumCPUs))
 
 	// Driver stats (order pinned; see TestSnapshotPinsStatsFields).
 	ds := r.DriverStats
-	w.uvarint(ds.Samples)
-	w.uvarint(ds.Hits)
-	w.uvarint(ds.Misses)
-	w.uvarint(ds.Evictions)
-	w.uvarint(ds.Inserts)
-	w.uvarint(ds.FlushIPIs)
-	w.uvarint(ds.BufSwaps)
-	w.uvarint(ds.Direct)
-	w.uvarint(ds.Lost)
-	w.uvarint(ds.Deferred)
-	w.varint(ds.CostCycles)
-	w.uvarint(uint64(r.DriverKernelBytes))
+	w.Uvarint(ds.Samples)
+	w.Uvarint(ds.Hits)
+	w.Uvarint(ds.Misses)
+	w.Uvarint(ds.Evictions)
+	w.Uvarint(ds.Inserts)
+	w.Uvarint(ds.FlushIPIs)
+	w.Uvarint(ds.BufSwaps)
+	w.Uvarint(ds.Direct)
+	w.Uvarint(ds.Lost)
+	w.Uvarint(ds.Deferred)
+	w.Varint(ds.CostCycles)
+	w.Uvarint(uint64(r.DriverKernelBytes))
 
 	// Daemon stats.
 	ms := r.DaemonStats
-	w.uvarint(ms.Entries)
-	w.uvarint(ms.Samples)
-	w.uvarint(ms.Unknown)
-	w.uvarint(ms.Drains)
-	w.uvarint(ms.Merges)
-	w.uvarint(ms.BuffersFull)
-	w.uvarint(ms.Deferred)
-	w.uvarint(ms.Crashes)
-	w.uvarint(ms.Restarts)
-	w.uvarint(ms.CrashDropped)
-	w.varint(ms.CostCycles)
-	w.uvarint(ms.Notifications)
-	w.uvarint(uint64(r.DaemonMemBytes))
-	w.uvarint(uint64(r.DaemonPeakBytes))
-	w.varint(r.DBDiskBytes)
+	w.Uvarint(ms.Entries)
+	w.Uvarint(ms.Samples)
+	w.Uvarint(ms.Unknown)
+	w.Uvarint(ms.Drains)
+	w.Uvarint(ms.Merges)
+	w.Uvarint(ms.BuffersFull)
+	w.Uvarint(ms.Deferred)
+	w.Uvarint(ms.Crashes)
+	w.Uvarint(ms.Restarts)
+	w.Uvarint(ms.CrashDropped)
+	w.Varint(ms.CostCycles)
+	w.Uvarint(ms.Notifications)
+	w.Uvarint(uint64(r.DaemonMemBytes))
+	w.Uvarint(uint64(r.DaemonPeakBytes))
+	w.Varint(r.DBDiskBytes)
 
 	// Machine hardware statistics (order pinned like the stats above).
 	hs := r.MachineStats
-	w.varint(hs.Cycles)
-	w.uvarint(hs.Instructions)
-	w.uvarint(hs.IssueGroups)
-	w.uvarint(hs.Samples)
-	w.uvarint(hs.ICacheMisses)
-	w.uvarint(hs.DCacheMisses)
-	w.uvarint(hs.ITBMisses)
-	w.uvarint(hs.DTBMisses)
-	w.uvarint(hs.Mispredicts)
-	w.uvarint(hs.WBOverflows)
-	w.uvarint(hs.Faults)
+	w.Varint(hs.Cycles)
+	w.Uvarint(hs.Instructions)
+	w.Uvarint(hs.IssueGroups)
+	w.Uvarint(hs.Samples)
+	w.Uvarint(hs.ICacheMisses)
+	w.Uvarint(hs.DCacheMisses)
+	w.Uvarint(hs.ITBMisses)
+	w.Uvarint(hs.DTBMisses)
+	w.Uvarint(hs.Mispredicts)
+	w.Uvarint(hs.WBOverflows)
+	w.Uvarint(hs.Faults)
 
 	// Exact execution counts, sorted by image ID for a canonical encoding.
 	if r.Exact == nil {
-		w.uvarint(0)
+		w.Uvarint(0)
 	} else {
-		w.uvarint(1)
+		w.Uvarint(1)
 		ids := make([]uint32, 0, len(r.Exact.Exec))
 		for id := range r.Exact.Exec {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		w.uvarint(uint64(len(ids)))
+		w.Count(len(ids))
 		for _, id := range ids {
-			w.uvarint(uint64(id))
+			w.Uvarint(uint64(id))
 			exec := r.Exact.Exec[id]
 			taken := r.Exact.Taken[id]
-			w.uvarint(uint64(len(exec)))
+			w.Count(len(exec))
 			for _, n := range exec {
-				w.uvarint(n)
+				w.Uvarint(n)
 			}
-			w.uvarint(uint64(len(taken)))
+			w.Count(len(taken))
 			for _, n := range taken {
-				w.uvarint(n)
+				w.Uvarint(n)
 			}
 		}
 	}
 
 	// Raw sample trace (order preserved — ablations replay it).
-	w.uvarint(uint64(len(r.Trace)))
+	w.Count(len(r.Trace))
 	for _, s := range r.Trace {
-		w.uvarint(uint64(s.CPU))
-		w.uvarint(uint64(s.PID))
-		w.uvarint(s.PC)
-		w.uvarint(s.PC2)
-		w.uvarint(uint64(s.Event))
-		w.varint(s.Clock)
+		w.Uvarint(uint64(s.CPU))
+		w.Uvarint(uint64(s.PID))
+		w.Uvarint(s.PC)
+		w.Uvarint(s.PC2)
+		w.Uvarint(uint64(s.Event))
+		w.Varint(s.Clock)
 	}
 
 	// Profiles, each length-prefixed in profiledb's own self-validating
 	// format, in the order the run produced them.
-	w.uvarint(uint64(len(r.profiles)))
+	w.Count(len(r.profiles))
 	for _, p := range r.profiles {
-		var pb bytes.Buffer
-		if err := p.Write(&pb); err != nil {
-			return nil, err
-		}
-		w.uvarint(uint64(pb.Len()))
-		if w.err == nil {
-			_, w.err = bw.Write(pb.Bytes())
-		}
+		w.Bytes(p.Encode())
 	}
-
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w.B, nil
 }
 
 // DecodeSnapshot reconstructs a run from its serialized snapshot. cfg must
@@ -185,75 +168,75 @@ func EncodeSnapshot(r *Result) ([]byte, error) {
 // blob up by runner.Key(cfg), so it has the config in hand); it selects
 // the shared shell the result's Loader and Machine point at (see Result).
 func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
-	r := &snapReader{r: bytes.NewReader(blob)}
+	r := wire.Dec{B: blob}
 
-	if v := r.uvarint(); r.err == nil && v != SnapshotVersion {
+	if v := r.Uvarint(); r.Err == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("dcpi: snapshot version %d, want %d", v, SnapshotVersion)
 	}
-	if hwSpec := r.str(); r.err == nil && hwSpec != cfg.HW.String() {
+	if hwSpec := r.Str(); r.Err == nil && hwSpec != cfg.HW.String() {
 		return nil, fmt.Errorf("dcpi: snapshot measured on machine %q, config wants %q",
 			hwSpec, cfg.HW.String())
 	}
 	res := &Result{Config: cfg}
-	res.Wall = r.varint()
-	res.NumCPUs = int(r.uvarint())
+	res.Wall = r.Varint()
+	res.NumCPUs = int(r.Uvarint())
 
 	ds := &res.DriverStats
-	ds.Samples = r.uvarint()
-	ds.Hits = r.uvarint()
-	ds.Misses = r.uvarint()
-	ds.Evictions = r.uvarint()
-	ds.Inserts = r.uvarint()
-	ds.FlushIPIs = r.uvarint()
-	ds.BufSwaps = r.uvarint()
-	ds.Direct = r.uvarint()
-	ds.Lost = r.uvarint()
-	ds.Deferred = r.uvarint()
-	ds.CostCycles = r.varint()
-	res.DriverKernelBytes = int(r.uvarint())
+	ds.Samples = r.Uvarint()
+	ds.Hits = r.Uvarint()
+	ds.Misses = r.Uvarint()
+	ds.Evictions = r.Uvarint()
+	ds.Inserts = r.Uvarint()
+	ds.FlushIPIs = r.Uvarint()
+	ds.BufSwaps = r.Uvarint()
+	ds.Direct = r.Uvarint()
+	ds.Lost = r.Uvarint()
+	ds.Deferred = r.Uvarint()
+	ds.CostCycles = r.Varint()
+	res.DriverKernelBytes = int(r.Uvarint())
 
 	ms := &res.DaemonStats
-	ms.Entries = r.uvarint()
-	ms.Samples = r.uvarint()
-	ms.Unknown = r.uvarint()
-	ms.Drains = r.uvarint()
-	ms.Merges = r.uvarint()
-	ms.BuffersFull = r.uvarint()
-	ms.Deferred = r.uvarint()
-	ms.Crashes = r.uvarint()
-	ms.Restarts = r.uvarint()
-	ms.CrashDropped = r.uvarint()
-	ms.CostCycles = r.varint()
-	ms.Notifications = r.uvarint()
-	res.DaemonMemBytes = int(r.uvarint())
-	res.DaemonPeakBytes = int(r.uvarint())
-	res.DBDiskBytes = r.varint()
+	ms.Entries = r.Uvarint()
+	ms.Samples = r.Uvarint()
+	ms.Unknown = r.Uvarint()
+	ms.Drains = r.Uvarint()
+	ms.Merges = r.Uvarint()
+	ms.BuffersFull = r.Uvarint()
+	ms.Deferred = r.Uvarint()
+	ms.Crashes = r.Uvarint()
+	ms.Restarts = r.Uvarint()
+	ms.CrashDropped = r.Uvarint()
+	ms.CostCycles = r.Varint()
+	ms.Notifications = r.Uvarint()
+	res.DaemonMemBytes = int(r.Uvarint())
+	res.DaemonPeakBytes = int(r.Uvarint())
+	res.DBDiskBytes = r.Varint()
 
 	hs := &res.MachineStats
-	hs.Cycles = r.varint()
-	hs.Instructions = r.uvarint()
-	hs.IssueGroups = r.uvarint()
-	hs.Samples = r.uvarint()
-	hs.ICacheMisses = r.uvarint()
-	hs.DCacheMisses = r.uvarint()
-	hs.ITBMisses = r.uvarint()
-	hs.DTBMisses = r.uvarint()
-	hs.Mispredicts = r.uvarint()
-	hs.WBOverflows = r.uvarint()
-	hs.Faults = r.uvarint()
+	hs.Cycles = r.Varint()
+	hs.Instructions = r.Uvarint()
+	hs.IssueGroups = r.Uvarint()
+	hs.Samples = r.Uvarint()
+	hs.ICacheMisses = r.Uvarint()
+	hs.DCacheMisses = r.Uvarint()
+	hs.ITBMisses = r.Uvarint()
+	hs.DTBMisses = r.Uvarint()
+	hs.Mispredicts = r.Uvarint()
+	hs.WBOverflows = r.Uvarint()
+	hs.Faults = r.Uvarint()
 
-	if r.uvarint() == 1 {
+	if r.Uvarint() == 1 {
 		exact := &sim.Counts{Exec: map[uint32][]uint64{}, Taken: map[uint32][]uint64{}}
-		nimg := r.count(3) // an id and two lengths
-		for i := 0; i < nimg && r.err == nil; i++ {
-			id := uint32(r.uvarint())
-			exec := make([]uint64, r.count(1))
+		nimg := r.Count(3) // an id and two lengths
+		for i := 0; i < nimg && r.Err == nil; i++ {
+			id := uint32(r.Uvarint())
+			exec := make([]uint64, r.Count(1))
 			for j := range exec {
-				exec[j] = r.uvarint()
+				exec[j] = r.Uvarint()
 			}
-			taken := make([]uint64, r.count(1))
+			taken := make([]uint64, r.Count(1))
 			for j := range taken {
-				taken[j] = r.uvarint()
+				taken[j] = r.Uvarint()
 			}
 			exact.Exec[id] = exec
 			exact.Taken[id] = taken
@@ -261,34 +244,29 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 		res.Exact = exact
 	}
 
-	if n := r.count(6); n > 0 { // six varints a sample
+	if n := r.Count(6); n > 0 { // six varints a sample
 		res.Trace = make([]sim.Sample, n)
 		for i := range res.Trace {
 			s := &res.Trace[i]
-			s.CPU = int(r.uvarint())
-			s.PID = uint32(r.uvarint())
-			s.PC = r.uvarint()
-			s.PC2 = r.uvarint()
-			s.Event = sim.Event(r.uvarint())
-			s.Clock = r.varint()
+			s.CPU = int(r.Uvarint())
+			s.PID = uint32(r.Uvarint())
+			s.PC = r.Uvarint()
+			s.PC2 = r.Uvarint()
+			s.Event = sim.Event(r.Uvarint())
+			s.Clock = r.Varint()
 		}
 	}
 
-	nprof := r.count(1)
-	for i := 0; i < nprof && r.err == nil; i++ {
-		pb := r.bytes()
-		if r.err != nil {
-			break
-		}
-		p, err := profiledb.ReadProfile(bytes.NewReader(pb))
+	nprof := r.Count(1)
+	for i := 0; i < nprof && r.Err == nil; i++ {
+		p, err := profiledb.DecodeProfile(r.Bytes())
 		if err != nil {
-			r.err = err
-			break
+			r.Fail(err)
 		}
 		res.profiles = append(res.profiles, p)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("dcpi: decoding snapshot: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("dcpi: decoding snapshot: %w", r.Err)
 	}
 
 	sh, err := sharedShell(cfg)
@@ -324,76 +302,3 @@ func PlaceholderResult(cfg Config) (*Result, error) {
 		Exact:   &sim.Counts{Exec: map[uint32][]uint64{}, Taken: map[uint32][]uint64{}},
 	}, nil
 }
-
-// snapWriter/snapReader thread one sticky error through the varint codec.
-type snapWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (s *snapWriter) uvarint(v uint64) {
-	if s.err == nil {
-		s.err = atomicio.WriteUvarint(s.w, v)
-	}
-}
-
-func (s *snapWriter) varint(v int64) {
-	if s.err == nil {
-		s.err = atomicio.WriteVarint(s.w, v)
-	}
-}
-
-func (s *snapWriter) str(v string) {
-	s.uvarint(uint64(len(v)))
-	if s.err == nil {
-		_, s.err = s.w.WriteString(v)
-	}
-}
-
-type snapReader struct {
-	r   *bytes.Reader
-	err error
-}
-
-// count reads the number of elements that follow, each at least width bytes
-// long on the wire, and fails if the blob is too short to hold them, so a
-// corrupt count can never size an allocation.
-func (s *snapReader) count(width int) int {
-	n := s.uvarint()
-	if s.err == nil && n > uint64(s.r.Len()/width) {
-		s.err = fmt.Errorf("count %d exceeds the %d bytes that remain", n, s.r.Len())
-	}
-	if s.err != nil {
-		return 0 // a failed read still returns the bits it got
-	}
-	return int(n)
-}
-
-// bytes reads a length-prefixed byte string, aliasing nothing.
-func (s *snapReader) bytes() []byte {
-	b := make([]byte, s.count(1))
-	if s.err == nil {
-		_, s.err = io.ReadFull(s.r, b)
-	}
-	return b
-}
-
-func (s *snapReader) uvarint() uint64 {
-	if s.err != nil {
-		return 0
-	}
-	v, err := atomicio.ReadUvarint(s.r)
-	s.err = err
-	return v
-}
-
-func (s *snapReader) varint() int64 {
-	if s.err != nil {
-		return 0
-	}
-	v, err := atomicio.ReadVarint(s.r)
-	s.err = err
-	return v
-}
-
-func (s *snapReader) str() string { return string(s.bytes()) }

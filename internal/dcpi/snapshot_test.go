@@ -1,8 +1,6 @@
 package dcpi
 
 import (
-	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -15,6 +13,7 @@ import (
 	"dcpi/internal/daemon"
 	"dcpi/internal/driver"
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 var updateCorpus = flag.Bool("update", false, "re-record the FuzzDecodeSnapshot seed corpus")
@@ -174,17 +173,16 @@ func TestSnapshotPinsStatsFields(t *testing.T) {
 // snapshotPrefix writes a well-formed blob for cfg up to and including the
 // machine statistics, every number zero except the machine size: what
 // precedes the first count DecodeSnapshot sizes an allocation from.
-func snapshotPrefix(cfg Config, ncpu uint64) (*snapWriter, *bytes.Buffer) {
-	var buf bytes.Buffer
-	w := &snapWriter{w: bufio.NewWriter(&buf)}
-	w.uvarint(SnapshotVersion)
-	w.str(cfg.HW.String())
-	w.varint(0) // wall
-	w.uvarint(ncpu)
+func snapshotPrefix(cfg Config, ncpu uint64) *wire.Enc {
+	w := &wire.Enc{}
+	w.Uvarint(SnapshotVersion)
+	w.Str(cfg.HW.String())
+	w.Varint(0) // wall
+	w.Uvarint(ncpu)
 	for i := 0; i < 12+15+11; i++ { // driver, daemon, machine stats
-		w.uvarint(0)
+		w.Uvarint(0)
 	}
-	return w, &buf
+	return w
 }
 
 // A blob is untrusted: a count that the remaining bytes cannot hold must
@@ -202,28 +200,22 @@ func TestDecodeSnapshotBoundsCounts(t *testing.T) {
 		"profile":  {0, 0, 1, huge},
 	}
 	for name, tail := range tails {
-		w, buf := snapshotPrefix(cfg, 1)
+		w := snapshotPrefix(cfg, 1)
 		for _, v := range tail {
-			w.uvarint(v)
+			w.Uvarint(v)
 		}
-		if err := w.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeSnapshot(buf.Bytes(), cfg); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		if _, err := DecodeSnapshot(w.B, cfg); err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Errorf("%s count of 2^40: err = %v, want a bounds error", name, err)
 		}
 	}
 
 	// The machine size is checked against the configuration instead: it
 	// would otherwise pick how many CPUs the shell's machine is built with.
-	w, buf := snapshotPrefix(cfg, huge)
+	w := snapshotPrefix(cfg, huge)
 	for i := 0; i < 3; i++ { // no exact counts, no trace, no profiles
-		w.uvarint(0)
+		w.Uvarint(0)
 	}
-	if err := w.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSnapshot(buf.Bytes(), cfg); err == nil || !strings.Contains(err.Error(), "CPUs") {
+	if _, err := DecodeSnapshot(w.B, cfg); err == nil || !strings.Contains(err.Error(), "CPUs") {
 		t.Errorf("machine size of 2^40: err = %v, want a CPU-count mismatch", err)
 	}
 }

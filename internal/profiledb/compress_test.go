@@ -2,10 +2,13 @@ package profiledb
 
 import (
 	"bytes"
+	"compress/flate"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 // bigProfile mimics a real profile's structure: instructions within a basic
@@ -36,7 +39,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 	if err := p.WriteCompressed(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadProfile(&buf)
+	got, err := DecodeProfile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestCompressedPropertyRoundTrip(t *testing.T) {
 		if err := p.WriteCompressed(&buf); err != nil {
 			return false
 		}
-		got, err := ReadProfile(&buf)
+		got, err := DecodeProfile(buf.Bytes())
 		if err != nil || len(got.Counts) != len(p.Counts) {
 			return false
 		}
@@ -107,7 +110,7 @@ func TestCompressedTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadProfile(bytes.NewReader(trunc)); err == nil {
+	if _, err := DecodeProfile(trunc); err == nil {
 		t.Error("truncated compressed profile accepted")
 	}
 }
@@ -141,5 +144,92 @@ func TestVersionsInteroperateInDB(t *testing.T) {
 	}
 	if got.Counts[8] != 5 {
 		t.Errorf("merged = %d, want 5", got.Counts[8])
+	}
+}
+
+// deflated returns a version-2 file whose header declares rawLen bytes and
+// whose stream holds payload.
+func deflated(rawLen uint64, payload []byte) []byte {
+	e := wire.Enc{B: appendHeader(nil, VersionCompressed, sim.EvCycles)}
+	e.Uvarint(rawLen)
+	var z bytes.Buffer
+	fw, _ := flate.NewWriter(&z, flate.BestCompression)
+	fw.Write(payload)
+	fw.Close()
+	return append(e.B, z.Bytes()...)
+}
+
+type namedInput struct {
+	name string
+	in   []byte
+}
+
+// malformedProfiles are inputs the writer never emits and the decoder must
+// refuse (also FuzzProfileDecode seeds).
+func malformedProfiles() []namedInput {
+	pairs := func(version uint16, deltas ...uint64) []byte {
+		e := wire.Enc{B: appendHeader(nil, version, sim.EvCycles)}
+		e.Str("/bin/app")
+		e.Count(len(deltas))
+		for _, d := range deltas {
+			e.Uvarint(d)
+			e.Uvarint(1) // count
+		}
+		return e.B
+	}
+	good := pairs(Version, 8, 4)[12:] // a well-formed payload of 13 bytes
+	return []namedInput{
+		{"empty stream claiming 1 GiB", append(appendHeader(nil, VersionCompressed, sim.EvCycles), 0x80, 0x80, 0x80, 0x80, 0x04)},
+		{"repeated offset", pairs(Version, 8, 0)},
+		{"repeated offset zero", pairs(Version, 0, 0)},
+		{"wrapping offset", pairs(Version, 8, ^uint64(0))},
+		{"stream shorter than header", deflated(uint64(len(good))+1, good)},
+		{"stream longer than header", deflated(uint64(len(good))-1, good)},
+	}
+}
+
+func TestDecodeRejectsMalformed(t *testing.T) {
+	for _, tc := range malformedProfiles() {
+		if p, err := DecodeProfile(tc.in); err == nil {
+			t.Errorf("%s: decoded to %+v", tc.name, p)
+		}
+	}
+	// The same shapes, well-formed: a first offset of zero, and a stream of
+	// exactly the declared length.
+	good := wire.Enc{B: appendHeader(nil, Version, sim.EvCycles)}
+	good.Str("/bin/app")
+	good.Count(2)
+	for _, v := range []uint64{0, 7, 4, 9} {
+		good.Uvarint(v)
+	}
+	for name, in := range map[string][]byte{
+		"v1": good.B,
+		"v2": deflated(uint64(len(good.B)-12), good.B[12:]),
+	} {
+		p, err := DecodeProfile(in)
+		if err != nil || len(p.Counts) != 2 || p.Counts[0] != 7 || p.Counts[4] != 9 {
+			t.Errorf("%s: decoded to %+v, %v; want offsets 0 and 4", name, p, err)
+		}
+	}
+}
+
+// Seventeen bytes of file used to allocate the gigabyte their header
+// declared before noticing the stream behind it was empty; DB.Recover runs
+// this decoder over torn files and DecodeSnapshot over files from other
+// machines.
+func TestCompressedHeaderCannotSizeAllocation(t *testing.T) {
+	in := malformedProfiles()[0].in // the empty stream claiming 1 GiB
+	if len(in) != 17 {
+		t.Fatalf("input is %d bytes, want the 17-byte case", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeProfile(in)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("empty stream decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("decoding 17 bytes allocated %d bytes, want < 1 MiB", grew)
 	}
 }

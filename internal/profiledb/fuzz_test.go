@@ -31,9 +31,12 @@ func FuzzProfileDecode(f *testing.F) {
 	flipped := append([]byte(nil), v1.Bytes()...)
 	flipped[len(flipped)-2] ^= 0xff // corrupt payload
 	f.Add(flipped)
+	for _, tc := range malformedProfiles() {
+		f.Add(tc.in)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadProfile(bytes.NewReader(data))
+		p, err := DecodeProfile(data)
 		if err != nil {
 			return // rejected cleanly — fine
 		}
@@ -41,7 +44,7 @@ func FuzzProfileDecode(f *testing.F) {
 		if err := p.Write(&out); err != nil {
 			t.Fatalf("re-encoding accepted profile: %v", err)
 		}
-		q, err := ReadProfile(bytes.NewReader(out.Bytes()))
+		q, err := DecodeProfile(out.Bytes())
 		if err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}

@@ -6,7 +6,6 @@
 package profiledb
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -21,6 +20,7 @@ import (
 	"dcpi/internal/atomicio"
 	"dcpi/internal/obs"
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 // Magic identifies a profile file.
@@ -68,95 +68,73 @@ func (p *Profile) Total() uint64 {
 	return t
 }
 
-// Write encodes the profile. Offsets are sorted and delta-encoded, counts
-// are varints; the result is typically an order of magnitude smaller than
-// the image.
-func (p *Profile) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:], Version)
-	hdr[2] = byte(p.Event)
-	if err := writeByteN(bw, hdr[:]); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(len(p.ImagePath))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(p.ImagePath); err != nil {
-		return err
-	}
-
-	if err := writePairs(bw, p); err != nil {
-		return err
-	}
-	return bw.Flush()
+// Encode returns the version-1 encoding of the profile. Offsets are sorted
+// and delta-encoded, counts are varints; the result is typically an order of
+// magnitude smaller than the image.
+func (p *Profile) Encode() []byte {
+	buf := make([]byte, 0, 32+len(p.ImagePath)+4*len(p.Counts))
+	e := wire.Enc{B: appendHeader(buf, Version, p.Event)}
+	p.encodePayload(&e)
+	return e.B
 }
 
-// writePairs emits the sorted delta-varint (offset, count) pairs.
-func writePairs(bw *bufio.Writer, p *Profile) error {
+// Write writes the version-1 encoding (see Encode) to w.
+func (p *Profile) Write(w io.Writer) error {
+	_, err := w.Write(p.Encode())
+	return err
+}
+
+// appendHeader appends the 12 bytes both formats start with: magic, u16
+// version, event, one byte of padding.
+func appendHeader(b []byte, version uint16, ev sim.Event) []byte {
+	b = append(b, Magic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, version)
+	return append(b, byte(ev), 0)
+}
+
+// encodePayload appends the image path and the sorted delta-varint
+// (offset, count) pairs: the whole of a version-1 file after its header,
+// and what version 2 compresses.
+func (p *Profile) encodePayload(e *wire.Enc) {
 	offsets := make([]uint64, 0, len(p.Counts))
 	for off := range p.Counts {
 		offsets = append(offsets, off)
 	}
 	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
 
-	if err := writeUvarint(bw, uint64(len(offsets))); err != nil {
-		return err
-	}
+	e.Str(p.ImagePath)
+	e.Count(len(offsets))
 	var prev uint64
 	for _, off := range offsets {
-		if err := writeUvarint(bw, off-prev); err != nil {
-			return err
-		}
-		if err := writeUvarint(bw, p.Counts[off]); err != nil {
-			return err
-		}
+		e.Uvarint(off - prev)
+		e.Uvarint(p.Counts[off])
 		prev = off
 	}
-	return nil
 }
 
-// eventFromByte validates and converts a stored event byte.
-func eventFromByte(b byte) sim.Event { return sim.Event(b) }
-
-// ReadProfile decodes a profile written by Write (version 1) or
-// WriteCompressed (version 2).
-func ReadProfile(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("profiledb: reading magic: %w", err)
+// DecodeProfile decodes a profile written by Write (version 1) or
+// WriteCompressed (version 2). Bytes after the encoded profile are ignored.
+func DecodeProfile(raw []byte) (*Profile, error) {
+	d := wire.Dec{B: raw}
+	hdr := d.Raw(12)
+	if d.Err != nil {
+		return nil, fmt.Errorf("profiledb: reading header: %w", d.Err)
 	}
-	if magic != Magic {
+	if !bytes.Equal(hdr[:8], Magic[:]) {
 		return nil, errors.New("profiledb: bad magic")
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
+	ev := sim.Event(hdr[10])
+	if ev >= sim.NumEvents {
+		return nil, fmt.Errorf("profiledb: bad event %d", hdr[10])
 	}
-	if ev := sim.Event(hdr[2]); ev >= sim.NumEvents {
-		return nil, fmt.Errorf("profiledb: bad event %d", hdr[2])
-	}
-	switch v := binary.LittleEndian.Uint16(hdr[0:]); v {
+	switch v := binary.LittleEndian.Uint16(hdr[8:]); v {
 	case Version:
-		return decodePayload(br, hdr[2])
+		return decodePayload(&d, ev)
 	case VersionCompressed:
-		return readCompressed(br, hdr[2])
+		return readCompressed(&d, ev)
 	default:
 		return nil, fmt.Errorf("profiledb: unsupported version %d", v)
 	}
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	return atomicio.WriteUvarint(w, v)
-}
-
-func writeByteN(w *bufio.Writer, b []byte) error {
-	_, err := w.Write(b)
-	return err
 }
 
 // DB is a profile database rooted at a directory, organized into epochs.
@@ -330,18 +308,13 @@ func (db *DB) Update(p *Profile) error {
 	}
 	path := db.Path(p.ImagePath, p.Event)
 	merged := p
-	if f, err := os.Open(path); err == nil {
-		existing, rerr := ReadProfile(f)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("profiledb: re-reading %s: %w", path, rerr)
-		}
+	if existing, err := readFile(path); err == nil {
 		if err := existing.Merge(p); err != nil {
 			return err
 		}
 		merged = existing
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
+		return fmt.Errorf("profiledb: re-reading %s: %w", path, err)
 	}
 
 	return writeFileAtomic(path, merged.Write)
@@ -351,6 +324,15 @@ func (db *DB) Update(p *Profile) error {
 // internal/atomicio so the run cache shares the same crash-safety protocol.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return atomicio.WriteFile(path, write)
+}
+
+// readFile reads and decodes the profile file at path.
+func readFile(path string) (*Profile, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeProfile(raw)
 }
 
 // RecoveryReport summarizes what a recovery pass found.
@@ -392,13 +374,11 @@ func (db *DB) Recover() (RecoveryReport, error) {
 			}
 			rep.Removed = append(rep.Removed, name)
 		case strings.HasSuffix(name, ".prof"):
-			f, err := os.Open(full)
+			raw, err := os.ReadFile(full)
 			if err != nil {
 				return rep, err
 			}
-			_, rerr := ReadProfile(f)
-			f.Close()
-			if rerr == nil {
+			if _, err := DecodeProfile(raw); err == nil {
 				continue
 			}
 			if err := os.Rename(full, full+".bad"); err != nil {
@@ -422,25 +402,14 @@ func (db *DB) WriteTorn(p *Profile) (destroyed uint64, err error) {
 	if err == nil {
 		destroyed = prior.Total()
 	}
-	var buf bytes.Buffer
-	if err := p.Write(&buf); err != nil {
-		return destroyed, err
-	}
-	return destroyed, os.WriteFile(db.Path(p.ImagePath, p.Event), buf.Bytes()[:buf.Len()/2], 0o644)
+	enc := p.Encode()
+	return destroyed, os.WriteFile(db.Path(p.ImagePath, p.Event), enc[:len(enc)/2], 0o644)
 }
 
 // Load reads the profile for (imagePath, ev) from the current epoch,
 // returning an empty profile if none exists.
 func (db *DB) Load(imagePath string, ev sim.Event) (*Profile, error) {
-	f, err := os.Open(db.Path(imagePath, ev))
-	if errors.Is(err, os.ErrNotExist) {
-		return NewProfile(imagePath, ev), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadProfile(f)
+	return db.LoadAt(db.epoch, imagePath, ev)
 }
 
 // Profiles lists every profile in the current epoch.
@@ -463,19 +432,14 @@ func (db *DB) ProfilesAt(epoch int) ([]*Profile, error) {
 		if !strings.HasSuffix(e.Name(), ".prof") {
 			continue
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+		p, err := readFile(filepath.Join(dir, e.Name()))
 		if errors.Is(err, os.ErrNotExist) {
 			// Listed before an atomic replace, gone after: the file was
 			// renamed aside by a writer's recovery. Skip it.
 			continue
 		}
 		if err != nil {
-			return nil, err
-		}
-		p, rerr := ReadProfile(f)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("profiledb: %s: %w", e.Name(), rerr)
+			return nil, fmt.Errorf("profiledb: %s: %w", e.Name(), err)
 		}
 		out = append(out, p)
 	}
@@ -491,15 +455,11 @@ func (db *DB) ProfilesAt(epoch int) ([]*Profile, error) {
 // LoadAt reads the profile for (imagePath, ev) from the given epoch,
 // returning an empty profile if none exists.
 func (db *DB) LoadAt(epoch int, imagePath string, ev sim.Event) (*Profile, error) {
-	f, err := os.Open(filepath.Join(db.epochDir(epoch), fileName(imagePath, ev)))
+	p, err := readFile(filepath.Join(db.epochDir(epoch), fileName(imagePath, ev)))
 	if errors.Is(err, os.ErrNotExist) {
 		return NewProfile(imagePath, ev), nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadProfile(f)
+	return p, err
 }
 
 // DiskUsage returns the total bytes of all profile files in all epochs

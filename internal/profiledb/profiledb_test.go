@@ -19,7 +19,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err := p.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadProfile(&buf)
+	got, err := DecodeProfile(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestProfileRoundTripProperty(t *testing.T) {
 		if err := p.Write(&buf); err != nil {
 			return false
 		}
-		got, err := ReadProfile(&buf)
+		got, err := DecodeProfile(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -66,10 +66,10 @@ func TestProfileRoundTripProperty(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadProfile(bytes.NewReader([]byte("not a profile at all"))); err == nil {
+	if _, err := DecodeProfile([]byte("not a profile at all")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadProfile(bytes.NewReader(nil)); err == nil {
+	if _, err := DecodeProfile(nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Truncated valid prefix.
@@ -80,7 +80,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-1]
-	if _, err := ReadProfile(bytes.NewReader(trunc)); err == nil {
+	if _, err := DecodeProfile(trunc); err == nil {
 		t.Error("truncated profile accepted")
 	}
 }
@@ -409,16 +409,16 @@ func TestWriteTorn(t *testing.T) {
 	}
 }
 
-// errWriter fails after n bytes, exercising the write-error paths that the
-// old writeUvarint swallowed.
+// errWriter takes n bytes and then fails, the way a full disk does: a write
+// it cannot finish returns the short count with an error, as io.Writer
+// requires (Write hands the sink one buffer, so nothing else would notice).
 type errWriter struct{ n int }
 
 func (w *errWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, os.ErrClosed
-	}
 	if len(p) > w.n {
-		p = p[:w.n]
+		n := w.n
+		w.n = 0
+		return n, os.ErrClosed
 	}
 	w.n -= len(p)
 	return len(p), nil

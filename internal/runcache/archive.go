@@ -9,16 +9,14 @@ package runcache
 // error at merge time instead of silently skewing the merged tables.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
 
 	"dcpi/internal/atomicio"
+	"dcpi/internal/wire"
 )
 
 // Entry is one run result in a shard archive.
@@ -30,40 +28,26 @@ type Entry struct {
 // WriteArchive atomically writes entries (sorted by key for reproducible
 // bytes) to path, bound to stamp.
 func WriteArchive(path, stamp string, entries []Entry) error {
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(encodeArchive(stamp, entries))
+		return err
+	})
+}
+
+// encodeArchive returns: magic, format version, stamp, entry count, then
+// each entry (encodeEntry's bytes) prefixed by its length.
+func encodeArchive(stamp string, entries []Entry) []byte {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		if _, err := bw.WriteString(archiveMagic); err != nil {
-			return err
-		}
-		if err := atomicio.WriteUvarint(bw, formatVersion); err != nil {
-			return err
-		}
-		if err := atomicio.WriteUvarint(bw, uint64(len(stamp))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(stamp); err != nil {
-			return err
-		}
-		if err := atomicio.WriteUvarint(bw, uint64(len(sorted))); err != nil {
-			return err
-		}
-		for _, e := range sorted {
-			var eb bytes.Buffer
-			if err := encodeEntry(&eb, stamp, e.Key, e.Blob); err != nil {
-				return err
-			}
-			if err := atomicio.WriteUvarint(bw, uint64(eb.Len())); err != nil {
-				return err
-			}
-			if _, err := bw.Write(eb.Bytes()); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	})
+	e := wire.Enc{B: []byte(archiveMagic)}
+	e.Uvarint(formatVersion)
+	e.Str(stamp)
+	e.Count(len(sorted))
+	for _, ent := range sorted {
+		e.Bytes(encodeEntry(stamp, ent.Key, ent.Blob))
+	}
+	return e.B
 }
 
 // ReadArchive reads a shard archive, verifying every entry's framing and
@@ -75,76 +59,40 @@ func ReadArchive(path, wantStamp string) (stamp string, entries []Entry, err err
 	if err != nil {
 		return "", nil, err
 	}
-	if len(raw) < len(archiveMagic) || string(raw[:len(archiveMagic)]) != archiveMagic {
-		return "", nil, fmt.Errorf("runcache: %s: not a shard archive", path)
-	}
-	r := &sliceReader{b: raw[len(archiveMagic):]}
-	if v := r.uvarint(); r.err == nil && v != formatVersion {
-		return "", nil, fmt.Errorf("runcache: %s: archive format version %d, want %d", path, v, formatVersion)
-	}
-	stamp = r.str()
-	if r.err != nil {
-		return "", nil, fmt.Errorf("runcache: %s: %w", path, r.err)
-	}
-	if wantStamp != "" && stamp != wantStamp {
-		return stamp, nil, fmt.Errorf("runcache: %s: stamp %q, want %q (re-run the shard with this binary)", path, stamp, wantStamp)
-	}
-	n := int(r.uvarint())
-	for i := 0; i < n; i++ {
-		elen := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if elen > uint64(len(r.b)) {
-			r.err = fmt.Errorf("truncated entry %d", i)
-			break
-		}
-		eb := r.b[:elen]
-		r.b = r.b[elen:]
-		key, blob, derr := decodeArchiveEntry(eb, stamp)
-		if derr != nil {
-			r.err = fmt.Errorf("entry %d: %w", i, derr)
-			break
-		}
-		entries = append(entries, Entry{Key: key, Blob: blob})
-	}
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return stamp, nil, fmt.Errorf("runcache: %s: %w", path, r.err)
+	if stamp, entries, err = decodeArchive(raw, wantStamp); err != nil {
+		return stamp, nil, fmt.Errorf("runcache: %s: %w", path, err)
 	}
 	return stamp, entries, nil
 }
 
-// decodeArchiveEntry is decodeEntry without a known key: it verifies CRC,
-// magic, version, and stamp, and returns the embedded key and payload.
-func decodeArchiveEntry(raw []byte, stamp string) (string, []byte, error) {
-	if len(raw) < len(entryMagic)+4 {
-		return "", nil, fmt.Errorf("entry too short (%d bytes)", len(raw))
+// decodeArchive is ReadArchive over bytes already in memory. An archive is
+// untrusted (it travels between machines): the entry count is bounded by the
+// bytes that remain, and entries alias raw.
+func decodeArchive(raw []byte, wantStamp string) (stamp string, entries []Entry, err error) {
+	if len(raw) < len(archiveMagic) || string(raw[:len(archiveMagic)]) != archiveMagic {
+		return "", nil, errors.New("not a shard archive")
 	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return "", nil, fmt.Errorf("CRC mismatch")
+	d := wire.Dec{B: raw[len(archiveMagic):]}
+	if v := d.Uvarint(); d.Err == nil && v != formatVersion {
+		return "", nil, fmt.Errorf("archive format version %d, want %d", v, formatVersion)
 	}
-	if string(body[:len(entryMagic)]) != entryMagic {
-		return "", nil, fmt.Errorf("bad entry magic")
+	stamp = d.Str()
+	if d.Err != nil {
+		return "", nil, d.Err
 	}
-	r := &sliceReader{b: body[len(entryMagic):]}
-	if v := r.uvarint(); r.err == nil && v != formatVersion {
-		return "", nil, fmt.Errorf("entry format version %d, want %d", v, formatVersion)
+	if wantStamp != "" && stamp != wantStamp {
+		return stamp, nil, fmt.Errorf("stamp %q, want %q (re-run the shard with this binary)", stamp, wantStamp)
 	}
-	gotStamp := r.str()
-	key := r.str()
-	blob := r.bytes()
-	if r.err != nil {
-		return "", nil, r.err
+	n := d.Count(1)
+	for i := 0; i < n && d.Err == nil; i++ {
+		key, blob, err := decodeEntry(d.Bytes(), stamp)
+		if err != nil {
+			d.Fail(fmt.Errorf("entry %d: %w", i, err))
+		}
+		entries = append(entries, Entry{Key: key, Blob: blob})
 	}
-	if gotStamp != stamp {
-		return "", nil, fmt.Errorf("entry stamp %q, want %q", gotStamp, stamp)
+	if err := d.Done(); err != nil {
+		return stamp, nil, err
 	}
-	if len(r.b) != 0 {
-		return "", nil, fmt.Errorf("%d trailing bytes in entry", len(r.b))
-	}
-	return key, blob, nil
+	return stamp, entries, nil
 }

@@ -13,7 +13,7 @@
 //     protocol profiledb uses, so a crash mid-Put leaves the old entry (or
 //     no entry) — never a torn one.
 //   - Every entry carries a magic number, format version, stamp, its own
-//     key, and a CRC32 of the payload. Get verifies all five; any mismatch
+//     key, and a CRC32 over all of it. Get verifies all five; any mismatch
 //     — truncation, bit rot, a hash collision between keys, a stale stamp —
 //     quarantines the file by renaming it to ".bad" and reports a miss, so
 //     corruption can cost a re-simulation but can never produce wrong
@@ -28,10 +28,10 @@
 package runcache
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -43,6 +43,7 @@ import (
 
 	"dcpi/internal/atomicio"
 	"dcpi/internal/obs"
+	"dcpi/internal/wire"
 )
 
 const (
@@ -138,8 +139,9 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.count(func(s *Stats) { s.Misses++ })
 		return nil, false
 	}
-	payload, err := decodeEntry(raw, c.stamp, key)
-	if err != nil {
+	// A key mismatch is a hash collision between file names, or tampering.
+	gotKey, payload, err := decodeEntry(raw, c.stamp)
+	if err != nil || gotKey != key {
 		c.quarantine(path)
 		c.count(func(s *Stats) { s.Misses++; s.Quarantined++ })
 		return nil, false
@@ -159,7 +161,8 @@ func (c *Cache) Put(key string, payload []byte) error {
 		prev = info.Size()
 	}
 	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		return encodeEntry(w, c.stamp, key, payload)
+		_, err := w.Write(encodeEntry(c.stamp, key, payload))
+		return err
 	})
 	if err != nil {
 		return err
@@ -286,108 +289,46 @@ func (c *Cache) count(f func(*Stats)) {
 
 // --- entry framing ---------------------------------------------------------
 
-// encodeEntry writes: magic, then a varint-framed header (format version,
+// encodeEntry returns: magic, then a varint-framed header (format version,
 // stamp, key, payload length), the payload, and a CRC32 (IEEE) over
 // everything before it.
-func encodeEntry(w io.Writer, stamp, key string, payload []byte) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.WriteString(entryMagic); err != nil {
-		return err
-	}
-	if err := atomicio.WriteUvarint(bw, formatVersion); err != nil {
-		return err
-	}
-	for _, s := range []string{stamp, key} {
-		if err := atomicio.WriteUvarint(bw, uint64(len(s))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
-	}
-	if err := atomicio.WriteUvarint(bw, uint64(len(payload))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
-	return err
+func encodeEntry(stamp, key string, payload []byte) []byte {
+	e := wire.Enc{B: make([]byte, 0, len(entryMagic)+len(stamp)+len(key)+len(payload)+32)}
+	e.B = append(e.B, entryMagic...)
+	e.Uvarint(formatVersion)
+	e.Str(stamp)
+	e.Str(key)
+	e.Bytes(payload)
+	return binary.LittleEndian.AppendUint32(e.B, crc32.ChecksumIEEE(e.B))
 }
 
-// decodeEntry verifies the framing of raw and returns the payload. Any
-// mismatch — magic, version, stamp, key, length, CRC — is an error.
-func decodeEntry(raw []byte, stamp, key string) ([]byte, error) {
+// decodeEntry verifies the framing of raw — CRC, magic, version, stamp,
+// field lengths, no trailing bytes — and returns the embedded key and the
+// payload (aliasing raw). The cache checks the key against the one it looked
+// up; a shard archive takes it as the entry's name.
+func decodeEntry(raw []byte, stamp string) (key string, payload []byte, err error) {
 	if len(raw) < len(entryMagic)+4 {
-		return nil, fmt.Errorf("runcache: entry too short (%d bytes)", len(raw))
+		return "", nil, fmt.Errorf("entry too short (%d bytes)", len(raw))
 	}
 	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("runcache: CRC mismatch")
+		return "", nil, errors.New("CRC mismatch")
 	}
 	if string(body[:len(entryMagic)]) != entryMagic {
-		return nil, fmt.Errorf("runcache: bad magic")
+		return "", nil, errors.New("bad entry magic")
 	}
-	r := &sliceReader{b: body[len(entryMagic):]}
-	if v := r.uvarint(); v != formatVersion {
-		return nil, fmt.Errorf("runcache: format version %d, want %d", v, formatVersion)
+	d := wire.Dec{B: body[len(entryMagic):]}
+	if v := d.Uvarint(); d.Err == nil && v != formatVersion {
+		return "", nil, fmt.Errorf("entry format version %d, want %d", v, formatVersion)
 	}
-	gotStamp := r.str()
-	gotKey := r.str()
-	payload := r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	gotStamp := d.Str()
+	key = d.Str()
+	payload = d.Bytes()
+	if err := d.Done(); err != nil {
+		return "", nil, err
 	}
 	if gotStamp != stamp {
-		return nil, fmt.Errorf("runcache: stamp %q, want %q", gotStamp, stamp)
+		return "", nil, fmt.Errorf("entry stamp %q, want %q", gotStamp, stamp)
 	}
-	if gotKey != key {
-		return nil, fmt.Errorf("runcache: key mismatch (hash collision or tampering)")
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("runcache: %d trailing bytes", len(r.b))
-	}
-	return payload, nil
+	return key, payload, nil
 }
-
-// sliceReader decodes varint-framed fields from a byte slice with a
-// sticky error.
-type sliceReader struct {
-	b   []byte
-	err error
-}
-
-func (r *sliceReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("runcache: truncated varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *sliceReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.err = fmt.Errorf("runcache: truncated field (%d > %d bytes)", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *sliceReader) str() string { return string(r.bytes()) }

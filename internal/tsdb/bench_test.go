@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -153,18 +152,14 @@ func setupBig(b *testing.B) {
 			}
 		}
 		seq := uint64(1)
-		var buf bytes.Buffer
 		for m := 0; m < bigMachines; m++ {
 			for e := uint64(1); e <= bigEpochs; e++ {
 				batch := bigBatch(fmt.Sprintf("m%02d", m), e)
-				buf.Reset()
-				if big.err = EncodeSegment(&buf, &batch); big.err != nil {
-					return
-				}
+				enc := EncodeSegment(&batch)
 				name := segName(seq)
 				seq++
 				for _, d := range []string{big.raw, big.cmp} {
-					if big.err = os.WriteFile(filepath.Join(d, name), buf.Bytes(), 0o644); big.err != nil {
+					if big.err = os.WriteFile(filepath.Join(d, name), enc, 0o644); big.err != nil {
 						return
 					}
 				}

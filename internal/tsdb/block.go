@@ -1,18 +1,14 @@
 package tsdb
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	mathbits "math/bits"
 	"sort"
 
-	"dcpi/internal/atomicio"
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 // BlockMagic identifies a tsdb block file.
@@ -304,133 +300,79 @@ func downsampleBlock(b *block, n uint64) *block {
 	return d
 }
 
-// EncodeBlock writes the framed, CRC-stamped encoding of a block.
-func EncodeBlock(w io.Writer, b *block) error {
-	var payload bytes.Buffer
-	pw := bufio.NewWriter(&payload)
-	writeString := func(s string) error {
-		if err := atomicio.WriteUvarint(pw, uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := pw.WriteString(s)
-		return err
-	}
-	wu := func(vs ...uint64) error {
-		for _, v := range vs {
-			if err := atomicio.WriteUvarint(pw, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeString(b.machine); err != nil {
-		return err
-	}
-	if err := wu(b.firstSeq, b.lastSeq, b.minEpoch, b.maxEpoch, b.downsample); err != nil {
-		return err
-	}
+// EncodeBlock returns the framed, CRC-stamped encoding of a block.
+func EncodeBlock(b *block) []byte {
+	e := newFrame()
+	e.Str(b.machine)
+	e.Uvarint(b.firstSeq)
+	e.Uvarint(b.lastSeq)
+	e.Uvarint(b.minEpoch)
+	e.Uvarint(b.maxEpoch)
+	e.Uvarint(b.downsample)
 	if b.downsample == 0 {
-		if err := wu(uint64(len(b.metas))); err != nil {
-			return err
-		}
-		var prevEpoch uint64
-		var prevWall int64
+		e.Count(len(b.metas))
+		var prev epochMeta
 		var prevBits uint64
 		for _, m := range b.metas {
 			bits := math.Float64bits(m.period)
-			if err := wu(m.epoch - prevEpoch); err != nil {
-				return err
-			}
-			if err := atomicio.WriteVarint(pw, m.wall-prevWall); err != nil {
-				return err
-			}
-			if err := wu(bits ^ prevBits); err != nil {
-				return err
-			}
-			prevEpoch, prevWall, prevBits = m.epoch, m.wall, bits
+			e.Uvarint(m.epoch - prev.epoch)
+			e.Varint(m.wall - prev.wall)
+			e.Uvarint(bits ^ prevBits)
+			prev, prevBits = m, bits
 		}
 	} else {
-		if err := wu(uint64(len(b.buckets))); err != nil {
-			return err
-		}
-		var prevEpoch uint64
-		var prevWall int64
+		e.Count(len(b.buckets))
+		var prev bucketMeta
 		for _, bm := range b.buckets {
-			if err := wu(bm.epoch-prevEpoch, bm.cover); err != nil {
-				return err
-			}
-			if err := atomicio.WriteVarint(pw, bm.wall-prevWall); err != nil {
-				return err
-			}
-			prevEpoch, prevWall = bm.epoch, bm.wall
+			e.Uvarint(bm.epoch - prev.epoch)
+			e.Uvarint(bm.cover)
+			e.Varint(bm.wall - prev.wall)
+			prev = bm
 		}
 	}
 	strs, strIdx := blockStringTable(b)
-	if err := wu(uint64(len(strs))); err != nil {
-		return err
-	}
+	e.Count(len(strs))
 	for _, s := range strs {
-		if err := writeString(s); err != nil {
-			return err
-		}
+		e.Str(s)
 	}
-	if err := wu(uint64(len(b.series))); err != nil {
-		return err
-	}
+	e.Count(len(b.series))
 	for si := range b.series {
 		bs := &b.series[si]
-		if err := wu(strIdx[bs.labels.Workload], strIdx[bs.labels.Image], strIdx[bs.labels.Proc]); err != nil {
-			return err
-		}
-		if err := pw.WriteByte(byte(bs.labels.Event)); err != nil {
-			return err
-		}
-		if err := wu(uint64(len(bs.epochs))); err != nil {
-			return err
-		}
+		e.Uvarint(strIdx[bs.labels.Workload])
+		e.Uvarint(strIdx[bs.labels.Image])
+		e.Uvarint(strIdx[bs.labels.Proc])
+		e.Byte(byte(bs.labels.Event))
+		e.Count(len(bs.epochs))
 		var prev uint64
-		for _, e := range bs.epochs {
-			if err := wu(e - prev); err != nil {
-				return err
-			}
-			prev = e
+		for _, ep := range bs.epochs {
+			e.Uvarint(ep - prev)
+			prev = ep
 		}
 		for _, col := range [][]uint64{bs.samples, bs.insts} {
 			prev = 0
 			for _, v := range col {
 				// Wrap-around delta: exact mod 2^64, small varints for
 				// slowly-varying counters.
-				if err := atomicio.WriteVarint(pw, int64(v-prev)); err != nil {
-					return err
-				}
+				e.Varint(int64(v - prev))
 				prev = v
 			}
 		}
 		if b.downsample > 0 {
 			for _, v := range bs.mins {
-				if err := wu(v); err != nil {
-					return err
-				}
+				e.Uvarint(v)
 			}
 			for j, v := range bs.maxs {
-				if err := wu(v - bs.mins[j]); err != nil {
-					return err
-				}
+				e.Uvarint(v - bs.mins[j])
 			}
 			var prevBits uint64
 			for _, p := range bs.periods {
 				bits := math.Float64bits(p)
-				if err := wu(bits ^ prevBits); err != nil {
-					return err
-				}
+				e.Uvarint(bits ^ prevBits)
 				prevBits = bits
 			}
 		}
 	}
-	if err := pw.Flush(); err != nil {
-		return err
-	}
-	return writeFramed(w, BlockMagic, BlockVersion, payload.Bytes())
+	return sealFrame(e.B, BlockMagic, BlockVersion)
 }
 
 // blockStringTable collects the sorted, deduplicated workload/image/proc
@@ -461,232 +403,144 @@ func DecodeBlock(raw []byte) (*block, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bytes.NewReader(payload)
-	b := &block{}
-	if b.machine, err = readString(br); err != nil {
-		return nil, err
+	d := &wire.Dec{B: payload}
+	b := &block{
+		machine: decStr(d), firstSeq: d.Uvarint(), lastSeq: d.Uvarint(),
+		minEpoch: d.Uvarint(), maxEpoch: d.Uvarint(), downsample: d.Uvarint(),
 	}
-	if b.machine == "" {
-		return nil, errors.New("tsdb: block without machine label")
+	switch {
+	case d.Err != nil:
+	case b.machine == "":
+		d.Fail(errors.New("block without machine label"))
+	case b.firstSeq == 0 || b.firstSeq > b.lastSeq:
+		d.Fail(fmt.Errorf("bad block sequence range [%d, %d]", b.firstSeq, b.lastSeq))
+	case b.downsample == 1 || b.downsample > maxDownsample:
+		d.Fail(fmt.Errorf("bad downsample factor %d", b.downsample))
+	case b.downsample == 0:
+		b.decodeMetas(d)
+	default:
+		b.decodeBuckets(d)
 	}
-	ru := func(dst ...*uint64) error {
-		for _, d := range dst {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
-			}
-			*d = v
-		}
-		return nil
-	}
-	if err := ru(&b.firstSeq, &b.lastSeq, &b.minEpoch, &b.maxEpoch, &b.downsample); err != nil {
-		return nil, err
-	}
-	if b.firstSeq == 0 || b.firstSeq > b.lastSeq {
-		return nil, fmt.Errorf("tsdb: bad block sequence range [%d, %d]", b.firstSeq, b.lastSeq)
-	}
-	if b.downsample == 1 || b.downsample > maxDownsample {
-		return nil, fmt.Errorf("tsdb: bad downsample factor %d", b.downsample)
-	}
-	if b.downsample == 0 {
-		if err := b.decodeMetas(br); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := b.decodeBuckets(br); err != nil {
-			return nil, err
-		}
-	}
-	strs, err := decodeStringTable(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.decodeSeries(br, strs); err != nil {
-		return nil, err
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("tsdb: %d trailing bytes", br.Len())
+	b.decodeSeries(d, decodeStringTable(d))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("tsdb: decoding block: %w", err)
 	}
 	return b, nil
 }
 
-func (b *block) decodeMetas(br *bytes.Reader) error {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
+// The decode steps below share DecodeBlock's cursor: a step that finds the
+// block malformed fails the cursor, which stops every read after it and
+// keeps the first failure (so a check after a failed read reports nothing).
+
+func (b *block) decodeMetas(d *wire.Dec) {
+	n := d.Count(3) // three varints an epoch
 	if n == 0 {
-		return errors.New("tsdb: block without epochs")
-	}
-	if n > uint64(br.Len())/3+1 {
-		return fmt.Errorf("tsdb: epoch count %d exceeds payload", n)
+		d.Fail(errors.New("block without epochs"))
 	}
 	b.metas = make([]epochMeta, 0, n)
-	var prevEpoch uint64
-	var prevWall int64
+	var prev epochMeta
 	var prevBits uint64
-	for i := uint64(0); i < n; i++ {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
+	for i := 0; i < n && d.Err == nil; i++ {
+		delta := d.Uvarint()
+		if delta == 0 || prev.epoch > math.MaxUint64-delta {
+			d.Fail(errors.New("epoch metadata not strictly ascending"))
 		}
-		if d == 0 || prevEpoch > math.MaxUint64-d {
-			return errors.New("tsdb: epoch metadata not strictly ascending")
-		}
-		wd, err := binary.ReadVarint(br)
-		if err != nil {
-			return err
-		}
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		prevEpoch += d
-		prevWall += wd
-		prevBits ^= bits
-		period, err := readPeriodBits(prevBits)
-		if err != nil {
-			return err
-		}
-		b.metas = append(b.metas, epochMeta{prevEpoch, prevWall, period})
+		prev.epoch += delta
+		prev.wall += d.Varint()
+		prevBits ^= d.Uvarint()
+		prev.period = decPeriod(d, prevBits)
+		b.metas = append(b.metas, prev)
 	}
-	if b.minEpoch != b.metas[0].epoch || b.maxEpoch != b.metas[len(b.metas)-1].epoch {
-		return errors.New("tsdb: block epoch bounds disagree with metadata")
+	if d.Err == nil && (b.minEpoch != b.metas[0].epoch || b.maxEpoch != b.metas[n-1].epoch) {
+		d.Fail(errors.New("block epoch bounds disagree with metadata"))
 	}
-	return nil
 }
 
-func (b *block) decodeBuckets(br *bytes.Reader) error {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
+func (b *block) decodeBuckets(d *wire.Dec) {
+	n := d.Count(3) // three varints a bucket
 	if n == 0 {
-		return errors.New("tsdb: block without buckets")
-	}
-	if n > uint64(br.Len())/3+1 {
-		return fmt.Errorf("tsdb: bucket count %d exceeds payload", n)
+		d.Fail(errors.New("block without buckets"))
 	}
 	b.buckets = make([]bucketMeta, 0, n)
-	var prevEpoch uint64
-	var prevWall int64
-	for i := uint64(0); i < n; i++ {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
+	var prev bucketMeta
+	for i := 0; i < n && d.Err == nil; i++ {
+		delta := d.Uvarint()
+		if delta == 0 || prev.epoch > math.MaxUint64-delta {
+			d.Fail(errors.New("buckets not strictly ascending"))
 		}
-		if d == 0 || prevEpoch > math.MaxUint64-d {
-			return errors.New("tsdb: buckets not strictly ascending")
-		}
-		cover, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		wd, err := binary.ReadVarint(br)
-		if err != nil {
-			return err
-		}
-		prevEpoch += d
-		prevWall += wd
-		if bucketStart(prevEpoch, b.downsample) != prevEpoch {
-			return fmt.Errorf("tsdb: bucket %d not aligned to factor %d", prevEpoch, b.downsample)
+		prev.epoch += delta
+		prev.cover = d.Uvarint()
+		prev.wall += d.Varint()
+		if bucketStart(prev.epoch, b.downsample) != prev.epoch {
+			d.Fail(fmt.Errorf("bucket %d not aligned to factor %d", prev.epoch, b.downsample))
 		}
 		// A shift count of 64 (factor == maxDownsample) is defined in Go
 		// and yields 0, keeping the full-bitmap case valid.
-		if cover == 0 || cover>>b.downsample != 0 {
-			return fmt.Errorf("tsdb: bucket coverage %#x exceeds factor %d", cover, b.downsample)
+		if prev.cover == 0 || prev.cover>>b.downsample != 0 {
+			d.Fail(fmt.Errorf("bucket coverage %#x exceeds factor %d", prev.cover, b.downsample))
 		}
-		b.buckets = append(b.buckets, bucketMeta{prevEpoch, cover, prevWall})
+		b.buckets = append(b.buckets, prev)
+	}
+	if d.Err != nil {
+		return // bucketBounds needs the whole, non-empty list
 	}
 	if min, max := bucketBounds(b.buckets); b.minEpoch != min || b.maxEpoch != max {
-		return errors.New("tsdb: block epoch bounds disagree with buckets")
+		d.Fail(errors.New("block epoch bounds disagree with buckets"))
 	}
-	return nil
 }
 
-func decodeStringTable(br *bytes.Reader) ([]string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(br.Len())+1 {
-		return nil, fmt.Errorf("tsdb: string count %d exceeds payload", n)
-	}
+func decodeStringTable(d *wire.Dec) []string {
+	n := d.Count(1)
 	strs := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n && d.Err == nil; i++ {
+		s := decStr(d)
 		if i > 0 && s <= strs[i-1] {
-			return nil, errors.New("tsdb: string table not strictly ascending")
+			d.Fail(errors.New("string table not strictly ascending"))
 		}
 		strs = append(strs, s)
 	}
-	return strs, nil
+	return strs
 }
 
-func (b *block) decodeSeries(br *bytes.Reader, strs []string) error {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if n > uint64(br.Len())/8+1 {
-		return fmt.Errorf("tsdb: series count %d exceeds payload", n)
-	}
+func (b *block) decodeSeries(d *wire.Dec, strs []string) {
+	// A series is at least 8 bytes: three string indexes, the event, the
+	// point count and one point of three columns.
+	n := d.Count(8)
 	b.series = make([]bseries, 0, n)
-	var prevLab Labels
-	for i := uint64(0); i < n; i++ {
-		var wi, ii, pi uint64
-		for _, d := range []*uint64{&wi, &ii, &pi} {
-			if *d, err = binary.ReadUvarint(br); err != nil {
-				return err
+	for i := 0; i < n && d.Err == nil; i++ {
+		var idx [3]uint64
+		for k := range idx {
+			if idx[k] = d.Uvarint(); idx[k] >= uint64(len(strs)) {
+				d.Fail(fmt.Errorf("string index %d out of range", idx[k]))
+				return
 			}
-			if *d >= uint64(len(strs)) {
-				return fmt.Errorf("tsdb: string index %d out of range", *d)
-			}
-		}
-		evb, err := br.ReadByte()
-		if err != nil {
-			return err
-		}
-		if sim.Event(evb) >= sim.NumEvents {
-			return fmt.Errorf("tsdb: bad event %d", evb)
 		}
 		lab := Labels{
-			Machine: b.machine, Workload: strs[wi], Image: strs[ii],
-			Proc: strs[pi], Event: sim.Event(evb),
+			Machine: b.machine, Workload: strs[idx[0]], Image: strs[idx[1]],
+			Proc: strs[idx[2]], Event: sim.Event(d.Byte()),
 		}
-		if i > 0 && !seriesLess(&prevLab, &lab) {
-			return errors.New("tsdb: series not strictly ascending")
+		if lab.Event >= sim.NumEvents {
+			d.Fail(fmt.Errorf("bad event %d", lab.Event))
 		}
-		prevLab = lab
-		bs, err := b.decodeOneSeries(br, lab)
-		if err != nil {
-			return err
+		if i > 0 && !seriesLess(&b.series[i-1].labels, &lab) {
+			d.Fail(errors.New("series not strictly ascending"))
 		}
-		b.series = append(b.series, *bs)
+		bs := b.decodeOneSeries(d, lab)
+		b.series = append(b.series, bs)
 		b.points += len(bs.epochs)
 	}
-	return nil
 }
 
-func (b *block) decodeOneSeries(br *bytes.Reader, lab Labels) (*bseries, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, errors.New("tsdb: empty series")
-	}
-	minBytes := uint64(3)
+func (b *block) decodeOneSeries(d *wire.Dec, lab Labels) bseries {
+	width := 3 // epoch, samples and insts columns
 	if b.downsample > 0 {
-		minBytes = 6
+		width = 6 // plus mins, maxs and periods
 	}
-	if n > uint64(br.Len())/minBytes+1 {
-		return nil, fmt.Errorf("tsdb: point count %d exceeds payload", n)
+	n := d.Count(width)
+	if n == 0 {
+		d.Fail(errors.New("empty series"))
 	}
-	bs := &bseries{
+	bs := bseries{
 		labels:  lab,
 		epochs:  make([]uint64, n),
 		samples: make([]uint64, n),
@@ -696,29 +550,25 @@ func (b *block) decodeOneSeries(br *bytes.Reader, lab Labels) (*bseries, error) 
 	}
 	var prev uint64
 	for j := range bs.epochs {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
+		delta := d.Uvarint()
+		if prev > math.MaxUint64-delta {
+			d.Fail(errors.New("series epochs overflow"))
 		}
-		if prev > math.MaxUint64-d {
-			return nil, errors.New("tsdb: series epochs overflow")
+		if b.downsample > 0 && j > 0 && delta == 0 {
+			d.Fail(errors.New("duplicate bucket in series"))
 		}
-		prev += d
-		if b.downsample > 0 && j > 0 && d == 0 {
-			return nil, errors.New("tsdb: duplicate bucket in series")
-		}
+		prev += delta
 		bs.epochs[j] = prev
 	}
 	for _, col := range [][]uint64{bs.samples, bs.insts} {
 		prev = 0
 		for j := range col {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			prev += uint64(d)
+			prev += uint64(d.Varint())
 			col[j] = prev
 		}
+	}
+	if d.Err != nil {
+		return bs
 	}
 	if b.downsample == 0 {
 		// Join wall/period from the epoch-metadata table; every point's
@@ -729,12 +579,13 @@ func (b *block) decodeOneSeries(br *bytes.Reader, lab Labels) (*bseries, error) 
 				mi++
 			}
 			if mi == len(b.metas) || b.metas[mi].epoch != e {
-				return nil, fmt.Errorf("tsdb: series epoch %d missing from metadata", e)
+				d.Fail(fmt.Errorf("series epoch %d missing from metadata", e))
+				return bs
 			}
 			bs.walls[j] = b.metas[mi].wall
 			bs.periods[j] = b.metas[mi].period
 		}
-		return bs, nil
+		return bs
 	}
 	bi := 0
 	for j, e := range bs.epochs {
@@ -742,34 +593,23 @@ func (b *block) decodeOneSeries(br *bytes.Reader, lab Labels) (*bseries, error) 
 			bi++
 		}
 		if bi == len(b.buckets) || b.buckets[bi].epoch != e {
-			return nil, fmt.Errorf("tsdb: series bucket %d missing from bucket table", e)
+			d.Fail(fmt.Errorf("series bucket %d missing from bucket table", e))
+			return bs
 		}
 		bs.walls[j] = b.buckets[bi].wall
 	}
 	bs.mins = make([]uint64, n)
 	bs.maxs = make([]uint64, n)
 	for j := range bs.mins {
-		if bs.mins[j], err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
+		bs.mins[j] = d.Uvarint()
 	}
 	for j := range bs.maxs {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		bs.maxs[j] = bs.mins[j] + d
+		bs.maxs[j] = bs.mins[j] + d.Uvarint()
 	}
 	var prevBits uint64
 	for j := range bs.periods {
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prevBits ^= bits
-		if bs.periods[j], err = readPeriodBits(prevBits); err != nil {
-			return nil, err
-		}
+		prevBits ^= d.Uvarint()
+		bs.periods[j] = decPeriod(d, prevBits)
 	}
-	return bs, nil
+	return bs
 }

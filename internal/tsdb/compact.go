@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -191,18 +190,15 @@ func (db *DB) downsampleLocked(o CompactOptions, st *CompactStats) error {
 // writeBlockLocked encodes and durably writes bl under a fresh file
 // sequence, returning its indexable source. Caller holds db.mu.
 func (db *DB) writeBlockLocked(bl *block) (*source, error) {
-	var buf bytes.Buffer
-	if err := EncodeBlock(&buf, bl); err != nil {
-		return nil, err
-	}
+	enc := EncodeBlock(bl)
 	seq := db.nextSeq
 	db.nextSeq++
 	path := filepath.Join(db.dir, blkName(seq))
 	if err := atomicio.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+		_, err := w.Write(enc)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return sourceFromBlock(seq, path, int64(buf.Len()), bl), nil
+	return sourceFromBlock(seq, path, int64(len(enc)), bl), nil
 }

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,11 +54,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		srcs = append(srcs, sourceFromBatch(e, "", 0, &b))
 	}
 	for _, bl := range []*block{buildBlock("m00", srcs), downsampleBlock(buildBlock("m00", srcs), 2)} {
-		var buf bytes.Buffer
-		if err := EncodeBlock(&buf, bl); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeBlock(buf.Bytes())
+		got, err := DecodeBlock(EncodeBlock(bl))
 		if err != nil {
 			t.Fatalf("downsample=%d: %v", bl.downsample, err)
 		}
@@ -73,11 +68,7 @@ func TestBlockRoundTrip(t *testing.T) {
 func TestBlockCorruptionDetected(t *testing.T) {
 	b := procBatch("m00", 1)
 	bl := buildBlock("m00", []*source{sourceFromBatch(1, "", 0, &b)})
-	var buf bytes.Buffer
-	if err := EncodeBlock(&buf, bl); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := EncodeBlock(bl)
 	for _, i := range []int{0, 9, 12, 20, len(raw) - 1} {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0xff
@@ -322,11 +313,7 @@ func TestCompactQuarantinesConflictingSegment(t *testing.T) {
 	mustAppend(t, db, procBatch("m00", 2))
 	conflict := procBatch("m00", 2)
 	conflict.Wall += 7
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, &conflict); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segName(3)), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(3)), EncodeSegment(&conflict), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := Open(dir, Options{})

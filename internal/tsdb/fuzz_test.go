@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -25,33 +24,22 @@ func FuzzTSDBSegmentDecode(f *testing.F) {
 			{Image: "", Event: sim.EvDTBMiss, Samples: 0, Insts: 1 << 40},
 		},
 	}
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, &seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:13])        // truncated header
-	f.Add(buf.Bytes()[:20])        // truncated payload
+	buf := EncodeSegment(&seed)
+	f.Add(buf)
+	f.Add(buf[:13])                // truncated header
+	f.Add(buf[:20])                // truncated payload
 	f.Add([]byte("not a segment")) // bad magic
-	flipped := append([]byte(nil), buf.Bytes()...)
+	flipped := append([]byte(nil), buf...)
 	flipped[len(flipped)-1] ^= 0xff // corrupt payload (CRC must catch it)
 	f.Add(flipped)
-	var empty bytes.Buffer
-	if err := EncodeSegment(&empty, &Batch{Machine: "m", Workload: "w"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
+	f.Add(EncodeSegment(&Batch{Machine: "m", Workload: "w"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeSegment(data)
 		if err != nil {
 			return // rejected cleanly — fine
 		}
-		var out bytes.Buffer
-		if err := EncodeSegment(&out, b); err != nil {
-			t.Fatalf("re-encoding accepted segment: %v", err)
-		}
-		q, err := DecodeSegment(out.Bytes())
+		q, err := DecodeSegment(EncodeSegment(b))
 		if err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}
@@ -89,16 +77,9 @@ func FuzzTSDBBlockDecode(f *testing.F) {
 		srcs = append(srcs, sourceFromBatch(e, "", 0, &b))
 	}
 	raw := buildBlock("m04", srcs)
-	encode := func(b *block) []byte {
-		var buf bytes.Buffer
-		if err := EncodeBlock(&buf, b); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	rawBytes := encode(raw)
+	rawBytes := EncodeBlock(raw)
 	f.Add(rawBytes)
-	f.Add(encode(downsampleBlock(raw, 2)))
+	f.Add(EncodeBlock(downsampleBlock(raw, 2)))
 	f.Add(rawBytes[:13])         // truncated header
 	f.Add(rawBytes[:25])         // truncated payload
 	f.Add([]byte("not a block")) // bad magic
@@ -111,11 +92,7 @@ func FuzzTSDBBlockDecode(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — fine
 		}
-		var out bytes.Buffer
-		if err := EncodeBlock(&out, b); err != nil {
-			t.Fatalf("re-encoding accepted block: %v", err)
-		}
-		q, err := DecodeBlock(out.Bytes())
+		q, err := DecodeBlock(EncodeBlock(b))
 		if err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}

@@ -16,17 +16,16 @@
 // engine (query.go) scans sources in parallel with a deterministic merge.
 //
 // The durability story mirrors the repo's other stores: segments and
-// blocks are written through internal/atomicio (temp+fsync+rename),
-// framed with a magic, a version, and a CRC32 of the payload, and
-// anything that fails to decode on open is quarantined aside as NAME.bad
-// the way internal/runcache does — a corrupt file costs its own points,
-// never the database. A size-based retention cap drops the
-// oldest-by-epoch sources first, so a long-running collector's disk use
-// stays bounded.
+// blocks are encoded through internal/wire, framed with a magic, a
+// version, and a CRC32 of the payload, written through internal/atomicio
+// (temp+fsync+rename), and anything that fails to decode on open is
+// quarantined aside as NAME.bad the way internal/runcache does — a corrupt
+// file costs its own points, never the database. A size-based retention
+// cap drops the oldest-by-epoch sources first, so a long-running
+// collector's disk use stays bounded.
 package tsdb
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -44,6 +43,7 @@ import (
 	"dcpi/internal/atomicio"
 	"dcpi/internal/obs"
 	"dcpi/internal/sim"
+	"dcpi/internal/wire"
 )
 
 // Magic identifies a tsdb raw-segment file.
@@ -351,16 +351,10 @@ func (db *DB) Append(b Batch) error {
 	if db.opts.ReadOnly {
 		return errors.New("tsdb: store opened read-only")
 	}
-	if b.Machine == "" {
-		return errors.New("tsdb: batch needs a machine label")
+	if err := b.validate(); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
-	if b.Epoch == 0 {
-		return errors.New("tsdb: batch needs an epoch >= 1")
-	}
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, &b); err != nil {
-		return err
-	}
+	enc := EncodeSegment(&b)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if wall, period, ok := db.epochMetaLocked(b.Machine, b.Epoch); ok &&
@@ -372,13 +366,13 @@ func (db *DB) Append(b Batch) error {
 	db.nextSeq++
 	path := filepath.Join(db.dir, segName(seq))
 	if err := atomicio.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+		_, err := w.Write(enc)
 		return err
 	}); err != nil {
 		return err
 	}
-	db.addSource(sourceFromBatch(seq, path, int64(buf.Len()), &b))
-	db.sizeBytes += int64(buf.Len())
+	db.addSource(sourceFromBatch(seq, path, int64(len(enc)), &b))
+	db.sizeBytes += int64(len(enc))
 	db.retain()
 	db.publish()
 	return nil
@@ -537,75 +531,25 @@ func (db *DB) MaxEpoch(machine string) uint64 {
 	return max
 }
 
-// EncodeSegment writes the framed, CRC-stamped encoding of b.
-func EncodeSegment(w io.Writer, b *Batch) error {
-	var payload bytes.Buffer
-	pw := bufio.NewWriter(&payload)
-	writeString := func(s string) error {
-		if err := atomicio.WriteUvarint(pw, uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := pw.WriteString(s)
-		return err
-	}
-	if err := writeString(b.Machine); err != nil {
-		return err
-	}
-	if err := writeString(b.Workload); err != nil {
-		return err
-	}
-	if err := atomicio.WriteUvarint(pw, b.Epoch); err != nil {
-		return err
-	}
-	if err := atomicio.WriteVarint(pw, b.Wall); err != nil {
-		return err
-	}
-	if err := atomicio.WriteUvarint(pw, math.Float64bits(b.Period)); err != nil {
-		return err
-	}
-	if err := atomicio.WriteUvarint(pw, uint64(len(b.Records))); err != nil {
-		return err
-	}
-	for _, r := range b.Records {
-		if err := writeString(r.Image); err != nil {
-			return err
-		}
-		if err := writeString(r.Proc); err != nil {
-			return err
-		}
-		if err := pw.WriteByte(byte(r.Event)); err != nil {
-			return err
-		}
-		if err := atomicio.WriteUvarint(pw, r.Samples); err != nil {
-			return err
-		}
-		if err := atomicio.WriteUvarint(pw, r.Insts); err != nil {
-			return err
-		}
-	}
-	if err := pw.Flush(); err != nil {
-		return err
-	}
-	return writeFramed(w, Magic, Version, payload.Bytes())
-}
+// frameLen is the header segments and blocks share: magic, u16 version,
+// CRC32 (IEEE) of the payload that follows.
+const frameLen = 14
 
-// writeFramed writes the shared 14-byte header (magic, version, CRC32 of
-// payload) followed by the payload.
-func writeFramed(w io.Writer, magic [8]byte, version uint16, payload []byte) error {
-	var hdr [14]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], version)
-	binary.LittleEndian.PutUint32(hdr[10:14], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// newFrame starts an encoding with room for the header sealFrame fills in.
+func newFrame() wire.Enc { return wire.Enc{B: make([]byte, frameLen, 256)} }
+
+// sealFrame stamps the header over the first frameLen bytes of b, once the
+// payload behind them is complete.
+func sealFrame(b []byte, magic [8]byte, version uint16) []byte {
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint16(b[8:10], version)
+	binary.LittleEndian.PutUint32(b[10:14], crc32.ChecksumIEEE(b[frameLen:]))
+	return b
 }
 
 // checkFrame verifies the shared header and returns the payload.
 func checkFrame(raw []byte, magic [8]byte, version uint16) ([]byte, error) {
-	if len(raw) < 14 {
+	if len(raw) < frameLen {
 		return nil, errors.New("tsdb: file too short")
 	}
 	if !bytes.Equal(raw[:8], magic[:]) {
@@ -614,108 +558,112 @@ func checkFrame(raw []byte, magic [8]byte, version uint16) ([]byte, error) {
 	if v := binary.LittleEndian.Uint16(raw[8:10]); v != version {
 		return nil, fmt.Errorf("tsdb: unsupported version %d", v)
 	}
-	payload := raw[14:]
+	payload := raw[frameLen:]
 	if crc := binary.LittleEndian.Uint32(raw[10:14]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, errors.New("tsdb: CRC mismatch")
 	}
 	return payload, nil
 }
 
-// maxStringLen bounds decoded label lengths so corrupt varints cannot
-// drive huge allocations (the fuzz targets' over-allocation check).
+// maxStringLen bounds label lengths, written and read.
 const maxStringLen = 1 << 16
 
-func readString(br *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
+// decStr reads a label, refusing one longer than maxStringLen.
+func decStr(d *wire.Dec) string {
+	b := d.Bytes()
+	if len(b) > maxStringLen {
+		d.Fail(fmt.Errorf("string length %d exceeds %d", len(b), maxStringLen))
 	}
-	if n > maxStringLen || n > uint64(br.Len()) {
-		return "", fmt.Errorf("tsdb: string length %d exceeds payload", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	return string(b)
 }
 
-func readPeriodBits(bits uint64) (float64, error) {
+// decPeriod turns stored float bits into a sampling period, refusing
+// anything but a finite, non-negative one.
+func decPeriod(d *wire.Dec, bits uint64) float64 {
 	p := math.Float64frombits(bits)
-	if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-		return 0, fmt.Errorf("tsdb: invalid period %v", p)
+	if err := checkPeriod(p); err != nil {
+		d.Fail(err)
 	}
-	return p, nil
+	return p
+}
+
+func checkPeriod(p float64) error {
+	if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+		return fmt.Errorf("invalid period %v", p)
+	}
+	return nil
+}
+
+// validate is the one definition of a well-formed batch. Append refuses what
+// fails it and DecodeSegment quarantines what fails it, so whatever Append
+// accepts, the next Open reads back.
+func (b *Batch) validate() error {
+	if b.Machine == "" {
+		return errors.New("batch needs a machine label")
+	}
+	if b.Epoch == 0 {
+		return errors.New("batch needs an epoch >= 1")
+	}
+	if err := checkPeriod(b.Period); err != nil {
+		return err
+	}
+	if len(b.Machine) > maxStringLen || len(b.Workload) > maxStringLen {
+		return fmt.Errorf("batch label longer than %d bytes", maxStringLen)
+	}
+	for i := range b.Records {
+		r := &b.Records[i]
+		if len(r.Image) > maxStringLen || len(r.Proc) > maxStringLen {
+			return fmt.Errorf("record %d label longer than %d bytes", i, maxStringLen)
+		}
+		if r.Event >= sim.NumEvents {
+			return fmt.Errorf("record %d: bad event %d", i, r.Event)
+		}
+	}
+	return nil
+}
+
+// EncodeSegment returns the framed, CRC-stamped encoding of b.
+func EncodeSegment(b *Batch) []byte {
+	e := newFrame()
+	e.Str(b.Machine)
+	e.Str(b.Workload)
+	e.Uvarint(b.Epoch)
+	e.Varint(b.Wall)
+	e.Uvarint(math.Float64bits(b.Period))
+	e.Count(len(b.Records))
+	for _, r := range b.Records {
+		e.Str(r.Image)
+		e.Str(r.Proc)
+		e.Byte(byte(r.Event))
+		e.Uvarint(r.Samples)
+		e.Uvarint(r.Insts)
+	}
+	return sealFrame(e.B, Magic, Version)
 }
 
 // DecodeSegment decodes one raw segment, verifying magic, version, CRC,
-// and field sanity.
+// and that the batch is one Append would have accepted.
 func DecodeSegment(raw []byte) (*Batch, error) {
 	payload, err := checkFrame(raw, Magic, Version)
 	if err != nil {
 		return nil, err
 	}
-	br := bytes.NewReader(payload)
-	var b Batch
-	if b.Machine, err = readString(br); err != nil {
-		return nil, err
+	d := wire.Dec{B: payload}
+	b := &Batch{Machine: d.Str(), Workload: d.Str(), Epoch: d.Uvarint(), Wall: d.Varint()}
+	b.Period = math.Float64frombits(d.Uvarint())
+	// A record is at least 5 bytes: two empty labels, the event, two counts.
+	b.Records = make([]Record, d.Count(5))
+	for i := range b.Records {
+		b.Records[i] = Record{
+			Image: d.Str(), Proc: d.Str(), Event: sim.Event(d.Byte()),
+			Samples: d.Uvarint(), Insts: d.Uvarint(),
+		}
 	}
-	if b.Workload, err = readString(br); err != nil {
-		return nil, err
+	if err = d.Done(); err == nil {
+		err = b.validate()
 	}
-	if b.Epoch, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
-	}
-	if b.Epoch == 0 {
-		return nil, errors.New("tsdb: segment epoch 0")
-	}
-	if b.Wall, err = binary.ReadVarint(br); err != nil {
-		return nil, err
-	}
-	bits, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tsdb: decoding segment: %w", err)
 	}
-	if b.Period, err = readPeriodBits(bits); err != nil {
-		return nil, err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	// Each record is at least 5 bytes (two empty-string varints, event
-	// byte, two count varints), so a sane count never exceeds the
-	// remaining payload.
-	if n > uint64(br.Len())/5+1 {
-		return nil, fmt.Errorf("tsdb: record count %d exceeds payload", n)
-	}
-	b.Records = make([]Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var r Record
-		if r.Image, err = readString(br); err != nil {
-			return nil, err
-		}
-		if r.Proc, err = readString(br); err != nil {
-			return nil, err
-		}
-		evb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if sim.Event(evb) >= sim.NumEvents {
-			return nil, fmt.Errorf("tsdb: bad event %d", evb)
-		}
-		r.Event = sim.Event(evb)
-		if r.Samples, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		if r.Insts, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		b.Records = append(b.Records, r)
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("tsdb: %d trailing bytes", br.Len())
-	}
-	return &b, nil
+	return b, nil
 }

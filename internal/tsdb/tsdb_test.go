@@ -1,11 +1,13 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcpi/internal/sim"
@@ -28,11 +30,7 @@ func testBatch(machine string, epoch uint64) Batch {
 
 func TestSegmentRoundTrip(t *testing.T) {
 	b := testBatch("m00", 3)
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, &b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSegment(buf.Bytes())
+	got, err := DecodeSegment(EncodeSegment(&b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +41,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentCorruptionDetected(t *testing.T) {
 	b := testBatch("m00", 1)
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, &b); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := EncodeSegment(&b)
 	for _, i := range []int{0, 9, 12, 20, len(raw) - 1} {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0xff
@@ -268,5 +262,103 @@ func TestTopImagesAndDeltas(t *testing.T) {
 	}
 	if wave <= 0 || kernel >= 0 {
 		t.Errorf("delta directions wrong: wave5 %+.2f kernel %+.2f", wave, kernel)
+	}
+}
+
+// Append used to check two fields and durably write the rest: a batch with
+// a negative period or an over-long label was accepted, served by Select,
+// and quarantined — its points gone — on the next Open. Each must be
+// refused up front and leave nothing on disk.
+func TestAppendRefusesWhatOpenWouldQuarantine(t *testing.T) {
+	bad := map[string]func(*Batch){
+		"no machine":      func(b *Batch) { b.Machine = "" },
+		"epoch 0":         func(b *Batch) { b.Epoch = 0 },
+		"negative period": func(b *Batch) { b.Period = -1 },
+		"NaN period":      func(b *Batch) { b.Period = math.NaN() },
+		"infinite period": func(b *Batch) { b.Period = math.Inf(1) },
+		"long machine":    func(b *Batch) { b.Machine = strings.Repeat("m", maxStringLen+1) },
+		"long workload":   func(b *Batch) { b.Workload = strings.Repeat("w", maxStringLen+1) },
+		"long image":      func(b *Batch) { b.Records[1].Image = strings.Repeat("i", 70_000) },
+		"long proc":       func(b *Batch) { b.Records[2].Proc = strings.Repeat("p", maxStringLen+1) },
+		"bad event":       func(b *Batch) { b.Records[0].Event = sim.NumEvents },
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, breakIt := range bad {
+		b := testBatch("m00", 1)
+		breakIt(&b)
+		if err := db.Append(b); err == nil {
+			t.Errorf("%s: Append accepted the batch", name)
+		}
+		if _, err := DecodeSegment(EncodeSegment(&b)); err == nil {
+			t.Errorf("%s: DecodeSegment accepted the batch", name)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("refused batches left %d files behind", len(files))
+	}
+	if st := db.Stats(); st.Points != 0 || st.Segments != 0 {
+		t.Errorf("refused batches were indexed: %+v", st)
+	}
+	// A label of exactly the cap is fine.
+	edge := testBatch("m00", 1)
+	edge.Records[0].Image = strings.Repeat("i", maxStringLen)
+	mustAppend(t, db, edge)
+}
+
+// Whatever Append accepts, the next Open reads back: random batches —
+// hostile periods, labels around the cap, any event byte — either fail
+// Append or survive a reopen with every point and no quarantine.
+func TestAppendAcceptsOnlyWhatReopens(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	label := func() string {
+		switch rng.Intn(8) {
+		case 0:
+			return ""
+		case 1:
+			return strings.Repeat("x", maxStringLen-1+rng.Intn(3))
+		default:
+			return fmt.Sprintf("/l%d", rng.Intn(5))
+		}
+	}
+	periods := []float64{0, 1, 62000.5, math.MaxFloat64, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, points := 0, 0
+	for i := 0; i < 300; i++ {
+		b := Batch{
+			Machine:  label(),
+			Workload: label(),
+			Epoch:    uint64(rng.Intn(3)) * uint64(i+1), // 0, or distinct per batch
+			Wall:     rng.Int63() - rng.Int63(),
+			Period:   periods[rng.Intn(len(periods))],
+			Records:  make([]Record, rng.Intn(4)),
+		}
+		for j := range b.Records {
+			b.Records[j] = Record{
+				Image: label(), Proc: label(), Event: sim.Event(rng.Intn(int(sim.NumEvents) + 2)),
+				Samples: rng.Uint64(), Insts: rng.Uint64(),
+			}
+		}
+		if db.Append(b) == nil {
+			accepted++
+			points += len(b.Records)
+		}
+	}
+	if accepted < 20 || accepted > 280 {
+		t.Fatalf("generator is lopsided: %d of 300 batches accepted", accepted)
+	}
+	db2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db2.Stats(); st.Quarantined != 0 || st.Segments != accepted || st.Points != points {
+		t.Errorf("reopen: %+v, want %d segments, %d points, none quarantined", st, accepted, points)
 	}
 }

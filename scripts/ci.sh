@@ -20,6 +20,16 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== one varint cursor (internal/wire)" >&2
+# Every binary format encodes and decodes through internal/wire, whose Dec
+# bounds each count by the bytes that remain. A private cursor over
+# encoding/binary's varints must not grow back beside it.
+if grep -rnE 'binary\.((Read|Put|Append)(Uv|V)arint|Uvarint|Varint)\b' \
+	--include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/wire/'; then
+	echo "varint calls outside internal/wire: use wire.Enc / wire.Dec" >&2
+	exit 1
+fi
+
 echo "== go vet ./..." >&2
 go vet ./...
 
@@ -210,6 +220,9 @@ go test ./internal/tsdb/ -run '^$' -fuzz FuzzTSDBBlockDecode -fuzztime 5s
 go test ./internal/optimize/ -run '^$' -fuzz FuzzReorderProcedure -fuzztime 5s
 go test ./internal/hw/ -run '^$' -fuzz FuzzParseHWConfig -fuzztime 5s
 go test ./internal/dcpi/ -run '^$' -fuzz FuzzDecodeSnapshot -fuzztime 5s
+go test ./internal/runcache/ -run '^$' -fuzz FuzzDecodeEntry -fuzztime 5s
+go test ./internal/runcache/ -run '^$' -fuzz FuzzReadArchive -fuzztime 5s
+go test ./internal/wire/ -run '^$' -fuzz FuzzDec -fuzztime 5s
 
 if [ "${BENCH:-0}" = "1" ]; then
 	echo "== benchmark regression gate (BENCH=1)" >&2
