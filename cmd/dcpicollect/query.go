@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"dcpi/internal/collect"
-	"dcpi/internal/sim"
 	"dcpi/internal/tsdb"
 )
 
@@ -47,18 +46,19 @@ func queryMain(args []string) int {
 		return 2
 	}
 
+	src := source{w: renderW, dbDir: *dbDir, server: *server, asJSON: *asJSON}
 	var err error
 	switch kind {
 	case "range":
-		err = queryRange(renderW, *dbDir, *server, *image, *proc, *event, *from, *to, *last, *asJSON)
+		err = queryRange(src, *image, *proc, *event, *from, *to, *last)
 	case "top":
 		if *procs {
-			err = queryTopProcs(renderW, *dbDir, *server, *image, *event, *from, *to, *last, *n, *asJSON)
+			err = queryTopProcs(src, *image, *event, *from, *to, *last, *n)
 		} else {
-			err = queryTop(renderW, *dbDir, *server, *event, *from, *to, *last, *n, *asJSON)
+			err = queryTop(src, *event, *from, *to, *last, *n)
 		}
 	case "delta":
-		err = queryDelta(renderW, *dbDir, *server, *event, *a, *b, *n, *asJSON)
+		err = queryDelta(src, *event, *a, *b, *n)
 	default:
 		err = fmt.Errorf("unknown query kind %q (want range, top, or delta)", kind)
 	}
@@ -86,6 +86,39 @@ func getAPI(server, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// source says where a query's answer comes from and how it is printed.
+type source struct {
+	w      io.Writer
+	dbDir  string // local store, opened read-only, when server is empty
+	server string
+	asJSON bool
+}
+
+// ask answers one query from its parameters — a GET of path on the server,
+// or the function that path's handler is made of over the local store —
+// and prints the response as JSON or through render.
+func ask[T any](s source, path string, q url.Values,
+	answer func(*tsdb.DB, url.Values) (T, error), render func(io.Writer, T)) error {
+	var resp T
+	var err error
+	if s.server != "" {
+		err = getAPI(s.server, path+"?"+q.Encode(), &resp)
+	} else {
+		var db *tsdb.DB
+		if db, err = openRO(s.dbDir); err == nil {
+			resp, err = answer(db, q)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if s.asJSON {
+		return writeJSON(s.w, resp)
+	}
+	render(s.w, resp)
+	return nil
+}
+
 // writeJSON prints v the way the HTTP API does: two-space indent, one
 // trailing newline.
 func writeJSON(w io.Writer, v any) error {
@@ -94,7 +127,7 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// resolve turns CLI range flags into the API's query parameters.
+// rangeParams turns CLI range flags into the API's query parameters.
 func rangeParams(image, event string, from, to, last uint64) url.Values {
 	q := url.Values{}
 	if image != "" {
@@ -114,46 +147,15 @@ func rangeParams(image, event string, from, to, last uint64) url.Values {
 	return q
 }
 
-func localWindow(db *tsdb.DB, from, to, last uint64) (uint64, uint64) {
-	if last > 0 {
-		return collect.LastWindow(db, last)
-	}
-	return from, to
-}
-
-func queryRange(w io.Writer, dbDir, server, image, proc, event string, from, to, last uint64, asJSON bool) error {
+func queryRange(s source, image, proc, event string, from, to, last uint64) error {
 	if image == "" {
 		return fmt.Errorf("range: missing -image")
 	}
-	var resp collect.RangeResponse
-	if server != "" {
-		q := rangeParams(image, event, from, to, last)
-		if proc != "" {
-			q.Set("proc", proc)
-		}
-		if err := getAPI(server, "/query/range?"+q.Encode(), &resp); err != nil {
-			return err
-		}
-	} else {
-		db, err := openRO(dbDir)
-		if err != nil {
-			return err
-		}
-		ev, err := sim.ParseEvent(event)
-		if err != nil {
-			return err
-		}
-		from, to = localWindow(db, from, to, last)
-		resp = collect.RangeResponse{
-			Image: image, Proc: proc, Event: ev.String(), FromEpoch: from, ToEpoch: to,
-			Rows: tsdb.RangeQueryProc(db, image, proc, ev, from, to),
-		}
+	q := rangeParams(image, event, from, to, last)
+	if proc != "" {
+		q.Set("proc", proc)
 	}
-	if asJSON {
-		return writeJSON(w, resp)
-	}
-	renderRange(w, resp)
-	return nil
+	return ask(s, "/query/range", q, collect.AnswerRange, renderRange)
 }
 
 func renderRange(w io.Writer, resp collect.RangeResponse) {
@@ -174,33 +176,10 @@ func renderRange(w io.Writer, resp collect.RangeResponse) {
 	}
 }
 
-func queryTop(w io.Writer, dbDir, server, event string, from, to, last uint64, n int, asJSON bool) error {
-	var resp collect.TopResponse
-	if server != "" {
-		q := rangeParams("", event, from, to, last)
-		if err := getAPI(server, fmt.Sprintf("/query/top?%s&n=%d", q.Encode(), n), &resp); err != nil {
-			return err
-		}
-	} else {
-		db, err := openRO(dbDir)
-		if err != nil {
-			return err
-		}
-		ev, err := sim.ParseEvent(event)
-		if err != nil {
-			return err
-		}
-		from, to = localWindow(db, from, to, last)
-		resp = collect.TopResponse{
-			Event: ev.String(), FromEpoch: from, ToEpoch: to,
-			Rows: tsdb.TopImages(db, ev, from, to, n),
-		}
-	}
-	if asJSON {
-		return writeJSON(w, resp)
-	}
-	renderTop(w, resp)
-	return nil
+func queryTop(s source, event string, from, to, last uint64, n int) error {
+	q := rangeParams("", event, from, to, last)
+	q.Set("n", fmt.Sprint(n))
+	return ask(s, "/query/top", q, collect.AnswerTop, renderTop)
 }
 
 func renderTop(w io.Writer, resp collect.TopResponse) {
@@ -211,36 +190,13 @@ func renderTop(w io.Writer, resp collect.TopResponse) {
 	}
 }
 
-func queryTopProcs(w io.Writer, dbDir, server, image, event string, from, to, last uint64, n int, asJSON bool) error {
+func queryTopProcs(s source, image, event string, from, to, last uint64, n int) error {
 	if image == "" {
 		return fmt.Errorf("top -procs: missing -image")
 	}
-	var resp collect.TopProcsResponse
-	if server != "" {
-		q := rangeParams(image, event, from, to, last)
-		if err := getAPI(server, fmt.Sprintf("/query/top?%s&n=%d", q.Encode(), n), &resp); err != nil {
-			return err
-		}
-	} else {
-		db, err := openRO(dbDir)
-		if err != nil {
-			return err
-		}
-		ev, err := sim.ParseEvent(event)
-		if err != nil {
-			return err
-		}
-		from, to = localWindow(db, from, to, last)
-		resp = collect.TopProcsResponse{
-			Image: image, Event: ev.String(), FromEpoch: from, ToEpoch: to,
-			Rows: tsdb.TopProcs(db, image, ev, from, to, n),
-		}
-	}
-	if asJSON {
-		return writeJSON(w, resp)
-	}
-	renderTopProcs(w, resp)
-	return nil
+	q := rangeParams(image, event, from, to, last)
+	q.Set("n", fmt.Sprint(n))
+	return ask(s, "/query/top", q, collect.AnswerTopProcs, renderTopProcs)
 }
 
 func renderTopProcs(w io.Writer, resp collect.TopProcsResponse) {
@@ -252,47 +208,12 @@ func renderTopProcs(w io.Writer, resp collect.TopProcsResponse) {
 	}
 }
 
-func queryDelta(w io.Writer, dbDir, server, event, a, b string, n int, asJSON bool) error {
+func queryDelta(s source, event, a, b string, n int) error {
 	if a == "" || b == "" {
 		return fmt.Errorf("delta: want -a F-T and -b F-T")
 	}
-	var resp collect.DeltaResponse
-	if server != "" {
-		q := url.Values{}
-		q.Set("event", event)
-		q.Set("a", a)
-		q.Set("b", b)
-		q.Set("n", fmt.Sprint(n))
-		if err := getAPI(server, "/query/delta?"+q.Encode(), &resp); err != nil {
-			return err
-		}
-	} else {
-		db, err := openRO(dbDir)
-		if err != nil {
-			return err
-		}
-		ev, err := sim.ParseEvent(event)
-		if err != nil {
-			return err
-		}
-		aFrom, aTo, err := collect.ParseWindow(a)
-		if err != nil {
-			return fmt.Errorf("window a: %v", err)
-		}
-		bFrom, bTo, err := collect.ParseWindow(b)
-		if err != nil {
-			return fmt.Errorf("window b: %v", err)
-		}
-		resp = collect.DeltaResponse{
-			Event: ev.String(), AFrom: aFrom, ATo: aTo, BFrom: bFrom, BTo: bTo,
-			Rows: collect.ToDeltaRows(tsdb.TopDeltas(db, ev, aFrom, aTo, bFrom, bTo, n)),
-		}
-	}
-	if asJSON {
-		return writeJSON(w, resp)
-	}
-	renderDelta(w, resp)
-	return nil
+	q := url.Values{"event": {event}, "a": {a}, "b": {b}, "n": {fmt.Sprint(n)}}
+	return ask(s, "/query/delta", q, collect.AnswerDelta, renderDelta)
 }
 
 func renderDelta(w io.Writer, resp collect.DeltaResponse) {

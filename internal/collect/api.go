@@ -2,8 +2,10 @@ package collect
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -23,77 +25,20 @@ import (
 //	/metrics            the collector's own obs registry, flat text
 //
 // Epoch windows are inclusive; last=K means the K newest epochs fleet-wide.
+// Each /query path is one of the Answer functions below behind handle, so
+// the query CLI's -tsdb mode calls exactly what its -server mode reaches.
 func APIHandler(db *tsdb.DB, c *Collector, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query/range", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		image := q.Get("image")
-		if image == "" {
-			http.Error(w, "missing image parameter", http.StatusBadRequest)
-			return
-		}
-		ev, from, to, err := parseCommon(q.Get("event"), q.Get("from"), q.Get("to"), q.Get("last"), db)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		proc := q.Get("proc")
-		writeJSON(w, RangeResponse{
-			Image: image, Proc: proc, Event: ev.String(), FromEpoch: from, ToEpoch: to,
-			Rows: tsdb.RangeQueryProc(db, image, proc, ev, from, to),
-		})
-	})
+	mux.HandleFunc("/query/range", handle(db, AnswerRange))
+	topImages, topProcs := handle(db, AnswerTop), handle(db, AnswerTopProcs)
 	mux.HandleFunc("/query/top", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		ev, from, to, err := parseCommon(q.Get("event"), q.Get("from"), q.Get("to"), q.Get("last"), db)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		if r.URL.Query().Get("image") != "" {
+			topProcs(w, r)
+		} else {
+			topImages(w, r)
 		}
-		n, err := parseN(q.Get("n"), 10)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if image := q.Get("image"); image != "" {
-			writeJSON(w, TopProcsResponse{
-				Image: image, Event: ev.String(), FromEpoch: from, ToEpoch: to,
-				Rows: tsdb.TopProcs(db, image, ev, from, to, n),
-			})
-			return
-		}
-		writeJSON(w, TopResponse{
-			Event: ev.String(), FromEpoch: from, ToEpoch: to,
-			Rows: tsdb.TopImages(db, ev, from, to, n),
-		})
 	})
-	mux.HandleFunc("/query/delta", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		ev, err := parseEvent(q.Get("event"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		aFrom, aTo, err := ParseWindow(q.Get("a"))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("window a: %v", err), http.StatusBadRequest)
-			return
-		}
-		bFrom, bTo, err := ParseWindow(q.Get("b"))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("window b: %v", err), http.StatusBadRequest)
-			return
-		}
-		n, err := parseN(q.Get("n"), 10)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, DeltaResponse{
-			Event: ev.String(), AFrom: aFrom, ATo: aTo, BFrom: bFrom, BTo: bTo,
-			Rows: ToDeltaRows(tsdb.TopDeltas(db, ev, aFrom, aTo, bFrom, bTo, n)),
-		})
-	})
+	mux.HandleFunc("/query/delta", handle(db, AnswerDelta))
 	mux.HandleFunc("/targets", func(w http.ResponseWriter, r *http.Request) {
 		if c == nil {
 			http.Error(w, "no collector attached", http.StatusNotFound)
@@ -113,6 +58,19 @@ func APIHandler(db *tsdb.DB, c *Collector, reg *obs.Registry) http.Handler {
 	return mux
 }
 
+// handle serves one Answer function: a parameter error is a 400, an
+// answer is written as JSON.
+func handle[T any](db *tsdb.DB, answer func(*tsdb.DB, url.Values) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp, err := answer(db, r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, resp)
+	}
+}
+
 // RangeResponse is the /query/range reply.
 type RangeResponse struct {
 	Image     string          `json:"image"`
@@ -123,12 +81,40 @@ type RangeResponse struct {
 	Rows      []tsdb.RangeRow `json:"rows"`
 }
 
+// AnswerRange answers /query/range from its query parameters.
+func AnswerRange(db *tsdb.DB, q url.Values) (RangeResponse, error) {
+	image, proc := q.Get("image"), q.Get("proc")
+	if image == "" {
+		return RangeResponse{}, errors.New("missing image parameter")
+	}
+	ev, from, to, err := parseCommon(q, db)
+	if err != nil {
+		return RangeResponse{}, err
+	}
+	return RangeResponse{
+		Image: image, Proc: proc, Event: ev.String(), FromEpoch: from, ToEpoch: to,
+		Rows: tsdb.RangeQueryProc(db, image, proc, ev, from, to),
+	}, nil
+}
+
 // TopResponse is the /query/top reply.
 type TopResponse struct {
 	Event     string        `json:"event"`
 	FromEpoch uint64        `json:"from_epoch"`
 	ToEpoch   uint64        `json:"to_epoch"`
 	Rows      []tsdb.TopRow `json:"rows"`
+}
+
+// AnswerTop answers /query/top without image=: the hottest images.
+func AnswerTop(db *tsdb.DB, q url.Values) (TopResponse, error) {
+	ev, from, to, n, err := parseTop(q, db)
+	if err != nil {
+		return TopResponse{}, err
+	}
+	return TopResponse{
+		Event: ev.String(), FromEpoch: from, ToEpoch: to,
+		Rows: tsdb.TopImages(db, ev, from, to, n),
+	}, nil
 }
 
 // TopProcsResponse is the /query/top reply when image= narrows the
@@ -139,6 +125,20 @@ type TopProcsResponse struct {
 	FromEpoch uint64         `json:"from_epoch"`
 	ToEpoch   uint64         `json:"to_epoch"`
 	Rows      []tsdb.ProcRow `json:"rows"`
+}
+
+// AnswerTopProcs answers /query/top with image=: that image's hottest
+// procedures.
+func AnswerTopProcs(db *tsdb.DB, q url.Values) (TopProcsResponse, error) {
+	ev, from, to, n, err := parseTop(q, db)
+	if err != nil {
+		return TopProcsResponse{}, err
+	}
+	image := q.Get("image")
+	return TopProcsResponse{
+		Image: image, Event: ev.String(), FromEpoch: from, ToEpoch: to,
+		Rows: tsdb.TopProcs(db, image, ev, from, to, n),
+	}, nil
 }
 
 // DeltaRow mirrors analysis.DeltaRow with JSON tags and the computed
@@ -167,6 +167,30 @@ type DeltaResponse struct {
 	BFrom uint64     `json:"b_from"`
 	BTo   uint64     `json:"b_to"`
 	Rows  []DeltaRow `json:"rows"`
+}
+
+// AnswerDelta answers /query/delta from its query parameters.
+func AnswerDelta(db *tsdb.DB, q url.Values) (DeltaResponse, error) {
+	ev, err := parseEvent(q.Get("event"))
+	if err != nil {
+		return DeltaResponse{}, err
+	}
+	aFrom, aTo, err := parseWindow(q.Get("a"))
+	if err != nil {
+		return DeltaResponse{}, fmt.Errorf("window a: %v", err)
+	}
+	bFrom, bTo, err := parseWindow(q.Get("b"))
+	if err != nil {
+		return DeltaResponse{}, fmt.Errorf("window b: %v", err)
+	}
+	n, err := parseN(q.Get("n"), 10)
+	if err != nil {
+		return DeltaResponse{}, err
+	}
+	return DeltaResponse{
+		Event: ev.String(), AFrom: aFrom, ATo: aTo, BFrom: bFrom, BTo: bTo,
+		Rows: ToDeltaRows(tsdb.TopDeltas(db, ev, aFrom, aTo, bFrom, bTo, n)),
+	}, nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -208,12 +232,12 @@ func parseEpoch(s string, def uint64) (uint64, error) {
 // parseCommon resolves the (event, from, to) triple shared by range and
 // top queries. last=K wins over from/to, selecting the K newest epochs
 // present anywhere in the store.
-func parseCommon(evS, fromS, toS, lastS string, db *tsdb.DB) (sim.Event, uint64, uint64, error) {
-	ev, err := parseEvent(evS)
+func parseCommon(q url.Values, db *tsdb.DB) (sim.Event, uint64, uint64, error) {
+	ev, err := parseEvent(q.Get("event"))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if lastS != "" {
+	if lastS := q.Get("last"); lastS != "" {
 		k, err := strconv.ParseUint(lastS, 10, 64)
 		if err != nil || k == 0 {
 			return 0, 0, 0, fmt.Errorf("bad last %q", lastS)
@@ -221,15 +245,23 @@ func parseCommon(evS, fromS, toS, lastS string, db *tsdb.DB) (sim.Event, uint64,
 		from, to := LastWindow(db, k)
 		return ev, from, to, nil
 	}
-	from, err := parseEpoch(fromS, 0)
+	from, err := parseEpoch(q.Get("from"), 0)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	to, err := parseEpoch(toS, 0)
+	to, err := parseEpoch(q.Get("to"), 0)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	return ev, from, to, nil
+}
+
+// parseTop is parseCommon plus the row limit both rankings take.
+func parseTop(q url.Values, db *tsdb.DB) (ev sim.Event, from, to uint64, n int, err error) {
+	if ev, from, to, err = parseCommon(q, db); err == nil {
+		n, err = parseN(q.Get("n"), 10)
+	}
+	return ev, from, to, n, err
 }
 
 // LastWindow resolves last=K to the inclusive window covering the K
@@ -243,8 +275,8 @@ func LastWindow(db *tsdb.DB, k uint64) (from, to uint64) {
 	return from, max
 }
 
-// ParseWindow parses an inclusive epoch window "F-T" (e.g. "1-100").
-func ParseWindow(s string) (uint64, uint64, error) {
+// parseWindow parses an inclusive epoch window "F-T" (e.g. "1-100").
+func parseWindow(s string) (uint64, uint64, error) {
 	a, b, ok := strings.Cut(s, "-")
 	if !ok {
 		return 0, 0, fmt.Errorf("want FROM-TO, got %q", s)

@@ -100,6 +100,44 @@ func BenchmarkAppend(b *testing.B) {
 	b.ReportMetric(float64(len(batch.Records)), "points/op")
 }
 
+// BenchmarkBuildStore measures what a long-running collector's store costs
+// to build: 16 machines x 650 epochs appended epoch by epoch and compacted
+// every 100 epochs, leaving six generations of blocks and a 50-epoch raw
+// tail. Retiring a compaction's 1600 input segments from the posting lists
+// is the part that used to be quadratic. The store sits on tmpfs where the
+// host has one, as under bench/run.sh: 10 400 fsyncs to a shared disk cost
+// seconds and vary by the hour, which buries the index work being measured.
+func BenchmarkBuildStore(b *testing.B) {
+	const machines, epochs, compactEvery = 16, 650, 100
+	root, err := os.MkdirTemp("/dev/shm", "dcpi-tsdb-build-")
+	if err != nil {
+		root = b.TempDir()
+	}
+	defer os.RemoveAll(root)
+	for i := 0; i < b.N; i++ {
+		db, err := Open(filepath.Join(root, fmt.Sprint(i)), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for e := uint64(1); e <= epochs; e++ {
+			for m := 0; m < machines; m++ {
+				if err := db.Append(bigBatch(fmt.Sprintf("m%02d", m), e)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if e%compactEvery == 0 {
+				if _, err := db.Compact(CompactOptions{CompactAfter: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if st := db.Stats(); st.Blocks != machines*(epochs/compactEvery) || st.Segments != machines*(epochs%compactEvery) {
+			b.Fatalf("store shape: %+v", st)
+		}
+	}
+	b.ReportMetric(machines*epochs, "appends/op")
+}
+
 // The 50k-epoch fleet store: 2 machines x 25k epochs, 6 images over two
 // events — the scale where compaction pays. Built once per binary run;
 // segment files are written with plain os.WriteFile (per-file fsync would

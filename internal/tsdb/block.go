@@ -154,6 +154,48 @@ func seriesLess(a, b *Labels) bool {
 	return a.Event < b.Event
 }
 
+// blockFromBatch is the decoded form of a raw segment: the one-epoch block
+// of the batch that file seq stores, one single-point series per record in
+// record order. Unlike a block read from a blk file its series are unsorted
+// and may repeat labels; the planner's (ord, sub) key orders them. It runs
+// on every Append, so it neither sorts nor hashes, and it cuts every series'
+// columns from three arrays the block owns — a batch costs the same few
+// allocations whatever its record count. The full-slice expressions keep an
+// append to one column out of its neighbour.
+func blockFromBatch(seq uint64, b *Batch) *block {
+	n := len(b.Records)
+	bl := &block{
+		machine:  b.Machine,
+		firstSeq: seq,
+		lastSeq:  seq,
+		minEpoch: b.Epoch,
+		maxEpoch: b.Epoch,
+		metas:    []epochMeta{{b.Epoch, b.Wall, b.Period}},
+		series:   make([]bseries, n),
+		points:   n,
+	}
+	counts := make([]uint64, 3*n) // epochs, then samples, then insts
+	walls := make([]int64, n)
+	periods := make([]float64, n)
+	for i, r := range b.Records {
+		e, s, in := i, n+i, 2*n+i
+		counts[e], counts[s], counts[in] = b.Epoch, r.Samples, r.Insts
+		walls[i], periods[i] = b.Wall, b.Period
+		bl.series[i] = bseries{
+			labels: Labels{
+				Machine: b.Machine, Workload: b.Workload,
+				Image: r.Image, Proc: r.Proc, Event: r.Event,
+			},
+			epochs:  counts[e : e+1 : e+1],
+			samples: counts[s : s+1 : s+1],
+			insts:   counts[in : in+1 : in+1],
+			walls:   walls[i : i+1 : i+1],
+			periods: periods[i : i+1 : i+1],
+		}
+	}
+	return bl
+}
+
 // buildBlock merges one machine's raw sources (ascending fileSeq) into an
 // in-memory block. Epoch metadata is stored once per epoch: when a
 // re-scrape race stored the same epoch twice, the duplicates are
@@ -161,12 +203,12 @@ func seriesLess(a, b *Labels) bool {
 // re-appends and Compact quarantines conflicting files before calling
 // this — so taking the lowest-sequence segment's metadata is lossless.
 // Points with identical labels and epoch all survive, in
-// segment-sequence order.
+// segment-sequence, then record, order.
 func buildBlock(machine string, srcs []*source) *block {
 	b := &block{
 		machine:  machine,
-		firstSeq: srcs[0].fileSeq,
-		lastSeq:  srcs[len(srcs)-1].fileSeq,
+		firstSeq: srcs[0].blk.firstSeq,
+		lastSeq:  srcs[len(srcs)-1].blk.lastSeq,
 	}
 	metaByEpoch := map[uint64]epochMeta{}
 	type col struct {
@@ -175,20 +217,22 @@ func buildBlock(machine string, srcs []*source) *block {
 	byLabel := map[Labels]*col{}
 	var order []Labels
 	for _, s := range srcs {
-		if _, ok := metaByEpoch[s.seg.epoch]; !ok {
-			metaByEpoch[s.seg.epoch] = epochMeta{s.seg.epoch, s.seg.wall, s.seg.period}
+		for _, m := range s.blk.metas {
+			if _, ok := metaByEpoch[m.epoch]; !ok {
+				metaByEpoch[m.epoch] = m
+			}
 		}
-		for i := range s.seg.points {
-			p := &s.seg.points[i]
-			c := byLabel[p.Labels]
+		for i := range s.blk.series {
+			bs := &s.blk.series[i]
+			c := byLabel[bs.labels]
 			if c == nil {
 				c = &col{}
-				byLabel[p.Labels] = c
-				order = append(order, p.Labels)
+				byLabel[bs.labels] = c
+				order = append(order, bs.labels)
 			}
-			c.epochs = append(c.epochs, p.Epoch)
-			c.samples = append(c.samples, p.Samples)
-			c.insts = append(c.insts, p.Insts)
+			c.epochs = append(c.epochs, bs.epochs...)
+			c.samples = append(c.samples, bs.samples...)
+			c.insts = append(c.insts, bs.insts...)
 		}
 	}
 	b.metas = make([]epochMeta, 0, len(metaByEpoch))

@@ -81,7 +81,7 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 	for _, m := range machines {
 		var raws []*source
 		for _, s := range db.byMachine[m] {
-			if s.seg != nil {
+			if s.raw {
 				raws = append(raws, s)
 			}
 		}
@@ -106,9 +106,9 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 		}
 		for _, s := range raws {
 			os.Remove(s.path)
-			db.removeSource(s)
 			db.sizeBytes -= s.bytes
 		}
+		db.removeSources(raws...)
 		db.compactions++
 	}
 	if o.Downsample > 1 {
@@ -132,22 +132,23 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 // NAME.bad like decode failures and their points leave the index.
 // Returns the surviving segments. Caller holds db.mu.
 func (db *DB) quarantineMetaConflictsLocked(raws []*source) []*source {
-	first := map[uint64]*segment{}
+	first := map[uint64]epochMeta{}
 	live := raws[:0]
+	var bad []*source
 	for _, s := range raws {
-		f := first[s.seg.epoch]
-		switch {
-		case f == nil:
-			first[s.seg.epoch] = s.seg
-		case f.wall != s.seg.wall || f.period != s.seg.period:
+		m := s.blk.metas[0] // a raw segment is a one-epoch block
+		if f, seen := first[m.epoch]; !seen {
+			first[m.epoch] = m
+		} else if f != m {
 			os.Rename(s.path, s.path+".bad")
-			db.removeSource(s)
 			db.sizeBytes -= s.bytes
 			db.quarantined++
+			bad = append(bad, s)
 			continue
 		}
 		live = append(live, s)
 	}
+	db.removeSources(bad...)
 	return live
 }
 
@@ -155,31 +156,26 @@ func (db *DB) quarantineMetaConflictsLocked(raws []*source) []*source {
 // behind the horizon (fleet max epoch minus RawRetention). Caller holds
 // db.mu.
 func (db *DB) downsampleLocked(o CompactOptions, st *CompactStats) error {
-	var fleetMax uint64
-	for _, s := range db.srcs {
-		if s.maxEpoch > fleetMax {
-			fleetMax = s.maxEpoch
-		}
-	}
+	fleetMax := maxEpoch(db.srcs)
 	if fleetMax <= o.RawRetention {
 		return nil
 	}
 	horizon := fleetMax - o.RawRetention
 	var victims []*source
 	for _, s := range db.srcs {
-		if s.blk != nil && s.blk.downsample == 0 && s.maxEpoch <= horizon {
+		if !s.raw && s.blk.downsample == 0 && s.blk.maxEpoch <= horizon {
 			victims = append(victims, s)
 		}
 	}
 	for _, s := range victims {
 		nsrc, err := db.writeBlockLocked(downsampleBlock(s.blk, o.Downsample))
 		if err != nil {
-			return fmt.Errorf("tsdb: downsampling %s: %w", s.machine, err)
+			return fmt.Errorf("tsdb: downsampling %s: %w", s.blk.machine, err)
 		}
 		db.addSource(nsrc)
 		db.sizeBytes += nsrc.bytes
 		os.Remove(s.path)
-		db.removeSource(s)
+		db.removeSources(s)
 		db.sizeBytes -= s.bytes
 		st.BlocksDownsampled++
 		db.downsampled++
@@ -200,5 +196,5 @@ func (db *DB) writeBlockLocked(bl *block) (*source, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return sourceFromBlock(seq, path, int64(len(enc)), bl), nil
+	return newSource(seq, path, int64(len(enc)), false, bl), nil
 }

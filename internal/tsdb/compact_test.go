@@ -51,7 +51,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	var srcs []*source
 	for e := uint64(1); e <= 4; e++ {
 		b := procBatch("m00", e)
-		srcs = append(srcs, sourceFromBatch(e, "", 0, &b))
+		srcs = append(srcs, newSource(e, "", 0, true, blockFromBatch(e, &b)))
 	}
 	for _, bl := range []*block{buildBlock("m00", srcs), downsampleBlock(buildBlock("m00", srcs), 2)} {
 		got, err := DecodeBlock(EncodeBlock(bl))
@@ -67,7 +67,7 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestBlockCorruptionDetected(t *testing.T) {
 	b := procBatch("m00", 1)
-	bl := buildBlock("m00", []*source{sourceFromBatch(1, "", 0, &b)})
+	bl := buildBlock("m00", []*source{newSource(1, "", 0, true, blockFromBatch(1, &b))})
 	raw := EncodeBlock(bl)
 	for _, i := range []int{0, 9, 12, 20, len(raw) - 1} {
 		bad := append([]byte(nil), raw...)
@@ -149,6 +149,98 @@ func TestSelectDeterminism(t *testing.T) {
 	if got := db2.Select(m); !reflect.DeepEqual(got, want) {
 		t.Fatal("Select order changed after reopen")
 	}
+}
+
+// TestInBatchDuplicateLabels stores the same (image, proc, event) twice
+// inside one batch, at image and at procedure level, and once more in a
+// re-scrape of the same epoch: two series of one source that only their
+// position tells apart, then one from a later source. Every query must
+// see the copies in record-then-sequence order, and answer identically
+// raw, reopened raw, compacted, and reopened compacted.
+func TestInBatchDuplicateLabels(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := procBatch("m00", 1)
+	first.Records = append(first.Records,
+		Record{Image: "/usr/bin/X", Event: sim.EvCycles, Samples: 700, Insts: 11},
+		Record{Image: "/usr/bin/X", Proc: "ffbFill", Event: sim.EvCycles, Samples: 500},
+	)
+	mustAppend(t, db, first)
+	mustAppend(t, db, procBatch("m00", 2))
+	rescrape := procBatch("m00", 1)
+	rescrape.Records = []Record{{Image: "/usr/bin/X", Event: sim.EvCycles, Samples: 900}}
+	mustAppend(t, db, rescrape)
+	mustAppend(t, db, procBatch("m01", 1))
+
+	type answers struct {
+		sel    []Point
+		rng    []RangeRow
+		top    []TopRow
+		procs  []ProcRow
+		deltas any
+	}
+	query := func(db *DB) answers {
+		return answers{
+			sel:    db.Select(Matcher{AnyEvent: true, AnyProc: true}),
+			rng:    RangeQuery(db, "/usr/bin/X", sim.EvCycles, 1, 2),
+			top:    TopImages(db, sim.EvCycles, 1, 2, 10),
+			procs:  TopProcs(db, "/usr/bin/X", sim.EvCycles, 1, 2, 10),
+			deltas: TopDeltas(db, sim.EvCycles, 1, 1, 2, 2, 10),
+		}
+	}
+	want := query(db)
+
+	copies := func(lab Labels) (samples []uint64) {
+		for _, p := range want.sel {
+			if p.Labels == lab && p.Epoch == 1 {
+				samples = append(samples, p.Samples)
+			}
+		}
+		return samples
+	}
+	image := Labels{Machine: "m00", Workload: "x11perf", Image: "/usr/bin/X", Event: sim.EvCycles}
+	if got := copies(image); !reflect.DeepEqual(got, []uint64{61, 700, 900}) {
+		t.Errorf("image-level copies of epoch 1 = %v, want [61 700 900] (record, then sequence order)", got)
+	}
+	proc := image
+	proc.Proc = "ffbFill"
+	if got := copies(proc); !reflect.DeepEqual(got, []uint64{41, 500}) {
+		t.Errorf("procedure-level copies of epoch 1 = %v, want [41 500]", got)
+	}
+	// m00's three copies plus m01's one point; both machines count once.
+	if r := want.rng[0]; r.Epoch != 1 || r.Samples != 61+700+900+61 || r.Machines != 2 {
+		t.Errorf("RangeQuery epoch 1 = %+v, want every copy summed over 2 machines", r)
+	}
+	if r := want.procs[0]; r.Proc != "ffbFill" || r.Samples != 41+500+42+41 {
+		t.Errorf("TopProcs[0] = %+v, want ffbFill with both in-batch copies", r)
+	}
+
+	check := func(when string, db *DB) {
+		t.Helper()
+		got := query(db)
+		if !reflect.DeepEqual(got.sel, want.sel) {
+			t.Errorf("%s: Select changed:\ngot  %+v\nwant %+v", when, got.sel, want.sel)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: aggregate answers changed:\ngot  %+v\nwant %+v", when, got, want)
+		}
+	}
+	reopen := func() *DB {
+		t.Helper()
+		db, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	check("raw, reopened", reopen())
+	if st := mustCompact(t, db, CompactOptions{CompactAfter: 1}); st.SegmentsCompacted != 4 {
+		t.Fatalf("compact stats: %+v", st)
+	}
+	check("compacted", db)
+	check("compacted, reopened", reopen())
 }
 
 // TestCompactionByteIdentity requires every query to return identical

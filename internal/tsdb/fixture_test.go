@@ -36,7 +36,7 @@ func fixtureBlock() *block {
 	var srcs []*source
 	for _, e := range []uint64{1, 2, 3, 5} {
 		b := fixtureBatch(e)
-		srcs = append(srcs, sourceFromBatch(10+e, "", 0, &b))
+		srcs = append(srcs, newSource(10+e, "", 0, true, blockFromBatch(10+e, &b)))
 	}
 	return buildBlock("m00", srcs)
 }

@@ -74,7 +74,7 @@ func FuzzTSDBBlockDecode(f *testing.F) {
 				{Image: "/kernel", Event: sim.EvDMiss, Samples: e},
 			},
 		}
-		srcs = append(srcs, sourceFromBatch(e, "", 0, &b))
+		srcs = append(srcs, newSource(e, "", 0, true, blockFromBatch(e, &b)))
 	}
 	raw := buildBlock("m04", srcs)
 	rawBytes := EncodeBlock(raw)

@@ -1,80 +1,48 @@
 package tsdb
 
+import "slices"
+
 // source is one on-disk file — a raw segment or a block — plus the label
-// summary the query planner prunes against. Sources are immutable once
-// built; the DB only adds and removes whole sources under db.mu, so a
-// query that snapshotted a source's pointer can keep scanning it
-// lock-free even while compaction retires the file.
+// summary the query planner prunes against. Whatever the file kind, the
+// decoded shape is a block: a raw segment is the one-epoch block of the
+// batch it stores (see blockFromBatch), so blk.lastSeq orders a source's
+// points against other sources' points for duplicate-(labels, epoch)
+// resolution. Compaction preserves that key, which is what keeps Select
+// byte-identical across compaction (see Select's ordering contract).
+// Sources are immutable once built; the DB only adds and removes whole
+// sources under db.mu, so a query that snapshotted a series' pointer can
+// keep scanning it lock-free even while compaction retires the file.
 type source struct {
 	fileSeq uint64 // sequence number in the file name; allocation order
-	// ordSeq orders a source's points against other sources' points for
-	// duplicate-(labels, epoch) resolution: the raw segment sequence for
-	// raw sources, and the highest consumed segment sequence (lastSeq)
-	// for blocks. Compaction preserves it, which is what keeps Select
-	// byte-identical across compaction (see Select's ordering contract).
-	ordSeq   uint64
-	path     string
-	bytes    int64
-	machine  string
-	minEpoch uint64
-	maxEpoch uint64
+	path    string
+	bytes   int64
+	raw     bool // a seg-*.tsdb file: compaction input, counted as a segment
 
 	workloads map[string]struct{}
 	images    map[string]struct{}
 	procs     map[string]struct{}
 	events    uint32 // bitmask by sim.Event
 
-	seg *segment // exactly one of seg/blk is set
 	blk *block
 }
 
-func sourceFromBatch(seq uint64, path string, size int64, b *Batch) *source {
+func newSource(seq uint64, path string, size int64, raw bool, bl *block) *source {
 	s := &source{
 		fileSeq:   seq,
-		ordSeq:    seq,
 		path:      path,
 		bytes:     size,
-		machine:   b.Machine,
-		minEpoch:  b.Epoch,
-		maxEpoch:  b.Epoch,
-		workloads: map[string]struct{}{b.Workload: {}},
-		images:    map[string]struct{}{},
-		procs:     map[string]struct{}{},
-		seg: &segment{
-			epoch:  b.Epoch,
-			wall:   b.Wall,
-			period: b.Period,
-			points: batchPoints(b),
-		},
-	}
-	for _, r := range b.Records {
-		s.images[r.Image] = struct{}{}
-		s.procs[r.Proc] = struct{}{}
-		s.events |= 1 << uint(r.Event)
-	}
-	return s
-}
-
-func sourceFromBlock(seq uint64, path string, size int64, bl *block) *source {
-	s := &source{
-		fileSeq:   seq,
-		ordSeq:    bl.lastSeq,
-		path:      path,
-		bytes:     size,
-		machine:   bl.machine,
-		minEpoch:  bl.minEpoch,
-		maxEpoch:  bl.maxEpoch,
+		raw:       raw,
 		workloads: map[string]struct{}{},
 		images:    map[string]struct{}{},
 		procs:     map[string]struct{}{},
 		blk:       bl,
 	}
 	for i := range bl.series {
-		bs := &bl.series[i]
-		s.workloads[bs.labels.Workload] = struct{}{}
-		s.images[bs.labels.Image] = struct{}{}
-		s.procs[bs.labels.Proc] = struct{}{}
-		s.events |= 1 << uint(bs.labels.Event)
+		lab := &bl.series[i].labels
+		s.workloads[lab.Workload] = struct{}{}
+		s.images[lab.Image] = struct{}{}
+		s.procs[lab.Proc] = struct{}{}
+		s.events |= 1 << uint(lab.Event)
 	}
 	return s
 }
@@ -84,51 +52,69 @@ func sourceFromBlock(seq uint64, path string, size int64, bl *block) *source {
 // monotonically and Open sorts before inserting.
 func (db *DB) addSource(s *source) {
 	db.srcs = append(db.srcs, s)
-	db.byMachine[s.machine] = append(db.byMachine[s.machine], s)
+	db.byMachine[s.blk.machine] = append(db.byMachine[s.blk.machine], s)
 	for img := range s.images {
 		db.byImage[img] = append(db.byImage[img], s)
 	}
 }
 
-// removeSource drops s from every posting list. Caller holds db.mu.
-func (db *DB) removeSource(s *source) {
-	db.srcs = dropSource(db.srcs, s)
-	if rest := dropSource(db.byMachine[s.machine], s); len(rest) > 0 {
-		db.byMachine[s.machine] = rest
-	} else {
-		delete(db.byMachine, s.machine)
+// removeSources drops every source in dead from every posting list,
+// filtering each affected list once however many sources leave it, and
+// deletes the keys whose lists empty. Lists are filtered in place — every
+// reader holds db.mu, and DeleteFunc zeroes the vacated tail so retired
+// sources can be collected. Caller holds db.mu.
+func (db *DB) removeSources(dead ...*source) {
+	if len(dead) == 0 {
+		return
 	}
-	for img := range s.images {
-		if rest := dropSource(db.byImage[img], s); len(rest) > 0 {
-			db.byImage[img] = rest
+	set := make(map[*source]bool, len(dead))
+	machines, images := map[string]struct{}{}, map[string]struct{}{}
+	for _, s := range dead {
+		set[s] = true
+		machines[s.blk.machine] = struct{}{}
+		for img := range s.images {
+			images[img] = struct{}{}
+		}
+	}
+	gone := func(s *source) bool { return set[s] }
+	db.srcs = slices.DeleteFunc(db.srcs, gone)
+	prunePostings(db.byMachine, machines, gone)
+	prunePostings(db.byImage, images, gone)
+}
+
+// prunePostings filters the lists under keys, deleting those that empty.
+func prunePostings(lists map[string][]*source, keys map[string]struct{}, gone func(*source) bool) {
+	for k := range keys {
+		if rest := slices.DeleteFunc(lists[k], gone); len(rest) > 0 {
+			lists[k] = rest
 		} else {
-			delete(db.byImage, img)
+			delete(lists, k)
 		}
 	}
 }
 
-func dropSource(list []*source, s *source) []*source {
-	for i, x := range list {
-		if x == s {
-			return append(list[:i:i], list[i+1:]...)
+// maxEpoch is the highest epoch any source of list holds.
+func maxEpoch(list []*source) (max uint64) {
+	for _, s := range list {
+		if s.blk.maxEpoch > max {
+			max = s.blk.maxEpoch
 		}
 	}
-	return list
+	return max
 }
 
-// overlaps reports whether the source's epoch range intersects the
-// matcher's, and matchesSource whether the source can contain any
-// matching point at all — the planner's pruning test against the label
-// summary (posting lists narrow the candidate list first; this rejects
-// the rest without touching point data).
+// matchesSource reports whether the source can contain any matching point
+// at all — the planner's pruning test against the epoch bounds and the
+// label summary (posting lists narrow the candidate list first; this
+// rejects the rest without touching point data).
 func (s *source) matchesSource(m Matcher) bool {
-	if m.Machine != "" && s.machine != m.Machine {
+	if m.Machine != "" && s.blk.machine != m.Machine {
 		return false
 	}
-	if m.FromEpoch > s.maxEpoch {
+	if m.FromEpoch > s.blk.maxEpoch {
 		return false
 	}
-	if m.ToEpoch != 0 && m.ToEpoch < s.minEpoch {
+	if m.ToEpoch != 0 && m.ToEpoch < s.blk.minEpoch {
 		return false
 	}
 	if m.Workload != "" {

@@ -53,16 +53,6 @@ func (m Matcher) labelsMatch(lab Labels) bool {
 	return true
 }
 
-func (m Matcher) matches(p Point) bool {
-	if p.Epoch < m.FromEpoch {
-		return false
-	}
-	if m.ToEpoch != 0 && p.Epoch > m.ToEpoch {
-		return false
-	}
-	return m.labelsMatch(p.Labels)
-}
-
 func labelsLess(a, b *Labels) bool {
 	if a.Machine != b.Machine {
 		return a.Machine < b.Machine
@@ -79,23 +69,22 @@ func labelsLess(a, b *Labels) bool {
 	return a.Event < b.Event
 }
 
-// chunk is one schedulable unit of a query: either a single raw point
-// (bs == nil) or a whole block series. ord/sub are the ordering key for
-// duplicate-(labels, epoch) resolution — segment sequence and in-segment
-// record index for raw points, consumed-sequence and column index for
-// block series — which compaction preserves, so a query's accumulation
-// order is identical before and after compacting.
+// chunk is one schedulable unit of a query: one series of one source. ord
+// and sub are the ordering key for duplicate-(labels, epoch) resolution —
+// the highest segment sequence the source consumed, and the series'
+// position in its source, which is what tells apart two records of one
+// batch that carry equal labels. Compaction preserves the order they
+// define (it merges in sequence, then record, order), so a query's
+// accumulation order is identical before and after compacting.
 type chunk struct {
-	lab Labels
 	ord uint64
 	sub int
 	bs  *bseries
-	pt  Point
 }
 
 func chunkLess(a, b *chunk) bool {
-	if a.lab != b.lab {
-		return labelsLess(&a.lab, &b.lab)
+	if a.bs.labels != b.bs.labels {
+		return labelsLess(&a.bs.labels, &b.bs.labels)
 	}
 	if a.ord != b.ord {
 		return a.ord < b.ord
@@ -106,7 +95,7 @@ func chunkLess(a, b *chunk) bool {
 // plan resolves a matcher to the chunks it can touch, pruning with the
 // posting lists and per-source label summaries, plus the canonical epoch
 // bounds [lo, hi] of the scan. It holds db.mu only while snapshotting
-// source references — chunks point into immutable data, so the scan
+// series references — chunks point into immutable data, so the scan
 // itself runs lock-free.
 func (db *DB) plan(m Matcher) ([]chunk, uint64, uint64) {
 	db.mu.Lock()
@@ -126,24 +115,13 @@ func (db *DB) plan(m Matcher) ([]chunk, uint64, uint64) {
 		if !s.matchesSource(m) {
 			continue
 		}
-		if s.maxEpoch > hi {
-			hi = s.maxEpoch
+		if s.blk.maxEpoch > hi {
+			hi = s.blk.maxEpoch
 		}
-		if s.seg != nil {
-			for i := range s.seg.points {
-				p := s.seg.points[i]
-				if !m.matches(p) {
-					continue
-				}
-				chunks = append(chunks, chunk{lab: p.Labels, ord: s.ordSeq, sub: i, pt: p})
-			}
-		} else {
-			for si := range s.blk.series {
-				bs := &s.blk.series[si]
-				if !m.labelsMatch(bs.labels) {
-					continue
-				}
-				chunks = append(chunks, chunk{lab: bs.labels, ord: s.ordSeq, bs: bs})
+		for si := range s.blk.series {
+			bs := &s.blk.series[si]
+			if m.labelsMatch(bs.labels) {
+				chunks = append(chunks, chunk{ord: s.blk.lastSeq, sub: si, bs: bs})
 			}
 		}
 	}
@@ -173,7 +151,7 @@ const queryWindows = 16
 // accumulation (and any window-ordered merge) is deterministic and
 // unchanged by compaction. fn may be called concurrently for different
 // win values, never for the same one. Returns the window count.
-func (db *DB) scanWindows(m Matcher, fn func(win int, p Point, ord uint64, sub int)) int {
+func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
 	chunks, lo, hi := db.plan(m)
 	if len(chunks) == 0 || hi < lo {
 		return 0
@@ -191,18 +169,13 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point, ord uint64, sub i
 	// with winOf(e) == w sits ceil(span*w/nwin) above lo, so
 	// winStart(winOf(e)) <= e < winStart(winOf(e)+1) holds for every e in
 	// [lo, hi] even when span is not a multiple of nwin. A floor here
-	// would disagree with winOf on ragged spans and drop block epochs that
-	// fall between the two partitions.
+	// would disagree with winOf on ragged spans and drop epochs that fall
+	// between the two partitions.
 	winStart := func(w int) uint64 {
 		return lo + (span*uint64(w)+uint64(nwin)-1)/uint64(nwin)
 	}
 	winChunks := make([][]chunk, nwin)
 	for _, c := range chunks {
-		if c.bs == nil {
-			w := winOf(c.pt.Epoch)
-			winChunks[w] = append(winChunks[w], c)
-			continue
-		}
 		first, last := c.bs.epochs[0], c.bs.epochs[len(c.bs.epochs)-1]
 		if first < lo {
 			first = lo
@@ -219,14 +192,9 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point, ord uint64, sub i
 	}
 	runWindow := func(w int) {
 		ws, we := winStart(w), winStart(w+1)-1
-		for i := range winChunks[w] {
-			c := &winChunks[w][i]
-			if c.bs == nil {
-				fn(w, c.pt, c.ord, c.sub)
-				continue
-			}
+		for _, c := range winChunks[w] {
 			for j := c.bs.searchEpoch(ws); j < len(c.bs.epochs) && c.bs.epochs[j] <= we; j++ {
-				fn(w, c.bs.point(j), c.ord, j)
+				fn(w, c.bs.point(j))
 			}
 		}
 	}
@@ -263,36 +231,21 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point, ord uint64, sub i
 // and — when a re-scrape race stored the same series twice for one epoch
 // — duplicates in ingestion order (segment sequence, then in-segment
 // record order). The order is a contract, not iteration luck: it is
-// stable across process restarts, worker counts, and compaction.
+// stable across process restarts, worker counts, and compaction. Points
+// reach each window already in (labels, ord, sub) order, so a stable sort
+// on (epoch, labels) is all that is left to do.
 func (db *DB) Select(m Matcher) []Point {
-	type rec struct {
-		p   Point
-		ord uint64
-		sub int
-	}
-	recs := make([][]rec, queryWindows)
-	n := db.scanWindows(m, func(w int, p Point, ord uint64, sub int) {
-		recs[w] = append(recs[w], rec{p, ord, sub})
-	})
+	wins := make([][]Point, queryWindows)
+	n := db.scanWindows(m, func(w int, p Point) { wins[w] = append(wins[w], p) })
 	var out []Point
-	for w := 0; w < n; w++ {
-		rs := recs[w]
-		sort.Slice(rs, func(i, j int) bool {
-			a, b := &rs[i], &rs[j]
-			if a.p.Epoch != b.p.Epoch {
-				return a.p.Epoch < b.p.Epoch
+	for _, ps := range wins[:n] {
+		sort.SliceStable(ps, func(i, j int) bool {
+			if ps[i].Epoch != ps[j].Epoch {
+				return ps[i].Epoch < ps[j].Epoch
 			}
-			if a.p.Labels != b.p.Labels {
-				return labelsLess(&a.p.Labels, &b.p.Labels)
-			}
-			if a.ord != b.ord {
-				return a.ord < b.ord
-			}
-			return a.sub < b.sub
+			return labelsLess(&ps[i].Labels, &ps[j].Labels)
 		})
-		for _, r := range rs {
-			out = append(out, r.p)
-		}
+		out = append(out, ps...)
 	}
 	return out
 }
@@ -301,13 +254,7 @@ func (db *DB) Select(m Matcher) []Point {
 func (db *DB) FleetMaxEpoch() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var max uint64
-	for _, s := range db.srcs {
-		if s.maxEpoch > max {
-			max = s.maxEpoch
-		}
-	}
-	return max
+	return maxEpoch(db.srcs)
 }
 
 // RangeRow is one epoch of a fleet range query for a single image (or a
@@ -341,7 +288,7 @@ func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) [
 	}
 	aggs := make([]winAgg, queryWindows)
 	db.scanWindows(Matcher{Image: image, Proc: proc, Event: ev, FromEpoch: from, ToEpoch: to},
-		func(w int, p Point, _ uint64, _ int) {
+		func(w int, p Point) {
 			a := &aggs[w]
 			if a.rows == nil {
 				a.rows = map[uint64]*RangeRow{}
@@ -366,7 +313,7 @@ func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) [
 		denom.Image = image
 	}
 	totals := make([]map[uint64]float64, queryWindows)
-	db.scanWindows(denom, func(w int, p Point, _ uint64, _ int) {
+	db.scanWindows(denom, func(w int, p Point) {
 		if totals[w] == nil {
 			totals[w] = map[uint64]float64{}
 		}
@@ -411,82 +358,13 @@ type TopRow struct {
 
 // TopImages ranks images by attributed cycles over [from, to], fleet-wide.
 func TopImages(db *DB, ev sim.Event, from, to uint64, n int) []TopRow {
-	type winAgg struct {
-		rows  map[string]*TopRow
-		total float64
-	}
-	aggs := make([]winAgg, queryWindows)
-	db.scanWindows(Matcher{Event: ev, FromEpoch: from, ToEpoch: to},
-		func(w int, p Point, _ uint64, _ int) {
-			a := &aggs[w]
-			if a.rows == nil {
-				a.rows = map[string]*TopRow{}
-			}
-			r := a.rows[p.Image]
-			if r == nil {
-				r = &TopRow{Image: p.Image}
-				a.rows[p.Image] = r
-			}
-			c := p.Cycles()
-			r.Samples += p.Samples
-			r.Cycles += c
-			a.total += c
-		})
-	merged, total := mergeTopWindows(aggs[:], func(a *winAgg) (map[string]*TopRow, float64) {
-		return a.rows, a.total
-	}, func(dst, src *TopRow) {
-		dst.Samples += src.Samples
-		dst.Cycles += src.Cycles
-	}, func(img string) *TopRow { return &TopRow{Image: img} })
-	out := make([]TopRow, 0, len(merged))
-	for _, r := range merged {
-		if total > 0 {
-			r.SharePct = 100 * r.Cycles / total
-		}
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].Image < out[j].Image
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	rows, total := rank(db, Matcher{Event: ev, FromEpoch: from, ToEpoch: to}, n,
+		func(p *Point) (string, bool, bool) { return p.Image, true, true })
+	out := make([]TopRow, len(rows))
+	for i, r := range rows {
+		out[i] = TopRow{Image: r.name, Samples: r.samples, Cycles: r.cycles, SharePct: r.share(total)}
 	}
 	return out
-}
-
-// mergeTopWindows folds per-window ranking partials together in window
-// order with sorted keys, so float accumulation order is deterministic.
-func mergeTopWindows[A any, R any](aggs []A,
-	get func(*A) (map[string]*R, float64),
-	add func(dst, src *R),
-	fresh func(key string) *R,
-) (map[string]*R, float64) {
-	merged := map[string]*R{}
-	var total float64
-	for i := range aggs {
-		rows, t := get(&aggs[i])
-		total += t
-		if rows == nil {
-			continue
-		}
-		keys := make([]string, 0, len(rows))
-		for k := range rows {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dst := merged[k]
-			if dst == nil {
-				dst = fresh(k)
-				merged[k] = dst
-			}
-			add(dst, rows[k])
-		}
-	}
-	return merged, total
 }
 
 // ProcRow is one procedure of a per-procedure ranking within an image.
@@ -502,52 +380,97 @@ type ProcRow struct {
 // cycle total, so "(unknown)" attribution and sampling skew are visible
 // as shares not summing to 100.
 func TopProcs(db *DB, image string, ev sim.Event, from, to uint64, n int) []ProcRow {
+	rows, total := rank(db, Matcher{Image: image, AnyProc: true, Event: ev, FromEpoch: from, ToEpoch: to}, n,
+		func(p *Point) (string, bool, bool) { return p.Proc, p.Proc != "", p.Proc == "" })
+	out := make([]ProcRow, len(rows))
+	for i, r := range rows {
+		out[i] = ProcRow{Proc: r.name, Samples: r.samples, Cycles: r.cycles, SharePct: r.share(total)}
+	}
+	return out
+}
+
+// rankRow is one group of a ranking: its key and what it accumulated.
+type rankRow struct {
+	name    string
+	samples uint64
+	cycles  float64
+}
+
+// share is the row's percentage of total (0 when nothing was attributed).
+func (r *rankRow) share(total float64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return 100 * r.cycles / total
+}
+
+// rank is the one ranking behind TopImages and TopProcs: group the points
+// matching m under key's name, and return the n heaviest groups (all of
+// them when n <= 0) by cycles, names breaking ties, with the cycle total
+// shares are taken against. key says, per point, whether it counts toward
+// its group's row and whether toward the total. Per-window partials fold
+// together in window order with sorted keys, so float accumulation order
+// is deterministic.
+func rank(db *DB, m Matcher, n int, key func(*Point) (name string, inRows, inTotal bool)) ([]rankRow, float64) {
 	type winAgg struct {
-		rows  map[string]*ProcRow
-		total float64 // image-level (Proc == "") cycles
+		rows  map[string]*rankRow
+		total float64
 	}
 	aggs := make([]winAgg, queryWindows)
-	db.scanWindows(Matcher{Image: image, AnyProc: true, Event: ev, FromEpoch: from, ToEpoch: to},
-		func(w int, p Point, _ uint64, _ int) {
-			a := &aggs[w]
-			if p.Proc == "" {
-				a.total += p.Cycles()
-				return
-			}
-			if a.rows == nil {
-				a.rows = map[string]*ProcRow{}
-			}
-			r := a.rows[p.Proc]
-			if r == nil {
-				r = &ProcRow{Proc: p.Proc}
-				a.rows[p.Proc] = r
-			}
-			r.Samples += p.Samples
-			r.Cycles += p.Cycles()
-		})
-	merged, total := mergeTopWindows(aggs[:], func(a *winAgg) (map[string]*ProcRow, float64) {
-		return a.rows, a.total
-	}, func(dst, src *ProcRow) {
-		dst.Samples += src.Samples
-		dst.Cycles += src.Cycles
-	}, func(proc string) *ProcRow { return &ProcRow{Proc: proc} })
-	out := make([]ProcRow, 0, len(merged))
-	for _, r := range merged {
-		if total > 0 {
-			r.SharePct = 100 * r.Cycles / total
+	db.scanWindows(m, func(w int, p Point) {
+		a := &aggs[w]
+		name, inRows, inTotal := key(&p)
+		c := p.Cycles()
+		if inTotal {
+			a.total += c
 		}
+		if !inRows {
+			return
+		}
+		if a.rows == nil {
+			a.rows = map[string]*rankRow{}
+		}
+		r := a.rows[name]
+		if r == nil {
+			r = &rankRow{name: name}
+			a.rows[name] = r
+		}
+		r.samples += p.Samples
+		r.cycles += c
+	})
+	merged := map[string]*rankRow{}
+	var total float64
+	for i := range aggs {
+		total += aggs[i].total
+		names := make([]string, 0, len(aggs[i].rows))
+		for name := range aggs[i].rows {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			dst := merged[name]
+			if dst == nil {
+				dst = &rankRow{name: name}
+				merged[name] = dst
+			}
+			dst.samples += aggs[i].rows[name].samples
+			dst.cycles += aggs[i].rows[name].cycles
+		}
+	}
+	out := make([]rankRow, 0, len(merged))
+	for _, r := range merged {
 		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
+		if out[i].cycles != out[j].cycles {
+			return out[i].cycles > out[j].cycles
 		}
-		return out[i].Proc < out[j].Proc
+		return out[i].name < out[j].name
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
-	return out
+	return out, total
 }
 
 // TopDeltas ranks images by how much their fleet-wide cycle share moved
@@ -557,7 +480,7 @@ func TopDeltas(db *DB, ev sim.Event, aFrom, aTo, bFrom, bTo uint64, n int) []ana
 	window := func(from, to uint64) map[string]uint64 {
 		sums := make([]map[string]uint64, queryWindows)
 		db.scanWindows(Matcher{Event: ev, FromEpoch: from, ToEpoch: to},
-			func(w int, p Point, _ uint64, _ int) {
+			func(w int, p Point) {
 				if sums[w] == nil {
 					sums[w] = map[string]uint64{}
 				}

@@ -104,7 +104,7 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 		winStart := func(w uint64) uint64 { return lo + (span*w+nwin-1)/nwin }
 		var mu sync.Mutex
 		emitted := 0
-		db.scanWindows(Matcher{FromEpoch: lo, ToEpoch: hi}, func(w int, p Point, _ uint64, _ int) {
+		db.scanWindows(Matcher{FromEpoch: lo, ToEpoch: hi}, func(w int, p Point) {
 			mu.Lock()
 			defer mu.Unlock()
 			emitted++

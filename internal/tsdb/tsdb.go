@@ -14,6 +14,9 @@
 // index (machine/image posting lists plus per-source label sets, see
 // index.go) lets queries touch only matching sources, and the query
 // engine (query.go) scans sources in parallel with a deterministic merge.
+// Raw versus block is a property of the file, not of the scan: a segment
+// decodes into the one-epoch block of its batch (blockFromBatch), so every
+// reader below the codecs sees one in-memory shape.
 //
 // The durability story mirrors the repo's other stores: segments and
 // blocks are encoded through internal/wire, framed with a magic, a
@@ -35,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,14 +131,6 @@ type Options struct {
 	Obs obs.Hooks
 }
 
-// segment is one decoded raw segment: a single (machine, epoch) batch.
-type segment struct {
-	epoch  uint64
-	wall   int64
-	period float64
-	points []Point
-}
-
 // DB is an open store. All methods are safe for concurrent use; appends
 // and compactions serialize behind one mutex (the collector is the only
 // writer), while queries snapshot source references under the mutex and
@@ -206,26 +202,23 @@ func Open(dir string, opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		var src *source
+		var bl *block
+		var derr error
 		if isBlock {
-			bl, derr := DecodeBlock(raw)
-			if derr == nil {
-				src = sourceFromBlock(seq, full, int64(len(raw)), bl)
-			}
+			bl, derr = DecodeBlock(raw)
+		} else if b, err := DecodeSegment(raw); err != nil {
+			derr = err
 		} else {
-			b, derr := DecodeSegment(raw)
-			if derr == nil {
-				src = sourceFromBatch(seq, full, int64(len(raw)), b)
-			}
+			bl = blockFromBatch(seq, b)
 		}
-		if src == nil {
+		if derr != nil {
 			if !opts.ReadOnly {
 				os.Rename(full, full+".bad")
 			}
 			db.quarantined++
 			continue
 		}
-		loaded = append(loaded, src)
+		loaded = append(loaded, newSource(seq, full, int64(len(raw)), !isBlock, bl))
 		if seq >= db.nextSeq {
 			db.nextSeq = seq + 1
 		}
@@ -240,35 +233,25 @@ func Open(dir string, opts Options) (*DB, error) {
 }
 
 // reclaimLeftovers drops (and, unless ReadOnly, deletes) sources whose
-// contents were already committed into a newer block: raw segments inside
-// a same-machine block's [firstSeq, lastSeq] range, and blocks whose range
-// is contained in a newer same-machine block's range (a downsampling
-// rewrite that crashed before cleanup). Input and output are ascending by
+// contents were already committed into a newer block: any source whose
+// consumed range [firstSeq, lastSeq] is contained in a newer same-machine
+// block's range — a raw segment (its range is its own sequence) that a
+// compaction merged, or a block that a downsampling rewrite replaced,
+// before a crash cut the cleanup short. Input and output are ascending by
 // fileSeq.
 func (db *DB) reclaimLeftovers(loaded []*source) []*source {
 	blocks := map[string][]*source{}
 	for _, s := range loaded {
-		if s.blk != nil {
-			blocks[s.machine] = append(blocks[s.machine], s)
+		if !s.raw {
+			blocks[s.blk.machine] = append(blocks[s.blk.machine], s)
 		}
 	}
 	live := loaded[:0]
 	for _, s := range loaded {
-		stale := false
-		for _, b := range blocks[s.machine] {
-			if b == s || b.fileSeq < s.fileSeq {
-				continue
-			}
-			if s.blk == nil {
-				stale = s.fileSeq >= b.blk.firstSeq && s.fileSeq <= b.blk.lastSeq
-			} else {
-				stale = s.blk.firstSeq >= b.blk.firstSeq && s.blk.lastSeq <= b.blk.lastSeq
-			}
-			if stale {
-				break
-			}
-		}
-		if stale {
+		if slices.ContainsFunc(blocks[s.blk.machine], func(b *source) bool {
+			return b != s && b.fileSeq >= s.fileSeq &&
+				s.blk.firstSeq >= b.blk.firstSeq && s.blk.lastSeq <= b.blk.lastSeq
+		}) {
 			if !db.opts.ReadOnly {
 				os.Remove(s.path)
 			}
@@ -306,36 +289,8 @@ func parseFileName(name string) (seq uint64, isBlock, ok bool) {
 	return n, isBlock, true
 }
 
-func parseSegName(name string) (uint64, bool) {
-	seq, isBlock, ok := parseFileName(name)
-	if !ok || isBlock {
-		return 0, false
-	}
-	return seq, true
-}
-
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.tsdb", seq) }
 func blkName(seq uint64) string { return fmt.Sprintf("blk-%08d.tsdb", seq) }
-
-func batchPoints(b *Batch) []Point {
-	pts := make([]Point, len(b.Records))
-	for i, r := range b.Records {
-		pts[i] = Point{
-			Labels: Labels{
-				Machine: b.Machine, Workload: b.Workload,
-				Image: r.Image, Proc: r.Proc, Event: r.Event,
-			},
-			Epoch:   b.Epoch,
-			Samples: r.Samples,
-			Insts:   r.Insts,
-			Wall:    b.Wall,
-			Period:  b.Period,
-			Min:     r.Samples,
-			Max:     r.Samples,
-		}
-	}
-	return pts
-}
 
 // Dir returns the store directory.
 func (db *DB) Dir() string { return db.dir }
@@ -371,7 +326,7 @@ func (db *DB) Append(b Batch) error {
 	}); err != nil {
 		return err
 	}
-	db.addSource(sourceFromBatch(seq, path, int64(len(enc)), &b))
+	db.addSource(newSource(seq, path, int64(len(enc)), true, blockFromBatch(seq, &b)))
 	db.sizeBytes += int64(len(enc))
 	db.retain()
 	db.publish()
@@ -384,13 +339,7 @@ func (db *DB) Append(b Batch) error {
 // Caller holds db.mu.
 func (db *DB) epochMetaLocked(machine string, epoch uint64) (wall int64, period float64, ok bool) {
 	for _, s := range db.byMachine[machine] {
-		if epoch < s.minEpoch || epoch > s.maxEpoch {
-			continue
-		}
-		if s.seg != nil {
-			return s.seg.wall, s.seg.period, true
-		}
-		if s.blk.downsample != 0 {
+		if epoch < s.blk.minEpoch || epoch > s.blk.maxEpoch || s.blk.downsample != 0 {
 			continue
 		}
 		ms := s.blk.metas
@@ -412,15 +361,15 @@ func (db *DB) retain() {
 	for db.sizeBytes > db.opts.MaxBytes && len(db.srcs) > 1 {
 		victim := db.srcs[0]
 		for _, s := range db.srcs[1:] {
-			if s.maxEpoch < victim.maxEpoch ||
-				(s.maxEpoch == victim.maxEpoch && s.fileSeq < victim.fileSeq) {
+			if s.blk.maxEpoch < victim.blk.maxEpoch ||
+				(s.blk.maxEpoch == victim.blk.maxEpoch && s.fileSeq < victim.fileSeq) {
 				victim = s
 			}
 		}
 		if err := os.Remove(victim.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return // leave the index consistent with disk; retry next append
 		}
-		db.removeSource(victim)
+		db.removeSources(victim)
 		db.sizeBytes -= victim.bytes
 		db.evicted++
 	}
@@ -433,28 +382,16 @@ func (db *DB) publish() {
 	if reg == nil {
 		return
 	}
-	var segs, blocks, ds, pts int
-	for _, s := range db.srcs {
-		if s.seg != nil {
-			segs++
-			pts += len(s.seg.points)
-		} else {
-			blocks++
-			if s.blk.downsample > 0 {
-				ds++
-			}
-			pts += s.blk.points
-		}
-	}
-	reg.Gauge("tsdb.segments").Set(float64(segs))
-	reg.Gauge("tsdb.blocks").Set(float64(blocks))
-	reg.Gauge("tsdb.downsampled_blocks").Set(float64(ds))
-	reg.Gauge("tsdb.points").Set(float64(pts))
-	reg.Gauge("tsdb.size_bytes").Set(float64(db.sizeBytes))
-	reg.Gauge("tsdb.quarantined_segments").Set(float64(db.quarantined))
-	reg.Gauge("tsdb.retention_evictions").Set(float64(db.evicted))
-	reg.Gauge("tsdb.reclaimed_leftovers").Set(float64(db.reclaimed))
-	reg.Gauge("tsdb.compactions").Set(float64(db.compactions))
+	st := db.statsLocked()
+	reg.Gauge("tsdb.segments").Set(float64(st.Segments))
+	reg.Gauge("tsdb.blocks").Set(float64(st.Blocks))
+	reg.Gauge("tsdb.downsampled_blocks").Set(float64(st.Downsampled))
+	reg.Gauge("tsdb.points").Set(float64(st.Points))
+	reg.Gauge("tsdb.size_bytes").Set(float64(st.SizeBytes))
+	reg.Gauge("tsdb.quarantined_segments").Set(float64(st.Quarantined))
+	reg.Gauge("tsdb.retention_evictions").Set(float64(st.Evicted))
+	reg.Gauge("tsdb.reclaimed_leftovers").Set(float64(st.Reclaimed))
+	reg.Gauge("tsdb.compactions").Set(float64(st.Compactions))
 }
 
 // Stats is a point-in-time summary of the store.
@@ -474,6 +411,12 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.statsLocked()
+}
+
+// statsLocked is the one count of the store's sources, behind Stats and
+// the gauges alike. Caller holds db.mu.
+func (db *DB) statsLocked() Stats {
 	st := Stats{
 		SizeBytes:   db.sizeBytes,
 		Quarantined: db.quarantined,
@@ -482,16 +425,16 @@ func (db *DB) Stats() Stats {
 		Compactions: db.compactions,
 	}
 	for _, s := range db.srcs {
-		if s.seg != nil {
+		switch {
+		case s.raw:
 			st.Segments++
-			st.Points += len(s.seg.points)
-		} else {
+		case s.blk.downsample > 0:
 			st.Blocks++
-			if s.blk.downsample > 0 {
-				st.Downsampled++
-			}
-			st.Points += s.blk.points
+			st.Downsampled++
+		default:
+			st.Blocks++
 		}
+		st.Points += s.blk.points
 	}
 	return st
 }
@@ -505,12 +448,6 @@ func (db *DB) HasEpoch(machine string, epoch uint64) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, s := range db.byMachine[machine] {
-		if epoch < s.minEpoch || epoch > s.maxEpoch {
-			continue
-		}
-		if s.seg != nil {
-			return true // raw segment: minEpoch == maxEpoch == its epoch
-		}
 		if s.blk.hasEpoch(epoch) {
 			return true
 		}
@@ -522,13 +459,7 @@ func (db *DB) HasEpoch(machine string, epoch uint64) bool {
 func (db *DB) MaxEpoch(machine string) uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var max uint64
-	for _, s := range db.byMachine[machine] {
-		if s.maxEpoch > max {
-			max = s.maxEpoch
-		}
-	}
-	return max
+	return maxEpoch(db.byMachine[machine])
 }
 
 // frameLen is the header segments and blocks share: magic, u16 version,

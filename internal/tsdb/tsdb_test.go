@@ -148,7 +148,7 @@ func TestRetentionCap(t *testing.T) {
 	entries, _ := os.ReadDir(dir2)
 	var segs int
 	for _, e := range entries {
-		if _, ok := parseSegName(e.Name()); ok {
+		if _, isBlock, ok := parseFileName(e.Name()); ok && !isBlock {
 			segs++
 		}
 	}

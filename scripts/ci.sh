@@ -30,6 +30,16 @@ if grep -rnE 'binary\.((Read|Put|Append)(Uv|V)arint|Uvarint|Varint)\b' \
 	exit 1
 fi
 
+echo "== one in-memory shape in the fleet store (internal/tsdb)" >&2
+# A raw segment decodes into the one-epoch block of its batch
+# (blockFromBatch), so everything below the codecs reads blocks. A second,
+# row-wise shape — a segment struct, a source.seg field, a constructor from
+# a Batch — must not grow back beside it.
+if grep -nE '\.seg\b|segment\{|type segment\b|sourceFromBatch' internal/tsdb/*.go | grep -v '_test\.go:'; then
+	echo "internal/tsdb: a second in-memory shape beside block: build raw segments with blockFromBatch" >&2
+	exit 1
+fi
+
 echo "== go vet ./..." >&2
 go vet ./...
 
