@@ -3,7 +3,6 @@ package dcpibench
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -18,12 +17,7 @@ func TestCLIRunCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI cache test is slow")
 	}
-	bin := filepath.Join(t.TempDir(), "dcpieval")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/dcpieval")
-	cmd.Env = os.Environ()
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build dcpieval: %v\n%s", err, msg)
-	}
+	bin := buildTool(t, "dcpieval")
 	base := []string{"-fig", "7", "-runs", "1", "-scale", "0.1"}
 	run := func(extra ...string) (stdout, stderr string) {
 		cmd := exec.Command(bin, append(append([]string{}, base...), extra...)...)

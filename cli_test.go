@@ -14,16 +14,7 @@ func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline is slow")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
+	dir := t.TempDir()
 	run := func(prog string, args ...string) string {
 		cmd := exec.Command(prog, args...)
 		out, err := cmd.CombinedOutput()
@@ -33,20 +24,20 @@ func TestCLIPipeline(t *testing.T) {
 		return string(out)
 	}
 
-	dcpid := build("dcpid")
-	dcpiprof := build("dcpiprof")
-	dcpicalc := build("dcpicalc")
-	dcpistats := build("dcpistats")
-	dcpisum := build("dcpisum")
-	dcpidiff := build("dcpidiff")
-	dcpiepoch := build("dcpiepoch")
-	dcpicfg := build("dcpicfg")
-	dcpitopixie := build("dcpitopixie")
-	dcpiannotate := build("dcpiannotate")
-	dcpilayout := build("dcpilayout")
+	dcpid := buildTool(t, "dcpid")
+	dcpiprof := buildTool(t, "dcpiprof")
+	dcpicalc := buildTool(t, "dcpicalc")
+	dcpistats := buildTool(t, "dcpistats")
+	dcpisum := buildTool(t, "dcpisum")
+	dcpidiff := buildTool(t, "dcpidiff")
+	dcpiepoch := buildTool(t, "dcpiepoch")
+	dcpicfg := buildTool(t, "dcpicfg")
+	dcpitopixie := buildTool(t, "dcpitopixie")
+	dcpiannotate := buildTool(t, "dcpiannotate")
+	dcpilayout := buildTool(t, "dcpilayout")
 
-	db1 := filepath.Join(bin, "db1")
-	db2 := filepath.Join(bin, "db2")
+	db1 := filepath.Join(dir, "db1")
+	db2 := filepath.Join(dir, "db2")
 
 	out := run(dcpid, "-workload", "wave5", "-mode", "default", "-db", db1,
 		"-scale", "0.15", "-seed", "1", "-period", "2048")
@@ -155,16 +146,7 @@ func TestCLIFaultScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI fault scenarios are slow")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
+	dir := t.TempDir()
 	run := func(prog string, args ...string) string {
 		cmd := exec.Command(prog, args...)
 		out, err := cmd.CombinedOutput()
@@ -173,12 +155,12 @@ func TestCLIFaultScenarios(t *testing.T) {
 		}
 		return string(out)
 	}
-	dcpid := build("dcpid")
-	dcpiprof := build("dcpiprof")
+	dcpid := buildTool(t, "dcpid")
+	dcpiprof := buildTool(t, "dcpiprof")
 
 	// Scenario 1: daemon stalled for the whole run, tiny driver buffers.
 	// Samples must be lost, reported, and conserved.
-	dbStall := filepath.Join(bin, "db-stall")
+	dbStall := filepath.Join(dir, "db-stall")
 	out := run(dcpid, "-workload", "gcc", "-mode", "cycles", "-db", dbStall,
 		"-scale", "0.25", "-period", "768", "-buckets", "64", "-overflow", "64",
 		"-fault", "stall=0-100M")
@@ -195,7 +177,7 @@ func TestCLIFaultScenarios(t *testing.T) {
 	// Scenario 2: crash during the second disk merge. The torn file is
 	// quarantined, the daemon restarts and resumes merging, and the
 	// database stays readable by the offline tools.
-	dbCrash := filepath.Join(bin, "db-crash")
+	dbCrash := filepath.Join(dir, "db-crash")
 	out = run(dcpid, "-workload", "wave5", "-mode", "default", "-db", dbCrash,
 		"-scale", "0.15", "-seed", "1", "-period", "2048",
 		"-drain-interval", "100000", "-merge-interval", "250000",

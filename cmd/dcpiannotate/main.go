@@ -15,14 +15,13 @@ import (
 	"os"
 
 	"dcpi/internal/alpha"
-	"dcpi/internal/dcpi"
+	"dcpi/internal/cli"
 	"dcpi/internal/sim"
 )
 
 func main() {
+	openView := cli.ViewFlags("dcpiannotate")
 	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
 		img   = flag.String("image", "", "image path")
 		evStr = flag.String("event", "cycles", "event to annotate with")
 	)
@@ -37,11 +36,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpiannotate: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	im, ok := view.Loader.ImageByPath(*img)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "dcpiannotate: image %q not known\n", *img)

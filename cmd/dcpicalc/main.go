@@ -12,25 +12,21 @@ import (
 	"fmt"
 	"os"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/sim"
 )
 
 func main() {
+	openView := cli.ViewFlags("dcpicalc")
 	var (
-		dbDir   = flag.String("db", "dcpidb", "profile database directory")
-		wl      = flag.String("workload", "", "workload name (defaults to database metadata)")
 		img     = flag.String("image", "", "image path (e.g. /bin/mccalpin)")
 		proc    = flag.String("proc", "", "procedure name (empty lists procedures)")
 		summary = flag.Bool("summary", false, "print the stall summary instead of the listing")
 	)
 	flag.Parse()
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpicalc: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 
 	if *img == "" {
 		fmt.Fprintln(os.Stderr, "dcpicalc: -image required; images with samples:")

@@ -13,15 +13,15 @@ import (
 	"fmt"
 	"os"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
 )
 
 func main() {
+	openView := cli.ViewFlags("dcpicfg")
 	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
-		img   = flag.String("image", "", "image path")
-		proc  = flag.String("proc", "", "procedure name")
+		img  = flag.String("image", "", "image path")
+		proc = flag.String("proc", "", "procedure name")
 	)
 	flag.Parse()
 	if *img == "" || *proc == "" {
@@ -29,11 +29,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpicfg: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	pa, err := view.AnalyzeOffline(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpicfg: %v\n", err)

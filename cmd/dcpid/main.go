@@ -8,11 +8,12 @@
 //	dcpid -workload x11perf -stats-out metrics.json -trace-out trace.json
 //	dcpid -workload x11perf -epochs 20 -listen 127.0.0.1:9111 -machine m00
 //
-// -stats-out writes the collection stack's self-measurements (the paper's
-// Table 3-5 numbers: handler-cycle histogram, hash miss rate, evictions,
-// daemon cycles/sample, database bytes) as a metrics JSON artifact;
-// -trace-out writes a Chrome-trace-format JSON of the collection pipeline
-// (openable in Perfetto). See docs/OBSERVABILITY.md.
+// -stats-out (also spelled -metrics-out) writes the collection stack's
+// self-measurements (the paper's Table 3-5 numbers: handler-cycle
+// histogram, hash miss rate, evictions, daemon cycles/sample, database
+// bytes) as a metrics JSON artifact; -trace-out writes a Chrome-trace-format
+// JSON of the collection pipeline (openable in Perfetto). Both are written
+// on every way out, a failed run included. See docs/OBSERVABILITY.md.
 //
 // -epochs runs the workload repeatedly (seed+i per run), sealing one
 // database epoch per run; -listen serves the database, live stats, and
@@ -34,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/daemon"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/expo"
@@ -43,6 +45,7 @@ import (
 )
 
 func main() {
+	app := cli.New("dcpid")
 	var (
 		wl       = flag.String("workload", "", "workload to run ("+strings.Join(workload.Names(), ", ")+")")
 		mode     = flag.String("mode", "default", "profiling mode: cycles, default, mux")
@@ -52,49 +55,23 @@ func main() {
 		period   = flag.Int64("period", 0, "cycles sampling period base (0 = paper default 60K-64K)")
 		verbose  = flag.Bool("v", false, "print per-CPU driver statistics (to stderr)")
 		perPID   = flag.String("perpid", "", "comma-separated PIDs to keep separate per-process profiles for (paper §4.3; workload PIDs start at 100)")
-		statsOut = flag.String("stats-out", "", "write collection-stack self-measurements as metrics JSON to this file")
-		traceOut = flag.String("trace-out", "", "write the collection-pipeline event trace (Chrome trace format) to this file")
 		fault    = flag.String("fault", "", "inject daemon faults, e.g. 'stall=1M-3M,drain-latency=500K,crash-merge=1' (see docs/ROBUSTNESS.md)")
 		buckets  = flag.Int("buckets", 0, "driver hash-table buckets (0 = default 4096)")
 		overflow = flag.Int("overflow", 0, "driver overflow-buffer capacity in entries (0 = default 8192)")
 		drainInt = flag.Int64("drain-interval", 0, "daemon drain interval in cycles (0 = default 2M)")
 		mergeInt = flag.Int64("merge-interval", 0, "daemon disk-merge interval in cycles (0 = default 4M)")
-		simcpus  = flag.String("simcpus", "0", "simulation parallelism: 0/1 sequential, N goroutines, or \"auto\" (budget-limited); output is byte-identical either way")
-		cpuProf  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of this run to this file")
-		memProf  = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
 		epochs   = flag.Int("epochs", 1, "number of profiled runs (one sealed database epoch each, seed+i per run)")
 		listen   = flag.String("listen", "", "serve the profile database, live stats, and metrics over HTTP on this address (e.g. 127.0.0.1:9111); keeps serving after the runs until SIGINT/SIGTERM")
 		machine  = flag.String("machine", "local", "machine label reported on the exposition endpoints")
 		exact    = flag.Bool("exact", false, "collect exact per-image instruction counts (stored in epoch metadata; enables fleet CPI queries)")
 	)
+	app.ProfileFlags()
+	app.ObsFlags()
 	flag.Parse()
-
-	// -cpuprofile/-memprofile turn the profiler on itself (docs/TOOLS.md);
-	// exit flushes both profiles on every path out of main.
-	stopCPU := func() {}
-	if *cpuProf != "" {
-		stop, err := obs.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-			os.Exit(1)
-		}
-		stopCPU = stop
-	}
-	exit := func(code int) {
-		stopCPU()
-		if *memProf != "" {
-			if err := obs.WriteHeapProfile(*memProf); err != nil {
-				fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		os.Exit(code)
-	}
+	app.Start()
 	if *wl == "" {
 		flag.Usage()
-		exit(2)
+		app.Exit(2)
 	}
 
 	var m sim.Mode
@@ -106,8 +83,7 @@ func main() {
 	case "mux":
 		m = sim.ModeMux
 	default:
-		fmt.Fprintf(os.Stderr, "dcpid: unknown mode %q\n", *mode)
-		exit(2)
+		app.Fatalf(2, "unknown mode %q", *mode)
 	}
 
 	cfg := dcpi.Config{
@@ -121,18 +97,15 @@ func main() {
 		DriverOverflow: *overflow,
 		DrainInterval:  *drainInt,
 		MergeInterval:  *mergeInt,
-	}
-	if n, err := dcpi.ParseSimCPUs(*simcpus); err != nil {
-		fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-		exit(2)
-	} else {
-		cfg.SimCPUs = n
+		// Simulated CPUs fan out over whatever the host worker budget has
+		// free (internal/par); GOMAXPROCS=1 is the sequential reference.
+		SimCPUs: -1,
+		Obs:     app.Obs,
 	}
 	if *fault != "" {
 		plan, err := daemon.ParseFaultPlan(*fault)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-			exit(2)
+			app.Fatalf(2, "%v", err)
 		}
 		cfg.Fault = plan
 	}
@@ -140,8 +113,7 @@ func main() {
 		for _, f := range strings.Split(*perPID, ",") {
 			var pid uint32
 			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &pid); err != nil {
-				fmt.Fprintf(os.Stderr, "dcpid: bad -perpid entry %q\n", f)
-				exit(2)
+				app.Fatalf(2, "bad -perpid entry %q", f)
 			}
 			cfg.PerProcessPIDs = append(cfg.PerProcessPIDs, pid)
 		}
@@ -149,16 +121,8 @@ func main() {
 	if *period > 0 {
 		cfg.CyclesPeriod = sim.PeriodSpec{Base: *period, Spread: *period / 16}
 	}
-	if *statsOut != "" {
-		cfg.Obs.Registry = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		cfg.Obs.Tracer = obs.NewTracer(0)
-	}
-
 	if *epochs < 1 {
-		fmt.Fprintln(os.Stderr, "dcpid: -epochs must be >= 1")
-		exit(2)
+		app.Fatalf(2, "-epochs must be >= 1")
 	}
 
 	// -listen exposes the profile database, live stats, and self-metrics
@@ -186,24 +150,13 @@ func main() {
 		// for per-procedure breakdowns (?procs=1). Best-effort: a workload
 		// that cannot be staged offline just serves image-level data.
 		if ld, err := dcpi.SetupImages(*wl); err == nil {
-			src.SymbolAt = func(image string, off uint64) (string, bool) {
-				im, ok := ld.ImageByPath(image)
-				if !ok {
-					return "", false
-				}
-				sym, ok := im.SymbolAt(off)
-				if !ok {
-					return "", false
-				}
-				return sym.Name, true
-			}
+			src.SymbolAt = ld.SymbolAt
 		} else {
 			fmt.Fprintf(os.Stderr, "dcpid: no symbols for %s: %v\n", *wl, err)
 		}
 		lis, err := net.Listen("tcp", *listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-			exit(1)
+			app.Fatalf(1, "%v", err)
 		}
 		srv = &http.Server{Handler: expo.Handler(src)}
 		go srv.Serve(lis)
@@ -234,8 +187,7 @@ func main() {
 		runCfg.Seed = *seed + uint64(i)
 		rr, err := dcpi.Run(runCfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-			exit(1)
+			app.Fatalf(1, "%v", err)
 		}
 		r = rr
 		wallTotal += rr.Wall
@@ -263,8 +215,7 @@ func main() {
 				break
 			}
 			if err := rr.DB.NewEpoch(); err != nil {
-				fmt.Fprintf(os.Stderr, "dcpid: %v\n", err)
-				exit(1)
+				app.Fatalf(1, "%v", err)
 			}
 		}
 	}
@@ -316,22 +267,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  cpu%d: %s\n", cpu, r.Driver.Stats(cpu))
 		}
 	}
-	if *statsOut != "" {
-		obs.PublishRuntimeMemStats(cfg.Obs.Registry)
-		if err := cfg.Obs.Registry.WriteFile(*statsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: writing %s: %v\n", *statsOut, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dcpid: wrote metrics to %s\n", *statsOut)
-	}
-	if *traceOut != "" {
-		if err := cfg.Obs.Tracer.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: writing %s: %v\n", *traceOut, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dcpid: wrote %d trace events to %s (open in ui.perfetto.dev)\n",
-			cfg.Obs.Tracer.Len(), *traceOut)
-	}
 	if srv != nil {
 		// Every sealed epoch is already fsynced (atomicio's write-meta-last
 		// protocol), so shutdown only has to stop accepting requests and
@@ -347,10 +282,9 @@ func main() {
 		err := srv.Shutdown(ctx)
 		cancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpid: shutdown: %v\n", err)
-			exit(1)
+			app.Fatalf(1, "shutdown: %v", err)
 		}
 		fmt.Fprintln(os.Stderr, "dcpid: shutdown complete")
 	}
-	exit(0)
+	app.Exit(0)
 }

@@ -29,7 +29,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,12 +36,12 @@ import (
 	"path/filepath"
 	"strings"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/eval"
 	"dcpi/internal/obs"
 	"dcpi/internal/pipeline"
 	"dcpi/internal/runcache"
-	"dcpi/internal/runner"
 )
 
 // section is one independently runnable report: it renders into w and all
@@ -53,6 +52,7 @@ type section struct {
 }
 
 func main() {
+	app := cli.New("dcpieval")
 	var (
 		table    = flag.Int("table", 0, "regenerate a table (2-5)")
 		fig      = flag.Int("fig", 0, "regenerate a figure (1-4, 6-10)")
@@ -60,91 +60,38 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate everything")
 		runs     = flag.Int("runs", 0, "runs per configuration (default 5)")
 		scale    = flag.Float64("scale", 0, "workload scale (default 0.25)")
-		jobs     = flag.Int("j", 0, "concurrent simulation workers (default GOMAXPROCS)")
-		simcpus  = flag.String("simcpus", "0", "per-run simulation parallelism: 0/1 sequential, N goroutines, or \"auto\" (budget-limited); output is byte-identical either way")
-		metrics  = flag.String("metrics-out", "", "write evaluation-engine self-measurements (runner cache, queue wait, run wall time) as metrics JSON to this file")
-		traceOut = flag.String("trace-out", "", "write the runner/experiment event trace (Chrome trace format) to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of this run to this file")
-		memProf  = flag.String("memprofile", "", "write a runtime/pprof heap profile at exit to this file")
-		cacheDir = flag.String("cache-dir", os.Getenv("DCPI_CACHE_DIR"),
-			"persistent run-cache directory (default $DCPI_CACHE_DIR); completed runs are stored there and reused by later invocations")
-		cacheMax = flag.Int("cache-max-mb", 2048, "run-cache size cap in MiB before LRU eviction (with -cache-dir)")
 		shard    = flag.String("shard", "", "simulate only shard i of N (format \"i/N\", 1-based) and archive results instead of printing output")
 		shardOut = flag.String("shard-out", "", "shard archive path (default dcpieval-shard-<i>-of-<N>.shard)")
 		merge    = flag.String("merge-shards", "", "comma-separated shard archives (globs allowed) to merge into full output")
 	)
+	app.ProfileFlags()
+	app.ObsFlags()
+	app.RunnerFlags()
 	flag.Parse()
+	app.Start()
+	app.Obs.Tracer.NameProcess(obs.PIDRunner, "runner (simulation scheduler)")
+	app.Obs.Tracer.NameProcess(obs.PIDEval, "eval (experiment sections)")
 
-	// The profiler profiles itself: -cpuprofile/-memprofile capture where
-	// dcpieval's own cycles and allocations go (see docs/PERFORMANCE.md).
-	// exit flushes both profiles on every path out of main.
-	stopCPU := func() {}
-	if *cpuProf != "" {
-		stop, err := obs.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: %v\n", err)
-			os.Exit(1)
-		}
-		stopCPU = stop
-	}
-	exit := func(code int) {
-		stopCPU()
-		if *memProf != "" {
-			if err := obs.WriteHeapProfile(*memProf); err != nil {
-				fmt.Fprintf(os.Stderr, "dcpieval: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		os.Exit(code)
-	}
-
-	var hooks obs.Hooks
-	if *metrics != "" {
-		hooks.Registry = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		hooks.Tracer = obs.NewTracer(0)
-		hooks.Tracer.NameProcess(obs.PIDRunner, "runner (simulation scheduler)")
-		hooks.Tracer.NameProcess(obs.PIDEval, "eval (experiment sections)")
-	}
-
-	sched := runner.New(*jobs)
-	sched.Obs = hooks
-	if n, err := dcpi.ParseSimCPUs(*simcpus); err != nil {
-		fmt.Fprintf(os.Stderr, "dcpieval: %v\n", err)
-		exit(2)
-	} else {
-		sched.SimCPUs = n
-	}
-
-	// Persistent cache and sharding share one version stamp: entries are
-	// invalid the moment the simulator's semantics or the snapshot layout
-	// change, so a warm cache can never resurrect stale results.
-	stamp := dcpi.CacheStamp()
 	if *shard != "" && *merge != "" {
-		fmt.Fprintln(os.Stderr, "dcpieval: -shard and -merge-shards are mutually exclusive")
-		exit(2)
+		app.Fatalf(2, "-shard and -merge-shards are mutually exclusive")
 	}
 	shardIdx, shardN, err := parseShard(*shard)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpieval: %v\n", err)
-		exit(2)
+		app.Fatalf(2, "%v", err)
 	}
 	shardMode := shardN > 0
-	if *cacheDir != "" {
-		disk, err := runcache.Open(*cacheDir, runcache.Options{
-			MaxBytes: int64(*cacheMax) << 20,
-			Stamp:    stamp,
-			Obs:      hooks,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: opening run cache: %v\n", err)
-			exit(1)
-		}
-		sched.Disk = disk
+	sched := app.Runner()
+	app.BeforeMetrics = func() {
+		sched.PublishMetrics()
+		// How well the block-schedule memo worked (docs/PERFORMANCE.md).
+		hits, misses, entries := pipeline.SchedCacheStats()
+		app.Obs.Registry.Gauge("pipeline.schedcache.hits").Set(float64(hits))
+		app.Obs.Registry.Gauge("pipeline.schedcache.misses").Set(float64(misses))
+		app.Obs.Registry.Gauge("pipeline.schedcache.entries").Set(float64(entries))
 	}
+	// Shard archives carry the run cache's version stamp: they are invalid
+	// the moment the simulator's semantics or the snapshot layout change.
+	stamp := dcpi.CacheStamp()
 	var shardEntries []runcache.Entry
 	if shardMode {
 		sched.Shard, sched.NumShards = shardIdx, shardN
@@ -155,13 +102,12 @@ func main() {
 	if *merge != "" {
 		preload, nfiles, err := loadShards(*merge, stamp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: %v\n", err)
-			exit(1)
+			app.Fatalf(1, "%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "dcpieval: merging %d runs from %d shard archives\n", len(preload), nfiles)
 		sched.Preload = preload
 	}
-	o := eval.Options{Runs: *runs, Scale: *scale, Runner: sched, Obs: hooks}
+	o := eval.Options{Runs: *runs, Scale: *scale, Runner: sched, Obs: app.Obs}
 
 	want := func(t, f int, abl string) bool {
 		if *all {
@@ -322,7 +268,7 @@ func main() {
 
 	if len(sections) == 0 {
 		flag.Usage()
-		exit(2)
+		app.Exit(2)
 	}
 
 	// Run every section concurrently — simulations are bounded by the
@@ -364,8 +310,7 @@ func main() {
 		}
 		os.Stdout.Write(st.buf.Bytes())
 		if st.err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: %s: %v\n", sections[i].name, st.err)
-			exit(1)
+			app.Fatalf(1, "%s: %v", sections[i].name, st.err)
 		}
 	}
 	st := sched.Stats()
@@ -375,8 +320,7 @@ func main() {
 			out = fmt.Sprintf("dcpieval-shard-%d-of-%d.shard", shardIdx, shardN)
 		}
 		if err := runcache.WriteArchive(out, stamp, shardEntries); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: writing shard archive: %v\n", err)
-			exit(1)
+			app.Fatalf(1, "writing shard archive: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "dcpieval: shard %d/%d: simulated %d of %d runs (%d skipped for other shards), wrote %d results to %s\n",
 			shardIdx, shardN, st.Simulated, st.Requests(), st.ShardSkipped, len(shardEntries), out)
@@ -385,64 +329,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcpieval: %d simulations run, %d duplicate requests served from memory, %d runs rehydrated from disk\n",
 			st.Simulated, st.MemHits, st.DiskHits)
 	}
-	if *metrics != "" {
-		sched.PublishMetrics()
-		// Steady-state allocation view of the run itself: Go runtime
-		// counters plus the block-schedule memo effectiveness. Dividing
-		// runtime.mallocs by machine.instructions gives allocs per
-		// simulated op (the figure the zero-allocation hot path drives
-		// toward zero; see docs/PERFORMANCE.md).
-		obs.PublishRuntimeMemStats(hooks.Registry)
-		hits, misses, entries := pipeline.SchedCacheStats()
-		hooks.Registry.Gauge("pipeline.schedcache.hits").Set(float64(hits))
-		hooks.Registry.Gauge("pipeline.schedcache.misses").Set(float64(misses))
-		hooks.Registry.Gauge("pipeline.schedcache.entries").Set(float64(entries))
-		if err := hooks.Registry.WriteFile(*metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: writing %s: %v\n", *metrics, err)
-			exit(1)
-		}
-		// Final machine-readable cache-stats line (satellite of the metrics
-		// file, for pipelines that scrape stderr rather than read files).
-		// mem_hits counts single-flight dedup within this process,
-		// disk_hits counts runs rehydrated from -cache-dir or preloaded
-		// shard archives, shard_skipped counts runs left to other shards.
-		stats := map[string]any{
-			"simulated":     st.Simulated,
-			"mem_hits":      st.MemHits,
-			"disk_hits":     st.DiskHits,
-			"shard_skipped": st.ShardSkipped,
-			"dedup_rate": func() float64 {
-				if st.Simulated+st.MemHits == 0 {
-					return 0
-				}
-				return float64(st.MemHits) / float64(st.Simulated+st.MemHits)
-			}(),
-			"hit_rate": func() float64 {
-				if st.Requests() == 0 {
-					return 0
-				}
-				return float64(st.MemHits+st.DiskHits) / float64(st.Requests())
-			}(),
-			"workers": sched.Workers(),
-		}
-		if sched.Disk != nil {
-			ds := sched.Disk.Stats()
-			stats["cache_dir_bytes"] = sched.Disk.SizeBytes()
-			stats["cache_dir_evictions"] = ds.Evictions
-			stats["cache_dir_quarantined"] = ds.Quarantined
-		}
-		line, _ := json.Marshal(stats)
-		fmt.Fprintf(os.Stderr, "dcpieval-cache-stats %s\n", line)
+	if app.Obs.Registry != nil {
+		app.CacheStats(sched, true)
 	}
-	if *traceOut != "" {
-		if err := hooks.Tracer.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "dcpieval: writing %s: %v\n", *traceOut, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dcpieval: wrote %d trace events to %s (open in ui.perfetto.dev)\n",
-			hooks.Tracer.Len(), *traceOut)
-	}
-	exit(0)
+	app.Exit(0)
 }
 
 // parseShard parses "i/N" into (i, N); an empty spec returns (0, 0).

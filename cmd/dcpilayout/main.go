@@ -14,14 +14,13 @@ import (
 	"os"
 
 	"dcpi/internal/alpha"
-	"dcpi/internal/dcpi"
+	"dcpi/internal/cli"
 	"dcpi/internal/optimize"
 )
 
 func main() {
+	openView := cli.ViewFlags("dcpilayout")
 	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
 		img   = flag.String("image", "", "image path")
 		proc  = flag.String("proc", "", "procedure name")
 		quiet = flag.Bool("q", false, "print only the rewrite statistics")
@@ -32,11 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpilayout: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	pa, err := view.AnalyzeOffline(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpilayout: %v\n", err)

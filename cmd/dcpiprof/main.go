@@ -12,24 +12,20 @@ import (
 	"os"
 	"sort"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/sim"
 )
 
 func main() {
+	openView := cli.ViewFlags("dcpiprof")
 	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
 		n     = flag.Int("n", 20, "maximum rows")
 		byImg = flag.Bool("images", false, "aggregate by image instead of procedure")
 	)
 	flag.Parse()
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpiprof: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	r := view.Result()
 
 	if !*byImg {

@@ -12,21 +12,15 @@ import (
 	"fmt"
 	"os"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
 )
 
 func main() {
-	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
-	)
+	openView := cli.ViewFlags("dcpisum")
 	flag.Parse()
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpisum: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	ps, err := view.Result().Summarize()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpisum: %v\n", err)

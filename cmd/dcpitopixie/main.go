@@ -17,22 +17,15 @@ import (
 	"os"
 
 	"dcpi/internal/alpha"
-	"dcpi/internal/dcpi"
+	"dcpi/internal/cli"
 	"dcpi/internal/sim"
 )
 
 func main() {
-	var (
-		dbDir = flag.String("db", "dcpidb", "profile database directory")
-		wl    = flag.String("workload", "", "workload name (defaults to database metadata)")
-	)
+	openView := cli.ViewFlags("dcpitopixie")
 	flag.Parse()
 
-	view, err := dcpi.OpenView(*dbDir, *wl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcpitopixie: %v\n", err)
-		os.Exit(1)
-	}
+	view := openView()
 	r := view.Result()
 
 	for _, prof := range r.Profiles() {

@@ -25,13 +25,13 @@ import (
 	"os"
 	"strings"
 
+	"dcpi/internal/cli"
 	"dcpi/internal/dcpi"
-	"dcpi/internal/runcache"
-	"dcpi/internal/runner"
 	"dcpi/internal/whatif"
 )
 
 func main() {
+	app := cli.New("dcpiwhatif")
 	var (
 		workloads = flag.String("workloads", "compress,li", "comma-separated workloads to sweep")
 		scale     = flag.Float64("scale", 0.1, "workload scale (1.0 = full size)")
@@ -40,14 +40,11 @@ func main() {
 		list      = flag.Bool("list", false, "list the grid points and exit")
 		procs     = flag.Int("procs", 0, "hottest procedures analyzed per workload (default 3)")
 		minMove   = flag.Float64("min-move", 0, "noise floor in cycles for counting movement (default: a few sampling periods)")
-		jobs      = flag.Int("j", 0, "concurrent simulation workers (default GOMAXPROCS)")
-		simcpus   = flag.String("simcpus", "0", "per-run simulation parallelism: 0/1 sequential, N goroutines, or \"auto\"")
 		jsonOut   = flag.String("json", "", "write the reports as a JSON array to this file")
-		cacheDir  = flag.String("cache-dir", os.Getenv("DCPI_CACHE_DIR"),
-			"persistent run-cache directory (default $DCPI_CACHE_DIR), shared with dcpieval")
-		cacheMax = flag.Int("cache-max-mb", 2048, "run-cache size cap in MiB before LRU eviction (with -cache-dir)")
 	)
+	app.RunnerFlags()
 	flag.Parse()
+	app.Start()
 
 	if *list {
 		for _, p := range whatif.DefaultGrid() {
@@ -61,7 +58,7 @@ func main() {
 			}
 			fmt.Printf("%-10s %-22s %s (%s)\n", p.Name, p.Spec, p.Desc, tgt)
 		}
-		return
+		app.Exit(0)
 	}
 
 	points := whatif.DefaultGrid()
@@ -69,30 +66,11 @@ func main() {
 		var err error
 		points, err = whatif.GridByNames(strings.Split(*grid, ","))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpiwhatif: %v\n", err)
-			os.Exit(2)
+			app.Fatalf(2, "%v", err)
 		}
 	}
 
-	sched := runner.New(*jobs)
-	if n, err := dcpi.ParseSimCPUs(*simcpus); err != nil {
-		fmt.Fprintf(os.Stderr, "dcpiwhatif: %v\n", err)
-		os.Exit(2)
-	} else {
-		sched.SimCPUs = n
-	}
-	if *cacheDir != "" {
-		disk, err := runcache.Open(*cacheDir, runcache.Options{
-			MaxBytes: int64(*cacheMax) << 20,
-			Stamp:    dcpi.CacheStamp(),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpiwhatif: opening run cache: %v\n", err)
-			os.Exit(1)
-		}
-		sched.Disk = disk
-	}
-
+	sched := app.Runner()
 	var reports []*whatif.Report
 	for i, w := range strings.Split(*workloads, ",") {
 		w = strings.TrimSpace(w)
@@ -107,8 +85,7 @@ func main() {
 			MinMoveCycles: *minMove,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpiwhatif: %v\n", err)
-			os.Exit(1)
+			app.Fatalf(1, "%v", err)
 		}
 		if i > 0 {
 			fmt.Println()
@@ -117,8 +94,7 @@ func main() {
 		reports = append(reports, rep)
 	}
 	if len(reports) == 0 {
-		fmt.Fprintln(os.Stderr, "dcpiwhatif: no workloads given")
-		os.Exit(2)
+		app.Fatalf(2, "no workloads given")
 	}
 
 	if *jsonOut != "" {
@@ -127,19 +103,11 @@ func main() {
 			err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcpiwhatif: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
+			app.Fatalf(1, "writing %s: %v", *jsonOut, err)
 		}
 	}
 
-	// Machine-readable resolution summary, mirroring dcpieval-cache-stats:
-	// the ci smoke asserts a warm rerun reports "simulated":0.
-	st := sched.Stats()
-	line, _ := json.Marshal(map[string]any{
-		"simulated": st.Simulated,
-		"mem_hits":  st.MemHits,
-		"disk_hits": st.DiskHits,
-		"workers":   sched.Workers(),
-	})
-	fmt.Fprintf(os.Stderr, "dcpiwhatif-cache-stats %s\n", line)
+	// The ci smoke asserts a warm rerun reports "simulated":0 here.
+	app.CacheStats(sched, false)
+	app.Exit(0)
 }

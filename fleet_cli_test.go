@@ -3,7 +3,6 @@ package dcpibench
 import (
 	"bufio"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -20,22 +19,13 @@ func TestFleetCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet CLI pipeline is slow")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-	dcpid := build("dcpid")
-	dcpicollect := build("dcpicollect")
+	dir := t.TempDir()
+	dcpid := buildTool(t, "dcpid")
+	dcpicollect := buildTool(t, "dcpicollect")
 
 	// dcpid: three sealed epochs, exposition on an ephemeral port, keeps
 	// serving after the runs until interrupted.
-	dbDir := filepath.Join(bin, "db")
+	dbDir := filepath.Join(dir, "db")
 	daemon := exec.Command(dcpid,
 		"-workload", "wave5", "-mode", "default", "-db", dbDir,
 		"-scale", "0.15", "-period", "2048", "-seed", "1",
@@ -114,7 +104,7 @@ waitURL:
 		}
 		return string(out)
 	}
-	storeDir := filepath.Join(bin, "fleetdb")
+	storeDir := filepath.Join(dir, "fleetdb")
 	out := run(dcpicollect, "-targets", "m00="+baseURL, "-tsdb", storeDir, "-once")
 	if !strings.Contains(out, "3 epochs") {
 		t.Fatalf("scrape output: %s", out)
@@ -157,7 +147,7 @@ waitURL:
 
 	// dcpicollect's scrape loop must also die cleanly on SIGINT.
 	loop := exec.Command(dcpicollect, "-targets", "m00=http://127.0.0.1:1",
-		"-tsdb", filepath.Join(bin, "loopdb"), "-interval", "100ms",
+		"-tsdb", filepath.Join(dir, "loopdb"), "-interval", "100ms",
 		"-retries", "0", "-timeout", "200ms")
 	var loopErr strings.Builder
 	loop.Stderr = &loopErr

@@ -29,13 +29,18 @@ func TestGoldenTable2Digest(t *testing.T) {
 	goldenTable2(t)
 }
 
-// TestGoldenTable2DigestParallel runs the same golden check with the
-// simulated CPUs fanned out over goroutines (-simcpus 4): parallel
-// simulation must reproduce the committed digest bit for bit. Together
-// with the sequential run above, this pins the PR 5 contract — CPU-level
+// TestGoldenTable2DigestParallel runs the same golden check on a one-slot
+// and on a four-slot worker budget. The runner always lets a machine fan
+// its simulated CPUs out over the budget's free slots; GOMAXPROCS=1 leaves
+// none, so it is the sequential reference, and GOMAXPROCS=4 must reproduce
+// the committed digest bit for bit. This pins the PR 5 contract — CPU-level
 // parallelism is an execution strategy, not a semantic change.
 func TestGoldenTable2DigestParallel(t *testing.T) {
-	goldenTable2(t, "-simcpus", "4")
+	bin, want := goldenSetup(t)
+	for _, procs := range []string{"1", "4"} {
+		t.Setenv("GOMAXPROCS", procs) // inherited by the dcpieval child
+		goldenCheck(t, bin, want)
+	}
 }
 
 // TestGoldenTable2DigestWarmCache runs the golden check twice through a
@@ -92,13 +97,7 @@ func goldenSetup(t *testing.T) (bin, want string) {
 	}
 	want = strings.Fields(string(wantRaw))[0]
 
-	bin = filepath.Join(t.TempDir(), "dcpieval")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/dcpieval")
-	cmd.Env = os.Environ()
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build dcpieval: %v\n%s", err, msg)
-	}
-	return bin, want
+	return buildTool(t, "dcpieval"), want
 }
 
 // goldenCheck runs the golden sweep with extra args, compares the stdout

@@ -257,9 +257,6 @@ func (op Op) Class() Class {
 	return opInfo[op].class
 }
 
-// IsFP reports whether op's register operands live in the FP register file.
-func (op Op) IsFP() bool { return opInfo[op].fp }
-
 // IsLoad reports whether op reads memory into a register.
 func (op Op) IsLoad() bool { return op.Class() == ClassLoad }
 

@@ -1,21 +1,13 @@
 package analysis
 
-// Ball-Larus path profiling (PAPERS.md: arXiv 1304.5197). The classic
-// construction numbers every acyclic entry-to-exit path of a procedure's
-// CFG by assigning each DAG edge an integer increment such that summing the
-// increments along any path yields a unique id in [0, NumPaths). We use the
-// numbering two ways:
-//
-//   - dcpicfg-style diagnostics: how many acyclic paths a procedure has and
-//     which id a given block sequence carries;
-//   - layout seeding: the optimizer chains the hottest acyclic path first
-//     (HottestPath), which beats per-edge greedy choices at merge points —
-//     a path that is bottleneck-hot end to end stays contiguous even when
-//     an individual edge off the path is locally hotter.
+// Layout seeding over the acyclic skeleton of a procedure's CFG: the
+// optimizer chains the hottest acyclic path first (HottestPath), which
+// beats per-edge greedy choices at merge points — a path that is
+// bottleneck-hot end to end stays contiguous even when an individual edge
+// off the path is locally hotter.
 //
 // The DAG is the CFG with DFS back edges removed (every cycle contains one,
-// so the remainder is acyclic); back edges are where Ball-Larus would
-// restart path counting at the loop header.
+// so the remainder is acyclic).
 
 import (
 	"fmt"
@@ -24,54 +16,30 @@ import (
 	"dcpi/internal/cfg"
 )
 
-// maxPaths caps the path count; procedures with more acyclic paths than
-// this (exponential diamonds) are not useful to number.
-const maxPaths = int64(1) << 40
-
-// PathProfile is the Ball-Larus numbering of one procedure's CFG.
-type PathProfile struct {
-	Graph *cfg.Graph
-	// NumPaths is the number of distinct acyclic paths from the entry
-	// block to the procedure exit.
-	NumPaths int64
-	// Inc[e] is the increment assigned to CFG edge e: the ids of the paths
-	// through an edge form the contiguous range [sum of Inc along the
-	// prefix, +count). Back edges and the virtual entry edge carry -1.
-	Inc []int64
-	// BackEdge[e] marks DFS back edges — the edges removed to make the
-	// graph acyclic (loop-closing edges).
-	BackEdge []bool
-
-	npaths []int64 // per block: acyclic paths from the block to the exit
-}
-
-// Paths computes the Ball-Larus path numbering of a CFG.
-func Paths(g *cfg.Graph) (*PathProfile, error) {
+// Paths makes a CFG acyclic with one depth-first traversal from the entry
+// block: backEdge[e] marks the DFS back edges — the loop-closing edges
+// removed to leave a DAG — and post is the DFS post-order, which is
+// reverse-topological over that DAG (every non-back successor of a block
+// precedes it). A CFG with computed jumps is refused: its edges, and so its
+// paths, are unknown.
+func Paths(g *cfg.Graph) (backEdge []bool, post []int, err error) {
 	if len(g.Blocks) == 0 {
-		return nil, fmt.Errorf("analysis: empty procedure has no paths")
+		return nil, nil, fmt.Errorf("analysis: empty procedure has no paths")
 	}
 	if g.MissingEdges {
-		return nil, fmt.Errorf("analysis: CFG has computed jumps; paths unknown")
+		return nil, nil, fmt.Errorf("analysis: CFG has computed jumps; paths unknown")
 	}
-	pp := &PathProfile{
-		Graph:    g,
-		Inc:      make([]int64, len(g.Edges)),
-		BackEdge: make([]bool, len(g.Edges)),
-		npaths:   make([]int64, len(g.Blocks)),
-	}
-	for i := range pp.Inc {
-		pp.Inc[i] = -1
-	}
+	backEdge = make([]bool, len(g.Edges))
+	post = make([]int, 0, len(g.Blocks))
 
-	// Iterative DFS from the entry block: classify back edges (target on
-	// the current DFS stack) and record the post-order for the DAG pass.
+	// Iterative DFS: an edge whose target is on the current DFS stack
+	// (grey) is a back edge.
 	const (
 		white = iota
 		grey
 		black
 	)
 	color := make([]int, len(g.Blocks))
-	post := make([]int, 0, len(g.Blocks))
 	type frame struct{ b, si int }
 	stack := []frame{{0, 0}}
 	color[0] = grey
@@ -92,64 +60,13 @@ func Paths(g *cfg.Graph) (*PathProfile, error) {
 		}
 		switch color[to] {
 		case grey:
-			pp.BackEdge[ei] = true
+			backEdge[ei] = true
 		case white:
 			color[to] = grey
 			stack = append(stack, frame{to, 0})
 		}
 	}
-
-	// Post-order is reverse-topological over the back-edge-removed DAG:
-	// every non-back successor is finished before its predecessor, so one
-	// pass computes path counts bottom-up.
-	for _, b := range post {
-		var n int64
-		for _, ei := range g.Blocks[b].Succs {
-			if pp.BackEdge[ei] {
-				continue
-			}
-			pp.Inc[ei] = n
-			if to := g.Edges[ei].To; to < 0 {
-				n++ // an edge to the exit carries exactly one path
-			} else {
-				n += pp.npaths[to]
-			}
-			if n > maxPaths {
-				return nil, fmt.Errorf("analysis: more than %d acyclic paths", maxPaths)
-			}
-		}
-		if n == 0 {
-			// Only back-edge successors: Ball-Larus treats the truncated
-			// path as ending here (the back edge restarts numbering).
-			n = 1
-		}
-		pp.npaths[b] = n
-	}
-	pp.NumPaths = pp.npaths[0]
-	return pp, nil
-}
-
-// PathID numbers a block sequence: the sum of the edge increments along it.
-// A full entry-to-exit sequence gets a unique id in [0, NumPaths); the
-// second result is false when consecutive blocks are not joined by a DAG
-// (non-back) edge.
-func (pp *PathProfile) PathID(blocks []int) (int64, bool) {
-	var id int64
-	g := pp.Graph
-	for i := 0; i+1 < len(blocks); i++ {
-		found := false
-		for _, ei := range g.Blocks[blocks[i]].Succs {
-			if !pp.BackEdge[ei] && g.Edges[ei].To == blocks[i+1] {
-				id += pp.Inc[ei]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, false
-		}
-	}
-	return id, true
+	return backEdge, post, nil
 }
 
 // HottestPath returns the estimated hottest acyclic path through the
@@ -167,7 +84,7 @@ func (pa *ProcAnalysis) HottestPath() ([]int, float64) {
 	if len(g.Blocks) == 0 {
 		return nil, 0
 	}
-	pp, err := Paths(g)
+	backEdge, post, err := Paths(g)
 	if err != nil {
 		return []int{0}, 0
 	}
@@ -179,42 +96,18 @@ func (pa *ProcAnalysis) HottestPath() ([]int, float64) {
 		return 0
 	}
 
-	// Dynamic program over the DAG in topological order (reverse of the
-	// DFS post-order computed by Paths — recompute cheaply here): best[b]
-	// is the maximum bottleneck achievable from b to the exit, via[b] the
+	// Dynamic program over the DAG, successors first: best[b] is the
+	// maximum bottleneck achievable from b to the exit, via[b] the
 	// successor edge achieving it.
-	order := make([]int, 0, len(g.Blocks))
-	seen := make([]bool, len(g.Blocks))
-	// Iterative post-order (same traversal Paths used).
-	type frame struct{ b, si int }
-	fr := []frame{{0, 0}}
-	seen[0] = true
-	for len(fr) > 0 {
-		f := &fr[len(fr)-1]
-		succs := g.Blocks[f.b].Succs
-		if f.si >= len(succs) {
-			order = append(order, f.b)
-			fr = fr[:len(fr)-1]
-			continue
-		}
-		ei := succs[f.si]
-		f.si++
-		to := g.Edges[ei].To
-		if to >= 0 && !pp.BackEdge[ei] && !seen[to] {
-			seen[to] = true
-			fr = append(fr, frame{to, 0})
-		}
-	}
-
 	best := make([]float64, len(g.Blocks))
 	via := make([]int, len(g.Blocks))
 	for i := range via {
 		via[i] = -1
 	}
-	for _, b := range order { // post-order: successors first
+	for _, b := range post {
 		best[b] = -1
 		for _, ei := range g.Blocks[b].Succs {
-			if pp.BackEdge[ei] {
+			if backEdge[ei] {
 				continue
 			}
 			to := g.Edges[ei].To

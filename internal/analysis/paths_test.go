@@ -8,42 +8,6 @@ import (
 	"dcpi/internal/pipeline"
 )
 
-const diamondSrc = `
-p:
-	beq a0, .b
-	addq t0, 1, t0
-	br .join
-.b:
-	addq t0, 2, t0
-.join:
-	halt
-`
-
-func TestPathsDiamond(t *testing.T) {
-	g := cfg.Build(alpha.MustAssemble(diamondSrc).Code, 0)
-	pp, err := Paths(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.NumPaths != 2 {
-		t.Fatalf("NumPaths = %d, want 2", pp.NumPaths)
-	}
-	// The two entry-to-exit paths must get the two distinct ids 0 and 1.
-	// Blocks: 0 = beq, 1 = then-arm (addq; br), 2 = else-arm, 3 = halt.
-	idThen, ok1 := pp.PathID([]int{0, 1, 3})
-	idElse, ok2 := pp.PathID([]int{0, 2, 3})
-	if !ok1 || !ok2 {
-		t.Fatalf("paths not numberable: %v %v", ok1, ok2)
-	}
-	if idThen == idElse || idThen < 0 || idThen > 1 || idElse < 0 || idElse > 1 {
-		t.Errorf("path ids not a bijection onto [0,2): then=%d else=%d", idThen, idElse)
-	}
-	// A block pair not joined by a DAG edge is not a path.
-	if _, ok := pp.PathID([]int{1, 2}); ok {
-		t.Error("numbered a non-path")
-	}
-}
-
 const loopPathSrc = `
 p:
 	lda t0, 100(zero)
@@ -62,13 +26,13 @@ p:
 
 func TestPathsRemoveBackEdges(t *testing.T) {
 	g := cfg.Build(alpha.MustAssemble(loopPathSrc).Code, 0)
-	pp, err := Paths(g)
+	backEdge, post, err := Paths(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	backs := 0
 	for ei := range g.Edges {
-		if pp.BackEdge[ei] {
+		if backEdge[ei] {
 			backs++
 			if g.Edges[ei].To != 1 {
 				t.Errorf("back edge %d does not close the loop to block 1: %+v", ei, g.Edges[ei])
@@ -78,15 +42,25 @@ func TestPathsRemoveBackEdges(t *testing.T) {
 	if backs != 1 {
 		t.Errorf("back edges = %d, want 1 (the bne .loop edge)", backs)
 	}
-	// Acyclic paths: entry -> loop -> {odd, even} -> next -> exit = 2.
-	if pp.NumPaths != 2 {
-		t.Errorf("NumPaths = %d, want 2", pp.NumPaths)
+	// The post-order is reverse-topological over what is left: every
+	// block once, each after all its non-back successors.
+	at := make(map[int]int)
+	for i, b := range post {
+		at[b] = i
+	}
+	if len(at) != len(g.Blocks) {
+		t.Fatalf("post-order %v does not visit each of %d blocks once", post, len(g.Blocks))
+	}
+	for ei, e := range g.Edges {
+		if !backEdge[ei] && e.From >= 0 && e.To >= 0 && at[e.To] >= at[e.From] {
+			t.Errorf("edge %d->%d: successor is not before its predecessor in %v", e.From, e.To, post)
+		}
 	}
 }
 
 func TestPathsRejectMissingEdges(t *testing.T) {
 	g := cfg.Build(alpha.MustAssemble("p:\n beq a0, .x\n jmp (t0)\n.x:\n halt").Code, 0)
-	if _, err := Paths(g); err == nil {
+	if _, _, err := Paths(g); err == nil {
 		t.Error("computed paths for a CFG with computed jumps")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dcpi/internal/daemon"
+	"dcpi/internal/obs"
 	"dcpi/internal/sim"
 )
 
@@ -150,5 +151,49 @@ func TestParallelFaultConservation(t *testing.T) {
 					ds.Samples, merged, ds.Lost, dm.CrashDropped)
 			}
 		})
+	}
+}
+
+// TestAutoIsSequentialUnderFaults: SimCPUs -1 is what the runner and dcpid
+// always ask for, so the run itself must notice a fault plan — under which
+// parallel simulation is safe but not byte-deterministic — and use one
+// worker however many budget slots are free. Two such runs are identical.
+func TestAutoIsSequentialUnderFaults(t *testing.T) {
+	run := func() (*Result, float64) {
+		reg := obs.NewRegistry()
+		r, err := Run(Config{
+			Workload:       "altavista",
+			Mode:           sim.ModeCycles,
+			Seed:           9,
+			Scale:          0.2,
+			CyclesPeriod:   fastPeriods,
+			SimCPUs:        -1,
+			DriverBuckets:  2,
+			DriverOverflow: 8,
+			DrainInterval:  50_000,
+			Fault: daemon.FaultPlan{
+				Stalls:       []daemon.Window{{From: 100_000, To: 1_000_000}},
+				CrashAt:      1_200_000,
+				RestartDelay: 100_000,
+			},
+			Obs: obs.Hooks{Registry: reg},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, reg.Snapshot().Gauges["sim.workers"]
+	}
+	a, workers := run()
+	if workers != 1 {
+		t.Errorf("sim.workers = %g for an auto run with a fault plan, want 1", workers)
+	}
+	b, _ := run()
+	if a.Wall != b.Wall || a.Machine.Stats() != b.Machine.Stats() ||
+		a.Driver.TotalStats() != b.Driver.TotalStats() || a.Daemon.Stats() != b.Daemon.Stats() {
+		t.Errorf("two auto runs under one fault plan differ:\n%+v %+v\n%+v %+v",
+			a.Driver.TotalStats(), a.Daemon.Stats(), b.Driver.TotalStats(), b.Daemon.Stats())
+	}
+	if !reflect.DeepEqual(profileCounts(a), profileCounts(b)) {
+		t.Error("two auto runs under one fault plan merged different profiles")
 	}
 }

@@ -59,11 +59,14 @@ type Config struct {
 	// NumCPUs overrides the workload's machine size when nonzero.
 	NumCPUs int
 	// SimCPUs controls simulation parallelism: 0 or 1 run the simulated
-	// CPUs sequentially (the default), -1 runs them on goroutines up to the
-	// free worker budget (see internal/par), and N > 1 forces up to N
-	// goroutines regardless of the budget. Every setting produces
-	// byte-identical results (see DESIGN.md), so this is an execution-
-	// strategy knob, not part of the run's identity.
+	// CPUs sequentially (the reference the differential tests compare
+	// against), -1 runs them on goroutines up to the free worker budget
+	// (see internal/par; what the runner and dcpid ask for), and N > 1
+	// forces up to N goroutines regardless of the budget. Every setting
+	// produces byte-identical results for a fault-free run (see DESIGN.md),
+	// so this is an execution strategy, not part of the run's identity. A
+	// run with a fault plan is race-safe in parallel but not
+	// byte-deterministic, so -1 resolves to sequential for it.
 	SimCPUs int
 	// PerProcessPIDs requests separate per-process profiles.
 	PerProcessPIDs []uint32
@@ -190,20 +193,6 @@ func (c *collector) Poll(cpu int, clock int64) int64 {
 	return c.dmn.Poll(cpu, clock)
 }
 
-// ParseSimCPUs parses a -simcpus flag value into Config.SimCPUs: "auto"
-// means budget-limited parallel simulation (-1), and an integer N forces up
-// to N simulation goroutines (0 and 1 mean sequential).
-func ParseSimCPUs(s string) (int, error) {
-	if s == "auto" {
-		return -1, nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
-		return 0, fmt.Errorf("bad -simcpus value %q (want \"auto\" or a non-negative integer)", s)
-	}
-	return n, nil
-}
-
 // numCPUs resolves the machine size of a run of spec under cfg.
 func (cfg Config) numCPUs(spec workload.Spec) int {
 	if cfg.NumCPUs > 0 {
@@ -222,6 +211,19 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dcpi: %w", err)
 	}
 	ncpu := cfg.numCPUs(spec)
+	simWorkers := cfg.SimCPUs
+	if simWorkers < 0 && !cfg.Fault.Empty() {
+		// Crash timing depends on which CPU's poll first crosses the fault
+		// point: parallel fault runs are race-safe but not byte-
+		// deterministic (DESIGN.md §6), so "whatever is free" means one.
+		simWorkers = 0
+	}
+	// This run occupies one worker slot for its own goroutine, from set-up
+	// to flush; the machine borrows extra slots for per-CPU fan-out only
+	// from what remains, so run-level (-j) and CPU-level parallelism never
+	// multiply.
+	par.Default().Acquire(1)
+	defer par.Default().Release(1)
 
 	kernel, abi := workload.Kernel()
 	l := loader.New(kernel)
@@ -299,7 +301,7 @@ func Run(cfg Config) (*Result, error) {
 			MetaSamples:       cfg.MetaSamples,
 		},
 		CollectExact: cfg.CollectExact,
-		SimWorkers:   cfg.SimCPUs,
+		SimWorkers:   simWorkers,
 	})
 
 	if cfg.TraceSamples && collectorTrace != nil {
@@ -318,12 +320,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.MaxCycles > 0 {
 		maxCycles = cfg.MaxCycles
 	}
-	// This run occupies one worker slot for its own goroutine; the machine
-	// borrows extra slots for per-CPU fan-out only from what remains, so
-	// run-level (-j) and CPU-level (-simcpus) parallelism never multiply.
-	par.Default().Acquire(1)
 	wall := m.Run(maxCycles)
-	par.Default().Release(1)
 
 	var trace []sim.Sample
 	if collectorTrace != nil && collectorTrace.traces != nil {

@@ -227,12 +227,8 @@ func (d *Driver) RecordAt(cpu int, pid uint32, pc uint64, ev sim.Event, clock in
 	return d.record(cpu, Entry{PID: pid, PC: pc, Event: ev, Count: 1}, clock)
 }
 
-// RecordEdge services a double-sampling interrupt pair (paper §7).
-func (d *Driver) RecordEdge(cpu int, pid uint32, pc, pc2 uint64) int64 {
-	return d.record(cpu, Entry{PID: pid, PC: pc, PC2: pc2, Event: sim.EvEdge, Count: 1}, 0)
-}
-
-// RecordEdgeAt is RecordEdge stamped with the simulated clock.
+// RecordEdgeAt services a double-sampling interrupt pair (paper §7),
+// stamped like RecordAt.
 func (d *Driver) RecordEdgeAt(cpu int, pid uint32, pc, pc2 uint64, clock int64) int64 {
 	return d.record(cpu, Entry{PID: pid, PC: pc, PC2: pc2, Event: sim.EvEdge, Count: 1}, clock)
 }

@@ -33,7 +33,6 @@ import (
 	"dcpi/internal/driver"
 	"dcpi/internal/obs"
 	"dcpi/internal/profiledb"
-	"dcpi/internal/sim"
 )
 
 // StatsSnapshot is the live view served on /stats. dcpid refreshes it at
@@ -281,6 +280,3 @@ func (src *Source) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	src.Registry.WriteFlat(w)
 }
-
-// ParseEventName converts a /profiles record event back to a sim.Event.
-func ParseEventName(s string) (sim.Event, error) { return sim.ParseEvent(s) }

@@ -181,7 +181,7 @@ func Start(opts Options) (*Fleet, error) {
 			Machine:  name,
 			Workload: wl,
 			DBDir:    dbDir,
-			SymbolAt: symbolizer(tmpls[wl].loader),
+			SymbolAt: tmpls[wl].loader.SymbolAt,
 		}))
 		if i == opts.FaultMachine {
 			handler = (&faultInjector{
@@ -250,24 +250,6 @@ func buildTemplate(wl string, seed uint64, scale float64) (*template, error) {
 		return nil, fmt.Errorf("base run of %s produced no profiles", wl)
 	}
 	return t, nil
-}
-
-// symbolizer adapts a loader to expo.Source.SymbolAt.
-func symbolizer(l *loader.Loader) func(image string, off uint64) (string, bool) {
-	if l == nil {
-		return nil
-	}
-	return func(image string, off uint64) (string, bool) {
-		im, ok := l.ImageByPath(image)
-		if !ok {
-			return "", false
-		}
-		sym, ok := im.SymbolAt(off)
-		if !ok {
-			return "", false
-		}
-		return sym.Name, true
-	}
 }
 
 // jitter returns the deterministic per-(machine, epoch, image, event)

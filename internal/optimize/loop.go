@@ -21,8 +21,8 @@ import (
 
 // LoopConfig configures RunLoop.
 type LoopConfig struct {
-	// Base carries the workload identity (Workload, Scale, Seed, NumCPUs,
-	// SimCPUs) and, optionally, the profiling configuration. When Base.Mode
+	// Base carries the workload identity (Workload, Scale, Seed, NumCPUs)
+	// and, optionally, the profiling configuration. When Base.Mode
 	// is ModeOff the loop profiles with dense zero-cost cycle sampling —
 	// the §7 deployment would profile at the paper's default period over
 	// hours; the loop compresses that into one short dense run.

@@ -5,12 +5,12 @@
 //   - internal/runner schedules whole simulated runs concurrently
 //     (dcpieval's -j run-level workers), and
 //   - internal/sim can run each simulated CPU of one machine on its own
-//     goroutine (dcpieval/dcpid's -simcpus).
+//     goroutine (Options.SimWorkers; the runner and dcpid always ask).
 //
 // Without coordination the two multiply: -j 8 runs of 8-CPU machines would
 // spawn 64 simulation goroutines on an 8-core host. The budget prevents
 // that nested oversubscription: each in-flight run reserves one slot for
-// its own goroutine, and a machine in auto mode (-simcpus auto) only adds
+// its own goroutine, and a machine in auto mode (SimWorkers -1) only adds
 // per-CPU goroutines while free slots remain. Acquisition is non-blocking
 // on both sides, so there is no lock ordering between the runner's pool
 // and the machine barrier — a machine that finds the budget exhausted

@@ -75,13 +75,6 @@ type Runner struct {
 	// the collection stack's simulated-clock trace.
 	Obs obs.Hooks
 
-	// SimCPUs, when nonzero, overrides Config.SimCPUs on every submitted
-	// run (dcpieval's -simcpus flag). It is applied here, at the execution
-	// layer, because it changes only how a run executes, never its result —
-	// Key excludes it, so the override cannot split the cache. Set it right
-	// after New, before the first Submit.
-	SimCPUs int
-
 	// Disk, when set, is the persistent second cache tier: memory first,
 	// then disk (decoded with dcpi.DecodeSnapshot), then simulate. Entries
 	// that fail to decode are quarantined and re-simulated. Set it right
@@ -310,9 +303,10 @@ func (r *Runner) rehydrate(blob []byte, cfg dcpi.Config) (*dcpi.Result, error) {
 // execute performs one simulation under the worker-pool bound. The caller
 // owns c.done.
 func (r *Runner) execute(c *call, cfg dcpi.Config) {
-	if r.SimCPUs != 0 {
-		cfg.SimCPUs = r.SimCPUs
-	}
+	// Every run may spread its simulated CPUs over the worker-budget slots
+	// that idle workers leave free (internal/par). This changes how a run
+	// executes, never its result: Key excludes SimCPUs.
+	cfg.SimCPUs = -1
 	submitted := r.now()
 	slot := <-r.slots
 	defer func() { r.slots <- slot }()

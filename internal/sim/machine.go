@@ -20,10 +20,7 @@ type Options struct {
 	// HW is the full hardware description (cache geometries, TLB and
 	// write-buffer shapes, predictor size, issue width, timing model). The
 	// zero value is the default 21164 machine (hw.Default).
-	HW hw.Config
-	// Model, when non-zero, overrides HW's timing model. It predates HW and
-	// remains for callers that only perturb latencies.
-	Model   pipeline.Model
+	HW      hw.Config
 	NumCPUs int // 0 -> 1
 	ABI     KernelABI
 	Loader  *loader.Loader
@@ -147,9 +144,6 @@ func NewMachine(opts Options) *Machine {
 		panic("sim: Options.Loader is required")
 	}
 	hwc := opts.HW.Resolved()
-	if opts.Model != (pipeline.Model{}) {
-		hwc.Model = opts.Model
-	}
 	if err := hwc.Validate(); err != nil {
 		panic("sim: " + err.Error())
 	}
@@ -205,11 +199,6 @@ func dataASN(pid uint32, vaddr uint64) uint32 {
 		return 0
 	}
 	return pid
-}
-
-// textPhys translates an image-relative text offset to a physical address.
-func (m *Machine) textPhys(imageID uint32, off uint64) uint64 {
-	return m.PageMap.Translate(textASN(imageID), off)
 }
 
 // Spawn assigns a process to a CPU round-robin and makes it runnable.

@@ -148,14 +148,6 @@ func (h *Histogram) Add(x, weight float64) {
 	h.Total += weight
 }
 
-// Fraction returns bucket i's share of the total weight.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return h.Buckets[i] / h.Total
-}
-
 // BucketLabel returns a human-readable range label for bucket i.
 func (h *Histogram) BucketLabel(i int) (lo, hi float64) {
 	lo = h.Lo + float64(i)*h.Width

@@ -22,16 +22,6 @@ func TestCLIObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI observability test is slow")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
 	// run executes prog in dir and returns stdout only: the obs flags add
 	// stderr chatter by design, stdout is the byte-stable surface.
 	run := func(dir, prog string, args ...string) string {
@@ -46,8 +36,8 @@ func TestCLIObservability(t *testing.T) {
 		return stdout.String()
 	}
 
-	dcpid := build("dcpid")
-	dcpieval := build("dcpieval")
+	dcpid := buildTool(t, "dcpid")
+	dcpieval := buildTool(t, "dcpieval")
 
 	// Identical args in two different working directories: the relative -db
 	// path keeps the stdout summary identical, the obs flags only add files
@@ -115,6 +105,25 @@ func TestCLIObservability(t *testing.T) {
 		}
 	}
 	checkChromeTrace(t, filepath.Join(dirObs, "eval_trace.json"), "Figure 7")
+
+	// -stats-out and -metrics-out are two spellings of one flag on both
+	// binaries: each takes the other's, writes the same artifact, and
+	// leaves stdout alone.
+	dirAlias := t.TempDir()
+	if out := run(dirAlias, dcpid, append(args, "-metrics-out", "metrics.json")...); out != plain {
+		t.Errorf("dcpid stdout changed under -metrics-out:\n%s", out)
+	}
+	if m := readMetrics(t, filepath.Join(dirAlias, "metrics.json")); m.Counters["driver.samples"] != metrics.Counters["driver.samples"] {
+		t.Errorf("dcpid -metrics-out: driver.samples %d, -stats-out wrote %d",
+			m.Counters["driver.samples"], metrics.Counters["driver.samples"])
+	}
+	if out := run(dirAlias, dcpieval, append(eargs, "-stats-out", "eval_metrics.json")...); out != eplain {
+		t.Errorf("dcpieval stdout changed under -stats-out:\n%s", out)
+	}
+	if m := readMetrics(t, filepath.Join(dirAlias, "eval_metrics.json")); m.Counters["runner.simulated"] != em.Counters["runner.simulated"] {
+		t.Errorf("dcpieval -stats-out: runner.simulated %d, -metrics-out wrote %d",
+			m.Counters["runner.simulated"], em.Counters["runner.simulated"])
+	}
 
 	// The machine-readable cache-stats stderr line rides along with
 	// -metrics-out (satellite: pipelines scrape it without reading files).
@@ -231,5 +240,128 @@ func checkChromeTrace(t *testing.T, path string, wantNames ...string) {
 		if !strings.Contains(all, want) {
 			t.Errorf("%s: no event name containing %q", path, want)
 		}
+	}
+}
+
+// TestCLIArtifactsSurviveFailure: after cli.Start every way out of dcpid
+// and dcpieval goes through cli.Exit, so a run that fails still leaves the
+// metrics and the trace of exactly the run one wants them for, and an
+// artifact that cannot be written fails a run that otherwise succeeded
+// without costing it the other artifacts.
+func TestCLIArtifactsSurviveFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI artifact test builds and runs the binaries")
+	}
+	dcpid := buildTool(t, "dcpid")
+	dcpieval := buildTool(t, "dcpieval")
+	dir := t.TempDir()
+	// exitCode runs prog in dir and returns its exit status.
+	exitCode := func(prog string, args ...string) int {
+		cmd := exec.Command(prog, args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			return 0
+		}
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s %v: %v\n%s", filepath.Base(prog), args, err, out)
+		}
+		return ee.ExitCode()
+	}
+	// checkArtifacts parses what a failed run must still have written; the
+	// trace may be empty (the run may have failed before its first event).
+	checkArtifacts := func(metrics, trace string) {
+		t.Helper()
+		readMetrics(t, filepath.Join(dir, metrics))
+		data, err := os.ReadFile(filepath.Join(dir, trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &tr); err != nil || tr.TraceEvents == nil {
+			t.Fatalf("%s is not a Chrome trace (%v):\n%s", trace, err, data)
+		}
+	}
+
+	if code := exitCode(dcpid, "-workload", "nosuch", "-db", "db-nosuch",
+		"-stats-out", "fail.m.json", "-trace-out", "fail.t.json"); code != 1 {
+		t.Errorf("dcpid -workload nosuch: exit %d, want 1", code)
+	}
+	checkArtifacts("fail.m.json", "fail.t.json")
+
+	if code := exitCode(dcpieval, "-fig", "7", "-merge-shards", "no-such-*.shard",
+		"-metrics-out", "efail.m.json", "-trace-out", "efail.t.json"); code != 1 {
+		t.Errorf("dcpieval -merge-shards with no archives: exit %d, want 1", code)
+	}
+	checkArtifacts("efail.m.json", "efail.t.json")
+
+	// A good run whose metrics file cannot be created exits 1 and still
+	// writes its trace; likewise the heap profile.
+	good := []string{"-workload", "x11perf", "-scale", "0.05", "-period", "2048"}
+	if code := exitCode(dcpid, append(good, "-db", "db-1",
+		"-stats-out", "no-such-dir/m.json", "-trace-out", "ok.t.json")...); code != 1 {
+		t.Errorf("dcpid with an unwritable -stats-out: exit %d, want 1", code)
+	}
+	checkChromeTrace(t, filepath.Join(dir, "ok.t.json"), "intr:")
+	if code := exitCode(dcpid, append(good, "-db", "db-2",
+		"-memprofile", "no-such-dir/heap.prof", "-stats-out", "ok.m.json")...); code != 1 {
+		t.Errorf("dcpid with an unwritable -memprofile: exit %d, want 1", code)
+	}
+	readMetrics(t, filepath.Join(dir, "ok.m.json"))
+	if code := exitCode(dcpid, append(good, "-db", "db-3")...); code != 0 {
+		t.Errorf("dcpid control run: exit %d, want 0", code)
+	}
+}
+
+// TestCLIParallelByDefault: dcpid fans its simulated CPUs out over the free
+// worker budget without being asked, the result is byte-identical to the
+// one-slot (GOMAXPROCS=1) sequential reference, and a fault plan — whose
+// crash timing would depend on goroutine order — selects one worker.
+func TestCLIParallelByDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI parallel-simulation test is slow")
+	}
+	dcpid := buildTool(t, "dcpid")
+	// run returns stdout and the sim.workers gauge of one dcpid run into a
+	// fresh directory; the relative -db keeps stdout comparable.
+	run := func(procs string, extra ...string) (dir, stdout string, workers float64) {
+		dir = t.TempDir()
+		args := append([]string{"-workload", "altavista", "-mode", "cycles", "-db", "db",
+			"-scale", "0.1", "-seed", "7", "-stats-out", "m.json"}, extra...)
+		cmd := exec.Command(dcpid, args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		var errBuf bytes.Buffer
+		cmd.Stderr = &errBuf
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%s dcpid %v: %v\n%s", procs, args, err, errBuf.String())
+		}
+		return dir, string(out), readMetrics(t, filepath.Join(dir, "m.json")).Gauges["sim.workers"]
+	}
+	seqDir, seqOut, seqWorkers := run("1")
+	parDir, parOut, parWorkers := run("4")
+	if seqWorkers != 1 || parWorkers <= 1 {
+		t.Errorf("sim.workers = %g under GOMAXPROCS=1 and %g under GOMAXPROCS=4; want 1 and > 1", seqWorkers, parWorkers)
+	}
+	if seqOut != parOut {
+		t.Errorf("stdout differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", seqOut, parOut)
+	}
+	files, err := filepath.Glob(filepath.Join(seqDir, "db", "epoch-0001", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no epoch files under %s (%v)", seqDir, err)
+	}
+	for _, f := range files {
+		want, err1 := os.ReadFile(f)
+		got, err2 := os.ReadFile(filepath.Join(parDir, "db", "epoch-0001", filepath.Base(f)))
+		if err1 != nil || err2 != nil || !bytes.Equal(want, got) {
+			t.Errorf("%s differs between GOMAXPROCS=1 and 4 (%v, %v)", filepath.Base(f), err1, err2)
+		}
+	}
+	if _, _, w := run("4", "-fault", "stall=0-100M"); w != 1 {
+		t.Errorf("sim.workers = %g with a fault plan, want 1", w)
 	}
 }

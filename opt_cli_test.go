@@ -1,7 +1,6 @@
 package dcpibench
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,16 +14,7 @@ func TestCLIOptimizeLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI optimization loop is slow")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
+	dir := t.TempDir()
 	run := func(prog string, args ...string) string {
 		cmd := exec.Command(prog, args...)
 		out, err := cmd.CombinedOutput()
@@ -42,9 +32,9 @@ func TestCLIOptimizeLoop(t *testing.T) {
 		return string(out)
 	}
 
-	dcpiopt := build("dcpiopt")
-	dcpilayout := build("dcpilayout")
-	dcpid := build("dcpid")
+	dcpiopt := buildTool(t, "dcpiopt")
+	dcpilayout := buildTool(t, "dcpilayout")
+	dcpid := buildTool(t, "dcpid")
 
 	// Happy path: the loop converges on the pessimized classifier with a
 	// large measured win, reported per iteration.
@@ -85,7 +75,7 @@ func TestCLIOptimizeLoop(t *testing.T) {
 
 	// dcpilayout, pointed at a profile of the same unsafe procedure, must
 	// refuse for the same reason.
-	db := filepath.Join(bin, "db-gcc")
+	db := filepath.Join(dir, "db-gcc")
 	run(dcpid, "-workload", "gcc", "-mode", "cycles", "-db", db,
 		"-scale", "0.1", "-seed", "1", "-period", "768")
 	out = runFail(dcpilayout, "-db", db, "-image", "/usr/bin/gcc", "-proc", "main")

@@ -40,6 +40,22 @@ if grep -nE '\.seg\b|segment\{|type segment\b|sourceFromBatch' internal/tsdb/*.g
 	exit 1
 fi
 
+echo "== one front end for the binaries that simulate (internal/cli)" >&2
+# The shared flags are declared once, in internal/cli, which also owns what
+# each one starts and what is written on the way to os.Exit. A private copy
+# in a main must not grow back, and neither must -simcpus: how many host
+# goroutines a machine uses comes from the worker budget (internal/par).
+# (bench/ is the benchmark's own module; its -trace-out is the harness's.)
+if grep -rnE '"(cpuprofile|memprofile|metrics-out|stats-out|trace-out|cache-dir|cache-max-mb)"' \
+	--include='*.go' --exclude='*_test.go' . | grep -vE '^\./(internal/cli|bench)/'; then
+	echo "shared flag declared outside internal/cli: register its group with cli.App" >&2
+	exit 1
+fi
+if grep -rn '"simcpus"' --include='*.go' .; then
+	echo "-simcpus is gone: simulated CPUs fan out over the free worker budget" >&2
+	exit 1
+fi
+
 echo "== go vet ./..." >&2
 go vet ./...
 
@@ -72,19 +88,30 @@ grep -q "conservation" "$tmp/stall.out"
 grep -q " crashes" "$tmp/crash.out"
 ! grep -q "VIOLATED" "$tmp/crash.out"
 
-echo "== parallel-simulation determinism smoke (dcpid -simcpus)" >&2
-# The same multiprocessor run, sequential vs goroutine-per-CPU, must
+echo "== parallel-simulation determinism smoke (dcpid, GOMAXPROCS=1 vs default)" >&2
+# The same command on a one-slot worker budget (sequential) and on the
+# host's (simulated CPUs on goroutines wherever a slot is free) must
 # produce byte-identical output and database files (see DESIGN.md).
-"$tmp/dcpid" -workload altavista -mode cycles -db "$tmp/db-seq" \
+GOMAXPROCS=1 "$tmp/dcpid" -workload altavista -mode cycles -db "$tmp/db-seq" \
 	-scale 0.1 -seed 7 >"$tmp/seq.out"
 "$tmp/dcpid" -workload altavista -mode cycles -db "$tmp/db-par" \
-	-scale 0.1 -seed 7 -simcpus 4 >"$tmp/par.out"
+	-scale 0.1 -seed 7 >"$tmp/par.out"
 sed 's|db-seq|DB|' "$tmp/seq.out" >"$tmp/seq.norm"
 sed 's|db-par|DB|' "$tmp/par.out" >"$tmp/par.norm"
 diff "$tmp/seq.norm" "$tmp/par.norm"
 for f in "$tmp"/db-seq/epoch-0001/*; do
 	cmp "$f" "$tmp/db-par/epoch-0001/$(basename "$f")"
 done
+
+echo "== a failed run still writes its artifacts (cli.Exit)" >&2
+# The run that went wrong is the one whose metrics and trace are wanted.
+if "$tmp/dcpid" -workload nosuch -db "$tmp/db-nosuch" \
+	-stats-out "$tmp/fail-metrics.json" -trace-out "$tmp/fail-trace.json" 2>/dev/null; then
+	echo "dcpid ran a workload that does not exist" >&2
+	exit 1
+fi
+grep -q '"gauges"' "$tmp/fail-metrics.json"
+grep -q '"traceEvents"' "$tmp/fail-trace.json"
 
 echo "== run-cache cold/warm smoke (dcpieval -cache-dir)" >&2
 # Second pass over a persistent cache must resolve at least one run from
@@ -164,6 +191,13 @@ kill -INT "$dcpid_pid"
 wait "$dcpid_pid"
 trap 'rm -rf "$tmp"' EXIT
 grep -q "shutdown complete" "$tmp/dcpid-fleet.err"
+
+echo "== fleet demo, small (dcpicollect fleet)" >&2
+# Simulated fleet, scrape, queries and compaction, each answer verified
+# against the per-machine databases by the demo itself.
+"$tmp/dcpicollect" fleet -machines 4 -epochs 16 -scale 0.02 -fault-machine 1 \
+	>"$tmp/fleet-demo.out"
+grep -q "fleet demo: all checks passed" "$tmp/fleet-demo.out"
 
 echo "== tsdb compaction smoke (dcpicollect compact)" >&2
 # Compaction must be invisible to queries: the range answer must still

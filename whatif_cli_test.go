@@ -19,12 +19,7 @@ func TestCLIWhatif(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI what-if test simulates several runs")
 	}
-	bin := filepath.Join(t.TempDir(), "dcpiwhatif")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/dcpiwhatif")
-	cmd.Env = os.Environ()
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build dcpiwhatif: %v\n%s", err, msg)
-	}
+	bin := buildTool(t, "dcpiwhatif")
 	dir := filepath.Join(t.TempDir(), "cache")
 	jsonOut := filepath.Join(t.TempDir(), "report.json")
 	base := []string{
