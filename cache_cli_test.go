@@ -3,6 +3,7 @@ package dcpibench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,10 @@ import (
 )
 
 // TestCLIRunCache checks the persistent-cache and sharding contract end to
-// end on a small section: -cache-dir and -shard/-merge-shards must never
-// change stdout by a byte, the warm pass must skip every simulation, and
-// the cache-stats stderr line must account for how runs were resolved.
+// end on a small section: -cache-dir — cold, warm, or filled by -shard
+// processes — must never change stdout by a byte, the warm pass must skip
+// every simulation, and the cache-stats stderr line must account for how
+// runs were resolved.
 func TestCLIRunCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI cache test is slow")
@@ -72,24 +74,44 @@ func TestCLIRunCache(t *testing.T) {
 		t.Errorf("warm pass had no disk hits: %v", ws)
 	}
 
-	// Two shards then merge: stdout identical to the unsharded run, and
-	// the merge resolves the sharded runs by rehydration.
-	sh := t.TempDir()
-	a1 := filepath.Join(sh, "s1")
-	a2 := filepath.Join(sh, "s2")
-	if out, _ := run("-shard", "1/2", "-shard-out", a1); out != "" {
-		t.Errorf("shard mode wrote to stdout:\n%s", out)
+	// Two shards into one directory, then the plain command over it: stdout
+	// identical to the unsharded run, every run rehydrated, none simulated.
+	sh := filepath.Join(t.TempDir(), "shards")
+	for _, spec := range []string{"1/2", "2/2"} {
+		out, stderr := run("-shard", spec, "-cache-dir", sh)
+		if out != "" {
+			t.Errorf("shard mode wrote to stdout:\n%s", out)
+		}
+		if !strings.Contains(stderr, "shard "+spec+": simulated ") || !strings.Contains(stderr, " into "+sh) {
+			t.Errorf("shard %s did not report what it simulated into %s:\n%s", spec, sh, stderr)
+		}
 	}
-	run("-shard", "2/2", "-shard-out", a2)
-	merged, mergedErr := run("-merge-shards", a1+","+a2, "-metrics-out", metrics)
+	merged, mergedErr := run("-cache-dir", sh, "-metrics-out", metrics)
 	if merged != want {
-		t.Errorf("merged shard output differs from unsharded run:\n%s", merged)
+		t.Errorf("output over the shards' directory differs from unsharded run:\n%s", merged)
 	}
 	ms := statsOf(mergedErr)
 	if ms["disk_hits"] < 1 {
-		t.Errorf("merge pass rehydrated nothing: %v", ms)
+		t.Errorf("pass over the shards' directory rehydrated nothing: %v", ms)
 	}
-	if ms["simulated"] != 0 {
-		t.Errorf("merge pass re-simulated %v runs, want 0: %v", ms["simulated"], ms)
+	if ms["simulated"] != 0 || !strings.Contains(mergedErr, "dcpieval: 0 simulations run") {
+		t.Errorf("pass over the shards' directory re-simulated %v runs, want 0: %v\n%s", ms["simulated"], ms, mergedErr)
+	}
+
+	// A shard's results are the cache entries it writes, so -shard with no
+	// cache directory is a usage error that writes nothing.
+	empty := t.TempDir()
+	cmd := exec.Command(bin, append(append([]string{}, base...), "-shard", "1/2")...)
+	cmd.Dir = empty
+	cmd.Env = append(os.Environ(), "DCPI_CACHE_DIR=")
+	msg, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("-shard without a cache directory: %v, want exit 2\n%s", err, msg)
+	}
+	if !strings.Contains(string(msg), "-shard needs -cache-dir") || strings.Count(strings.TrimSpace(string(msg)), "\n") != 0 {
+		t.Errorf("-shard without a cache directory: want a one-line reason, got:\n%s", msg)
+	}
+	if left, _ := os.ReadDir(empty); len(left) != 0 {
+		t.Errorf("-shard without a cache directory wrote %d files", len(left))
 	}
 }

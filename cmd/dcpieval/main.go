@@ -13,10 +13,10 @@
 //	dcpieval -all -cache-dir ~/.cache/dcpi
 //	                             # persistent run cache: the second
 //	                             # invocation skips every simulation
-//	dcpieval -all -shard 1/4     # simulate only shard 1 of 4, archiving
-//	                             # results to dcpieval-shard-1-of-4.shard
-//	dcpieval -all -merge-shards 'dcpieval-shard-*.shard'
-//	                             # fold shard archives into full output
+//	dcpieval -all -shard 1/4 -cache-dir d
+//	                             # simulate only shard 1 of 4 into d; once
+//	                             # d holds every shard's entries, the plain
+//	                             # command over it prints the full output
 //
 // Flags -runs and -scale trade time for confidence. All experiments share
 // one simulation runner (internal/runner): sections run concurrently, -j
@@ -24,7 +24,7 @@
 // and identical run configurations across sections are simulated exactly
 // once. Sections stream to stdout in their fixed order as they complete, so
 // long sweeps show progress; output is byte-identical for every -j value —
-// and for cold, warm-cache, and merged-shard invocations alike.
+// and for cold, warm-cache, and sharded-then-warm invocations alike.
 package main
 
 import (
@@ -33,22 +33,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"dcpi/internal/cli"
-	"dcpi/internal/dcpi"
 	"dcpi/internal/eval"
 	"dcpi/internal/obs"
 	"dcpi/internal/pipeline"
-	"dcpi/internal/runcache"
 )
 
 // section is one independently runnable report: it renders into w and all
-// its simulations go through the shared runner inside eval.Options.
+// its simulations go through the shared runner inside eval.Options. A
+// section is selected by -all or by the one of table, fig and ablation it
+// sets.
 type section struct {
-	name string
-	fn   func(w io.Writer) error
+	table, fig int
+	ablation   string
+	name       string
+	run        func(o eval.Options, w io.Writer) error
+}
+
+// report is the common section shape: compute the rows, then render them.
+func report[T any](run func(eval.Options) (T, error), format func(io.Writer, T)) func(eval.Options, io.Writer) error {
+	return func(o eval.Options, w io.Writer) error {
+		rows, err := run(o)
+		if err != nil {
+			return err
+		}
+		format(w, rows)
+		return nil
+	}
 }
 
 func main() {
@@ -60,9 +72,7 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate everything")
 		runs     = flag.Int("runs", 0, "runs per configuration (default 5)")
 		scale    = flag.Float64("scale", 0, "workload scale (default 0.25)")
-		shard    = flag.String("shard", "", "simulate only shard i of N (format \"i/N\", 1-based) and archive results instead of printing output")
-		shardOut = flag.String("shard-out", "", "shard archive path (default dcpieval-shard-<i>-of-<N>.shard)")
-		merge    = flag.String("merge-shards", "", "comma-separated shard archives (globs allowed) to merge into full output")
+		shard    = flag.String("shard", "", "simulate only shard i of N (format \"i/N\", 1-based) into -cache-dir instead of printing output")
 	)
 	app.ProfileFlags()
 	app.ObsFlags()
@@ -72,15 +82,16 @@ func main() {
 	app.Obs.Tracer.NameProcess(obs.PIDRunner, "runner (simulation scheduler)")
 	app.Obs.Tracer.NameProcess(obs.PIDEval, "eval (experiment sections)")
 
-	if *shard != "" && *merge != "" {
-		app.Fatalf(2, "-shard and -merge-shards are mutually exclusive")
-	}
 	shardIdx, shardN, err := parseShard(*shard)
 	if err != nil {
 		app.Fatalf(2, "%v", err)
 	}
 	shardMode := shardN > 0
 	sched := app.Runner()
+	if shardMode && sched.Disk == nil {
+		app.Fatalf(2, "-shard needs -cache-dir (or $DCPI_CACHE_DIR): a shard's results are the cache entries it writes")
+	}
+	sched.Shard, sched.NumShards = shardIdx, shardN
 	app.BeforeMetrics = func() {
 		sched.PublishMetrics()
 		// How well the block-schedule memo worked (docs/PERFORMANCE.md).
@@ -89,183 +100,45 @@ func main() {
 		app.Obs.Registry.Gauge("pipeline.schedcache.misses").Set(float64(misses))
 		app.Obs.Registry.Gauge("pipeline.schedcache.entries").Set(float64(entries))
 	}
-	// Shard archives carry the run cache's version stamp: they are invalid
-	// the moment the simulator's semantics or the snapshot layout change.
-	stamp := dcpi.CacheStamp()
-	var shardEntries []runcache.Entry
-	if shardMode {
-		sched.Shard, sched.NumShards = shardIdx, shardN
-		sched.ShardSink = func(key string, blob []byte) {
-			shardEntries = append(shardEntries, runcache.Entry{Key: key, Blob: blob})
-		}
-	}
-	if *merge != "" {
-		preload, nfiles, err := loadShards(*merge, stamp)
-		if err != nil {
-			app.Fatalf(1, "%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dcpieval: merging %d runs from %d shard archives\n", len(preload), nfiles)
-		sched.Preload = preload
-	}
 	o := eval.Options{Runs: *runs, Scale: *scale, Runner: sched, Obs: app.Obs}
 
-	want := func(t, f int, abl string) bool {
-		if *all {
-			return true
-		}
-		if t != 0 && t == *table {
-			return true
-		}
-		if f != 0 && f == *fig {
-			return true
-		}
-		return abl != "" && abl == *ablation
-	}
-
-	var sections []section
-	add := func(name string, fn func(io.Writer) error) {
-		sections = append(sections, section{name, fn})
-	}
-
-	if want(2, 0, "") {
-		add("Table 2: workloads and base runtimes", func(w io.Writer) error {
-			rows, err := eval.Table2(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable2(w, rows)
-			return nil
-		})
-	}
-	if want(3, 0, "") {
-		add("Table 3: overall slowdown", func(w io.Writer) error {
-			rows, err := eval.Table3(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable3(w, rows)
-			return nil
-		})
-	}
-	if want(4, 0, "") {
-		add("Table 4: time overhead components", func(w io.Writer) error {
-			rows, err := eval.Table4(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable4(w, rows)
-			return nil
-		})
-	}
-	if want(5, 0, "") {
-		add("Table 5: space overhead", func(w io.Writer) error {
-			rows, err := eval.Table5(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatTable5(w, rows)
-			return nil
-		})
-	}
-	if want(0, 1, "") {
-		add("Figure 1: dcpiprof on x11perf", func(w io.Writer) error { return eval.Fig1(o, w) })
-	}
-	if want(0, 2, "") {
-		add("Figure 2: dcpicalc on the copy loop", func(w io.Writer) error { return eval.Fig2(o, w) })
-	}
-	if want(0, 3, "") || want(0, 4, "") {
-		add("Figures 3 & 4: dcpistats and the smooth_ summary", func(w io.Writer) error {
+	// Every section, in output order. Figures 3 and 4 are one section (Figure
+	// 4 summarizes Figure 3's runs), listed under 3; figWriter hides the half
+	// that was not asked for.
+	list := []section{
+		{table: 2, name: "Table 2: workloads and base runtimes", run: report(eval.Table2, eval.FormatTable2)},
+		{table: 3, name: "Table 3: overall slowdown", run: report(eval.Table3, eval.FormatTable3)},
+		{table: 4, name: "Table 4: time overhead components", run: report(eval.Table4, eval.FormatTable4)},
+		{table: 5, name: "Table 5: space overhead", run: report(eval.Table5, eval.FormatTable5)},
+		{fig: 1, name: "Figure 1: dcpiprof on x11perf", run: eval.Fig1},
+		{fig: 2, name: "Figure 2: dcpicalc on the copy loop", run: eval.Fig2},
+		{fig: 3, name: "Figures 3 & 4: dcpistats and the smooth_ summary", run: func(o eval.Options, w io.Writer) error {
 			results, err := eval.Fig3(o, figWriter(w, 3, *fig, *all))
 			if err != nil {
 				return err
 			}
 			return eval.Fig4(o, figWriter(w, 4, *fig, *all), results)
-		})
+		}},
+		{fig: 7, name: "Figure 7: frequency estimation for the copy loop", run: eval.Fig7},
+		{fig: 6, name: "Figure 6: running-time distributions", run: report(eval.Fig6, eval.FormatFig6)},
+		{fig: 8, name: "Figure 8: instruction-frequency accuracy", run: fig8},
+		{fig: 9, name: "Figure 9: edge-frequency accuracy", run: fig9},
+		{fig: 10, name: "Figure 10: I-cache stalls vs IMISS events", run: report(eval.Fig10, eval.FormatFig10)},
+		{ablation: "ht", name: "Ablation: hash-table design space (§5.4)", run: report(eval.AblationHT, eval.FormatAblation)},
+		{ablation: "loss", name: "Ablation: daemon lag vs. sample loss (§4.2.3)", run: report(eval.LossSweep, eval.FormatLossSweep)},
 	}
-	if want(0, 7, "") {
-		add("Figure 7: frequency estimation for the copy loop", func(w io.Writer) error {
-			return eval.Fig7(o, w)
-		})
+	wantFig := *fig
+	if wantFig == 4 {
+		wantFig = 3
 	}
-	if want(0, 6, "") {
-		add("Figure 6: running-time distributions", func(w io.Writer) error {
-			series, err := eval.Fig6(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatFig6(w, series)
-			return nil
-		})
+	var sections []section
+	for _, s := range list {
+		if *all || s.table != 0 && s.table == *table ||
+			s.fig != 0 && s.fig == wantFig ||
+			s.ablation != "" && s.ablation == *ablation {
+			sections = append(sections, s)
+		}
 	}
-	if want(0, 8, "") {
-		add("Figure 8: instruction-frequency accuracy", func(w io.Writer) error {
-			res, err := eval.Fig8(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatAccuracy(w, "Figure 8: distribution of errors in instruction frequencies", res)
-			mr, err := eval.Fig8MultiRun(o, 4)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			eval.FormatMultiRun(w, mr)
-			return nil
-		})
-	}
-	if want(0, 9, "") {
-		add("Figure 9: edge-frequency accuracy", func(w io.Writer) error {
-			res, err := eval.Fig9(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatAccuracy(w, "Figure 9: distribution of errors in edge frequencies", res)
-			ds, err := eval.Fig9DoubleSampling(o)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\nwith par.7 double sampling:       within 5%% %.1f%%, within 10%% %.1f%%\n",
-				100*ds.Within5, 100*ds.Within10)
-			interp, err := eval.Fig9Interpretation(o)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "with par.7 branch interpretation: within 5%% %.1f%%, within 10%% %.1f%%\n",
-				100*interp.Within5, 100*interp.Within10)
-			return nil
-		})
-	}
-	if want(0, 10, "") {
-		add("Figure 10: I-cache stalls vs IMISS events", func(w io.Writer) error {
-			res, err := eval.Fig10(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatFig10(w, res)
-			return nil
-		})
-	}
-	if want(0, 0, "ht") {
-		add("Ablation: hash-table design space (§5.4)", func(w io.Writer) error {
-			res, err := eval.AblationHT(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatAblation(w, res)
-			return nil
-		})
-	}
-	if want(0, 0, "loss") {
-		add("Ablation: daemon lag vs. sample loss (§4.2.3)", func(w io.Writer) error {
-			res, err := eval.LossSweep(o)
-			if err != nil {
-				return err
-			}
-			eval.FormatLossSweep(w, res)
-			return nil
-		})
-	}
-
 	if len(sections) == 0 {
 		flag.Usage()
 		app.Exit(2)
@@ -288,7 +161,7 @@ func main() {
 		go func(s section, st *done) {
 			defer close(st.ch)
 			fmt.Fprintf(&st.buf, "==== %s ====\n\n", s.name)
-			if err := s.fn(&st.buf); err != nil {
+			if err := s.run(o, &st.buf); err != nil {
 				st.err = err
 				return
 			}
@@ -300,10 +173,11 @@ func main() {
 		if shardMode {
 			// Shard output is rendered from placeholder results for every
 			// out-of-shard run, so it is meaningless: discard it, and treat
-			// section errors as warnings (the merge pass re-simulates any
-			// runs a section failed to reach).
+			// section errors as warnings (the unsharded command over the
+			// same cache directory simulates any run a section failed to
+			// reach).
 			if st.err != nil {
-				fmt.Fprintf(os.Stderr, "dcpieval: shard %d/%d: %s: %v (merge will re-simulate missing runs)\n",
+				fmt.Fprintf(os.Stderr, "dcpieval: shard %d/%d: %s: %v (the unsharded command will simulate missing runs)\n",
 					shardIdx, shardN, sections[i].name, st.err)
 			}
 			continue
@@ -315,15 +189,8 @@ func main() {
 	}
 	st := sched.Stats()
 	if shardMode {
-		out := *shardOut
-		if out == "" {
-			out = fmt.Sprintf("dcpieval-shard-%d-of-%d.shard", shardIdx, shardN)
-		}
-		if err := runcache.WriteArchive(out, stamp, shardEntries); err != nil {
-			app.Fatalf(1, "writing shard archive: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dcpieval: shard %d/%d: simulated %d of %d runs (%d skipped for other shards), wrote %d results to %s\n",
-			shardIdx, shardN, st.Simulated, st.Requests(), st.ShardSkipped, len(shardEntries), out)
+		fmt.Fprintf(os.Stderr, "dcpieval: shard %d/%d: simulated %d of %d runs (%d skipped for other shards) into %s\n",
+			shardIdx, shardN, st.Simulated, st.Requests(), st.ShardSkipped, sched.Disk.Path())
 	}
 	if st.MemHits > 0 || st.DiskHits > 0 {
 		fmt.Fprintf(os.Stderr, "dcpieval: %d simulations run, %d duplicate requests served from memory, %d runs rehydrated from disk\n",
@@ -349,38 +216,42 @@ func parseShard(spec string) (idx, n int, err error) {
 	return idx, n, nil
 }
 
-// loadShards reads every archive named by the comma-separated list (each
-// element may be a glob) and returns the union of their entries keyed by
-// content key. Archives must carry this binary's version stamp; later
-// archives win on duplicate keys (the blobs are identical by construction
-// — simulation is deterministic in the key).
-func loadShards(list, stamp string) (map[string][]byte, int, error) {
-	preload := make(map[string][]byte)
-	nfiles := 0
-	for _, pat := range strings.Split(list, ",") {
-		pat = strings.TrimSpace(pat)
-		if pat == "" {
-			continue
-		}
-		paths, err := filepath.Glob(pat)
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad -merge-shards pattern %q: %v", pat, err)
-		}
-		if len(paths) == 0 {
-			return nil, 0, fmt.Errorf("-merge-shards: no files match %q", pat)
-		}
-		for _, path := range paths {
-			_, entries, err := runcache.ReadArchive(path, stamp)
-			if err != nil {
-				return nil, 0, err
-			}
-			for _, e := range entries {
-				preload[e.Key] = e.Blob
-			}
-			nfiles++
-		}
+// fig8 is Figure 8 and the multi-run convergence table under it.
+func fig8(o eval.Options, w io.Writer) error {
+	res, err := eval.Fig8(o)
+	if err != nil {
+		return err
 	}
-	return preload, nfiles, nil
+	eval.FormatAccuracy(w, "Figure 8: distribution of errors in instruction frequencies", res)
+	mr, err := eval.Fig8MultiRun(o, 4)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	eval.FormatMultiRun(w, mr)
+	return nil
+}
+
+// fig9 is Figure 9 and its two §7 variants.
+func fig9(o eval.Options, w io.Writer) error {
+	res, err := eval.Fig9(o)
+	if err != nil {
+		return err
+	}
+	eval.FormatAccuracy(w, "Figure 9: distribution of errors in edge frequencies", res)
+	ds, err := eval.Fig9DoubleSampling(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nwith par.7 double sampling:       within 5%% %.1f%%, within 10%% %.1f%%\n",
+		100*ds.Within5, 100*ds.Within10)
+	interp, err := eval.Fig9Interpretation(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "with par.7 branch interpretation: within 5%% %.1f%%, within 10%% %.1f%%\n",
+		100*interp.Within5, 100*interp.Within10)
+	return nil
 }
 
 // figWriter suppresses one of the two combined figures when only the other

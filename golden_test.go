@@ -58,26 +58,48 @@ func TestGoldenTable2DigestWarmCache(t *testing.T) {
 	}
 }
 
-// TestGoldenTable2DigestShardMerge splits the golden sweep across four
-// shard processes and merges their archives: the merged output must match
-// the committed digest, and the merge pass must rehydrate (not simulate)
-// the sharded runs.
-func TestGoldenTable2DigestShardMerge(t *testing.T) {
+// TestGoldenTable2DigestSharded splits the golden sweep across four shard
+// processes running concurrently into one cache directory: the plain command
+// over that directory must print the committed digest without simulating
+// anything — and must print it still, re-simulating what is missing, after
+// some of the entries are deleted.
+func TestGoldenTable2DigestSharded(t *testing.T) {
 	bin, want := goldenSetup(t)
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "cache")
 	const n = 4
-	var archives []string
-	for i := 1; i <= n; i++ {
-		out := filepath.Join(dir, "shard.bin."+string(rune('0'+i)))
-		archives = append(archives, out)
-		args := append(goldenArgs(), "-shard", fmt.Sprintf("%d/%d", i, n), "-shard-out", out)
-		if msg, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("shard %d/%d: %v\n%s", i, n, err, msg)
+	shards := make([]*exec.Cmd, n)
+	logs := make([]strings.Builder, n)
+	for i := range shards {
+		args := append(goldenArgs(), "-j", "1", "-shard", fmt.Sprintf("%d/%d", i+1, n), "-cache-dir", dir)
+		shards[i] = exec.Command(bin, args...)
+		shards[i].Stdout, shards[i].Stderr = &logs[i], &logs[i]
+		if err := shards[i].Start(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	stderr := goldenCheck(t, bin, want, "-merge-shards", strings.Join(archives, ","))
-	if !strings.Contains(stderr, "rehydrated from disk") {
-		t.Errorf("merge pass did not report rehydrated runs; stderr:\n%s", stderr)
+	for i, cmd := range shards {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("shard %d/%d: %v\n%s", i+1, n, err, logs[i].String())
+		}
+	}
+	stderr := goldenCheck(t, bin, want, "-cache-dir", dir)
+	if !strings.Contains(stderr, "dcpieval: 0 simulations run") || !strings.Contains(stderr, "rehydrated from disk") {
+		t.Errorf("pass over the shards' directory did not rehydrate every run; stderr:\n%s", stderr)
+	}
+
+	// A shard that died half-way: its missing runs re-simulate.
+	entries, err := filepath.Glob(filepath.Join(dir, "*.run"))
+	if err != nil || len(entries) < 2 {
+		t.Fatalf("cache directory holds %d entries (%v)", len(entries), err)
+	}
+	for _, path := range entries[:len(entries)/3] {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stderr = goldenCheck(t, bin, want, "-cache-dir", dir)
+	if !strings.Contains(stderr, fmt.Sprintf("dcpieval: %d simulations run", len(entries)/3)) {
+		t.Errorf("pass over a partial directory did not re-simulate the %d deleted runs; stderr:\n%s", len(entries)/3, stderr)
 	}
 }
 

@@ -105,8 +105,8 @@ func (a *App) Runner() *runner.Runner {
 // CacheStats prints the "<tool>-cache-stats {json}" line on stderr, for
 // pipelines that scrape rather than read files: how many runs were
 // simulated, deduplicated in memory (mem_hits) or rehydrated from
-// -cache-dir or a shard archive (disk_hits). detail adds the sharding
-// count, the two rates and the state of the cache directory.
+// -cache-dir (disk_hits). detail adds the sharding count, the two rates and
+// the state of the cache directory.
 func (a *App) CacheStats(sched *runner.Runner, detail bool) {
 	st := sched.Stats()
 	stats := map[string]any{

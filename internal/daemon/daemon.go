@@ -532,20 +532,6 @@ func (d *Daemon) detachAll() map[profKey]*profiledb.Profile {
 	return combined
 }
 
-// MergeToDisk writes every in-memory profile into the database and drops
-// the in-memory copies (the daemon's periodic disk merge — the epoch-flush
-// stage of the pipeline trace).
-func (d *Daemon) MergeToDisk() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	combined := d.detachAll()
-	_, err := d.mergeToDisk(d.lastClock, combined)
-	if err != nil {
-		d.reattach(d.shard(0), combined)
-	}
-	return err
-}
-
 // mergeToDisk writes the detached profiles map into the database, deleting
 // each profile from the map as it lands; entries left behind on error are
 // the caller's to reattach. Fault injection: when the plan's CrashAtMerge

@@ -262,9 +262,11 @@ func TestBufferFullDelivery(t *testing.T) {
 	}
 }
 
+// Flush and the periodic merge check cfg.DB before they merge; mergeToDisk
+// still refuses on its own rather than dereference a nil database.
 func TestMergeWithoutDBErrors(t *testing.T) {
 	d, _ := testDaemon(t, Config{})
-	if err := d.MergeToDisk(); err == nil {
-		t.Error("MergeToDisk without DB should error")
+	if _, err := d.mergeToDisk(0, nil); err == nil {
+		t.Error("mergeToDisk without DB should error")
 	}
 }

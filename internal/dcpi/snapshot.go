@@ -20,7 +20,7 @@ package dcpi
 // count.
 //
 // A blob is untrusted: its envelope CRC says it arrived intact, not that
-// this build wrote it (shard archives travel between machines). It is read
+// this build wrote it (cache entries travel between machines). It is read
 // through internal/wire, which checks every count against the bytes that
 // remain before anything is sized from it.
 //

@@ -436,15 +436,6 @@ func (d *Driver) FlushCPUAt(cpu int, clock int64) []Entry {
 	return out
 }
 
-// FlushAll drains every CPU.
-func (d *Driver) FlushAll() []Entry {
-	var out []Entry
-	for cpu := range d.cpus {
-		out = append(out, d.FlushCPU(cpu)...)
-	}
-	return out
-}
-
 // PublishMetrics writes the driver's cumulative self-measurements into reg
 // (call once, at the end of a run). Keys mirror the paper's Table 4/5
 // driver columns.

@@ -144,17 +144,20 @@ func TestFlushAllAndConservation(t *testing.T) {
 			fed++
 		}
 	}
-	entries := d.FlushAll()
 	var total uint64
-	for _, e := range entries {
-		total += uint64(e.Count)
+	for cpu := 0; cpu < 2; cpu++ {
+		for _, e := range d.FlushCPUAt(cpu, 0) {
+			total += uint64(e.Count)
+		}
 	}
 	if total != fed {
 		t.Errorf("flushed counts sum to %d, want %d (no samples lost)", total, fed)
 	}
 	// Second flush is empty.
-	if extra := d.FlushAll(); len(extra) != 0 {
-		t.Errorf("second flush returned %d entries", len(extra))
+	for cpu := 0; cpu < 2; cpu++ {
+		if extra := d.FlushCPUAt(cpu, 0); len(extra) != 0 {
+			t.Errorf("second flush of CPU %d returned %d entries", cpu, len(extra))
+		}
 	}
 }
 

@@ -171,18 +171,9 @@ func seedFor(base uint64, salt, wl string, run int) uint64 {
 	return s
 }
 
-// baseCfg is run i of a workload without profiling.
-func baseCfg(o Options, wl string, run int) dcpi.Config {
-	return dcpi.Config{
-		Workload: wl,
-		Scale:    o.Scale,
-		Mode:     sim.ModeOff,
-		Seed:     seedFor(o.SeedBase, "", wl, run),
-	}
-}
-
-// modeCfg is run i of a workload under one profiling configuration with the
-// paper's default sampling periods.
+// modeCfg is run i of a workload under one profiling configuration
+// (sim.ModeOff: no profiling, the base run) with the paper's default
+// sampling periods.
 func modeCfg(o Options, wl string, mode sim.Mode, run int) dcpi.Config {
 	return dcpi.Config{
 		Workload: wl,

@@ -26,7 +26,7 @@ func Table2(o Options) ([]Table2Row, error) {
 	pending := make([][]*runner.Pending, len(o.Workloads))
 	for wi, wl := range o.Workloads {
 		for run := 0; run < o.Runs; run++ {
-			pending[wi] = append(pending[wi], o.Runner.Submit(baseCfg(o, wl, run)))
+			pending[wi] = append(pending[wi], o.Runner.Submit(modeCfg(o, wl, sim.ModeOff, run)))
 		}
 	}
 	var rows []Table2Row
@@ -95,7 +95,7 @@ func Table3(o Options) ([]Table3Row, error) {
 	for wi, wl := range o.Workloads {
 		pending[wi].modes = map[sim.Mode][]*runner.Pending{}
 		for run := 0; run < o.Runs; run++ {
-			pending[wi].base = append(pending[wi].base, o.Runner.Submit(baseCfg(o, wl, run)))
+			pending[wi].base = append(pending[wi].base, o.Runner.Submit(modeCfg(o, wl, sim.ModeOff, run)))
 		}
 		for _, mode := range Table3Modes {
 			for run := 0; run < o.Runs; run++ {

@@ -28,8 +28,6 @@ const (
 	// is mapped here in every context. Addresses at or above KernelBase are
 	// kernel addresses.
 	KernelBase uint64 = 1 << 40
-	// KernelDataBase is where kernel data structures live.
-	KernelDataBase uint64 = KernelBase + 0x1000_0000
 )
 
 // Source says which mechanism reported a mapping, mirroring the three

@@ -115,6 +115,3 @@ func (w *WriteBuffer) Len(now int64) int {
 	w.drainTo(now)
 	return len(w.lines)
 }
-
-// Capacity returns the buffer's entry count.
-func (w *WriteBuffer) Capacity() int { return w.capacity }

@@ -3,6 +3,8 @@ package profiledb
 import (
 	"bytes"
 	"compress/flate"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -113,6 +115,14 @@ func TestCompressedTruncated(t *testing.T) {
 	if _, err := DecodeProfile(trunc); err == nil {
 		t.Error("truncated compressed profile accepted")
 	}
+}
+
+// createFile creates a file, making parent directories as needed.
+func createFile(path string) (*os.File, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(path)
 }
 
 func TestVersionsInteroperateInDB(t *testing.T) {

@@ -494,12 +494,3 @@ func (db *DB) PublishMetrics(reg *obs.Registry) {
 		reg.Gauge("db.profiles").Set(float64(len(profiles)))
 	}
 }
-
-// createFile creates a file, making parent directories as needed (test and
-// tool convenience).
-func createFile(path string) (*os.File, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	return os.Create(path)
-}

@@ -21,33 +21,3 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadArchive feeds arbitrary bytes to the archive decoder, which reads
-// files that travel between machines: no panic, no allocation sized by a
-// count the input cannot back, and accepted archives survive a round trip.
-func FuzzReadArchive(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		stamp, entries, err := decodeArchive(raw, "")
-		if err != nil {
-			return
-		}
-		if len(entries) > len(raw) {
-			t.Fatalf("%d entries out of %d bytes", len(entries), len(raw))
-		}
-		stamp2, entries2, err := decodeArchive(encodeArchive(stamp, entries), stamp)
-		if err != nil || stamp2 != stamp || len(entries2) != len(entries) {
-			t.Fatalf("accepted archive re-decodes to %d entries under %q: %v", len(entries2), stamp2, err)
-		}
-		// Re-encoding sorts; an accepted archive need not have been sorted,
-		// nor its keys distinct.
-		byKey := map[string][]byte{}
-		for _, e := range entries {
-			byKey[e.Key] = e.Blob
-		}
-		for _, e := range entries2 {
-			if len(byKey) == len(entries) && !bytes.Equal(byKey[e.Key], e.Blob) {
-				t.Fatalf("entry %q changed across the round trip", e.Key)
-			}
-		}
-	})
-}

@@ -22,9 +22,11 @@
 //     entries (by file mtime; Get touches entries on hit) are evicted
 //     until the total is back under MaxBytes.
 //
-// The same framing, minus the filesystem, backs shard archives: a shard
-// file written by `dcpieval -shard i/N` is a sequence of (key, blob)
-// entries that `-merge-shards` folds back into one result set.
+// The directory is also how results cross a process boundary: several
+// processes may share one (`dcpieval -shard i/N` workers, or dcpieval and
+// dcpiwhatif over one $DCPI_CACHE_DIR), and because an entry's file name is
+// a hash of stamp and key, copying one directory's *.run files into another
+// merges them.
 package runcache
 
 import (
@@ -47,10 +49,9 @@ import (
 )
 
 const (
-	entryMagic   = "DCPIRUNC"
-	archiveMagic = "DCPISHRD"
-	// formatVersion stamps the entry/archive framing itself (magic, header
-	// layout, CRC placement) — independent of the payload's own version.
+	entryMagic = "DCPIRUNC"
+	// formatVersion stamps the entry framing itself (magic, header layout,
+	// CRC placement) — independent of the payload's own version.
 	formatVersion = 1
 	// DefaultMaxBytes caps the cache at 2 GiB unless overridden.
 	DefaultMaxBytes = 2 << 30
@@ -305,7 +306,7 @@ func encodeEntry(stamp, key string, payload []byte) []byte {
 // decodeEntry verifies the framing of raw — CRC, magic, version, stamp,
 // field lengths, no trailing bytes — and returns the embedded key and the
 // payload (aliasing raw). The cache checks the key against the one it looked
-// up; a shard archive takes it as the entry's name.
+// up.
 func decodeEntry(raw []byte, stamp string) (key string, payload []byte, err error) {
 	if len(raw) < len(entryMagic)+4 {
 		return "", nil, fmt.Errorf("entry too short (%d bytes)", len(raw))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -225,57 +224,5 @@ func TestPublishMetrics(t *testing.T) {
 	}
 	if v := reg.Gauge("runcache.bytes").Value(); v <= 0 {
 		t.Errorf("runcache.bytes = %v, want > 0", v)
-	}
-}
-
-func TestArchiveRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.bin")
-	entries := []Entry{
-		{Key: "w=b|x=2", Blob: []byte("second")},
-		{Key: "w=a|x=1", Blob: []byte("first")},
-	}
-	if err := WriteArchive(path, testStamp, entries); err != nil {
-		t.Fatal(err)
-	}
-	stamp, got, err := ReadArchive(path, testStamp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stamp != testStamp {
-		t.Errorf("stamp = %q, want %q", stamp, testStamp)
-	}
-	// Entries come back sorted by key.
-	if len(got) != 2 || got[0].Key != "w=a|x=1" || string(got[0].Blob) != "first" ||
-		got[1].Key != "w=b|x=2" || string(got[1].Blob) != "second" {
-		t.Errorf("entries = %+v", got)
-	}
-}
-
-func TestArchiveStampMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.bin")
-	if err := WriteArchive(path, "sim-old/snap-1", []Entry{{Key: "k", Blob: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadArchive(path, "sim-new/snap-1"); err == nil ||
-		!strings.Contains(err.Error(), "stamp") {
-		t.Errorf("mismatched stamp not rejected: %v", err)
-	}
-}
-
-func TestArchiveCorruptionDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.bin")
-	if err := WriteArchive(path, testStamp, []Entry{{Key: "k", Blob: bytes.Repeat([]byte("v"), 128)}}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-40] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadArchive(path, testStamp); err == nil {
-		t.Error("corrupt archive read without error")
 	}
 }

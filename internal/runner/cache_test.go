@@ -130,33 +130,9 @@ func TestCorruptDiskEntryResimulates(t *testing.T) {
 	}
 }
 
-func TestPreloadServesWithoutDisk(t *testing.T) {
-	cfg := diskCfg()
-	res, err := dcpi.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := dcpi.EncodeSnapshot(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := New(1)
-	r.Preload = map[string][]byte{Key(cfg): blob}
-	var calls atomic.Int64
-	realRun(r, &calls)
-	got, err := r.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("preloaded run simulated %d times, want 0", calls.Load())
-	}
-	if got.Wall != res.Wall {
-		t.Errorf("preloaded Wall = %d, want %d", got.Wall, res.Wall)
-	}
-}
-
+// A shard's results are the cache entries it writes: across the shards'
+// directories the entries are disjoint, cover every key, and each sits where
+// ShardOf says.
 func TestShardsPartitionRunSet(t *testing.T) {
 	const numShards = 3
 	cfgs := make([]dcpi.Config, 7)
@@ -164,12 +140,12 @@ func TestShardsPartitionRunSet(t *testing.T) {
 		cfgs[i] = dcpi.Config{Workload: "compress", Scale: 0.02, Mode: sim.ModeCycles, Seed: uint64(i + 1)}
 	}
 
-	simulatedBy := make(map[string][]int) // key -> shards that simulated it
+	disks := make([]*runcache.Cache, numShards+1) // indexed by shard, 1-based
 	for shard := 1; shard <= numShards; shard++ {
 		r := New(2)
 		r.Shard, r.NumShards = shard, numShards
-		var sunk []string
-		r.ShardSink = func(key string, blob []byte) { sunk = append(sunk, key) }
+		r.Disk = testDisk(t, t.TempDir())
+		disks[shard] = r.Disk
 		var calls atomic.Int64
 		realRun(r, &calls)
 		for _, cfg := range cfgs {
@@ -182,28 +158,26 @@ func TestShardsPartitionRunSet(t *testing.T) {
 			}
 		}
 		st := r.Stats()
-		if st.Simulated != len(sunk) {
-			t.Errorf("shard %d: simulated %d but sank %d", shard, st.Simulated, len(sunk))
+		held, _ := filepath.Glob(filepath.Join(r.Disk.Path(), "*.run"))
+		if st.Simulated != len(held) {
+			t.Errorf("shard %d: simulated %d but holds %d entries", shard, st.Simulated, len(held))
 		}
 		if st.Simulated+st.ShardSkipped != len(cfgs) {
 			t.Errorf("shard %d: simulated %d + skipped %d != %d runs", shard, st.Simulated, st.ShardSkipped, len(cfgs))
 		}
-		for _, key := range sunk {
-			simulatedBy[key] = append(simulatedBy[key], shard)
-		}
 	}
 
-	// Every run lands on exactly one shard.
-	if len(simulatedBy) != len(cfgs) {
-		t.Errorf("%d distinct keys simulated, want %d", len(simulatedBy), len(cfgs))
-	}
-	for key, shards := range simulatedBy {
-		if len(shards) != 1 {
-			t.Errorf("key %q simulated by shards %v, want exactly one", key, shards)
+	// Every run's entry is in exactly one shard's directory: its own.
+	for _, cfg := range cfgs {
+		key := Key(cfg)
+		var heldBy []int
+		for shard := 1; shard <= numShards; shard++ {
+			if _, ok := disks[shard].Get(key); ok {
+				heldBy = append(heldBy, shard)
+			}
 		}
-		want := ShardOf(key, numShards)
-		if len(shards) == 1 && shards[0] != want {
-			t.Errorf("key %q simulated by shard %d, ShardOf says %d", key, shards[0], want)
+		if want := ShardOf(key, numShards); len(heldBy) != 1 || heldBy[0] != want {
+			t.Errorf("key %q held by shards %v, ShardOf says %d", key, heldBy, want)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func mustParseHW(spec string) hw.Config {
 // TestKeyGolden pins the exact content-key strings for a fixed set of
 // configurations. The persistent run cache addresses entries by these keys
 // across processes and machine lifetimes, so an accidental format change
-// silently invalidates every existing cache and shard archive. Deliberate
+// silently invalidates every existing cache directory. Deliberate
 // changes must regenerate the golden file (go test -run TestKeyGolden
 // -update ./internal/runner) and bump dcpi.SimVersion if the change
 // re-partitions shard assignments.
@@ -82,7 +82,7 @@ func TestKeyGolden(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("Key format changed — existing caches and shard archives silently invalidate.\ngot:\n%swant:\n%s", got, want)
+		t.Errorf("Key format changed — existing cache directories silently invalidate.\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -24,9 +24,9 @@
 //   - Sharded mode (Shard i of NumShards) deterministically partitions the
 //     run set by hashing content keys: runs belonging to other shards are
 //     answered with an inert placeholder result instead of simulating, so
-//     N processes each simulate a disjoint 1/N of the sweep. Simulated
-//     results are streamed to ShardSink for archiving; a merge pass
-//     preloads the archives (Preload) and re-renders all output from them.
+//     N processes each simulate a disjoint 1/N of the sweep into Disk. A
+//     shard's results are the cache entries it wrote: an unsharded run over
+//     a directory holding every shard's entries rehydrates them all.
 //
 // Results are treated as immutable once Run returns: the simulation is
 // finished, the daemon has flushed, and every accessor on *dcpi.Result
@@ -66,8 +66,6 @@ type Runner struct {
 	stats    CacheStats
 	runStart map[int]int64 // per-slot start timestamp of the running simulation
 
-	shardMu sync.Mutex // serializes ShardSink calls
-
 	// Obs attaches the optional self-observability layer: per-run wall
 	// time and queue wait (histograms), cache hit/miss counters, and a
 	// worker-occupancy counter track in the trace. Set it right after New,
@@ -81,11 +79,6 @@ type Runner struct {
 	// after New, before the first Submit.
 	Disk *runcache.Cache
 
-	// Preload maps content keys to serialized snapshots consulted before
-	// the disk tier — the merge pass (`dcpieval -merge-shards`) loads shard
-	// archives here. Read-only after the first Submit.
-	Preload map[string][]byte
-
 	// Shard/NumShards enable sharded execution when NumShards > 1: only
 	// runs whose key hashes to shard Shard (1-based, 1 <= Shard <=
 	// NumShards) simulate; the rest complete instantly with an inert
@@ -93,10 +86,6 @@ type Runner struct {
 	// rendered from placeholders is meaningless and must be discarded —
 	// dcpieval's shard mode does. Set before the first Submit.
 	Shard, NumShards int
-
-	// ShardSink, when set, receives (key, snapshot) for every cacheable
-	// run this process simulated. Calls are serialized by the runner.
-	ShardSink func(key string, blob []byte)
 
 	active atomic.Int64 // workers currently simulating (occupancy track)
 
@@ -226,8 +215,8 @@ func (r *Runner) Run(cfg dcpi.Config) (*dcpi.Result, error) {
 }
 
 // executeCached resolves a cacheable run through the remaining tiers (the
-// memory tier already missed): shard filter, preloaded shard archives,
-// persistent disk cache, and finally simulation.
+// memory tier already missed): shard filter, persistent disk cache, and
+// finally simulation.
 func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 	defer close(c.done)
 
@@ -236,16 +225,6 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 		c.res, c.err = dcpi.PlaceholderResult(cfg)
 		r.noteShardSkipped(cfg)
 		return
-	}
-
-	if blob, ok := r.Preload[key]; ok {
-		if res, err := r.rehydrate(blob, cfg); err == nil {
-			c.res = res
-			r.noteDiskHit(cfg)
-			return
-		}
-		// Archives are CRC-verified at read time, so a decode failure
-		// means version skew or a bug; re-simulate rather than fail.
 	}
 
 	if r.Disk != nil {
@@ -263,21 +242,14 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 
 	r.noteSimulated()
 	r.execute(c, cfg)
-	if c.err != nil || (r.Disk == nil && r.ShardSink == nil) {
+	if c.err != nil || r.Disk == nil {
 		return
 	}
 	blob, err := dcpi.EncodeSnapshot(c.res)
 	if err != nil {
 		return // persisting is best-effort; the in-memory result stands
 	}
-	if r.Disk != nil {
-		r.Disk.Put(key, blob)
-	}
-	if r.ShardSink != nil {
-		r.shardMu.Lock()
-		r.ShardSink(key, blob)
-		r.shardMu.Unlock()
-	}
+	r.Disk.Put(key, blob)
 }
 
 // rehydrate decodes a stored snapshot. With Obs on it times the decode and
@@ -387,8 +359,8 @@ func runWallBuckets() []float64 { return obs.ExpBuckets(1000, 2.7, 14) }
 
 // CacheStats breaks down how submitted runs were resolved: actually
 // simulated, served from the in-memory single-flight cache, rehydrated
-// from the persistent disk tier (or a preloaded shard archive), or skipped
-// because they belong to another shard.
+// from the persistent disk tier, or skipped because they belong to another
+// shard.
 type CacheStats struct {
 	Simulated    int
 	MemHits      int

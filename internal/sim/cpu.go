@@ -173,13 +173,6 @@ func newCPU(id int, m *Machine) *CPU {
 	return c
 }
 
-// Clock returns the CPU's current cycle count (post-run; mid-run readers
-// must use Machine.Stats, which reads the published snapshots).
-func (c *CPU) Clock() int64 { return c.clock }
-
-// Samples returns the number of samples this CPU delivered (post-run).
-func (c *CPU) Samples() uint64 { return c.samples }
-
 // snapInterval is how many issue groups pass between snapshot refreshes:
 // rare enough that the one heap allocation per publish vanishes from the
 // per-step allocation profile, frequent enough that mid-run Stats readers

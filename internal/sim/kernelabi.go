@@ -6,7 +6,6 @@ const (
 	PalCallsys = 0x83 // syscall: v0 holds the syscall number
 	PalRetsys  = 0x84 // return from syscall to the saved user PC
 	PalRti     = 0x85 // return from (timer) interrupt
-	PalSwpctx  = 0x9e // reserved for the context-switch path
 )
 
 // Syscall numbers (in v0 at callsys).

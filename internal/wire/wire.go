@@ -1,7 +1,7 @@
 // Package wire is the one cursor under every binary format in this
-// repository (profiledb .prof, the dcpi snapshot, runcache entries and shard
-// archives, tsdb segments and blocks): varints, single bytes and
-// length-prefixed byte strings, appended to or consumed from a []byte.
+// repository (profiledb .prof, the dcpi snapshot, runcache entries, tsdb
+// segments and blocks): varints, single bytes and length-prefixed byte
+// strings, appended to or consumed from a []byte.
 //
 // Enc appends, so encoding has no error path. Dec keeps the first error and
 // returns zero values after it, so a decoder reads a whole record and checks

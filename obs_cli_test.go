@@ -292,9 +292,12 @@ func TestCLIArtifactsSurviveFailure(t *testing.T) {
 	}
 	checkArtifacts("fail.m.json", "fail.t.json")
 
-	if code := exitCode(dcpieval, "-fig", "7", "-merge-shards", "no-such-*.shard",
+	if err := os.WriteFile(filepath.Join(dir, "a-file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := exitCode(dcpieval, "-fig", "7", "-cache-dir", "a-file",
 		"-metrics-out", "efail.m.json", "-trace-out", "efail.t.json"); code != 1 {
-		t.Errorf("dcpieval -merge-shards with no archives: exit %d, want 1", code)
+		t.Errorf("dcpieval with an unopenable -cache-dir: exit %d, want 1", code)
 	}
 	checkArtifacts("efail.m.json", "efail.t.json")
 

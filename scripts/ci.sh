@@ -5,9 +5,9 @@
 # Usage:  ./scripts/ci.sh
 #
 # Set BENCH=1 to also run the benchmark suite and fail on regressions
-# against BENCH_baseline.json (see scripts/bench.sh); off by default
-# because the full bench run adds ~10 minutes and timing thresholds are
-# noisy on shared machines.
+# against the previous PR's BENCH_pr*.json (see scripts/bench.sh); off by
+# default because the full bench run adds ~10 minutes and timing thresholds
+# are noisy on shared machines.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -53,6 +53,18 @@ if grep -rnE '"(cpuprofile|memprofile|metrics-out|stats-out|trace-out|cache-dir|
 fi
 if grep -rn '"simcpus"' --include='*.go' .; then
 	echo "-simcpus is gone: simulated CPUs fan out over the free worker budget" >&2
+	exit 1
+fi
+
+echo "== one door out of a process for a run's result (the cache entry)" >&2
+# A finished run leaves a process as a run-cache entry and nothing else: a
+# shard simulates into -cache-dir, and merging is the plain command over a
+# directory that holds every shard's entries. A second interchange format —
+# the shard archive, its flags, the runner tier that read it — must not grow
+# back beside the entry.
+if grep -rnE 'DCPISHRD|merge-shards|shard-out|ShardSink|\.Preload' \
+	--include='*.go' --exclude='*_test.go' .; then
+	echo "a shard's results are cache entries: write them with -shard i/N -cache-dir, read them with the plain command" >&2
 	exit 1
 fi
 
@@ -151,16 +163,35 @@ echo "   $rehydrated runs rehydrated: $builds shell builds, $hits shell hits" >&
 [ "$((builds + hits))" -eq "$rehydrated" ]
 grep -q '"runner.rehydrate_us"' "$tmp/fig6-metrics.json"
 
-echo "== sharded-evaluation smoke (dcpieval -shard / -merge-shards)" >&2
-# Two shard passes plus a merge must reproduce the unsharded output byte
-# for byte (missing runs, if any, are re-simulated by the merge).
-"$tmp/dcpieval" -fig 7 -runs 1 -scale 0.1 -shard 1/2 \
-	-shard-out "$tmp/s1.shard" 2>/dev/null
-"$tmp/dcpieval" -fig 7 -runs 1 -scale 0.1 -shard 2/2 \
-	-shard-out "$tmp/s2.shard" 2>/dev/null
-"$tmp/dcpieval" -fig 7 -runs 1 -scale 0.1 \
-	-merge-shards "$tmp/s1.shard,$tmp/s2.shard" >"$tmp/merged.out" 2>/dev/null
-cmp "$tmp/cold.out" "$tmp/merged.out"
+echo "== sharded-evaluation smoke (dcpieval -shard i/N -cache-dir)" >&2
+# Two shard processes at once into one directory, then the plain command
+# over it: byte for byte the unsharded output, nothing simulated. (Figure
+# 6's 24 runs, so that both shards have some.)
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -shard 1/2 -cache-dir "$tmp/shards" 2>/dev/null &
+shard1=$!
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -shard 2/2 -cache-dir "$tmp/shards" 2>/dev/null &
+shard2=$!
+wait "$shard1"
+wait "$shard2"
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -cache-dir "$tmp/shards" \
+	-metrics-out "$tmp/merged-metrics.json" >"$tmp/merged.out" 2>"$tmp/merged.err"
+cmp "$tmp/fig6-cold.out" "$tmp/merged.out"
+grep "dcpieval-cache-stats" "$tmp/merged.err" | grep -q '"simulated":0'
+# The same with a directory per shard (hosts with no shared filesystem),
+# merged by copying the entries into one.
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -shard 1/2 -cache-dir "$tmp/shard-a" 2>/dev/null
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -shard 2/2 -cache-dir "$tmp/shard-b" 2>/dev/null
+mkdir "$tmp/union"
+cp "$tmp"/shard-a/*.run "$tmp"/shard-b/*.run "$tmp/union/"
+"$tmp/dcpieval" -fig 6 -runs 2 -scale 0.05 -cache-dir "$tmp/union" \
+	-metrics-out "$tmp/union-metrics.json" >"$tmp/union.out" 2>"$tmp/union.err"
+cmp "$tmp/fig6-cold.out" "$tmp/union.out"
+grep "dcpieval-cache-stats" "$tmp/union.err" | grep -q '"simulated":0'
+# A shard's results are cache entries, so it needs somewhere to put them.
+if DCPI_CACHE_DIR= "$tmp/dcpieval" -fig 7 -shard 1/2 2>/dev/null; then
+	echo "dcpieval -shard ran without a cache directory" >&2
+	exit 1
+fi
 
 echo "== fleet exposition/scrape/query smoke (dcpid -listen + dcpicollect)" >&2
 # dcpid serves three sealed epochs over HTTP; dcpicollect scrapes them
@@ -265,7 +296,6 @@ go test ./internal/optimize/ -run '^$' -fuzz FuzzReorderProcedure -fuzztime 5s
 go test ./internal/hw/ -run '^$' -fuzz FuzzParseHWConfig -fuzztime 5s
 go test ./internal/dcpi/ -run '^$' -fuzz FuzzDecodeSnapshot -fuzztime 5s
 go test ./internal/runcache/ -run '^$' -fuzz FuzzDecodeEntry -fuzztime 5s
-go test ./internal/runcache/ -run '^$' -fuzz FuzzReadArchive -fuzztime 5s
 go test ./internal/wire/ -run '^$' -fuzz FuzzDec -fuzztime 5s
 
 if [ "${BENCH:-0}" = "1" ]; then
