@@ -115,3 +115,27 @@ func TestCLIRunCache(t *testing.T) {
 		t.Errorf("-shard without a cache directory wrote %d files", len(left))
 	}
 }
+
+// TestCLIColdSweepKeepsNoMachines bounds what a cold sweep still holds when
+// it exits: the results it served, not the machines that produced them (24
+// simulations used to leave 266 MB of process memory, driver tables and
+// caches reachable; the served results are under 10 MB).
+func TestCLIColdSweepKeepsNoMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI cache test is slow")
+	}
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	cmd := exec.Command(buildTool(t, "dcpieval"),
+		"-fig", "6", "-runs", "2", "-scale", "0.05", "-metrics-out", metrics)
+	cmd.Env = append(os.Environ(), "DCPI_CACHE_DIR=")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("dcpieval: %v\n%s", err, out)
+	}
+	m := readMetrics(t, metrics)
+	if m.Counters["runner.simulated"] == 0 {
+		t.Fatalf("the sweep simulated nothing: %v", m.Counters)
+	}
+	if heap := m.Gauges["runtime.heap_alloc_bytes"]; heap <= 0 || heap >= 64<<20 {
+		t.Errorf("runtime.heap_alloc_bytes = %.1f MB after a cold sweep, want under 64 MB", heap/(1<<20))
+	}
+}

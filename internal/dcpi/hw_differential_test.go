@@ -2,6 +2,8 @@ package dcpi
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dcpi/internal/hw"
@@ -104,5 +106,35 @@ func TestInvalidHWRejectedByRun(t *testing.T) {
 	cfg.HW.ICache.Size = 12345 // not a power of two
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("Run accepted an invalid hw config")
+	}
+}
+
+// TestWideIssuePinned pins a run on a 4-wide machine — where a group's later
+// slots are checked against its non-adjacent members pairwise and against
+// their predecessor through the static pairing table — to the statistics and
+// snapshot recorded before the simulator's step path read that table (the
+// what-if goldens cover the default width).
+func TestWideIssuePinned(t *testing.T) {
+	cfg := Config{Workload: "x11perf", Scale: 0.05, Mode: sim.ModeDefault, Seed: 3, CollectExact: true}
+	cfg.HW = hw.Default()
+	cfg.HW.IssueWidth = 4
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Cycles: 3946903, Instructions: 0x10863a, IssueGroups: 0xaaed7, Samples: 0x3e,
+		ICacheMisses: 0x12c3, DCacheMisses: 0x3840, ITBMisses: 0x6, DTBMisses: 0x7,
+		Mispredicts: 0x123f, WBOverflows: 0x7150}
+	if r.Wall != want.Cycles || r.MachineStats != want {
+		t.Errorf("4-wide x11perf diverged from the recorded run:\n got  wall=%d %v\n want wall=%d %v",
+			r.Wall, r.MachineStats, want.Cycles, want)
+	}
+	blob, err := EncodeSnapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSum = "4e565d0b46de1b1adf2ba91b417e1b21253299a0c447bfa92460f891e07f50d4"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != wantSum {
+		t.Errorf("4-wide x11perf snapshot sha256 = %s, recorded %s", got, wantSum)
 	}
 }

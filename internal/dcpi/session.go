@@ -128,28 +128,36 @@ type Config struct {
 // The value-typed fields below the pointer block are the run's measurement
 // snapshot: everything the evaluation suite reads from a finished run,
 // captured by Run after the final flush. They — not the live Machine/
-// Driver/Daemon pointers — are what the persistent run cache serializes
-// (see snapshot.go), so a Result rehydrated from disk carries the same
+// Driver/Daemon pointers — are what the run cache serializes (see
+// snapshot.go), so a Result rehydrated from a snapshot carries the same
 // numbers a fresh simulation would.
 //
+// Only a direct call of Run returns the live form: Driver, Daemon and DB
+// set, a Machine that ran, a Loader whose processes hold their memory. The
+// runner (internal/runner) never hands that out for a cacheable run. Both of
+// its tiers hold the served form — the snapshot decoded by DecodeSnapshot —
+// whether the run was just simulated or found on disk, so cold and warm
+// consumers read one shape of Result and a finished machine is garbage as
+// soon as its snapshot is taken.
+//
 // Analysis consumers (ProcRows, AnalyzeProc, ...) additionally use Loader
-// and Machine.Model. A rehydrated Result does not own those: it points at
-// the shell shared by every result of the same shape (workload, scale,
-// machine, rewrites; see shell.go) — the images, processes, mappings and
-// registers the live run's set-up produced, with no process memory behind
-// them and a machine that never ran. Results are already shared between
-// callers through the runner's memory tier and treated as immutable; the
-// same holds, across results, for a rehydrated Loader and Machine: read
-// them, never register an image, map, spawn or run. (Process.Lookup keeps a
-// last-hit cache, so concurrent Lookups on one shell process need a lock.)
+// and Machine.Model. A served Result does not own those: it points at the
+// shell shared by every result of the same shape (workload, scale, machine,
+// rewrites; see shell.go) — the images, processes, mappings and registers
+// the live run's set-up produced, with no process memory behind them and a
+// machine that never ran. Results are shared between callers through the
+// runner's memory tier and treated as immutable; the same holds, across
+// results, for a served Loader and Machine: read them, never register an
+// image, map, spawn or run. (Process.Lookup keeps a last-hit cache, so
+// concurrent Lookups on one shell process need a lock.)
 type Result struct {
 	Config   Config
 	Wall     int64 // wall-clock cycles (max over CPUs)
 	Machine  *sim.Machine
 	Loader   *loader.Loader
-	Driver   *driver.Driver // nil for rehydrated results
-	Daemon   *daemon.Daemon // nil for rehydrated results
-	DB       *profiledb.DB  // nil for rehydrated and EphemeralDB results
+	Driver   *driver.Driver // direct Run only; nil in the served form
+	Daemon   *daemon.Daemon // direct Run only; nil in the served form
+	DB       *profiledb.DB  // direct Run with DBDir only
 	Exact    *sim.Counts
 	Trace    []sim.Sample // raw samples, when Config.TraceSamples
 	profiles []*profiledb.Profile

@@ -18,6 +18,24 @@ func BenchmarkRecordHit(b *testing.B) {
 	}
 }
 
+// TestRecordHitDoesNotAllocate pins the handler fast path — the sample's
+// key is already in the hash table — at zero allocations, as a tier-1
+// assertion rather than a benchmark column.
+func TestRecordHitDoesNotAllocate(t *testing.T) {
+	d := New(Config{NumCPUs: 1})
+	d.RecordAt(0, 7, 0x1000, sim.EvCycles, 1)
+	clock := int64(1)
+	if n := testing.AllocsPerRun(1000, func() {
+		clock += 64
+		d.RecordAt(0, 7, 0x1000, sim.EvCycles, clock)
+	}); n != 0 {
+		t.Errorf("RecordAt allocates %v times per hit, want 0", n)
+	}
+	if st := d.Stats(0); st.Misses != 1 || st.Hits < 1000 {
+		t.Errorf("stats = %+v, want one miss and the rest hits", st)
+	}
+}
+
 // BenchmarkRecordWorkload measures a realistic mixed stream with evictions.
 func BenchmarkRecordWorkload(b *testing.B) {
 	d := New(Config{NumCPUs: 1})

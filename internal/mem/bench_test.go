@@ -94,4 +94,9 @@ func TestMemoryPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(5, pass); n != 0 {
 		t.Errorf("memory path allocates %v times per pass in steady state, want 0", n)
 	}
+	// The case every fetch and every data access of the simulator is: one
+	// translation of a page already handed out.
+	if n := testing.AllocsPerRun(1000, func() { sink += m.Translate(asns[0], addrs[0]) }); n != 0 {
+		t.Errorf("Translate allocates %v times on a touched page, want 0", n)
+	}
 }

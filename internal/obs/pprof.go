@@ -55,11 +55,14 @@ func WriteHeapProfile(path string) error {
 // PublishRuntimeMemStats exports the Go runtime's allocation counters into
 // reg, giving the metrics artifact a steady-state allocation view of the
 // tool run itself (the denominator callers divide by simulated
-// instructions to get allocs per simulated op).
+// instructions to get allocs per simulated op). It collects first, so that
+// runtime.heap_alloc_bytes is what the process still holds on to rather
+// than that plus however much garbage the last cycle happened to leave.
 func PublishRuntimeMemStats(reg *Registry) {
 	if reg == nil {
 		return
 	}
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	reg.Gauge("runtime.mallocs").Set(float64(ms.Mallocs))

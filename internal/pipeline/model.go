@@ -167,6 +167,20 @@ func CanPairMeta(a, b alpha.Inst, am, bm *alpha.InstMeta) bool {
 	return ClassPairable(a, b) && !dependsOnMeta(am, bm)
 }
 
+// PairTable evaluates CanPairMeta once for every adjacent pair of a code
+// sequence: t[i] reports whether code[i+1] can issue in the same cycle as
+// code[i]. The rule reads nothing but the two static instructions, so a
+// consumer that meets the same pair again and again (the simulator's issue
+// probe) indexes the table instead of re-deriving it. The last instruction
+// has no successor and never pairs.
+func PairTable(code []alpha.Inst, meta []alpha.InstMeta) []bool {
+	t := make([]bool, len(code))
+	for i := 0; i+1 < len(code); i++ {
+		t[i] = CanPairMeta(code[i], code[i+1], &meta[i], &meta[i+1])
+	}
+	return t
+}
+
 // CanJoinGroupMeta reports whether cand can issue in the same cycle as an
 // already-formed group (group[0] is the head slot), i.e. it pairs cleanly
 // with every member: the slotting rules hold pairwise and cand neither reads

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -230,45 +231,105 @@ func TestStaleLayoutEntryIsQuarantined(t *testing.T) {
 	}
 }
 
-// With Obs on, every rehydration is timed and accounted to a shell build or
-// a shell hit in the runner's registry; the results keep the configuration
-// they were submitted with.
+// With Obs on, every decode onto the shared shell — the one that follows a
+// simulation as much as the one that follows a disk hit — is timed and
+// accounted to a shell build or a shell hit in the runner's registry; the
+// results keep the configuration they were submitted with.
 func TestRehydrationMetrics(t *testing.T) {
 	dir := t.TempDir()
-	cold := New(1)
-	cold.Disk = testDisk(t, dir)
+	reg := obs.NewRegistry()
 	cfgs := make([]dcpi.Config, 5)
 	for i := range cfgs {
 		cfgs[i] = dcpi.Config{Workload: "compress", Scale: 0.020004, Mode: sim.ModeCycles, Seed: uint64(i + 1)}
-		if _, err := cold.Run(cfgs[i]); err != nil {
-			t.Fatal(err)
+	}
+	runAll := func(r *Runner) {
+		t.Helper()
+		r.Disk = testDisk(t, dir)
+		r.Obs = obs.Hooks{Registry: reg}
+		for _, cfg := range cfgs {
+			res, err := r.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Config.Obs.Enabled() {
+				t.Error("the runner's registry leaked into the result's configuration")
+			}
 		}
 	}
 
+	cold := New(1)
+	runAll(cold)
+	if st := cold.Stats(); st.Simulated != len(cfgs) {
+		t.Fatalf("cold stats = %+v, want %d simulations", st, len(cfgs))
+	}
 	warm := New(2)
-	warm.Disk = testDisk(t, dir)
-	reg := obs.NewRegistry()
-	warm.Obs = obs.Hooks{Registry: reg}
-	for _, cfg := range cfgs {
-		res, err := warm.Run(cfg)
+	runAll(warm)
+	if st := warm.Stats(); st.DiskHits != len(cfgs) {
+		t.Fatalf("warm stats = %+v, want %d disk hits", st, len(cfgs))
+	}
+
+	// One shape, so one shell: the first simulation's decode builds it and
+	// every later decode, cold or warm, finds it.
+	decodes := uint64(2 * len(cfgs))
+	builds, hits := reg.Counter("dcpi.shell_builds").Value(), reg.Counter("dcpi.shell_hits").Value()
+	if builds != 1 || builds+hits != decodes {
+		t.Errorf("%d shell builds and %d hits over %d simulations and %d rehydrations of one shape, want 1 and %d",
+			builds, hits, len(cfgs), len(cfgs), decodes-1)
+	}
+	if n := reg.Histogram("runner.rehydrate_us", rehydrateBuckets()).Count(); n != decodes {
+		t.Errorf("runner.rehydrate_us has %d observations, want %d", n, decodes)
+	}
+}
+
+// The memory tier holds what the disk tier would serve: a finished run's
+// snapshot decoded onto the shared shell, with nothing of the machine that
+// produced it behind it.
+func TestMemoryTierRetainsNoMachine(t *testing.T) {
+	cfg := diskCfg()
+	direct, err := dcpi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dcpi.EncodeSnapshot(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed++
+
+	for _, withDisk := range []bool{false, true} {
+		r := New(1)
+		if withDisk {
+			r.Disk = testDisk(t, t.TempDir())
+		}
+		res, err := r.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Config.Obs.Enabled() {
-			t.Error("the runner's registry leaked into the result's configuration")
+		if st := r.Stats(); st.Simulated != 1 {
+			t.Fatalf("disk=%t: stats = %+v, want one simulation", withDisk, st)
 		}
-	}
-	if st := warm.Stats(); st.DiskHits != len(cfgs) {
-		t.Fatalf("stats = %+v, want %d disk hits", st, len(cfgs))
-	}
-	// The cold runner's simulations do not touch the shell table, so the
-	// first rehydration builds this shape's shell.
-	builds, hits := reg.Counter("dcpi.shell_builds").Value(), reg.Counter("dcpi.shell_hits").Value()
-	if builds != 1 || hits != uint64(len(cfgs)-1) {
-		t.Errorf("%d shell builds and %d hits over %d rehydrations of one shape, want 1 and %d",
-			builds, hits, len(cfgs), len(cfgs)-1)
-	}
-	if n := reg.Histogram("runner.rehydrate_us", rehydrateBuckets()).Count(); n != uint64(len(cfgs)) {
-		t.Errorf("runner.rehydrate_us has %d observations, want %d", n, len(cfgs))
+		if res.Driver != nil || res.Daemon != nil {
+			t.Errorf("disk=%t: the memory tier kept the run's live driver or daemon", withDisk)
+		}
+		for _, p := range res.Loader.Processes() {
+			if n := p.Mem.Pages(); n != 0 {
+				t.Errorf("disk=%t: process %s still holds %d pages of memory", withDisk, p.Name, n)
+			}
+		}
+		got, err := dcpi.EncodeSnapshot(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("disk=%t: the served result encodes differently from a direct dcpi.Run", withDisk)
+		}
+		res2, err := r.Run(other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res2.Loader != res.Loader {
+			t.Errorf("disk=%t: two results of one shape do not share a loader", withDisk)
+		}
 	}
 }

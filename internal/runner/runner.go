@@ -21,6 +21,14 @@
 //     is looked up on disk and rehydrated via dcpi.DecodeSnapshot; after
 //     simulating, the snapshot is written back. A warm cache turns a full
 //     evaluation sweep into pure decode work with byte-identical output.
+//   - Both tiers hold one form of result, the served form: the run's
+//     snapshot decoded onto the shell its shape shares (dcpi.DecodeSnapshot).
+//     After a simulation the runner encodes the snapshot once, keeps the
+//     decoded result in memory and writes the same bytes to Disk; the
+//     machine that ran — process memory, driver tables, caches — is
+//     unreachable from then on. Driver, Daemon and DB are therefore nil on
+//     every result of a cacheable run; they exist only on what a direct
+//     dcpi.Run (or a run with DBDir, below) returns.
 //   - Sharded mode (Shard i of NumShards) deterministically partitions the
 //     run set by hashing content keys: runs belonging to other shards are
 //     answered with an inert placeholder result instead of simulating, so
@@ -242,14 +250,24 @@ func (r *Runner) executeCached(c *call, cfg dcpi.Config, key string) {
 
 	r.noteSimulated()
 	r.execute(c, cfg)
-	if c.err != nil || r.Disk == nil {
+	if c.err != nil {
 		return
 	}
+	// Keep what the disk tier would serve, not the finished machine: the
+	// snapshot decoded onto the shared shell is everything a consumer reads,
+	// and the live result behind it (process memory, driver tables, caches)
+	// is garbage from here on. If the snapshot does not decode — a stubbed
+	// run of no registered workload — the live result stands.
 	blob, err := dcpi.EncodeSnapshot(c.res)
 	if err != nil {
-		return // persisting is best-effort; the in-memory result stands
+		return
 	}
-	r.Disk.Put(key, blob)
+	if served, err := r.rehydrate(blob, cfg); err == nil {
+		c.res = served
+	}
+	if r.Disk != nil {
+		r.Disk.Put(key, blob)
+	}
 }
 
 // rehydrate decodes a stored snapshot. With Obs on it times the decode and
@@ -288,6 +306,8 @@ func (r *Runner) execute(c *call, cfg dcpi.Config) {
 		defer r.finishRun(cfg, slot)
 	}
 	c.res, c.err = r.runFn(cfg)
+	// Read the machine that ran while it is still here: executeCached goes on
+	// to replace the result with its served form, whose machine never ran.
 	if r.Obs.Registry != nil && c.res != nil && c.res.Machine != nil {
 		r.simHostNanos.Add(c.res.Machine.HostRunNanos())
 		r.simInsts.Add(int64(c.res.MachineStats.Instructions))

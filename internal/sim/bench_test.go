@@ -8,12 +8,13 @@ import (
 	"dcpi/internal/loader"
 )
 
-// benchMachine builds a machine running the sum program for b.N-scaled work.
-func benchMachine(b *testing.B, mode Mode, iters int) (*Machine, *loader.Process) {
+// benchMachine builds a machine running the sum program for iters
+// iterations under the given profiling configuration.
+func benchMachine(b testing.TB, prof ProfileConfig, iters int) (*Machine, *loader.Process) {
 	b.Helper()
 	kernel, abi := testKernel()
 	l := loader.New(kernel)
-	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 7, Profile: ProfileConfig{Mode: mode}})
+	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 7, Profile: prof})
 	src := `
 main:
 	lda t0, 0(zero)
@@ -42,7 +43,7 @@ main:
 // BenchmarkSimulatorThroughput measures raw walker speed (instructions
 // simulated per second) without profiling.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	m, _ := benchMachine(b, ModeOff, b.N)
+	m, _ := benchMachine(b, ProfileConfig{Mode: ModeOff}, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(1 << 60)
@@ -55,7 +56,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkSimulatorWithSampling measures the walker with CYCLES sampling
 // enabled (no sink costs), isolating the sampling bookkeeping overhead.
 func BenchmarkSimulatorWithSampling(b *testing.B) {
-	m, _ := benchMachine(b, ModeCycles, b.N)
+	m, _ := benchMachine(b, ProfileConfig{Mode: ModeCycles}, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(1 << 60)
@@ -69,7 +70,7 @@ func BenchmarkSimulatorWithSampling(b *testing.B) {
 // heap allocation crept back into the inner loop (interface boxing,
 // operand slices, or event buffers) and the bench gate should catch it.
 func BenchmarkStepLoop(b *testing.B) {
-	m, _ := benchMachine(b, ModeOff, b.N)
+	m, _ := benchMachine(b, ProfileConfig{Mode: ModeOff}, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(1 << 60)
@@ -89,39 +90,48 @@ func (s *countingSink) Poll(int, int64) int64 { return 0 }
 // 0 allocs/op in steady state — the skewed-event buffer and sample
 // structs are reused, never reallocated.
 func BenchmarkSamplePath(b *testing.B) {
-	kernel, abi := testKernel()
-	l := loader.New(kernel)
 	sink := &countingSink{}
-	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 7, Profile: ProfileConfig{
-		Mode:         ModeCycles,
-		Sink:         sink,
-		CyclesPeriod: PeriodSpec{Base: 64, Spread: 4},
-	}})
-	src := `
-main:
-	lda t0, 0(zero)
-	bis a0, zero, t3
-.loop:
-	addq t0, 1, t0
-	ldq t1, 0(t3)
-	xor t1, t0, t2
-	and t2, 0xff, t2
-	lda t3, 8(t3)
-	cmpult t0, a1, t4
-	bne t4, .loop
-	halt
-`
-	exec := image.New("bench", "/bin/bench", image.KindExecutable, alpha.MustAssemble(src))
-	p, err := l.NewProcess("bench", exec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Regs.WriteI(alpha.RegA0, loader.HeapBase)
-	p.Regs.WriteI(alpha.RegA1, uint64(b.N))
-	m.Spawn(p)
+	m, _ := benchMachine(b, densePeriod(sink), b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(1 << 60)
 	b.StopTimer()
 	b.ReportMetric(float64(sink.n)/float64(b.N), "samples/op")
+}
+
+// densePeriod samples CYCLES every 64-68 cycles into sink.
+func densePeriod(sink Sink) ProfileConfig {
+	return ProfileConfig{Mode: ModeCycles, Sink: sink, CyclesPeriod: PeriodSpec{Base: 64, Spread: 4}}
+}
+
+// TestStepAndSamplePathsDoNotAllocate is the two benchmarks above as a
+// tier-1 assertion: in steady state an issue group — stepped, paired, and
+// with a sample delivered every few groups — allocates nothing. The one
+// deliberate allocation on the path, the statistics snapshot published every
+// snapInterval groups, is pushed out of the measured stretch.
+func TestStepAndSamplePathsDoNotAllocate(t *testing.T) {
+	sink := &countingSink{}
+	for name, prof := range map[string]ProfileConfig{
+		"step loop":   {Mode: ModeOff},
+		"sample path": densePeriod(sink),
+	} {
+		m, p := benchMachine(t, prof, 1<<40)
+		c := m.CPUs[0]
+		groups := func() {
+			for i := 0; i < 20000; i++ {
+				c.step()
+			}
+		}
+		groups() // first touches: the text window, page-map regions, TLB fills
+		c.snapCountdown = 1 << 40
+		if n := testing.AllocsPerRun(5, groups); n != 0 {
+			t.Errorf("%s: %v allocations per 20000 issue groups in steady state, want 0", name, n)
+		}
+		if p.State != loader.ProcRunnable || c.instructions < 100000 {
+			t.Errorf("%s: process state %v after %d instructions; the loop was not running", name, p.State, c.instructions)
+		}
+	}
+	if sink.n < 1000 {
+		t.Errorf("sample path delivered %d samples; it was not exercised", sink.n)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync/atomic"
 
 	"dcpi/internal/alpha"
@@ -20,6 +21,10 @@ import (
 // faster than this, which is what makes the six-entry buffer fill and the
 // paper's Figure 2 stq stalls appear (~10 CPI in the streaming copy loop).
 const deliverySkew = 6 // cycles between counter overflow and interrupt delivery
+
+// noOverflow is the overflow cycle of a counter that is not counting: later
+// than any clock, with room to add the delivery skew.
+const noOverflow = math.MaxInt64 / 2
 
 // CPU is one simulated processor: private caches, TLBs, write buffer,
 // branch predictor, performance counters, and a run queue of processes.
@@ -48,7 +53,18 @@ type CPU struct {
 	regReady [64]int64 // 0..31 integer, 32..63 floating point
 	fuFree   [4]int64  // indexed by pipeline.FU
 
-	// Fetch state.
+	// Fetch state. win is the mapping the current process is fetching from;
+	// texts memoises one window per image this CPU has executed, so a refill
+	// is a mapping lookup and a copy. Both are private to the CPU: nothing
+	// shared is written while CPU goroutines run.
+	win   textWindow
+	texts map[*image.Image]*textWindow
+	// The last text page translated, keyed by image like the page map's own
+	// text placement (textASN), so it stays valid across context switches.
+	textImage           uint32
+	textPage, textFrame uint64 // image-relative page number -> physical page address
+	haveTextPage        bool
+
 	fetchReadyAt  int64
 	lastFetchLine uint64
 	haveFetchLine bool
@@ -59,7 +75,7 @@ type CPU struct {
 	// Performance counters.
 	rng        *carta
 	cycEnabled bool
-	cycNext    int64 // absolute cycle of the next CYCLES overflow
+	cycNext    int64 // absolute cycle of the next CYCLES overflow; noOverflow with CYCLES off
 	evEnabled  bool
 	evActive   Event
 	// evRemaining holds each event counter's residual count; values
@@ -67,7 +83,9 @@ type CPU struct {
 	// restored when the monitored event switches, so fine-grain
 	// multiplexing still accumulates to overflow).
 	evRemaining [NumEvents]int64
-	muxSlot     int64
+	// nextMux is the clock at which the second counter's event next
+	// rotates: the end of the current mux slot in ModeMux, never otherwise.
+	nextMux     int64
 	skewed      []Event // event samples awaiting skewed delivery
 	pendingCost int64
 	nextPoll    int64
@@ -81,6 +99,7 @@ type CPU struct {
 	// Scheduling.
 	runq      []*loader.Process
 	cur       *loader.Process
+	blocked   int // processes of runq asleep in SysSleep
 	rrNext    int
 	curSince  int64
 	nextTimer int64
@@ -146,6 +165,8 @@ func newCPU(id int, m *Machine) *CPU {
 		pmap:          mem.NewPageMapper(m.physPages, m.seed),
 		kmem:          mem.NewSparse(),
 		snapCountdown: snapInterval,
+		texts:         make(map[*image.Image]*textWindow),
+		nextMux:       math.MaxInt64,
 	}
 	c.xmem = procMem{k: c.kmem}
 	c.xmemI = &c.xmem
@@ -159,7 +180,11 @@ func newCPU(id int, m *Machine) *CPU {
 		c.cycEnabled = true
 		c.evEnabled = true
 	}
+	if m.cfg.Mode == ModeMux {
+		c.nextMux = m.cfg.MuxInterval
+	}
 	c.evActive = EvIMiss
+	c.cycNext = noOverflow
 	if c.cycEnabled {
 		c.cycNext = m.cfg.CyclesPeriod.draw(c.rng)
 	}
@@ -199,8 +224,73 @@ func (c *CPU) publishSnap() {
 
 // textPhys translates an image-relative text offset through this CPU's
 // page-map view (identical placements on every view; see the pmap field).
+// Fetch stays on one page for hundreds of instructions, so the last page's
+// frame is remembered; the first touch of a page always goes through
+// Translate, which is what assigns and counts it.
 func (c *CPU) textPhys(imageID uint32, off uint64) uint64 {
-	return c.pmap.Translate(textASN(imageID), off)
+	if page := mem.PageOf(off); !c.haveTextPage || page != c.textPage || imageID != c.textImage {
+		c.textFrame = c.pmap.Translate(textASN(imageID), off) &^ (mem.PageSize - 1)
+		c.textImage, c.textPage, c.haveTextPage = imageID, page, true
+	}
+	return c.textFrame | off&(mem.PageSize-1)
+}
+
+// textWindow is one mapping of the running process together with the static
+// facts the step path needs about every instruction in it, so that step and
+// trySlot pay for the mapping lookup, the image's tables and the slotting
+// rule when fetch moves to another mapping, not per dynamic instruction.
+//
+// A window is valid for one process only — two processes may map different
+// images at one address — so switchTo empties it. It needs no other
+// invalidation: mappings are fixed once the machine runs.
+type textWindow struct {
+	base, size uint64 // the mapping is [base, base+size); size 0 is the empty window
+	id         uint32 // image ID
+	code       []alpha.Inst
+	meta       []alpha.InstMeta
+	// pair[i] reports whether instruction i+1 may issue in the same cycle
+	// as i: pipeline.CanPairMeta, evaluated once per static pair.
+	pair []bool
+	// exec and taken are this CPU's exact-count shard for the image; nil
+	// unless the machine collects exact counts.
+	exec, taken []uint64
+}
+
+// holds reports whether pc lies inside the window.
+func (w *textWindow) holds(pc uint64) bool { return pc-w.base < w.size }
+
+// count records one execution of instruction idx, and whether it was a taken
+// conditional branch, when the machine collects exact counts.
+func (w *textWindow) count(idx uint64, takenBranch bool) {
+	if w.exec == nil {
+		return
+	}
+	w.exec[idx]++
+	if takenBranch {
+		w.taken[idx]++
+	}
+}
+
+// refill points the window at the mapping of p that holds pc. It reports
+// false, leaving the window as it was, when pc is outside every mapping.
+func (c *CPU) refill(p *loader.Process, pc uint64) bool {
+	im, off, ok := p.Lookup(pc)
+	if !ok {
+		return false
+	}
+	t := c.texts[im]
+	if t == nil {
+		meta := im.MetaTable()
+		t = &textWindow{size: im.Size(), id: im.ID, code: im.Code, meta: meta,
+			pair: pipeline.PairTable(im.Code, meta)}
+		if c.exact != nil {
+			t.exec, t.taken = c.exact.ensure(im)
+		}
+		c.texts[im] = t
+	}
+	c.win = *t
+	c.win.base = pc - off
+	return true
 }
 
 func ridx(o alpha.Operand) int {
@@ -234,16 +324,15 @@ func (c *CPU) idleProc() *loader.Process {
 	return c.idle
 }
 
-// ensureProcess wakes sleepers and picks the process to run. It returns
-// false when every process has exited.
+// ensureProcess wakes sleepers whose time has come and picks the process to
+// run, round-robin; with every process asleep it runs the idle thread. It
+// returns false when every process has exited.
 func (c *CPU) ensureProcess() bool {
-	anyBlocked := false
-	for _, p := range c.runq {
-		if p.State == loader.ProcBlocked {
-			if p.WakeAt <= c.clock {
+	if c.blocked > 0 {
+		for _, p := range c.runq {
+			if p.State == loader.ProcBlocked && p.WakeAt <= c.clock {
 				p.State = loader.ProcRunnable
-			} else {
-				anyBlocked = true
+				c.blocked--
 			}
 		}
 	}
@@ -260,7 +349,7 @@ func (c *CPU) ensureProcess() bool {
 			return true
 		}
 	}
-	if !anyBlocked {
+	if c.blocked == 0 {
 		return false // everything exited
 	}
 	c.switchTo(c.idleProc())
@@ -272,6 +361,7 @@ func (c *CPU) switchTo(p *loader.Process) {
 		return
 	}
 	c.cur = p
+	c.win.size = 0 // the window was the previous process's mapping
 	c.curSince = c.clock
 	c.ContextSwitches++
 	for i := range c.regReady {
@@ -295,10 +385,10 @@ func (c *CPU) exit(p *loader.Process) {
 	c.m.Loader.ProcessExited(p.PID)
 }
 
-// fetch models the front end for the instruction at (im, off), virtual
-// address pc: ITB lookup and I-cache access. It returns the added fetch
-// penalty in cycles.
-func (c *CPU) fetch(p *loader.Process, im *image.Image, off, pc uint64) int64 {
+// fetch models the front end for the instruction at offset off of image
+// imageID, virtual address pc: ITB lookup and I-cache access. It returns the
+// added fetch penalty in cycles.
+func (c *CPU) fetch(p *loader.Process, imageID uint32, off, pc uint64) int64 {
 	var penalty int64
 	vpage := mem.PageOf(pc)
 	asn := fetchASN(p.PID, pc)
@@ -309,7 +399,7 @@ func (c *CPU) fetch(p *loader.Process, im *image.Image, off, pc uint64) int64 {
 		}
 		c.lastITBPage, c.lastITBASN, c.haveITBPage = vpage, asn, true
 	}
-	phys := c.textPhys(im.ID, off)
+	phys := c.textPhys(imageID, off)
 	line := c.icache.LineOf(phys)
 	if !c.haveFetchLine || line != c.lastFetchLine {
 		c.lastFetchLine, c.haveFetchLine = line, true
@@ -356,9 +446,6 @@ func (c *CPU) emitEdge(pid uint32, from, to uint64) {
 // delivery lands in exactly one interval. It returns the number of samples
 // delivered.
 func (c *CPU) deliverCycles(end int64, pid uint32, pc uint64) int {
-	if !c.cycEnabled {
-		return 0
-	}
 	n := 0
 	for c.cycNext+deliverySkew < end {
 		n++
@@ -396,30 +483,14 @@ func (c *CPU) countEvent(ev Event, pid uint32, pc uint64) {
 	}
 }
 
-// updateMux rotates the second counter's event in mux mode.
+// updateMux rotates the second counter's event once the clock has left the
+// current mux slot (step calls it at c.clock >= c.nextMux, which only
+// ModeMux ever reaches).
 func (c *CPU) updateMux() {
-	if c.m.cfg.Mode != ModeMux {
-		return
-	}
 	slot := c.clock / c.m.cfg.MuxInterval
-	if slot == c.muxSlot {
-		return
-	}
-	c.muxSlot = slot
+	c.nextMux = (slot + 1) * c.m.cfg.MuxInterval
 	events := [4]Event{EvIMiss, EvDMiss, EvBranchMP, EvDTBMiss}
 	c.evActive = events[slot%4] // residual counts persist across rotations
-}
-
-func (c *CPU) exactCount(im *image.Image, off uint64, taken, isCond bool) {
-	if c.exact == nil {
-		return
-	}
-	exec, tk := c.exact.ensure(im)
-	i := off / alpha.InstBytes
-	exec[i]++
-	if isCond && taken {
-		tk[i]++
-	}
 }
 
 func (c *CPU) commit(inst alpha.Inst, meta *alpha.InstMeta, issue, loadExtra int64) {
@@ -477,7 +548,10 @@ func (c *CPU) dataAccess(p *loader.Process, pc uint64, out alpha.Outcome, at int
 // IssueWidth-1 co-issued partners. It returns false when the CPU has no
 // work left.
 func (c *CPU) step() bool {
-	if !c.ensureProcess() {
+	// The scheduler has nothing to decide while nobody is asleep, no
+	// reschedule is pending and the current process can run on. (The idle
+	// thread is never that case: it runs only while some process sleeps.)
+	if (c.blocked > 0 || c.resched || c.cur == nil || c.cur.State != loader.ProcRunnable) && !c.ensureProcess() {
 		return false
 	}
 	p := c.cur
@@ -492,21 +566,24 @@ func (c *CPU) step() bool {
 		c.fetchReadyAt = c.clock + PALLatency
 	}
 
-	c.updateMux()
+	if c.clock >= c.nextMux {
+		c.updateMux()
+	}
 
 	pc := p.PC
-	im, off, ok := p.Lookup(pc)
-	if !ok {
+	w := &c.win
+	if !w.holds(pc) && !c.refill(p, pc) {
 		c.fault(p)
 		return true
 	}
+	off := pc - w.base
 	idx := off / alpha.InstBytes
-	inst := im.Code[idx]
+	inst := w.code[idx]
 	if inst.Op == alpha.OpInvalid {
 		c.fault(p)
 		return true
 	}
-	meta := &im.MetaTable()[idx]
+	meta := &w.meta[idx]
 
 	h := c.clock
 
@@ -529,7 +606,7 @@ func (c *CPU) step() bool {
 	if c.fetchReadyAt > earliest {
 		earliest = c.fetchReadyAt
 	}
-	earliest += c.fetch(p, im, off, pc)
+	earliest += c.fetch(p, w.id, off, pc)
 
 	// Operand and functional-unit readiness.
 	for _, s := range meta.Sources() {
@@ -566,10 +643,13 @@ func (c *CPU) step() bool {
 	}
 
 	// Head-of-queue accounting and CYCLES sampling for [h, issue+1).
-	delivered := c.deliverCycles(issue+1, p.PID, pc)
+	delivered := 0
+	if c.cycNext+deliverySkew < issue+1 { // most groups see no overflow
+		delivered = c.deliverCycles(issue+1, p.PID, pc)
+	}
 	c.groups++
 	c.instructions++
-	c.exactCount(im, off, out.Taken, meta.CondBranch)
+	w.count(idx, out.Taken && meta.CondBranch)
 
 	c.commit(inst, meta, issue, loadExtra)
 	c.controlFlow(p, meta, pc, out, issue)
@@ -634,7 +714,7 @@ func (c *CPU) step() bool {
 func (c *CPU) tryPair(p *loader.Process, head alpha.Inst, headMeta *alpha.InstMeta, issue int64) {
 	c.groupInsts[0], c.groupMetas[0] = head, headMeta
 	for n := 1; n < c.width; n++ {
-		taken, ok := c.trySlot(p, c.groupInsts[:n], c.groupMetas[:n], issue, n)
+		taken, ok := c.trySlot(p, issue, n)
 		if !ok || taken || p.State != loader.ProcRunnable {
 			return
 		}
@@ -642,24 +722,38 @@ func (c *CPU) tryPair(p *loader.Process, head alpha.Inst, headMeta *alpha.InstMe
 }
 
 // trySlot attempts to issue the instruction at p.PC into slot n alongside
-// the already-formed group, applying the slotting rules plus dynamic
-// feasibility: the candidate's fetch must already be resident, its operands
-// and functional unit ready, and its memory access must not need a TLB fill
-// or a full write buffer. On success it executes and commits the candidate
-// and reports whether it was a taken branch (which closes the group).
-func (c *CPU) trySlot(p *loader.Process, group []alpha.Inst, metas []*alpha.InstMeta, issue int64, n int) (taken, issued bool) {
+// the group formed so far (groupInsts[:n]), applying the slotting rules plus
+// dynamic feasibility: the candidate's fetch must already be resident, its
+// operands and functional unit ready, and its memory access must not need a
+// TLB fill or a full write buffer. On success it executes and commits the
+// candidate and reports whether it was a taken branch (which closes the
+// group).
+func (c *CPU) trySlot(p *loader.Process, issue int64, n int) (taken, issued bool) {
 	pc2 := p.PC
-	im2, off2, ok := p.Lookup(pc2)
-	if !ok {
+	w := &c.win
+	// A group only grows past an instruction that fell through, so the
+	// candidate is the static successor of slot n-1: the window's pairing
+	// table answers for that pair, and the pairwise rule is evaluated only
+	// against the earlier slots — or against all of them when fetch ran off
+	// the end of one mapping into the next.
+	pairwise := n - 1 // leading slots still to check with the rule itself
+	if !w.holds(pc2) {
+		if !c.refill(p, pc2) {
+			return false, false
+		}
+		pairwise = n
+	}
+	off2 := pc2 - w.base
+	idx2 := off2 / alpha.InstBytes
+	if pairwise < n && !w.pair[idx2-1] {
 		return false, false
 	}
-	idx2 := off2 / alpha.InstBytes
-	inst2 := im2.Code[idx2]
+	inst2 := w.code[idx2]
 	if inst2.Op == alpha.OpInvalid {
 		return false, false
 	}
-	meta2 := &im2.MetaTable()[idx2]
-	if !pipeline.CanJoinGroupMeta(group, metas, inst2, meta2) {
+	meta2 := &w.meta[idx2]
+	if !pipeline.CanJoinGroupMeta(c.groupInsts[:pairwise], c.groupMetas[:pairwise], inst2, meta2) {
 		return false, false
 	}
 
@@ -670,7 +764,7 @@ func (c *CPU) trySlot(p *loader.Process, group []alpha.Inst, metas []*alpha.Inst
 		!c.itb.Probe(asn2, vpage2) {
 		return false, false
 	}
-	phys2 := c.textPhys(im2.ID, off2)
+	phys2 := c.textPhys(w.id, off2)
 	if c.icache.LineOf(phys2) != c.lastFetchLine && !c.icache.Probe(phys2) {
 		return false, false
 	}
@@ -715,7 +809,7 @@ func (c *CPU) trySlot(p *loader.Process, group []alpha.Inst, metas []*alpha.Inst
 		loadExtra2 = le + d // any residual delay folds into result latency
 	}
 	c.instructions++
-	c.exactCount(im2, off2, out2.Taken, meta2.CondBranch)
+	w.count(idx2, out2.Taken && meta2.CondBranch)
 	c.commit(inst2, meta2, issue, loadExtra2)
 	c.controlFlow(p, meta2, pc2, out2, issue)
 	p.PC = out2.NextPC
@@ -758,6 +852,7 @@ func (c *CPU) applySyscall(p *loader.Process) {
 		c.resched = true
 	case SysSleep:
 		p.State = loader.ProcBlocked
+		c.blocked++
 		p.WakeAt = c.clock + int64(p.Regs.ReadI(alpha.RegA1))
 		c.resched = true
 	case SysWrite:

@@ -75,6 +75,15 @@ func (c *Counts) ensure(im *image.Image) ([]uint64, []uint64) {
 	return e, c.Taken[im.ID]
 }
 
+// zero clears every count in place: a CPU's text windows keep pointing at
+// its shard's slices across Runs.
+func (c *Counts) zero() {
+	for id, exec := range c.Exec {
+		clear(exec)
+		clear(c.Taken[id])
+	}
+}
+
 // merge folds a per-CPU shard into c. Counts are commutative sums, so the
 // merged table is independent of CPU completion order.
 func (c *Counts) merge(other *Counts) {
@@ -275,7 +284,7 @@ func (m *Machine) Run(maxCycles int64) int64 {
 	for i, c := range m.CPUs {
 		if m.Exact != nil {
 			m.Exact.merge(c.exact)
-			c.exact = newCounts() // shard is folded in; don't double-count on a re-Run
+			c.exact.zero() // shard is folded in; don't double-count on a re-Run
 		}
 		if c.clock > wall {
 			wall = c.clock

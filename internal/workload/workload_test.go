@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcpi/internal/loader"
+	"dcpi/internal/pipeline"
 	"dcpi/internal/sim"
 )
 
@@ -190,5 +191,43 @@ func TestSetupWithoutMachineWritesNoMemory(t *testing.T) {
 				t.Error("the run's set-up wrote no memory either; the shell check shows nothing")
 			}
 		})
+	}
+}
+
+// The simulator's issue probe reads pipeline.PairTable in place of the
+// slotting rule; over every image of every workload, and the kernel, the
+// table must be the rule, pair for pair.
+func TestPairTableIsTheSlottingRule(t *testing.T) {
+	pairs, pairable := 0, 0
+	for _, spec := range All() {
+		kernel, _ := Kernel()
+		l := loader.New(kernel)
+		if err := spec.Setup(&Ctx{Loader: l, Scale: 0.05}); err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range l.Images() { // the kernel is registered like any image
+			code, meta := im.Code, im.MetaTable()
+			table := pipeline.PairTable(code, meta)
+			if len(table) != len(code) {
+				t.Fatalf("%s %s: table has %d entries for %d instructions", spec.Name, im.Path, len(table), len(code))
+			}
+			for i := 0; i+1 < len(code); i++ {
+				want := pipeline.CanPairMeta(code[i], code[i+1], &meta[i], &meta[i+1])
+				if table[i] != want {
+					t.Errorf("%s %s: pair %d (%v, %v): table says %t, CanPairMeta %t",
+						spec.Name, im.Path, i, code[i].Op, code[i+1].Op, table[i], want)
+				}
+				pairs++
+				if want {
+					pairable++
+				}
+			}
+			if n := len(table); n > 0 && table[n-1] {
+				t.Errorf("%s %s: the last instruction pairs with a successor it does not have", spec.Name, im.Path)
+			}
+		}
+	}
+	if pairable == 0 || pairable == pairs {
+		t.Errorf("%d of %d pairs may pair; the comparison shows nothing", pairable, pairs)
 	}
 }
