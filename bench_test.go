@@ -240,8 +240,8 @@ func BenchmarkAblationHashTable(b *testing.B) {
 // BenchmarkRunnerCacheEffectiveness measures the evaluation engine's
 // memoization across overlapping experiment sections: Table 2's base runs
 // are a subset of Table 3's, so with a shared runner the dedup rate is the
-// fraction of simulation requests served from cache. Captured in
-// BENCH_*.json via benchjson.
+// fraction of simulation requests served from cache (the dedup-% column
+// of go test -bench RunnerCacheEffectiveness).
 func BenchmarkRunnerCacheEffectiveness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched := runner.New(0)

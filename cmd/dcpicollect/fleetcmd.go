@@ -37,6 +37,14 @@ func fleetMain(args []string) int {
 		faultIdx  = fs.Int("fault-machine", 3, "index of the fault-injected machine (-1 = none)")
 	)
 	fs.Parse(args)
+	// Epochs are dealt out over the rounds (*epochs / *rounds each), so a
+	// round count of zero divides by zero and one above -epochs scrapes
+	// rounds in which no machine sealed anything.
+	if *machines < 1 || *epochs < 1 || *rounds < 1 || *rounds > *epochs {
+		fmt.Fprintf(os.Stderr, "dcpicollect fleet: want -machines >= 1 and 1 <= -rounds <= -epochs, got -machines %d -epochs %d -rounds %d\n",
+			*machines, *epochs, *rounds)
+		return 2
+	}
 
 	root := *dir
 	if root == "" {

@@ -107,7 +107,7 @@ func main() {
 		}
 	}
 
-	// The ci smoke asserts a warm rerun reports "simulated":0 here.
+	// TestCLIWhatif asserts a warm rerun reports "simulated":0 here.
 	app.CacheStats(sched, false)
 	app.Exit(0)
 }

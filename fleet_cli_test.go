@@ -3,6 +3,7 @@ package dcpibench
 import (
 	"bufio"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -13,8 +14,9 @@ import (
 
 // TestFleetCLI exercises the fleet pipeline end to end the way an
 // operator would: dcpid serving its database over -listen, dcpicollect
-// scraping it into a time-series store, the query CLI reading it back,
-// and SIGINT shutting both binaries down gracefully.
+// scraping it into a time-series store, the query CLI reading it back —
+// the same bytes before and after dcpicollect compact — and SIGINT shutting
+// both binaries down gracefully.
 func TestFleetCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet CLI pipeline is slow")
@@ -38,6 +40,7 @@ func TestFleetCLI(t *testing.T) {
 	if err := daemon.Start(); err != nil {
 		t.Fatal(err)
 	}
+	defer daemon.Process.Kill() // a failure below must not leak the server
 	daemonDone := make(chan error, 1)
 
 	// The serving address is announced on stderr.
@@ -123,9 +126,46 @@ waitURL:
 			t.Fatalf("range row missing CPI: %q", line)
 		}
 	}
-	out = run(dcpicollect, "query", "top", "-tsdb", storeDir, "-from", "1", "-to", "3")
-	if !strings.Contains(out, "/usr/bin/wave5") {
-		t.Fatalf("top query output: %s", out)
+	// The same window by epoch numbers must reproduce the committed golden
+	// byte for byte.
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fleet_range.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeArgs := []string{"query", "range", "-tsdb", storeDir, "-image", "/usr/bin/wave5", "-from", "1", "-to", "3"}
+	if out = run(dcpicollect, rangeArgs...); out != string(golden) {
+		t.Errorf("range query differs from testdata/golden_fleet_range.txt:\n%s", out)
+	}
+	topArgs := []string{"query", "top", "-tsdb", storeDir, "-from", "1", "-to", "3"}
+	top := run(dcpicollect, topArgs...)
+	if !strings.Contains(top, "/usr/bin/wave5") {
+		t.Fatalf("top query output: %s", top)
+	}
+
+	// Compaction must be invisible to queries: the raw segments merge into
+	// one block, and range, top and delta answer with the bytes they
+	// answered with before.
+	deltaArgs := []string{"query", "delta", "-tsdb", storeDir, "-a", "1-2", "-b", "3-3"}
+	delta := run(dcpicollect, deltaArgs...)
+	if out = run(dcpicollect, "compact", "-tsdb", storeDir); !strings.Contains(out, "segments into 1 blocks") {
+		t.Errorf("compact output: %s", out)
+	}
+	blocks, _ := filepath.Glob(filepath.Join(storeDir, "blk-*"))
+	segments, _ := filepath.Glob(filepath.Join(storeDir, "seg-*.tsdb"))
+	if len(blocks) == 0 || len(segments) != 0 {
+		t.Errorf("after compaction the store holds %d blocks and %d raw segments, want at least 1 and 0", len(blocks), len(segments))
+	}
+	if out = run(dcpicollect, rangeArgs...); out != string(golden) {
+		t.Errorf("range query after compaction differs from testdata/golden_fleet_range.txt:\n%s", out)
+	}
+	if out = run(dcpicollect, topArgs...); out != top {
+		t.Errorf("top query changed across compaction:\nbefore:\n%safter:\n%s", top, out)
+	}
+	if out = run(dcpicollect, deltaArgs...); out != delta {
+		t.Errorf("delta query changed across compaction:\nbefore:\n%safter:\n%s", delta, out)
+	}
+	if out = run(dcpicollect, append(topArgs, "-json")...); !strings.Contains(out, `"rows"`) {
+		t.Errorf("top -json output: %s", out)
 	}
 
 	// SIGINT: dcpid must shut down cleanly with exit status 0.

@@ -40,8 +40,8 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestConcurrentUpdates hammers one counter, gauge, and histogram from many
-// goroutines; run with -race (scripts/ci.sh does) to verify race safety,
-// and check the totals are exact.
+// goroutines and checks the totals are exact; tier-1 runs it plain, the
+// race detector sees it in scripts/ci.sh (go test -race ./...).
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8

@@ -144,8 +144,8 @@ func TestTracerCapDropsBeyondCapacity(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrent verifies the tracer under parallel emitters (run
-// with -race via scripts/ci.sh).
+// TestTracerConcurrent verifies the tracer under parallel emitters; the
+// race detector sees it in scripts/ci.sh (go test -race ./...).
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(100_000)
 	var wg sync.WaitGroup

@@ -147,7 +147,9 @@ func TestSweepCompress(t *testing.T) {
 
 // BenchmarkWhatifSweep measures a warm 2-point sweep: simulations resolve
 // from the runner's memory cache, so the benchmark isolates the analysis,
-// diffing, and scoring cost per sweep (bench.sh -> BENCH_pr10.json).
+// diffing, and scoring cost per sweep (a microscope: go test -bench
+// WhatifSweep ./internal/whatif; bench/ reports a real sweep as
+// whatif.sweep_s).
 func BenchmarkWhatifSweep(b *testing.B) {
 	grid, err := GridByNames([]string{"dcache2x", "memlat2x"})
 	if err != nil {

@@ -273,7 +273,9 @@ func TestCLIArtifactsSurviveFailure(t *testing.T) {
 	// trace may be empty (the run may have failed before its first event).
 	checkArtifacts := func(metrics, trace string) {
 		t.Helper()
-		readMetrics(t, filepath.Join(dir, metrics))
+		if m := readMetrics(t, filepath.Join(dir, metrics)); m.Gauges == nil {
+			t.Errorf("%s has no gauges object", metrics)
+		}
 		data, err := os.ReadFile(filepath.Join(dir, trace))
 		if err != nil {
 			t.Fatal(err)
