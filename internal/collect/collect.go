@@ -192,15 +192,19 @@ func (c *Collector) get(ctx context.Context, url string, v any) error {
 }
 
 // scrapeTarget ingests every sealed epoch the target has that the store
-// does not, returning (epochs, points) ingested.
+// does not, returning (epochs, points) ingested. It lists only the epochs
+// above its high-water mark (/epochs?after=N), so a steady-state scrape
+// costs the target what is new, not what it holds. The listing is still
+// filtered here: a target is untrusted, and an old dcpid ignores after.
 func (c *Collector) scrapeTarget(ctx context.Context, t Target) (int, int, error) {
-	var epochs expo.EpochsPayload
-	if err := c.get(ctx, t.URL+"/epochs", &epochs); err != nil {
-		return 0, 0, err
-	}
 	c.mu.Lock()
 	last := c.status[t.Name].LastEpoch
 	c.mu.Unlock()
+	var epochs expo.EpochsPayload
+	if err := c.get(ctx, fmt.Sprintf("%s/epochs?after=%d", t.URL, last), &epochs); err != nil {
+		return 0, 0, err
+	}
+	c.cfg.Obs.Registry.Counter("collect.epochs_listed").Add(uint64(len(epochs.Epochs)))
 
 	var nEpochs, nPoints int
 	for _, e := range epochs.Epochs {

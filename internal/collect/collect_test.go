@@ -147,6 +147,12 @@ func TestScrapeFleetExactlyOnce(t *testing.T) {
 	if snap.Counters["collect.epochs_ingested"] != 12 {
 		t.Errorf("epochs_ingested metric: %v", snap.Counters["collect.epochs_ingested"])
 	}
+	// Each round lists only what lies above the high-water mark, per
+	// machine: 1-4, then 4, then 4-5. A full listing every round would be
+	// 12 + 12 + 15.
+	if got := snap.Counters["collect.epochs_listed"]; got != 12+3+6 {
+		t.Errorf("epochs_listed metric: %d, want 21", got)
+	}
 	if snap.Counters["collect.scrape_failures"] != 0 {
 		t.Errorf("unexpected failures: %v", snap.Counters)
 	}

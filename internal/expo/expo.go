@@ -8,6 +8,8 @@
 // Endpoints:
 //
 //	/epochs           JSON list of profiledb epochs and their seal state
+//	                  (?after=N lists only epochs above N, so a scraper
+//	                  that already holds 1..N pays for what is new)
 //	/profiles?epoch=N JSON payload of one epoch's profiles (default: latest
 //	                  sealed; ?full=1 adds per-offset counts; ?procs=1 adds
 //	                  a per-procedure breakdown when the source symbolizes)
@@ -16,9 +18,12 @@
 //	                  (?format=json for the full snapshot)
 //	/debug/pprof/     Go's own profiler, so the profiler profiles itself
 //
-// All reads go through profiledb.OpenReader, which never mutates the
+// All reads go through one profiledb.OpenReader handle per Source, opened
+// the first time the database has an epoch. OpenReader never mutates the
 // database directory — the daemon can keep appending while scrapes are in
-// flight (see the profiledb read-while-write contract).
+// flight (see the profiledb read-while-write contract) — and no handler
+// uses the handle's own latest-epoch position, which is fixed at open:
+// every request lists the directory or names its epoch.
 package expo
 
 import (
@@ -28,6 +33,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"dcpi/internal/daemon"
 	"dcpi/internal/driver"
@@ -55,13 +61,15 @@ type StatsSnapshot struct {
 type Source struct {
 	Machine  string // fleet label, e.g. "m07"
 	Workload string
-	DBDir    string               // read per-request via profiledb.OpenReader
+	DBDir    string               // read through one profiledb.OpenReader handle
 	Stats    func() StatsSnapshot // nil: /stats serves 404
 	Registry *obs.Registry        // nil: /metrics serves an empty body
 	// SymbolAt maps an image path and offset to the enclosing procedure's
 	// name. nil disables the /profiles?procs=1 per-procedure breakdown.
 	SymbolAt func(image string, off uint64) (string, bool)
 	Hook     func(r *http.Request) // optional per-request tap (fault injection in tests)
+
+	db atomic.Pointer[profiledb.DB] // set by reader once DBDir has an epoch
 }
 
 // EpochInfo is one entry of the /epochs listing.
@@ -142,25 +150,42 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-func (src *Source) openReader(w http.ResponseWriter) *profiledb.DB {
+// reader returns the source's read-only handle, opening it the first time
+// DBDir has an epoch; until then it returns OpenReader's error. Concurrent
+// first requests may each open one, and all keep the first one stored.
+func (src *Source) reader() (*profiledb.DB, error) {
+	if db := src.db.Load(); db != nil {
+		return db, nil
+	}
 	db, err := profiledb.OpenReader(src.DBDir)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("profile database not ready: %v", err), http.StatusServiceUnavailable)
-		return nil
+		return nil, err
 	}
-	return db
+	src.db.CompareAndSwap(nil, db)
+	return src.db.Load(), nil
 }
 
 func (src *Source) serveEpochs(w http.ResponseWriter, r *http.Request) {
-	db, err := profiledb.OpenReader(src.DBDir)
+	after := 0
+	if vs, ok := r.URL.Query()["after"]; ok {
+		n, err := strconv.Atoi(vs[0])
+		if err != nil || n < 0 {
+			http.Error(w, "bad after", http.StatusBadRequest)
+			return
+		}
+		after = n
+	}
 	payload := EpochsPayload{Machine: src.Machine, Workload: src.Workload, Epochs: []EpochInfo{}}
-	if err == nil {
+	if db, err := src.reader(); err == nil {
 		epochs, lerr := db.Epochs()
 		if lerr != nil {
 			http.Error(w, lerr.Error(), http.StatusInternalServerError)
 			return
 		}
-		for _, e := range epochs {
+		// Only the epochs above after are stat'ed for their seal: a scrape
+		// from the collector's high-water mark costs what is new.
+		newer := sort.Search(len(epochs), func(i int) bool { return epochs[i] > after })
+		for _, e := range epochs[newer:] {
 			payload.Epochs = append(payload.Epochs, EpochInfo{Epoch: e, Sealed: db.Sealed(e)})
 		}
 	}
@@ -168,8 +193,9 @@ func (src *Source) serveEpochs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {
-	db := src.openReader(w)
-	if db == nil {
+	db, err := src.reader()
+	if err != nil {
+		http.Error(w, fmt.Sprintf("profile database not ready: %v", err), http.StatusServiceUnavailable)
 		return
 	}
 	epoch := 0
@@ -182,15 +208,16 @@ func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		epoch = n
 	} else {
 		// Default to the latest sealed epoch: the newest snapshot whose
-		// contents can no longer change under the reader.
+		// contents can no longer change under the reader. Walking down
+		// from the top stops at it, whatever the history below.
 		epochs, err := db.Epochs()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		for _, e := range epochs {
-			if db.Sealed(e) {
-				epoch = e
+		for i := len(epochs) - 1; i >= 0 && epoch == 0; i-- {
+			if db.Sealed(epochs[i]) {
+				epoch = epochs[i]
 			}
 		}
 		if epoch == 0 {

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dcpi/internal/obs"
@@ -49,6 +52,27 @@ func buildDB(t *testing.T) string {
 	return dir
 }
 
+// fullListing is buildDB's /epochs body with no after parameter.
+const fullListing = `{
+  "machine": "m00",
+  "workload": "app",
+  "epochs": [
+    {
+      "epoch": 1,
+      "sealed": true
+    },
+    {
+      "epoch": 2,
+      "sealed": true
+    },
+    {
+      "epoch": 3,
+      "sealed": false
+    }
+  ]
+}
+`
+
 func TestExpositionEndpoints(t *testing.T) {
 	dir := buildDB(t)
 	reg := obs.NewRegistry()
@@ -83,17 +107,41 @@ func TestExpositionEndpoints(t *testing.T) {
 		return resp, sb.String()
 	}
 
-	// /epochs: three epochs, first two sealed.
+	// /epochs: three epochs, first two sealed. Without after the body is
+	// the full listing, byte for byte what it was before after existed.
 	resp, body := get("/epochs")
 	if resp.StatusCode != 200 {
 		t.Fatalf("/epochs: %d %s", resp.StatusCode, body)
 	}
-	var ep EpochsPayload
-	if err := json.Unmarshal([]byte(body), &ep); err != nil {
-		t.Fatal(err)
+	if body != fullListing {
+		t.Errorf("/epochs body:\n%s\nwant:\n%s", body, fullListing)
 	}
-	if len(ep.Epochs) != 3 || !ep.Epochs[0].Sealed || !ep.Epochs[1].Sealed || ep.Epochs[2].Sealed {
-		t.Errorf("/epochs: %+v", ep.Epochs)
+
+	// /epochs?after=N lists only the epochs above N; [] when none is.
+	for _, tc := range []struct {
+		after string
+		want  []EpochInfo
+	}{
+		{"0", []EpochInfo{{1, true}, {2, true}, {3, false}}},
+		{"1", []EpochInfo{{2, true}, {3, false}}},
+		{"3", []EpochInfo{}},
+	} {
+		resp, body := get("/epochs?after=" + tc.after)
+		var ep EpochsPayload
+		if err := json.Unmarshal([]byte(body), &ep); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("/epochs?after=%s: %d %v %s", tc.after, resp.StatusCode, err, body)
+		}
+		if !reflect.DeepEqual(ep.Epochs, tc.want) {
+			t.Errorf("/epochs?after=%s: %+v, want %+v", tc.after, ep.Epochs, tc.want)
+		}
+		if len(tc.want) == 0 && !strings.Contains(body, `"epochs": []`) {
+			t.Errorf("/epochs?after=%s lists null, not []: %s", tc.after, body)
+		}
+	}
+	for _, bad := range []string{"-1", "x", ""} {
+		if resp, body := get("/epochs?after=" + bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/epochs?after=%s: %d %s, want 400", bad, resp.StatusCode, body)
+		}
 	}
 
 	// /profiles default: latest sealed epoch (2), with meta and insts.
@@ -192,5 +240,91 @@ func TestExpositionEmptyDB(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || len(ep.Epochs) != 0 {
 		t.Errorf("/epochs on missing db: %d %+v", resp.StatusCode, ep)
+	}
+}
+
+// A source created before its database has an epoch answers as an empty
+// one until the first epoch appears, then opens its one handle. That
+// handle's position is fixed at open, so every later epoch must still be
+// found by listing the directory.
+func TestExpositionOpensOnFirstEpoch(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	src := &Source{Machine: "m00", DBDir: dir}
+	srv := httptest.NewServer(Handler(src))
+	defer srv.Close()
+	get := func(path string) (int, EpochsPayload, ProfilesPayload) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Error(err)
+			return 0, EpochsPayload{}, ProfilesPayload{}
+		}
+		defer resp.Body.Close()
+		var ep EpochsPayload
+		var pp ProfilesPayload
+		if strings.HasPrefix(path, "/epochs") {
+			json.NewDecoder(resp.Body).Decode(&ep)
+		} else {
+			json.NewDecoder(resp.Body).Decode(&pp)
+		}
+		return resp.StatusCode, ep, pp
+	}
+	if code, _, _ := get("/profiles?epoch=1"); code != http.StatusServiceUnavailable {
+		t.Errorf("/profiles before the first epoch: %d, want 503", code)
+	}
+	if code, ep, _ := get("/epochs"); code != 200 || len(ep.Epochs) != 0 {
+		t.Errorf("/epochs before the first epoch: %d %+v", code, ep)
+	}
+
+	db, err := profiledb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(samples uint64) {
+		p := profiledb.NewProfile("/usr/bin/app", sim.EvCycles)
+		p.Add(0x40, samples)
+		if err := db.Update(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WriteMeta(profiledb.Meta{Workload: "app"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.NewEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal(10)
+
+	// Concurrent first requests: every one answers, one handle is kept.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				if code, _, pp := get("/profiles"); code != 200 || pp.Epoch != 1 {
+					t.Errorf("/profiles after the first epoch: %d epoch %d", code, pp.Epoch)
+				}
+			} else if code, ep, _ := get("/epochs"); code != 200 || len(ep.Epochs) != 2 {
+				t.Errorf("/epochs after the first epoch: %d %+v", code, ep)
+			}
+		}(i)
+	}
+	wg.Wait()
+	handle := src.db.Load()
+	if handle == nil {
+		t.Fatal("no handle kept after the first epoch")
+	}
+
+	seal(20)
+	seal(30)
+	if code, ep, _ := get("/epochs?after=2"); code != 200 ||
+		!reflect.DeepEqual(ep.Epochs, []EpochInfo{{3, true}, {4, false}}) {
+		t.Errorf("/epochs?after=2 on a grown database: %d %+v", code, ep.Epochs)
+	}
+	if code, _, pp := get("/profiles"); code != 200 || pp.Epoch != 3 || pp.Profiles[0].Samples != 30 {
+		t.Errorf("/profiles on a grown database: %d %+v", code, pp)
+	}
+	if src.db.Load() != handle {
+		t.Error("the source reopened its handle")
 	}
 }

@@ -47,6 +47,7 @@ hw FuzzParseHWConfig
 dcpi FuzzDecodeSnapshot
 runcache FuzzDecodeEntry
 wire FuzzDec
+collect FuzzScrapePayload
 EOF
 
 echo "== ci.sh: all checks passed" >&2
