@@ -112,6 +112,31 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsNegativeDriverGeometry: a negative -buckets or -overflow is
+// a usage error (one line on stderr, exit 2, no database created) where it
+// used to panic in driver.New with a goroutine dump.
+func TestCLIRejectsNegativeDriverGeometry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test builds dcpid")
+	}
+	dcpid := buildTool(t, "dcpid")
+	for _, flag := range []string{"-buckets", "-overflow"} {
+		dir := t.TempDir()
+		cmd := exec.Command(dcpid, "-workload", "compress", "-db", "db", flag, "-4")
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("dcpid %s -4: %v, want exit 2", flag, err)
+		}
+		if msg := strings.TrimSpace(string(out)); !strings.HasPrefix(msg, "dcpid: ") || strings.Contains(msg, "\n") {
+			t.Errorf("dcpid %s -4: want a one-line reason, got:\n%s", flag, out)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("dcpid %s -4 created %d entries before refusing", flag, len(left))
+		}
+	}
+}
+
 // TestExamplesRun executes every example program end to end.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {

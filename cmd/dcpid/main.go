@@ -124,6 +124,9 @@ func main() {
 	if *epochs < 1 {
 		app.Fatalf(2, "-epochs must be >= 1")
 	}
+	if *buckets < 0 || *overflow < 0 {
+		app.Fatalf(2, "-buckets and -overflow must be >= 0")
+	}
 
 	// -listen exposes the profile database, live stats, and self-metrics
 	// while the runs proceed (and afterwards, until interrupted). The stats

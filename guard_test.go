@@ -66,6 +66,13 @@ func TestSourceGuards(t *testing.T) {
 			func(f file) bool { return !f.isTest },
 			"a shard's results are cache entries: write them with -shard i/N -cache-dir, read them with the plain command",
 		},
+		{
+			// Test files too: the hash table the sweep measures is the one
+			// that ships. The classes keep this line from matching.
+			regexp.MustCompile(`[h]tsim|[S]imulateTrace|[H]TConfig|[H]TStats|[N]ewHTSim`),
+			func(file) bool { return true },
+			"§5.4 design points are driver.Config values: replay through driver.New(...).Record",
+		},
 	}
 
 	files := 0

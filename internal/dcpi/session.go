@@ -91,7 +91,8 @@ type Config struct {
 	// kernel symbol (perfcount_intr) instead of being a blind spot.
 	MetaSamples bool
 	// DriverBuckets/DriverOverflow override the driver's hash-table bucket
-	// count and per-overflow-buffer capacity (zero keeps the defaults).
+	// count and per-overflow-buffer capacity (zero keeps the defaults;
+	// negative is an error).
 	// Shrinking the overflow buffers is how the fault experiments provoke
 	// loss without unrealistically long stalls.
 	DriverBuckets  int
@@ -217,6 +218,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if err := cfg.HW.Validate(); err != nil {
 		return nil, fmt.Errorf("dcpi: %w", err)
+	}
+	if cfg.DriverBuckets < 0 || cfg.DriverOverflow < 0 {
+		return nil, fmt.Errorf("dcpi: negative driver geometry: %d buckets, %d overflow entries",
+			cfg.DriverBuckets, cfg.DriverOverflow)
 	}
 	ncpu := cfg.numCPUs(spec)
 	simWorkers := cfg.SimCPUs

@@ -56,6 +56,28 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestNegativeDriverGeometryRejected: a negative hash-table bucket count or
+// overflow-buffer capacity is an error from Run, not a makeslice panic in
+// driver.New.
+func TestNegativeDriverGeometryRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		buckets, overflow int
+	}{
+		{"buckets", -4, 0},
+		{"overflow", 0, -4},
+		{"both", -1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(Config{Workload: "compress", Mode: sim.ModeCycles, Scale: 0.02,
+				DriverBuckets: tc.buckets, DriverOverflow: tc.overflow})
+			if err == nil {
+				t.Errorf("Run accepted DriverBuckets %d, DriverOverflow %d", tc.buckets, tc.overflow)
+			}
+		})
+	}
+}
+
 func TestBaseModeCollectsNothing(t *testing.T) {
 	r, err := Run(Config{Workload: "compress", Mode: sim.ModeOff, Seed: 1, Scale: 0.05})
 	if err != nil {

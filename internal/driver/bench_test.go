@@ -20,19 +20,29 @@ func BenchmarkRecordHit(b *testing.B) {
 
 // TestRecordHitDoesNotAllocate pins the handler fast path — the sample's
 // key is already in the hash table — at zero allocations, as a tier-1
-// assertion rather than a benchmark column.
+// assertion rather than a benchmark column: at the shipping table, and with
+// LRU stamps and swap-to-front, where two keys sharing the one bucket
+// alternate so that every hit is swapped to the front.
 func TestRecordHitDoesNotAllocate(t *testing.T) {
-	d := New(Config{NumCPUs: 1})
-	d.RecordAt(0, 7, 0x1000, sim.EvCycles, 1)
-	clock := int64(1)
-	if n := testing.AllocsPerRun(1000, func() {
-		clock += 64
-		d.RecordAt(0, 7, 0x1000, sim.EvCycles, clock)
-	}); n != 0 {
-		t.Errorf("RecordAt allocates %v times per hit, want 0", n)
-	}
-	if st := d.Stats(0); st.Misses != 1 || st.Hits < 1000 {
-		t.Errorf("stats = %+v, want one miss and the rest hits", st)
+	for _, cfg := range []Config{{}, {SwapToFront: true}, {LRU: true}, {LRU: true, SwapToFront: true}} {
+		cfg.NumCPUs, cfg.Buckets = 1, 1
+		d := New(cfg)
+		d.RecordAt(0, 7, 0x1000, sim.EvCycles, 1)
+		d.RecordAt(0, 7, 0x2000, sim.EvCycles, 1)
+		clock := int64(1)
+		if n := testing.AllocsPerRun(1000, func() {
+			clock += 64
+			d.RecordAt(0, 7, 0x2000-uint64(clock&64)*64, sim.EvCycles, clock)
+		}); n != 0 {
+			t.Errorf("%+v: RecordAt allocates %v times per hit, want 0", cfg, n)
+		}
+		st := d.Stats(0)
+		if st.Misses != 2 || st.Hits < 1000 {
+			t.Errorf("%+v: stats = %+v, want two misses and the rest hits", cfg, st)
+		}
+		if cfg.SwapToFront && d.Probes(0) != 2*st.Hits+2*DefaultWays {
+			t.Errorf("%+v: %d probes for %d hits: hits were not found in way 1 and swapped", cfg, d.Probes(0), st.Hits)
+		}
 	}
 }
 
@@ -65,15 +75,4 @@ func BenchmarkFlush(b *testing.B) {
 		}
 		b.StartTimer()
 	}
-}
-
-// BenchmarkHTSim measures the §5.4 trace-replay simulator.
-func BenchmarkHTSim(b *testing.B) {
-	trace := syntheticTrace(1<<16, 3000, 8, 0.3)
-	cfg := HTConfig{Buckets: 4096, Ways: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SimulateTrace(trace, cfg)
-	}
-	b.ReportMetric(float64(len(trace)), "keys/op")
 }

@@ -16,9 +16,9 @@ import (
 // Geometry constants from the paper (§5.3: each hash table held 16K
 // samples, each overflow buffer 8K samples, 512KB kernel memory per CPU).
 const (
-	// BucketWays is the hash-table associativity: a bucket is one 64-byte
-	// cache line holding four 16-byte entries.
-	BucketWays = 4
+	// DefaultWays is the shipping hash-table associativity: a bucket is one
+	// 64-byte cache line holding four 16-byte entries.
+	DefaultWays = 4
 	// DefaultBuckets gives 16K entries (4K buckets x 4 ways).
 	DefaultBuckets = 4096
 	// DefaultOverflowEntries is the size of each of the two overflow
@@ -40,7 +40,7 @@ type Entry struct {
 	Count uint32
 }
 
-func (e Entry) valid() bool { return e.Count != 0 }
+func (e *Entry) valid() bool { return e.Count != 0 }
 
 // CostModel converts handler work into cycles. Values follow the paper's
 // Table 4 magnitudes: a spin-loop experiment put interrupt setup/teardown at
@@ -108,23 +108,29 @@ func (s Stats) AvgCost() float64 {
 // active buffer fills while another is pending, samples are dropped and
 // counted (§4.2.3 loss accounting).
 type cpuState struct {
-	buckets     [][BucketWays]Entry
-	evictNext   uint32  // round-robin eviction counter ("mod counter")
-	active      []Entry // buffer currently receiving evicted entries
-	spare       []Entry // empty buffer ready to become active (nil while pending holds it)
-	pending     []Entry // full buffer the consumer has not yet accepted
-	flushing    bool    // set via IPI while the daemon copies this CPU's table
-	dropping    bool    // in a loss episode: both buffers full, samples being dropped
-	episodeLost uint64  // samples dropped in the current loss episode
+	table       []Entry  // buckets x ways; bucket b is table[b*ways : (b+1)*ways]
+	stamps      []uint64 // LRU only: the Samples count at each entry's last touch
+	probes      uint64   // ways examined by table lookups (§5.4 probe depth)
+	evictNext   int      // round-robin eviction counter ("mod counter")
+	active      []Entry  // buffer currently receiving evicted entries
+	spare       []Entry  // empty buffer ready to become active (nil while pending holds it)
+	pending     []Entry  // full buffer the consumer has not yet accepted
+	flushing    bool     // set via IPI while the daemon copies this CPU's table
+	dropping    bool     // in a loss episode: both buffers full, samples being dropped
+	episodeLost uint64   // samples dropped in the current loss episode
 	stats       Stats
 }
 
 // Driver is the device driver: one cpuState per processor.
 type Driver struct {
-	cpus     []*cpuState
-	nbuckets int
-	bufCap   int
-	cost     CostModel
+	cpus        []*cpuState
+	nbuckets    int
+	mask        uint64 // nbuckets-1 for a power of two: the index needs no division
+	ways        int
+	tuned       bool // Config.LRU or SwapToFront: hits and inserts go through touch
+	swapToFront bool
+	bufCap      int
+	cost        CostModel
 
 	// Self-observability (nil-safe; see internal/obs). handlerHist records
 	// the per-interrupt handler-cycle distribution (Table 4's "cycles per
@@ -151,7 +157,14 @@ type Config struct {
 	NumCPUs         int
 	Buckets         int // 0 -> DefaultBuckets
 	OverflowEntries int // 0 -> DefaultOverflowEntries
-	Cost            CostModel
+	// The §5.4 design points; zero values are the shipping table. Ways is
+	// the associativity (0 -> DefaultWays), LRU evicts the least recently
+	// touched way instead of round-robin, SwapToFront moves hits and
+	// inserts to way 0.
+	Ways        int
+	LRU         bool
+	SwapToFront bool
+	Cost        CostModel
 	// ZeroCost makes Record charge no cycles (pure sampling). Used by the
 	// analysis-accuracy experiments, where dense sampling periods would
 	// otherwise perturb the measured program (the real system's 60K-cycle
@@ -174,13 +187,20 @@ func New(cfg Config) *Driver {
 	if cfg.OverflowEntries == 0 {
 		cfg.OverflowEntries = DefaultOverflowEntries
 	}
+	if cfg.Ways == 0 {
+		cfg.Ways = DefaultWays
+	}
 	if cfg.Cost == (CostModel{}) && !cfg.ZeroCost {
 		cfg.Cost = DefaultCostModel()
 	}
 	if cfg.ZeroCost {
 		cfg.Cost = CostModel{}
 	}
-	d := &Driver{nbuckets: cfg.Buckets, bufCap: cfg.OverflowEntries, cost: cfg.Cost}
+	d := &Driver{nbuckets: cfg.Buckets, ways: cfg.Ways, tuned: cfg.LRU || cfg.SwapToFront,
+		swapToFront: cfg.SwapToFront, bufCap: cfg.OverflowEntries, cost: cfg.Cost}
+	if cfg.Buckets&(cfg.Buckets-1) == 0 {
+		d.mask = uint64(cfg.Buckets - 1)
+	}
 	if cfg.Obs.Enabled() {
 		d.obsOn = true
 		d.tracer = cfg.Obs.Tracer
@@ -194,11 +214,15 @@ func New(cfg Config) *Driver {
 		}
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
-		d.cpus = append(d.cpus, &cpuState{
-			buckets: make([][BucketWays]Entry, cfg.Buckets),
-			active:  make([]Entry, 0, cfg.OverflowEntries),
-			spare:   make([]Entry, 0, cfg.OverflowEntries),
-		})
+		cs := &cpuState{
+			table:  make([]Entry, cfg.Buckets*cfg.Ways),
+			active: make([]Entry, 0, cfg.OverflowEntries),
+			spare:  make([]Entry, 0, cfg.OverflowEntries),
+		}
+		if cfg.LRU {
+			cs.stamps = make([]uint64, len(cs.table))
+		}
+		d.cpus = append(d.cpus, cs)
 	}
 	return d
 }
@@ -212,6 +236,9 @@ func (d *Driver) hash(pid uint32, pc, pc2 uint64, ev sim.Event) int {
 	h ^= uint64(pid) * 0x85ebca77c2b2ae63
 	h ^= uint64(ev) << 56
 	h ^= h >> 29
+	if d.mask != 0 {
+		return int(h & d.mask)
+	}
 	return int(h % uint64(d.nbuckets))
 }
 
@@ -268,11 +295,16 @@ func (d *Driver) record(cpu int, in Entry, clock int64) int64 {
 		return cost
 	}
 
-	b := &cs.buckets[d.hash(in.PID, in.PC, in.PC2, in.Event)]
+	base := d.hash(in.PID, in.PC, in.PC2, in.Event) * d.ways
+	b := cs.table[base : base+d.ways]
 	for w := range b {
 		e := &b[w]
 		if e.valid() && e.PID == in.PID && e.PC == in.PC && e.PC2 == in.PC2 && e.Event == in.Event {
 			e.Count++
+			cs.probes += uint64(w + 1)
+			if d.tuned {
+				d.touch(cs, base, w)
+			}
 			cs.stats.Hits++
 			cost += d.cost.HitWork
 			cs.stats.CostCycles += cost
@@ -283,8 +315,9 @@ func (d *Driver) record(cpu int, in Entry, clock int64) int64 {
 		}
 	}
 
-	// Miss: fill an empty way if there is one, else evict round-robin.
+	// Miss: fill an empty way if there is one, else evict the victim.
 	cs.stats.Misses++
+	cs.probes += uint64(len(b))
 	cost += d.cost.HitWork
 	victim := -1
 	for w := range b {
@@ -295,8 +328,7 @@ func (d *Driver) record(cpu int, in Entry, clock int64) int64 {
 	}
 	outcome := intrInsert
 	if victim < 0 {
-		victim = int(cs.evictNext % BucketWays)
-		cs.evictNext++
+		victim = cs.victim(base, len(b))
 		cs.stats.Evictions++
 		cost += d.cost.MissExtra
 		outcome = intrEvict
@@ -306,11 +338,43 @@ func (d *Driver) record(cpu int, in Entry, clock int64) int64 {
 		cost += d.cost.InsertExtra
 	}
 	b[victim] = in
+	if d.tuned {
+		d.touch(cs, base, victim)
+	}
 	cs.stats.CostCycles += cost
 	if d.obsOn {
 		d.observe(cpu, clock, cost, outcome)
 	}
 	return cost
+}
+
+// victim picks the way of the full bucket at base to evict: the next in
+// round-robin order, or under LRU the least recently touched.
+func (cs *cpuState) victim(base, ways int) (v int) {
+	if cs.stamps == nil {
+		v, cs.evictNext = cs.evictNext, (cs.evictNext+1)%ways
+		return v
+	}
+	for w := 1; w < ways; w++ {
+		if cs.stamps[base+w] < cs.stamps[base+v] {
+			v = w
+		}
+	}
+	return v
+}
+
+// touch stamps the entry just hit or inserted at way w (LRU) and moves it,
+// stamp and all, to way 0 (swap-to-front).
+func (d *Driver) touch(cs *cpuState, base, w int) {
+	if s := cs.stamps; s != nil {
+		s[base+w] = cs.stats.Samples
+		if d.swapToFront {
+			s[base], s[base+w] = s[base+w], s[base]
+		}
+	}
+	if d.swapToFront {
+		cs.table[base], cs.table[base+w] = cs.table[base+w], cs.table[base]
+	}
 }
 
 // appendOverflow adds an evicted entry to the active buffer, swapping
@@ -409,12 +473,10 @@ func (d *Driver) FlushCPUAt(cpu int, clock int64) []Entry {
 	cs.flushing = true
 
 	var out []Entry
-	for bi := range cs.buckets {
-		for w := range cs.buckets[bi] {
-			if e := cs.buckets[bi][w]; e.valid() {
-				out = append(out, e)
-				cs.buckets[bi][w] = Entry{}
-			}
+	for i, e := range cs.table {
+		if e.valid() {
+			out = append(out, e)
+			cs.table[i] = Entry{}
 		}
 	}
 	// Drain the parked full buffer (if delivery was deferred) before the
@@ -465,6 +527,10 @@ func (d *Driver) PublishMetrics(reg *obs.Registry) {
 // Stats returns a copy of cpu's statistics.
 func (d *Driver) Stats(cpu int) Stats { return d.cpus[cpu].stats }
 
+// Probes returns the ways cpu's table lookups examined (w+1 for a hit in
+// way w, all for a miss): the §5.4 probe depth, kept out of the snapshot's Stats.
+func (d *Driver) Probes(cpu int) uint64 { return d.cpus[cpu].probes }
+
 // TotalStats sums statistics across CPUs.
 func (d *Driver) TotalStats() Stats {
 	var t Stats
@@ -488,7 +554,7 @@ func (d *Driver) TotalStats() Stats {
 // KernelMemoryBytes reports the non-pageable kernel memory the driver pins
 // per CPU (Table 5's 512KB per processor with default geometry).
 func (d *Driver) KernelMemoryBytes() int {
-	perCPU := d.nbuckets*BucketWays*EntryBytes + 2*d.bufCap*EntryBytes
+	perCPU := d.nbuckets*d.ways*EntryBytes + 2*d.bufCap*EntryBytes
 	return perCPU * len(d.cpus)
 }
 

@@ -230,13 +230,20 @@ func TestKernelMemoryBudget(t *testing.T) {
 	}
 }
 
-// --- §5.4 hash-table design-space simulator ---
+// --- §5.4 hash-table design points, replayed through the driver ---
+
+// sample is the arguments of one Record call.
+type sample struct {
+	PID   uint32
+	PC    uint64
+	Event sim.Event
+}
 
 // syntheticTrace builds a trace with workload-like locality: a hot set
 // revisited frequently plus a cold stream (like gcc's many short-lived
 // contexts), using a deterministic generator.
-func syntheticTrace(n int, hotPCs, pids int, coldFrac float64) []Key {
-	trace := make([]Key, 0, n)
+func syntheticTrace(n int, hotPCs, pids int, coldFrac float64) []sample {
+	trace := make([]sample, 0, n)
 	state := uint64(0x2545f4914f6cdd1d)
 	next := func() uint64 {
 		state ^= state << 13
@@ -245,7 +252,7 @@ func syntheticTrace(n int, hotPCs, pids int, coldFrac float64) []Key {
 		return state
 	}
 	for i := 0; i < n; i++ {
-		k := Key{Event: sim.EvCycles}
+		k := sample{Event: sim.EvCycles}
 		if float64(next()%1000)/1000 < coldFrac {
 			k.PC = (next() % 1_000_000) * 4 // cold: effectively unique
 			k.PID = uint32(next() % uint64(pids))
@@ -264,10 +271,37 @@ func syntheticTrace(n int, hotPCs, pids int, coldFrac float64) []Key {
 	return trace
 }
 
+// designPoints is the §5.4 grid: Ways in {2, 4, 6, 8} x LRU x SwapToFront.
+func designPoints() []Config {
+	var out []Config
+	for _, ways := range []int{2, 4, 6, 8} {
+		for _, lru := range []bool{false, true} {
+			for _, stf := range []bool{false, true} {
+				out = append(out, Config{Ways: ways, LRU: lru, SwapToFront: stf})
+			}
+		}
+	}
+	return out
+}
+
+// replay records trace on a one-CPU driver built from cfg, with a consumer
+// that accepts every full buffer, and returns the counts and the mean
+// probe depth.
+func replay(trace []sample, cfg Config) (Stats, float64) {
+	cfg.NumCPUs = 1
+	d := New(cfg)
+	d.OnBufferFull = func(int, int64, []Entry) bool { return true }
+	for _, k := range trace {
+		d.Record(0, k.PID, k.PC, k.Event)
+	}
+	st := d.Stats(0)
+	return st, float64(d.Probes(0)) / float64(st.Samples)
+}
+
 func TestHTSimHitRateTracksLocality(t *testing.T) {
-	cfg := HTConfig{Buckets: 512, Ways: 4}
-	hot := SimulateTrace(syntheticTrace(20000, 100, 2, 0.01), cfg)
-	cold := SimulateTrace(syntheticTrace(20000, 100, 2, 0.8), cfg)
+	cfg := Config{Buckets: 512}
+	hot, _ := replay(syntheticTrace(20000, 100, 2, 0.01), cfg)
+	cold, _ := replay(syntheticTrace(20000, 100, 2, 0.8), cfg)
 	if hot.MissRate() >= cold.MissRate() {
 		t.Errorf("hot miss %.3f >= cold miss %.3f", hot.MissRate(), cold.MissRate())
 	}
@@ -277,10 +311,10 @@ func TestHTSimHitRateTracksLocality(t *testing.T) {
 }
 
 func TestHTSimAssociativityHelps(t *testing.T) {
-	// Same total entries, more ways: fewer evictions under collisions.
+	// Same bucket count, more ways: fewer evictions under collisions.
 	trace := syntheticTrace(50000, 3000, 8, 0.2)
-	w4 := SimulateTrace(trace, HTConfig{Buckets: 1024, Ways: 4})
-	w6 := SimulateTrace(trace, HTConfig{Buckets: 1024, Ways: 6})
+	w4, _ := replay(trace, Config{Buckets: 1024})
+	w6, _ := replay(trace, Config{Buckets: 1024, Ways: 6})
 	if w6.Evictions >= w4.Evictions {
 		t.Errorf("6-way evictions %d >= 4-way %d", w6.Evictions, w4.Evictions)
 	}
@@ -288,45 +322,55 @@ func TestHTSimAssociativityHelps(t *testing.T) {
 
 func TestHTSimSwapToFrontReducesProbes(t *testing.T) {
 	trace := syntheticTrace(50000, 600, 1, 0.02)
-	plain := SimulateTrace(trace, HTConfig{Buckets: 64, Ways: 4})
-	stf := SimulateTrace(trace, HTConfig{Buckets: 64, Ways: 4, SwapToFront: true})
-	if stf.AvgProbes() >= plain.AvgProbes() {
-		t.Errorf("swap-to-front probes %.2f >= plain %.2f", stf.AvgProbes(), plain.AvgProbes())
-	}
-	cm := DefaultCostModel()
-	if stf.Cost(cm) >= plain.Cost(cm) {
-		t.Errorf("swap-to-front cost %d >= plain %d", stf.Cost(cm), plain.Cost(cm))
+	_, plain := replay(trace, Config{Buckets: 64})
+	_, stf := replay(trace, Config{Buckets: 64, SwapToFront: true})
+	if stf >= plain {
+		t.Errorf("swap-to-front probes %.2f >= plain %.2f", stf, plain)
 	}
 }
 
 func TestHTSimLRUPolicy(t *testing.T) {
 	trace := syntheticTrace(30000, 2000, 4, 0.3)
-	rr := SimulateTrace(trace, HTConfig{Buckets: 256, Ways: 4, Policy: PolicyRoundRobin})
-	lru := SimulateTrace(trace, HTConfig{Buckets: 256, Ways: 4, Policy: PolicyLRU})
+	rr, _ := replay(trace, Config{Buckets: 256})
+	lru, _ := replay(trace, Config{Buckets: 256, LRU: true})
 	// LRU should not be dramatically worse than round-robin on a local
 	// trace; typically it is a bit better.
 	if lru.MissRate() > rr.MissRate()*1.1 {
 		t.Errorf("lru miss %.3f much worse than rr %.3f", lru.MissRate(), rr.MissRate())
 	}
-	if PolicyLRU.String() != "lru" || PolicyRoundRobin.String() != "round-robin" {
-		t.Error("policy strings")
+	if lru == rr {
+		t.Error("LRU replay counted exactly what round-robin did")
+	}
+	// The least recent entry goes wherever swap-to-front has moved it: A, B,
+	// A, C in one 2-way bucket evicts B, so the last A hits.
+	for _, stf := range []bool{false, true} {
+		d := New(Config{NumCPUs: 1, Buckets: 1, Ways: 2, LRU: true, SwapToFront: stf})
+		for _, pc := range []uint64{0xa0, 0xb0, 0xa0, 0xc0, 0xa0} {
+			d.Record(0, 1, pc, sim.EvCycles)
+		}
+		if st := d.Stats(0); st.Hits != 2 || st.Evictions != 1 {
+			t.Errorf("swap-to-front %v: %d hits, %d evictions, want 2 and 1", stf, st.Hits, st.Evictions)
+		}
 	}
 }
 
 func TestHTSimStatsConsistency(t *testing.T) {
 	trace := syntheticTrace(10000, 500, 3, 0.25)
-	st := SimulateTrace(trace, HTConfig{Buckets: 128, Ways: 4})
-	if st.Samples != 10000 {
-		t.Errorf("samples = %d", st.Samples)
-	}
-	if st.Hits+st.Misses != st.Samples {
-		t.Error("hits + misses != samples")
-	}
-	if st.Evictions > st.Misses {
-		t.Error("evictions > misses")
-	}
-	if st.AvgProbes() < 1 || st.AvgProbes() > 4 {
-		t.Errorf("avg probes = %.2f out of range", st.AvgProbes())
+	for _, cfg := range designPoints() {
+		cfg.Buckets = 128
+		st, probes := replay(trace, cfg)
+		if st.Samples != 10000 {
+			t.Errorf("%+v: samples = %d", cfg, st.Samples)
+		}
+		if st.Hits+st.Misses != st.Samples {
+			t.Errorf("%+v: hits + misses != samples", cfg)
+		}
+		if st.Evictions > st.Misses {
+			t.Errorf("%+v: evictions > misses", cfg)
+		}
+		if probes < 1 || probes > float64(cfg.Ways) {
+			t.Errorf("%+v: avg probes = %.2f out of [1, %d]", cfg, probes, cfg.Ways)
+		}
 	}
 }
 
@@ -443,34 +487,37 @@ func TestFlushDuringRecordDirectPathLoss(t *testing.T) {
 
 // Property: counts are conserved for arbitrary access patterns even when the
 // consumer refuses arbitrary subsets of deliveries -- every sample is
-// delivered, flushed, or counted lost.
+// delivered, flushed, or counted lost -- at every §5.4 design point.
 func TestConservationWithRefusals(t *testing.T) {
-	f := func(pcs []uint16, refuse []bool) bool {
-		d := New(Config{NumCPUs: 1, Buckets: 2, OverflowEntries: 8})
-		var delivered uint64
-		calls := 0
-		d.OnBufferFull = func(_ int, _ int64, full []Entry) bool {
-			calls++
-			if len(refuse) > 0 && refuse[calls%len(refuse)] {
-				return false
+	for _, cfg := range designPoints() {
+		cfg.NumCPUs, cfg.Buckets, cfg.OverflowEntries = 1, 2, 8
+		f := func(pcs []uint16, refuse []bool) bool {
+			d := New(cfg)
+			var delivered uint64
+			calls := 0
+			d.OnBufferFull = func(_ int, _ int64, full []Entry) bool {
+				calls++
+				if len(refuse) > 0 && refuse[calls%len(refuse)] {
+					return false
+				}
+				for _, e := range full {
+					delivered += uint64(e.Count)
+				}
+				return true
 			}
-			for _, e := range full {
-				delivered += uint64(e.Count)
+			var fed uint64
+			for _, pc := range pcs {
+				d.Record(0, 1, uint64(pc)*4, sim.EvCycles)
+				fed++
 			}
-			return true
+			var flushed uint64
+			for _, e := range d.FlushCPU(0) {
+				flushed += uint64(e.Count)
+			}
+			return delivered+flushed+d.Stats(0).Lost == fed
 		}
-		var fed uint64
-		for _, pc := range pcs {
-			d.Record(0, 1, uint64(pc)*4, sim.EvCycles)
-			fed++
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 		}
-		var flushed uint64
-		for _, e := range d.FlushCPU(0) {
-			flushed += uint64(e.Count)
-		}
-		return delivered+flushed+d.Stats(0).Lost == fed
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
