@@ -62,7 +62,7 @@ func main() {
 			fmt.Printf("    ... %d instructions, never sampled\n\n", sym.Size/alpha.InstBytes)
 			continue
 		}
-		pa, err := view.AnalyzeOffline(*img, sym.Name)
+		pa, err := r.AnalyzeProc(*img, sym.Name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dcpiannotate: %s: %v\n", sym.Name, err)
 			os.Exit(1)

@@ -50,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pa, err := view.AnalyzeOffline(*img, *proc)
+	pa, err := view.Result().AnalyzeProc(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpicalc: %v\n", err)
 		os.Exit(1)

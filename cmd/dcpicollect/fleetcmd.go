@@ -3,27 +3,30 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
+	"net/url"
 	"os"
+	"reflect"
 	"strings"
 	"time"
 
-	"dcpi/internal/analysis"
 	"dcpi/internal/collect"
 	"dcpi/internal/fleet"
 	"dcpi/internal/obs"
-	"dcpi/internal/profiledb"
-	"dcpi/internal/sim"
 	"dcpi/internal/tsdb"
 )
 
+// topN is the row limit of the demo's rankings.
+const topN = 10
+
 // fleetMain runs the end-to-end fleet demo: simulate a fleet of profiled
 // machines, scrape them into one store (with one fault-injected target),
-// answer the fleet queries, and verify every answer against the
-// per-machine profile databases — the ground truth the scrape pipeline
-// must reproduce exactly.
+// answer the fleet queries, and hold the store and every answer to the
+// per-machine profile databases (fleet.Check) — the ground truth the
+// scrape pipeline must reproduce exactly.
 func fleetMain(args []string) int {
 	fs := flag.NewFlagSet("dcpicollect fleet", flag.ExitOnError)
 	var (
@@ -39,9 +42,10 @@ func fleetMain(args []string) int {
 	fs.Parse(args)
 	// Epochs are dealt out over the rounds (*epochs / *rounds each), so a
 	// round count of zero divides by zero and one above -epochs scrapes
-	// rounds in which no machine sealed anything.
-	if *machines < 1 || *epochs < 1 || *rounds < 1 || *rounds > *epochs {
-		fmt.Fprintf(os.Stderr, "dcpicollect fleet: want -machines >= 1 and 1 <= -rounds <= -epochs, got -machines %d -epochs %d -rounds %d\n",
+	// rounds in which no machine sealed anything. The delta query compares
+	// the first half of the epochs with the second: both must be non-empty.
+	if *machines < 1 || *epochs < 2 || *rounds < 1 || *rounds > *epochs {
+		fmt.Fprintf(os.Stderr, "dcpicollect fleet: want -machines >= 1, -epochs >= 2 and 1 <= -rounds <= -epochs, got -machines %d -epochs %d -rounds %d\n",
 			*machines, *epochs, *rounds)
 		return 2
 	}
@@ -57,10 +61,7 @@ func fleetMain(args []string) int {
 		root = tmp
 	}
 
-	var wls []string
-	for _, w := range splitComma(*workloads) {
-		wls = append(wls, w)
-	}
+	wls := strings.FieldsFunc(*workloads, func(r rune) bool { return r == ',' || r == ' ' })
 	fmt.Printf("fleet: %d machines x %d epochs, workloads %v, seed %d\n",
 		*machines, *epochs, wls, *seed)
 
@@ -140,42 +141,17 @@ func fleetMain(args []string) int {
 	fmt.Printf("store: %d segments, %d blocks, %d points, %d bytes\n",
 		stats.Segments, stats.Blocks, stats.Points, stats.SizeBytes)
 
-	// The fleet queries.
+	// The fleet queries, rendered once: to stdout, and as the answers
+	// compaction must leave unchanged.
 	image := f.AnomalyImage()
-	lastK := uint64(*epochs / 8)
-	rFrom, rTo := collect.LastWindow(store, lastK)
-	rangeResp := collect.RangeResponse{
-		Image: image, Event: sim.EvCycles.String(), FromEpoch: rFrom, ToEpoch: rTo,
-		Rows: tsdb.RangeQuery(store, image, sim.EvCycles, rFrom, rTo),
+	var before bytes.Buffer
+	rng, delta, err := answerFleet(&before, store, image, *epochs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dcpicollect fleet: %v\n", err)
+		return 1
 	}
-	fmt.Println()
-	renderRange(os.Stdout, rangeResp)
+	os.Stdout.Write(before.Bytes())
 
-	topResp := collect.TopResponse{
-		Event: sim.EvCycles.String(), FromEpoch: 1, ToEpoch: uint64(*epochs),
-		Rows: tsdb.TopImages(store, sim.EvCycles, 1, uint64(*epochs), 10),
-	}
-	fmt.Println()
-	renderTop(os.Stdout, topResp)
-
-	procsResp := collect.TopProcsResponse{
-		Image: image, Event: sim.EvCycles.String(), FromEpoch: 1, ToEpoch: uint64(*epochs),
-		Rows: tsdb.TopProcs(store, image, sim.EvCycles, 1, uint64(*epochs), 10),
-	}
-	fmt.Println()
-	renderTopProcs(os.Stdout, procsResp)
-
-	half := uint64(*epochs / 2)
-	deltaRows := tsdb.TopDeltas(store, sim.EvCycles, 1, half, half+1, uint64(*epochs), 10)
-	deltaResp := collect.DeltaResponse{
-		Event: sim.EvCycles.String(), AFrom: 1, ATo: half, BFrom: half + 1, BTo: uint64(*epochs),
-		Rows: collect.ToDeltaRows(deltaRows),
-	}
-	fmt.Println()
-	renderDelta(os.Stdout, deltaResp)
-	fmt.Println()
-
-	// Ground-truth verification.
 	pass := true
 	check := func(name string, err error) {
 		if err != nil {
@@ -185,12 +161,23 @@ func fleetMain(args []string) int {
 			fmt.Printf("PASS %s\n", name)
 		}
 	}
-	check("exactly-once ingestion", verifyExactlyOnce(store, f, uint64(*epochs)))
-	check("per-machine point labels", verifyLabels(store, f, *epochs))
-	check("per-procedure breakdowns", verifyProcs(store, f, *epochs))
-	check("range query vs ground truth", verifyRange(store, f, rangeResp))
-	check("top-delta vs ground truth", verifyDelta(f, deltaRows, 1, half, half+1, uint64(*epochs), 10))
-	check("compaction byte-identity", verifyCompaction(store, image, rFrom, rTo, uint64(*epochs)))
+	truth, err := f.Check(store, fleet.Query{
+		Image: image, RangeFrom: rng.FromEpoch, RangeTo: rng.ToEpoch,
+		AFrom: delta.AFrom, ATo: delta.ATo, BFrom: delta.BFrom, BTo: delta.BTo,
+	})
+	if err != nil {
+		check("store vs machine databases", err)
+	} else {
+		check(fmt.Sprintf("store vs machine databases (%d sealed machine-epochs, each read once)", truth.Epochs), nil)
+		check("range query vs ground truth", truth.MatchRange(rng.Rows))
+		want := collect.ToDeltaRows(truth.Delta[:min(topN, len(truth.Delta))])
+		var mismatch error
+		if !reflect.DeepEqual(delta.Rows, want) {
+			mismatch = fmt.Errorf("answer %+v, ground truth %+v", delta.Rows, want)
+		}
+		check("top-delta vs ground truth", mismatch)
+	}
+	check("compaction byte-identity", verifyCompaction(store, before.String(), image, *epochs))
 	if totalFailures == 0 && *faultIdx >= 0 && *faultIdx < *machines {
 		fmt.Printf("FAIL %-28s fault-injected target never failed a scrape\n", "fault/retry exercised")
 		pass = false
@@ -204,14 +191,56 @@ func fleetMain(args []string) int {
 	return 0
 }
 
-func splitComma(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
+// answerFleet answers the demo's four queries through the functions behind
+// /query and `dcpicollect query` — image's range over the newest
+// max(1, epochs/8) epochs, the top images and image's top procedures over
+// every epoch, and the share delta of the first half of the epochs against
+// the second — and renders them to w.
+func answerFleet(w io.Writer, store *tsdb.DB, image string, epochs int) (collect.RangeResponse, collect.DeltaResponse, error) {
+	all := url.Values{"from": {"1"}, "to": {fmt.Sprint(epochs)}, "n": {fmt.Sprint(topN)}}
+	rng, err1 := collect.AnswerRange(store, url.Values{"image": {image}, "last": {fmt.Sprint(max(1, epochs/8))}})
+	top, err2 := collect.AnswerTop(store, all)
+	all.Set("image", image)
+	procs, err3 := collect.AnswerTopProcs(store, all)
+	delta, err4 := collect.AnswerDelta(store, url.Values{
+		"a": {fmt.Sprintf("1-%d", epochs/2)}, "b": {fmt.Sprintf("%d-%d", epochs/2+1, epochs)}, "n": {fmt.Sprint(topN)}})
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		return rng, delta, err
 	}
-	return out
+	fmt.Fprintln(w)
+	renderRange(w, rng)
+	fmt.Fprintln(w)
+	renderTop(w, top)
+	fmt.Fprintln(w)
+	renderTopProcs(w, procs)
+	fmt.Fprintln(w)
+	renderDelta(w, delta)
+	fmt.Fprintln(w)
+	return rng, delta, nil
+}
+
+// verifyCompaction compacts every raw segment into blocks and requires the
+// fleet queries to render exactly what they rendered before — the store's
+// core contract: compaction is invisible to queries.
+func verifyCompaction(store *tsdb.DB, before, image string, epochs int) error {
+	st, err := store.Compact(tsdb.CompactOptions{CompactAfter: 1})
+	if err != nil {
+		return err
+	}
+	if st.BlocksWritten == 0 {
+		return fmt.Errorf("compaction wrote no blocks")
+	}
+	var after bytes.Buffer
+	if _, _, err := answerFleet(&after, store, image, epochs); err != nil {
+		return err
+	}
+	if after.String() != before {
+		return fmt.Errorf("query answers changed after compacting %d segments into %d blocks",
+			st.SegmentsCompacted, st.BlocksWritten)
+	}
+	fmt.Printf("compacted: %d segments -> %d blocks, store now %d bytes\n",
+		st.SegmentsCompacted, st.BlocksWritten, store.Stats().SizeBytes)
+	return nil
 }
 
 func allCaughtUp(store *tsdb.DB, f *fleet.Fleet, epochs uint64) bool {
@@ -221,291 +250,4 @@ func allCaughtUp(store *tsdb.DB, f *fleet.Fleet, epochs uint64) bool {
 		}
 	}
 	return true
-}
-
-// verifyExactlyOnce checks every machine contributed each epoch exactly
-// once: per (machine, epoch, image, proc, event) there must be exactly one
-// point, across both image-level and per-procedure series.
-func verifyExactlyOnce(store *tsdb.DB, f *fleet.Fleet, epochs uint64) error {
-	for _, m := range f.Machines {
-		pts := store.Select(tsdb.Matcher{Machine: m.Name, AnyEvent: true, AnyProc: true})
-		seen := map[tsdb.Labels]map[uint64]int{}
-		for _, pt := range pts {
-			key := pt.Labels
-			if seen[key] == nil {
-				seen[key] = map[uint64]int{}
-			}
-			seen[key][pt.Epoch]++
-			if seen[key][pt.Epoch] > 1 {
-				return fmt.Errorf("%s epoch %d %s:%s/%s ingested twice",
-					m.Name, pt.Epoch, pt.Image, pt.Proc, pt.Event)
-			}
-		}
-		if got := store.MaxEpoch(m.Name); got != epochs {
-			return fmt.Errorf("%s: max epoch %d, want %d", m.Name, got, epochs)
-		}
-	}
-	return nil
-}
-
-// verifyProcs checks the per-procedure breakdown is complete: at three
-// probe epochs, each (machine, image, event)'s procedure samples must sum
-// to exactly the image-level samples (the exposition side buckets
-// unsymbolized samples under "(unknown)" to keep this an identity).
-func verifyProcs(store *tsdb.DB, f *fleet.Fleet, epochs int) error {
-	probes := []uint64{1, uint64(epochs / 2), uint64(epochs)}
-	sawProc := false
-	for _, m := range f.Machines {
-		for _, e := range probes {
-			pts := store.Select(tsdb.Matcher{
-				Machine: m.Name, AnyEvent: true, AnyProc: true,
-				FromEpoch: e, ToEpoch: e,
-			})
-			imageSamples := map[tsdb.Labels]uint64{}
-			procSamples := map[tsdb.Labels]uint64{}
-			for _, pt := range pts {
-				key := tsdb.Labels{Image: pt.Image, Event: pt.Event}
-				if pt.Proc == "" {
-					imageSamples[key] += pt.Samples
-				} else {
-					procSamples[key] += pt.Samples
-					sawProc = true
-				}
-			}
-			for key, want := range imageSamples {
-				if got := procSamples[key]; got != want {
-					return fmt.Errorf("%s epoch %d %s/%s: procedure samples sum to %d, image total %d",
-						m.Name, e, key.Image, key.Event, got, want)
-				}
-			}
-		}
-	}
-	if !sawProc {
-		return fmt.Errorf("no per-procedure points ingested")
-	}
-	return nil
-}
-
-// verifyCompaction renders every fleet query, compacts all raw segments
-// into blocks, and requires the re-rendered answers to be byte-identical —
-// the store's core contract: compaction is invisible to queries.
-func verifyCompaction(store *tsdb.DB, image string, rFrom, rTo, epochs uint64) error {
-	render := func() string {
-		var buf bytes.Buffer
-		renderRange(&buf, collect.RangeResponse{
-			Image: image, Event: sim.EvCycles.String(), FromEpoch: rFrom, ToEpoch: rTo,
-			Rows: tsdb.RangeQuery(store, image, sim.EvCycles, rFrom, rTo),
-		})
-		renderTop(&buf, collect.TopResponse{
-			Event: sim.EvCycles.String(), FromEpoch: 1, ToEpoch: epochs,
-			Rows: tsdb.TopImages(store, sim.EvCycles, 1, epochs, 10),
-		})
-		renderTopProcs(&buf, collect.TopProcsResponse{
-			Image: image, Event: sim.EvCycles.String(), FromEpoch: 1, ToEpoch: epochs,
-			Rows: tsdb.TopProcs(store, image, sim.EvCycles, 1, epochs, 10),
-		})
-		half := epochs / 2
-		renderDelta(&buf, collect.DeltaResponse{
-			Event: sim.EvCycles.String(), AFrom: 1, ATo: half, BFrom: half + 1, BTo: epochs,
-			Rows: collect.ToDeltaRows(tsdb.TopDeltas(store, sim.EvCycles, 1, half, half+1, epochs, 10)),
-		})
-		return buf.String()
-	}
-	before := render()
-	st, err := store.Compact(tsdb.CompactOptions{CompactAfter: 1})
-	if err != nil {
-		return err
-	}
-	if st.BlocksWritten == 0 {
-		return fmt.Errorf("compaction wrote no blocks")
-	}
-	after := render()
-	if before != after {
-		return fmt.Errorf("query answers changed after compacting %d segments into %d blocks",
-			st.SegmentsCompacted, st.BlocksWritten)
-	}
-	stats := store.Stats()
-	fmt.Printf("compacted: %d segments -> %d blocks, store now %d bytes\n",
-		st.SegmentsCompacted, st.BlocksWritten, stats.SizeBytes)
-	return nil
-}
-
-// verifyLabels spot-checks that points carry the right machine label by
-// comparing each machine's stored samples against its own database at
-// three epochs.
-func verifyLabels(store *tsdb.DB, f *fleet.Fleet, epochs int) error {
-	probes := []int{1, epochs / 2, epochs}
-	for _, m := range f.Machines {
-		db, err := profiledb.OpenReader(m.DBDir)
-		if err != nil {
-			return fmt.Errorf("%s: %v", m.Name, err)
-		}
-		for _, e := range probes {
-			profiles, err := db.ProfilesAt(e)
-			if err != nil {
-				return fmt.Errorf("%s epoch %d: %v", m.Name, e, err)
-			}
-			want := map[tsdb.Labels]uint64{}
-			for _, p := range profiles {
-				want[tsdb.Labels{Image: p.ImagePath, Event: p.Event}] += p.Total()
-			}
-			pts := store.Select(tsdb.Matcher{
-				Machine: m.Name, AnyEvent: true,
-				FromEpoch: uint64(e), ToEpoch: uint64(e),
-			})
-			got := map[tsdb.Labels]uint64{}
-			for _, pt := range pts {
-				got[tsdb.Labels{Image: pt.Image, Event: pt.Event}] += pt.Samples
-			}
-			if len(got) != len(want) {
-				return fmt.Errorf("%s epoch %d: %d series in store, %d in database", m.Name, e, len(got), len(want))
-			}
-			for k, w := range want {
-				if got[k] != w {
-					return fmt.Errorf("%s epoch %d %s/%s: store %d, database %d",
-						m.Name, e, k.Image, k.Event, got[k], w)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// verifyRange recomputes every range row straight from the per-machine
-// databases and requires the store's answer to match.
-func verifyRange(store *tsdb.DB, f *fleet.Fleet, resp collect.RangeResponse) error {
-	ev, err := sim.ParseEvent(resp.Event)
-	if err != nil {
-		return err
-	}
-	rows := map[uint64]*tsdb.RangeRow{}
-	totalCycles := map[uint64]float64{}
-	for _, m := range f.Machines {
-		db, err := profiledb.OpenReader(m.DBDir)
-		if err != nil {
-			return err
-		}
-		for e := resp.FromEpoch; e <= resp.ToEpoch; e++ {
-			profiles, err := db.ProfilesAt(int(e))
-			if err != nil {
-				return fmt.Errorf("%s epoch %d: %v", m.Name, e, err)
-			}
-			meta, ok, err := db.MetaAt(int(e))
-			if err != nil || !ok {
-				return fmt.Errorf("%s epoch %d: unsealed or unreadable meta (%v)", m.Name, e, err)
-			}
-			matched := false
-			for _, p := range profiles {
-				if p.Event == ev {
-					totalCycles[e] += float64(p.Total()) * meta.CyclesPeriod
-				}
-				if p.ImagePath != resp.Image || p.Event != ev {
-					continue
-				}
-				matched = true
-				row := rows[e]
-				if row == nil {
-					row = &tsdb.RangeRow{Epoch: e}
-					rows[e] = row
-				}
-				row.Samples += p.Total()
-				row.Cycles += float64(p.Total()) * meta.CyclesPeriod
-				row.Insts += meta.ImageInsts[resp.Image]
-			}
-			if matched {
-				rows[e].Machines++
-			}
-		}
-	}
-	if len(rows) != len(resp.Rows) {
-		return fmt.Errorf("%d epochs with data in databases, %d rows in answer", len(rows), len(resp.Rows))
-	}
-	for _, got := range resp.Rows {
-		want := rows[got.Epoch]
-		if want == nil {
-			return fmt.Errorf("epoch %d in answer but not in databases", got.Epoch)
-		}
-		if got.Samples != want.Samples || got.Insts != want.Insts || got.Machines != want.Machines {
-			return fmt.Errorf("epoch %d: store (samples %d, insts %d, machines %d) vs ground truth (%d, %d, %d)",
-				got.Epoch, got.Samples, got.Insts, got.Machines, want.Samples, want.Insts, want.Machines)
-		}
-		if !closeEnough(got.Cycles, want.Cycles) {
-			return fmt.Errorf("epoch %d: cycles %.2f vs ground truth %.2f", got.Epoch, got.Cycles, want.Cycles)
-		}
-		wantCPI := 0.0
-		if want.Insts > 0 {
-			wantCPI = want.Cycles / float64(want.Insts)
-		}
-		if !closeEnough(got.CPI, wantCPI) {
-			return fmt.Errorf("epoch %d: CPI %.4f vs ground truth %.4f", got.Epoch, got.CPI, wantCPI)
-		}
-		wantShare := 0.0
-		if totalCycles[got.Epoch] > 0 {
-			wantShare = 100 * want.Cycles / totalCycles[got.Epoch]
-		}
-		if !closeEnough(got.SharePct, wantShare) {
-			return fmt.Errorf("epoch %d: share %.4f%% vs ground truth %.4f%%", got.Epoch, got.SharePct, wantShare)
-		}
-	}
-	return nil
-}
-
-// verifyDelta recomputes the two windows' per-image sample totals from the
-// databases, runs the same share-delta analysis, and requires identical
-// rankings.
-func verifyDelta(f *fleet.Fleet, got []analysis.DeltaRow, aFrom, aTo, bFrom, bTo uint64, n int) error {
-	window := func(from, to uint64) (map[string]uint64, error) {
-		out := map[string]uint64{}
-		for _, m := range f.Machines {
-			db, err := profiledb.OpenReader(m.DBDir)
-			if err != nil {
-				return nil, err
-			}
-			for e := from; e <= to; e++ {
-				profiles, err := db.ProfilesAt(int(e))
-				if err != nil {
-					return nil, fmt.Errorf("%s epoch %d: %v", m.Name, e, err)
-				}
-				for _, p := range profiles {
-					if p.Event == sim.EvCycles {
-						out[p.ImagePath] += p.Total()
-					}
-				}
-			}
-		}
-		return out, nil
-	}
-	before, err := window(aFrom, aTo)
-	if err != nil {
-		return err
-	}
-	after, err := window(bFrom, bTo)
-	if err != nil {
-		return err
-	}
-	want := analysis.ShareDeltas(before, after)
-	if n < len(want) {
-		want = want[:n]
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("%d rows vs ground truth %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Name != want[i].Name ||
-			!closeEnough(got[i].BeforePct, want[i].BeforePct) ||
-			!closeEnough(got[i].AfterPct, want[i].AfterPct) {
-			return fmt.Errorf("row %d: %+v vs ground truth %+v", i, got[i], want[i])
-		}
-	}
-	return nil
-}
-
-// closeEnough absorbs float summation-order differences between the store
-// aggregation and the ground-truth recomputation.
-func closeEnough(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	return diff <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }

@@ -8,9 +8,11 @@ import (
 
 // TestFleetDemoSmall runs the self-verifying fleet demo at a small size —
 // four machines, one of them fault-injected, sixteen epochs — and requires
-// every one of its self-checks (exactly-once ingestion, labels, range and
-// delta against the per-machine databases, compaction, retry) to pass. It
-// is the one test that executes internal/fleet.
+// every one of its self-checks (the store against every sealed epoch of the
+// per-machine databases, range and delta answers against the same pass,
+// compaction, retry) to pass. A second run at four epochs, below the eight
+// at which the range window reaches one epoch, must still print a range
+// row: it used to render "epochs 5-4" and test nothing.
 func TestFleetDemoSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet demo simulates and scrapes a small fleet")
@@ -20,12 +22,30 @@ func TestFleetDemoSmall(t *testing.T) {
 	if code := fleetMain(args); code != 0 {
 		t.Fatalf("dcpicollect fleet %v exited %d; its stdout above names the failed check", args, code)
 	}
+
+	args = []string{"-machines", "2", "-epochs", "4", "-rounds", "2", "-scale", "0.02",
+		"-fault-machine", "-1", "-dir", t.TempDir()}
+	code, stdout := capture(t, &os.Stdout, func() int { return fleetMain(args) })
+	if code != 0 {
+		t.Fatalf("dcpicollect fleet %v exited %d:\n%s", args, code, stdout)
+	}
+	lines := strings.Split(stdout, "\n")
+	for i, line := range lines {
+		if strings.HasSuffix(line, " cycles, epochs 4-4") {
+			if i+2 >= len(lines) || !strings.HasPrefix(strings.TrimSpace(lines[i+2]), "4 ") {
+				t.Errorf("dcpicollect fleet %v: the range table has no row for epoch 4:\n%s", args, stdout)
+			}
+			return
+		}
+	}
+	t.Errorf("dcpicollect fleet %v: no range table over epochs 4-4:\n%s", args, stdout)
 }
 
-// TestFleetDemoRejectsBadSizes: a fleet with no machines, no epochs, no
-// scrape rounds (which used to divide by zero) or more rounds than epochs
-// (which used to scrape rounds nobody sealed anything in) is a usage error —
-// one line on stderr, exit 2 — refused before a machine or a store exists.
+// TestFleetDemoRejectsBadSizes: a fleet with no machines, fewer than two
+// epochs (a delta compares two non-empty halves), no scrape rounds (which
+// used to divide by zero) or more rounds than epochs (which used to scrape
+// rounds nobody sealed anything in) is a usage error — one line on stderr,
+// exit 2 — refused before a machine or a store exists.
 func TestFleetDemoRejectsBadSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -35,11 +55,12 @@ func TestFleetDemoRejectsBadSizes(t *testing.T) {
 		{"rounds negative", []string{"-rounds", "-1"}},
 		{"rounds above epochs", []string{"-epochs", "4", "-rounds", "5"}},
 		{"epochs 0", []string{"-epochs", "0"}},
+		{"epochs 1", []string{"-epochs", "1", "-rounds", "1"}},
 		{"machines 0", []string{"-machines", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			code, stderr := captureStderr(t, func() int {
+			code, stderr := capture(t, &os.Stderr, func() int {
 				return fleetMain(append(tc.args, "-dir", dir))
 			})
 			if code != 2 {
@@ -55,19 +76,19 @@ func TestFleetDemoRejectsBadSizes(t *testing.T) {
 	}
 }
 
-// captureStderr runs f with os.Stderr pointing at a file and returns what f
-// returned and wrote.
-func captureStderr(t *testing.T, f func() int) (int, string) {
+// capture runs f with *stream (os.Stdout or os.Stderr) pointing at a file
+// and returns what f returned and wrote there.
+func capture(t *testing.T, stream **os.File, f func() int) (int, string) {
 	t.Helper()
-	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	tmp, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tmp.Close()
-	saved := os.Stderr
-	os.Stderr = tmp
+	saved := *stream
+	*stream = tmp
 	code := f()
-	os.Stderr = saved
+	*stream = saved
 	out, err := os.ReadFile(tmp.Name())
 	if err != nil {
 		t.Fatal(err)

@@ -69,10 +69,6 @@ func queryMain(args []string) int {
 	return 0
 }
 
-func openRO(dir string) (*tsdb.DB, error) {
-	return tsdb.Open(dir, tsdb.Options{ReadOnly: true})
-}
-
 // getAPI fetches one API path from the server into v.
 func getAPI(server, path string, v any) error {
 	resp, err := http.Get(server + path)
@@ -105,7 +101,7 @@ func ask[T any](s source, path string, q url.Values,
 		err = getAPI(s.server, path+"?"+q.Encode(), &resp)
 	} else {
 		var db *tsdb.DB
-		if db, err = openRO(s.dbDir); err == nil {
+		if db, err = tsdb.Open(s.dbDir, tsdb.Options{ReadOnly: true}); err == nil {
 			resp, err = answer(db, q)
 		}
 	}

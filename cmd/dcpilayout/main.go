@@ -32,7 +32,7 @@ func main() {
 	}
 
 	view := openView()
-	pa, err := view.AnalyzeOffline(*img, *proc)
+	pa, err := view.Result().AnalyzeProc(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpilayout: %v\n", err)
 		os.Exit(1)

@@ -46,7 +46,7 @@ func main() {
 			if procSamples == 0 {
 				continue
 			}
-			pa, err := view.AnalyzeOffline(prof.ImagePath, sym.Name)
+			pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dcpitopixie: %s/%s: %v\n", prof.ImagePath, sym.Name, err)
 				os.Exit(1)

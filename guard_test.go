@@ -73,6 +73,13 @@ func TestSourceGuards(t *testing.T) {
 			func(file) bool { return true },
 			"§5.4 design points are driver.Config values: replay through driver.New(...).Record",
 		},
+		{
+			// The fleet demo's ground truth is one checker that reads each
+			// sealed epoch of each machine's database once.
+			regexp.MustCompile(`"dcpi/internal/profiledb"|\bprofiledb\.`),
+			func(f file) bool { return !f.isTest && in(f, "cmd/dcpicollect") },
+			"cmd/dcpicollect reads no profile database: ground truth is fleet.(*Fleet).Check",
+		},
 	}
 
 	files := 0

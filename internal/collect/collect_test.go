@@ -12,8 +12,6 @@ import (
 
 	"dcpi/internal/fleet"
 	"dcpi/internal/obs"
-	"dcpi/internal/profiledb"
-	"dcpi/internal/sim"
 	"dcpi/internal/tsdb"
 )
 
@@ -32,27 +30,6 @@ func targetsOf(f *fleet.Fleet) []Target {
 		ts = append(ts, Target{Name: m.Name, URL: m.URL})
 	}
 	return ts
-}
-
-// groundTruthSamples reads a machine's profile database directly and sums
-// one image's samples for an event at an epoch.
-func groundTruthSamples(t *testing.T, dbDir, image string, ev sim.Event, epoch int) uint64 {
-	t.Helper()
-	db, err := profiledb.OpenReader(dbDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles, err := db.ProfilesAt(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for _, p := range profiles {
-		if p.ImagePath == image && p.Event == ev {
-			total += p.Total()
-		}
-	}
-	return total
 }
 
 func TestScrapeFleetExactlyOnce(t *testing.T) {
@@ -123,24 +100,14 @@ func TestScrapeFleetExactlyOnce(t *testing.T) {
 		t.Fatalf("restarted collector re-ingested: %+v", sum)
 	}
 
-	// Every scraped point matches the per-machine database ground truth.
-	for _, m := range f.Machines {
-		for epoch := 1; epoch <= 4; epoch++ {
-			pts := store.Select(tsdb.Matcher{
-				Machine: m.Name, Event: sim.EvCycles,
-				FromEpoch: uint64(epoch), ToEpoch: uint64(epoch),
-			})
-			if len(pts) == 0 {
-				t.Fatalf("%s epoch %d: no points in store", m.Name, epoch)
-			}
-			for _, pt := range pts {
-				want := groundTruthSamples(t, m.DBDir, pt.Image, sim.EvCycles, epoch)
-				if pt.Samples != want {
-					t.Errorf("%s epoch %d %s: store %d, ground truth %d",
-						m.Name, epoch, pt.Image, pt.Samples, want)
-				}
-			}
-		}
+	// The store holds every sealed epoch of every machine's database once,
+	// with its samples and metadata.
+	truth, err := f.Check(store, fleet.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth.Epochs != 12 {
+		t.Errorf("checker read %d sealed machine-epochs, want 12", truth.Epochs)
 	}
 
 	snap := reg.Snapshot()
@@ -162,17 +129,17 @@ func TestScrapeFleetExactlyOnce(t *testing.T) {
 }
 
 func TestScrapeFaultRetryAndCatchUp(t *testing.T) {
+	// Machine 0's endpoint hard-fails its first 6 requests, then fails every
+	// 3rd. With 2 retries a scrape makes 3 attempts on /epochs, so rounds 1
+	// and 2 fail outright on requests 1-3 and 4-6. Round 3 lists on request
+	// 7 and fetches epoch 1 on request 8; request 9 fails and its retry, 10,
+	// fetches epoch 2. Five retries in all.
 	f, err := fleet.Start(fleet.Options{
-		Dir:      t.TempDir(),
-		Machines: 2,
-		Seed:     7,
-		Scale:    0.05,
-		// Machine 0's endpoint hard-fails its first 4 requests — more than
-		// round 1's attempts (1 try + 2 retries on /epochs) — then fails
-		// every 3rd request, which retries absorb.
-		FaultMachine:   0,
-		FaultHardFails: 4,
-		FaultEvery:     3,
+		Dir:          t.TempDir(),
+		Machines:     2,
+		Seed:         7,
+		Scale:        0.05,
+		FaultMachine: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,42 +160,36 @@ func TestScrapeFaultRetryAndCatchUp(t *testing.T) {
 		Obs:     obs.Hooks{Registry: reg},
 	})
 
-	sum := c.ScrapeOnce(context.Background())
-	if sum.Failed != 1 {
-		t.Fatalf("round 1: want 1 failed target, got %+v %+v", sum, c.Statuses())
-	}
-	var faulty TargetStatus
-	for _, st := range c.Statuses() {
-		if st.Name == "m00" {
-			faulty = st
+	for round := 1; round <= 2; round++ {
+		sum := c.ScrapeOnce(context.Background())
+		if sum.Failed != 1 {
+			t.Fatalf("round %d: want 1 failed target, got %+v %+v", round, sum, c.Statuses())
+		}
+		faulty := c.Statuses()[0]
+		if faulty.Name != "m00" || faulty.Failures != uint64(round) || faulty.StaleRounds != round || faulty.LastError == "" {
+			t.Errorf("round %d: faulty target status: %+v", round, faulty)
+		}
+		snap := reg.Snapshot()
+		if snap.Counters["collect.scrape_failures"] != uint64(round) || snap.Counters["collect.http_retries"] != uint64(2*round) {
+			t.Errorf("round %d: fault metrics: %+v", round, snap.Counters)
+		}
+		if snap.Gauges["collect.stale_targets"] != 1 || snap.Gauges["collect.max_stale_rounds"] != float64(round) {
+			t.Errorf("round %d: staleness gauges: %+v", round, snap.Gauges)
 		}
 	}
-	if faulty.Failures != 1 || faulty.StaleRounds != 1 || faulty.LastError == "" {
-		t.Errorf("faulty target status: %+v", faulty)
+
+	// The hard window is spent: one retry absorbs the every-3rd failure and
+	// the collector catches up on both epochs it missed.
+	if sum := c.ScrapeOnce(context.Background()); sum.Failed != 0 || sum.EpochsIngested != 2 {
+		t.Fatalf("round 3: want m00's 2 epochs and no failure, got %+v %+v", sum, c.Statuses())
+	}
+	if !store.HasEpoch("m00", 1) || store.MaxEpoch("m00") != 2 {
+		t.Errorf("m00 after catch-up: epoch 1 stored %v, max epoch %d", store.HasEpoch("m00", 1), store.MaxEpoch("m00"))
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["collect.scrape_failures"] != 1 || snap.Counters["collect.http_retries"] == 0 {
-		t.Errorf("fault metrics: %+v", snap.Counters)
-	}
-	if snap.Gauges["collect.stale_targets"] != 1 || snap.Gauges["collect.max_stale_rounds"] != 1 {
-		t.Errorf("staleness gauges: %+v", snap.Gauges)
-	}
-
-	// The fault injector's hard window is exhausted; retries absorb the
-	// residual every-3rd failures and the collector catches up on every
-	// epoch it missed.
-	for round := 0; round < 5 && store.MaxEpoch("m00") < 2; round++ {
-		c.ScrapeOnce(context.Background())
-	}
-	if got := store.MaxEpoch("m00"); got != 2 {
-		t.Fatalf("faulty target never caught up: max epoch %d, want 2", got)
-	}
-	if !store.HasEpoch("m00", 1) {
-		t.Error("missed epoch 1 during catch-up")
-	}
-	snap = reg.Snapshot()
-	if snap.Gauges["collect.stale_targets"] != 0 {
-		t.Errorf("stale gauge after recovery: %v", snap.Gauges["collect.stale_targets"])
+	if snap.Counters["collect.http_retries"] != 5 || snap.Gauges["collect.stale_targets"] != 0 {
+		t.Errorf("after recovery: retries %d, stale targets %v; want 5 and 0",
+			snap.Counters["collect.http_retries"], snap.Gauges["collect.stale_targets"])
 	}
 }
 

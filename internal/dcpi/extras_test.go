@@ -163,7 +163,7 @@ func TestOfflineView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offPA, err := view.AnalyzeOffline("/bin/mccalpin", "copyloop")
+	offPA, err := off.AnalyzeProc("/bin/mccalpin", "copyloop")
 	if err != nil {
 		t.Fatal(err)
 	}

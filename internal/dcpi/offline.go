@@ -3,7 +3,6 @@ package dcpi
 import (
 	"fmt"
 
-	"dcpi/internal/analysis"
 	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
@@ -97,10 +96,4 @@ func (v *OfflineView) Result() *Result {
 		profiles: v.profiles,
 		Machine:  v.machine,
 	}
-}
-
-// AnalyzeOffline runs the §6 analysis for one procedure using database
-// profiles.
-func (v *OfflineView) AnalyzeOffline(imagePath, procName string) (*analysis.ProcAnalysis, error) {
-	return v.Result().AnalyzeProc(imagePath, procName)
 }

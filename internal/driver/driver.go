@@ -164,12 +164,11 @@ type Config struct {
 	Ways        int
 	LRU         bool
 	SwapToFront bool
-	Cost        CostModel
-	// ZeroCost makes Record charge no cycles (pure sampling). Used by the
-	// analysis-accuracy experiments, where dense sampling periods would
-	// otherwise perturb the measured program (the real system's 60K-cycle
-	// periods make handler time negligible; dense experimental periods do
-	// not).
+	// ZeroCost makes Record charge no cycles (pure sampling) instead of
+	// DefaultCostModel's. Used by the analysis-accuracy experiments, where
+	// dense sampling periods would otherwise perturb the measured program
+	// (the real system's 60K-cycle periods make handler time negligible;
+	// dense experimental periods do not).
 	ZeroCost bool
 	// Obs attaches the optional self-observability sinks; the zero value
 	// keeps every instrumentation site a no-op.
@@ -190,14 +189,12 @@ func New(cfg Config) *Driver {
 	if cfg.Ways == 0 {
 		cfg.Ways = DefaultWays
 	}
-	if cfg.Cost == (CostModel{}) && !cfg.ZeroCost {
-		cfg.Cost = DefaultCostModel()
-	}
+	cost := DefaultCostModel()
 	if cfg.ZeroCost {
-		cfg.Cost = CostModel{}
+		cost = CostModel{}
 	}
 	d := &Driver{nbuckets: cfg.Buckets, ways: cfg.Ways, tuned: cfg.LRU || cfg.SwapToFront,
-		swapToFront: cfg.SwapToFront, bufCap: cfg.OverflowEntries, cost: cfg.Cost}
+		swapToFront: cfg.SwapToFront, bufCap: cfg.OverflowEntries, cost: cost}
 	if cfg.Buckets&(cfg.Buckets-1) == 0 {
 		d.mask = uint64(cfg.Buckets - 1)
 	}

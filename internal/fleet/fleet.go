@@ -9,7 +9,8 @@
 // CPI is computable). Per-epoch variation is a deterministic, seeded
 // perturbation of that base profile — machine m at epoch e always produces
 // the same counts — so the whole fleet is reproducible and the scraped
-// store can be verified bit-for-bit against the per-machine databases.
+// store can be verified bit-for-bit against the per-machine databases
+// (Check, in check.go).
 // An optional anomaly inflates one image's samples on a slice of the fleet
 // after a chosen epoch, giving the top-delta and CPI-regression queries
 // real signal; an optional fault injector makes one machine's endpoint
@@ -47,21 +48,20 @@ type Options struct {
 	Seed uint64
 	// Scale is the base-run workload scale (default 0.1).
 	Scale float64
-	// AnomalyAfter, when > 0, inflates AnomalyImage's sample counts by
-	// AnomalyFactor on every anomalous machine (indices 1, 5, 9, ... —
-	// m%4 == 1) for epochs strictly greater than AnomalyAfter. Samples
-	// grow while executed instructions do not: a CPI regression.
-	AnomalyAfter  int
-	AnomalyFactor float64 // default 3.0
-	AnomalyImage  string  // default: hottest non-kernel image of the base run
+	// AnomalyAfter, when > 0, triples the samples of the base run's hottest
+	// non-kernel image (AnomalyImage) on every anomalous machine (indices
+	// 1, 5, 9, ... — m%4 == 1) for epochs strictly greater than
+	// AnomalyAfter. Samples grow while executed instructions do not: a CPI
+	// regression.
+	AnomalyAfter int
 	// FaultMachine, when >= 0, wraps that machine's endpoint in a fault
-	// injector: the first FaultHardFails requests fail outright with HTTP
-	// 500 (enough to exhaust a scrape's retries), and afterwards every
-	// FaultEvery-th request still fails (recoverable via retry).
-	FaultMachine   int
-	FaultHardFails int // default 6
-	FaultEvery     int // default 3; 0 disables the residual failures
+	// injector: the first 6 requests fail outright with HTTP 500 (two
+	// scrapes at two retries), and afterwards every 3rd request still fails
+	// (recoverable via retry).
+	FaultMachine int
 }
+
+const anomalyFactor, faultHardFails, faultEvery = 3, 6, 3
 
 // template is the per-workload base profile a machine perturbs per epoch.
 type template struct {
@@ -105,17 +105,11 @@ type Fleet struct {
 	mu sync.Mutex
 }
 
-// faultInjector deterministically fails requests (see Options).
-type faultInjector struct {
-	n         atomic.Int64
-	hardFails int64
-	every     int64
-}
-
-func (f *faultInjector) wrap(h http.Handler) http.Handler {
+// injectFaults deterministically fails requests to h (see Options).
+func injectFaults(h http.Handler) http.Handler {
+	var requests atomic.Int64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := f.n.Add(1)
-		if n <= f.hardFails || (f.every > 0 && n%f.every == 0) {
+		if n := requests.Add(1); n <= faultHardFails || n%faultEvery == 0 {
 			http.Error(w, "injected fault", http.StatusInternalServerError)
 			return
 		}
@@ -135,15 +129,6 @@ func Start(opts Options) (*Fleet, error) {
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = 0.1
-	}
-	if opts.AnomalyFactor <= 0 {
-		opts.AnomalyFactor = 3.0
-	}
-	if opts.FaultHardFails == 0 {
-		opts.FaultHardFails = 6
-	}
-	if opts.FaultEvery == 0 {
-		opts.FaultEvery = 3
 	}
 
 	tmpls := map[string]*template{}
@@ -184,10 +169,7 @@ func Start(opts Options) (*Fleet, error) {
 			SymbolAt: tmpls[wl].loader.SymbolAt,
 		}))
 		if i == opts.FaultMachine {
-			handler = (&faultInjector{
-				hardFails: int64(opts.FaultHardFails),
-				every:     int64(opts.FaultEvery),
-			}).wrap(handler)
+			handler = injectFaults(handler)
 		}
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -275,8 +257,8 @@ func (f *Fleet) AdvanceEpoch() error {
 		insts := make(map[string]uint64, len(m.tmpl.insts))
 		for _, pt := range m.tmpl.profiles {
 			factor := f.jitter(m.Name, m.epoch, pt.image, pt.event)
-			if m.anom && pt.image == f.anomalyImage(m.tmpl) && m.epoch > f.opts.AnomalyAfter {
-				factor *= f.opts.AnomalyFactor
+			if m.anom && pt.image == m.tmpl.hotImage && m.epoch > f.opts.AnomalyAfter {
+				factor *= anomalyFactor
 			}
 			p := profiledb.NewProfile(pt.image, pt.event)
 			for i, off := range pt.offsets {
@@ -324,36 +306,23 @@ func (f *Fleet) AdvanceEpochs(n int) error {
 	return nil
 }
 
-// anomalyImage resolves the configured (or default) anomaly target.
-func (f *Fleet) anomalyImage(t *template) string {
-	if f.opts.AnomalyImage != "" {
-		return f.opts.AnomalyImage
-	}
-	return t.hotImage
-}
-
 // AnomalyImage returns the image the anomaly targets on the first
 // anomalous machine (the demo's query subject); with no anomaly
 // configured it falls back to the first machine's hottest image.
 func (f *Fleet) AnomalyImage() string {
-	if len(f.Machines) == 0 {
-		return f.opts.AnomalyImage
-	}
 	for _, m := range f.Machines {
 		if m.anom {
-			return f.anomalyImage(m.tmpl)
+			return m.tmpl.hotImage
 		}
 	}
-	return f.anomalyImage(f.Machines[0].tmpl)
+	return f.Machines[0].tmpl.hotImage
 }
 
-// Epoch returns the number of sealed epochs every machine has.
+// Epoch returns the number of sealed epochs every machine has. (Start
+// builds at least one machine.)
 func (f *Fleet) Epoch() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.Machines) == 0 {
-		return 0
-	}
 	return f.Machines[0].epoch
 }
 
