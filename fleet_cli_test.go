@@ -2,6 +2,7 @@ package dcpibench
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
@@ -10,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dcpi/internal/expo"
 )
 
 // TestFleetCLI exercises the fleet pipeline end to end the way an
@@ -86,10 +89,16 @@ waitURL:
 			if err != nil {
 				continue
 			}
-			body := make([]byte, 1<<16)
-			n, _ := resp.Body.Read(body)
+			var ep expo.EpochsPayload
+			err = json.NewDecoder(resp.Body).Decode(&ep)
 			resp.Body.Close()
-			if strings.Count(string(body[:n]), `"sealed": true`) >= 3 {
+			sealed := 0
+			for _, e := range ep.Epochs {
+				if e.Sealed {
+					sealed++
+				}
+			}
+			if err == nil && sealed >= 3 {
 				return
 			}
 		}

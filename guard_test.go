@@ -80,6 +80,13 @@ func TestSourceGuards(t *testing.T) {
 			func(f file) bool { return !f.isTest && in(f, "cmd/dcpicollect") },
 			"cmd/dcpicollect reads no profile database: ground truth is fleet.(*Fleet).Check",
 		},
+		{
+			// Epochs are dense from 1 because nothing in profiledb removes
+			// one; /epochs?after=N probes upward on that invariant.
+			regexp.MustCompile(`os\.RemoveAll\(|os\.Remove\([^)]*[Ee]poch`),
+			func(f file) bool { return !f.isTest && in(f, "internal/profiledb") },
+			"internal/profiledb removes no epoch directory: EpochsAfter relies on epochs being dense from 1",
+		},
 	}
 
 	files := 0

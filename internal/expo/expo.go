@@ -8,8 +8,9 @@
 // Endpoints:
 //
 //	/epochs           JSON list of profiledb epochs and their seal state
-//	                  (?after=N lists only epochs above N, so a scraper
-//	                  that already holds 1..N pays for what is new)
+//	                  (?after=N lists only epochs above N, found by probing
+//	                  N+1, N+2, … rather than listing the directory, so a
+//	                  scraper that already holds 1..N pays for what is new)
 //	/profiles?epoch=N JSON payload of one epoch's profiles (default: latest
 //	                  sealed; ?full=1 adds per-offset counts; ?procs=1 adds
 //	                  a per-procedure breakdown when the source symbolizes)
@@ -23,7 +24,12 @@
 // database directory — the daemon can keep appending while scrapes are in
 // flight (see the profiledb read-while-write contract) — and no handler
 // uses the handle's own latest-epoch position, which is fixed at open:
-// every request lists the directory or names its epoch.
+// every request names its epoch, probes upward from one, or lists the
+// directory. /epochs, /profiles and /stats answer in compact JSON; the
+// snapshot of /metrics?format=json keeps obs's indented file format. With
+// a Registry, /epochs counts the epoch directories it probes
+// (expo.epochs_probed) and the directory listings it makes
+// (expo.dir_listings).
 package expo
 
 import (
@@ -143,11 +149,11 @@ func Handler(src *Source) http.Handler {
 	return mux
 }
 
+// writeJSON writes v as compact JSON: the scrape protocol is machine to
+// machine, and a human reading along can pipe it through jq.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // reader returns the source's read-only handle, opening it the first time
@@ -167,7 +173,8 @@ func (src *Source) reader() (*profiledb.DB, error) {
 
 func (src *Source) serveEpochs(w http.ResponseWriter, r *http.Request) {
 	after := 0
-	if vs, ok := r.URL.Query()["after"]; ok {
+	vs, hasAfter := r.URL.Query()["after"]
+	if hasAfter {
 		n, err := strconv.Atoi(vs[0])
 		if err != nil || n < 0 {
 			http.Error(w, "bad after", http.StatusBadRequest)
@@ -177,19 +184,39 @@ func (src *Source) serveEpochs(w http.ResponseWriter, r *http.Request) {
 	}
 	payload := EpochsPayload{Machine: src.Machine, Workload: src.Workload, Epochs: []EpochInfo{}}
 	if db, err := src.reader(); err == nil {
-		epochs, lerr := db.Epochs()
+		epochs, lerr := src.epochsAfter(db, after, hasAfter)
 		if lerr != nil {
 			http.Error(w, lerr.Error(), http.StatusInternalServerError)
 			return
 		}
-		// Only the epochs above after are stat'ed for their seal: a scrape
-		// from the collector's high-water mark costs what is new.
-		newer := sort.Search(len(epochs), func(i int) bool { return epochs[i] > after })
-		for _, e := range epochs[newer:] {
+		for _, e := range epochs {
 			payload.Epochs = append(payload.Epochs, EpochInfo{Epoch: e, Sealed: db.Sealed(e)})
 		}
 	}
 	writeJSON(w, payload)
+}
+
+// epochsAfter lists the epochs /epochs reports and counts what finding them
+// cost: the root listings (expo.dir_listings) and the epoch directories
+// stat'ed (expo.epochs_probed). With after given it walks up from after+1
+// (profiledb's EpochsAfter), so a scrape from the collector's high-water
+// mark costs what is new; without, it lists the whole root.
+func (src *Source) epochsAfter(db *profiledb.DB, after int, hasAfter bool) ([]int, error) {
+	reg := src.Registry
+	if !hasAfter {
+		reg.Counter("expo.dir_listings").Inc()
+		return db.Epochs()
+	}
+	epochs, err := db.EpochsAfter(after)
+	if len(epochs) > 0 && epochs[0] == after+1 {
+		// Each epoch returned was stat'ed, and so was the first one missing.
+		reg.Counter("expo.epochs_probed").Add(uint64(len(epochs)) + 1)
+	} else {
+		// Epoch after+1 was missing: one stat, then one listing.
+		reg.Counter("expo.epochs_probed").Inc()
+		reg.Counter("expo.dir_listings").Inc()
+	}
+	return epochs, err
 }
 
 func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {

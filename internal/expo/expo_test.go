@@ -2,6 +2,7 @@ package expo
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -53,24 +54,7 @@ func buildDB(t *testing.T) string {
 }
 
 // fullListing is buildDB's /epochs body with no after parameter.
-const fullListing = `{
-  "machine": "m00",
-  "workload": "app",
-  "epochs": [
-    {
-      "epoch": 1,
-      "sealed": true
-    },
-    {
-      "epoch": 2,
-      "sealed": true
-    },
-    {
-      "epoch": 3,
-      "sealed": false
-    }
-  ]
-}
+const fullListing = `{"machine":"m00","workload":"app","epochs":[{"epoch":1,"sealed":true},{"epoch":2,"sealed":true},{"epoch":3,"sealed":false}]}
 `
 
 func TestExpositionEndpoints(t *testing.T) {
@@ -108,7 +92,7 @@ func TestExpositionEndpoints(t *testing.T) {
 	}
 
 	// /epochs: three epochs, first two sealed. Without after the body is
-	// the full listing, byte for byte what it was before after existed.
+	// the full listing, in compact JSON.
 	resp, body := get("/epochs")
 	if resp.StatusCode != 200 {
 		t.Fatalf("/epochs: %d %s", resp.StatusCode, body)
@@ -134,7 +118,7 @@ func TestExpositionEndpoints(t *testing.T) {
 		if !reflect.DeepEqual(ep.Epochs, tc.want) {
 			t.Errorf("/epochs?after=%s: %+v, want %+v", tc.after, ep.Epochs, tc.want)
 		}
-		if len(tc.want) == 0 && !strings.Contains(body, `"epochs": []`) {
+		if ep.Epochs == nil {
 			t.Errorf("/epochs?after=%s lists null, not []: %s", tc.after, body)
 		}
 	}
@@ -246,7 +230,7 @@ func TestExpositionEmptyDB(t *testing.T) {
 // A source created before its database has an epoch answers as an empty
 // one until the first epoch appears, then opens its one handle. That
 // handle's position is fixed at open, so every later epoch must still be
-// found by listing the directory.
+// found on disk, by probing or listing the directory.
 func TestExpositionOpensOnFirstEpoch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	src := &Source{Machine: "m00", DBDir: dir}
@@ -326,5 +310,59 @@ func TestExpositionOpensOnFirstEpoch(t *testing.T) {
 	}
 	if src.db.Load() != handle {
 		t.Error("the source reopened its handle")
+	}
+}
+
+// A scrape from the high-water mark costs the same at any uptime: on a
+// database of k epochs, /epochs?after=k-1 probes epoch k and the missing
+// k+1 and lists no directory, whether k is 10 or 400. Without after, or
+// when epoch after+1 is missing, /epochs lists the root once.
+func TestEpochsProbeIsFlatInUptime(t *testing.T) {
+	for _, k := range []int{10, 400} {
+		dir := t.TempDir()
+		db, err := profiledb.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for db.Epoch() < k {
+			if err := db.NewEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := obs.NewRegistry()
+		srv := httptest.NewServer(Handler(&Source{Machine: "m00", DBDir: dir, Registry: reg}))
+		t.Cleanup(srv.Close)
+		scrape := func(query string) []EpochInfo {
+			resp, err := http.Get(srv.URL + "/epochs" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var ep EpochsPayload
+			if err := json.NewDecoder(resp.Body).Decode(&ep); err != nil || resp.StatusCode != 200 {
+				t.Fatalf("/epochs%s: %d %v", query, resp.StatusCode, err)
+			}
+			return ep.Epochs
+		}
+		counts := func() [2]uint64 {
+			return [2]uint64{reg.Counter("expo.epochs_probed").Value(), reg.Counter("expo.dir_listings").Value()}
+		}
+
+		if got := scrape(fmt.Sprintf("?after=%d", k-1)); !reflect.DeepEqual(got, []EpochInfo{{k, false}}) {
+			t.Errorf("k=%d: /epochs?after=%d lists %+v", k, k-1, got)
+		}
+		if got := counts(); got != [2]uint64{2, 0} {
+			t.Errorf("k=%d: a scrape from the high-water mark probed %d epochs and listed %d directories, want 2 and 0", k, got[0], got[1])
+		}
+		// Nothing above k: one probe finds k+1 missing, one listing confirms.
+		if got := scrape(fmt.Sprintf("?after=%d", k)); len(got) != 0 {
+			t.Errorf("k=%d: /epochs?after=%d lists %+v", k, k, got)
+		}
+		if len(scrape("")) != k {
+			t.Errorf("k=%d: the full listing is not %d epochs", k, k)
+		}
+		if got := counts(); got != [2]uint64{3, 2} {
+			t.Errorf("k=%d: after three scrapes, %d probes and %d listings, want 3 and 2", k, got[0], got[1])
+		}
 	}
 }

@@ -18,10 +18,16 @@ import (
 // breakdowns, into a new store.
 func scraped(t *testing.T, k int) (*Fleet, *tsdb.DB) {
 	t.Helper()
-	f := startFleet(t)
+	f := startFleet(t, 2)
 	if err := f.AdvanceEpochs(k); err != nil {
 		t.Fatal(err)
 	}
+	return f, scrape(t, f, k)
+}
+
+// scrape ingests every sealed epoch of f, k per machine, into a new store.
+func scrape(t *testing.T, f *Fleet, k int) *tsdb.DB {
+	t.Helper()
 	store := newStore(t)
 	cfg := collect.Config{Timeout: 5 * time.Second, Backoff: time.Millisecond, DB: store, Procs: true}
 	for _, m := range f.Machines {
@@ -30,7 +36,7 @@ func scraped(t *testing.T, k int) (*Fleet, *tsdb.DB) {
 	if sum := collect.New(cfg).ScrapeOnce(context.Background()); sum.Failed != 0 || sum.EpochsIngested != len(f.Machines)*k {
 		t.Fatalf("scrape: %+v", sum)
 	}
-	return f, store
+	return store
 }
 
 func newStore(t *testing.T) *tsdb.DB {

@@ -18,12 +18,14 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"net"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -246,54 +248,76 @@ func scaleCount(n uint64, factor float64) uint64 {
 	return uint64(math.Round(float64(n) * factor))
 }
 
-// AdvanceEpoch appends one sealed epoch to every machine: perturbed
-// profiles, then the metadata seal, then a fresh (unsealed) epoch for the
-// next round — the same write-meta-last protocol dcpid follows.
+// AdvanceEpoch appends one sealed epoch to every machine (see seal). The
+// machines seal concurrently, on min(GOMAXPROCS, machines) workers, as
+// real ones would: each owns its database and epoch counter, the templates
+// they share are read-only, and jitter is a pure hash, so every file's
+// bytes are those of a serial pass. The errors are joined in machine order.
 func (f *Fleet) AdvanceEpoch() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, m := range f.Machines {
-		m.epoch++
-		insts := make(map[string]uint64, len(m.tmpl.insts))
-		for _, pt := range m.tmpl.profiles {
-			factor := f.jitter(m.Name, m.epoch, pt.image, pt.event)
-			if m.anom && pt.image == m.tmpl.hotImage && m.epoch > f.opts.AnomalyAfter {
-				factor *= anomalyFactor
-			}
-			p := profiledb.NewProfile(pt.image, pt.event)
-			for i, off := range pt.offsets {
-				if c := scaleCount(pt.counts[i], factor); c > 0 {
-					p.Add(off, c)
+	errs := make([]error, len(f.Machines))
+	workers := min(runtime.GOMAXPROCS(0), len(f.Machines))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(f.Machines) {
+					return
 				}
+				errs[i] = f.seal(f.Machines[i])
 			}
-			if p.Total() == 0 {
-				continue
-			}
-			if err := m.db.Update(p); err != nil {
-				return fmt.Errorf("fleet: %s epoch %d: %w", m.Name, m.epoch, err)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// seal appends one sealed epoch to m: perturbed profiles, then the
+// metadata seal, then a fresh (unsealed) epoch for the next round — the
+// same write-meta-last protocol dcpid follows.
+func (f *Fleet) seal(m *Machine) error {
+	m.epoch++
+	insts := make(map[string]uint64, len(m.tmpl.insts))
+	for _, pt := range m.tmpl.profiles {
+		factor := f.jitter(m.Name, m.epoch, pt.image, pt.event)
+		if m.anom && pt.image == m.tmpl.hotImage && m.epoch > f.opts.AnomalyAfter {
+			factor *= anomalyFactor
+		}
+		p := profiledb.NewProfile(pt.image, pt.event)
+		for i, off := range pt.offsets {
+			if c := scaleCount(pt.counts[i], factor); c > 0 {
+				p.Add(off, c)
 			}
 		}
-		for image, n := range m.tmpl.insts {
-			// Executed instructions jitter with the cycles profile's factor
-			// but are never inflated by the anomaly — that is what makes
-			// the anomaly a CPI regression rather than just more work.
-			insts[image] = scaleCount(n, f.jitter(m.Name, m.epoch, image, sim.EvCycles))
+		if p.Total() == 0 {
+			continue
 		}
-		if err := m.db.WriteMeta(profiledb.Meta{
-			Workload:     m.Workload,
-			Mode:         sim.ModeDefault.String(),
-			CyclesPeriod: m.tmpl.period,
-			WallCycles:   m.tmpl.wall,
-			Seed:         f.opts.Seed,
-			ImageInsts:   insts,
-		}); err != nil {
-			return fmt.Errorf("fleet: %s epoch %d meta: %w", m.Name, m.epoch, err)
-		}
-		if err := m.db.NewEpoch(); err != nil {
-			return err
+		if err := m.db.Update(p); err != nil {
+			return fmt.Errorf("fleet: %s epoch %d: %w", m.Name, m.epoch, err)
 		}
 	}
-	return nil
+	for image, n := range m.tmpl.insts {
+		// Executed instructions jitter with the cycles profile's factor
+		// but are never inflated by the anomaly — that is what makes
+		// the anomaly a CPI regression rather than just more work.
+		insts[image] = scaleCount(n, f.jitter(m.Name, m.epoch, image, sim.EvCycles))
+	}
+	if err := m.db.WriteMeta(profiledb.Meta{
+		Workload:     m.Workload,
+		Mode:         sim.ModeDefault.String(),
+		CyclesPeriod: m.tmpl.period,
+		WallCycles:   m.tmpl.wall,
+		Seed:         f.opts.Seed,
+		ImageInsts:   insts,
+	}); err != nil {
+		return fmt.Errorf("fleet: %s epoch %d meta: %w", m.Name, m.epoch, err)
+	}
+	return m.db.NewEpoch()
 }
 
 // AdvanceEpochs appends n sealed epochs to every machine.

@@ -4,17 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dcpi/internal/expo"
+	"dcpi/internal/profiledb"
 )
 
-func startFleet(t *testing.T) *Fleet {
+func startFleet(t *testing.T, machines int) *Fleet {
 	t.Helper()
-	f, err := Start(Options{Dir: t.TempDir(), Machines: 2, Seed: 5, Scale: 0.05, FaultMachine: -1})
+	f, err := Start(Options{Dir: t.TempDir(), Machines: machines, Seed: 5, Scale: 0.05, FaultMachine: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func listing(t *testing.T, url string) []expo.EpochInfo {
 // the collector's high-water mark relies on.
 func TestAdvanceEpochServesSealedEpochs(t *testing.T) {
 	const k = 3
-	f := startFleet(t)
+	f := startFleet(t, 2)
 	if err := f.AdvanceEpochs(k); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestAdvanceEpochServesSealedEpochs(t *testing.T) {
 // epoch e always produces the same counts.
 func TestSameSeedSameProfiles(t *testing.T) {
 	const k = 2
-	a, b := startFleet(t), startFleet(t)
+	a, b := startFleet(t, 2), startFleet(t, 2)
 	for _, f := range []*Fleet{a, b} {
 		if err := f.AdvanceEpochs(k); err != nil {
 			t.Fatal(err)
@@ -90,6 +95,74 @@ func TestSameSeedSameProfiles(t *testing.T) {
 		}
 		if string(x) != string(y) {
 			t.Errorf("%s %s differs between two fleets of one seed:\n%s\n%s", m.Name, path, x, y)
+		}
+	}
+}
+
+// files reads every file under dir, keyed by its path below dir.
+func files(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		out[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Machines seal concurrently, and a fleet sealed on one worker and one
+// sealed on four leave the same bytes in every machine's database, each
+// held to the checker.
+func TestConcurrentSealMatchesSerial(t *testing.T) {
+	const k, machines = 5, 6
+	var fleets [2]*Fleet
+	for i, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		fleets[i] = startFleet(t, machines)
+		err := fleets[i].AdvanceEpochs(k)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fleets[i].Check(scrape(t, fleets[i], k), Query{}); err != nil {
+			t.Errorf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
+	for i, m := range fleets[0].Machines {
+		serial, concurrent := files(t, m.DBDir), files(t, fleets[1].Machines[i].DBDir)
+		if len(serial) == 0 || !reflect.DeepEqual(serial, concurrent) {
+			t.Errorf("%s: %d files sealed serially, %d concurrently, or their bytes differ", m.Name, len(serial), len(concurrent))
+		}
+	}
+}
+
+// A machine that fails to seal does not hide behind the others: its error
+// comes back through the joined one, naming it.
+func TestAdvanceEpochJoinsErrors(t *testing.T) {
+	f := startFleet(t, 3)
+	bad := f.Machines[1]
+	ro, err := profiledb.OpenReader(bad.DBDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.db = ro // every Update now fails
+	err = f.AdvanceEpoch()
+	if err == nil || !strings.Contains(err.Error(), bad.Name+" epoch 1") {
+		t.Fatalf("AdvanceEpoch with %s read-only: %v", bad.Name, err)
+	}
+	for _, m := range f.Machines {
+		if m != bad && !listing(t, m.URL+"/epochs")[0].Sealed {
+			t.Errorf("%s did not seal epoch 1 beside the failing %s", m.Name, bad.Name)
 		}
 	}
 }

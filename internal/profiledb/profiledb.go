@@ -150,6 +150,12 @@ type DB struct {
 // behind by a crashed writer opens with its intact profiles loadable and
 // any torn file quarantined rather than failing every subsequent read.
 //
+// Epochs are dense from 1: Open creates epoch 1 or resumes the latest,
+// NewEpoch creates the one after the current, and nothing in this package
+// removes an epoch. EpochsAfter relies on it to find new epochs without
+// listing the root, and falls back to a listing where an operator has
+// broken it by hand.
+//
 // Open assumes it is the only writer: its recovery pass deletes .tmp files
 // and renames undecodable profiles, which would sabotage a live daemon
 // mid-write. Concurrent readers (the HTTP exposition endpoint, dcpicollect
@@ -237,6 +243,33 @@ func (db *DB) Epochs() ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
+}
+
+// EpochsAfter lists the epochs above n, ascending: Epochs()[n:] on a dense
+// database (see Open). It stats epoch n+1, n+2, … and stops at the first
+// one missing, so it costs what it returns, not what the database holds.
+// Only when epoch n+1 itself is missing — nothing new yet, or a hole an
+// operator pruned — does it list the root and keep what lies above n, so a
+// hole delays a caller walking up from n and never stalls one.
+func (db *DB) EpochsAfter(n int) ([]int, error) {
+	var out []int
+	for e := max(n, 0) + 1; db.isEpoch(e); e++ {
+		out = append(out, e)
+	}
+	if len(out) > 0 {
+		return out, nil
+	}
+	all, err := db.Epochs()
+	if err != nil {
+		return nil, err
+	}
+	return all[sort.SearchInts(all, n+1):], nil
+}
+
+// isEpoch reports whether epoch's directory exists.
+func (db *DB) isEpoch(epoch int) bool {
+	fi, err := os.Stat(db.epochDir(epoch))
+	return err == nil && fi.IsDir()
 }
 
 // Sealed reports whether an epoch has been sealed: its collection metadata

@@ -145,21 +145,22 @@ func TestSweepCompress(t *testing.T) {
 	}
 }
 
-// BenchmarkWhatifSweep measures a warm 2-point sweep: simulations resolve
-// from the runner's memory cache, so the benchmark isolates the analysis,
-// diffing, and scoring cost per sweep (a microscope: go test -bench
-// WhatifSweep ./internal/whatif; bench/ reports a real sweep as
-// whatif.sweep_s).
-func BenchmarkWhatifSweep(b *testing.B) {
+// benchSweep is the 2-point compress sweep both benchmarks run.
+func benchSweep(b *testing.B) Options {
 	grid, err := GridByNames([]string{"dcache2x", "memlat2x"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{
-		Base:   dcpi.Config{Workload: "compress", Scale: 0.05, Seed: 3},
-		Grid:   grid,
-		Runner: runner.New(0),
-	}
+	return Options{Base: dcpi.Config{Workload: "compress", Scale: 0.05, Seed: 3}, Grid: grid}
+}
+
+// BenchmarkWhatifRescore measures a warm 2-point sweep: every simulation
+// resolves from the runner's memory cache, so what is timed is the
+// analysis, diffing and scoring of one sweep (a microscope: go test -bench
+// WhatifRescore ./internal/whatif).
+func BenchmarkWhatifRescore(b *testing.B) {
+	opts := benchSweep(b)
+	opts.Runner = runner.New(0)
 	rep, err := Sweep(opts) // cold pass populates the cache
 	if err != nil {
 		b.Fatal(err)
@@ -175,4 +176,18 @@ func BenchmarkWhatifSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rep.Claims), "claims/sweep")
+}
+
+// BenchmarkWhatifSweep measures a cold 2-point sweep: a fresh runner per
+// iteration, so the baseline and both grid points simulate every time, as
+// in a first dcpiwhatif run (bench/ reports the 11-point sweep as
+// whatif.sweep_s).
+func BenchmarkWhatifSweep(b *testing.B) {
+	opts := benchSweep(b)
+	for i := 0; i < b.N; i++ {
+		opts.Runner = runner.New(0)
+		if _, err := Sweep(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
