@@ -87,6 +87,13 @@ func TestSourceGuards(t *testing.T) {
 			func(f file) bool { return !f.isTest && in(f, "internal/profiledb") },
 			"internal/profiledb removes no epoch directory: EpochsAfter relies on epochs being dense from 1",
 		},
+		{
+			// Work spreads over goroutines through one pool. (bench/ is the
+			// benchmark's own module and keeps its harness.)
+			regexp.MustCompile(`sync\.WaitGroup`),
+			func(f file) bool { return !f.isTest && in(f, "cmd", "internal") && !in(f, "internal/par") },
+			"hand-rolled fan-out: spread work with par.Do, or par.Default().Each (Budget.Each) when it is CPU-bound",
+		},
 	}
 
 	files := 0

@@ -24,6 +24,7 @@ import (
 
 	"dcpi/internal/expo"
 	"dcpi/internal/obs"
+	"dcpi/internal/par"
 	"dcpi/internal/sim"
 	"dcpi/internal/tsdb"
 )
@@ -282,21 +283,15 @@ func (c *Collector) ScrapeOnce(ctx context.Context) RoundSummary {
 		elapsed time.Duration
 		err     error
 	}
-	sem := make(chan struct{}, c.cfg.Parallel)
+	// Scrapes wait on the network, not the host's CPUs, so they keep their
+	// own bound rather than borrowing from the worker budget.
 	results := make([]result, len(c.cfg.Targets))
-	var wg sync.WaitGroup
-	for i, t := range c.cfg.Targets {
-		wg.Add(1)
-		go func(i int, t Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			ne, np, err := c.scrapeTarget(ctx, t)
-			results[i] = result{target: t, epochs: ne, points: np, elapsed: time.Since(start), err: err}
-		}(i, t)
-	}
-	wg.Wait()
+	par.Do(c.cfg.Parallel, len(c.cfg.Targets), func(i int) {
+		t := c.cfg.Targets[i]
+		start := time.Now()
+		ne, np, err := c.scrapeTarget(ctx, t)
+		results[i] = result{target: t, epochs: ne, points: np, elapsed: time.Since(start), err: err}
+	})
 
 	sum := RoundSummary{Targets: len(c.cfg.Targets)}
 	c.mu.Lock()

@@ -535,9 +535,12 @@ func (d *Daemon) detachAll() map[profKey]*profiledb.Profile {
 // mergeToDisk writes the detached profiles map into the database, deleting
 // each profile from the map as it lands; entries left behind on error are
 // the caller's to reattach. Fault injection: when the plan's CrashAtMerge
-// matches this attempt, the merge writes CrashMergeProfiles profiles intact,
-// tears the next write mid-file, and crashes the daemon. Profiles merge in
-// sorted order so the injected tear is deterministic.
+// matches this attempt, the merge writes the first CrashMergeProfiles
+// profiles in sorted key order intact, tears the next one mid-file, and
+// crashes the daemon. The writes before the tear fan out over spare budget
+// slots: distinct keys are distinct files and db.Update is an atomic
+// read-merge-rename per file, so the bytes — and the returned error, first
+// in key order — do not depend on scheduling.
 func (d *Daemon) mergeToDisk(clock int64, profiles map[profKey]*profiledb.Profile) (crashed bool, err error) {
 	if d.cfg.DB == nil {
 		return false, fmt.Errorf("daemon: no database configured")
@@ -562,85 +565,35 @@ func (d *Daemon) mergeToDisk(clock int64, profiles map[profKey]*profiledb.Profil
 		return a.pid < b.pid
 	})
 	n := len(keys)
-	if injectAt < 0 {
-		err = d.updateAll(keys, profiles)
-	} else {
-		for i, k := range keys {
-			p := profiles[k]
-			if i == injectAt {
-				// Torn write: the crash interrupts this profile mid-file,
-				// also destroying whatever the file held from earlier
-				// merges. Both losses are counted so recorded == merged +
-				// lost still holds.
-				destroyed, _ := d.cfg.DB.WriteTorn(p)
-				d.stats.CrashDropped += destroyed
-				d.crash(clock, "fault:crash_merge", profiles)
-				return true, nil
-			}
-			if err := d.cfg.DB.Update(p); err != nil {
-				return false, err
-			}
+	if injectAt >= 0 {
+		n = min(injectAt, n)
+	}
+	errs := make([]error, n)
+	par.Default().Each(n, func(i int) { errs[i] = d.cfg.DB.Update(profiles[keys[i]]) })
+	for i, k := range keys[:n] {
+		if errs[i] == nil {
 			delete(profiles, k)
+		} else if err == nil {
+			err = errs[i]
 		}
 	}
 	if err != nil {
 		return false, err
+	}
+	if n < len(keys) {
+		// Torn write: the crash interrupts this profile mid-file, also
+		// destroying whatever the file held from earlier merges. Both
+		// losses are counted so recorded == merged + lost still holds.
+		destroyed, _ := d.cfg.DB.WriteTorn(profiles[keys[n]])
+		d.stats.CrashDropped += destroyed
+		d.crash(clock, "fault:crash_merge", profiles)
+		return true, nil
 	}
 	if d.obsOn {
 		d.tracer.Instant("db", "epoch_flush", obs.PIDDB, 0, clock,
 			map[string]any{"profiles": n, "epoch": d.cfg.DB.Epoch()})
 	}
 	return false, nil
-}
-
-// updateAll writes the keyed profiles to the database, fanning writes out
-// over spare budget slots when more than one profile is pending. Distinct
-// keys map to distinct database files and db.Update is an atomic
-// read-merge-rename per file, so concurrent epoch merges are safe; the
-// result — and the returned error, first in sorted-key order — is
-// independent of scheduling. Only reached fault-free (injected tears need
-// the strict sequential order).
-func (d *Daemon) updateAll(keys []profKey, profiles map[profKey]*profiledb.Profile) error {
-	extra := 0
-	if len(keys) > 1 {
-		extra = par.Default().TryExtra(len(keys) - 1)
-		defer par.Default().Release(extra)
-	}
-	if extra == 0 {
-		for _, k := range keys {
-			if err := d.cfg.DB.Update(profiles[k]); err != nil {
-				return err
-			}
-			delete(profiles, k)
-		}
-		return nil
-	}
-	errs := make([]error, len(keys))
-	work := make(chan int, len(keys))
-	for i := range keys {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < extra+1; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				errs[i] = d.cfg.DB.Update(profiles[keys[i]])
-			}
-		}()
-	}
-	wg.Wait()
-	var first error
-	for i, k := range keys {
-		if errs[i] == nil {
-			delete(profiles, k)
-		} else if first == nil {
-			first = errs[i]
-		}
-	}
-	return first
 }
 
 // Profiles returns the in-memory profiles, sorted by image then event. A

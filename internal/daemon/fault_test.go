@@ -3,12 +3,14 @@ package daemon
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dcpi/internal/driver"
 	"dcpi/internal/image"
 	"dcpi/internal/loader"
+	"dcpi/internal/par"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
@@ -127,8 +129,25 @@ func TestCrashAtDropsCountedAndRestarts(t *testing.T) {
 
 // Killing the daemon mid-merge leaves a torn profile file. The restarted
 // daemon's recovery pass quarantines it, intact profiles still load, and
-// merging resumes -- the acceptance scenario for crash-safe merges.
+// merging resumes -- the acceptance scenario for crash-safe merges. The
+// tear lands on the same profile, and the epoch holds the same bytes,
+// whether the writes before it run on one goroutine (every budget slot
+// held) or fan out over free slots.
 func TestCrashMidMergeRecovery(t *testing.T) {
+	var epochs [2]map[string][]byte
+	for i, held := range []int{par.Default().Total(), 0} {
+		par.Default().Acquire(held)
+		epochs[i] = crashMidMerge(t)
+		par.Default().Release(held)
+	}
+	if !reflect.DeepEqual(epochs[0], epochs[1]) {
+		t.Error("the crashed epoch's files differ between a serial and a concurrent merge")
+	}
+}
+
+// crashMidMerge runs the crash-mid-merge scenario and returns the epoch
+// directory's files by name.
+func crashMidMerge(t *testing.T) map[string][]byte {
 	dir := t.TempDir()
 	db, err := profiledb.Open(dir)
 	if err != nil {
@@ -139,16 +158,20 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 		DB:            db,
 		DrainInterval: 100,
 		MergeInterval: 250,
-		Fault:         FaultPlan{CrashAtMerge: 2, CrashMergeProfiles: 1, RestartDelay: 100},
+		Fault:         FaultPlan{CrashAtMerge: 2, CrashMergeProfiles: 2, RestartDelay: 100},
 	}, drv)
 	d.HandleNotification(note(1, "/bin/app", 0, 1<<20, image.KindExecutable))
 	d.HandleNotification(note(1, "/usr/shlib/libc.so", loader.SharedLibBase, 1<<20, image.KindShared))
+	// Four profiles per merge. In sorted key order (image, then event) the
+	// two /bin/app profiles land, and libc's cycles profile, at index
+	// CrashMergeProfiles, is torn.
+	events := []sim.Event{sim.EvCycles, sim.EvIMiss}
 	for i := 0; i < 3000; i++ {
 		pc := uint64(i%64) * 4
 		if i%2 == 1 {
 			pc += loader.SharedLibBase
 		}
-		drv.RecordAt(0, 1, pc, sim.EvCycles, int64(i))
+		drv.RecordAt(0, 1, pc, events[i/2%2], int64(i))
 		d.Poll(0, int64(i))
 	}
 	if err := d.Flush(); err != nil {
@@ -167,6 +190,7 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 
 	// The torn file was quarantined by the restart's recovery pass.
 	var quarantined []string
+	epoch := map[string][]byte{}
 	entries, err := os.ReadDir(filepath.Join(dir, "epoch-0001"))
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +199,18 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".bad") {
 			quarantined = append(quarantined, e.Name())
 		}
+		if epoch[e.Name()], err = os.ReadFile(filepath.Join(dir, "epoch-0001", e.Name())); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(quarantined) != 1 {
-		t.Fatalf("quarantined files = %v, want exactly the torn one", quarantined)
+	torn := filepath.Base(db.Path("/usr/shlib/libc.so", sim.EvCycles)) + ".bad"
+	if len(quarantined) != 1 || quarantined[0] != torn {
+		t.Fatalf("quarantined files = %v, want exactly the torn %s", quarantined, torn)
+	}
+	for _, ev := range events {
+		if p, err := db.Load("/bin/app", ev); err != nil || p.Total() == 0 {
+			t.Errorf("/bin/app %v, written before the tear, did not load intact (%v)", ev, err)
+		}
 	}
 
 	// Intact profiles load, and post-restart merging resumed into them.
@@ -203,6 +236,7 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 	if _, err := db2.Profiles(); err != nil {
 		t.Errorf("reopened database unreadable: %v", err)
 	}
+	return epoch
 }
 
 // Drain latency delays periodic drains and refuses deliveries while the

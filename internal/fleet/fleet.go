@@ -25,7 +25,6 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,6 +33,7 @@ import (
 	"dcpi/internal/dcpi"
 	"dcpi/internal/expo"
 	"dcpi/internal/loader"
+	"dcpi/internal/par"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
@@ -104,7 +104,8 @@ type Fleet struct {
 	Machines []*Machine
 	opts     Options
 
-	mu sync.Mutex
+	mu          sync.Mutex
+	lastWorkers int // goroutines the last AdvanceEpoch sealed on
 }
 
 // injectFaults deterministically fails requests to h (see Options).
@@ -249,31 +250,16 @@ func scaleCount(n uint64, factor float64) uint64 {
 }
 
 // AdvanceEpoch appends one sealed epoch to every machine (see seal). The
-// machines seal concurrently, on min(GOMAXPROCS, machines) workers, as
-// real ones would: each owns its database and epoch counter, the templates
-// they share are read-only, and jitter is a pure hash, so every file's
-// bytes are those of a serial pass. The errors are joined in machine order.
+// machines seal concurrently, on the caller and whatever the worker budget
+// has free, as real ones would: each owns its database and epoch counter,
+// the templates they share are read-only, and jitter is a pure hash, so
+// every file's bytes are those of a serial pass. The errors are joined in
+// machine order.
 func (f *Fleet) AdvanceEpoch() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	errs := make([]error, len(f.Machines))
-	workers := min(runtime.GOMAXPROCS(0), len(f.Machines))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(f.Machines) {
-					return
-				}
-				errs[i] = f.seal(f.Machines[i])
-			}
-		}()
-	}
-	wg.Wait()
+	f.lastWorkers = par.Default().Each(len(f.Machines), func(i int) { errs[i] = f.seal(f.Machines[i]) })
 	return errors.Join(errs...)
 }
 

@@ -9,11 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
 	"dcpi/internal/expo"
+	"dcpi/internal/par"
 	"dcpi/internal/profiledb"
 )
 
@@ -120,22 +120,29 @@ func files(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// Machines seal concurrently, and a fleet sealed on one worker and one
-// sealed on four leave the same bytes in every machine's database, each
-// held to the checker.
+// Machines seal concurrently, and a fleet sealed with every budget slot
+// held (so on the caller alone) and one sealed with the budget free leave
+// the same bytes in every machine's database, each held to the checker.
 func TestConcurrentSealMatchesSerial(t *testing.T) {
 	const k, machines = 5, 6
 	var fleets [2]*Fleet
-	for i, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
+	for i, leg := range []string{"serial", "concurrent"} {
 		fleets[i] = startFleet(t, machines)
+		held := 0
+		if leg == "serial" {
+			held = par.Default().Total()
+		}
+		par.Default().Acquire(held)
 		err := fleets[i].AdvanceEpochs(k)
-		runtime.GOMAXPROCS(prev)
+		par.Default().Release(held)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if w := fleets[i].lastWorkers; leg == "serial" && w != 1 || leg == "concurrent" && w < 2 {
+			t.Errorf("%s leg sealed on %d goroutines", leg, w)
+		}
 		if _, err := fleets[i].Check(scrape(t, fleets[i], k), Query{}); err != nil {
-			t.Errorf("GOMAXPROCS=%d: %v", procs, err)
+			t.Errorf("%s: %v", leg, err)
 		}
 	}
 	for i, m := range fleets[0].Machines {

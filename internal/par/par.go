@@ -1,6 +1,7 @@
-// Package par holds the process-wide simulation worker budget: a single
-// pool of host-CPU "slots" shared by every layer that wants to fan work out
-// across goroutines. Two layers compete for host parallelism:
+// Package par is the one place work fans out over goroutines: Do runs an
+// index range on a fixed number of workers, and the process-wide Budget, a
+// single pool of host-CPU "slots", decides how many a CPU-bound layer may
+// borrow (Budget.Each). Two layers compete for host parallelism:
 //
 //   - internal/runner schedules whole simulated runs concurrently
 //     (dcpieval's -j run-level workers), and
@@ -21,9 +22,42 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dcpi/internal/obs"
 )
+
+// Do calls fn(0), …, fn(n-1) on up to workers goroutines, the caller's
+// among them, and returns once every call has returned, so whatever the
+// calls wrote happens-before Do's return. Indices are claimed in ascending
+// order from one counter; with one worker Do is a plain loop on the caller.
+// It returns how many goroutines ran.
+func Do(workers, n int, fn func(i int)) int {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return 1
+	}
+	var next atomic.Int64
+	loop := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			loop()
+		}()
+	}
+	loop()
+	wg.Wait()
+	return workers
+}
 
 // Budget is a fixed pool of worker slots. The zero value is unusable; use
 // NewBudget or the process-wide Default.
@@ -104,6 +138,15 @@ func (b *Budget) Release(n int) {
 		b.used = 0
 	}
 	b.mu.Unlock()
+}
+
+// Each runs Do over n indices on the caller plus as many free slots as the
+// budget lends (at most n-1), and returns the slots when Do does. An
+// exhausted budget makes it a plain loop on the caller.
+func (b *Budget) Each(n int, fn func(i int)) int {
+	extra := b.TryExtra(n - 1)
+	defer b.Release(extra)
+	return Do(1+extra, n, fn)
 }
 
 // PublishMetrics writes the budget's current state into reg (nil-safe).

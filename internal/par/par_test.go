@@ -1,7 +1,11 @@
 package par
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dcpi/internal/obs"
@@ -60,6 +64,70 @@ func TestBudgetConcurrentAccounting(t *testing.T) {
 	}
 	if got := b.Total(); got != 8 {
 		t.Fatalf("total = %d", got)
+	}
+}
+
+func TestDoCallsEveryIndexOnce(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{1, 2, n, n + 3} {
+		var calls [n]atomic.Int32
+		used := Do(workers, n, func(i int) { calls[i].Add(1) })
+		if want := min(workers, n); used != want {
+			t.Errorf("workers=%d: Do used %d goroutines, want %d", workers, used, want)
+		}
+		for i := range calls {
+			if got := calls[i].Load(); got != 1 {
+				t.Errorf("workers=%d: index %d called %d times", workers, i, got)
+			}
+		}
+	}
+	Do(4, 0, func(i int) { t.Errorf("n=0 called fn(%d)", i) })
+}
+
+func TestDoOneWorkerIsAPlainLoop(t *testing.T) {
+	var order []int
+	caller := goid()
+	Do(1, 5, func(i int) {
+		if goid() != caller {
+			t.Errorf("fn(%d) ran off the caller's goroutine", i)
+		}
+		order = append(order, i)
+	})
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
+// goid returns the current goroutine's id, parsed from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestEachOnExhaustedBudgetIsSerial(t *testing.T) {
+	b := NewBudget(2)
+	b.Acquire(2)
+	before := b.Used()
+	var order []int
+	if used := b.Each(6, func(i int) { order = append(order, i) }); used != 1 {
+		t.Errorf("Each on an exhausted budget used %d goroutines", used)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if got := b.Used(); got != before {
+		t.Errorf("used = %d after Each, %d before", got, before)
+	}
+
+	free := NewBudget(3)
+	var calls atomic.Int32
+	if used := free.Each(8, func(int) { calls.Add(1) }); used != 4 || calls.Load() != 8 {
+		t.Errorf("Each on a free 3-slot budget used %d goroutines for %d calls, want 4 for 8", used, calls.Load())
+	}
+	if got := free.Used(); got != 0 {
+		t.Errorf("Each kept %d slots", got)
 	}
 }
 

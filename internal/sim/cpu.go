@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sync/atomic"
 
 	"dcpi/internal/alpha"
 	"dcpi/internal/hw"
@@ -112,14 +111,6 @@ type CPU struct {
 	SampleCounts                          [NumEvents]uint64
 	ContextSwitches                       uint64
 
-	// snap is the CPU's latest published statistics snapshot: an immutable
-	// Stats the machine-wide aggregation reads while this CPU runs (the
-	// raw counter fields above have a single writer — the CPU's goroutine —
-	// and are unsafe to read concurrently). Refreshed every snapInterval
-	// issue groups and once more when Run returns.
-	snap          atomic.Pointer[Stats]
-	snapCountdown int64
-
 	// Per-CPU shards of what used to be machine-global state, so CPUs can
 	// run on separate goroutines without cross-CPU coupling:
 	//
@@ -161,12 +152,11 @@ func newCPU(id int, m *Machine) *CPU {
 		rng:    newCarta(m.cfg.Seed + uint32(id)*7919 + 1),
 		// Steady-state scratch, sized once so the sample path never grows
 		// it: skewed holds at most a few miss events per issue group.
-		skewed:        make([]Event, 0, 8),
-		pmap:          mem.NewPageMapper(m.physPages, m.seed),
-		kmem:          mem.NewSparse(),
-		snapCountdown: snapInterval,
-		texts:         make(map[*image.Image]*textWindow),
-		nextMux:       math.MaxInt64,
+		skewed:  make([]Event, 0, 8),
+		pmap:    mem.NewPageMapper(m.physPages, m.seed),
+		kmem:    mem.NewSparse(),
+		texts:   make(map[*image.Image]*textWindow),
+		nextMux: math.MaxInt64,
 	}
 	c.xmem = procMem{k: c.kmem}
 	c.xmemI = &c.xmem
@@ -196,30 +186,6 @@ func newCPU(id int, m *Machine) *CPU {
 	c.nextTimer = m.timerInterval
 	c.nextPoll = m.cfg.PollInterval
 	return c
-}
-
-// snapInterval is how many issue groups pass between snapshot refreshes:
-// rare enough that the one heap allocation per publish vanishes from the
-// per-step allocation profile, frequent enough that mid-run Stats readers
-// see the counters advance.
-const snapInterval = 8192
-
-// publishSnap publishes an immutable statistics snapshot for concurrent
-// readers (Machine.Stats).
-func (c *CPU) publishSnap() {
-	c.snap.Store(&Stats{
-		Cycles:       c.clock,
-		Instructions: c.instructions,
-		IssueGroups:  c.groups,
-		Samples:      c.samples,
-		ICacheMisses: c.icache.Misses,
-		DCacheMisses: c.dcache.Misses,
-		ITBMisses:    c.itb.Misses,
-		DTBMisses:    c.dtb.Misses,
-		Mispredicts:  c.pred.Mispredicts,
-		WBOverflows:  c.wb.Overflows,
-		Faults:       c.faults,
-	})
 }
 
 // textPhys translates an image-relative text offset through this CPU's
@@ -696,12 +662,6 @@ func (c *CPU) step() bool {
 		c.nextPoll = c.clock + c.m.cfg.PollInterval
 	}
 
-	// Refresh the concurrent-reader snapshot: one pointer store (and one
-	// small allocation) every snapInterval issue groups.
-	if c.snapCountdown--; c.snapCountdown <= 0 {
-		c.snapCountdown = snapInterval
-		c.publishSnap()
-	}
 	return true
 }
 

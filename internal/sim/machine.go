@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -127,15 +127,15 @@ type Machine struct {
 	physPages     uint64
 	seed          uint64
 
-	// running guards the spawn path: processes are created during workload
-	// setup, before Run, and the scheduler's run queues are not safe to
-	// grow while CPU goroutines execute.
+	// running guards the spawn path and Stats: processes are created during
+	// workload setup, before Run, and neither the scheduler's run queues
+	// nor the CPUs' counters are safe to touch while CPU goroutines execute.
 	running atomic.Bool
 
 	// Post-run parallelism telemetry (see PublishMetrics): how many worker
 	// goroutines the last Run used, the final clock skew between the
-	// fastest and slowest CPU, and how long the merge barrier waited
-	// between the first and last CPU finishing (host wall time).
+	// fastest and slowest CPU, and how long the merge waited from the first
+	// worker going idle to the last CPU finishing (host wall time).
 	lastWorkers   int
 	cycleSkew     int64
 	mergeWaitNano int64
@@ -231,51 +231,47 @@ func (m *Machine) SpawnOn(cpu int, p *loader.Process) {
 	m.CPUs[cpu].runq = append(m.CPUs[cpu].runq, p)
 }
 
-// workers resolves Options.SimWorkers against the machine size and the
-// shared budget. It returns the goroutine count and how many budget slots
-// were borrowed (to release after the run).
-func (m *Machine) workers() (n, borrowed int) {
-	ncpu := len(m.CPUs)
-	switch {
-	case m.simWorkers == 0 || m.simWorkers == 1 || ncpu == 1:
-		return 1, 0
-	case m.simWorkers > 1:
-		if m.simWorkers < ncpu {
-			return m.simWorkers, 0
-		}
-		return ncpu, 0
-	default: // auto: the caller's goroutine plus whatever the budget has free
-		borrowed = par.Default().TryExtra(ncpu - 1)
-		return 1 + borrowed, borrowed
-	}
-}
-
 // Run executes every CPU until its processes finish or it reaches maxCycles,
 // and returns the maximum CPU clock (the wall-clock cycles of the run).
 //
 // CPUs are architecturally independent — private caches, TLBs, write
 // buffers, counters, page-map views, and per-CPU driver/daemon state — so
-// Run can spread them over SimWorkers goroutines with a barrier before the
-// final merge; the interleaving never changes any simulated outcome and the
-// output stays byte-identical to sequential execution (DESIGN.md,
-// "Concurrency model"). With SimWorkers <= 1 the CPUs run sequentially on
-// the caller's goroutine, exactly as before.
+// Run hands whole CPUs to par.Do's workers, in any host order, and merges
+// after Do returns; the interleaving never changes any simulated outcome
+// and the output stays byte-identical to sequential execution (DESIGN.md,
+// "Concurrency model"). With SimWorkers 0 or 1 the CPUs run in order on the
+// caller's goroutine.
 func (m *Machine) Run(maxCycles int64) int64 {
-	workers, borrowed := m.workers()
-	defer par.Default().Release(borrowed)
-	m.lastWorkers = workers
-	start := time.Now()
-
-	m.running.Store(true)
-	if workers <= 1 {
-		for _, c := range m.CPUs {
-			c.Run(maxCycles)
-			c.publishSnap()
-		}
-	} else {
-		m.runParallel(maxCycles, workers)
+	ncpu := len(m.CPUs)
+	workers := 1
+	switch {
+	case m.simWorkers > 1:
+		workers = min(m.simWorkers, ncpu)
+	case m.simWorkers < 0: // the caller's goroutine plus whatever the budget has free
+		extra := par.Default().TryExtra(ncpu - 1)
+		defer par.Default().Release(extra)
+		workers += extra
 	}
+	start := time.Now()
+	if workers > 1 {
+		// Pre-build every image's lazily-decoded metadata table while still
+		// single-threaded, so CPU goroutines only ever read them.
+		for _, im := range m.Loader.Images() {
+			im.MetaTable()
+		}
+	}
+	finished := make([]int64, ncpu) // host ns from start to each CPU's end
+	m.running.Store(true)
+	m.lastWorkers = par.Do(workers, ncpu, func(i int) {
+		m.CPUs[i].Run(maxCycles)
+		finished[i] = time.Since(start).Nanoseconds()
+	})
 	m.running.Store(false)
+	// Merge wait: from the first worker going idle to the last CPU
+	// finishing. Workers take CPUs while any are left, so with w workers
+	// the first one idles at the (ncpu-w+1)-th finish; one worker reads 0.
+	slices.Sort(finished)
+	m.mergeWaitNano = finished[ncpu-1] - finished[ncpu-m.lastWorkers]
 
 	// Deterministic merge, in CPU order: exact-count shards fold into the
 	// machine-wide table (commutative sums), and the final clock skew is
@@ -298,48 +294,6 @@ func (m *Machine) Run(maxCycles int64) int64 {
 	return wall
 }
 
-// runParallel fans the CPUs out over a worker pool and waits at the barrier.
-// CPU-to-goroutine assignment is work-stealing (and therefore host-timing
-// dependent); that is safe precisely because no cross-CPU coupling remains —
-// every shared structure a CPU touches mid-run is either sharded per CPU or
-// explicitly synchronized (the daemon's mutex, the observability sinks).
-func (m *Machine) runParallel(maxCycles int64, workers int) {
-	// Pre-build every image's lazily-decoded metadata table while still
-	// single-threaded, so CPU goroutines only ever read them.
-	for _, im := range m.Loader.Images() {
-		im.MetaTable()
-	}
-
-	work := make(chan *CPU, len(m.CPUs))
-	for _, c := range m.CPUs {
-		work <- c
-	}
-	close(work)
-
-	var (
-		wg          sync.WaitGroup
-		firstDoneNS atomic.Int64
-	)
-	start := time.Now()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				c.Run(maxCycles)
-				c.publishSnap()
-			}
-			firstDoneNS.CompareAndSwap(0, time.Since(start).Nanoseconds())
-		}()
-	}
-	wg.Wait()
-	// Merge wait: how long the barrier sat between the first worker going
-	// idle and the last one finishing (stragglers stall the merge).
-	if f := firstDoneNS.Load(); f > 0 {
-		m.mergeWaitNano = time.Since(start).Nanoseconds() - f
-	}
-}
-
 // Stats aggregates machine-wide statistics.
 type Stats struct {
 	Cycles       int64
@@ -355,31 +309,26 @@ type Stats struct {
 	Faults       uint64
 }
 
-// Stats sums statistics over all CPUs. It is safe to call while Run is
-// executing: each CPU periodically publishes an immutable snapshot of its
-// counters (and a final one when it finishes), and Stats reads only those
-// snapshots — a consistent, slightly-stale view mid-run, and the exact
-// totals once Run has returned.
+// Stats sums statistics over all CPUs. The counters belong to the CPUs'
+// goroutines while Run executes, so calling Stats then panics, like Spawn;
+// par.Do's return orders every CPU's writes before a later call.
 func (m *Machine) Stats() Stats {
+	if m.running.Load() {
+		panic("sim: Stats while Machine.Run is executing")
+	}
 	var s Stats
 	for _, c := range m.CPUs {
-		cs := c.snap.Load()
-		if cs == nil {
-			continue
-		}
-		if cs.Cycles > s.Cycles {
-			s.Cycles = cs.Cycles
-		}
-		s.Instructions += cs.Instructions
-		s.IssueGroups += cs.IssueGroups
-		s.Samples += cs.Samples
-		s.ICacheMisses += cs.ICacheMisses
-		s.DCacheMisses += cs.DCacheMisses
-		s.ITBMisses += cs.ITBMisses
-		s.DTBMisses += cs.DTBMisses
-		s.Mispredicts += cs.Mispredicts
-		s.WBOverflows += cs.WBOverflows
-		s.Faults += cs.Faults
+		s.Cycles = max(s.Cycles, c.clock)
+		s.Instructions += c.instructions
+		s.IssueGroups += c.groups
+		s.Samples += c.samples
+		s.ICacheMisses += c.icache.Misses
+		s.DCacheMisses += c.dcache.Misses
+		s.ITBMisses += c.itb.Misses
+		s.DTBMisses += c.dtb.Misses
+		s.Mispredicts += c.pred.Mispredicts
+		s.WBOverflows += c.wb.Overflows
+		s.Faults += c.faults
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 
 	"dcpi/internal/alpha"
@@ -79,73 +78,37 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStatsWhileRunning reads Machine.Stats concurrently with a parallel
-// Run. The snapshots must be consistent (race detector enforces the
-// access discipline) and the final read must equal the exact totals.
-func TestStatsWhileRunning(t *testing.T) {
-	m, _ := spawnEight(t, Options{SimWorkers: 4})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var prev Stats
-		for {
-			s := m.Stats()
-			if s.Instructions < prev.Instructions || s.Cycles < prev.Cycles {
-				t.Errorf("stats went backwards: %+v then %+v", prev, s)
-				return
-			}
-			prev = s
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	m.Run(1 << 30)
-	close(stop)
-	wg.Wait()
-
-	// Post-run, the snapshot-summed view is the exact total: compare
-	// against a fresh sequential run of the same configuration.
-	ref, _ := spawnEight(t, Options{SimWorkers: 0})
-	ref.Run(1 << 30)
-	if got, want := m.Stats(), ref.Stats(); got != want {
-		t.Errorf("final stats %+v, want %+v", got, want)
-	}
-}
-
-// spawnerSink tries to Spawn from inside the run; the machine must refuse
-// (panic) rather than corrupt scheduler state shared across goroutines.
-type spawnerSink struct {
-	t *testing.T
-	m *Machine
-	p *loader.Process
+// duringRunSink calls do from inside the run, once; the machine must
+// refuse (panic) rather than touch state its CPU goroutines own.
+type duringRunSink struct {
+	t    *testing.T
+	what string
+	do   func()
 
 	fired bool
 }
 
-func (s *spawnerSink) Sample(Sample) int64 {
+func (s *duringRunSink) Sample(Sample) int64 {
 	if !s.fired {
 		s.fired = true
 		defer func() {
 			if recover() == nil {
-				s.t.Error("Spawn during Run did not panic")
+				s.t.Errorf("%s during Run did not panic", s.what)
 			}
 		}()
-		s.m.Spawn(s.p)
+		s.do()
 	}
 	return 0
 }
 
-func (s *spawnerSink) Poll(int, int64) int64 { return 0 }
+func (s *duringRunSink) Poll(int, int64) int64 { return 0 }
 
-func TestSpawnWhileRunningPanics(t *testing.T) {
+// sampledMachine builds a one-CPU machine sampling into sink, with one
+// sum process spawned.
+func sampledMachine(t *testing.T, sink Sink) (*Machine, *loader.Loader) {
+	t.Helper()
 	kernel, abi := testKernel()
 	l := loader.New(kernel)
-	sink := &spawnerSink{t: t}
 	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 3, Profile: ProfileConfig{
 		Mode:         ModeCycles,
 		Sink:         sink,
@@ -157,14 +120,49 @@ func TestSpawnWhileRunningPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Spawn(p)
+	return m, l
+}
+
+func TestSpawnWhileRunningPanics(t *testing.T) {
+	sink := &duringRunSink{t: t, what: "Spawn"}
+	m, l := sampledMachine(t, sink)
 	late, err := l.NewProcess("late", image.New("late", "/bin/late", image.KindExecutable, alpha.MustAssemble(sumProgram)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.m, sink.p = m, late
+	sink.do = func() { m.Spawn(late) }
 	m.Run(1 << 30)
 	if !sink.fired {
 		t.Fatal("sink never sampled; the guard was not exercised")
+	}
+}
+
+// The CPUs' counters belong to their goroutines while Run executes, so a
+// mid-run Stats panics; after Run it sums them exactly
+// (TestParallelRunMatchesSequential).
+func TestStatsWhileRunningPanics(t *testing.T) {
+	sink := &duringRunSink{t: t, what: "Stats"}
+	m, _ := sampledMachine(t, sink)
+	sink.do = func() { m.Stats() }
+	m.Run(1 << 30)
+	if !sink.fired {
+		t.Fatal("sink never sampled; the guard was not exercised")
+	}
+}
+
+// sim.merge_wait_us reads 0 when one worker runs every CPU, even after a
+// parallel Run, and a forced 4-worker Run cannot wait longer than it ran.
+func TestMergeWait(t *testing.T) {
+	m, _ := spawnEight(t, Options{})
+	m.mergeWaitNano = 1 // what an earlier parallel Run could have left
+	m.Run(1 << 30)
+	if m.lastWorkers != 1 || m.mergeWaitNano != 0 {
+		t.Errorf("sequential Run: %d workers, merge wait %d ns; want 1 and 0", m.lastWorkers, m.mergeWaitNano)
+	}
+	m, _ = spawnEight(t, Options{SimWorkers: 4})
+	m.Run(1 << 30)
+	if m.lastWorkers != 4 || m.mergeWaitNano < 0 || m.mergeWaitNano > m.HostRunNanos() {
+		t.Errorf("4-worker Run: %d workers, merge wait %d ns of %d ns in Run", m.lastWorkers, m.mergeWaitNano, m.HostRunNanos())
 	}
 }
 

@@ -2,8 +2,6 @@ package tsdb
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dcpi/internal/analysis"
 	"dcpi/internal/par"
@@ -190,39 +188,14 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
 			winChunks[w] = append(winChunks[w], c)
 		}
 	}
-	runWindow := func(w int) {
+	par.Default().Each(nwin, func(w int) {
 		ws, we := winStart(w), winStart(w+1)-1
 		for _, c := range winChunks[w] {
 			for j := c.bs.searchEpoch(ws); j < len(c.bs.epochs) && c.bs.epochs[j] <= we; j++ {
 				fn(w, c.bs.point(j))
 			}
 		}
-	}
-	extra := par.Default().TryExtra(nwin - 1)
-	if extra == 0 {
-		for w := 0; w < nwin; w++ {
-			runWindow(w)
-		}
-		return nwin
-	}
-	defer par.Default().Release(extra)
-	workers := 1 + extra
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				w := int(next.Add(1)) - 1
-				if w >= nwin {
-					return
-				}
-				runWindow(w)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return nwin
 }
 
