@@ -89,6 +89,12 @@ func TestQueryLocalEqualsServer(t *testing.T) {
 		if err := queryDelta(s, "cycles", "3-1", "4-7", 10); err == nil {
 			t.Errorf("delta over the inverted window 3-1 answered (server=%q)", s.server)
 		}
+		if err := queryRange(s, "/usr/bin/X", "", "cycles", 5, 2, 0); err == nil {
+			t.Errorf("range over the inverted window 5-2 answered (server=%q)", s.server)
+		}
+		if err := queryTop(s, "cycles", 5, 2, 0, 10); err == nil {
+			t.Errorf("top over the inverted window 5-2 answered (server=%q)", s.server)
+		}
 		if err := queryTop(s, "no-such-event", 1, 7, 0, 10); err == nil {
 			t.Errorf("top of an unknown event answered (server=%q)", s.server)
 		}

@@ -88,6 +88,13 @@ func TestSourceGuards(t *testing.T) {
 			"internal/profiledb removes no epoch directory: EpochsAfter relies on epochs being dense from 1",
 		},
 		{
+			// A query reads its series in scan order off the series index:
+			// no per-source label summaries, no per-query sort.
+			regexp.MustCompile(`\b(byImage|matchesSource|chunkLess)\b`),
+			func(f file) bool { return !f.isTest && in(f, "internal/tsdb") },
+			"internal/tsdb: queries plan over the series index (db.series, one label-ordered entry per label set): no posting lists by image, source summaries or chunk sort",
+		},
+		{
 			// Work spreads over goroutines through one pool. (bench/ is the
 			// benchmark's own module and keeps its harness.)
 			regexp.MustCompile(`sync\.WaitGroup`),

@@ -231,7 +231,8 @@ func parseEpoch(s string, def uint64) (uint64, error) {
 
 // parseCommon resolves the (event, from, to) triple shared by range and
 // top queries. last=K wins over from/to, selecting the K newest epochs
-// present anywhere in the store.
+// present anywhere in the store. A window whose from is after its given
+// to is refused, as parseWindow refuses it for delta.
 func parseCommon(q url.Values, db *tsdb.DB) (sim.Event, uint64, uint64, error) {
 	ev, err := parseEvent(q.Get("event"))
 	if err != nil {
@@ -252,6 +253,9 @@ func parseCommon(q url.Values, db *tsdb.DB) (sim.Event, uint64, uint64, error) {
 	to, err := parseEpoch(q.Get("to"), 0)
 	if err != nil {
 		return 0, 0, 0, err
+	}
+	if to != 0 && from > to {
+		return 0, 0, 0, fmt.Errorf("bad window: from %d is after to %d", from, to)
 	}
 	return ev, from, to, nil
 }

@@ -1,95 +1,120 @@
 package tsdb
 
-import "slices"
+import (
+	"slices"
+	"sort"
+)
 
-// source is one on-disk file — a raw segment or a block — plus the label
-// summary the query planner prunes against. Whatever the file kind, the
-// decoded shape is a block: a raw segment is the one-epoch block of the
-// batch it stores (see blockFromBatch), so blk.lastSeq orders a source's
-// points against other sources' points for duplicate-(labels, epoch)
-// resolution. Compaction preserves that key, which is what keeps Select
-// byte-identical across compaction (see Select's ordering contract).
-// Sources are immutable once built; the DB only adds and removes whole
-// sources under db.mu, so a query that snapshotted a series' pointer can
-// keep scanning it lock-free even while compaction retires the file.
+// source is one on-disk file — a raw segment or a block. Whatever the file
+// kind, the decoded shape is a block: a raw segment is the one-epoch block
+// of the batch it stores (see blockFromBatch), so blk.lastSeq orders a
+// source's points against other sources' points for duplicate-(labels,
+// epoch) resolution. Compaction preserves that key, which is what keeps
+// Select byte-identical across compaction (see Select's ordering
+// contract). Sources are immutable once built; the DB only adds and
+// removes whole sources under db.mu, so a query that snapshotted a series'
+// pointer can keep scanning it lock-free even while compaction retires the
+// file.
 type source struct {
 	fileSeq uint64 // sequence number in the file name; allocation order
 	path    string
 	bytes   int64
 	raw     bool // a seg-*.tsdb file: compaction input, counted as a segment
-
-	workloads map[string]struct{}
-	images    map[string]struct{}
-	procs     map[string]struct{}
-	events    uint32 // bitmask by sim.Event
-
-	blk *block
+	blk     *block
 }
 
 func newSource(seq uint64, path string, size int64, raw bool, bl *block) *source {
-	s := &source{
-		fileSeq:   seq,
-		path:      path,
-		bytes:     size,
-		raw:       raw,
-		workloads: map[string]struct{}{},
-		images:    map[string]struct{}{},
-		procs:     map[string]struct{}{},
-		blk:       bl,
+	return &source{fileSeq: seq, path: path, bytes: size, raw: raw, blk: bl}
+}
+
+// chunk is one series of one source: the unit the series index orders and
+// a query scans. Its ordering key is (ord, sub) — ord, the highest segment
+// sequence the source consumed, and sub, the series' position in its
+// source, which is what tells apart two records of one batch that carry
+// equal labels. Compaction preserves the order they define (it merges in
+// sequence, then record, order), so a query's accumulation order is
+// identical before and after compacting.
+type chunk struct {
+	src *source
+	sub int
+}
+
+// before orders two chunks of one label by (ord, sub).
+func (c chunk) before(d chunk) bool {
+	if a, b := c.src.blk.lastSeq, d.src.blk.lastSeq; a != b {
+		return a < b
 	}
-	for i := range bl.series {
-		lab := &bl.series[i].labels
-		s.workloads[lab.Workload] = struct{}{}
-		s.images[lab.Image] = struct{}{}
-		s.procs[lab.Proc] = struct{}{}
-		s.events |= 1 << uint(lab.Event)
-	}
-	return s
+	return c.sub < d.sub
+}
+
+// labelChunks is one entry of the series index: every chunk that carries
+// one label set, in (ord, sub) order.
+type labelChunks struct {
+	labels Labels
+	chunks []chunk
 }
 
 // addSource indexes s. Caller holds db.mu (or has exclusive access during
 // Open); srcs stays ascending by fileSeq because sequences are allocated
-// monotonically and Open sorts before inserting.
+// monotonically and Open sorts before inserting. A chunk usually lands at
+// the end of its label's list, but a downsampled block takes a new file
+// sequence while keeping the old ord of the block it rewrites, so it is
+// placed by (ord, sub), never by arrival.
 func (db *DB) addSource(s *source) {
 	db.srcs = append(db.srcs, s)
 	db.byMachine[s.blk.machine] = append(db.byMachine[s.blk.machine], s)
-	for img := range s.images {
-		db.byImage[img] = append(db.byImage[img], s)
+	for i := range s.blk.series {
+		c := chunk{s, i}
+		lab := &s.blk.series[i].labels
+		e := db.bySeries[*lab]
+		if e == nil {
+			e = &labelChunks{labels: *lab}
+			db.bySeries[*lab] = e
+			at := sort.Search(len(db.series), func(j int) bool { return labelsLess(lab, &db.series[j].labels) })
+			db.series = slices.Insert(db.series, at, e)
+		}
+		at := sort.Search(len(e.chunks), func(j int) bool { return c.before(e.chunks[j]) })
+		e.chunks = slices.Insert(e.chunks, at, c)
 	}
 }
 
-// removeSources drops every source in dead from every posting list,
-// filtering each affected list once however many sources leave it, and
-// deletes the keys whose lists empty. Lists are filtered in place — every
-// reader holds db.mu, and DeleteFunc zeroes the vacated tail so retired
-// sources can be collected. Caller holds db.mu.
+// removeSources drops every source in dead from srcs, byMachine and the
+// series index, filtering each affected list once however many sources
+// leave it, and deletes the entries whose lists empty. Lists are filtered
+// in place — every reader holds db.mu, and DeleteFunc zeroes the vacated
+// tail so retired sources can be collected. Caller holds db.mu.
 func (db *DB) removeSources(dead ...*source) {
 	if len(dead) == 0 {
 		return
 	}
 	set := make(map[*source]bool, len(dead))
-	machines, images := map[string]struct{}{}, map[string]struct{}{}
+	machines := map[string]bool{}
+	entries := map[*labelChunks]bool{}
 	for _, s := range dead {
 		set[s] = true
-		machines[s.blk.machine] = struct{}{}
-		for img := range s.images {
-			images[img] = struct{}{}
+		machines[s.blk.machine] = true
+		for i := range s.blk.series {
+			entries[db.bySeries[s.blk.series[i].labels]] = true
 		}
 	}
 	gone := func(s *source) bool { return set[s] }
 	db.srcs = slices.DeleteFunc(db.srcs, gone)
-	prunePostings(db.byMachine, machines, gone)
-	prunePostings(db.byImage, images, gone)
-}
-
-// prunePostings filters the lists under keys, deleting those that empty.
-func prunePostings(lists map[string][]*source, keys map[string]struct{}, gone func(*source) bool) {
-	for k := range keys {
-		if rest := slices.DeleteFunc(lists[k], gone); len(rest) > 0 {
-			lists[k] = rest
+	for m := range machines {
+		if rest := slices.DeleteFunc(db.byMachine[m], gone); len(rest) > 0 {
+			db.byMachine[m] = rest
 		} else {
-			delete(lists, k)
+			delete(db.byMachine, m)
 		}
+	}
+	emptied := false
+	for e := range entries {
+		if e.chunks = slices.DeleteFunc(e.chunks, func(c chunk) bool { return set[c.src] }); len(e.chunks) == 0 {
+			delete(db.bySeries, e.labels)
+			emptied = true
+		}
+	}
+	if emptied {
+		db.series = slices.DeleteFunc(db.series, func(e *labelChunks) bool { return len(e.chunks) == 0 })
 	}
 }
 
@@ -101,39 +126,4 @@ func maxEpoch(list []*source) (max uint64) {
 		}
 	}
 	return max
-}
-
-// matchesSource reports whether the source can contain any matching point
-// at all — the planner's pruning test against the epoch bounds and the
-// label summary (posting lists narrow the candidate list first; this
-// rejects the rest without touching point data).
-func (s *source) matchesSource(m Matcher) bool {
-	if m.Machine != "" && s.blk.machine != m.Machine {
-		return false
-	}
-	if m.FromEpoch > s.blk.maxEpoch {
-		return false
-	}
-	if m.ToEpoch != 0 && m.ToEpoch < s.blk.minEpoch {
-		return false
-	}
-	if m.Workload != "" {
-		if _, ok := s.workloads[m.Workload]; !ok {
-			return false
-		}
-	}
-	if m.Image != "" {
-		if _, ok := s.images[m.Image]; !ok {
-			return false
-		}
-	}
-	if m.Proc != "" {
-		if _, ok := s.procs[m.Proc]; !ok {
-			return false
-		}
-	}
-	if !m.AnyEvent && s.events&(1<<uint(m.Event)) == 0 {
-		return false
-	}
-	return true
 }

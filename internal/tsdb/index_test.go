@@ -3,7 +3,9 @@ package tsdb
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dcpi/internal/sim"
@@ -30,9 +32,138 @@ func TestAppendAllocsIndependentOfRecords(t *testing.T) {
 	}
 }
 
+// indexEntry is one series-index entry in a form that survives a reopen:
+// its labels and each chunk as (file sequence, position in the source).
+type indexEntry struct {
+	labels Labels
+	chunks [][2]uint64
+}
+
+// indexOf reads db's series index in its order, failing unless bySeries
+// maps exactly the entries of the ordered slice and none is empty.
+func indexOf(t *testing.T, db *DB) []indexEntry {
+	t.Helper()
+	if len(db.bySeries) != len(db.series) {
+		t.Fatalf("bySeries holds %d labels, the ordered index %d", len(db.bySeries), len(db.series))
+	}
+	var out []indexEntry
+	for _, e := range db.series {
+		if db.bySeries[e.labels] != e || len(e.chunks) == 0 {
+			t.Fatalf("index entry %+v: mapped %v, %d chunks", e.labels, db.bySeries[e.labels] == e, len(e.chunks))
+		}
+		ie := indexEntry{labels: e.labels}
+		for _, c := range e.chunks {
+			ie.chunks = append(ie.chunks, [2]uint64{c.src.fileSeq, uint64(c.sub)})
+		}
+		out = append(out, ie)
+	}
+	return out
+}
+
+// wantIndex derives the series index from the sources alone: every series
+// of every source under its labels, labels ascending, each label's series
+// ascending by (the source's lastSeq, position in the source).
+func wantIndex(srcs []*source) []indexEntry {
+	type key struct{ ord, sub, fileSeq uint64 }
+	byLabel := map[Labels][]key{}
+	for _, s := range srcs {
+		for i := range s.blk.series {
+			lab := s.blk.series[i].labels
+			byLabel[lab] = append(byLabel[lab], key{s.blk.lastSeq, uint64(i), s.fileSeq})
+		}
+	}
+	var out []indexEntry
+	for lab, keys := range byLabel {
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].ord != keys[j].ord {
+				return keys[i].ord < keys[j].ord
+			}
+			return keys[i].sub < keys[j].sub
+		})
+		ie := indexEntry{labels: lab}
+		for _, k := range keys {
+			ie.chunks = append(ie.chunks, [2]uint64{k.fileSeq, k.sub})
+		}
+		out = append(out, ie)
+	}
+	sort.Slice(out, func(i, j int) bool { return labelsLess(&out[i].labels, &out[j].labels) })
+	return out
+}
+
+// churnStore builds a store the way a long-running collector reshapes one,
+// with every event that moves the series index: three machines, batches
+// whose records repeat labels, re-scrapes of stored epochs, compactions at
+// random points — some downsampling, so that a block's file order differs
+// from its ord order — a reopen that quarantines a corrupt segment, and
+// retention eviction under a size cap. It returns the live store.
+func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
+	t.Helper()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := map[string]uint64{}
+	downsampled := 0
+	step := func() {
+		machine := fmt.Sprintf("m%02d", rng.Intn(3))
+		epoch := next[machine] + 1
+		if epoch > 1 && rng.Intn(6) == 0 {
+			epoch = 1 + uint64(rng.Int63n(int64(epoch-1))) // a re-scrape
+		} else {
+			next[machine] = epoch
+		}
+		b := Batch{
+			Machine: machine, Workload: fmt.Sprintf("w%d", machine[2]%2),
+			Epoch: epoch, Wall: 1000 + int64(epoch), Period: 62000,
+		}
+		for i := rng.Intn(7); i >= 0; i-- {
+			b.Records = append(b.Records, Record{
+				Image: fmt.Sprintf("/bin/app%d", rng.Intn(3)), Proc: []string{"", "", "f", "g"}[rng.Intn(4)],
+				Event: sim.Event(rng.Intn(2)), Samples: uint64(rng.Intn(1000)), Insts: uint64(rng.Intn(9000)),
+			})
+		}
+		mustAppend(t, db, b)
+		if rng.Intn(10) == 0 {
+			o := CompactOptions{CompactAfter: 1 + rng.Intn(6)}
+			if rng.Intn(2) == 0 {
+				o.RawRetention, o.Downsample = 2+uint64(rng.Intn(6)), 2+uint64(rng.Intn(3))
+			}
+			downsampled += mustCompact(t, db, o).BlocksDownsampled
+		}
+	}
+	for i := 0; i < 60; i++ {
+		step()
+	}
+	newest := db.srcs[len(db.srcs)-1]
+	if !newest.raw {
+		step()
+		newest = db.srcs[len(db.srcs)-1]
+	}
+	if err := os.WriteFile(newest.path, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, Options{MaxBytes: db.Stats().SizeBytes * 3 / 4}); err != nil {
+		t.Fatal(err)
+	}
+	quarantined := db.Stats().Quarantined
+	for i := 0; i < 60; i++ {
+		step()
+	}
+	if st := db.Stats(); quarantined != 1 || st.Evicted == 0 || downsampled == 0 {
+		t.Fatalf("the store skipped a reshaping event: %d quarantined, %d evicted, %d downsampled",
+			quarantined, st.Evicted, downsampled)
+	}
+	return db
+}
+
 // TestRemoveSourcesKeepsPostingListsConsistent removes arbitrary subsets
-// of a store's sources and requires every posting list to hold exactly
-// the survivors, still ascending by fileSeq, with emptied keys deleted.
+// of a store's sources and requires srcs, byMachine and the series index
+// to hold exactly the survivors: srcs and each machine's list ascending by
+// fileSeq, each label's list exactly the surviving sources' series in
+// (ord, sub) order, and emptied keys deleted — from byMachine, and from
+// both bySeries and the ordered index. It then requires the index a store
+// builds on Open to equal the one the live store held after appends,
+// compaction, downsampling, quarantine and retention.
 func TestRemoveSourcesKeepsPostingListsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for round := 0; round < 20; round++ {
@@ -68,12 +199,9 @@ func TestRemoveSourcesKeepsPostingListsConsistent(t *testing.T) {
 		db.removeSources(dead...)
 		db.mu.Unlock()
 
-		wantMachine, wantImage := map[string][]*source{}, map[string][]*source{}
+		wantMachine := map[string][]*source{}
 		for _, s := range live { // ascending fileSeq, as db.srcs was
 			wantMachine[s.blk.machine] = append(wantMachine[s.blk.machine], s)
-			for img := range s.images {
-				wantImage[img] = append(wantImage[img], s)
-			}
 		}
 		if len(db.srcs) != len(live) || (len(live) > 0 && !reflect.DeepEqual(db.srcs, live)) {
 			t.Fatalf("round %d: srcs holds %d sources, want the %d survivors in order", round, len(db.srcs), len(live))
@@ -81,8 +209,24 @@ func TestRemoveSourcesKeepsPostingListsConsistent(t *testing.T) {
 		if !reflect.DeepEqual(db.byMachine, wantMachine) {
 			t.Fatalf("round %d: byMachine = %v, want %v", round, db.byMachine, wantMachine)
 		}
-		if !reflect.DeepEqual(db.byImage, wantImage) {
-			t.Fatalf("round %d: byImage = %v, want %v", round, db.byImage, wantImage)
+		if got, want := indexOf(t, db), wantIndex(live); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: series index =\n%v\nwant\n%v", round, got, want)
+		}
+	}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		dir := t.TempDir()
+		db := churnStore(t, rand.New(rand.NewSource(seed)), dir)
+		live := indexOf(t, db)
+		if want := wantIndex(db.srcs); !reflect.DeepEqual(live, want) {
+			t.Fatalf("seed %d: live series index =\n%v\nwant\n%v", seed, live, want)
+		}
+		reopened, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := indexOf(t, reopened); !reflect.DeepEqual(got, live) {
+			t.Fatalf("seed %d: the index Open builds =\n%v\nthe live store's\n%v", seed, got, live)
 		}
 	}
 }

@@ -67,72 +67,46 @@ func labelsLess(a, b *Labels) bool {
 	return a.Event < b.Event
 }
 
-// chunk is one schedulable unit of a query: one series of one source. ord
-// and sub are the ordering key for duplicate-(labels, epoch) resolution —
-// the highest segment sequence the source consumed, and the series'
-// position in its source, which is what tells apart two records of one
-// batch that carry equal labels. Compaction preserves the order they
-// define (it merges in sequence, then record, order), so a query's
-// accumulation order is identical before and after compacting.
-type chunk struct {
-	ord uint64
-	sub int
-	bs  *bseries
-}
-
-func chunkLess(a, b *chunk) bool {
-	if a.bs.labels != b.bs.labels {
-		return labelsLess(&a.bs.labels, &b.bs.labels)
-	}
-	if a.ord != b.ord {
-		return a.ord < b.ord
-	}
-	return a.sub < b.sub
-}
-
-// plan resolves a matcher to the chunks it can touch, pruning with the
-// posting lists and per-source label summaries, plus the canonical epoch
-// bounds [lo, hi] of the scan. It holds db.mu only while snapshotting
-// series references — chunks point into immutable data, so the scan
-// itself runs lock-free.
-func (db *DB) plan(m Matcher) ([]chunk, uint64, uint64) {
+// plan resolves a matcher to the series it scans, in scan order —
+// ascending (labels, ord, sub), read straight off the series index — plus
+// the canonical epoch bounds [lo, hi] of the scan. It walks only the index
+// entries whose labels match (a machine's entries are one contiguous run,
+// found by binary search) and keeps the series that overlap the bounds.
+// An open-ended scan (ToEpoch == 0) ends at the highest epoch of a series
+// it keeps, which compaction preserves, so its windows do not depend on
+// the store's layout. It holds db.mu only while copying series pointers —
+// they point into immutable data, so the scan itself runs lock-free.
+func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
+	lo, hi := max(m.FromEpoch, 1), m.ToEpoch
+	var out []*bseries
 	db.mu.Lock()
-	base := db.srcs
+	entries := db.series
 	if m.Machine != "" {
-		base = db.byMachine[m.Machine]
+		i := sort.Search(len(entries), func(i int) bool { return entries[i].labels.Machine >= m.Machine })
+		n := sort.Search(len(entries)-i, func(j int) bool { return entries[i+j].labels.Machine > m.Machine })
+		entries = entries[i : i+n]
 	}
-	if m.Image != "" {
-		li := db.byImage[m.Image]
-		if len(li) < len(base) {
-			base = li
-		}
-	}
-	var chunks []chunk
-	var hi uint64
-	for _, s := range base {
-		if !s.matchesSource(m) {
+	for _, e := range entries {
+		if !m.labelsMatch(e.labels) {
 			continue
 		}
-		if s.blk.maxEpoch > hi {
-			hi = s.blk.maxEpoch
-		}
-		for si := range s.blk.series {
-			bs := &s.blk.series[si]
-			if m.labelsMatch(bs.labels) {
-				chunks = append(chunks, chunk{ord: s.blk.lastSeq, sub: si, bs: bs})
+		for _, c := range e.chunks {
+			// A downsampled series stamps each bucket's first epoch, which
+			// can precede the first epoch its block ingested; the block's
+			// bound is the one a query's upper bound is held to.
+			bs := &c.src.blk.series[c.sub]
+			first, last := max(bs.epochs[0], c.src.blk.minEpoch), bs.epochs[len(bs.epochs)-1]
+			if last < lo || (m.ToEpoch != 0 && first > m.ToEpoch) {
+				continue
+			}
+			out = append(out, bs)
+			if m.ToEpoch == 0 {
+				hi = max(hi, last)
 			}
 		}
 	}
 	db.mu.Unlock()
-	lo := m.FromEpoch
-	if lo == 0 {
-		lo = 1
-	}
-	if m.ToEpoch != 0 {
-		hi = m.ToEpoch
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunkLess(&chunks[i], &chunks[j]) })
-	return chunks, lo, hi
+	return out, lo, hi
 }
 
 // queryWindows is the fan-out width of a scan: the epoch range splits
@@ -142,7 +116,7 @@ const queryWindows = 16
 // scanWindows runs fn over every point matching m, partitioned into up
 // to queryWindows contiguous epoch windows that are scanned concurrently
 // (worker count bounded by the process-wide par.Budget). Within one
-// window, points arrive in canonical chunk order — ascending (labels,
+// window, points arrive in the series index's order — ascending (labels,
 // ord, sub), epochs ascending within a series — and each epoch belongs
 // to exactly one window. Window boundaries depend only on the epoch
 // bounds, never on worker count or storage layout, so per-window
@@ -150,8 +124,8 @@ const queryWindows = 16
 // unchanged by compaction. fn may be called concurrently for different
 // win values, never for the same one. Returns the window count.
 func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
-	chunks, lo, hi := db.plan(m)
-	if len(chunks) == 0 || hi < lo {
+	series, lo, hi := db.plan(m)
+	if len(series) == 0 || hi < lo {
 		return 0
 	}
 	span := hi - lo + 1
@@ -172,27 +146,20 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
 	winStart := func(w int) uint64 {
 		return lo + (span*uint64(w)+uint64(nwin)-1)/uint64(nwin)
 	}
-	winChunks := make([][]chunk, nwin)
-	for _, c := range chunks {
-		first, last := c.bs.epochs[0], c.bs.epochs[len(c.bs.epochs)-1]
-		if first < lo {
-			first = lo
-		}
-		if last > hi {
-			last = hi
-		}
-		if first > last {
-			continue
-		}
+	// Every planned series overlaps [lo, hi], so each spans at least one
+	// window.
+	winSeries := make([][]*bseries, nwin)
+	for _, bs := range series {
+		first, last := max(bs.epochs[0], lo), min(bs.epochs[len(bs.epochs)-1], hi)
 		for w := winOf(first); w <= winOf(last); w++ {
-			winChunks[w] = append(winChunks[w], c)
+			winSeries[w] = append(winSeries[w], bs)
 		}
 	}
 	par.Default().Each(nwin, func(w int) {
 		ws, we := winStart(w), winStart(w+1)-1
-		for _, c := range winChunks[w] {
-			for j := c.bs.searchEpoch(ws); j < len(c.bs.epochs) && c.bs.epochs[j] <= we; j++ {
-				fn(w, c.bs.point(j))
+		for _, bs := range winSeries[w] {
+			for j := bs.searchEpoch(ws); j < len(bs.epochs) && bs.epochs[j] <= we; j++ {
+				fn(w, bs.point(j))
 			}
 		}
 	})

@@ -1,7 +1,10 @@
 package tsdb
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -88,7 +91,10 @@ func TestCompactionByteIdentityRaggedSpan(t *testing.T) {
 // every point scanWindows emits satisfies winStart(w) <= p.Epoch <
 // winStart(w+1) for its window — the partition winOf assigns and
 // runWindow scans must be the same one — and that every matching point
-// is emitted exactly once.
+// is emitted exactly once. An open-ended scan of the series that stops
+// at epoch 2 must also emit the same (window, epoch) pairs at every
+// stage: its windows end where its series do, not where the blocks that
+// compaction builds around them do.
 func TestScanWindowsPartitionInvariant(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -124,13 +130,205 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 			}
 		}
 	}
+	type emitted struct {
+		win   int
+		epoch uint64
+	}
+	openEnded := func() []emitted {
+		var mu sync.Mutex
+		var out []emitted
+		db.scanWindows(Matcher{Image: "/short"}, func(w int, p Point) {
+			mu.Lock()
+			defer mu.Unlock()
+			out = append(out, emitted{w, p.Epoch})
+		})
+		sort.Slice(out, func(i, j int) bool { return out[i].epoch < out[j].epoch })
+		return out
+	}
 	raggedFleet(t, db, 1, 17)
 	sweep("raw", 17)
+	want := openEnded()
+	if len(want) != 2 {
+		t.Fatalf("open-ended scan of /short emitted %v, want epochs 1 and 2", want)
+	}
 	// Compact epochs 1..17 into a block, then append two more raw epochs:
 	// scans now mix block series and raw points in the same windows.
 	mustCompact(t, db, CompactOptions{CompactAfter: 1})
+	if got := openEnded(); !reflect.DeepEqual(got, want) {
+		t.Errorf("open-ended scan moved across compaction: %v, want %v", got, want)
+	}
 	raggedFleet(t, db, 18, 19)
 	sweep("mixed", 19)
 	mustCompact(t, db, CompactOptions{CompactAfter: 1})
 	sweep("compacted", 19)
+	if got := openEnded(); !reflect.DeepEqual(got, want) {
+		t.Errorf("open-ended scan moved after more epochs and a second compaction: %v, want %v", got, want)
+	}
+}
+
+// sortedPlan is the planner the series index replaced, kept as the
+// reference for the order the index must produce. It visits every source
+// whose epoch range meets the bounds, takes each series whose labels match
+// as an (ord, sub) chunk, sorts the chunks by (labels, ord, sub), and
+// keeps those scanWindows scans: the ones overlapping [lo, hi]. Bounded
+// matchers only.
+func sortedPlan(db *DB, m Matcher) ([]*bseries, uint64, uint64) {
+	type refChunk struct {
+		ord uint64
+		sub int
+		bs  *bseries
+	}
+	chunkLess := func(a, b *refChunk) bool {
+		if a.bs.labels != b.bs.labels {
+			return labelsLess(&a.bs.labels, &b.bs.labels)
+		}
+		if a.ord != b.ord {
+			return a.ord < b.ord
+		}
+		return a.sub < b.sub
+	}
+	var chunks []refChunk
+	db.mu.Lock()
+	for _, s := range db.srcs {
+		if (m.Machine != "" && s.blk.machine != m.Machine) || m.FromEpoch > s.blk.maxEpoch || m.ToEpoch < s.blk.minEpoch {
+			continue
+		}
+		for si := range s.blk.series {
+			if bs := &s.blk.series[si]; m.labelsMatch(bs.labels) {
+				chunks = append(chunks, refChunk{s.blk.lastSeq, si, bs})
+			}
+		}
+	}
+	db.mu.Unlock()
+	sort.Slice(chunks, func(i, j int) bool { return chunkLess(&chunks[i], &chunks[j]) })
+	lo, hi := max(m.FromEpoch, 1), m.ToEpoch
+	var out []*bseries
+	for _, c := range chunks {
+		if max(c.bs.epochs[0], lo) <= min(c.bs.epochs[len(c.bs.epochs)-1], hi) {
+			out = append(out, c.bs)
+		}
+	}
+	return out, lo, hi
+}
+
+// TestPlanMatchesSortedReference draws bounded matchers over every
+// combination of the Matcher fields against stores churned through
+// duplicate labels, re-scrapes, compaction, downsampling, quarantine and
+// eviction (see churnStore), and requires the index-driven plan to return
+// the reference's series in the reference's order, with the same bounds.
+func TestPlanMatchesSortedReference(t *testing.T) {
+	pick := func(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := churnStore(t, rng, t.TempDir())
+		top := db.FleetMaxEpoch()
+		nonEmpty := 0
+		for q := 0; q < 400; q++ {
+			m := Matcher{
+				Machine:  pick(rng, "", "", "m00", "m01", "m02", "m09"),
+				Workload: pick(rng, "", "", "w0", "w1"),
+				Image:    pick(rng, "", "", "/bin/app0", "/bin/app1", "/bin/app2"),
+				Proc:     pick(rng, "", "", "f", "g"),
+				Event:    sim.Event(rng.Intn(2)),
+				AnyEvent: rng.Intn(2) == 0,
+				AnyProc:  rng.Intn(2) == 0,
+			}
+			m.FromEpoch = uint64(rng.Int63n(int64(top) + 2))
+			m.ToEpoch = max(m.FromEpoch, 1) + uint64(rng.Int63n(int64(top)+2))
+			got, lo, hi := db.plan(m)
+			want, wlo, whi := sortedPlan(db, m)
+			if lo != wlo || hi != whi {
+				t.Fatalf("seed %d %+v: bounds [%d, %d], reference [%d, %d]", seed, m, lo, hi, wlo, whi)
+			}
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("seed %d %+v: plan returned %d series, the reference %d, or in another order",
+					seed, m, len(got), len(want))
+			}
+			if len(want) > 0 {
+				nonEmpty++
+			}
+		}
+		if nonEmpty < 100 {
+			t.Fatalf("seed %d: only %d of 400 matchers planned any series", seed, nonEmpty)
+		}
+	}
+}
+
+// TestQueriesRaceAppendsAndCompactions runs bounded queries over epochs
+// 1..K while writers append newer epochs and compact them into blocks
+// beside the old ones. Every answer must equal the one taken before the
+// writers started.
+func TestQueriesRaceAppendsAndCompactions(t *testing.T) {
+	const machines, k = 3, 12
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= k; e++ {
+		for m := 0; m < machines; m++ {
+			mustAppend(t, db, procBatch(fmt.Sprintf("m%02d", m), e))
+		}
+		if e == k/2 {
+			mustCompact(t, db, CompactOptions{CompactAfter: 1})
+		}
+	}
+	type answers struct {
+		sel    []Point
+		rng    []RangeRow
+		top    []TopRow
+		deltas any
+	}
+	ask := func() answers {
+		return answers{
+			sel:    db.Select(Matcher{AnyEvent: true, AnyProc: true, FromEpoch: 1, ToEpoch: k}),
+			rng:    RangeQuery(db, "/usr/bin/X", sim.EvCycles, 1, k),
+			top:    TopImages(db, sim.EvCycles, 1, k, 10),
+			deltas: TopDeltas(db, sim.EvCycles, 1, k/2, k/2+1, k, 10),
+		}
+	}
+	want := ask()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for e := uint64(k + 1); ; e++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for m := 0; m < machines; m++ {
+				if err := db.Append(procBatch(fmt.Sprintf("m%02d", m), e)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if e%3 == 0 {
+				if _, err := db.Compact(CompactOptions{CompactAfter: 1 + int(e%2)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 25; i++ {
+				if got := ask(); !reflect.DeepEqual(got, want) {
+					t.Errorf("a bounded answer over epochs 1-%d changed while writers ran", k)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if st := db.Stats(); st.Compactions <= 1 {
+		t.Errorf("writers compacted %d times: the race never happened", st.Compactions-1)
+	}
 }

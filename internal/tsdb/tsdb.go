@@ -10,10 +10,12 @@
 // compactor (see compact.go): raw segments merge into immutable,
 // delta+varint-encoded block files covering whole epoch ranges per
 // machine, and blocks entirely behind a raw-retention horizon can be
-// rewritten as per-N-epoch downsampled aggregates. An in-memory label
-// index (machine/image posting lists plus per-source label sets, see
-// index.go) lets queries touch only matching sources, and the query
-// engine (query.go) scans sources in parallel with a deterministic merge.
+// rewritten as per-N-epoch downsampled aggregates. An in-memory series
+// index (see index.go) keeps one entry per distinct label set, in label
+// order, each holding its (source, series) chunks in ingestion order, so a
+// query reads the series it matches already in the order its
+// deterministic merge needs, and the query engine (query.go) scans them
+// in parallel epoch windows.
 // Raw versus block is a property of the file, not of the scan: a segment
 // decodes into the one-epoch block of its batch (blockFromBatch), so every
 // reader below the codecs sees one in-memory shape.
@@ -141,7 +143,8 @@ type DB struct {
 	opts        Options
 	srcs        []*source // ascending fileSeq
 	byMachine   map[string][]*source
-	byImage     map[string][]*source
+	bySeries    map[Labels]*labelChunks
+	series      []*labelChunks // the series index: bySeries's entries, ascending labelsLess
 	nextSeq     uint64
 	sizeBytes   int64
 	quarantined int
@@ -174,7 +177,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		dir:       dir,
 		opts:      opts,
 		byMachine: map[string][]*source{},
-		byImage:   map[string][]*source{},
+		bySeries:  map[Labels]*labelChunks{},
 		nextSeq:   1,
 	}
 	entries, err := os.ReadDir(dir)
