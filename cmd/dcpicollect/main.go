@@ -11,7 +11,7 @@
 //	dcpicollect query range -tsdb ./fleetdb -image /usr/bin/app -last 20
 //	dcpicollect query top   -server http://127.0.0.1:9200 -n 10
 //	dcpicollect query delta -tsdb ./fleetdb -a 1-100 -b 101-200
-//	dcpicollect compact -tsdb ./fleetdb -raw-retention 100 -downsample 10
+//	dcpicollect compact -tsdb ./fleetdb
 //	dcpicollect fleet -machines 16 -epochs 200 -tsdb ./fleetdb
 //
 // The scrape loop runs until SIGINT/SIGTERM (graceful: the round in flight
@@ -85,10 +85,6 @@ func serveMain(args []string) int {
 		procs        = fs.Bool("procs", true, "ingest per-procedure breakdowns from targets that symbolize")
 		compactAfter = fs.Int("compact-after", 0,
 			"compact a machine's raw segments after this many accumulate (0 = never)")
-		rawRetention = fs.Uint64("raw-retention", 0,
-			"newest epochs kept at raw fidelity when downsampling (0 = everything)")
-		downsample = fs.Uint64("downsample", 0,
-			"bucket width in epochs for compacted blocks behind the raw-retention horizon (0 = off, max 64)")
 	)
 	fs.Parse(args)
 
@@ -115,24 +111,19 @@ func serveMain(args []string) int {
 	})
 
 	// maybeCompact runs after each scrape round when -compact-after is
-	// set: merge any machine's accumulated raw segments into blocks, and
-	// downsample blocks behind the raw-retention horizon.
+	// set: merge any machine's accumulated raw segments into blocks.
 	maybeCompact := func() {
 		if *compactAfter <= 0 {
 			return
 		}
-		st, err := store.Compact(tsdb.CompactOptions{
-			CompactAfter: *compactAfter,
-			RawRetention: *rawRetention,
-			Downsample:   *downsample,
-		})
+		st, err := store.Compact(tsdb.CompactOptions{CompactAfter: *compactAfter})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dcpicollect: compact: %v\n", err)
 			return
 		}
-		if st.BlocksWritten > 0 || st.BlocksDownsampled > 0 {
-			fmt.Fprintf(os.Stderr, "dcpicollect: compacted %d segments into %d blocks (%d downsampled), %d -> %d bytes\n",
-				st.SegmentsCompacted, st.BlocksWritten, st.BlocksDownsampled, st.BytesBefore, st.BytesAfter)
+		if st.BlocksWritten > 0 {
+			fmt.Fprintf(os.Stderr, "dcpicollect: compacted %d segments into %d blocks, %d -> %d bytes\n",
+				st.SegmentsCompacted, st.BlocksWritten, st.BytesBefore, st.BytesAfter)
 		}
 	}
 

@@ -95,6 +95,15 @@ func TestSourceGuards(t *testing.T) {
 			"internal/tsdb: queries plan over the series index (db.series, one label-ordered entry per label set): no posting lists by image, source summaries or chunk sort",
 		},
 		{
+			// A block has one layout: every point at full fidelity, no
+			// per-N-epoch aggregates or the flags that asked for them. And
+			// no instruction reads timing, so a program's function does not
+			// depend on the machine it is timed on.
+			regexp.MustCompile(`downsampleBlock|bucketMeta|RawRetention|raw-retention|"downsample"|ReadCounter|OpRPCC`),
+			func(f file) bool { return !f.isTest && !in(f, "bench") },
+			"one block layout (raw fidelity; a downsampled block is quarantined on open) and no cycle-counter read: no downsampling, its flags, or rpcc",
+		},
+		{
 			// Work spreads over goroutines through one pool. (bench/ is the
 			// benchmark's own module and keeps its harness.)
 			regexp.MustCompile(`sync\.WaitGroup`),

@@ -198,17 +198,6 @@ func parseInst(line string, lineNo, index int) (Inst, *fixup, error) {
 		in.Pal = uint16(n)
 		return in, nil, nil
 
-	case fmtRPCC:
-		if len(args) != 1 {
-			return fail("rpcc takes one register")
-		}
-		r, ok := LookupReg(args[0])
-		if !ok {
-			return fail("bad register %q", args[0])
-		}
-		in.Ra = r
-		return in, nil, nil
-
 	case fmtMemory:
 		// fetch has no Ra: "fetch 0(t1)".
 		if op == OpFETCH {

@@ -170,7 +170,6 @@ syscall_stub:
 	jsr ra, (pv)
 	jmp (t0)
 	ret zero, (ra)
-	rpcc v0
 	mb
 	halt
 `
@@ -188,9 +187,6 @@ syscall_stub:
 	jmp := a.Code[2]
 	if jmp.Ra != RegZero || jmp.Rb != RegT0 {
 		t.Errorf("jmp = %+v", jmp)
-	}
-	if a.Code[4].Op != OpRPCC || a.Code[4].Ra != RegV0 {
-		t.Errorf("rpcc = %+v", a.Code[4])
 	}
 }
 

@@ -39,8 +39,6 @@ func (in Inst) render(branchTarget func(int32) string) string {
 		return name
 	case fmtPal:
 		return fmt.Sprintf("%s 0x%x", name, in.Pal)
-	case fmtRPCC:
-		return fmt.Sprintf("%s %s", name, RegName(in.Ra))
 	case fmtMemory:
 		if in.Op == OpFETCH {
 			return fmt.Sprintf("%s %d(%s)", name, in.Disp, RegName(in.Rb))

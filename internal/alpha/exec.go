@@ -54,17 +54,16 @@ func (r *Regs) WriteF(reg uint8, v uint64) {
 
 // Outcome describes the architectural effect of executing one instruction.
 type Outcome struct {
-	NextPC      uint64 // address of the next instruction
-	Taken       bool   // branch/jump transferred control
-	MemAddr     uint64 // effective address, when MemSize != 0
-	MemSize     int    // 0, 4, or 8
-	MemIsStore  bool
-	IsPal       bool // CALL_PAL: the simulator dispatches Pal
-	Pal         uint16
-	Halt        bool // process requested termination
-	Barrier     bool // mb/wmb: drain the write buffer
-	ReadCounter bool // rpcc
-	Fault       error
+	NextPC     uint64 // address of the next instruction
+	Taken      bool   // branch/jump transferred control
+	MemAddr    uint64 // effective address, when MemSize != 0
+	MemSize    int    // 0, 4, or 8
+	MemIsStore bool
+	IsPal      bool // CALL_PAL: the simulator dispatches Pal
+	Pal        uint16
+	Halt       bool // process requested termination
+	Barrier    bool // mb/wmb: drain the write buffer
+	Fault      error
 }
 
 // Execute runs one instruction architecturally: registers and memory are
@@ -251,8 +250,6 @@ func Execute(in Inst, pc uint64, r *Regs, mem Memory) Outcome {
 		out.Barrier = true
 	case OpCALLPAL:
 		out.IsPal, out.Pal = true, in.Pal
-	case OpRPCC:
-		out.ReadCounter = true // the simulator fills in the value
 	case OpHALT:
 		out.Halt = true
 	default:

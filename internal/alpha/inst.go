@@ -107,8 +107,6 @@ func (in Inst) Meta() InstMeta {
 	case fmtJump:
 		add(in.Rb, false, 'b')
 		setDst(in.Ra, false)
-	case fmtRPCC:
-		setDst(in.Ra, false)
 	}
 	return m
 }

@@ -91,11 +91,6 @@ func TestMetaKnownInstructions(t *testing.T) {
 			src:  []Operand{{Reg: 27, Slot: 'b'}},
 			dst:  Operand{Reg: 26}, has: true,
 		},
-		{
-			name: "RPCC t0 writes the cycle counter",
-			in:   Inst{Op: OpRPCC, Ra: 1},
-			dst:  Operand{Reg: 1}, has: true,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

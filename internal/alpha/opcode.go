@@ -107,7 +107,6 @@ const (
 	OpMB      // memory barrier: drains the write buffer
 	OpWMB     // write memory barrier (same model as MB)
 	OpCALLPAL // PALcode call; Pal field selects the service
-	OpRPCC    // read processor cycle counter into Ra
 	OpHALT    // terminate the process (simulation device)
 	OpFETCH   // prefetch hint: Disp(Rb); no architectural effect
 
@@ -130,7 +129,7 @@ const (
 	ClassFPDiv               // floating divide (divider FU)
 	ClassBranch              // conditional or unconditional branch
 	ClassJump                // computed jump (jmp/jsr/ret)
-	ClassMisc                // nop, mb, call_pal, rpcc, halt, fetch
+	ClassMisc                // nop, mb, call_pal, halt, fetch
 )
 
 // info is the static opcode table.
@@ -151,7 +150,6 @@ const (
 	fmtJump                  // Ra, (Rb)
 	fmtMisc                  // no operands (nop, mb, halt)
 	fmtPal                   // call_pal N
-	fmtRPCC                  // rpcc Ra
 )
 
 var opInfo = [opMax]info{
@@ -236,13 +234,9 @@ var opInfo = [opMax]info{
 	OpMB:      {"mb", ClassMisc, fmtMisc, false},
 	OpWMB:     {"wmb", ClassMisc, fmtMisc, false},
 	OpCALLPAL: {"call_pal", ClassMisc, fmtPal, false},
-	OpRPCC:    {"rpcc", ClassRPCCClass, fmtRPCC, false},
 	OpHALT:    {"halt", ClassMisc, fmtMisc, false},
 	OpFETCH:   {"fetch", ClassMisc, fmtMemory, false},
 }
-
-// ClassRPCCClass exists so RPCC writes a register but issues like a misc op.
-const ClassRPCCClass = ClassIntOp
 
 // String returns the assembler mnemonic for op.
 func (op Op) String() string {

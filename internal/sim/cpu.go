@@ -593,9 +593,6 @@ func (c *CPU) step() bool {
 		c.fault(p)
 		return true
 	}
-	if out.ReadCounter {
-		p.Regs.WriteI(inst.Ra, uint64(c.clock))
-	}
 
 	issue := earliest
 	var loadExtra int64
@@ -759,9 +756,6 @@ func (c *CPU) trySlot(p *loader.Process, issue int64, n int) (taken, issued bool
 	if out2.Fault != nil {
 		c.fault(p)
 		return false, false
-	}
-	if out2.ReadCounter {
-		p.Regs.WriteI(inst2.Ra, uint64(c.clock))
 	}
 	var loadExtra2 int64
 	if out2.MemSize != 0 {

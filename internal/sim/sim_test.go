@@ -452,30 +452,6 @@ func TestDefaultModeCollectsIMiss(t *testing.T) {
 	}
 }
 
-func TestRPCC(t *testing.T) {
-	src := `
-main:
-	rpcc t0
-	ldah t3, 1(zero)
-	stq t0, 0(t3)
-	lda t5, 0(zero)
-.spin:
-	addq t5, 1, t5
-	cmplt t5, 50, t6
-	bne t6, .spin
-	rpcc t1
-	stq t1, 8(t3)
-	halt
-`
-	m, p := testMachine(t, src, Options{})
-	m.Run(1 << 30)
-	c1 := p.Mem.Load(0x10000, 8)
-	c2 := p.Mem.Load(0x10008, 8)
-	if c2 <= c1 {
-		t.Errorf("rpcc not monotonic: %d then %d", c1, c2)
-	}
-}
-
 func TestMultiCPU(t *testing.T) {
 	kernel, abi := testKernel()
 	l := loader.New(kernel)

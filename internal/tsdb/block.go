@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	mathbits "math/bits"
 	"sort"
 
 	"dcpi/internal/sim"
@@ -27,56 +26,31 @@ const BlockVersion = 1
 // A block remembers the raw segment sequence range it consumed
 // ([firstSeq, lastSeq]); Open uses it to reclaim input files left behind
 // by a crash between the block's commit rename and the input cleanup.
-//
-// downsample == 0 means raw fidelity: every (epoch, point) survives and
-// queries decode the identical Points the raw segments held. downsample
-// == N (2 ≤ N ≤ maxDownsample) means each series keeps one aggregate per
-// N-epoch bucket (sums of samples/insts/wall, per-epoch min/max,
-// cycle-weighted mean period) and the per-epoch metadata table is
-// replaced by per-bucket sums plus a coverage bitmap recording exactly
-// which of the bucket's epochs were ingested.
+// Every (epoch, point) it consumed survives, so queries decode the
+// identical Points the raw segments held.
 type block struct {
-	machine    string
-	firstSeq   uint64
-	lastSeq    uint64
-	minEpoch   uint64
-	maxEpoch   uint64
-	downsample uint64
-	metas      []epochMeta  // raw blocks: ascending, one per stored epoch
-	buckets    []bucketMeta // downsampled blocks: ascending bucket starts
-	series     []bseries    // ascending by (workload, image, proc, event)
-	points     int
+	machine  string
+	firstSeq uint64
+	lastSeq  uint64
+	minEpoch uint64
+	maxEpoch uint64
+	metas    []epochMeta // ascending, one per stored epoch
+	series   []bseries   // ascending by (workload, image, proc, event)
+	points   int
 }
 
-// epochMeta is one epoch's shared metadata in a raw block.
+// epochMeta is one epoch's shared metadata in a block.
 type epochMeta struct {
 	epoch  uint64
 	wall   int64
 	period float64
 }
 
-// bucketMeta is one N-epoch bucket's shared metadata in a downsampled
-// block: the bucket's first epoch, exactly which of its epochs were
-// ingested, and their wall-cycle sum. cover is what keeps HasEpoch exact
-// after downsampling — a partial bucket (short series, gaps from
-// quarantine or a scrape outage) must not claim epochs it never held —
-// and is why the downsample factor is capped at 64 (maxDownsample).
-type bucketMeta struct {
-	epoch uint64
-	cover uint64 // bitmap: bit i set iff epoch+i was ingested
-	wall  int64
-}
-
-// maxDownsample bounds the downsampling factor so a bucket's epoch
-// coverage fits one 64-bit bitmap.
-const maxDownsample = 64
-
 // bseries is one decoded series: parallel columns, epochs non-decreasing
-// (duplicates allowed in raw blocks — a re-scrape race can legitimately
-// store the same epoch twice; see Select's ordering contract). walls and
-// periods are materialized from the epoch/bucket metadata at decode time
-// so query scans touch no side tables. mins/maxs are nil in raw blocks
-// (Min == Max == Samples there).
+// (duplicates allowed — a re-scrape race can legitimately store the same
+// epoch twice; see Select's ordering contract). walls and periods are
+// materialized from the epoch metadata at decode time so query scans
+// touch no side tables.
 type bseries struct {
 	labels  Labels
 	epochs  []uint64
@@ -84,13 +58,11 @@ type bseries struct {
 	insts   []uint64
 	walls   []int64
 	periods []float64
-	mins    []uint64
-	maxs    []uint64
 }
 
 // point materializes column j as a Point.
 func (bs *bseries) point(j int) Point {
-	p := Point{
+	return Point{
 		Labels:  bs.labels,
 		Epoch:   bs.epochs[j],
 		Samples: bs.samples[j],
@@ -98,47 +70,11 @@ func (bs *bseries) point(j int) Point {
 		Wall:    bs.walls[j],
 		Period:  bs.periods[j],
 	}
-	if bs.mins != nil {
-		p.Min, p.Max = bs.mins[j], bs.maxs[j]
-	} else {
-		p.Min, p.Max = p.Samples, p.Samples
-	}
-	return p
 }
 
 // searchEpoch returns the first column index with epoch >= e.
 func (bs *bseries) searchEpoch(e uint64) int {
 	return sort.Search(len(bs.epochs), func(i int) bool { return bs.epochs[i] >= e })
-}
-
-// hasEpoch reports whether the block ingested the given epoch — exact
-// even for downsampled blocks, whose buckets record per-epoch coverage
-// in a bitmap.
-func (b *block) hasEpoch(e uint64) bool {
-	if e < b.minEpoch || e > b.maxEpoch {
-		return false
-	}
-	if b.downsample == 0 {
-		i := sort.Search(len(b.metas), func(i int) bool { return b.metas[i].epoch >= e })
-		return i < len(b.metas) && b.metas[i].epoch == e
-	}
-	start := bucketStart(e, b.downsample)
-	i := sort.Search(len(b.buckets), func(i int) bool { return b.buckets[i].epoch >= start })
-	return i < len(b.buckets) && b.buckets[i].epoch == start &&
-		b.buckets[i].cover&(1<<(e-start)) != 0
-}
-
-// bucketStart maps an epoch (>= 1) to its N-epoch bucket's first epoch.
-func bucketStart(e, n uint64) uint64 { return (e-1)/n*n + 1 }
-
-// bucketBounds returns the exact [min, max] ingested epochs of an
-// ascending, non-empty bucket list: the lowest covered epoch of the
-// first bucket and the highest covered epoch of the last.
-func bucketBounds(bk []bucketMeta) (min, max uint64) {
-	first, last := &bk[0], &bk[len(bk)-1]
-	min = first.epoch + uint64(mathbits.TrailingZeros64(first.cover))
-	max = last.epoch + uint64(63-mathbits.LeadingZeros64(last.cover))
-	return min, max
 }
 
 func seriesLess(a, b *Labels) bool {
@@ -275,75 +211,6 @@ func buildBlock(machine string, srcs []*source) *block {
 	return b
 }
 
-// downsampleBlock rewrites a raw block as per-N-epoch aggregates.
-func downsampleBlock(b *block, n uint64) *block {
-	d := &block{
-		machine:    b.machine,
-		firstSeq:   b.firstSeq,
-		lastSeq:    b.lastSeq,
-		downsample: n,
-	}
-	bucketByStart := map[uint64]*bucketMeta{}
-	for _, m := range b.metas {
-		start := bucketStart(m.epoch, n)
-		bm := bucketByStart[start]
-		if bm == nil {
-			bm = &bucketMeta{epoch: start}
-			bucketByStart[start] = bm
-			d.buckets = append(d.buckets, bucketMeta{})
-		}
-		bm.cover |= 1 << (m.epoch - start)
-		bm.wall += m.wall
-	}
-	starts := make([]uint64, 0, len(bucketByStart))
-	for s := range bucketByStart {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for i, s := range starts {
-		d.buckets[i] = *bucketByStart[s]
-	}
-	// Epoch bounds stay exact: a partial last bucket must not claim the
-	// uncovered tail (nor a partial first bucket an uncovered head).
-	d.minEpoch, d.maxEpoch = bucketBounds(d.buckets)
-	for si := range b.series {
-		src := &b.series[si]
-		ds := bseries{labels: src.labels}
-		for j := 0; j < len(src.epochs); {
-			start := bucketStart(src.epochs[j], n)
-			var samples, insts, min, max uint64
-			var cycles float64
-			first := j
-			for ; j < len(src.epochs) && bucketStart(src.epochs[j], n) == start; j++ {
-				s := src.samples[j]
-				samples += s
-				insts += src.insts[j]
-				cycles += float64(s) * src.periods[j]
-				if j == first || s < min {
-					min = s
-				}
-				if s > max {
-					max = s
-				}
-			}
-			period := src.periods[first]
-			if samples > 0 {
-				period = cycles / float64(samples)
-			}
-			ds.epochs = append(ds.epochs, start)
-			ds.samples = append(ds.samples, samples)
-			ds.insts = append(ds.insts, insts)
-			ds.walls = append(ds.walls, bucketByStart[start].wall)
-			ds.periods = append(ds.periods, period)
-			ds.mins = append(ds.mins, min)
-			ds.maxs = append(ds.maxs, max)
-		}
-		d.series = append(d.series, ds)
-		d.points += len(ds.epochs)
-	}
-	return d
-}
-
 // EncodeBlock returns the framed, CRC-stamped encoding of a block.
 func EncodeBlock(b *block) []byte {
 	e := newFrame()
@@ -352,27 +219,16 @@ func EncodeBlock(b *block) []byte {
 	e.Uvarint(b.lastSeq)
 	e.Uvarint(b.minEpoch)
 	e.Uvarint(b.maxEpoch)
-	e.Uvarint(b.downsample)
-	if b.downsample == 0 {
-		e.Count(len(b.metas))
-		var prev epochMeta
-		var prevBits uint64
-		for _, m := range b.metas {
-			bits := math.Float64bits(m.period)
-			e.Uvarint(m.epoch - prev.epoch)
-			e.Varint(m.wall - prev.wall)
-			e.Uvarint(bits ^ prevBits)
-			prev, prevBits = m, bits
-		}
-	} else {
-		e.Count(len(b.buckets))
-		var prev bucketMeta
-		for _, bm := range b.buckets {
-			e.Uvarint(bm.epoch - prev.epoch)
-			e.Uvarint(bm.cover)
-			e.Varint(bm.wall - prev.wall)
-			prev = bm
-		}
+	e.Uvarint(0) // the downsample factor of the retired aggregate layout
+	e.Count(len(b.metas))
+	var prevMeta epochMeta
+	var prevBits uint64
+	for _, m := range b.metas {
+		bits := math.Float64bits(m.period)
+		e.Uvarint(m.epoch - prevMeta.epoch)
+		e.Varint(m.wall - prevMeta.wall)
+		e.Uvarint(bits ^ prevBits)
+		prevMeta, prevBits = m, bits
 	}
 	strs, strIdx := blockStringTable(b)
 	e.Count(len(strs))
@@ -401,20 +257,6 @@ func EncodeBlock(b *block) []byte {
 				prev = v
 			}
 		}
-		if b.downsample > 0 {
-			for _, v := range bs.mins {
-				e.Uvarint(v)
-			}
-			for j, v := range bs.maxs {
-				e.Uvarint(v - bs.mins[j])
-			}
-			var prevBits uint64
-			for _, p := range bs.periods {
-				bits := math.Float64bits(p)
-				e.Uvarint(bits ^ prevBits)
-				prevBits = bits
-			}
-		}
 	}
 	return sealFrame(e.B, BlockMagic, BlockVersion)
 }
@@ -441,7 +283,10 @@ func blockStringTable(b *block) ([]string, map[string]uint64) {
 	return strs, idx
 }
 
-// DecodeBlock decodes and validates one block file.
+// DecodeBlock decodes and validates one block file. The header still
+// carries the downsample factor of a per-N-epoch aggregate layout that
+// earlier builds could write; a block whose factor is not 0 is refused,
+// so Open quarantines it like any file it cannot decode.
 func DecodeBlock(raw []byte) (*block, error) {
 	payload, err := checkFrame(raw, BlockMagic, BlockVersion)
 	if err != nil {
@@ -450,20 +295,19 @@ func DecodeBlock(raw []byte) (*block, error) {
 	d := &wire.Dec{B: payload}
 	b := &block{
 		machine: decStr(d), firstSeq: d.Uvarint(), lastSeq: d.Uvarint(),
-		minEpoch: d.Uvarint(), maxEpoch: d.Uvarint(), downsample: d.Uvarint(),
+		minEpoch: d.Uvarint(), maxEpoch: d.Uvarint(),
 	}
+	factor := d.Uvarint()
 	switch {
 	case d.Err != nil:
 	case b.machine == "":
 		d.Fail(errors.New("block without machine label"))
 	case b.firstSeq == 0 || b.firstSeq > b.lastSeq:
 		d.Fail(fmt.Errorf("bad block sequence range [%d, %d]", b.firstSeq, b.lastSeq))
-	case b.downsample == 1 || b.downsample > maxDownsample:
-		d.Fail(fmt.Errorf("bad downsample factor %d", b.downsample))
-	case b.downsample == 0:
-		b.decodeMetas(d)
+	case factor != 0:
+		d.Fail(fmt.Errorf("downsampled block (factor %d): only raw-fidelity blocks are read", factor))
 	default:
-		b.decodeBuckets(d)
+		b.decodeMetas(d)
 	}
 	b.decodeSeries(d, decodeStringTable(d))
 	if err := d.Done(); err != nil {
@@ -497,39 +341,6 @@ func (b *block) decodeMetas(d *wire.Dec) {
 	}
 	if d.Err == nil && (b.minEpoch != b.metas[0].epoch || b.maxEpoch != b.metas[n-1].epoch) {
 		d.Fail(errors.New("block epoch bounds disagree with metadata"))
-	}
-}
-
-func (b *block) decodeBuckets(d *wire.Dec) {
-	n := d.Count(3) // three varints a bucket
-	if n == 0 {
-		d.Fail(errors.New("block without buckets"))
-	}
-	b.buckets = make([]bucketMeta, 0, n)
-	var prev bucketMeta
-	for i := 0; i < n && d.Err == nil; i++ {
-		delta := d.Uvarint()
-		if delta == 0 || prev.epoch > math.MaxUint64-delta {
-			d.Fail(errors.New("buckets not strictly ascending"))
-		}
-		prev.epoch += delta
-		prev.cover = d.Uvarint()
-		prev.wall += d.Varint()
-		if bucketStart(prev.epoch, b.downsample) != prev.epoch {
-			d.Fail(fmt.Errorf("bucket %d not aligned to factor %d", prev.epoch, b.downsample))
-		}
-		// A shift count of 64 (factor == maxDownsample) is defined in Go
-		// and yields 0, keeping the full-bitmap case valid.
-		if prev.cover == 0 || prev.cover>>b.downsample != 0 {
-			d.Fail(fmt.Errorf("bucket coverage %#x exceeds factor %d", prev.cover, b.downsample))
-		}
-		b.buckets = append(b.buckets, prev)
-	}
-	if d.Err != nil {
-		return // bucketBounds needs the whole, non-empty list
-	}
-	if min, max := bucketBounds(b.buckets); b.minEpoch != min || b.maxEpoch != max {
-		d.Fail(errors.New("block epoch bounds disagree with buckets"))
 	}
 }
 
@@ -576,11 +387,7 @@ func (b *block) decodeSeries(d *wire.Dec, strs []string) {
 }
 
 func (b *block) decodeOneSeries(d *wire.Dec, lab Labels) bseries {
-	width := 3 // epoch, samples and insts columns
-	if b.downsample > 0 {
-		width = 6 // plus mins, maxs and periods
-	}
-	n := d.Count(width)
+	n := d.Count(3) // epoch, samples and insts columns
 	if n == 0 {
 		d.Fail(errors.New("empty series"))
 	}
@@ -598,9 +405,6 @@ func (b *block) decodeOneSeries(d *wire.Dec, lab Labels) bseries {
 		if prev > math.MaxUint64-delta {
 			d.Fail(errors.New("series epochs overflow"))
 		}
-		if b.downsample > 0 && j > 0 && delta == 0 {
-			d.Fail(errors.New("duplicate bucket in series"))
-		}
 		prev += delta
 		bs.epochs[j] = prev
 	}
@@ -614,46 +418,19 @@ func (b *block) decodeOneSeries(d *wire.Dec, lab Labels) bseries {
 	if d.Err != nil {
 		return bs
 	}
-	if b.downsample == 0 {
-		// Join wall/period from the epoch-metadata table; every point's
-		// epoch must be present there.
-		mi := 0
-		for j, e := range bs.epochs {
-			for mi < len(b.metas) && b.metas[mi].epoch < e {
-				mi++
-			}
-			if mi == len(b.metas) || b.metas[mi].epoch != e {
-				d.Fail(fmt.Errorf("series epoch %d missing from metadata", e))
-				return bs
-			}
-			bs.walls[j] = b.metas[mi].wall
-			bs.periods[j] = b.metas[mi].period
-		}
-		return bs
-	}
-	bi := 0
+	// Join wall/period from the epoch-metadata table; every point's epoch
+	// must be present there.
+	mi := 0
 	for j, e := range bs.epochs {
-		for bi < len(b.buckets) && b.buckets[bi].epoch < e {
-			bi++
+		for mi < len(b.metas) && b.metas[mi].epoch < e {
+			mi++
 		}
-		if bi == len(b.buckets) || b.buckets[bi].epoch != e {
-			d.Fail(fmt.Errorf("series bucket %d missing from bucket table", e))
+		if mi == len(b.metas) || b.metas[mi].epoch != e {
+			d.Fail(fmt.Errorf("series epoch %d missing from metadata", e))
 			return bs
 		}
-		bs.walls[j] = b.buckets[bi].wall
-	}
-	bs.mins = make([]uint64, n)
-	bs.maxs = make([]uint64, n)
-	for j := range bs.mins {
-		bs.mins[j] = d.Uvarint()
-	}
-	for j := range bs.maxs {
-		bs.maxs[j] = bs.mins[j] + d.Uvarint()
-	}
-	var prevBits uint64
-	for j := range bs.periods {
-		prevBits ^= d.Uvarint()
-		bs.periods[j] = decPeriod(d, prevBits)
+		bs.walls[j] = b.metas[mi].wall
+		bs.periods[j] = b.metas[mi].period
 	}
 	return bs
 }

@@ -19,55 +19,36 @@ type CompactOptions struct {
 	// periodic pass amortizes block rewrites instead of rewriting per
 	// scrape.
 	CompactAfter int
-	// RawRetention is how many of the newest epochs (measured from the
-	// fleet-wide max epoch) stay at raw fidelity. 0 disables downsampling
-	// entirely — the horizon must be explicit, because downsampling is
-	// lossy.
-	RawRetention uint64
-	// Downsample is the bucket width in epochs applied to blocks wholly
-	// behind the raw-retention horizon; 0 or 1 disables. Capped at 64 so
-	// each bucket's per-epoch coverage fits one bitmap word (which is what
-	// keeps HasEpoch exact after downsampling).
-	Downsample uint64
 }
 
 // CompactStats reports what one Compact pass did.
 type CompactStats struct {
 	SegmentsCompacted int   // raw segments merged into blocks
-	BlocksWritten     int   // new raw-fidelity blocks
-	BlocksDownsampled int   // raw blocks rewritten as aggregates
+	BlocksWritten     int   // new blocks
 	BytesBefore       int64 // store size entering the pass
 	BytesAfter        int64 // store size leaving the pass
 }
 
 // Compact merges each machine's accumulated raw segments into one block
-// (per machine, per pass) and then rewrites raw blocks wholly behind the
-// raw-retention horizon as downsampled aggregates. Each block is
-// committed with atomicio (temp+fsync+rename) before its inputs are
-// unlinked, so a crash at any point leaves either the inputs, or the
-// block plus leftover inputs that Open reclaims by sequence range —
-// never a gap and never a duplicate.
+// (per machine, per pass). Each block is committed with atomicio
+// (temp+fsync+rename) before its inputs are unlinked, so a crash at any
+// point leaves either the inputs, or the block plus leftover inputs that
+// Open reclaims by sequence range — never a gap and never a duplicate.
 //
-// On raw-retained ranges queries return byte-identical results before
-// and after: compaction preserves every point, the ingestion order of
-// duplicate (labels, epoch) points, and the source ordering key queries
-// merge by. The one exception is a raw segment whose wall/period
-// metadata conflicts with an earlier segment for the same epoch (data
-// Append refuses, but older files may carry): it is quarantined aside as
-// NAME.bad rather than merged, because canonicalizing its metadata would
-// silently change its points' query results.
+// Queries return byte-identical results before and after: compaction
+// preserves every point, the ingestion order of duplicate (labels, epoch)
+// points, and the source ordering key queries merge by. The one exception
+// is a raw segment whose wall/period metadata conflicts with an earlier
+// segment for the same epoch (data Append refuses, but older files may
+// carry): it is quarantined aside as NAME.bad rather than merged, because
+// canonicalizing its metadata would silently change its points' query
+// results.
 func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	st := CompactStats{BytesBefore: db.sizeBytes, BytesAfter: db.sizeBytes}
 	if db.opts.ReadOnly {
 		return st, errors.New("tsdb: store opened read-only")
-	}
-	if o.Downsample > 1 && o.RawRetention == 0 {
-		return st, errors.New("tsdb: -downsample needs a -raw-retention horizon (refusing to downsample everything)")
-	}
-	if o.Downsample > maxDownsample {
-		return st, fmt.Errorf("tsdb: -downsample %d exceeds the maximum factor %d (bucket coverage is a 64-bit bitmap)", o.Downsample, maxDownsample)
 	}
 	min := o.CompactAfter
 	if min < 1 {
@@ -79,7 +60,7 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 	}
 	sort.Strings(machines)
 	for _, m := range machines {
-		var raws []*source
+		var raws []*source // ascending fileSeq, as byMachine keeps them
 		for _, s := range db.byMachine[m] {
 			if s.raw {
 				raws = append(raws, s)
@@ -88,7 +69,6 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 		if len(raws) < min {
 			continue
 		}
-		sort.Slice(raws, func(i, j int) bool { return raws[i].fileSeq < raws[j].fileSeq })
 		raws = db.quarantineMetaConflictsLocked(raws)
 		src, err := db.writeBlockLocked(buildBlock(m, raws))
 		if err != nil {
@@ -110,12 +90,6 @@ func (db *DB) Compact(o CompactOptions) (CompactStats, error) {
 		}
 		db.removeSources(raws...)
 		db.compactions++
-	}
-	if o.Downsample > 1 {
-		if err := db.downsampleLocked(o, &st); err != nil {
-			db.publish()
-			return st, err
-		}
 	}
 	db.retain()
 	st.BytesAfter = db.sizeBytes
@@ -150,37 +124,6 @@ func (db *DB) quarantineMetaConflictsLocked(raws []*source) []*source {
 	}
 	db.removeSources(bad...)
 	return live
-}
-
-// downsampleLocked rewrites every raw-fidelity block that lies wholly
-// behind the horizon (fleet max epoch minus RawRetention). Caller holds
-// db.mu.
-func (db *DB) downsampleLocked(o CompactOptions, st *CompactStats) error {
-	fleetMax := maxEpoch(db.srcs)
-	if fleetMax <= o.RawRetention {
-		return nil
-	}
-	horizon := fleetMax - o.RawRetention
-	var victims []*source
-	for _, s := range db.srcs {
-		if !s.raw && s.blk.downsample == 0 && s.blk.maxEpoch <= horizon {
-			victims = append(victims, s)
-		}
-	}
-	for _, s := range victims {
-		nsrc, err := db.writeBlockLocked(downsampleBlock(s.blk, o.Downsample))
-		if err != nil {
-			return fmt.Errorf("tsdb: downsampling %s: %w", s.blk.machine, err)
-		}
-		db.addSource(nsrc)
-		db.sizeBytes += nsrc.bytes
-		os.Remove(s.path)
-		db.removeSources(s)
-		db.sizeBytes -= s.bytes
-		st.BlocksDownsampled++
-		db.downsampled++
-	}
-	return nil
 }
 
 // writeBlockLocked encodes and durably writes bl under a fresh file

@@ -45,23 +45,21 @@ func mustCompact(t *testing.T, db *DB, o CompactOptions) CompactStats {
 	return st
 }
 
-// TestBlockRoundTrip encodes and decodes a raw and a downsampled block
-// built from real batches, requiring a lossless round trip.
+// TestBlockRoundTrip encodes and decodes a block built from real batches,
+// requiring a lossless round trip.
 func TestBlockRoundTrip(t *testing.T) {
 	var srcs []*source
 	for e := uint64(1); e <= 4; e++ {
 		b := procBatch("m00", e)
 		srcs = append(srcs, newSource(e, "", 0, true, blockFromBatch(e, &b)))
 	}
-	for _, bl := range []*block{buildBlock("m00", srcs), downsampleBlock(buildBlock("m00", srcs), 2)} {
-		got, err := DecodeBlock(EncodeBlock(bl))
-		if err != nil {
-			t.Fatalf("downsample=%d: %v", bl.downsample, err)
-		}
-		if !reflect.DeepEqual(got, bl) {
-			t.Errorf("downsample=%d round trip changed the block:\nin  %+v\nout %+v",
-				bl.downsample, bl, got)
-		}
+	bl := buildBlock("m00", srcs)
+	got, err := DecodeBlock(EncodeBlock(bl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, bl) {
+		t.Errorf("round trip changed the block:\nin  %+v\nout %+v", bl, got)
 	}
 }
 
@@ -301,65 +299,6 @@ func TestCompactionByteIdentity(t *testing.T) {
 	}
 }
 
-// TestDownsampling compacts old epochs into per-3-epoch aggregates and
-// checks the sums, extremes, and cycle-weighted period.
-func TestDownsampling(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := uint64(1); e <= 6; e++ {
-		mustAppend(t, db, procBatch("m00", e))
-	}
-	mustCompact(t, db, CompactOptions{CompactAfter: 1})
-	for e := uint64(7); e <= 10; e++ {
-		mustAppend(t, db, procBatch("m00", e))
-	}
-	// Horizon = 10 - 3 = 7: the first block (epochs 1-6) is wholly behind
-	// it and gets downsampled; the new block (7-10) stays raw.
-	st := mustCompact(t, db, CompactOptions{CompactAfter: 1, RawRetention: 3, Downsample: 3})
-	if st.BlocksDownsampled != 1 {
-		t.Fatalf("downsampled %d blocks, want 1", st.BlocksDownsampled)
-	}
-	if got := db.Stats(); got.Downsampled != 1 || got.Blocks != 2 {
-		t.Fatalf("stats: %+v", got)
-	}
-
-	pts := db.Select(Matcher{Machine: "m00", Image: "/usr/bin/X", Event: sim.EvCycles, FromEpoch: 1, ToEpoch: 6})
-	if len(pts) != 2 {
-		t.Fatalf("got %d aggregate points, want 2: %+v", len(pts), pts)
-	}
-	// Bucket 1 aggregates epochs 1-3: samples 61+62+63, insts 3x9000,
-	// wall 3x2M; all periods equal so the weighted mean is 62000 exactly.
-	want := []struct {
-		epoch, samples, insts, min, max uint64
-		wall                            int64
-	}{
-		{1, 61 + 62 + 63, 27000, 61, 63, 6_000_000},
-		{4, 64 + 65 + 66, 27000, 64, 66, 6_000_000},
-	}
-	for i, w := range want {
-		p := pts[i]
-		if p.Epoch != w.epoch || p.Samples != w.samples || p.Insts != w.insts ||
-			p.Min != w.min || p.Max != w.max || p.Wall != w.wall || p.Period != 62000 {
-			t.Errorf("bucket %d = %+v, want %+v", i, p, w)
-		}
-		if got, want := p.Cycles(), float64(w.samples)*62000; got != want {
-			t.Errorf("bucket %d cycles = %v, want %v", i, got, want)
-		}
-	}
-	// Per-epoch presence collapses to bucket coverage behind the horizon;
-	// raw epochs keep exact presence.
-	for e := uint64(1); e <= 10; e++ {
-		if !db.HasEpoch("m00", e) {
-			t.Errorf("HasEpoch(m00, %d) = false", e)
-		}
-	}
-	if db.HasEpoch("m00", 11) {
-		t.Error("HasEpoch(m00, 11) = true")
-	}
-}
-
 // TestAppendRejectsConflictingMetadata pins the Append-time gate behind
 // compaction's metadata canonicalization: re-appending a stored epoch is
 // fine (duplicate points are the re-scrape-race contract) but only with
@@ -436,43 +375,6 @@ func TestCompactQuarantinesConflictingSegment(t *testing.T) {
 	}
 }
 
-// TestHasEpochPartialBucket pins exact presence on downsampled blocks:
-// epochs in the uncovered tail of a partial bucket, or in a gap inside
-// one, must read as absent so the scraper's exactly-once check never
-// skips real data.
-func TestHasEpochPartialBucket(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Epoch 5 was never ingested (a scrape outage); epoch 7 ends its
-	// bucket mid-range.
-	stored := []uint64{1, 2, 3, 4, 6, 7}
-	for _, e := range stored {
-		mustAppend(t, db, procBatch("m00", e))
-	}
-	mustCompact(t, db, CompactOptions{CompactAfter: 1})
-	mustAppend(t, db, procBatch("m00", 20))
-	// Horizon = 20 - 5 = 15: the epochs 1-7 block is wholly behind it and
-	// downsamples into buckets {1: 1-3, 4: 4 and 6, 7: 7}.
-	st := mustCompact(t, db, CompactOptions{CompactAfter: 2, RawRetention: 5, Downsample: 3})
-	if st.BlocksDownsampled != 1 {
-		t.Fatalf("downsampled %d blocks, want 1", st.BlocksDownsampled)
-	}
-	has := map[uint64]bool{20: true}
-	for _, e := range stored {
-		has[e] = true
-	}
-	for e := uint64(1); e <= 21; e++ {
-		if got := db.HasEpoch("m00", e); got != has[e] {
-			t.Errorf("HasEpoch(m00, %d) = %v, want %v", e, got, has[e])
-		}
-	}
-	if got := db.MaxEpoch("m00"); got != 20 {
-		t.Errorf("MaxEpoch(m00) = %d, want 20", got)
-	}
-}
-
 func TestCompactGuards(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
@@ -480,12 +382,6 @@ func TestCompactGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, db, procBatch("m00", 1))
-	if _, err := db.Compact(CompactOptions{CompactAfter: 1, Downsample: 4}); err == nil {
-		t.Error("downsampling without a raw-retention horizon succeeded")
-	}
-	if _, err := db.Compact(CompactOptions{CompactAfter: 1, RawRetention: 1, Downsample: maxDownsample + 1}); err == nil {
-		t.Error("downsample factor beyond the coverage bitmap width succeeded")
-	}
 	ro, err := Open(dir, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -533,41 +429,6 @@ func TestCrashMidCompaction(t *testing.T) {
 	left, _ := filepath.Glob(filepath.Join(dir, "*.tsdb"))
 	if len(left) != 2 {
 		t.Fatalf("%d files after recovery, want 2", len(left))
-	}
-}
-
-// TestCrashMidDownsample simulates dying between a downsampled rewrite's
-// commit and the removal of the raw block it replaced: the older block's
-// sequence range is contained in the newer one's, so reopen drops it.
-func TestCrashMidDownsample(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := uint64(1); e <= 4; e++ {
-		mustAppend(t, db, procBatch("m00", e))
-	}
-	mustCompact(t, db, CompactOptions{CompactAfter: 1}) // -> blk-00000005
-	// Fake the crashed rewrite: a newer block file with the same consumed
-	// range (what downsampleLocked commits before unlinking the old one).
-	raw, err := os.ReadFile(filepath.Join(dir, blkName(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, blkName(6)), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := db2.Stats()
-	if st.Reclaimed != 1 || st.Blocks != 1 {
-		t.Fatalf("recovery stats: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, blkName(5))); !os.IsNotExist(err) {
-		t.Error("superseded block survived reopen")
 	}
 }
 

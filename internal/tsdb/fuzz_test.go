@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -79,7 +81,11 @@ func FuzzTSDBBlockDecode(f *testing.F) {
 	raw := buildBlock("m04", srcs)
 	rawBytes := EncodeBlock(raw)
 	f.Add(rawBytes)
-	f.Add(EncodeBlock(downsampleBlock(raw, 2)))
+	ds2, err := os.ReadFile(filepath.Join("testdata", "block_ds2.tsdb")) // refused: downsampled
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ds2)
 	f.Add(rawBytes[:13])         // truncated header
 	f.Add(rawBytes[:25])         // truncated payload
 	f.Add([]byte("not a block")) // bad magic

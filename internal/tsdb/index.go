@@ -39,14 +39,6 @@ type chunk struct {
 	sub int
 }
 
-// before orders two chunks of one label by (ord, sub).
-func (c chunk) before(d chunk) bool {
-	if a, b := c.src.blk.lastSeq, d.src.blk.lastSeq; a != b {
-		return a < b
-	}
-	return c.sub < d.sub
-}
-
 // labelChunks is one entry of the series index: every chunk that carries
 // one label set, in (ord, sub) order.
 type labelChunks struct {
@@ -54,17 +46,19 @@ type labelChunks struct {
 	chunks []chunk
 }
 
-// addSource indexes s. Caller holds db.mu (or has exclusive access during
-// Open); srcs stays ascending by fileSeq because sequences are allocated
-// monotonically and Open sorts before inserting. A chunk usually lands at
-// the end of its label's list, but a downsampled block takes a new file
-// sequence while keeping the old ord of the block it rewrites, so it is
-// placed by (ord, sub), never by arrival.
+// addSource indexes s, appending each of its series to its label's chunk
+// list. Caller holds db.mu (or has exclusive access during Open). srcs
+// stays ascending by fileSeq because sequences are allocated monotonically
+// and Open sorts before adding. Appending keeps every list in (ord, sub)
+// order: a segment's ord is its own sequence, newer than anything its
+// machine holds, and a block's ord is the newest of the segments it
+// consumes — all of its machine's raw segments, which Compact removes
+// under the same db.mu hold, so once the lock drops the block follows
+// only older blocks.
 func (db *DB) addSource(s *source) {
 	db.srcs = append(db.srcs, s)
 	db.byMachine[s.blk.machine] = append(db.byMachine[s.blk.machine], s)
 	for i := range s.blk.series {
-		c := chunk{s, i}
 		lab := &s.blk.series[i].labels
 		e := db.bySeries[*lab]
 		if e == nil {
@@ -73,8 +67,7 @@ func (db *DB) addSource(s *source) {
 			at := sort.Search(len(db.series), func(j int) bool { return labelsLess(lab, &db.series[j].labels) })
 			db.series = slices.Insert(db.series, at, e)
 		}
-		at := sort.Search(len(e.chunks), func(j int) bool { return c.before(e.chunks[j]) })
-		e.chunks = slices.Insert(e.chunks, at, c)
+		e.chunks = append(e.chunks, chunk{s, i})
 	}
 }
 

@@ -93,8 +93,7 @@ func wantIndex(srcs []*source) []indexEntry {
 // churnStore builds a store the way a long-running collector reshapes one,
 // with every event that moves the series index: three machines, batches
 // whose records repeat labels, re-scrapes of stored epochs, compactions at
-// random points — some downsampling, so that a block's file order differs
-// from its ord order — a reopen that quarantines a corrupt segment, and
+// random points, a reopen that quarantines a corrupt segment, and
 // retention eviction under a size cap. It returns the live store.
 func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
 	t.Helper()
@@ -103,7 +102,6 @@ func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
 		t.Fatal(err)
 	}
 	next := map[string]uint64{}
-	downsampled := 0
 	step := func() {
 		machine := fmt.Sprintf("m%02d", rng.Intn(3))
 		epoch := next[machine] + 1
@@ -124,11 +122,7 @@ func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
 		}
 		mustAppend(t, db, b)
 		if rng.Intn(10) == 0 {
-			o := CompactOptions{CompactAfter: 1 + rng.Intn(6)}
-			if rng.Intn(2) == 0 {
-				o.RawRetention, o.Downsample = 2+uint64(rng.Intn(6)), 2+uint64(rng.Intn(3))
-			}
-			downsampled += mustCompact(t, db, o).BlocksDownsampled
+			mustCompact(t, db, CompactOptions{CompactAfter: 1 + rng.Intn(6)})
 		}
 	}
 	for i := 0; i < 60; i++ {
@@ -149,9 +143,8 @@ func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
 	for i := 0; i < 60; i++ {
 		step()
 	}
-	if st := db.Stats(); quarantined != 1 || st.Evicted == 0 || downsampled == 0 {
-		t.Fatalf("the store skipped a reshaping event: %d quarantined, %d evicted, %d downsampled",
-			quarantined, st.Evicted, downsampled)
+	if st := db.Stats(); quarantined != 1 || st.Evicted == 0 {
+		t.Fatalf("the store skipped a reshaping event: %d quarantined, %d evicted", quarantined, st.Evicted)
 	}
 	return db
 }
@@ -163,7 +156,7 @@ func churnStore(t *testing.T, rng *rand.Rand, dir string) *DB {
 // (ord, sub) order, and emptied keys deleted — from byMachine, and from
 // both bySeries and the ordered index. It then requires the index a store
 // builds on Open to equal the one the live store held after appends,
-// compaction, downsampling, quarantine and retention.
+// compaction, quarantine and retention.
 func TestRemoveSourcesKeepsPostingListsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for round := 0; round < 20; round++ {

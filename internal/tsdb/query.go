@@ -91,12 +91,9 @@ func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
 			continue
 		}
 		for _, c := range e.chunks {
-			// A downsampled series stamps each bucket's first epoch, which
-			// can precede the first epoch its block ingested; the block's
-			// bound is the one a query's upper bound is held to.
 			bs := &c.src.blk.series[c.sub]
-			first, last := max(bs.epochs[0], c.src.blk.minEpoch), bs.epochs[len(bs.epochs)-1]
-			if last < lo || (m.ToEpoch != 0 && first > m.ToEpoch) {
+			last := bs.epochs[len(bs.epochs)-1]
+			if last < lo || (m.ToEpoch != 0 && bs.epochs[0] > m.ToEpoch) {
 				continue
 			}
 			out = append(out, bs)

@@ -213,9 +213,9 @@ func sortedPlan(db *DB, m Matcher) ([]*bseries, uint64, uint64) {
 
 // TestPlanMatchesSortedReference draws bounded matchers over every
 // combination of the Matcher fields against stores churned through
-// duplicate labels, re-scrapes, compaction, downsampling, quarantine and
-// eviction (see churnStore), and requires the index-driven plan to return
-// the reference's series in the reference's order, with the same bounds.
+// duplicate labels, re-scrapes, compaction, quarantine and eviction (see
+// churnStore), and requires the index-driven plan to return the
+// reference's series in the reference's order, with the same bounds.
 func TestPlanMatchesSortedReference(t *testing.T) {
 	pick := func(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
 	for seed := int64(1); seed <= 6; seed++ {

@@ -9,8 +9,7 @@
 // (machine, epoch) and a full scan per query — so the store also has a
 // compactor (see compact.go): raw segments merge into immutable,
 // delta+varint-encoded block files covering whole epoch ranges per
-// machine, and blocks entirely behind a raw-retention horizon can be
-// rewritten as per-N-epoch downsampled aggregates. An in-memory series
+// machine, keeping every point at full fidelity. An in-memory series
 // index (see index.go) keeps one entry per distinct label set, in label
 // order, each holding its (source, series) chunks in ingestion order, so a
 // query reads the series it matches already in the order its
@@ -74,12 +73,6 @@ type Labels struct {
 // collected, the executed-instruction total) for a series at one epoch.
 // Wall and Period are denormalized from the epoch's metadata so queries
 // can convert samples to cycles without a side lookup.
-//
-// A point read from a downsampled block is a per-bucket aggregate: Epoch
-// is the bucket's first epoch, Samples/Insts/Wall are sums over the
-// bucket, Period is the cycle-weighted average (so Cycles() returns the
-// bucket's true cycle sum), and Min/Max are the per-epoch sample extremes
-// within the bucket. For raw points Min == Max == Samples.
 type Point struct {
 	Labels
 	Epoch   uint64
@@ -87,8 +80,6 @@ type Point struct {
 	Insts   uint64 // 0 when the epoch had no exact counts
 	Wall    int64  // epoch wall-clock cycles on that machine
 	Period  float64
-	Min     uint64
-	Max     uint64
 }
 
 // Cycles returns the cycles this point attributes to its series
@@ -151,7 +142,6 @@ type DB struct {
 	evicted     int
 	reclaimed   int // compaction leftovers removed during Open recovery
 	compactions int
-	downsampled int
 
 	// testCrashMidCompact makes Compact return right after committing its
 	// first block, before removing the inputs — simulating a process that
@@ -162,11 +152,12 @@ type DB struct {
 // Open opens (or creates, unless ReadOnly) the store at dir, loading every
 // decodable segment and block into the in-memory index. Corrupt files are
 // renamed to NAME.bad (kept for post-mortem, hidden from queries) unless
-// ReadOnly. Raw segments whose sequence number falls inside a same-machine
-// block's consumed range — and blocks fully consumed by a newer block —
-// are leftovers of a crash between a compaction's commit rename and its
-// input cleanup; they are removed (hidden when ReadOnly) so the data never
-// appears twice.
+// ReadOnly. A quarantined name still holds its sequence, so a later file
+// never reuses it and a second quarantine never overwrites the first
+// post-mortem copy. Raw segments whose sequence number falls inside a
+// same-machine block's consumed range are leftovers of a crash between a
+// compaction's commit rename and its input cleanup; they are removed
+// (hidden when ReadOnly) so the data never appears twice.
 func Open(dir string, opts Options) (*DB, error) {
 	if !opts.ReadOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -196,8 +187,12 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 			continue
 		}
-		seq, isBlock, ok := parseFileName(name)
+		seq, isBlock, ok := parseFileName(strings.TrimSuffix(name, ".bad"))
 		if !ok {
+			continue
+		}
+		db.nextSeq = max(db.nextSeq, seq+1)
+		if strings.HasSuffix(name, ".bad") {
 			continue
 		}
 		full := filepath.Join(dir, name)
@@ -222,9 +217,6 @@ func Open(dir string, opts Options) (*DB, error) {
 			continue
 		}
 		loaded = append(loaded, newSource(seq, full, int64(len(raw)), !isBlock, bl))
-		if seq >= db.nextSeq {
-			db.nextSeq = seq + 1
-		}
 	}
 	sort.Slice(loaded, func(i, j int) bool { return loaded[i].fileSeq < loaded[j].fileSeq })
 	for _, s := range db.reclaimLeftovers(loaded) {
@@ -235,25 +227,22 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// reclaimLeftovers drops (and, unless ReadOnly, deletes) sources whose
-// contents were already committed into a newer block: any source whose
-// consumed range [firstSeq, lastSeq] is contained in a newer same-machine
-// block's range — a raw segment (its range is its own sequence) that a
-// compaction merged, or a block that a downsampling rewrite replaced,
-// before a crash cut the cleanup short. Input and output are ascending by
-// fileSeq.
+// reclaimLeftovers drops (and, unless ReadOnly, deletes) the raw segments
+// whose contents were already committed into a block: a segment whose
+// sequence falls inside a same-machine block's consumed range [firstSeq,
+// lastSeq] was merged by a compaction before a crash cut the cleanup
+// short. Input and output are ascending by fileSeq.
 func (db *DB) reclaimLeftovers(loaded []*source) []*source {
-	blocks := map[string][]*source{}
+	blocks := map[string][]*block{}
 	for _, s := range loaded {
 		if !s.raw {
-			blocks[s.blk.machine] = append(blocks[s.blk.machine], s)
+			blocks[s.blk.machine] = append(blocks[s.blk.machine], s.blk)
 		}
 	}
 	live := loaded[:0]
 	for _, s := range loaded {
-		if slices.ContainsFunc(blocks[s.blk.machine], func(b *source) bool {
-			return b != s && b.fileSeq >= s.fileSeq &&
-				s.blk.firstSeq >= b.blk.firstSeq && s.blk.lastSeq <= b.blk.lastSeq
+		if s.raw && slices.ContainsFunc(blocks[s.blk.machine], func(b *block) bool {
+			return b.firstSeq <= s.fileSeq && s.fileSeq <= b.lastSeq
 		}) {
 			if !db.opts.ReadOnly {
 				os.Remove(s.path)
@@ -315,10 +304,9 @@ func (db *DB) Append(b Batch) error {
 	enc := EncodeSegment(&b)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if wall, period, ok := db.epochMetaLocked(b.Machine, b.Epoch); ok &&
-		(wall != b.Wall || period != b.Period) {
+	if m, ok := db.epochMetaLocked(b.Machine, b.Epoch); ok && (m.wall != b.Wall || m.period != b.Period) {
 		return fmt.Errorf("tsdb: conflicting re-scrape of (%s, epoch %d): stored wall=%d period=%v, batch wall=%d period=%v",
-			b.Machine, b.Epoch, wall, period, b.Wall, b.Period)
+			b.Machine, b.Epoch, m.wall, m.period, b.Wall, b.Period)
 	}
 	seq := db.nextSeq
 	db.nextSeq++
@@ -336,22 +324,20 @@ func (db *DB) Append(b Batch) error {
 	return nil
 }
 
-// epochMetaLocked returns the stored wall/period metadata for (machine,
-// epoch) when the store holds that epoch at raw fidelity. Downsampled
-// blocks aggregate per-epoch metadata away and report ok == false.
-// Caller holds db.mu.
-func (db *DB) epochMetaLocked(machine string, epoch uint64) (wall int64, period float64, ok bool) {
+// epochMetaLocked returns the stored metadata of (machine, epoch) when the
+// store holds that epoch. Caller holds db.mu.
+func (db *DB) epochMetaLocked(machine string, epoch uint64) (epochMeta, bool) {
 	for _, s := range db.byMachine[machine] {
-		if epoch < s.blk.minEpoch || epoch > s.blk.maxEpoch || s.blk.downsample != 0 {
+		if epoch < s.blk.minEpoch || epoch > s.blk.maxEpoch {
 			continue
 		}
 		ms := s.blk.metas
 		i := sort.Search(len(ms), func(i int) bool { return ms[i].epoch >= epoch })
 		if i < len(ms) && ms[i].epoch == epoch {
-			return ms[i].wall, ms[i].period, true
+			return ms[i], true
 		}
 	}
-	return 0, 0, false
+	return epochMeta{}, false
 }
 
 // retain enforces the size cap by deleting the oldest sources: lowest max
@@ -388,7 +374,6 @@ func (db *DB) publish() {
 	st := db.statsLocked()
 	reg.Gauge("tsdb.segments").Set(float64(st.Segments))
 	reg.Gauge("tsdb.blocks").Set(float64(st.Blocks))
-	reg.Gauge("tsdb.downsampled_blocks").Set(float64(st.Downsampled))
 	reg.Gauge("tsdb.points").Set(float64(st.Points))
 	reg.Gauge("tsdb.size_bytes").Set(float64(st.SizeBytes))
 	reg.Gauge("tsdb.quarantined_segments").Set(float64(st.Quarantined))
@@ -401,7 +386,6 @@ func (db *DB) publish() {
 type Stats struct {
 	Segments    int // raw (uncompacted) segment files
 	Blocks      int // compacted block files
-	Downsampled int // blocks holding per-N-epoch aggregates
 	Points      int
 	SizeBytes   int64
 	Quarantined int
@@ -428,13 +412,9 @@ func (db *DB) statsLocked() Stats {
 		Compactions: db.compactions,
 	}
 	for _, s := range db.srcs {
-		switch {
-		case s.raw:
+		if s.raw {
 			st.Segments++
-		case s.blk.downsample > 0:
-			st.Blocks++
-			st.Downsampled++
-		default:
+		} else {
 			st.Blocks++
 		}
 		st.Points += s.blk.points
@@ -443,19 +423,12 @@ func (db *DB) statsLocked() Stats {
 }
 
 // HasEpoch reports whether (machine, epoch) was ingested — the scraper's
-// exactly-once check. Exact at every tier: downsampled blocks keep a
-// per-bucket coverage bitmap, so an epoch in the uncovered tail of a
-// partial bucket is correctly reported absent and re-scraping behind the
-// raw-retention horizon never drops data.
+// exactly-once check.
 func (db *DB) HasEpoch(machine string, epoch uint64) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, s := range db.byMachine[machine] {
-		if s.blk.hasEpoch(epoch) {
-			return true
-		}
-	}
-	return false
+	_, ok := db.epochMetaLocked(machine, epoch)
+	return ok
 }
 
 // MaxEpoch returns the highest epoch stored for machine (0 if none).

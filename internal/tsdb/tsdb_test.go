@@ -116,6 +116,66 @@ func TestAppendReopenQuarantine(t *testing.T) {
 	}
 }
 
+// TestQuarantineKeepsItsSequence quarantines the newest segment twice in a
+// row. The first .bad file must still hold its sequence: the next append
+// takes a new one, and the second quarantine leaves both post-mortem
+// copies.
+func TestQuarantineKeepsItsSequence(t *testing.T) {
+	dir := t.TempDir()
+	glob := func(pattern string) []string {
+		names, _ := filepath.Glob(filepath.Join(dir, pattern)) // sorted: sequences are zero-padded
+		for i, name := range names {
+			names[i] = filepath.Base(name)
+		}
+		return names
+	}
+	// quarantineNewest overwrites the newest segment with garbage and opens
+	// the store twice, the first time quarantining the segment and the
+	// second finding only its .bad file, then appends epoch 3.
+	quarantineNewest := func(garbage string) {
+		t.Helper()
+		segs := glob("seg-*.tsdb")
+		if err := os.WriteFile(filepath.Join(dir, segs[len(segs)-1]), []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var db *DB
+		for range 2 {
+			var err error
+			if db, err = Open(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Append(testBatch("m00", 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(1); e <= 2; e++ {
+		if err := db.Append(testBatch("m00", e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quarantineNewest("first")
+	quarantineNewest("second")
+	var held []string
+	for _, name := range glob("*.bad") {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, string(raw))
+	}
+	if want := []string{"first", "second"}; !reflect.DeepEqual(held, want) {
+		t.Errorf("the quarantined files hold %q, want %q", held, want)
+	}
+	if got, want := glob("seg-*.tsdb"), []string{segName(1), segName(4)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("live segments %v, want %v", got, want)
+	}
+}
+
 func TestRetentionCap(t *testing.T) {
 	dir := t.TempDir()
 	probe, err := Open(dir, Options{})

@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"dcpi/internal/alpha"
 	"dcpi/internal/loader"
 	"dcpi/internal/pipeline"
 	"dcpi/internal/sim"
@@ -230,30 +229,5 @@ func TestPairTableIsTheSlottingRule(t *testing.T) {
 	}
 	if pairable == 0 || pairable == pairs {
 		t.Errorf("%d of %d pairs may pair; the comparison shows nothing", pairable, pairs)
-	}
-}
-
-// No workload, and not the kernel, contains rpcc: the one instruction whose
-// result depends on timing (it reads the cycle counter into a register), so
-// every program's function is independent of the machine it is timed on.
-func TestNoWorkloadReadsTheCycleCounter(t *testing.T) {
-	insts := 0
-	for _, spec := range All() {
-		kernel, _ := Kernel()
-		l := loader.New(kernel)
-		if err := spec.Setup(&Ctx{Loader: l, Scale: 0.05}); err != nil {
-			t.Fatal(err)
-		}
-		for _, im := range l.Images() {
-			for i, in := range im.Code {
-				if in.Op == alpha.OpRPCC {
-					t.Errorf("%s %s: instruction %d is rpcc", spec.Name, im.Path, i)
-				}
-			}
-			insts += len(im.Code)
-		}
-	}
-	if insts == 0 {
-		t.Error("no workload image holds an instruction; the check shows nothing")
 	}
 }
