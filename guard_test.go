@@ -95,6 +95,13 @@ func TestSourceGuards(t *testing.T) {
 			"internal/tsdb: queries plan over the series index (db.series, one label-ordered entry per label set): no posting lists by image, source summaries or chunk sort",
 		},
 		{
+			// An aggregator reads a series' columns in place: a scan hands
+			// it one series range per window, never a copied point.
+			regexp.MustCompile(`func\((w|win) int, p Point\)`),
+			func(f file) bool { return !f.isTest && in(f, "internal/tsdb") },
+			"internal/tsdb: scanWindows hands fn(win, bs, j0, j1), a series' column range in one window; only Select materializes points (bs.point)",
+		},
+		{
 			// A block has one layout: every point at full fidelity, no
 			// per-N-epoch aggregates or the flags that asked for them. And
 			// no instruction reads timing, so a program's function does not

@@ -321,10 +321,14 @@ func (db *DB) NewEpoch() error {
 	return os.MkdirAll(db.epochDir(db.epoch), 0o755)
 }
 
+// pathMangler turns an image path's separators into underscores. It is
+// built once: every Update, Path and LoadAt names a file through it.
+var pathMangler = strings.NewReplacer("/", "_", "\\", "_", ":", "_")
+
 // fileName mangles an image path and event into a profile file name, the
 // way DCPI stores one file per (image, event) combination.
 func fileName(imagePath string, ev sim.Event) string {
-	mangled := strings.NewReplacer("/", "_", "\\", "_", ":", "_").Replace(strings.TrimPrefix(imagePath, "/"))
+	mangled := pathMangler.Replace(strings.TrimPrefix(imagePath, "/"))
 	return mangled + "." + ev.String() + ".prof"
 }
 

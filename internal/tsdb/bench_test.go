@@ -82,6 +82,20 @@ func BenchmarkTopDeltas(b *testing.B) {
 	}
 }
 
+// BenchmarkTopImages measures the fleet-wide hot-image ranking over the
+// same store: every image's series on one event, all 100 epochs.
+func BenchmarkTopImages(b *testing.B) {
+	db := benchStore(b, 16, 100, 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows := TopImages(db, sim.EvCycles, 1, 100, 10)
+		if len(rows) != 6 {
+			b.Fatalf("got %d rows", len(rows))
+		}
+	}
+	b.ReportMetric(16*100*6, "points/query")
+}
+
 // BenchmarkAppend measures the durable ingest path: encode + fsync + index
 // of one scraped batch (12 points), the per-(machine, epoch) unit of work.
 func BenchmarkAppend(b *testing.B) {

@@ -72,6 +72,10 @@ func (bs *bseries) point(j int) Point {
 	}
 }
 
+// cycles is the cycles column j attributes to the series (Point.Cycles
+// without materializing the point).
+func (bs *bseries) cycles(j int) float64 { return float64(bs.samples[j]) * bs.periods[j] }
+
 // searchEpoch returns the first column index with epoch >= e.
 func (bs *bseries) searchEpoch(e uint64) int {
 	return sort.Search(len(bs.epochs), func(i int) bool { return bs.epochs[i] >= e })

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"sort"
 
 	"dcpi/internal/analysis"
@@ -110,17 +111,19 @@ func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
 // into up to this many contiguous windows, scanned concurrently.
 const queryWindows = 16
 
-// scanWindows runs fn over every point matching m, partitioned into up
+// scanWindows runs fn over every series matching m, partitioned into up
 // to queryWindows contiguous epoch windows that are scanned concurrently
-// (worker count bounded by the process-wide par.Budget). Within one
-// window, points arrive in the series index's order — ascending (labels,
-// ord, sub), epochs ascending within a series — and each epoch belongs
-// to exactly one window. Window boundaries depend only on the epoch
-// bounds, never on worker count or storage layout, so per-window
-// accumulation (and any window-ordered merge) is deterministic and
-// unchanged by compaction. fn may be called concurrently for different
-// win values, never for the same one. Returns the window count.
-func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
+// (worker count bounded by the process-wide par.Budget). fn(win, bs, j0,
+// j1) reads columns [j0, j1) of one series in place, never an empty range.
+// Within one window, ranges arrive in the series index's order — ascending
+// (labels, ord, sub), so a machine's series are contiguous, epochs
+// ascending within a range — and each epoch belongs to exactly one window.
+// Window boundaries depend only on the epoch bounds, never on worker count
+// or storage layout, so per-window accumulation (and any window-ordered
+// merge) is deterministic and unchanged by compaction. fn may be called
+// concurrently for different win values, never for the same one. Returns
+// the window count.
+func (db *DB) scanWindows(m Matcher, fn func(win int, bs *bseries, j0, j1 int)) int {
 	series, lo, hi := db.plan(m)
 	if len(series) == 0 || hi < lo {
 		return 0
@@ -144,19 +147,36 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
 		return lo + (span*uint64(w)+uint64(nwin)-1)/uint64(nwin)
 	}
 	// Every planned series overlaps [lo, hi], so each spans at least one
-	// window.
-	winSeries := make([][]*bseries, nwin)
+	// window. The windows' lists are cut from one array a counting pass
+	// sizes, so a scan allocates the same whatever its series count.
+	winsOf := func(bs *bseries) (int, int) {
+		return winOf(max(bs.epochs[0], lo)), winOf(min(bs.epochs[len(bs.epochs)-1], hi))
+	}
+	counts, cells := make([]int, nwin), 0
 	for _, bs := range series {
-		first, last := max(bs.epochs[0], lo), min(bs.epochs[len(bs.epochs)-1], hi)
-		for w := winOf(first); w <= winOf(last); w++ {
+		w0, w1 := winsOf(bs)
+		for w := w0; w <= w1; w++ {
+			counts[w]++
+		}
+		cells += w1 - w0 + 1
+	}
+	winSeries, flat := make([][]*bseries, nwin), make([]*bseries, cells)
+	for w, c := range counts {
+		winSeries[w], flat = flat[:0:c], flat[c:]
+	}
+	for _, bs := range series {
+		w0, w1 := winsOf(bs)
+		for w := w0; w <= w1; w++ {
 			winSeries[w] = append(winSeries[w], bs)
 		}
 	}
 	par.Default().Each(nwin, func(w int) {
 		ws, we := winStart(w), winStart(w+1)-1
 		for _, bs := range winSeries[w] {
-			for j := bs.searchEpoch(ws); j < len(bs.epochs) && bs.epochs[j] <= we; j++ {
-				fn(w, bs.point(j))
+			j0 := bs.searchEpoch(ws)
+			j1 := j0 + sort.Search(len(bs.epochs)-j0, func(i int) bool { return bs.epochs[j0+i] > we })
+			if j0 < j1 {
+				fn(w, bs, j0, j1)
 			}
 		}
 	})
@@ -170,10 +190,15 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, p Point)) int {
 // record order). The order is a contract, not iteration luck: it is
 // stable across process restarts, worker counts, and compaction. Points
 // reach each window already in (labels, ord, sub) order, so a stable sort
-// on (epoch, labels) is all that is left to do.
+// on (epoch, labels) is all that is left to do. Select is the one query
+// that materializes points: its contract is a []Point.
 func (db *DB) Select(m Matcher) []Point {
 	wins := make([][]Point, queryWindows)
-	n := db.scanWindows(m, func(w int, p Point) { wins[w] = append(wins[w], p) })
+	n := db.scanWindows(m, func(w int, bs *bseries, j0, j1 int) {
+		for j := j0; j < j1; j++ {
+			wins[w] = append(wins[w], bs.point(j))
+		}
+	})
 	var out []Point
 	for _, ps := range wins[:n] {
 		sort.SliceStable(ps, func(i, j int) bool {
@@ -219,68 +244,69 @@ func RangeQuery(db *DB, image string, ev sim.Event, from, to uint64) []RangeRow 
 // when proc is non-empty; SharePct then reads as the procedure's slice
 // of its image's cycles rather than the image's slice of the fleet's.
 func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) []RangeRow {
-	type winAgg struct {
-		rows     map[uint64]*RangeRow
-		machines map[uint64]map[string]bool
+	// Each window's rows, ascending by epoch, each with the machine it
+	// counted last: a machine's series reach a window one after another,
+	// so a row counts a machine once by comparing it with the last.
+	type acc struct {
+		RangeRow
+		machine string
 	}
-	aggs := make([]winAgg, queryWindows)
+	wins := make([][]acc, queryWindows)
 	db.scanWindows(Matcher{Image: image, Proc: proc, Event: ev, FromEpoch: from, ToEpoch: to},
-		func(w int, p Point) {
-			a := &aggs[w]
-			if a.rows == nil {
-				a.rows = map[uint64]*RangeRow{}
-				a.machines = map[uint64]map[string]bool{}
+		func(w int, bs *bseries, j0, j1 int) {
+			rows := wins[w]
+			k := sort.Search(len(rows), func(i int) bool { return rows[i].Epoch >= bs.epochs[j0] })
+			for j := j0; j < j1; j++ {
+				for k < len(rows) && rows[k].Epoch < bs.epochs[j] {
+					k++
+				}
+				if k == len(rows) || rows[k].Epoch != bs.epochs[j] {
+					rows = slices.Insert(rows, k, acc{RangeRow: RangeRow{Epoch: bs.epochs[j]}})
+				}
+				r := &rows[k]
+				if r.machine != bs.labels.Machine {
+					r.machine = bs.labels.Machine
+					r.Machines++
+				}
+				r.Samples += bs.samples[j]
+				r.Cycles += bs.cycles(j)
+				r.Insts += bs.insts[j]
 			}
-			r := a.rows[p.Epoch]
-			if r == nil {
-				r = &RangeRow{Epoch: p.Epoch}
-				a.rows[p.Epoch] = r
-				a.machines[p.Epoch] = map[string]bool{}
-			}
-			if !a.machines[p.Epoch][p.Machine] {
-				a.machines[p.Epoch][p.Machine] = true
-				r.Machines++
-			}
-			r.Samples += p.Samples
-			r.Cycles += p.Cycles()
-			r.Insts += p.Insts
+			wins[w] = rows
 		})
+	// Windows ascend in epoch, so out is ascending and each epoch is one row.
+	out := []RangeRow{}
+	for _, rows := range wins {
+		for _, r := range rows {
+			out = append(out, r.RangeRow)
+		}
+	}
+	// The denominator adds each epoch's cycles in its own window's scan
+	// order; only epochs that have a row are looked up.
 	denom := Matcher{Event: ev, FromEpoch: from, ToEpoch: to}
 	if proc != "" {
 		denom.Image = image
 	}
-	totals := make([]map[uint64]float64, queryWindows)
-	db.scanWindows(denom, func(w int, p Point) {
-		if totals[w] == nil {
-			totals[w] = map[uint64]float64{}
+	totals := make([]float64, len(out))
+	db.scanWindows(denom, func(w int, bs *bseries, j0, j1 int) {
+		k := sort.Search(len(out), func(i int) bool { return out[i].Epoch >= bs.epochs[j0] })
+		for j := j0; j < j1; j++ {
+			for k < len(out) && out[k].Epoch < bs.epochs[j] {
+				k++
+			}
+			if k < len(out) && out[k].Epoch == bs.epochs[j] {
+				totals[k] += bs.cycles(j)
+			}
 		}
-		totals[w][p.Epoch] += p.Cycles()
 	})
-	totalCycles := map[uint64]float64{}
-	for _, t := range totals {
-		for e, v := range t {
-			totalCycles[e] += v // every epoch lives in exactly one window
-		}
-	}
-	rows := map[uint64]*RangeRow{}
-	var epochs []uint64
-	for w := range aggs {
-		for e, r := range aggs[w].rows {
-			rows[e] = r
-			epochs = append(epochs, e)
-		}
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	out := make([]RangeRow, 0, len(epochs))
-	for _, e := range epochs {
-		r := rows[e]
+	for k := range out {
+		r := &out[k]
 		if r.Insts > 0 {
 			r.CPI = r.Cycles / float64(r.Insts)
 		}
-		if t := totalCycles[e]; t > 0 {
+		if t := totals[k]; t > 0 {
 			r.SharePct = 100 * r.Cycles / t
 		}
-		out = append(out, *r)
 	}
 	return out
 }
@@ -296,7 +322,7 @@ type TopRow struct {
 // TopImages ranks images by attributed cycles over [from, to], fleet-wide.
 func TopImages(db *DB, ev sim.Event, from, to uint64, n int) []TopRow {
 	rows, total := rank(db, Matcher{Event: ev, FromEpoch: from, ToEpoch: to}, n,
-		func(p *Point) (string, bool, bool) { return p.Image, true, true })
+		func(l *Labels) (string, bool, bool) { return l.Image, true, true })
 	out := make([]TopRow, len(rows))
 	for i, r := range rows {
 		out[i] = TopRow{Image: r.name, Samples: r.samples, Cycles: r.cycles, SharePct: r.share(total)}
@@ -318,7 +344,7 @@ type ProcRow struct {
 // as shares not summing to 100.
 func TopProcs(db *DB, image string, ev sim.Event, from, to uint64, n int) []ProcRow {
 	rows, total := rank(db, Matcher{Image: image, AnyProc: true, Event: ev, FromEpoch: from, ToEpoch: to}, n,
-		func(p *Point) (string, bool, bool) { return p.Proc, p.Proc != "", p.Proc == "" })
+		func(l *Labels) (string, bool, bool) { return l.Proc, l.Proc != "", l.Proc == "" })
 	out := make([]ProcRow, len(rows))
 	for i, r := range rows {
 		out[i] = ProcRow{Proc: r.name, Samples: r.samples, Cycles: r.cycles, SharePct: r.share(total)}
@@ -344,36 +370,44 @@ func (r *rankRow) share(total float64) float64 {
 // rank is the one ranking behind TopImages and TopProcs: group the points
 // matching m under key's name, and return the n heaviest groups (all of
 // them when n <= 0) by cycles, names breaking ties, with the cycle total
-// shares are taken against. key says, per point, whether it counts toward
-// its group's row and whether toward the total. Per-window partials fold
-// together in window order with sorted keys, so float accumulation order
-// is deterministic.
-func rank(db *DB, m Matcher, n int, key func(*Point) (name string, inRows, inTotal bool)) ([]rankRow, float64) {
+// shares are taken against. key says, per series, whether its points count
+// toward its group's row and whether toward the total; a window looks a
+// group up only when the name changes from the series before. Per-window
+// partials fold together in window order with sorted keys, so float
+// accumulation order is deterministic.
+func rank(db *DB, m Matcher, n int, key func(*Labels) (name string, inRows, inTotal bool)) ([]rankRow, float64) {
 	type winAgg struct {
 		rows  map[string]*rankRow
+		last  *rankRow
 		total float64
 	}
 	aggs := make([]winAgg, queryWindows)
-	db.scanWindows(m, func(w int, p Point) {
+	db.scanWindows(m, func(w int, bs *bseries, j0, j1 int) {
 		a := &aggs[w]
-		name, inRows, inTotal := key(&p)
-		c := p.Cycles()
-		if inTotal {
-			a.total += c
+		name, inRows, inTotal := key(&bs.labels)
+		var r *rankRow
+		if inRows {
+			if r = a.last; r == nil || r.name != name {
+				if a.rows == nil {
+					a.rows = map[string]*rankRow{}
+				}
+				if r = a.rows[name]; r == nil {
+					r = &rankRow{name: name}
+					a.rows[name] = r
+				}
+				a.last = r
+			}
 		}
-		if !inRows {
-			return
+		for j := j0; j < j1; j++ {
+			c := bs.cycles(j)
+			if inTotal {
+				a.total += c
+			}
+			if r != nil {
+				r.samples += bs.samples[j]
+				r.cycles += c
+			}
 		}
-		if a.rows == nil {
-			a.rows = map[string]*rankRow{}
-		}
-		r := a.rows[name]
-		if r == nil {
-			r = &rankRow{name: name}
-			a.rows[name] = r
-		}
-		r.samples += p.Samples
-		r.cycles += c
 	})
 	merged := map[string]*rankRow{}
 	var total float64
@@ -417,11 +451,15 @@ func TopDeltas(db *DB, ev sim.Event, aFrom, aTo, bFrom, bTo uint64, n int) []ana
 	window := func(from, to uint64) map[string]uint64 {
 		sums := make([]map[string]uint64, queryWindows)
 		db.scanWindows(Matcher{Event: ev, FromEpoch: from, ToEpoch: to},
-			func(w int, p Point) {
+			func(w int, bs *bseries, j0, j1 int) {
+				var n uint64
+				for _, s := range bs.samples[j0:j1] {
+					n += s
+				}
 				if sums[w] == nil {
 					sums[w] = map[string]uint64{}
 				}
-				sums[w][p.Image] += p.Samples
+				sums[w][bs.labels.Image] += n
 			})
 		m := map[string]uint64{}
 		for _, s := range sums {

@@ -88,7 +88,8 @@ func TestCompactionByteIdentityRaggedSpan(t *testing.T) {
 
 // TestScanWindowsPartitionInvariant asserts, for raw, mixed (block plus
 // raw segments), and fully compacted stores over ragged spans, that
-// every point scanWindows emits satisfies winStart(w) <= p.Epoch <
+// every series range scanWindows emits is non-empty and every point in it
+// satisfies winStart(w) <= p.Epoch <
 // winStart(w+1) for its window — the partition winOf assigns and
 // runWindow scans must be the same one — and that every matching point
 // is emitted exactly once. An open-ended scan of the series that stops
@@ -110,13 +111,19 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 		winStart := func(w uint64) uint64 { return lo + (span*w+nwin-1)/nwin }
 		var mu sync.Mutex
 		emitted := 0
-		db.scanWindows(Matcher{FromEpoch: lo, ToEpoch: hi}, func(w int, p Point) {
+		db.scanWindows(Matcher{FromEpoch: lo, ToEpoch: hi}, func(w int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
-			emitted++
-			if ws, we := winStart(uint64(w)), winStart(uint64(w)+1); p.Epoch < ws || p.Epoch >= we {
-				t.Errorf("%s [%d, %d]: epoch %d emitted from window %d = [%d, %d)",
-					stage, lo, hi, p.Epoch, w, ws, we)
+			if j0 >= j1 {
+				t.Errorf("%s [%d, %d]: empty range [%d, %d) of %v emitted from window %d", stage, lo, hi, j0, j1, bs.labels, w)
+			}
+			emitted += j1 - j0
+			ws, we := winStart(uint64(w)), winStart(uint64(w)+1)
+			for _, e := range bs.epochs[j0:j1] {
+				if e < ws || e >= we {
+					t.Errorf("%s [%d, %d]: epoch %d emitted from window %d = [%d, %d)",
+						stage, lo, hi, e, w, ws, we)
+				}
 			}
 		})
 		if want := raggedPoints(lo, hi, stored); emitted != want {
@@ -137,10 +144,12 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 	openEnded := func() []emitted {
 		var mu sync.Mutex
 		var out []emitted
-		db.scanWindows(Matcher{Image: "/short"}, func(w int, p Point) {
+		db.scanWindows(Matcher{Image: "/short"}, func(w int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
-			out = append(out, emitted{w, p.Epoch})
+			for _, e := range bs.epochs[j0:j1] {
+				out = append(out, emitted{w, e})
+			}
 		})
 		sort.Slice(out, func(i, j int) bool { return out[i].epoch < out[j].epoch })
 		return out

@@ -14,7 +14,9 @@
 // order, each holding its (source, series) chunks in ingestion order, so a
 // query reads the series it matches already in the order its
 // deterministic merge needs, and the query engine (query.go) scans them
-// in parallel epoch windows.
+// in parallel epoch windows, one series' column range at a time: the
+// aggregators read the columns in place, and only Select materializes
+// points.
 // Raw versus block is a property of the file, not of the scan: a segment
 // decodes into the one-epoch block of its batch (blockFromBatch), so every
 // reader below the codecs sees one in-memory shape.
