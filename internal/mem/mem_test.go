@@ -222,6 +222,27 @@ func TestWriteBufferDrainAll(t *testing.T) {
 	}
 }
 
+// TestWriteBufferDoesNotAllocate holds the buffer to its fixed ring: a
+// steady stream of stores — one every 40 units into six entries that take
+// 120 each to drain, so the buffer fills and stalls — allocates nothing
+// once the buffer is built.
+func TestWriteBufferDoesNotAllocate(t *testing.T) {
+	wb := NewWriteBuffer(6, 120)
+	now, line := int64(0), uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			line++
+			now += 40 + wb.Store(line, now)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("100 stores allocate %v times, want 0", allocs)
+	}
+	if wb.Overflows == 0 {
+		t.Error("the stream never filled the buffer")
+	}
+}
+
 // Property: a saturated stream of distinct-line stores stalls at the drain
 // rate: N stores cost at least (N - capacity) * drainLatency total stall.
 func TestWriteBufferSaturationProperty(t *testing.T) {

@@ -8,13 +8,14 @@ package mem
 // This is the component responsible for the long stq stalls in the paper's
 // Figure 2 copy loop ("w = write-buffer overflow").
 type WriteBuffer struct {
-	capacity     int
 	drainLatency int64 // time to retire one entry to memory
 
-	// entries holds the retire-completion time of each buffered line, in
-	// FIFO order, alongside the line address for merging.
-	lines  []uint64
-	retire []int64
+	// lines and retire are a ring of capacity slots, allocated once: the
+	// buffered lines' addresses (for merging) and retire-completion times,
+	// n entries in FIFO order from slot head.
+	lines   []uint64
+	retire  []int64
+	head, n int
 
 	Stores    uint64
 	Merges    uint64
@@ -30,17 +31,37 @@ func NewWriteBuffer(capacity int, drainLatency int64) *WriteBuffer {
 	if capacity <= 0 || drainLatency < 0 {
 		panic("mem: write buffer needs positive capacity and non-negative drain latency")
 	}
-	return &WriteBuffer{capacity: capacity, drainLatency: drainLatency}
+	return &WriteBuffer{
+		drainLatency: drainLatency,
+		lines:        make([]uint64, capacity),
+		retire:       make([]int64, capacity),
+	}
+}
+
+// slot is the ring index of the i-th oldest entry.
+func (w *WriteBuffer) slot(i int) int {
+	if i += w.head; i >= len(w.lines) {
+		i -= len(w.lines)
+	}
+	return i
 }
 
 // drainTo retires every entry whose completion time has passed.
 func (w *WriteBuffer) drainTo(now int64) {
-	i := 0
-	for i < len(w.retire) && w.retire[i] <= now {
-		i++
+	for w.n > 0 && w.retire[w.head] <= now {
+		w.head = w.slot(1)
+		w.n--
 	}
-	w.lines = w.lines[i:]
-	w.retire = w.retire[i:]
+}
+
+// holds reports whether lineAddr has a buffered entry to merge into.
+func (w *WriteBuffer) holds(lineAddr uint64) bool {
+	for i := 0; i < w.n; i++ {
+		if w.lines[w.slot(i)] == lineAddr {
+			return true
+		}
+	}
+	return false
 }
 
 // Store records a store to the line containing addr at time now and returns
@@ -51,33 +72,32 @@ func (w *WriteBuffer) Store(lineAddr uint64, now int64) (stall int64) {
 	w.drainTo(now)
 
 	// Merge into an existing entry for the same line.
-	for _, l := range w.lines {
-		if l == lineAddr {
-			w.Merges++
-			return 0
-		}
+	if w.holds(lineAddr) {
+		w.Merges++
+		return 0
 	}
 
-	if len(w.lines) >= w.capacity {
+	if w.n >= len(w.lines) {
 		// Stall until the oldest entry retires.
 		w.Overflows++
-		stall = w.retire[0] - now
+		stall = w.retire[w.head] - now
 		if stall < 0 {
 			stall = 0
 		}
 		w.StallTime += stall
-		now = w.retire[0]
+		now = w.retire[w.head]
 		w.drainTo(now)
 	}
 
 	// Retirement is serialized: this entry completes drainLatency after the
 	// later of now and the previous entry's completion.
 	start := now
-	if n := len(w.retire); n > 0 && w.retire[n-1] > start {
-		start = w.retire[n-1]
+	if w.n > 0 && w.retire[w.slot(w.n-1)] > start {
+		start = w.retire[w.slot(w.n-1)]
 	}
-	w.lines = append(w.lines, lineAddr)
-	w.retire = append(w.retire, start+w.drainLatency)
+	tail := w.slot(w.n)
+	w.lines[tail], w.retire[tail] = lineAddr, start+w.drainLatency
+	w.n++
 	return stall
 }
 
@@ -85,13 +105,12 @@ func (w *WriteBuffer) Store(lineAddr uint64, now int64) (stall int64) {
 // returns the stall incurred at time now.
 func (w *WriteBuffer) DrainAll(now int64) (stall int64) {
 	w.drainTo(now)
-	if n := len(w.retire); n > 0 {
-		stall = w.retire[n-1] - now
+	if w.n > 0 {
+		stall = w.retire[w.slot(w.n-1)] - now
 		if stall < 0 {
 			stall = 0
 		}
-		w.lines = w.lines[:0]
-		w.retire = w.retire[:0]
+		w.n = 0
 	}
 	w.StallTime += stall
 	return stall
@@ -102,16 +121,11 @@ func (w *WriteBuffer) DrainAll(now int64) (stall int64) {
 // retired entries.
 func (w *WriteBuffer) Full(lineAddr uint64, now int64) bool {
 	w.drainTo(now)
-	for _, l := range w.lines {
-		if l == lineAddr {
-			return false
-		}
-	}
-	return len(w.lines) >= w.capacity
+	return !w.holds(lineAddr) && w.n >= len(w.lines)
 }
 
 // Len returns the number of buffered entries at time now.
 func (w *WriteBuffer) Len(now int64) int {
 	w.drainTo(now)
-	return len(w.lines)
+	return w.n
 }

@@ -69,6 +69,43 @@ func BenchmarkRangeQuery(b *testing.B) {
 	b.ReportMetric(16*100, "points/query")
 }
 
+// BenchmarkRangeQueryRawTail measures the recent range query of a
+// long-running collector's store: 16 machines, each holding six 10-epoch
+// blocks below a 50-epoch raw tail, queried over its last 25 epochs (the
+// shape of bench/'s fleet-query store). One query before the timer builds
+// the index's scan view, which later queries reuse.
+func BenchmarkRangeQueryRawTail(b *testing.B) {
+	const machines, blocks, perBlock, tail = 16, 6, 10, 50
+	db, err := Open(filepath.Join(b.TempDir(), "tsdb"), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	last := uint64(blocks*perBlock + tail)
+	for e := uint64(1); e <= last; e++ {
+		for m := 0; m < machines; m++ {
+			if err := db.Append(bigBatch(fmt.Sprintf("m%02d", m), e)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if e <= blocks*perBlock && e%perBlock == 0 {
+			if _, err := db.Compact(CompactOptions{CompactAfter: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	query := func() {
+		if rows := RangeQuery(db, "/usr/bin/app3", sim.EvCycles, last-24, last); len(rows) != 25 {
+			b.Fatalf("got %d rows", len(rows))
+		}
+	}
+	query()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.ReportMetric(machines*25, "points/query")
+}
+
 // BenchmarkTopDeltas measures the two-window share-delta ranking over the
 // same store.
 func BenchmarkTopDeltas(b *testing.B) {

@@ -39,11 +39,71 @@ type chunk struct {
 	sub int
 }
 
+func (c chunk) series() *bseries { return &c.src.blk.series[c.sub] }
+
 // labelChunks is one entry of the series index: every chunk that carries
-// one label set, in (ord, sub) order.
+// one label set, in (ord, sub) order — the index's record — and the scan
+// view plan reads it through. runs is that view of chunks[:covered]: each
+// block chunk as it is, and each maximal stretch of consecutive raw chunks
+// whose epochs never decrease as one series. A run is a contiguous stretch
+// of the (ord, sub) order, so scanning it visits the points its chunks
+// hold in the order scanning them one by one would. plan builds the view
+// lazily (see scanRuns) and removeSources resets it.
 type labelChunks struct {
-	labels Labels
-	chunks []chunk
+	labels  Labels
+	chunks  []chunk
+	runs    []*bseries
+	covered int
+}
+
+// joins reports whether chunk i continues the run that holds chunk i-1:
+// both are raw segments and epochs do not decrease across them.
+func (e *labelChunks) joins(i int) bool {
+	if i == 0 {
+		return false
+	}
+	a, b := e.chunks[i-1], e.chunks[i]
+	return a.src.raw && b.src.raw && b.series().epochs[0] >= a.series().epochs[len(a.series().epochs)-1]
+}
+
+// scanRuns returns e's scan view, first extending it over the chunks added
+// since the last call. Caller holds db.mu. A run of several raw chunks
+// owns its columns, sized once per catch-up, and grows under a fresh
+// header: the header a reader planned with is never written, and append
+// writes only cells past the lengths that reader copied. A lone raw
+// chunk's columns are capped at their length (blockFromBatch), so the
+// first merge into it copies instead of writing into its source.
+func (e *labelChunks) scanRuns() []*bseries {
+	for e.covered < len(e.chunks) {
+		start, end := e.covered, e.covered+1
+		for end < len(e.chunks) && e.joins(end) {
+			end++
+		}
+		e.covered = end
+		extend := e.joins(start)
+		if end-start == 1 && !extend {
+			e.runs = append(e.runs, e.chunks[start].series())
+			continue
+		}
+		run := bseries{labels: e.labels}
+		if extend {
+			run = *e.runs[len(e.runs)-1]
+			e.runs = e.runs[:len(e.runs)-1]
+		}
+		n := 0
+		for _, c := range e.chunks[start:end] {
+			n += len(c.series().epochs)
+		}
+		run.epochs, run.samples, run.insts = slices.Grow(run.epochs, n), slices.Grow(run.samples, n), slices.Grow(run.insts, n)
+		run.walls, run.periods = slices.Grow(run.walls, n), slices.Grow(run.periods, n)
+		for _, c := range e.chunks[start:end] {
+			bs := c.series()
+			run.epochs, run.samples, run.insts = append(run.epochs, bs.epochs...), append(run.samples, bs.samples...), append(run.insts, bs.insts...)
+			run.walls, run.periods = append(run.walls, bs.walls...), append(run.periods, bs.periods...)
+		}
+		e.runs = append(e.runs, &run)
+	}
+	return e.runs
 }
 
 // addSource indexes s, appending each of its series to its label's chunk
@@ -73,9 +133,10 @@ func (db *DB) addSource(s *source) {
 
 // removeSources drops every source in dead from srcs, byMachine and the
 // series index, filtering each affected list once however many sources
-// leave it, and deletes the entries whose lists empty. Lists are filtered
-// in place — every reader holds db.mu, and DeleteFunc zeroes the vacated
-// tail so retired sources can be collected. Caller holds db.mu.
+// leave it and resetting its scan view, and deletes the entries whose
+// lists empty. Lists are filtered in place — every reader holds db.mu,
+// and DeleteFunc zeroes the vacated tail so retired sources can be
+// collected. Caller holds db.mu.
 func (db *DB) removeSources(dead ...*source) {
 	if len(dead) == 0 {
 		return
@@ -101,6 +162,7 @@ func (db *DB) removeSources(dead ...*source) {
 	}
 	emptied := false
 	for e := range entries {
+		e.runs, e.covered = nil, 0
 		if e.chunks = slices.DeleteFunc(e.chunks, func(c chunk) bool { return set[c.src] }); len(e.chunks) == 0 {
 			delete(db.bySeries, e.labels)
 			emptied = true

@@ -223,3 +223,49 @@ func TestRemoveSourcesKeepsPostingListsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanIsFlatInRawTail is the work ratchet of the raw tail: a label's
+// in-order raw segments are one run of the series index's scan view, so
+// an open-ended query of one machine plans one series per block plus one
+// for the tail, whether the tail holds 10 epochs or 40. A late re-scrape
+// starts one more run, which the epochs after it extend.
+func TestPlanIsFlatInRawTail(t *testing.T) {
+	const machines, blocks = 3, 2
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := uint64(0)
+	appendEpochs := func(n int) {
+		for ; n > 0; n-- {
+			epoch++
+			for m := 0; m < machines; m++ {
+				mustAppend(t, db, procBatch(fmt.Sprintf("m%02d", m), epoch))
+			}
+		}
+	}
+	for b := 0; b < blocks; b++ {
+		appendEpochs(10)
+		mustCompact(t, db, CompactOptions{CompactAfter: 1})
+	}
+	m := Matcher{Machine: "m01", AnyEvent: true, AnyProc: true}
+	entries := len(procBatch("m01", 1).Records)
+	check := func(stage string, runs, points int) {
+		t.Helper()
+		if series, _, _ := db.plan(m); len(series) != runs {
+			t.Errorf("%s: an open-ended query of one machine planned %d series, want %d", stage, len(series), runs)
+		}
+		if got := len(db.Select(m)); got != points {
+			t.Errorf("%s: the query selected %d points, want %d", stage, got, points)
+		}
+	}
+	appendEpochs(10)
+	check("10-epoch tail", entries*(blocks+1), entries*int(epoch))
+	appendEpochs(30)
+	check("40-epoch tail", entries*(blocks+1), entries*int(epoch))
+	late := procBatch("m01", 25)
+	late.Records = late.Records[:1]
+	mustAppend(t, db, late)
+	appendEpochs(1)
+	check("a late re-scrape", entries*(blocks+1)+1, entries*int(epoch)+1)
+}

@@ -69,10 +69,11 @@ func labelsLess(a, b *Labels) bool {
 }
 
 // plan resolves a matcher to the series it scans, in scan order —
-// ascending (labels, ord, sub), read straight off the series index — plus
-// the canonical epoch bounds [lo, hi] of the scan. It walks only the index
-// entries whose labels match (a machine's entries are one contiguous run,
-// found by binary search) and keeps the series that overlap the bounds.
+// ascending (labels, ord, sub), read straight off the series index's scan
+// view, where a label's in-order raw tail is one run — plus the canonical
+// epoch bounds [lo, hi] of the scan. It walks only the index entries whose
+// labels match (a machine's entries are contiguous, found by binary
+// search) and keeps the runs that overlap the bounds.
 // An open-ended scan (ToEpoch == 0) ends at the highest epoch of a series
 // it keeps, which compaction preserves, so its windows do not depend on
 // the store's layout. It holds db.mu only while copying series pointers —
@@ -91,8 +92,7 @@ func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
 		if !m.labelsMatch(e.labels) {
 			continue
 		}
-		for _, c := range e.chunks {
-			bs := &c.src.blk.series[c.sub]
+		for _, bs := range e.scanRuns() {
 			last := bs.epochs[len(bs.epochs)-1]
 			if last < lo || (m.ToEpoch != 0 && bs.epochs[0] > m.ToEpoch) {
 				continue

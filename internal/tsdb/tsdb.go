@@ -11,9 +11,11 @@
 // delta+varint-encoded block files covering whole epoch ranges per
 // machine, keeping every point at full fidelity. An in-memory series
 // index (see index.go) keeps one entry per distinct label set, in label
-// order, each holding its (source, series) chunks in ingestion order, so a
-// query reads the series it matches already in the order its
-// deterministic merge needs, and the query engine (query.go) scans them
+// order, each holding its (source, series) chunks in ingestion order — the
+// index's record — and a lazily built scan view in which a label's
+// in-order raw segments are one run, so a query reads the series it
+// matches already in the order its deterministic merge needs, one per
+// block and one per raw tail, and the query engine (query.go) scans them
 // in parallel epoch windows, one series' column range at a time: the
 // aggregators read the columns in place, and only Select materializes
 // points.
