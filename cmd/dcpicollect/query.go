@@ -92,8 +92,9 @@ type source struct {
 
 // ask answers one query from its parameters — a GET of path on the server,
 // or the function that path's handler is made of over the local store —
-// and prints the response as JSON or through render.
-func ask[T any](s source, path string, q url.Values,
+// and prints the response through render, or with -json as the API's bytes
+// (collect.WriteAnswer).
+func ask[T collect.Answer](s source, path string, q url.Values,
 	answer func(*tsdb.DB, url.Values) (T, error), render func(io.Writer, T)) error {
 	var resp T
 	var err error
@@ -109,18 +110,10 @@ func ask[T any](s source, path string, q url.Values,
 		return err
 	}
 	if s.asJSON {
-		return writeJSON(s.w, resp)
+		return collect.WriteAnswer(s.w, resp)
 	}
 	render(s.w, resp)
 	return nil
-}
-
-// writeJSON prints v the way the HTTP API does: two-space indent, one
-// trailing newline.
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // rangeParams turns CLI range flags into the API's query parameters.

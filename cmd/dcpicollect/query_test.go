@@ -100,3 +100,28 @@ func TestQueryLocalEqualsServer(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryNonFiniteAnswerFails asks for an answer holding +Inf cycles (a
+// stored period of 1e308). JSON has no such number: -tsdb -json fails
+// before printing, and -server fails with or without -json, because the
+// server answers 500.
+func TestQueryNonFiniteAnswerFails(t *testing.T) {
+	dir := t.TempDir()
+	db, err := tsdb.Open(dir, tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(tsdb.Batch{Machine: "m00", Epoch: 1, Period: 1e308,
+		Records: []tsdb.Record{{Image: "/kernel", Event: sim.EvCycles, Samples: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(collect.APIHandler(db, nil, nil))
+	defer srv.Close()
+	for _, s := range []source{{dbDir: dir, asJSON: true}, {server: srv.URL, asJSON: true}, {server: srv.URL}} {
+		var out bytes.Buffer
+		s.w = &out
+		if err := queryRange(s, "/kernel", "", "cycles", 0, 0, 0); err == nil || out.Len() != 0 {
+			t.Errorf("server=%q json=%v: error %v, printed %q; want an error and nothing printed", s.server, s.asJSON, err, out.String())
+		}
+	}
+}

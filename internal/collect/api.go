@@ -44,7 +44,10 @@ func APIHandler(db *tsdb.DB, c *Collector, reg *obs.Registry) http.Handler {
 			http.Error(w, "no collector attached", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, c.Statuses())
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(c.Statuses())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "json" {
@@ -59,15 +62,19 @@ func APIHandler(db *tsdb.DB, c *Collector, reg *obs.Registry) http.Handler {
 }
 
 // handle serves one Answer function: a parameter error is a 400, an
-// answer is written as JSON.
-func handle[T any](db *tsdb.DB, answer func(*tsdb.DB, url.Values) (T, error)) http.HandlerFunc {
+// answer is written as JSON by WriteAnswer, and an answer JSON cannot
+// carry is a 500 naming the field.
+func handle[T Answer](db *tsdb.DB, answer func(*tsdb.DB, url.Values) (T, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		resp, err := answer(db, r.URL.Query())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, resp)
+		w.Header().Set("Content-Type", "application/json")
+		if err := WriteAnswer(w, resp); errors.Is(err, errNonFinite) {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	}
 }
 
@@ -191,13 +198,6 @@ func AnswerDelta(db *tsdb.DB, q url.Values) (DeltaResponse, error) {
 		Event: ev.String(), AFrom: aFrom, ATo: aTo, BFrom: bFrom, BTo: bTo,
 		Rows: ToDeltaRows(tsdb.TopDeltas(db, ev, aFrom, aTo, bFrom, bTo, n)),
 	}, nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 func parseEvent(s string) (sim.Event, error) {

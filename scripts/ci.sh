@@ -48,6 +48,7 @@ dcpi FuzzDecodeSnapshot
 runcache FuzzDecodeEntry
 wire FuzzDec
 collect FuzzScrapePayload
+collect FuzzAnswerJSON
 EOF
 
 echo "== ci.sh: all checks passed" >&2
