@@ -103,6 +103,35 @@ func TestGoldenTable2DigestSharded(t *testing.T) {
 	}
 }
 
+// TestGoldenFigureDigests pins the three sections whose bytes come from
+// the §6 culprit analysis, which Table 2 does not reach: Figure 2's
+// dcpicalc listing (bubbles and culprit addresses), Figure 4's dynamic-stall
+// ranges per cause, and Figure 10's culprit accuracy. Each line of
+// testdata/golden_figures.sha256 is a digest and the command that prints
+// it; regenerate a line with
+//
+//	go build -o /tmp/dcpieval ./cmd/dcpieval
+//	/tmp/dcpieval -fig 2 -runs 1 -scale 0.05 | sha256sum
+func TestGoldenFigureDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden digest runs simulate")
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_figures.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := buildTool(t, "dcpieval")
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[1] != "dcpieval" {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		t.Run(strings.TrimPrefix(f[2], "-")+f[3], func(t *testing.T) {
+			digestCheck(t, bin, f[0], f[2:])
+		})
+	}
+}
+
 func goldenArgs() []string {
 	return []string{"-table", "2", "-runs", "2", "-scale", "0.12"}
 }
@@ -126,7 +155,13 @@ func goldenSetup(t *testing.T) (bin, want string) {
 // digest against the committed one, and returns stderr.
 func goldenCheck(t *testing.T, bin, want string, extraArgs ...string) string {
 	t.Helper()
-	args := append(goldenArgs(), extraArgs...)
+	return digestCheck(t, bin, want, append(goldenArgs(), extraArgs...))
+}
+
+// digestCheck runs dcpieval with args, compares the stdout digest against
+// want, and returns stderr.
+func digestCheck(t *testing.T, bin, want string, args []string) string {
+	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var errBuf strings.Builder
 	cmd.Stderr = &errBuf
@@ -137,7 +172,7 @@ func goldenCheck(t *testing.T, bin, want string, extraArgs ...string) string {
 	sum := sha256.Sum256(out)
 	got := hex.EncodeToString(sum[:])
 	if got != want {
-		dump := filepath.Join(t.TempDir(), "table2.out")
+		dump := filepath.Join(t.TempDir(), "dcpieval.out")
 		os.WriteFile(dump, out, 0o644)
 		t.Errorf("dcpieval %s stdout digest changed:\n  got  %s\n  want %s\noutput saved to %s\n(see the test comment for how to regenerate if the change is intentional)",
 			strings.Join(args, " "), got, want, dump)
