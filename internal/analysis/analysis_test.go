@@ -195,7 +195,7 @@ p:
 	if stq.DynStall < 10 {
 		t.Fatalf("stq dynamic stall = %v", stq.DynStall)
 	}
-	causes := map[Cause]Culprit{}
+	causes := map[Cause]Verdict{}
 	for _, c := range stq.Culprits {
 		causes[c.Cause] = c
 	}

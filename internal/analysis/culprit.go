@@ -20,294 +20,274 @@ const (
 	minPredFreqFrac = 0.1
 )
 
-// identifyCulprits annotates every instruction that shows a dynamic stall
-// with its possible causes, ruling out the impossible ones ("guilty until
-// proven innocent"). imissEvents, when non-nil, holds estimated I-cache
-// miss *event counts* per image offset (IMISS samples scaled by their
-// sampling period) and is used both to rule I-cache out and to bound it.
-func (pa *ProcAnalysis) identifyCulprits(imissEvents, dtbEvents map[uint64]uint64) {
-	// DTBMISS deliveries are skewed, so rule DTB out at procedure
-	// granularity: if the event was collected and none landed in this
-	// procedure, no instruction here stalled on a DTB fill.
-	dtbPossible := true
-	if dtbEvents != nil {
-		var total uint64
-		lo := pa.BaseOffset
-		hi := pa.BaseOffset + uint64(len(pa.Insts))*alpha.InstBytes
-		for off, n := range dtbEvents {
-			if off >= lo && off < hi {
-				total += n
-			}
+// outcome is what one rule makes of one cause at one site.
+type outcome uint8
+
+const (
+	pass  outcome = iota // leave the cause to its next rule
+	keep                 // the cause may explain the stall
+	clear                // the cause is ruled out
+)
+
+func keepIf(possible bool) outcome {
+	if possible {
+		return keep
+	}
+	return clear
+}
+
+// A rule is one named step of the §6.3 elimination. The rules for a cause
+// run in table order and the first that keeps or clears it writes its
+// verdict; the last rule for each cause always decides. A rule may fill
+// the verdict's evidence (culprit index, bound, edge) as it reads it.
+type rule struct {
+	name  string
+	cause Cause
+	test  func(s *site, v *Verdict) outcome
+}
+
+// Rule identifies one rule of culpritRules; the zero Rule is none.
+type Rule uint8
+
+// String returns the rule's name, e.g. "culprit.icache_same_line".
+func (r Rule) String() string {
+	if r == 0 {
+		return ""
+	}
+	return culpritRules[r-1].name
+}
+
+// culpritRules is the §6.3 elimination: every cause is guilty until one of
+// these rules proves it innocent. Causes appear in enum order, which is
+// the order of an instruction's kept verdicts.
+var culpritRules = [...]rule{
+	// An I-cache miss needs a fetch that enters a new line: mid-block, i
+	// must start a line; at a block head, the entry or some predecessor
+	// executed at least minPredFreqFrac as often as i must end elsewhere.
+	{"culprit.icache_same_line", CauseICache, func(s *site, v *Verdict) outcome {
+		v.Edge = s.lineEdge
+		if s.head && s.lineEdge < 0 || !s.head && s.ia.Offset%icacheLineBytes != 0 {
+			return clear
 		}
-		dtbPossible = total > 0
+		if s.imiss != nil {
+			return pass
+		}
+		return keep
+	}},
+	// With IMISS samples collected, none at i rules the I-cache out, and
+	// the events bound it pessimistically: every miss filled from memory.
+	{"culprit.icache_no_imiss", CauseICache, func(s *site, v *Verdict) outcome {
+		events := s.imiss[s.ia.Offset]
+		if events == 0 {
+			return clear
+		}
+		v.BoundCycles = float64(events) * float64(s.pa.Model.MemLat) / s.ia.Freq
+		return keep
+	}},
+	// An ITB miss needs a possible I-cache fill that enters a new page.
+	{"culprit.itb_same_page", CauseITB, func(s *site, v *Verdict) outcome {
+		v.Edge = s.pageEdge
+		return keepIf(s.v[CauseICache].Kept && (s.ia.Offset%pageBytes == 0 || s.pageEdge >= 0))
+	}},
+	// A D-cache miss needs a load feeding one of i's operands: the most
+	// recent producer within the block and the lookback window.
+	{"culprit.dcache_feeding_load", CauseDCache, func(s *site, v *Verdict) outcome {
+		v.CulpritIndex = s.pa.feedingLoad(s.i)
+		switch {
+		case v.CulpritIndex >= 0:
+			return keep
+		case s.head:
+			return pass
+		}
+		return clear
+	}},
+	// At a block head every operand i reads is produced in an unknown
+	// predecessor, so pessimistically a load could feed it.
+	{"culprit.dcache_live_in", CauseDCache, func(s *site, v *Verdict) outcome { return keepIf(s.ia.Inst.Meta().NSrc > 0) }},
+	// Only loads and stores translate data addresses ...
+	{"culprit.dtb_mem_op", CauseDTB, func(s *site, v *Verdict) outcome {
+		switch {
+		case !s.ia.Inst.Op.IsLoad() && !s.ia.Inst.Op.IsStore():
+			return clear
+		case s.dtbCollected:
+			return pass
+		}
+		return keep
+	}},
+	// ... and DTBMISS deliveries are skewed, so when the event was
+	// collected DTB is ruled out at procedure granularity (§3.2).
+	{"culprit.dtb_proc_has_no_dtbmiss", CauseDTB, func(s *site, v *Verdict) outcome { return keepIf(s.dtbInProc) }},
+	{"culprit.wb_store", CauseWB, func(s *site, v *Verdict) outcome { return keepIf(s.ia.Inst.Op.IsStore()) }},
+	// The redirect penalty lands on the first instruction fetched after the
+	// branch: a block head reached through the entry, or from a frequent
+	// predecessor ending in a conditional branch or a computed jump. The
+	// culprit is the first predecessor's conditional branch, if any.
+	{"culprit.mp_cond_pred", CauseBranchMP, func(s *site, v *Verdict) outcome {
+		v.CulpritIndex, v.Edge = s.branch, s.mpEdge
+		return keepIf(s.mpEdge >= 0)
+	}},
+	{"culprit.sync_barrier", CauseSync, func(s *site, v *Verdict) outcome {
+		return keepIf(s.ia.Inst.Op == alpha.OpMB || s.ia.Inst.Op == alpha.OpWMB)
+	}},
+	{"culprit.fu_mul_busy", CauseFUMul, func(s *site, v *Verdict) outcome { return s.busyUnit(v, alpha.ClassIntMul, s.pa.Model.MulBusy) }},
+	{"culprit.fu_div_busy", CauseFUDiv, func(s *site, v *Verdict) outcome { return s.busyUnit(v, alpha.ClassFPDiv, s.pa.Model.DivBusy) }},
+}
+
+// site is what the rules read about one stalled instruction.
+type site struct {
+	pa   *ProcAnalysis
+	i    int
+	ia   *InstAnalysis
+	head bool // i starts its basic block
+
+	imiss        map[uint64]uint64 // estimated IMISS events by offset; nil if not collected
+	dtbCollected bool              // DTBMISS samples were collected ...
+	dtbInProc    bool              // ... and some landed in this procedure
+
+	// From one walk of a block head's predecessor edges (all -1 mid-block):
+	// the first edge from the entry or from a predecessor that ends on
+	// another line (frequent ones only), on another page, or in a
+	// conditional branch or jump (frequent only); and the first
+	// predecessor's conditional branch.
+	lineEdge, pageEdge, mpEdge int32
+	branch                     int
+
+	v [CauseOther]Verdict // i's verdicts so far, by cause
+}
+
+// identifyCulprits writes the culprit record of every instruction that
+// shows a dynamic stall: one verdict per candidate cause, decided by
+// culpritRules ("guilty until proven innocent"). imissEvents, when
+// non-nil, holds estimated I-cache miss *event counts* per image offset
+// (IMISS samples scaled by their sampling period) and is used both to rule
+// I-cache out and to bound it.
+func (pa *ProcAnalysis) identifyCulprits(imissEvents, dtbEvents map[uint64]uint64) {
+	s := site{pa: pa, imiss: imissEvents, dtbCollected: dtbEvents != nil}
+	hi := pa.BaseOffset + uint64(len(pa.Insts))*alpha.InstBytes
+	for off, n := range dtbEvents {
+		s.dtbInProc = s.dtbInProc || off >= pa.BaseOffset && off < hi && n > 0
 	}
 	for i := range pa.Insts {
 		ia := &pa.Insts[i]
 		if ia.DynStall <= 0.01 || ia.Freq <= 0 {
 			continue
 		}
-		ia.Culprits = pa.culpritsFor(i, imissEvents, dtbPossible)
-	}
-}
-
-func (pa *ProcAnalysis) culpritsFor(i int, imissEvents map[uint64]uint64, dtbPossible bool) []Culprit {
-	ia := &pa.Insts[i]
-	var out []Culprit
-	add := func(c Cause, culprit int, bound float64) {
-		out = append(out, Culprit{Cause: c, CulpritIndex: culprit, BoundCycles: bound})
-	}
-
-	// --- I-cache and ITB ---
-	if possible, bound := pa.icachePossible(i, imissEvents); possible {
-		add(CauseICache, -1, bound)
-		if pa.pageCrossingPossible(i) {
-			add(CauseITB, -1, -1)
+		s.i, s.ia = i, ia
+		pa.walkPreds(&s)
+		for c := range s.v {
+			s.v[c] = Verdict{Cause: Cause(c), CulpritIndex: -1, BoundCycles: -1, Edge: -1}
 		}
-	}
-
-	// --- D-cache: a preceding load feeding one of our operands ---
-	if load := pa.feedingLoad(i); load >= 0 {
-		add(CauseDCache, load, -1)
-	} else if pa.atBlockHead(i) && pa.readsLiveInRegister(i) {
-		// Operand produced in an unknown predecessor: pessimistically a
-		// load could feed it.
-		add(CauseDCache, -1, -1)
-	}
-
-	// --- DTB: loads and stores only; ruled out when DTBMISS samples were
-	// collected and the procedure has none (§3.2) ---
-	if dtbPossible && (ia.Inst.Op.IsLoad() || ia.Inst.Op.IsStore()) {
-		add(CauseDTB, -1, -1)
-	}
-
-	// --- Write buffer: stores only ---
-	if ia.Inst.Op.IsStore() {
-		add(CauseWB, -1, -1)
-	}
-
-	// --- Branch mispredict: block heads reached via conditional control
-	// flow (or procedure entry, reached through calls/returns) ---
-	if pa.mispredictPossible(i) {
-		add(CauseBranchMP, pa.branchCulprit(i), -1)
-	}
-
-	// --- Synchronization: memory barriers ---
-	if ia.Inst.Op == alpha.OpMB || ia.Inst.Op == alpha.OpWMB {
-		add(CauseSync, -1, -1)
-	}
-
-	// --- Functional units: a busy multiplier/divider from a recent issue ---
-	if j := pa.recentFU(i, alpha.ClassIntMul, pa.Model.MulBusy); j >= 0 {
-		add(CauseFUMul, j, -1)
-	}
-	if j := pa.recentFU(i, alpha.ClassFPDiv, pa.Model.DivBusy); j >= 0 {
-		add(CauseFUDiv, j, -1)
-	}
-
-	return out
-}
-
-func (pa *ProcAnalysis) atBlockHead(i int) bool {
-	b := pa.Graph.BlockOfInst(i)
-	return pa.Graph.Blocks[b].Start == i
-}
-
-// icachePossible implements the same-cache-line rule of §6.3 plus the IMISS
-// upper bound. It returns whether an I-cache miss stall is possible and a
-// per-execution bound in cycles (-1 if unbounded).
-func (pa *ProcAnalysis) icachePossible(i int, imissEvents map[uint64]uint64) (bool, float64) {
-	ia := &pa.Insts[i]
-	possible := false
-	if !pa.atBlockHead(i) {
-		// Mid-block: only possible at the start of a cache line.
-		possible = ia.Offset%icacheLineBytes == 0
-	} else {
-		b := pa.Graph.BlockOfInst(i)
-		myLine := ia.Offset / icacheLineBytes
-		for _, ei := range pa.Graph.Blocks[b].Preds {
-			e := pa.Graph.Edges[ei]
-			if e.From == cfg.Entry {
-				possible = true // callers are unknown
-				break
-			}
-			if e.From < 0 {
-				continue
-			}
-			if pa.EdgeFreq[ei] < minPredFreqFrac*pa.instWeight(ia) {
-				continue
-			}
-			lastIdx := pa.Graph.Blocks[e.From].End - 1
-			if pa.Insts[lastIdx].Offset/icacheLineBytes != myLine {
-				possible = true
-				break
+		for r := range culpritRules {
+			if v := &s.v[culpritRules[r].cause]; v.Rule == 0 {
+				if o := culpritRules[r].test(&s, v); o != pass {
+					v.Kept, v.Rule = o == keep, Rule(r+1)
+				}
 			}
 		}
-		if pa.Graph.Blocks[b].Index == 0 {
-			possible = true // procedure entry: reached by calls
+		// Kept verdicts first, each part in cause order: the cleared ones
+		// fill the kept slice's spare capacity.
+		out := make([]Verdict, 0, len(s.v))
+		for _, v := range s.v {
+			if v.Kept {
+				out = append(out, v)
+			}
+		}
+		ia.Culprits = out
+		for _, v := range s.v {
+			if !v.Kept {
+				out = append(out, v)
+			}
 		}
 	}
-	if !possible {
-		return false, 0
-	}
-	if imissEvents == nil {
-		return true, -1
-	}
-	events := imissEvents[ia.Offset]
-	if events == 0 {
-		// IMISS samples were collected and none landed here: ruled out.
-		return false, 0
-	}
-	// Pessimistic bound: every miss filled all the way from memory.
-	bound := float64(events) * float64(pa.Model.MemLat) / ia.Freq
-	return true, bound
 }
 
-// instWeight converts an instruction's execution-count estimate back to the
-// samples-per-cycle scale edge frequencies use.
-func (pa *ProcAnalysis) instWeight(ia *InstAnalysis) float64 {
-	if ia.Freq <= 0 || pa.Period <= 0 {
-		return 0
+// walkPreds fills the site's edge facts in one pass over the predecessor
+// edges of i's block.
+func (pa *ProcAnalysis) walkPreds(s *site) {
+	b := pa.Graph.BlockOfInst(s.i)
+	s.head = pa.Graph.Blocks[b].Start == s.i
+	s.lineEdge, s.pageEdge, s.mpEdge, s.branch = -1, -1, -1, -1
+	if !s.head {
+		return
 	}
-	return ia.Freq / pa.Period
-}
-
-// pageCrossingPossible: an ITB miss needs a page transition.
-func (pa *ProcAnalysis) pageCrossingPossible(i int) bool {
-	ia := &pa.Insts[i]
-	if ia.Offset%pageBytes == 0 {
-		return true
+	first := func(dst *int32, ei int) {
+		if *dst < 0 {
+			*dst = int32(ei)
+		}
 	}
-	if !pa.atBlockHead(i) {
-		return false
-	}
-	b := pa.Graph.BlockOfInst(i)
-	myPage := ia.Offset / pageBytes
+	// Edge frequencies are in samples per cycle; i runs Freq/Period.
+	minFreq := minPredFreqFrac * (s.ia.Freq / pa.Period)
 	for _, ei := range pa.Graph.Blocks[b].Preds {
 		e := pa.Graph.Edges[ei]
 		if e.From == cfg.Entry {
-			return true
-		}
-		if e.From < 0 {
+			// Callers are unknown: a call may arrive from anywhere.
+			first(&s.lineEdge, ei)
+			first(&s.pageEdge, ei)
+			first(&s.mpEdge, ei)
 			continue
 		}
-		lastIdx := pa.Graph.Blocks[e.From].End - 1
-		if pa.Insts[lastIdx].Offset/pageBytes != myPage {
-			return true
+		last := pa.Graph.Blocks[e.From].End - 1
+		from := &pa.Insts[last]
+		frequent := !(pa.EdgeFreq[ei] < minFreq)
+		if frequent && from.Offset/icacheLineBytes != s.ia.Offset/icacheLineBytes {
+			first(&s.lineEdge, ei)
+		}
+		if from.Offset/pageBytes != s.ia.Offset/pageBytes {
+			first(&s.pageEdge, ei)
+		}
+		if frequent && (from.Inst.Op.IsCondBranch() || from.Inst.Op.IsJump()) {
+			first(&s.mpEdge, ei)
+		}
+		if s.branch < 0 && from.Inst.Op.IsCondBranch() {
+			s.branch = last
 		}
 	}
-	return b == 0
 }
 
 // feedingLoad finds the most recent load within the same block (and a
-// bounded window) that produces a register instruction i reads.
+// bounded window) that writes a register instruction i reads. A non-load
+// that writes the register in between does not end the search, so a
+// shadowed load still "feeds" i: a known deviation (EXPERIMENTS.md).
 func (pa *ProcAnalysis) feedingLoad(i int) int {
 	b := pa.Graph.BlockOfInst(i)
 	start := pa.Graph.Blocks[b].Start
 	if w := i - dcacheLookback; w > start {
 		start = w
 	}
-	srcs := pa.Insts[i].Inst.Sources()
+	meta := pa.Insts[i].Inst.Meta()
+	srcs := meta.Sources()
 	for j := i - 1; j >= start; j-- {
 		inst := pa.Insts[j].Inst
+		if !inst.Op.IsLoad() {
+			continue
+		}
 		d, ok := inst.Dest()
-		if !ok {
-			continue
-		}
 		for _, s := range srcs {
-			if s.Reg == d.Reg && s.FP == d.FP {
-				if inst.Op.IsLoad() {
-					return j
-				}
-				// The operand is produced by a non-load: that source
-				// cannot carry a D-cache miss, but keep checking other
-				// operands.
+			if ok && s.Reg == d.Reg && s.FP == d.FP {
+				return j
 			}
 		}
 	}
 	return -1
 }
 
-// readsLiveInRegister reports whether i reads a register not produced
-// earlier in its own block (so the producer — possibly a load — is in a
-// predecessor).
-func (pa *ProcAnalysis) readsLiveInRegister(i int) bool {
-	b := pa.Graph.BlockOfInst(i)
-	start := pa.Graph.Blocks[b].Start
-	for _, s := range pa.Insts[i].Inst.Sources() {
-		produced := false
-		for j := start; j < i; j++ {
-			if d, ok := pa.Insts[j].Inst.Dest(); ok && d.Reg == s.Reg && d.FP == s.FP {
-				produced = true
-				break
-			}
-		}
-		if !produced {
-			return true
-		}
-	}
-	return false
-}
-
-// mispredictPossible: the redirect penalty lands on the first instruction
-// fetched after the branch, i.e. a block head reached via conditional
-// control flow, a computed jump, or procedure entry/return.
-func (pa *ProcAnalysis) mispredictPossible(i int) bool {
-	if !pa.atBlockHead(i) {
-		return false
-	}
-	b := pa.Graph.BlockOfInst(i)
-	if b == 0 {
-		return true
-	}
-	for _, ei := range pa.Graph.Blocks[b].Preds {
-		e := pa.Graph.Edges[ei]
-		if e.From == cfg.Entry {
-			return true
-		}
-		if e.From < 0 {
-			continue
-		}
-		if pa.EdgeFreq[ei] < minPredFreqFrac*pa.instWeight(&pa.Insts[i]) {
-			continue
-		}
-		last := pa.Insts[pa.Graph.Blocks[e.From].End-1].Inst
-		if last.Op.IsCondBranch() || last.Op.IsJump() {
-			return true
-		}
-	}
-	return false
-}
-
-// branchCulprit points at a conditional branch in some predecessor block.
-func (pa *ProcAnalysis) branchCulprit(i int) int {
-	b := pa.Graph.BlockOfInst(i)
-	for _, ei := range pa.Graph.Blocks[b].Preds {
-		e := pa.Graph.Edges[ei]
-		if e.From >= 0 {
-			last := pa.Graph.Blocks[e.From].End - 1
-			if pa.Insts[last].Inst.Op.IsCondBranch() {
-				return last
-			}
-		}
-	}
-	return -1
-}
-
-// recentFU finds an instruction of class cl issued within the unit's busy
-// window before i in the same block, when i itself needs that unit.
-func (pa *ProcAnalysis) recentFU(i int, cl alpha.Class, busy int64) int {
+// busyUnit keeps a functional-unit cause when i needs the unit of class cl
+// and an instruction of that class (the culprit) issued within the unit's
+// busy window before i in the same block.
+func (s *site) busyUnit(v *Verdict, cl alpha.Class, busy int64) outcome {
+	pa, i := s.pa, s.i
 	if pa.Insts[i].Inst.Op.Class() != cl {
-		return -1
+		return clear
 	}
-	b := pa.Graph.BlockOfInst(i)
-	start := pa.Graph.Blocks[b].Start
+	start := pa.Graph.Blocks[pa.Graph.BlockOfInst(i)].Start
 	if w := i - int(busy); w > start {
 		start = w
 	}
 	for j := i - 1; j >= start; j-- {
 		if pa.Insts[j].Inst.Op.Class() == cl {
-			return j
+			v.CulpritIndex = j
+			return keep
 		}
 	}
-	return -1
+	return clear
 }

@@ -120,12 +120,9 @@ func (pa *ProcAnalysis) mapEdgeSamples(edges map[uint64]uint64) {
 func (pa *ProcAnalysis) schedule(code []alpha.Inst) {
 	pa.Insts = make([]InstAnalysis, len(code))
 	for i := range code {
-		pa.Insts[i] = InstAnalysis{
-			Index:  i,
-			Offset: pa.BaseOffset + uint64(i)*alpha.InstBytes,
-			Inst:   code[i],
-			Freq:   -1,
-		}
+		// Field by field: a composite literal would copy the whole struct.
+		ia := &pa.Insts[i]
+		ia.Index, ia.Offset, ia.Inst, ia.Freq = i, pa.BaseOffset+uint64(i)*alpha.InstBytes, code[i], -1
 	}
 	for bi := range pa.Graph.Blocks {
 		b := &pa.Graph.Blocks[bi]

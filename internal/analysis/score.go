@@ -11,16 +11,24 @@ package analysis
 // a movement set, yielding the precision/recall the what-if engine reports
 // (cmd/dcpiwhatif, docs/WHATIF.md).
 
-import "sort"
+import "dcpi/internal/alpha"
 
-// Claim is one culprit blame extracted from the analysis: "the instruction
-// at Offset stalls, and Cause may be responsible". Cycles estimates the
-// total dynamic-stall cycles behind the blame over the profiled interval
-// (per-execution stall x estimated frequency), which lets scoring weight
-// big blames over noise.
-type Claim struct {
+// Key identifies one (instruction, cause) site.
+type Key struct {
 	Offset uint64 // image byte offset of the stalled instruction
 	Cause  Cause
+}
+
+// Claim is one site with the stall cycles behind it. From the analysis it
+// is a blame: "the instruction at Offset stalls, and Cause may be
+// responsible", with Cycles estimating the total dynamic-stall cycles
+// behind it over the profiled interval (per-execution stall x estimated
+// frequency), which lets scoring weight big blames over noise. As causal
+// ground truth it is a movement: perturbing the hardware parameter that
+// targets Cause moved Cycles of the instruction's time (in the direction
+// the perturbation predicts).
+type Claim struct {
+	Key
 	Cycles float64
 }
 
@@ -35,27 +43,35 @@ func CulpritClaims(pa *ProcAnalysis, minCycles float64) []Claim {
 	var out []Claim
 	for i := range pa.Insts {
 		ia := &pa.Insts[i]
-		if ia.DynStall <= 0 || ia.Freq <= 0 {
-			continue
-		}
 		cyc := ia.DynStall * ia.Freq
 		if cyc < minCycles {
 			continue
 		}
 		for _, c := range ia.Culprits {
-			out = append(out, Claim{Offset: ia.Offset, Cause: c.Cause, Cycles: cyc})
+			out = append(out, Claim{Key{ia.Offset, c.Cause}, cyc})
 		}
 	}
 	return out
 }
 
-// Movement is causal ground truth for one instruction: perturbing the
-// hardware parameter that targets Cause moved Cycles of this instruction's
-// time (in the direction the perturbation predicts).
-type Movement struct {
-	Offset uint64
-	Cause  Cause
-	Cycles float64
+// Why names what decided the cause at site k for a scoring whose noise
+// floor is minCycles: the rule of the instruction's verdict,
+// "claim.below_noise" when its stall cycles fall below minCycles (no claim
+// could be made), or "stall.none" when it has no record (it did not
+// stall). For a claim it names the rule that kept the cause; for a site
+// that moved without a claim, the rule that cleared it.
+func (pa *ProcAnalysis) Why(k Key, minCycles float64) string {
+	ia := &pa.Insts[(k.Offset-pa.BaseOffset)/alpha.InstBytes]
+	for _, v := range ia.Verdicts() {
+		switch {
+		case v.Cause != k.Cause:
+		case ia.DynStall*ia.Freq < minCycles:
+			return "claim.below_noise"
+		default:
+			return v.Rule.String()
+		}
+	}
+	return "stall.none"
 }
 
 // Score counts how a claim set fared against causal ground truth for one
@@ -68,6 +84,11 @@ type Score struct {
 	ClaimedCycles float64 // stall cycles behind all claims
 	MovedCycles   float64 // ground-truth cycles that moved
 	CaughtCycles  float64 // moved cycles at claimed instructions
+
+	// FPRules and FNRules name the rule behind each false positive and
+	// false negative, in no particular order (empty when ScoreClaims was
+	// given no why).
+	FPRules, FNRules []string
 }
 
 // Precision is TP/(TP+FP): of the (instruction, cause) blames made, the
@@ -105,67 +126,55 @@ func (s *Score) Add(o Score) {
 	s.ClaimedCycles += o.ClaimedCycles
 	s.MovedCycles += o.MovedCycles
 	s.CaughtCycles += o.CaughtCycles
+	s.FPRules = append(s.FPRules, o.FPRules...)
+	s.FNRules = append(s.FNRules, o.FNRules...)
 }
 
-type claimKey struct {
-	off   uint64
-	cause Cause
-}
-
-// ScoreClaims scores a claim set against causal ground truth, matching on
-// (instruction offset, cause). It returns per-cause scores (only for causes
-// present in either set) and their aggregate. Offsets must come from the
-// same image namespace on both sides; callers scoring several images score
-// each separately and Add the totals.
-func ScoreClaims(claims []Claim, truth []Movement) (map[Cause]Score, Score) {
-	claimed := make(map[claimKey]float64, len(claims))
+// Sites indexes claims by site, keeping the largest cycles at each: a site
+// claimed (or moved) twice counts once, and one with no positive cycles
+// not at all.
+func Sites(claims []Claim) map[Key]float64 {
+	out := make(map[Key]float64, len(claims))
 	for _, c := range claims {
-		if c.Cycles > claimed[claimKey{c.Offset, c.Cause}] {
-			claimed[claimKey{c.Offset, c.Cause}] = c.Cycles
+		if c.Cycles > out[c.Key] {
+			out[c.Key] = c.Cycles
 		}
 	}
-	moved := make(map[claimKey]float64, len(truth))
-	for _, m := range truth {
-		if m.Cycles > moved[claimKey{m.Offset, m.Cause}] {
-			moved[claimKey{m.Offset, m.Cause}] = m.Cycles
-		}
-	}
+	return out
+}
 
-	per := make(map[Cause]Score)
+// ScoreClaims scores claimed sites against the sites whose cycles causally
+// moved. It returns per-cause scores (zero for a cause in neither set) and
+// their aggregate. Offsets must come from the same image namespace on both
+// sides; callers scoring several images score each separately and Add the
+// totals. why, when non-nil, names the rule behind each false positive and
+// false negative (ProcAnalysis.Why).
+func ScoreClaims(claimed, moved map[Key]float64, why func(Key) string) (per [NumCauses]Score, total Score) {
 	for k, cyc := range claimed {
-		s := per[k.cause]
+		s := &per[k.Cause]
 		s.ClaimedCycles += cyc
 		if mv, ok := moved[k]; ok {
 			s.TP++
 			s.CaughtCycles += mv
 		} else {
 			s.FP++
+			if why != nil {
+				s.FPRules = append(s.FPRules, why(k))
+			}
 		}
-		per[k.cause] = s
 	}
 	for k, cyc := range moved {
-		s := per[k.cause]
+		s := &per[k.Cause]
 		s.MovedCycles += cyc
 		if _, ok := claimed[k]; !ok {
 			s.FN++
+			if why != nil {
+				s.FNRules = append(s.FNRules, why(k))
+			}
 		}
-		per[k.cause] = s
 	}
-
-	var total Score
 	for _, s := range per {
 		total.Add(s)
 	}
 	return per, total
-}
-
-// CausesOf returns the causes present in a per-cause score map in enum
-// order, for stable report rendering.
-func CausesOf(per map[Cause]Score) []Cause {
-	out := make([]Cause, 0, len(per))
-	for c := range per {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -75,8 +75,8 @@ func TestSyntheticOracleScoresPerfectly(t *testing.T) {
 
 	// Ground truth by construction: halving D-cache latency moves cycles at
 	// exactly the stalled instruction, nowhere else.
-	truth := []Movement{{Offset: stallOff, Cause: CauseDCache, Cycles: wantCyc}}
-	per, total := ScoreClaims(claims, truth)
+	truth := []Claim{{Key{stallOff, CauseDCache}, wantCyc}}
+	per, total := ScoreClaims(Sites(claims), Sites(truth), nil)
 	if total.Precision() != 1 || total.Recall() != 1 {
 		t.Errorf("oracle score P=%v R=%v, want 1.0/1.0 (%+v)", total.Precision(), total.Recall(), total)
 	}
@@ -87,8 +87,10 @@ func TestSyntheticOracleScoresPerfectly(t *testing.T) {
 	if s.TP != 1 || s.FP != 0 || s.FN != 0 {
 		t.Errorf("per-cause D-cache score = %+v, want TP=1 FP=0 FN=0", s)
 	}
-	if got := CausesOf(per); len(got) != 1 || got[0] != CauseDCache {
-		t.Errorf("CausesOf = %v, want [dcache]", got)
+	for c, cs := range per {
+		if Cause(c) != CauseDCache && cs.TP+cs.FP+cs.FN != 0 {
+			t.Errorf("%v scored %+v, want only the D-cache scored", Cause(c), cs)
+		}
 	}
 }
 
@@ -104,8 +106,8 @@ func TestMisblamedBreakdownIsCaught(t *testing.T) {
 		bad[i] = c
 		bad[i].Cause = CauseICache // the deliberate mis-blame
 	}
-	truth := []Movement{{Offset: stallOff, Cause: CauseDCache, Cycles: good[0].Cycles}}
-	per, total := ScoreClaims(bad, truth)
+	truth := []Claim{{Key{stallOff, CauseDCache}, good[0].Cycles}}
+	per, total := ScoreClaims(Sites(bad), Sites(truth), nil)
 	if total.Precision() != 0 || total.Recall() != 0 {
 		t.Errorf("mis-blame scored P=%v R=%v, want 0/0", total.Precision(), total.Recall())
 	}
@@ -120,8 +122,8 @@ func TestMisblamedBreakdownIsCaught(t *testing.T) {
 	}
 
 	// Right cause, wrong instruction is caught too.
-	shifted := []Claim{{Offset: stallOff + alpha.InstBytes, Cause: CauseDCache, Cycles: 1}}
-	_, total = ScoreClaims(shifted, truth)
+	shifted := []Claim{{Key{stallOff + alpha.InstBytes, CauseDCache}, 1}}
+	_, total = ScoreClaims(Sites(shifted), Sites(truth), nil)
 	if total.TP != 0 || total.FP != 1 || total.FN != 1 {
 		t.Errorf("wrong-offset claim scored %+v, want TP=0 FP=1 FN=1", total)
 	}
@@ -150,14 +152,14 @@ func TestCulpritClaimsThreshold(t *testing.T) {
 // once, keeping the largest cycle weight.
 func TestScoreClaimsDedup(t *testing.T) {
 	claims := []Claim{
-		{Offset: 8, Cause: CauseDCache, Cycles: 100},
-		{Offset: 8, Cause: CauseDCache, Cycles: 300},
+		{Key{8, CauseDCache}, 100},
+		{Key{8, CauseDCache}, 300},
 	}
-	truth := []Movement{
-		{Offset: 8, Cause: CauseDCache, Cycles: 50},
-		{Offset: 8, Cause: CauseDCache, Cycles: 200},
+	truth := []Claim{
+		{Key{8, CauseDCache}, 50},
+		{Key{8, CauseDCache}, 200},
 	}
-	per, total := ScoreClaims(claims, truth)
+	per, total := ScoreClaims(Sites(claims), Sites(truth), nil)
 	if total.TP != 1 || total.FP != 0 || total.FN != 0 {
 		t.Errorf("dedup failed: %+v", total)
 	}

@@ -100,9 +100,17 @@ func (c Cause) Letter() byte {
 	return '?'
 }
 
-// Culprit is one possible explanation for a dynamic stall.
-type Culprit struct {
+// Verdict is the culprit table's decision about one candidate cause of a
+// dynamic stall (culprit.go): kept (the cause may explain the stall) or
+// cleared (ruled out), the rule that decided, and the evidence the cause's
+// rules read.
+type Verdict struct {
 	Cause Cause
+	Kept  bool
+	Rule  Rule
+	// Edge is the CFG edge (an index into Graph.Edges) into the stalled
+	// instruction's block that decided, or -1. int32 keeps a Verdict small.
+	Edge int32
 	// CulpritIndex is the procedure-relative instruction index of the
 	// instruction that may have caused the stall (e.g. the load feeding a
 	// stalled store), or -1.
@@ -115,15 +123,19 @@ type Culprit struct {
 
 // InstAnalysis is the per-instruction analysis result.
 type InstAnalysis struct {
-	Index   int    // procedure-relative instruction index
-	Offset  uint64 // byte offset within the image
-	Inst    alpha.Inst
-	Samples uint64 // CYCLES samples at this instruction
+	Index  int    // procedure-relative instruction index
+	Offset uint64 // byte offset within the image
+	Inst   alpha.Inst
+	// Confidence qualifies Freq; Paired and SlotHazard are schedule data.
+	// (The one-byte fields fill the word Inst leaves unused.)
+	Confidence Confidence
+	Paired     bool
+	SlotHazard bool
+	Samples    uint64 // CYCLES samples at this instruction
 
 	// Freq is the estimated number of executions during the profiled
-	// interval; Confidence qualifies it.
-	Freq       float64
-	Confidence Confidence
+	// interval.
+	Freq float64
 
 	// CPI is the average cycles this instruction spent at the head of the
 	// issue queue per execution (0 for dual-issued second-slot
@@ -132,17 +144,20 @@ type InstAnalysis struct {
 
 	// M and static schedule data come from the shared pipeline model.
 	M            int64
-	Paired       bool
-	SlotHazard   bool
 	StaticStalls []pipeline.StaticStall
 
 	// DynStall is the estimated dynamic stall in cycles per execution
 	// (CPI - M when positive).
 	DynStall float64
 	// Culprits lists the possible causes for DynStall (empty means
-	// unexplained).
-	Culprits []Culprit
+	// unexplained): the kept part of the culprit record, whose cleared
+	// verdicts follow it up to its capacity (Verdicts).
+	Culprits []Verdict
 }
+
+// Verdicts returns the culprit record: one verdict per candidate cause, the
+// kept ones (Culprits) first, each part in cause order; empty if no stall.
+func (ia *InstAnalysis) Verdicts() []Verdict { return ia.Culprits[:cap(ia.Culprits)] }
 
 // ProcAnalysis is the complete analysis of one procedure.
 type ProcAnalysis struct {

@@ -136,6 +136,13 @@ func (g *Graph) findBlocks() {
 			}
 		}
 	}
+	n := 0
+	for _, l := range leader {
+		if l {
+			n++
+		}
+	}
+	g.Blocks = make([]Block, 0, n)
 	g.blockOf = make([]int, len(code))
 	start := 0
 	for i := 1; i <= len(code); i++ {
@@ -162,6 +169,7 @@ func (g *Graph) addEdge(from, to int, kind EdgeKind) {
 }
 
 func (g *Graph) addEdges() {
+	g.Edges = make([]Edge, 0, 2*len(g.Blocks)+1) // room for two out of each block and the entry
 	g.addEdge(Entry, 0, EdgeEntry)
 	for bi := range g.Blocks {
 		b := &g.Blocks[bi]

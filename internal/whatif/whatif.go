@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"dcpi/internal/alpha"
@@ -178,6 +179,13 @@ type CauseScore struct {
 	FN        int     `json:"fn"`
 	Precision float64 `json:"precision"`
 	Recall    float64 `json:"recall"`
+
+	// FPRules names, for each false positive, the culprit rule that kept
+	// the cause; FNRules, for each false negative, the rule that cleared
+	// it, or "stall.none" / "claim.below_noise" where no claim could exist
+	// (analysis.ProcAnalysis.Why). Both are sorted.
+	FPRules []string `json:"fp_rules,omitempty"`
+	FNRules []string `json:"fn_rules,omitempty"`
 }
 
 // Report is a complete sweep over one workload.
@@ -207,26 +215,9 @@ type Report struct {
 
 // procScope is one analyzed procedure of the baseline run.
 type procScope struct {
-	image  string
-	name   string
-	lo, hi uint64 // image-offset range [lo, hi)
-	claims []analysis.Claim
-}
-
-// siteKey identifies one (instruction, cause) pair within a scope.
-type siteKey struct {
-	off   uint64
-	cause analysis.Cause
-}
-
-// hasClaim reports whether the scope's analysis blamed cause at off.
-func (sc *procScope) hasClaim(off uint64, cause analysis.Cause) bool {
-	for _, c := range sc.claims {
-		if c.Offset == off && c.Cause == cause {
-			return true
-		}
-	}
-	return false
+	image   string
+	pa      *analysis.ProcAnalysis
+	claimed map[analysis.Key]float64 // the baseline's culprit claims, by site
 }
 
 // Sweep runs the grid and scores the analysis. All simulations are
@@ -292,25 +283,22 @@ func Sweep(opts Options) (*Report, error) {
 	}
 	claimedCauses := map[analysis.Cause]bool{}
 	for _, sc := range scopes {
-		rep.Procs = append(rep.Procs, sc.name)
-		rep.Claims += len(sc.claims)
-		for _, c := range sc.claims {
-			claimedCauses[c.Cause] = true
+		rep.Procs = append(rep.Procs, sc.pa.Name)
+		rep.Claims += len(sc.claimed)
+		for k := range sc.claimed {
+			claimedCauses[k.Cause] = true
 		}
 	}
 
-	// truth accumulates ground truth per scope across the whole grid:
-	// (site, cause) -> the largest cycle movement any point produced
-	// there. A claim is confirmed if any targeting point moved its site;
-	// it counts as a false positive only when no point did — a single
-	// perturbation may legitimately not reach a site (an L2-resident miss
-	// ignores memlat), but across a grid that doubles the cache, adds
-	// associativity, and slows both miss paths, a real D-cache stall
-	// moves somewhere.
-	truth := make([]map[siteKey]float64, len(scopes))
-	for i := range truth {
-		truth[i] = map[siteKey]float64{}
-	}
+	// truth accumulates ground truth per scope across the whole grid: every
+	// point's movements, which scoring reduces to the largest at each
+	// (site, cause). A claim is confirmed if any targeting point moved its
+	// site; it counts as a false positive only when no point did — a
+	// single perturbation may legitimately not reach a site (an
+	// L2-resident miss ignores memlat), but across a grid that doubles the
+	// cache, adds associativity, and slows both miss paths, a real D-cache
+	// stall moves somewhere.
+	truth := make([][]analysis.Claim, len(scopes))
 	targeted := map[analysis.Cause]bool{}
 
 	for i, pt := range grid {
@@ -333,27 +321,28 @@ func Sweep(opts Options) (*Report, error) {
 			if len(pt.Targets) == 0 {
 				continue
 			}
-			pr.ClaimsTested += len(claimsFor(sc.claims, pt.Targets))
+			for k := range sc.claimed {
+				if slices.Contains(pt.Targets, k.Cause) {
+					pr.ClaimsTested++
+				}
+			}
 			for off, cyc := range movedOffsets(baseRes, res, sc, pt, minMove) {
 				pr.MovedSites++
 				pr.MovedCycles += cyc
 				matched := false
 				for _, cause := range pt.Targets {
-					if sc.hasClaim(off, cause) {
+					k := analysis.Key{Offset: off, Cause: cause}
+					if _, ok := sc.claimed[k]; ok {
 						matched = true
 						pr.Confirmed++
-						if cyc > truth[si][siteKey{off, cause}] {
-							truth[si][siteKey{off, cause}] = cyc
-						}
+						truth[si] = append(truth[si], analysis.Claim{Key: k, Cycles: cyc})
 					}
 				}
 				if !matched {
 					// Unclaimed movement: attribute to the primary target.
 					pr.Missed++
-					k := siteKey{off, pt.Targets[0]}
-					if cyc > truth[si][k] {
-						truth[si][k] = cyc
-					}
+					k := analysis.Key{Offset: off, Cause: pt.Targets[0]}
+					truth[si] = append(truth[si], analysis.Claim{Key: k, Cycles: cyc})
 				}
 			}
 		}
@@ -363,29 +352,28 @@ func Sweep(opts Options) (*Report, error) {
 	// Aggregate score: every claim testable by some grid point, against
 	// the union of movement the grid produced, through the exported
 	// analysis scoring hooks.
-	perCause := map[analysis.Cause]analysis.Score{}
+	var perCause [analysis.NumCauses]analysis.Score
 	var total analysis.Score
 	for si := range scopes {
-		sc := &scopes[si]
-		claims := claimsFor(sc.claims, causeList(targeted))
-		movements := make([]analysis.Movement, 0, len(truth[si]))
-		for k, cyc := range truth[si] {
-			movements = append(movements, analysis.Movement{Offset: k.off, Cause: k.cause, Cycles: cyc})
-		}
-		per, s := analysis.ScoreClaims(claims, movements)
+		pa := scopes[si].pa
+		per, s := analysis.ScoreClaims(testable(scopes[si].claimed, targeted), analysis.Sites(truth[si]),
+			func(k analysis.Key) string { return pa.Why(k, minMove) })
 		total.Add(s)
-		for c, cs := range per {
-			acc := perCause[c]
-			acc.Add(cs)
-			perCause[c] = acc
+		for c := range per {
+			perCause[c].Add(per[c])
 		}
 	}
 
-	for _, c := range analysis.CausesOf(perCause) {
-		s := perCause[c]
+	for c, s := range perCause {
+		if s.TP+s.FP+s.FN == 0 {
+			continue // in neither the claims nor the movements
+		}
+		sort.Strings(s.FPRules)
+		sort.Strings(s.FNRules)
 		rep.PerCause = append(rep.PerCause, CauseScore{
-			Cause: c.String(), TP: s.TP, FP: s.FP, FN: s.FN,
+			Cause: analysis.Cause(c).String(), TP: s.TP, FP: s.FP, FN: s.FN,
 			Precision: s.Precision(), Recall: s.Recall(),
+			FPRules: s.FPRules, FNRules: s.FNRules,
 		})
 	}
 	rep.TotalTP, rep.TotalFP, rep.TotalFN = total.TP, total.FP, total.FN
@@ -419,38 +407,18 @@ func analyzeTop(res *dcpi.Result, topProcs int, minMove float64) ([]procScope, e
 		if err != nil {
 			return nil, fmt.Errorf("whatif: analyzing %s!%s: %w", row.ImagePath, row.Procedure, err)
 		}
-		scopes = append(scopes, procScope{
-			image:  row.ImagePath,
-			name:   row.Procedure,
-			lo:     pa.BaseOffset,
-			hi:     pa.BaseOffset + uint64(len(pa.Insts))*alpha.InstBytes,
-			claims: analysis.CulpritClaims(pa, minMove),
-		})
+		scopes = append(scopes, procScope{row.ImagePath, pa, analysis.Sites(analysis.CulpritClaims(pa, minMove))})
 	}
 	return scopes, nil
 }
 
-// claimsFor filters claims to the causes a grid point (or the whole grid)
-// targets: only those claims are causally testable.
-func claimsFor(claims []analysis.Claim, targets []analysis.Cause) []analysis.Claim {
-	var out []analysis.Claim
-	for _, c := range claims {
-		for _, t := range targets {
-			if c.Cause == t {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// causeList returns the set's causes in enum order.
-func causeList(set map[analysis.Cause]bool) []analysis.Cause {
-	var out []analysis.Cause
-	for c := analysis.Cause(0); c < analysis.NumCauses; c++ {
-		if set[c] {
-			out = append(out, c)
+// testable returns the claims whose cause some grid point targets: only
+// those are causally testable.
+func testable(claimed map[analysis.Key]float64, targeted map[analysis.Cause]bool) map[analysis.Key]float64 {
+	out := map[analysis.Key]float64{}
+	for k, cyc := range claimed {
+		if targeted[k.Cause] {
+			out[k] = cyc
 		}
 	}
 	return out
@@ -471,7 +439,8 @@ func movedOffsets(baseRes, res *dcpi.Result, sc *procScope, pt Point, minMove fl
 		c1 = p.Counts
 	}
 	out := map[uint64]float64{}
-	for off := sc.lo; off < sc.hi; off += alpha.InstBytes {
+	hi := sc.pa.BaseOffset + uint64(len(sc.pa.Insts))*alpha.InstBytes
+	for off := sc.pa.BaseOffset; off < hi; off += alpha.InstBytes {
 		n0, n1 := c0[off], c1[off]
 		if n0 == 0 && n1 == 0 {
 			continue
@@ -516,12 +485,31 @@ func FormatReport(w io.Writer, rep *Report) {
 	for _, cs := range rep.PerCause {
 		fmt.Fprintf(w, "  %-18s TP %3d  FP %3d  FN %3d  precision %.2f  recall %.2f\n",
 			cs.Cause, cs.TP, cs.FP, cs.FN, cs.Precision, cs.Recall)
+		formatRules(w, "FP", cs.FPRules)
+		formatRules(w, "FN", cs.FNRules)
 	}
 	fmt.Fprintf(w, "aggregate: TP %d FP %d FN %d  precision %.2f  recall %.2f  cycle recall %.2f\n",
 		rep.TotalTP, rep.TotalFP, rep.TotalFN, rep.TotalPrecision, rep.TotalRecall, rep.TotalCycleRecall)
 	if len(rep.Untested) > 0 {
 		fmt.Fprintf(w, "untested causes (claimed, but no grid point targets them): %s\n",
 			joinOr(rep.Untested, ""))
+	}
+}
+
+// formatRules prints the rules behind a cause's false positives or
+// negatives, each with its count.
+func formatRules(w io.Writer, what string, rules []string) {
+	var counted []string
+	for i := 0; i < len(rules); {
+		j := i + 1
+		for j < len(rules) && rules[j] == rules[i] {
+			j++
+		}
+		counted = append(counted, fmt.Sprintf("%s %d", rules[i], j-i))
+		i = j
+	}
+	if len(counted) > 0 {
+		fmt.Fprintf(w, "    %s by rule: %s\n", what, joinOr(counted, ""))
 	}
 }
 
