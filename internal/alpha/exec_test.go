@@ -33,16 +33,17 @@ func run(t *testing.T, src string, setup func(*Regs, flatMem), maxSteps int) (*R
 		setup(regs, mem)
 	}
 	pc := uint64(0)
+	var out Outcome
 	for steps := 0; steps < maxSteps; steps++ {
 		idx := pc / InstBytes
 		if idx >= uint64(len(a.Code)) {
 			t.Fatalf("pc %#x outside code", pc)
 		}
-		out := Execute(a.Code[idx], pc, regs, mem)
-		if out.Fault != nil {
-			t.Fatalf("fault: %v", out.Fault)
+		Execute(&a.Code[idx], pc, regs, mem, &out)
+		if out.Kind == KindIllegal {
+			t.Fatalf("illegal instruction %v at %#x", a.Code[idx].Op, pc)
 		}
-		if out.Halt {
+		if out.Kind == KindHalt {
 			return regs, mem
 		}
 		pc = out.NextPC
@@ -311,17 +312,22 @@ func TestExecutePalHaltBarrier(t *testing.T) {
 	regs := &Regs{}
 	mem := flatMem{}
 
-	out := Execute(a.Code[0], 0, regs, mem)
-	if !out.IsPal || out.Pal != 0x83 {
+	var out Outcome
+	Execute(&a.Code[0], 0, regs, mem, &out)
+	if out.Kind != KindPal || out.Pal != 0x83 {
 		t.Errorf("call_pal outcome = %+v", out)
 	}
-	out = Execute(a.Code[1], 4, regs, mem)
-	if !out.Barrier {
+	Execute(&a.Code[1], 4, regs, mem, &out)
+	if out.Kind != KindBarrier {
 		t.Errorf("mb outcome = %+v", out)
 	}
-	out = Execute(a.Code[2], 8, regs, mem)
-	if !out.Halt {
+	Execute(&a.Code[2], 8, regs, mem, &out)
+	if out.Kind != KindHalt {
 		t.Errorf("halt outcome = %+v", out)
+	}
+	Execute(&Inst{}, 12, regs, mem, &out)
+	if out.Kind != KindIllegal || out.NextPC != 16 {
+		t.Errorf("OpInvalid outcome = %+v", out)
 	}
 }
 
@@ -344,7 +350,8 @@ func TestExecuteBranchOutcomes(t *testing.T) {
 		regs := &Regs{}
 		regs.I[RegT0] = tc.val
 		in := Inst{Op: tc.op, Ra: RegT0, Disp: 3}
-		out := Execute(in, 0x100, regs, flatMem{})
+		var out Outcome
+		Execute(&in, 0x100, regs, flatMem{}, &out)
 		if out.Taken != tc.taken {
 			t.Errorf("%v(%d): taken = %v, want %v", tc.op, tc.val, out.Taken, tc.taken)
 		}

@@ -8,7 +8,9 @@ import "testing"
 // contract: Meta never panics, its packed InstMeta agrees exactly with
 // the Sources/Dest views and with the pre-decoded DecodeMeta table the
 // simulator hot path uses, and the zero register never appears as an
-// operand.
+// operand. It then executes the instruction against a small map memory and
+// holds the Outcome to the metadata: the simulator's issue probe decides
+// memory feasibility from Meta, and its data path acts on the Outcome.
 func FuzzInstDecode(f *testing.F) {
 	f.Add(byte(0), byte(0), byte(0), byte(0), int32(0), byte(0), false, uint16(0))
 	f.Add(byte(OpLDQ), byte(1), byte(2), byte(3), int32(16), byte(0), false, uint16(0))
@@ -67,6 +69,43 @@ func FuzzInstDecode(f *testing.F) {
 		}
 		if m.CondBranch != in.Op.IsCondBranch() {
 			t.Errorf("%v CondBranch=%t, IsCondBranch=%t", in.Op, m.CondBranch, in.Op.IsCondBranch())
+		}
+
+		var regs Regs
+		for r := range regs.I {
+			regs.I[r] = uint64(int64(disp))*uint64(r+1) ^ uint64(lit)<<(r%57)
+			regs.F[r] = regs.I[r] ^ 0x4000000000000000
+		}
+		out := Outcome{NextPC: 1, MemAddr: 2, Pal: 3, MemSize: 4, MemIsStore: true, Taken: true, Kind: KindIllegal}
+		Execute(&in, 0x1000, &regs, flatMem{}, &out)
+		if (out.MemSize != 0) != (m.Load || m.Store) || out.MemIsStore != m.Store {
+			t.Errorf("%v: MemSize %d, MemIsStore %t; Meta says load %t, store %t", in.Op, out.MemSize, out.MemIsStore, m.Load, m.Store)
+		}
+		if out.MemSize != 0 && out.MemSize != 4 && out.MemSize != 8 {
+			t.Errorf("%v: MemSize %d", in.Op, out.MemSize)
+		}
+		want := KindNone
+		switch in.Op {
+		case OpCALLPAL:
+			want = KindPal
+		case OpHALT:
+			want = KindHalt
+		case OpMB, OpWMB:
+			want = KindBarrier
+		case OpInvalid:
+			want = KindIllegal
+		}
+		if out.Kind != want {
+			t.Errorf("%v: outcome kind %d, want %d", in.Op, out.Kind, want)
+		}
+		if out.Kind == KindPal && out.Pal != pal {
+			t.Errorf("call_pal %#x: outcome Pal %#x", pal, out.Pal)
+		}
+		if cl := in.Op.Class(); out.Taken && cl != ClassBranch && cl != ClassJump {
+			t.Errorf("%v (class %v) reports a taken transfer", in.Op, cl)
+		}
+		if !out.Taken && out.NextPC != 0x1000+InstBytes {
+			t.Errorf("%v not taken, but NextPC %#x", in.Op, out.NextPC)
 		}
 	})
 }

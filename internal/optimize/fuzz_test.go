@@ -144,16 +144,17 @@ func fuzzRun(code []alpha.Inst) (halted bool, t5, t0 uint64) {
 	regs := &alpha.Regs{}
 	mem := memMap{}
 	pc := uint64(0)
+	var out alpha.Outcome
 	for steps := 0; steps < 200_000; steps++ {
 		idx := pc / alpha.InstBytes
 		if idx >= uint64(len(code)) {
 			return false, 0, 0
 		}
-		out := alpha.Execute(code[idx], pc, regs, mem)
-		if out.Fault != nil {
+		alpha.Execute(&code[idx], pc, regs, mem, &out)
+		if out.Kind == alpha.KindIllegal {
 			return false, 0, 0
 		}
-		if out.Halt {
+		if out.Kind == alpha.KindHalt {
 			return true, regs.I[alpha.RegT5], regs.I[alpha.RegT0]
 		}
 		pc = out.NextPC

@@ -19,16 +19,17 @@ func runCode(t *testing.T, code []alpha.Inst, setup func(*alpha.Regs, memMap)) *
 		setup(regs, mem)
 	}
 	pc := uint64(0)
+	var out alpha.Outcome
 	for steps := 0; steps < 1_000_000; steps++ {
 		idx := pc / alpha.InstBytes
 		if idx >= uint64(len(code)) {
 			t.Fatalf("pc %#x fell off the code", pc)
 		}
-		out := alpha.Execute(code[idx], pc, regs, mem)
-		if out.Fault != nil {
-			t.Fatalf("fault: %v", out.Fault)
+		alpha.Execute(&code[idx], pc, regs, mem, &out)
+		if out.Kind == alpha.KindIllegal {
+			t.Fatalf("illegal instruction %v at %#x", code[idx].Op, pc)
 		}
-		if out.Halt {
+		if out.Kind == alpha.KindHalt {
 			return regs
 		}
 		pc = out.NextPC
@@ -130,13 +131,14 @@ func TestReorderStraightensHotPath(t *testing.T) {
 		mem := memMap{}
 		pc := uint64(0)
 		brs := 0
+		var out alpha.Outcome
 		for steps := 0; steps < 1_000_000; steps++ {
-			in := code[pc/alpha.InstBytes]
+			in := &code[pc/alpha.InstBytes]
 			if in.Op == alpha.OpBR {
 				brs++
 			}
-			out := alpha.Execute(in, pc, regs, mem)
-			if out.Halt {
+			alpha.Execute(in, pc, regs, mem, &out)
+			if out.Kind == alpha.KindHalt {
 				return brs
 			}
 			pc = out.NextPC

@@ -8,14 +8,9 @@ import (
 	"dcpi/internal/loader"
 )
 
-// benchMachine builds a machine running the sum program for iters
-// iterations under the given profiling configuration.
-func benchMachine(b testing.TB, prof ProfileConfig, iters int) (*Machine, *loader.Process) {
-	b.Helper()
-	kernel, abi := testKernel()
-	l := loader.New(kernel)
-	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 7, Profile: prof})
-	src := `
+// benchSumProgram sums a1 quadwords from a0 onwards, mixing each into the
+// loop counter.
+const benchSumProgram = `
 main:
 	lda t0, 0(zero)
 	bis a0, zero, t3
@@ -29,7 +24,15 @@ main:
 	bne t4, .loop
 	halt
 `
-	exec := image.New("bench", "/bin/bench", image.KindExecutable, alpha.MustAssemble(src))
+
+// benchMachine builds a machine running the sum program for iters
+// iterations under the given profiling configuration.
+func benchMachine(b testing.TB, prof ProfileConfig, iters int) (*Machine, *loader.Process) {
+	b.Helper()
+	kernel, abi := testKernel()
+	l := loader.New(kernel)
+	m := NewMachine(Options{Loader: l, ABI: abi, Seed: 7, Profile: prof})
+	exec := image.New("bench", "/bin/bench", image.KindExecutable, alpha.MustAssemble(benchSumProgram))
 	p, err := l.NewProcess("bench", exec)
 	if err != nil {
 		b.Fatal(err)

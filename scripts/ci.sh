@@ -28,6 +28,9 @@ go build ./...
 echo "== go test -race ./..." >&2
 go test -race -count=1 ./...
 
+echo "== benchmarks of the simulator layers run once (a set-up panic fails)" >&2
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mem ./internal/alpha ./internal/pipeline
+
 echo "== bench module vets and passes its smoke test" >&2
 (cd bench && go vet ./... && go test -count=1 ./...)
 
