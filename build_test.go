@@ -1,10 +1,12 @@
 package dcpibench
 
 import (
+	"debug/buildinfo"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -43,4 +45,25 @@ func buildTool(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestDcpievalBuildsWithProfile holds dcpieval's default build to its
+// committed CPU profile: `go build ./cmd/dcpieval` reads
+// cmd/dcpieval/default.pgo (-pgo=auto) and inlines the simulator's hot memory
+// path on its evidence. Deleting or moving the profile fails here rather
+// than as an unexplained slowdown. scripts/pgo.sh refreshes it.
+func TestDcpievalBuildsWithProfile(t *testing.T) {
+	info, err := buildinfo.ReadFile(buildTool(t, "dcpieval"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-pgo" {
+			if !strings.HasSuffix(filepath.ToSlash(s.Value), "cmd/dcpieval/default.pgo") {
+				t.Fatalf("dcpieval built with -pgo=%s, want cmd/dcpieval/default.pgo", s.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("dcpieval built without a -pgo profile; cmd/dcpieval/default.pgo is missing")
 }

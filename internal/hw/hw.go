@@ -110,7 +110,7 @@ func (c Config) IsDefault() bool { return c.Resolved() == Default() }
 const (
 	maxCacheSize  = 1 << 28 // 256 MB
 	maxLineSize   = 1 << 10
-	minLineSize   = 8
+	minLineSize   = mem.MinLineSize
 	maxTLBEntries = 1 << 16
 	maxWBEntries  = 1 << 12
 	maxCycles     = 1 << 20

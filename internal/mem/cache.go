@@ -15,6 +15,10 @@ type CacheConfig struct {
 	Assoc    int // ways; 1 = direct mapped
 }
 
+// MinLineSize is the smallest line Validate accepts (and hw's minimum): a
+// line address is then at most 2^61-1, so the tag array's line+1 never wraps.
+const MinLineSize = 8
+
 // Validate checks the configuration for consistency.
 func (c CacheConfig) Validate() error {
 	switch {
@@ -22,6 +26,8 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("cache %s: non-positive geometry", c.Name)
 	case c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineSize)
+	case c.LineSize < MinLineSize:
+		return fmt.Errorf("cache %s: line size %d below %d bytes", c.Name, c.LineSize, MinLineSize)
 	case c.Size%(c.LineSize*c.Assoc) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by %d-way sets of %dB lines",
 			c.Name, c.Size, c.Assoc, c.LineSize)
@@ -36,11 +42,14 @@ type Cache struct {
 	cfg       CacheConfig
 	lineShift uint
 	setMask   uint64
-	// tags[set*assoc+way]; lru[set*assoc+way] is a recency stamp.
-	tags  []uint64
-	valid []bool
-	lru   []uint64
-	tick  uint64
+	// tags[set*assoc+way] is the resident line address plus one, 0 for an
+	// empty way, so a direct-mapped lookup is one load and one compare.
+	tags []uint64
+	// lru[set*assoc+way] is a recency stamp, unique per filled way. It is
+	// allocated, and tick advanced, only when Assoc > 1: a direct-mapped
+	// set has no victim to choose.
+	lru  []uint64
+	tick uint64
 
 	Hits   uint64
 	Misses uint64
@@ -60,8 +69,9 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:     cfg,
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*cfg.Assoc),
-		valid:   make([]bool, sets*cfg.Assoc),
-		lru:     make([]uint64, sets*cfg.Assoc),
+	}
+	if cfg.Assoc > 1 {
+		c.lru = make([]uint64, sets*cfg.Assoc)
 	}
 	for shift := uint(0); ; shift++ {
 		if 1<<shift == cfg.LineSize {
@@ -82,63 +92,53 @@ func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
 // LRU victim). It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.cfg.Assoc
-	c.tick++
-	victim, oldest := base, ^uint64(0)
-	for w := 0; w < c.cfg.Assoc; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lru[i] = c.tick
+	if c.lru == nil {
+		i := line & c.setMask
+		if c.tags[i] == line+1 {
 			c.Hits++
 			return true
 		}
-		if !c.valid[i] {
-			victim, oldest = i, 0
-		} else if c.lru[i] < oldest {
-			victim, oldest = i, c.lru[i]
+		c.Misses++
+		c.tags[i] = line + 1
+		return false
+	}
+	return c.accessSet(line)
+}
+
+// accessSet is Access in a set of more than one way. The victim is the last
+// empty way, else the least recently used one.
+func (c *Cache) accessSet(line uint64) bool {
+	base := int(line&c.setMask) * c.cfg.Assoc
+	tags, lru := c.tags[base:base+c.cfg.Assoc], c.lru[base:base+c.cfg.Assoc]
+	c.tick++
+	victim, oldest := 0, ^uint64(0)
+	for w, tag := range tags {
+		if tag == line+1 {
+			lru[w] = c.tick
+			c.Hits++
+			return true
+		}
+		if tag == 0 {
+			victim, oldest = w, 0
+		} else if lru[w] < oldest {
+			victim, oldest = w, lru[w]
 		}
 	}
 	c.Misses++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.tick
+	tags[victim], lru[victim] = line+1, c.tick
 	return false
 }
 
 // Probe reports whether addr currently hits, without changing any state.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
+	base := int(line&c.setMask) * c.cfg.Assoc
+	for _, tag := range c.tags[base : base+c.cfg.Assoc] {
+		if tag == line+1 {
 			return true
 		}
 	}
 	return false
-}
-
-// Invalidate removes addr's line if present (used on context switches that
-// model cache pollution, and by tests).
-func (c *Cache) Invalidate(addr uint64) {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.cfg.Assoc
-	for w := 0; w < c.cfg.Assoc; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.valid[i] = false
-		}
-	}
-}
-
-// Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
 }
 
 // Accesses returns the total number of lookups.

@@ -50,29 +50,66 @@ func (r *refCache) access(addr uint64) bool {
 	return false
 }
 
+// probe reports whether addr's line is resident, changing nothing.
+func (r *refCache) probe(addr uint64) bool {
+	line := addr >> r.lineShift
+	for _, l := range r.ways[line%r.sets] {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCacheMatchesReferenceLRU drives Cache and the reference model with
-// the same random access streams across several associative geometries
-// (including non-default line sizes) and demands hit-for-hit agreement —
-// in particular that the victim of every eviction is the true LRU way.
+// the same random streams of accesses and probes across several geometries
+// (including non-default line sizes, and the default machine's direct-mapped
+// caches) and demands hit-for-hit agreement — in particular that the victim
+// of every eviction is the true LRU way.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	geoms := []CacheConfig{
 		{Name: "2way", Size: 1 << 10, LineSize: 32, Assoc: 2},
 		{Name: "4way64", Size: 4 << 10, LineSize: 64, Assoc: 4},
 		{Name: "8way16", Size: 2 << 10, LineSize: 16, Assoc: 8},
 		{Name: "full", Size: 512, LineSize: 64, Assoc: 8}, // single set: fully associative
+		// The default machine's three caches (hw.Default), all direct mapped.
+		{Name: "icache", Size: 8 << 10, LineSize: 32, Assoc: 1},
+		{Name: "dcache", Size: 8 << 10, LineSize: 32, Assoc: 1},
+		{Name: "board", Size: 2 << 20, LineSize: 64, Assoc: 1},
+		{Name: "direct16", Size: 1 << 10, LineSize: 16, Assoc: 1},
 	}
 	for _, cfg := range geoms {
 		t.Run(cfg.Name, func(t *testing.T) {
 			c := NewCache(cfg)
 			ref := newRefCache(cfg)
 			rng := rand.New(rand.NewSource(42))
-			// Address range chosen to generate plenty of set conflicts.
+			// Fresh addresses come from two windows four times the cache's
+			// size, chosen to generate plenty of set conflicts: one from 0,
+			// one ending at 2^64-1, where the tag array holds its largest
+			// line+1. Half the stream revisits a recent address's
+			// neighbourhood, so even the 2 MB board cache hits.
 			span := uint64(cfg.Size * 4)
+			var recent [16]uint64
 			for i := 0; i < 20000; i++ {
-				addr := rng.Uint64() % span
-				got, want := c.Access(addr), ref.access(addr)
-				if got != want {
-					t.Fatalf("access %d (addr %#x): cache says hit=%v, reference says %v",
+				var addr uint64
+				switch rng.Intn(4) {
+				case 0:
+					addr = rng.Uint64() % span
+				case 1:
+					addr = -span + rng.Uint64()%span
+				default:
+					addr = recent[rng.Intn(len(recent))] + uint64(rng.Intn(2*cfg.LineSize))
+				}
+				if rng.Intn(4) == 0 {
+					if got, want := c.Probe(addr), ref.probe(addr); got != want {
+						t.Fatalf("step %d: probe %#x: cache says hit=%v, reference says %v",
+							i, addr, got, want)
+					}
+					continue
+				}
+				recent[i%len(recent)] = addr
+				if got, want := c.Access(addr), ref.access(addr); got != want {
+					t.Fatalf("step %d: access %#x: cache says hit=%v, reference says %v",
 						i, addr, got, want)
 				}
 			}

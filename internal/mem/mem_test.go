@@ -47,20 +47,6 @@ func TestCacheAssociativity(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateAndFlush(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "l1", Size: 256, LineSize: 32, Assoc: 1})
-	c.Access(64)
-	c.Invalidate(64)
-	if c.Probe(64) {
-		t.Error("invalidate did not remove line")
-	}
-	c.Access(64)
-	c.Flush()
-	if c.Probe(64) {
-		t.Error("flush did not remove line")
-	}
-}
-
 func TestCacheMissRate(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "l1", Size: 256, LineSize: 32, Assoc: 1})
 	if c.MissRate() != 0 {
@@ -78,6 +64,7 @@ func TestCacheConfigValidate(t *testing.T) {
 		{Name: "x", Size: 0, LineSize: 32, Assoc: 1},
 		{Name: "x", Size: 256, LineSize: 33, Assoc: 1},
 		{Name: "x", Size: 100, LineSize: 32, Assoc: 1},
+		{Name: "x", Size: 64, LineSize: 4, Assoc: 1}, // below the 8-byte minimum
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

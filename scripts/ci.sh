@@ -31,6 +31,17 @@ go test -race -count=1 ./...
 echo "== benchmarks of the simulator layers run once (a set-up panic fails)" >&2
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mem ./internal/alpha ./internal/pipeline
 
+echo "== dcpieval prints the same bytes with and without its profile (-pgo=off)" >&2
+# cmd/dcpieval/default.pgo changes inlining only; tier-1 holds the profiled
+# build's output to the goldens, this holds the unprofiled one to it.
+pgotmp="$(mktemp -d)"
+go build -o "$pgotmp/pgo" ./cmd/dcpieval
+go build -pgo=off -o "$pgotmp/nopgo" ./cmd/dcpieval
+"$pgotmp/pgo" -fig 3 -runs 1 -scale 0.05 >"$pgotmp/pgo.out"
+"$pgotmp/nopgo" -fig 3 -runs 1 -scale 0.05 >"$pgotmp/nopgo.out"
+cmp "$pgotmp/pgo.out" "$pgotmp/nopgo.out"
+rm -rf "$pgotmp"
+
 echo "== bench module vets and passes its smoke test" >&2
 (cd bench && go vet ./... && go test -count=1 ./...)
 
