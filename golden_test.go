@@ -103,15 +103,19 @@ func TestGoldenTable2DigestSharded(t *testing.T) {
 	}
 }
 
-// TestGoldenFigureDigests pins the three sections whose bytes come from
-// the §6 culprit analysis, which Table 2 does not reach: Figure 2's
-// dcpicalc listing (bubbles and culprit addresses), Figure 4's dynamic-stall
-// ranges per cause, and Figure 10's culprit accuracy. Each line of
+// TestGoldenFigureDigests pins the sections whose bytes come from the §6
+// analysis, which Table 2 does not reach: Figure 2's dcpicalc listing
+// (bubbles and culprit addresses), Figure 4's dynamic-stall ranges per
+// cause, Figures 8 and 9's frequency accuracy (which analyse the same runs)
+// and Figure 10's culprit accuracy. Each line of
 // testdata/golden_figures.sha256 is a digest and the command that prints
 // it; regenerate a line with
 //
 //	go build -o /tmp/dcpieval ./cmd/dcpieval
 //	/tmp/dcpieval -fig 2 -runs 1 -scale 0.05 | sha256sum
+//
+// Each figure runs twice: cold into a fresh cache directory, then warm from
+// it, where every run is rehydrated onto a shared shell.
 func TestGoldenFigureDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden digest runs simulate")
@@ -127,7 +131,12 @@ func TestGoldenFigureDigests(t *testing.T) {
 			t.Fatalf("malformed golden line %q", line)
 		}
 		t.Run(strings.TrimPrefix(f[2], "-")+f[3], func(t *testing.T) {
-			digestCheck(t, bin, f[0], f[2:])
+			cacheDir := filepath.Join(t.TempDir(), "runcache")
+			args := append(f[2:len(f):len(f)], "-cache-dir", cacheDir)
+			digestCheck(t, bin, f[0], args) // cold: populates
+			if stderr := digestCheck(t, bin, f[0], args); !strings.Contains(stderr, "rehydrated from disk") {
+				t.Errorf("warm pass did not report disk hits; stderr:\n%s", stderr)
+			}
 		})
 	}
 }

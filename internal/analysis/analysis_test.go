@@ -5,8 +5,33 @@ import (
 	"testing"
 
 	"dcpi/internal/alpha"
+	"dcpi/internal/cfg"
 	"dcpi/internal/pipeline"
 )
+
+// analyzeMaps runs Analyze on inputs keyed by image byte offset, the way a
+// profile holds them: imiss nil means not collected, dtb nil means not
+// monitored, and dtb counts anywhere in the procedure rule the DTB in.
+func analyzeMaps(code []alpha.Inst, base uint64, samples, imiss, dtb, edges map[uint64]uint64) *ProcAnalysis {
+	perInst := func(m map[uint64]uint64) []uint64 {
+		out := make([]uint64, len(code))
+		for i := range out {
+			out[i] = m[base+uint64(i)*alpha.InstBytes]
+		}
+		return out
+	}
+	in := Inputs{Samples: perInst(samples), EdgeSamples: edges, DTBCollected: dtb != nil}
+	if imiss != nil {
+		in.IMissEvents = perInst(imiss)
+	}
+	hi := base + uint64(len(code))*alpha.InstBytes
+	for off, n := range dtb {
+		if off >= base && off < hi {
+			in.DTBMisses += n
+		}
+	}
+	return Analyze("p", cfg.Build(code, base), in, pipeline.Default(), 1000)
+}
 
 // synthSamples builds a sample map from per-instruction (offset index ->
 // samples) pairs for code based at base.

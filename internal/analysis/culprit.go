@@ -77,7 +77,7 @@ var culpritRules = [...]rule{
 	// With IMISS samples collected, none at i rules the I-cache out, and
 	// the events bound it pessimistically: every miss filled from memory.
 	{"culprit.icache_no_imiss", CauseICache, func(s *site, v *Verdict) outcome {
-		events := s.imiss[s.ia.Offset]
+		events := s.imiss[s.i]
 		if events == 0 {
 			return clear
 		}
@@ -140,9 +140,9 @@ type site struct {
 	ia   *InstAnalysis
 	head bool // i starts its basic block
 
-	imiss        map[uint64]uint64 // estimated IMISS events by offset; nil if not collected
-	dtbCollected bool              // DTBMISS samples were collected ...
-	dtbInProc    bool              // ... and some landed in this procedure
+	imiss        []uint64 // estimated IMISS events per instruction; nil if not collected
+	dtbCollected bool     // DTBMISS samples were collected ...
+	dtbInProc    bool     // ... and some landed in this procedure
 
 	// From one walk of a block head's predecessor edges (all -1 mid-block):
 	// the first edge from the entry or from a predecessor that ends on
@@ -157,16 +157,12 @@ type site struct {
 
 // identifyCulprits writes the culprit record of every instruction that
 // shows a dynamic stall: one verdict per candidate cause, decided by
-// culpritRules ("guilty until proven innocent"). imissEvents, when
-// non-nil, holds estimated I-cache miss *event counts* per image offset
+// culpritRules ("guilty until proven innocent"). in.IMissEvents, when
+// non-nil, holds estimated I-cache miss *event counts* per instruction
 // (IMISS samples scaled by their sampling period) and is used both to rule
 // I-cache out and to bound it.
-func (pa *ProcAnalysis) identifyCulprits(imissEvents, dtbEvents map[uint64]uint64) {
-	s := site{pa: pa, imiss: imissEvents, dtbCollected: dtbEvents != nil}
-	hi := pa.BaseOffset + uint64(len(pa.Insts))*alpha.InstBytes
-	for off, n := range dtbEvents {
-		s.dtbInProc = s.dtbInProc || off >= pa.BaseOffset && off < hi && n > 0
-	}
+func (pa *ProcAnalysis) identifyCulprits(in Inputs) {
+	s := site{pa: pa, imiss: in.IMissEvents, dtbCollected: in.DTBCollected, dtbInProc: in.DTBMisses > 0}
 	for i := range pa.Insts {
 		ia := &pa.Insts[i]
 		if ia.DynStall <= 0.01 || ia.Freq <= 0 {

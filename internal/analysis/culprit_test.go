@@ -35,8 +35,7 @@ func (rc ruleCase) analyze(t *testing.T) *ProcAnalysis {
 		perInst[i] = uint64(clean.Insts[i].M) * w
 	}
 	perInst[rc.at] += 5000
-	in := Inputs{Samples: synthSamples(rc.base, perInst), IMissEvents: rc.imiss, DTBEvents: rc.dtb}
-	return AnalyzeProcInputs("p", code, rc.base, in, pipeline.Default(), 1000)
+	return analyzeMaps(code, rc.base, synthSamples(rc.base, perInst), rc.imiss, rc.dtb, nil)
 }
 
 // chain is straight-line code of dependent adds, one issue per cycle:

@@ -26,24 +26,28 @@ const (
 	maxReasonableStall = 2000
 )
 
-// Inputs carries the sample data for one procedure's analysis.
+// Inputs carries the sample data for one procedure's analysis, indexed like
+// its instructions.
 type Inputs struct {
-	// Samples holds CYCLES samples keyed by image byte offset.
-	Samples map[uint64]uint64
-	// IMissEvents holds estimated I-cache-miss event counts per offset
+	// Samples holds CYCLES samples per instruction; nil means none.
+	Samples []uint64
+	// IMissEvents holds estimated I-cache-miss event counts per instruction
 	// (IMISS samples scaled by their period); nil when not collected.
-	IMissEvents map[uint64]uint64
-	// EdgeSamples holds double-sampling edge samples (paper §7), keyed by
-	// packed (fromOffset<<32 | toOffset) image offsets; nil when the
-	// prototype was not enabled.
+	IMissEvents []uint64
+	// EdgeSamples holds double-sampling edge samples (paper §7) whose two
+	// ends both lie in the procedure, keyed by packed (fromOffset<<32 |
+	// toOffset) image offsets; nil when the run collected none.
 	EdgeSamples map[uint64]uint64
-	// DTBEvents holds estimated data-TLB miss event counts per offset (the
-	// DTBMISS samples §3.2 mentions); nil when not collected. Because the
-	// event's delivery is skewed, the rule-out is procedure-granular.
-	DTBEvents map[uint64]uint64
+	// DTBCollected reports that data-TLB misses were monitored (the DTBMISS
+	// samples §3.2 mentions; they rotate into the mux configuration), and
+	// DTBMisses how many of those samples landed in the procedure. Because
+	// the event's delivery is skewed, the rule-out is procedure-granular.
+	DTBCollected bool
+	DTBMisses    uint64
 }
 
-// AnalyzeProc runs the full analysis of one procedure.
+// AnalyzeProc runs the full analysis of one procedure that is not part of a
+// shared image: it builds the CFG of code and analyses it with Analyze.
 //
 //   - code, baseOffset: the procedure's instructions and their byte offset
 //     within the image;
@@ -54,29 +58,38 @@ type Inputs struct {
 //   - period: the average sampling period in cycles.
 func AnalyzeProc(name string, code []alpha.Inst, baseOffset uint64,
 	samples, imiss map[uint64]uint64, model pipeline.Model, period float64) *ProcAnalysis {
-	return AnalyzeProcInputs(name, code, baseOffset,
-		Inputs{Samples: samples, IMissEvents: imiss}, model, period)
+	perInst := func(m map[uint64]uint64) []uint64 {
+		out := make([]uint64, len(code))
+		for i := range out {
+			out[i] = m[baseOffset+uint64(i)*alpha.InstBytes]
+		}
+		return out
+	}
+	in := Inputs{Samples: perInst(samples)}
+	if imiss != nil {
+		in.IMissEvents = perInst(imiss)
+	}
+	return Analyze(name, cfg.Build(code, baseOffset), in, model, period)
 }
 
-// AnalyzeProcInputs is AnalyzeProc with the full input set, including
-// double-sampling edge samples.
-func AnalyzeProcInputs(name string, code []alpha.Inst, baseOffset uint64,
-	in Inputs, model pipeline.Model, period float64) *ProcAnalysis {
-
+// Analyze runs the full analysis of one procedure over its CFG, which it
+// only reads: one graph may serve any number of analyses at once (see
+// image.ProcGraph).
+func Analyze(name string, g *cfg.Graph, in Inputs, model pipeline.Model, period float64) *ProcAnalysis {
 	pa := &ProcAnalysis{
 		Name:       name,
-		BaseOffset: baseOffset,
-		Graph:      cfg.Build(code, baseOffset),
+		BaseOffset: g.BaseOffset,
+		Graph:      g,
 		Model:      model,
 		Period:     period,
 	}
-	pa.schedule(code)
+	pa.schedule(g.Code)
 	pa.attachSamples(in.Samples)
 	pa.estimateFrequencies()
 	pa.mapEdgeSamples(in.EdgeSamples)
 	pa.propagate()
 	pa.finishInstEstimates()
-	pa.identifyCulprits(in.IMissEvents, in.DTBEvents)
+	pa.identifyCulprits(in)
 	pa.summarize()
 	return pa
 }
@@ -87,7 +100,7 @@ func AnalyzeProcInputs(name string, code []alpha.Inst, baseOffset uint64,
 // The per-edge counts let propagation split a known block frequency across
 // otherwise-undetermined successor edges.
 func (pa *ProcAnalysis) mapEdgeSamples(edges map[uint64]uint64) {
-	if len(edges) == 0 {
+	if edges == nil {
 		return
 	}
 	g := pa.Graph
@@ -147,9 +160,9 @@ func (pa *ProcAnalysis) schedule(code []alpha.Inst) {
 	}
 }
 
-func (pa *ProcAnalysis) attachSamples(samples map[uint64]uint64) {
-	for i := range pa.Insts {
-		pa.Insts[i].Samples = samples[pa.Insts[i].Offset]
+func (pa *ProcAnalysis) attachSamples(samples []uint64) {
+	for i, n := range samples {
+		pa.Insts[i].Samples = n
 	}
 }
 

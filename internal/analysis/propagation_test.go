@@ -106,9 +106,7 @@ p:
 		(4 << 32) | 16: 10, // beq taken -> .skip head
 		(4 << 32) | 8:  90, // fallthrough -> nop arm
 	}
-	pa := AnalyzeProcInputs("p", code, 0,
-		Inputs{Samples: synthSamples(0, perInst), EdgeSamples: edgeSamples},
-		pipeline.Default(), 1000)
+	pa := analyzeMaps(code, 0, synthSamples(0, perInst), nil, nil, edgeSamples)
 
 	g := pa.Graph
 	blockA := g.BlockOfInst(0)
@@ -164,9 +162,7 @@ func TestMapEdgeSamplesIgnoresOutOfRange(t *testing.T) {
 		(0 << 32) | 999999: 5, // to outside
 		(0 << 32) | 4:      7, // valid: inst 0 -> inst 1 (same block, not head)
 	}
-	pa := AnalyzeProcInputs("p", code, 0,
-		Inputs{Samples: map[uint64]uint64{0: 50}, EdgeSamples: edges},
-		pipeline.Default(), 1000)
+	pa := analyzeMaps(code, 0, map[uint64]uint64{0: 50}, nil, nil, edges)
 	if pa.EdgeSampleCounts == nil {
 		t.Fatal("edge counts not built")
 	}

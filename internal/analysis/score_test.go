@@ -35,12 +35,10 @@ func analyzeOracle(t *testing.T) (*ProcAnalysis, uint64) {
 		perInst[j] = uint64(s.M) * 100
 	}
 	perInst[2] += 5000 // the injected stall: only the D-cache can explain it
-	in := Inputs{
-		Samples:     synthSamples(0, perInst),
-		IMissEvents: map[uint64]uint64{}, // collected, none here: I-cache out
-		DTBEvents:   map[uint64]uint64{}, // collected, none here: DTB out
-	}
-	pa := AnalyzeProcInputs("p", code, 0, in, pipeline.Default(), 1000)
+	pa := analyzeMaps(code, 0, synthSamples(0, perInst),
+		map[uint64]uint64{}, // IMISS collected, none here: I-cache out
+		map[uint64]uint64{}, // DTBMISS collected, none here: DTB out
+		nil)
 	return pa, 2 * alpha.InstBytes
 }
 

@@ -6,10 +6,16 @@ import (
 	"dcpi/internal/alpha"
 )
 
+// build assembles src into a graph and holds it to the reference
+// computation (reference_test.go), so every hand-built graph is checked.
 func build(t *testing.T, src string) *Graph {
 	t.Helper()
 	a := alpha.MustAssemble(src)
-	return Build(a.Code, 0)
+	g := Build(a.Code, 0)
+	if err := checkReference(g); err != nil {
+		t.Error(err)
+	}
+	return g
 }
 
 func TestStraightLine(t *testing.T) {
@@ -287,6 +293,9 @@ p:
 	// Rewrite the branch displacement to point far outside.
 	code[0].Disp = 1000
 	g := Build(code, 0)
+	if err := checkReference(g); err != nil {
+		t.Error(err)
+	}
 	exitEdges := 0
 	for _, e := range g.Edges {
 		if e.From == 0 && e.To == Exit {

@@ -5,9 +5,12 @@ package cfg
 
 // domInfo holds immediate dominators over the block array plus the virtual
 // entry/exit, encoded as: 0..n-1 real blocks, n = entry, n+1 = exit.
+// pre/post number the dominator tree in depth-first pre- and post-order, so
+// a dominates b exactly when b's interval [pre, post] nests inside a's.
 type domInfo struct {
-	idom []int // immediate dominator per node, -1 for root/unreachable
-	root int
+	idom      []int // immediate dominator per node, -1 for the root, undef if unreachable
+	root      int
+	pre, post []int32
 }
 
 const undef = -3
@@ -131,18 +134,68 @@ func (g *Graph) computeDom(root int, reverse bool) domInfo {
 		}
 	}
 	idom[root] = -1
-	return domInfo{idom: idom, root: root}
+	d := domInfo{idom: idom, root: root}
+	d.number()
+	return d
+}
+
+// number assigns the depth-first pre/post numbers of the dominator forest:
+// the tree under the root, plus every unreachable node as a tree of its own
+// (nothing names one as its dominator).
+func (d *domInfo) number() {
+	n := len(d.idom)
+	// Children in compressed rows: first[v]..first[v+1] index kids.
+	first := make([]int32, n+1)
+	for _, p := range d.idom {
+		if p >= 0 {
+			first[p+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	kids := make([]int32, first[n])
+	fill := append([]int32(nil), first[:n]...)
+	for v, p := range d.idom {
+		if p >= 0 {
+			kids[fill[p]] = int32(v)
+			fill[p]++
+		}
+	}
+	d.pre = make([]int32, n)
+	d.post = make([]int32, n)
+	var clock int32
+	stack := make([]int32, 0, n)
+	for r, p := range d.idom {
+		if p >= 0 {
+			continue
+		}
+		// fill[v] doubles as v's next-child cursor, reset to its first kid.
+		fill[r] = first[r]
+		d.pre[r] = clock
+		clock++
+		stack = append(stack, int32(r))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			if c := fill[v]; c < first[v+1] {
+				fill[v]++
+				k := kids[c]
+				fill[k] = first[k]
+				d.pre[k] = clock
+				clock++
+				stack = append(stack, k)
+				continue
+			}
+			d.post[v] = clock
+			clock++
+			stack = stack[:len(stack)-1]
+		}
+	}
 }
 
 // dominates reports whether a dominates b in d (reflexive).
 func (d *domInfo) dominates(a, b int) bool {
-	for b != -1 && b != undef {
-		if b == a {
-			return true
-		}
-		b = d.idom[b]
-	}
-	return false
+	return d.pre[a] <= d.pre[b] && d.post[b] <= d.post[a]
 }
 
 // loopSignatures identifies natural loops (back edges u->h with h dominating
@@ -152,6 +205,9 @@ func (g *Graph) loopSignatures(dom *domInfo) []string {
 	nb := len(g.Blocks)
 	membership := make([][]int, nb)
 	loopID := 0
+	// inLoop[b] == loopID+1 marks b as a member of the loop being collected.
+	inLoop := make([]int, nb)
+	var stack []int
 	for _, e := range g.Edges {
 		u, h := e.From, e.To
 		if u < 0 || h < 0 || !dom.dominates(h, u) {
@@ -160,37 +216,31 @@ func (g *Graph) loopSignatures(dom *domInfo) []string {
 		// Collect the natural loop body of back edge u->h: h plus every
 		// node that reaches u without passing through h. The header is
 		// seeded first and never expanded (handles self-loops, u == h).
-		inLoop := make(map[int]bool, 8)
-		inLoop[h] = true
-		var stack []int
-		if !inLoop[u] {
-			inLoop[u] = true
+		mark := loopID + 1
+		inLoop[h] = mark
+		membership[h] = append(membership[h], loopID)
+		if inLoop[u] != mark {
+			inLoop[u] = mark
+			membership[u] = append(membership[u], loopID)
 			stack = append(stack, u)
 		}
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, ei := range g.Blocks[x].Preds {
-				if p := g.Edges[ei].From; p >= 0 && !inLoop[p] {
-					inLoop[p] = true
+				if p := g.Edges[ei].From; p >= 0 && inLoop[p] != mark {
+					inLoop[p] = mark
+					membership[p] = append(membership[p], loopID)
 					stack = append(stack, p)
 				}
 			}
-		}
-		for b := range inLoop {
-			membership[b] = append(membership[b], loopID)
 		}
 		loopID++
 	}
 	sig := make([]string, nb)
 	for b, loops := range membership {
-		// Loop ids are appended in deterministic edge order but may not be
-		// sorted per block; sort for a canonical signature.
-		for i := 1; i < len(loops); i++ {
-			for j := i; j > 0 && loops[j-1] > loops[j]; j-- {
-				loops[j-1], loops[j] = loops[j], loops[j-1]
-			}
-		}
+		// Loops are collected in increasing id order, so each block's list
+		// is already sorted: a canonical signature.
 		buf := make([]byte, 0, len(loops)*2)
 		for _, id := range loops {
 			buf = append(buf, byte(id), byte(id>>8))

@@ -9,6 +9,7 @@ import (
 
 	"dcpi/internal/daemon"
 	"dcpi/internal/driver"
+	"dcpi/internal/pipeline"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
@@ -81,10 +82,10 @@ func TestSnapshotFixture(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("snapshot_v3.bin re-encodes to different bytes:\n got %x\nwant %x", got, want)
 	}
-	if res.Loader == nil || res.Machine == nil {
+	if res.Loader == nil || res.Model() != fix.Config.HW.Resolved().Model {
 		t.Error("decoded result has no shell")
 	}
-	res.Loader, res.Machine = nil, nil
+	res.Loader, res.model = nil, pipeline.Model{}
 	if !reflect.DeepEqual(res, fix) {
 		t.Errorf("snapshot_v3.bin decoded to\n%+v\nwant\n%+v", res, fix)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcpi/internal/loader"
+	"dcpi/internal/pipeline"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
@@ -35,7 +36,7 @@ type OfflineView struct {
 	DB       *profiledb.DB
 	Meta     profiledb.Meta
 	profiles []*profiledb.Profile
-	machine  *sim.Machine // the shell's, so Result.Model() works
+	model    pipeline.Model // the shell's, so Result.Model() works
 }
 
 // OpenView loads a database and the images of the workload recorded in its
@@ -72,7 +73,7 @@ func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OfflineView{Loader: sh.loader, DB: db, Meta: meta, profiles: profiles, machine: sh.machine}, nil
+	return &OfflineView{Loader: sh.loader, DB: db, Meta: meta, profiles: profiles, model: sh.model}, nil
 }
 
 // Result adapts the view to the live-run tool surface.
@@ -94,6 +95,6 @@ func (v *OfflineView) Result() *Result {
 		Loader:   v.Loader,
 		DB:       v.DB,
 		profiles: v.profiles,
-		Machine:  v.machine,
+		model:    v.model,
 	}
 }

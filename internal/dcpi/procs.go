@@ -1,0 +1,226 @@
+package dcpi
+
+// The analysis tools read a result through two memos on it, so a sweep that
+// asks for many procedures of one run pays for each piece of work once:
+//
+//   - each image's profiles are split by procedure in one pass over each
+//     profile, however many of its procedures are then analysed
+//     (imageSplit, ProcSamples);
+//   - each procedure is analysed once per run (AnalyzeProc), over the CFG
+//     its image builds once for every run that shares it (image.ProcGraph).
+//
+// Both are filled on first use by whichever goroutine asks first; what they
+// hold is read-only from then on, like the rest of a served Result.
+
+import (
+	"fmt"
+	"sync"
+
+	"dcpi/internal/alpha"
+	"dcpi/internal/analysis"
+	"dcpi/internal/image"
+	"dcpi/internal/sim"
+)
+
+// toolMemo is a result's memo table; the zero value is empty and ready.
+type toolMemo struct {
+	mu     sync.Mutex
+	images map[string]*imageSplit
+	procs  map[procKey]*procEntry
+}
+
+type procKey struct{ image, proc string }
+
+type procEntry struct {
+	once sync.Once
+	pa   *analysis.ProcAnalysis
+	err  error
+}
+
+// imageSplit is one run's profiles of one image, divided among the image's
+// procedures. Per event (the first profile of the image for it, as Profile
+// finds it), nil where the run has no such profile:
+type imageSplit struct {
+	once sync.Once
+	// perProc holds the samples landing in each procedure, by symbol index.
+	perProc [sim.NumEvents][]uint64
+	// perInst holds the samples at each instruction of the image.
+	perInst [sim.NumEvents][]uint64
+	// edges holds, by symbol index, the edge samples whose two ends both
+	// lie in the procedure (an empty map where none do); nil without an
+	// edge profile.
+	edges []map[uint64]uint64
+}
+
+// split returns the image's split, building it on first use.
+func (r *Result) split(im *image.Image) *imageSplit {
+	m := &r.tools
+	m.mu.Lock()
+	if m.images == nil {
+		m.images = make(map[string]*imageSplit)
+	}
+	sp, ok := m.images[im.Path]
+	if !ok {
+		sp = new(imageSplit)
+		m.images[im.Path] = sp
+	}
+	m.mu.Unlock()
+	sp.once.Do(func() {
+		r.reg.Counter("dcpi.sample_splits").Inc() // nil-safe
+		for _, p := range r.profiles {
+			if p.ImagePath != im.Path {
+				continue
+			}
+			switch {
+			case p.Event == sim.EvEdge:
+				if sp.edges == nil && len(p.Counts) > 0 {
+					sp.edges = splitEdges(im, p.Counts)
+				}
+			case p.Event < sim.NumEvents && sp.perProc[p.Event] == nil:
+				sp.perProc[p.Event], sp.perInst[p.Event] = splitCounts(im, p.Counts)
+			}
+		}
+	})
+	return sp
+}
+
+// splitCounts divides one profile's counts, keyed by image byte offset,
+// among the image's instructions and procedures in one pass.
+func splitCounts(im *image.Image, counts map[uint64]uint64) (perProc, perInst []uint64) {
+	perInst = make([]uint64, len(im.Code))
+	var odd []uint64 // offsets that name no instruction
+	for off, n := range counts {
+		if i := off / alpha.InstBytes; off%alpha.InstBytes == 0 && i < uint64(len(perInst)) {
+			perInst[i] = n
+		} else {
+			odd = append(odd, off)
+		}
+	}
+	perProc = make([]uint64, len(im.Symbols))
+	for s, sym := range im.Symbols {
+		for _, n := range perInst[sym.Offset/alpha.InstBytes : (sym.Offset+sym.Size)/alpha.InstBytes] {
+			perProc[s] += n
+		}
+	}
+	for _, off := range odd {
+		if s, ok := im.SymbolIndexAt(off); ok {
+			perProc[s] += counts[off]
+		}
+	}
+	return perProc, perInst
+}
+
+// splitEdges divides double-sampling pairs, keyed by packed (from<<32 | to)
+// image offsets, among the procedures holding both ends.
+func splitEdges(im *image.Image, counts map[uint64]uint64) []map[uint64]uint64 {
+	out := make([]map[uint64]uint64, len(im.Symbols))
+	for s := range out {
+		out[s] = make(map[uint64]uint64)
+	}
+	for key, n := range counts {
+		s, ok := im.SymbolIndexAt(key >> 32)
+		if !ok {
+			continue
+		}
+		sym := im.Symbols[s]
+		if to := key & 0xffffffff; to < sym.Offset || to >= sym.Offset+sym.Size {
+			continue
+		}
+		out[s][key] = n
+	}
+	return out
+}
+
+// ProcSamples returns, by index into the image's Symbols, the samples of
+// event ev that landed in each procedure of the image at imagePath; nil when
+// the image is not registered or the run has no profile of it for ev. The
+// slice is shared: read it, never write it.
+func (r *Result) ProcSamples(imagePath string, ev sim.Event) []uint64 {
+	im, ok := r.Loader.ImageByPath(imagePath)
+	if !ok || ev >= sim.NumEvents {
+		return nil
+	}
+	return r.split(im).perProc[ev]
+}
+
+// InstSamples returns, by instruction index, the samples of event ev at
+// each instruction of the image at imagePath; nil when the image is not
+// registered or the run has no profile of it for ev. The slice is shared:
+// read it, never write it.
+func (r *Result) InstSamples(imagePath string, ev sim.Event) []uint64 {
+	im, ok := r.Loader.ImageByPath(imagePath)
+	if !ok || ev >= sim.NumEvents {
+		return nil
+	}
+	return r.split(im).perInst[ev]
+}
+
+// AnalyzeProc runs the full §6 analysis (frequency, CPI, culprits) for one
+// procedure of one image, using the run's own profiles and machine model.
+// The analysis is made once per result and procedure and shared by every
+// caller: read it, never write it.
+func (r *Result) AnalyzeProc(imagePath, procName string) (*analysis.ProcAnalysis, error) {
+	m := &r.tools
+	key := procKey{imagePath, procName}
+	m.mu.Lock()
+	if m.procs == nil {
+		m.procs = make(map[procKey]*procEntry)
+	}
+	e, ok := m.procs[key]
+	if !ok {
+		e = new(procEntry)
+		m.procs[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.pa, e.err = r.analyzeProc(imagePath, procName) })
+	return e.pa, e.err
+}
+
+func (r *Result) analyzeProc(imagePath, procName string) (*analysis.ProcAnalysis, error) {
+	im, ok := r.Loader.ImageByPath(imagePath)
+	if !ok {
+		return nil, fmt.Errorf("dcpi: image %q not registered", imagePath)
+	}
+	s, ok := im.SymbolIndex(procName)
+	if !ok {
+		return nil, fmt.Errorf("image %s: no procedure %q", im.Name, procName)
+	}
+	r.reg.Counter("dcpi.analyses").Inc() // nil-safe
+	g, built := im.ProcGraph(s)
+	if built {
+		r.reg.Counter("dcpi.cfg_builds").Inc()
+	}
+	sp := r.split(im)
+	lo, hi := g.BaseOffset/alpha.InstBytes, g.BaseOffset/alpha.InstBytes+uint64(len(g.Code))
+	var in analysis.Inputs
+	if c := sp.perInst[sim.EvCycles]; c != nil {
+		in.Samples = c[lo:hi]
+	}
+	// IMISS samples become estimated event counts; DTBMISS samples only
+	// say whether the procedure saw any. Each is absent (nil, false) when
+	// the run's mode did not monitor the event.
+	mode := r.Config.Mode
+	if mode == sim.ModeDefault || mode == sim.ModeMux {
+		in.IMissEvents = make([]uint64, hi-lo)
+		if c := sp.perInst[sim.EvIMiss]; c != nil {
+			period := r.AvgEventPeriod()
+			for i, n := range c[lo:hi] {
+				in.IMissEvents[i] = uint64(float64(n) * period)
+			}
+		}
+	}
+	if mode == sim.ModeMux {
+		in.DTBCollected = true
+		if c := sp.perProc[sim.EvDTBMiss]; c != nil {
+			in.DTBMisses = c[s]
+		}
+	}
+	if sp.edges != nil {
+		in.EdgeSamples = sp.edges[s]
+	}
+	pa := analysis.Analyze(procName, g, in, r.Model(), r.AvgCyclesPeriod())
+	if im.Lines != nil && hi <= uint64(len(im.Lines)) {
+		pa.SourceLines = im.Lines[lo:hi]
+	}
+	return pa, nil
+}

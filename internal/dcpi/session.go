@@ -142,19 +142,21 @@ type Config struct {
 // soon as its snapshot is taken.
 //
 // Analysis consumers (ProcRows, AnalyzeProc, ...) additionally use Loader
-// and Machine.Model. A served Result does not own those: it points at the
+// and Model. A served Result does not own the loader: it points at the
 // shell shared by every result of the same shape (workload, scale, machine,
 // rewrites; see shell.go) — the images, processes, mappings and registers
-// the live run's set-up produced, with no process memory behind them and a
-// machine that never ran. Results are shared between callers through the
+// the live run's set-up produced, with no process memory behind them — and
+// has no Machine at all. Results are shared between callers through the
 // runner's memory tier and treated as immutable; the same holds, across
-// results, for a served Loader and Machine: read them, never register an
-// image, map, spawn or run. (Process.Lookup keeps a last-hit cache, so
-// concurrent Lookups on one shell process need a lock.)
+// results, for a served Loader: read it, never register an image or map.
+// (Process.Lookup keeps a last-hit cache, so concurrent Lookups on one
+// shell process need a lock.) What the tools derive from a result —
+// procedure splits of its profiles, procedure analyses — is memoized on it
+// (procs.go) and shared read-only the same way.
 type Result struct {
 	Config   Config
-	Wall     int64 // wall-clock cycles (max over CPUs)
-	Machine  *sim.Machine
+	Wall     int64        // wall-clock cycles (max over CPUs)
+	Machine  *sim.Machine // direct Run only; nil in the served form
 	Loader   *loader.Loader
 	Driver   *driver.Driver // direct Run only; nil in the served form
 	Daemon   *daemon.Daemon // direct Run only; nil in the served form
@@ -176,6 +178,10 @@ type Result struct {
 	// CPUs. The optimization loop (cmd/dcpiopt) reads it to measure what a
 	// rewrite actually changed, independent of sampling noise.
 	MachineStats sim.Stats
+
+	model pipeline.Model // the machine model the run was measured under
+	reg   *obs.Registry  // where the tool memos count their work; may be nil
+	tools toolMemo
 }
 
 // collector adapts the driver+daemon pair to the machine's sample sink.
@@ -346,6 +352,8 @@ func Run(cfg Config) (*Result, error) {
 		Config:  cfg,
 		Wall:    wall,
 		Machine: m,
+		model:   m.Model,
+		reg:     cfg.Obs.Registry,
 		Loader:  l,
 		Driver:  drv,
 		Daemon:  dmn,
@@ -436,7 +444,7 @@ func (r *Result) Profile(imagePath string, ev sim.Event) *profiledb.Profile {
 }
 
 // Model returns the machine model the run used (shared with the analysis).
-func (r *Result) Model() pipeline.Model { return r.Machine.Model }
+func (r *Result) Model() pipeline.Model { return r.model }
 
 // ExactImageInsts sums the exact execution counts per image path (nil
 // unless the run collected exact counts). Written into the epoch metadata

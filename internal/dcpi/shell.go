@@ -5,9 +5,11 @@ package dcpi
 // §6) and the machine model, never a process's data. A shell is exactly that
 // much of a run's set-up: the loader with every image registered in the order
 // the live run registered them (image IDs are what exact counts are keyed
-// by), the processes with their mappings and registers, and a machine that
-// never runs. It is built by the workload's own Setup with no machine to
-// spawn on, which is how Setup knows to write no process memory.
+// by), the processes with their mappings and registers, and the two facts of
+// the machine that a served result reads — its model and its CPU count. No
+// machine is built: caches, TLBs and write buffers serve only a run. A shell
+// is built by the workload's own Setup with no machine to spawn on, which is
+// how Setup knows to write no process memory.
 //
 // Set-up is a pure function of a few configuration fields, so shells are
 // shared: one per distinct shape for the life of the process, built once
@@ -20,17 +22,18 @@ import (
 
 	"dcpi/internal/image"
 	"dcpi/internal/loader"
-	"dcpi/internal/sim"
+	"dcpi/internal/pipeline"
 	"dcpi/internal/workload"
 )
 
-// shell is one entry of the shared table. The loader and machine are
-// read-only once built (see Result).
+// shell is one entry of the shared table. The loader is read-only once
+// built (see Result).
 type shell struct {
-	once    sync.Once
-	loader  *loader.Loader
-	machine *sim.Machine
-	err     error
+	once   sync.Once
+	loader *loader.Loader
+	model  pipeline.Model // the model a machine of cfg.HW runs
+	ncpu   int            // the CPUs such a machine has
+	err    error
 }
 
 var shells sync.Map // shellKey -> *shell
@@ -74,7 +77,8 @@ func sharedShell(cfg Config) (*shell, error) {
 	built := false
 	sh.once.Do(func() {
 		built = true
-		sh.loader, sh.machine, sh.err = buildShell(spec, cfg, scale, ncpu)
+		sh.loader, sh.err = buildShell(spec, cfg, scale)
+		sh.model, sh.ncpu = cfg.HW.Resolved().Model, ncpu // what sim.NewMachine makes of them
 	})
 	reg := cfg.Obs.Registry // nil-safe
 	if built {
@@ -89,25 +93,21 @@ func sharedShell(cfg Config) (*shell, error) {
 }
 
 // buildShell runs the set-up phase of Run with nothing to run on.
-func buildShell(spec workload.Spec, cfg Config, scale float64, ncpu int) (*loader.Loader, *sim.Machine, error) {
+func buildShell(spec workload.Spec, cfg Config, scale float64) (*loader.Loader, error) {
 	if err := cfg.HW.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("dcpi: %w", err)
+		return nil, fmt.Errorf("dcpi: %w", err)
 	}
-	kernel, abi := workload.Kernel()
+	kernel, _ := workload.Kernel()
 	l := loader.New(kernel)
 	rewriteErr := installRewrites(l, cfg.Rewrites)
 	if err := spec.Setup(&workload.Ctx{Loader: l, Scale: scale}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := rewriteErr(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	l.Transform = nil // set-up is over; don't keep the layouts alive with the shell
-	// The machine carries the run's hardware description so rehydrated
-	// consumers (Result.Model, the analysis) see the machine that was
-	// actually measured.
-	m := sim.NewMachine(sim.Options{HW: cfg.HW, NumCPUs: ncpu, ABI: abi, Loader: l})
-	return l, m, nil
+	return l, nil
 }
 
 // installRewrites makes the loader substitute each rewritten image as the

@@ -15,9 +15,8 @@ package dcpi
 // an on-disk database against. Decoding therefore costs a varint pass over
 // the blob, and returns a Result whose accessors (Profiles, ProcRows,
 // AnalyzeProc, Summarize, ...) produce byte-identical output to the freshly
-// simulated run; only the live Driver/Daemon pointers are absent, and the
-// Machine is the shell's, which never ran and carries the model and CPU
-// count.
+// simulated run; only the live Driver/Daemon/Machine pointers are absent:
+// the shell carries the model and the CPU count.
 //
 // A blob is untrusted: its envelope CRC says it arrived intact, not that
 // this build wrote it (cache entries travel between machines). It is read
@@ -166,7 +165,7 @@ func EncodeSnapshot(r *Result) ([]byte, error) {
 // DecodeSnapshot reconstructs a run from its serialized snapshot. cfg must
 // be the configuration the blob was keyed under (the caller looked the
 // blob up by runner.Key(cfg), so it has the config in hand); it selects
-// the shared shell the result's Loader and Machine point at (see Result).
+// the shared shell the result's Loader and model come from (see Result).
 func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 	r := wire.Dec{B: blob}
 
@@ -275,20 +274,21 @@ func DecodeSnapshot(blob []byte, cfg Config) (*Result, error) {
 	}
 	// Run records the machine size it resolved from the same configuration;
 	// a blob that disagrees was not measured under cfg.
-	if ncpu := len(sh.machine.CPUs); res.NumCPUs != ncpu {
-		return nil, fmt.Errorf("dcpi: snapshot measured on %d CPUs, config wants %d", res.NumCPUs, ncpu)
+	if res.NumCPUs != sh.ncpu {
+		return nil, fmt.Errorf("dcpi: snapshot measured on %d CPUs, config wants %d", res.NumCPUs, sh.ncpu)
 	}
 	res.Loader = sh.loader
-	res.Machine = sh.machine
+	res.model = sh.model
+	res.reg = cfg.Obs.Registry
 	return res, nil
 }
 
 // PlaceholderResult builds an empty but structurally complete run for a
-// configuration: the shared shell's images and machine, zero samples, zero
-// stats, empty (non-nil) exact counts. Sharded evaluation (dcpieval -shard)
-// hands these to experiment code for runs belonging to other shards, so
-// sections can keep iterating — and keep submitting their remaining runs —
-// while their rendered output is discarded.
+// configuration: the shared shell's images, model and CPU count, zero
+// samples, zero stats, empty (non-nil) exact counts. Sharded evaluation
+// (dcpieval -shard) hands these to experiment code for runs belonging to
+// other shards, so sections can keep iterating — and keep submitting their
+// remaining runs — while their rendered output is discarded.
 func PlaceholderResult(cfg Config) (*Result, error) {
 	sh, err := sharedShell(cfg)
 	if err != nil {
@@ -297,8 +297,8 @@ func PlaceholderResult(cfg Config) (*Result, error) {
 	return &Result{
 		Config:  cfg,
 		Loader:  sh.loader,
-		Machine: sh.machine,
-		NumCPUs: len(sh.machine.CPUs),
+		model:   sh.model,
+		NumCPUs: sh.ncpu,
 		Exact:   &sim.Counts{Exec: map[uint32][]uint64{}, Taken: map[uint32][]uint64{}},
 	}, nil
 }

@@ -150,8 +150,8 @@ func TestPlaceholderResultIsRenderable(t *testing.T) {
 	res.ProcRows()
 	res.ProcSampleMap()
 	res.TotalSamples(sim.EvCycles)
-	if res.Machine == nil || res.Loader == nil {
-		t.Fatal("placeholder missing machine/loader")
+	if res.NumCPUs == 0 || res.Loader == nil {
+		t.Fatal("placeholder missing CPU count/loader")
 	}
 }
 

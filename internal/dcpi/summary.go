@@ -35,14 +35,9 @@ func (r *Result) Summarize() (*ProgramSummary, error) {
 		if !ok {
 			continue
 		}
-		for _, sym := range im.Symbols {
-			var procSamples uint64
-			for off, c := range prof.Counts {
-				if off >= sym.Offset && off < sym.Offset+sym.Size {
-					procSamples += c
-				}
-			}
-			if procSamples == 0 {
+		inProc := r.ProcSamples(prof.ImagePath, sim.EvCycles)
+		for s, sym := range im.Symbols {
+			if inProc[s] == 0 {
 				continue
 			}
 			pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)

@@ -1,11 +1,9 @@
 package dcpi
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"dcpi/internal/analysis"
 	"dcpi/internal/sim"
 )
 
@@ -67,68 +65,6 @@ func (r *Result) TotalSamples(ev sim.Event) uint64 {
 		}
 	}
 	return t
-}
-
-// AnalyzeProc runs the full §6 analysis (frequency, CPI, culprits) for one
-// procedure of one image, using the run's own profiles and machine model.
-func (r *Result) AnalyzeProc(imagePath, procName string) (*analysis.ProcAnalysis, error) {
-	im, ok := r.Loader.ImageByPath(imagePath)
-	if !ok {
-		return nil, fmt.Errorf("dcpi: image %q not registered", imagePath)
-	}
-	code, base, err := im.ProcCode(procName)
-	if err != nil {
-		return nil, err
-	}
-	in := analysis.Inputs{Samples: map[uint64]uint64{}}
-	if p := r.Profile(imagePath, sim.EvCycles); p != nil {
-		in.Samples = p.Counts
-	}
-	in.IMissEvents = r.imissEvents(imagePath)
-	in.DTBEvents = r.dtbEvents(imagePath)
-	if p := r.Profile(imagePath, sim.EvEdge); p != nil {
-		in.EdgeSamples = p.Counts
-	}
-	pa := analysis.AnalyzeProcInputs(procName, code, base, in, r.Model(), r.AvgCyclesPeriod())
-	if im.Lines != nil {
-		lo := int(base / 4)
-		if lo+len(code) <= len(im.Lines) {
-			pa.SourceLines = im.Lines[lo : lo+len(code)]
-		}
-	}
-	return pa, nil
-}
-
-// imissEvents converts IMISS samples into estimated event counts per
-// offset; nil when the run did not monitor IMISS.
-func (r *Result) imissEvents(imagePath string) map[uint64]uint64 {
-	if r.Config.Mode != sim.ModeDefault && r.Config.Mode != sim.ModeMux {
-		return nil
-	}
-	out := make(map[uint64]uint64)
-	if p := r.Profile(imagePath, sim.EvIMiss); p != nil {
-		period := r.AvgEventPeriod()
-		for off, n := range p.Counts {
-			out[off] = uint64(float64(n) * period)
-		}
-	}
-	return out
-}
-
-// dtbEvents converts DTBMISS samples into estimated event counts; nil when
-// the event was not monitored (it rotates into the mux configuration).
-func (r *Result) dtbEvents(imagePath string) map[uint64]uint64 {
-	if r.Config.Mode != sim.ModeMux {
-		return nil
-	}
-	out := make(map[uint64]uint64)
-	if p := r.Profile(imagePath, sim.EvDTBMiss); p != nil {
-		period := r.AvgEventPeriod()
-		for off, n := range p.Counts {
-			out[off] = uint64(float64(n) * period)
-		}
-	}
-	return out
 }
 
 // ProcSampleMap returns procedure -> CYCLES samples for dcpistats.

@@ -69,9 +69,10 @@ func (a *AccuracyResult) finish() {
 // forEachProcAnalysis runs a workload suite with dense zero-cost CYCLES
 // sampling and exact counting, invoking fn for every sampled procedure.
 // All runs are submitted up front; Figures 8 and 9 request identical
-// configurations, so a shared runner simulates the suite once for both.
+// configurations, so a shared runner simulates the suite once for both, and
+// since a result keeps its analyses, analyses each procedure once for both.
 func forEachProcAnalysis(o Options, suite []string, mode sim.Mode,
-	fn func(r *dcpi.Result, im *image.Image, sym alpha.Symbol, pa *analysis.ProcAnalysis)) error {
+	fn func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis)) error {
 	o = o.withDefaults()
 	pending := make([]*runner.Pending, len(suite))
 	for i, wl := range suite {
@@ -90,21 +91,16 @@ func forEachProcAnalysis(o Options, suite []string, mode sim.Mode,
 			if !ok {
 				continue
 			}
-			for _, sym := range im.Symbols {
-				var procSamples uint64
-				for off, n := range prof.Counts {
-					if off >= sym.Offset && off < sym.Offset+sym.Size {
-						procSamples += n
-					}
-				}
-				if procSamples == 0 {
+			inProc := r.ProcSamples(prof.ImagePath, sim.EvCycles)
+			for s, sym := range im.Symbols {
+				if inProc[s] == 0 {
 					continue
 				}
 				pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)
 				if err != nil {
 					return err
 				}
-				fn(r, im, sym, pa)
+				fn(r, im, s, pa)
 			}
 		}
 	}
@@ -117,7 +113,8 @@ func Fig8(o Options) (*AccuracyResult, error) {
 	defer o.span("Figure 8")()
 	res := newAccuracyResult()
 	err := forEachProcAnalysis(o, AccuracyWorkloads, sim.ModeCycles,
-		func(r *dcpi.Result, im *image.Image, sym alpha.Symbol, pa *analysis.ProcAnalysis) {
+		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
+			sym := im.Symbols[s]
 			exact := r.Exact.Exec[im.ID]
 			res.Procedures++
 			for i := range pa.Insts {
@@ -153,7 +150,8 @@ func Fig9(o Options) (*AccuracyResult, error) {
 	defer o.span("Figure 9")()
 	res := newAccuracyResult()
 	err := forEachProcAnalysis(o, AccuracyWorkloads, sim.ModeCycles,
-		func(r *dcpi.Result, im *image.Image, sym alpha.Symbol, pa *analysis.ProcAnalysis) {
+		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
+			sym := im.Symbols[s]
 			exact := r.Exact.Exec[im.ID]
 			taken := r.Exact.Taken[im.ID]
 			g := pa.Graph

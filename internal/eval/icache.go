@@ -1,10 +1,8 @@
 package eval
 
 import (
-	"fmt"
 	"io"
 
-	"dcpi/internal/alpha"
 	"dcpi/internal/analysis"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/image"
@@ -40,29 +38,23 @@ type Fig10Result struct {
 // The denser periods make these configurations distinct from the Figure
 // 8/9 runs, so they never falsely share cached simulations with them.
 func Fig10(o Options) (*Fig10Result, error) {
-	o = o.withDefaults()
+	o = fig10Options(o)
 	defer o.span("Figure 10")()
-	o.DensePeriod = sim.PeriodSpec{Base: 256, Spread: 64}
-	o.DenseEventPeriod = sim.PeriodSpec{Base: 64, Spread: 16}
 	res := &Fig10Result{}
 	err := forEachProcAnalysis(o, Fig10Workloads, sim.ModeDefault,
-		func(r *dcpi.Result, im *image.Image, sym alpha.Symbol, pa *analysis.ProcAnalysis) {
+		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
 			if pa.Summary.TotalSamples < 8 {
 				return
 			}
 			var imissSamples uint64
-			if p := r.Profile(im.Path, sim.EvIMiss); p != nil {
-				for off, n := range p.Counts {
-					if off >= sym.Offset && off < sym.Offset+sym.Size {
-						imissSamples += n
-					}
-				}
+			if inProc := r.ProcSamples(im.Path, sim.EvIMiss); inProc != nil {
+				imissSamples = inProc[s]
 			}
 			events := float64(imissSamples) * r.AvgEventPeriod()
 			totalCycles := float64(pa.Summary.TotalSamples) * pa.Period
 			res.Points = append(res.Points, Fig10Point{
 				Workload:    r.Config.Workload,
-				Procedure:   sym.Name,
+				Procedure:   im.Symbols[s].Name,
 				IMissEvents: events,
 				StallMin:    pa.Summary.DynMin[analysis.CauseICache] * totalCycles,
 				StallMax:    pa.Summary.DynMax[analysis.CauseICache] * totalCycles,
@@ -84,6 +76,14 @@ func Fig10(o Options) (*Fig10Result, error) {
 	return res, nil
 }
 
+// fig10Options sets Figure 10's dense sampling periods.
+func fig10Options(o Options) Options {
+	o = o.withDefaults()
+	o.DensePeriod = sim.PeriodSpec{Base: 256, Spread: 64}
+	o.DenseEventPeriod = sim.PeriodSpec{Base: 64, Spread: 16}
+	return o
+}
+
 // FormatFig10 renders the scatter and correlations.
 func FormatFig10(w io.Writer, res *Fig10Result) {
 	fprintf(w, "Figure 10: I-cache miss stall cycles vs IMISS events per procedure\n\n")
@@ -95,5 +95,4 @@ func FormatFig10(w io.Writer, res *Fig10Result) {
 	fprintf(w, "\ncorrelation (top of range)    r = %.3f\n", res.RTop)
 	fprintf(w, "correlation (bottom of range) r = %.3f\n", res.RBottom)
 	fprintf(w, "correlation (midpoint)        r = %.3f\n", res.RMid)
-	_ = fmt.Sprint() // keep fmt import stable if format strings change
 }

@@ -65,6 +65,7 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 		}
 
 		first := rds[0].r
+		model, period := first.Model(), first.AvgCyclesPeriod()
 		for _, prof := range first.Profiles() {
 			if prof.Event != sim.EvCycles {
 				continue
@@ -73,15 +74,13 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 			if !ok {
 				continue
 			}
-			// Merge sample maps and exact counts across runs. Images are
+			// Merge samples and exact counts across runs. Images are
 			// identical across runs (same workload source), so offsets align.
-			mergedSamples := map[uint64]uint64{}
+			mergedSamples := make([]uint64, len(im.Code))
 			mergedExact := make([]uint64, len(im.Code))
 			for _, rd := range rds {
-				if p := rd.r.Profile(prof.ImagePath, sim.EvCycles); p != nil {
-					for off, n := range p.Counts {
-						mergedSamples[off] += n
-					}
+				for i, n := range rd.r.InstSamples(prof.ImagePath, sim.EvCycles) {
+					mergedSamples[i] += n
 				}
 				rim, ok := rd.r.Loader.ImageByPath(prof.ImagePath)
 				if !ok {
@@ -93,27 +92,20 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 			}
 			singleExact := first.Exact.Exec[im.ID]
 
-			for _, sym := range im.Symbols {
-				var procSamples uint64
-				for off, n := range prof.Counts {
-					if off >= sym.Offset && off < sym.Offset+sym.Size {
-						procSamples += n
-					}
-				}
-				if procSamples == 0 {
+			inProc := first.ProcSamples(prof.ImagePath, sim.EvCycles)
+			for s, sym := range im.Symbols {
+				if inProc[s] == 0 {
 					continue
 				}
-				code, base, err := im.ProcCode(sym.Name)
+				// The single run is Figure 8's run 0, analysed once for both.
+				paSingle, err := first.AnalyzeProc(prof.ImagePath, sym.Name)
 				if err != nil {
 					return nil, err
 				}
-				model := first.Model()
-				period := first.AvgCyclesPeriod()
-
-				paSingle := analysis.AnalyzeProc(sym.Name, code, base,
-					prof.Counts, nil, model, period)
-				paMerged := analysis.AnalyzeProc(sym.Name, code, base,
-					mergedSamples, nil, model, period)
+				g, _ := im.ProcGraph(s)
+				lo := sym.Offset / alpha.InstBytes
+				paMerged := analysis.Analyze(sym.Name, g,
+					analysis.Inputs{Samples: mergedSamples[lo : lo+uint64(len(g.Code))]}, model, period)
 
 				accumulate := func(res *AccuracyResult, pa *analysis.ProcAnalysis, exact []uint64) {
 					for i := range pa.Insts {

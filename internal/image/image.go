@@ -7,8 +7,10 @@ package image
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"dcpi/internal/alpha"
+	"dcpi/internal/cfg"
 )
 
 // Kind distinguishes how an image is loaded, mirroring the paper's three
@@ -60,6 +62,17 @@ type Image struct {
 	// instruction, built once at load time so the simulator's per-cycle
 	// loop indexes a flat array instead of re-decoding operands.
 	meta []alpha.InstMeta
+
+	// graphs memoizes each procedure's CFG, one slot per symbol: a CFG and
+	// its equivalence classes are static facts of the code (paper §6.1), so
+	// every run and every analysis of the image shares one.
+	graphs []procGraph
+}
+
+// procGraph is one procedure's CFG slot.
+type procGraph struct {
+	once sync.Once
+	g    *cfg.Graph
 }
 
 // New builds an image from assembled code. Symbols must already be sorted by
@@ -68,7 +81,8 @@ func New(name, path string, kind Kind, asm *alpha.Assembly) *Image {
 	return &Image{
 		Name: name, Path: path, Kind: kind,
 		Code: asm.Code, Symbols: asm.Symbols, Lines: asm.Lines,
-		meta: alpha.DecodeMeta(asm.Code),
+		meta:   alpha.DecodeMeta(asm.Code),
+		graphs: make([]procGraph, len(asm.Symbols)),
 	}
 }
 
@@ -109,39 +123,68 @@ func (im *Image) InstAt(off uint64) (alpha.Inst, bool) {
 
 // SymbolAt returns the procedure containing byte offset off.
 func (im *Image) SymbolAt(off uint64) (alpha.Symbol, bool) {
+	if i, ok := im.SymbolIndexAt(off); ok {
+		return im.Symbols[i], true
+	}
+	return alpha.Symbol{}, false
+}
+
+// SymbolIndexAt returns the index in Symbols of the procedure containing
+// byte offset off.
+func (im *Image) SymbolIndexAt(off uint64) (int, bool) {
 	i := sort.Search(len(im.Symbols), func(i int) bool {
 		return im.Symbols[i].Offset > off
 	})
-	if i == 0 {
-		return alpha.Symbol{}, false
+	if i == 0 || off >= im.Symbols[i-1].Offset+im.Symbols[i-1].Size {
+		return 0, false
 	}
-	s := im.Symbols[i-1]
-	if off >= s.Offset+s.Size {
-		return alpha.Symbol{}, false
-	}
-	return s, true
+	return i - 1, true
 }
 
 // Symbol looks up a procedure by name.
 func (im *Image) Symbol(name string) (alpha.Symbol, bool) {
-	for _, s := range im.Symbols {
-		if s.Name == name {
-			return s, true
-		}
+	if i, ok := im.SymbolIndex(name); ok {
+		return im.Symbols[i], true
 	}
 	return alpha.Symbol{}, false
+}
+
+// SymbolIndex returns the index in Symbols of the named procedure.
+func (im *Image) SymbolIndex(name string) (int, bool) {
+	for i := range im.Symbols {
+		if im.Symbols[i].Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // ProcCode returns the instructions of the named procedure and the byte
 // offset of its first instruction.
 func (im *Image) ProcCode(name string) ([]alpha.Inst, uint64, error) {
-	s, ok := im.Symbol(name)
+	i, ok := im.SymbolIndex(name)
 	if !ok {
 		return nil, 0, fmt.Errorf("image %s: no procedure %q", im.Name, name)
 	}
-	lo := s.Offset / alpha.InstBytes
-	hi := (s.Offset + s.Size) / alpha.InstBytes
-	return im.Code[lo:hi], s.Offset, nil
+	return im.symbolCode(i), im.Symbols[i].Offset, nil
+}
+
+func (im *Image) symbolCode(i int) []alpha.Inst {
+	s := im.Symbols[i]
+	return im.Code[s.Offset/alpha.InstBytes : (s.Offset+s.Size)/alpha.InstBytes]
+}
+
+// ProcGraph returns the CFG of procedure Symbols[i], with its equivalence
+// classes, and whether this call built it. Each procedure's graph is built
+// once, by whichever goroutine asks first, and shared read-only from then
+// on. The image must come from New or WithLayout.
+func (im *Image) ProcGraph(i int) (g *cfg.Graph, built bool) {
+	slot := &im.graphs[i]
+	slot.once.Do(func() {
+		slot.g = cfg.Build(im.symbolCode(i), im.Symbols[i].Offset)
+		built = true
+	})
+	return slot.g, built
 }
 
 // Validate checks structural invariants: sorted, non-overlapping symbols that

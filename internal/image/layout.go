@@ -184,6 +184,7 @@ func (im *Image) WithLayout(lay Layout) (*Image, error) {
 		Code:    newCode,
 		Symbols: newSyms,
 		meta:    alpha.DecodeMeta(newCode),
+		graphs:  make([]procGraph, len(newSyms)),
 	}
 	if im.Lines != nil {
 		out.Lines = newLine

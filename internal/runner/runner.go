@@ -307,7 +307,7 @@ func (r *Runner) execute(c *call, cfg dcpi.Config) {
 	}
 	c.res, c.err = r.runFn(cfg)
 	// Read the machine that ran while it is still here: executeCached goes on
-	// to replace the result with its served form, whose machine never ran.
+	// to replace the result with its served form, which has no machine.
 	if r.Obs.Registry != nil && c.res != nil && c.res.Machine != nil {
 		r.simHostNanos.Add(c.res.Machine.HostRunNanos())
 		r.simInsts.Add(int64(c.res.MachineStats.Instructions))

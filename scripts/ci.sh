@@ -28,8 +28,9 @@ go build ./...
 echo "== go test -race ./..." >&2
 go test -race -count=1 ./...
 
-echo "== benchmarks of the simulator layers run once (a set-up panic fails)" >&2
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mem ./internal/alpha ./internal/pipeline
+echo "== benchmarks of the simulator and analysis layers run once (a set-up panic fails)" >&2
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mem ./internal/alpha ./internal/pipeline \
+	./internal/dcpi ./internal/cfg
 
 echo "== dcpieval prints the same bytes with and without its profile (-pgo=off)" >&2
 # cmd/dcpieval/default.pgo changes inlining only; tier-1 holds the profiled
