@@ -36,13 +36,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	view := openView()
-	im, ok := view.Loader.ImageByPath(*img)
+	r := openView()
+	im, ok := r.Loader.ImageByPath(*img)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "dcpiannotate: image %q not known\n", *img)
 		os.Exit(1)
 	}
-	r := view.Result()
 	prof := r.Profile(*img, ev)
 	counts := map[uint64]uint64{}
 	if prof != nil {

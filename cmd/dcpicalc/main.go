@@ -26,11 +26,11 @@ func main() {
 	)
 	flag.Parse()
 
-	view := openView()
+	r := openView()
 
 	if *img == "" {
 		fmt.Fprintln(os.Stderr, "dcpicalc: -image required; images with samples:")
-		for _, p := range view.Result().Profiles() {
+		for _, p := range r.Profiles() {
 			if p.Event == sim.EvCycles {
 				fmt.Fprintf(os.Stderr, "  %s (%d samples)\n", p.ImagePath, p.Total())
 			}
@@ -38,7 +38,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *proc == "" {
-		im, ok := view.Loader.ImageByPath(*img)
+		im, ok := r.Loader.ImageByPath(*img)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dcpicalc: image %q not known\n", *img)
 			os.Exit(1)
@@ -50,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pa, err := view.Result().AnalyzeProc(*img, *proc)
+	pa, err := r.AnalyzeProc(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpicalc: %v\n", err)
 		os.Exit(1)

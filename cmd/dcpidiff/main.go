@@ -29,12 +29,11 @@ func main() {
 	}
 
 	load := func(dir string) (map[string]uint64, uint64) {
-		view, err := dcpi.OpenView(dir, *wl)
+		r, err := dcpi.OpenView(dir, *wl)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dcpidiff: %s: %v\n", dir, err)
 			os.Exit(1)
 		}
-		r := view.Result()
 		return r.ProcSampleMap(), r.TotalSamples(sim.EvCycles)
 	}
 	before, beforeTotal := load(flag.Arg(0))

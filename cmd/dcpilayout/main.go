@@ -31,8 +31,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	view := openView()
-	pa, err := view.Result().AnalyzeProc(*img, *proc)
+	pa, err := openView().AnalyzeProc(*img, *proc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpilayout: %v\n", err)
 		os.Exit(1)

@@ -25,8 +25,7 @@ func main() {
 	)
 	flag.Parse()
 
-	view := openView()
-	r := view.Result()
+	r := openView()
 
 	if !*byImg {
 		dcpi.FormatProcList(os.Stdout, r, *n)

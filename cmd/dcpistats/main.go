@@ -33,12 +33,11 @@ func main() {
 		totals []uint64
 	)
 	for _, dir := range dbs {
-		view, err := dcpi.OpenView(dir, *wl)
+		r, err := dcpi.OpenView(dir, *wl)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dcpistats: %s: %v\n", dir, err)
 			os.Exit(1)
 		}
-		r := view.Result()
 		m := r.ProcSampleMap()
 		runs = append(runs, m)
 		totals = append(totals, r.TotalSamples(sim.EvCycles))

@@ -20,8 +20,7 @@ func main() {
 	openView := cli.ViewFlags("dcpisum")
 	flag.Parse()
 
-	view := openView()
-	ps, err := view.Result().Summarize()
+	ps, err := openView().Summarize()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcpisum: %v\n", err)
 		os.Exit(1)

@@ -25,8 +25,7 @@ func main() {
 	openView := cli.ViewFlags("dcpitopixie")
 	flag.Parse()
 
-	view := openView()
-	r := view.Result()
+	r := openView()
 
 	for _, prof := range r.Profiles() {
 		if prof.Event != sim.EvCycles || prof.ImagePath == "unknown" {

@@ -3,6 +3,7 @@ package dcpibench
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -138,6 +139,53 @@ func TestGoldenFigureDigests(t *testing.T) {
 				t.Errorf("warm pass did not report disk hits; stderr:\n%s", stderr)
 			}
 		})
+	}
+}
+
+// TestBenchTinyPin holds dcpieval to the benchmark's smallest pinned row,
+// read in place from bench/testdata/pinned.json: a cold `-fig 3 -runs 1
+// -scale 0.05` into a fresh cache directory prints the pinned stdout
+// digest, simulates the pinned number of runs, and serves the pinned number
+// of duplicates from memory.
+func TestBenchTinyPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the pinned row simulates")
+	}
+	raw, err := os.ReadFile(filepath.Join("bench", "testdata", "pinned.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]struct {
+		EvalDigest string `json:"eval_digest"`
+		EvalSims   int    `json:"eval_sims"`
+		EvalDups   int    `json:"eval_dups"`
+	}
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	tiny, ok := pins["tiny"]
+	if !ok || tiny.EvalDigest == "" {
+		t.Fatalf("bench/testdata/pinned.json has no tiny row: %s", raw)
+	}
+	dir := t.TempDir()
+	args := []string{"-fig", "3", "-runs", "1", "-scale", "0.05",
+		"-cache-dir", filepath.Join(dir, "cache"), "-metrics-out", filepath.Join(dir, "m.json")}
+	stderr := digestCheck(t, buildTool(t, "dcpieval"), tiny.EvalDigest, args)
+	var stats struct {
+		Simulated int `json:"simulated"`
+		MemHits   int `json:"mem_hits"`
+	}
+	line := ""
+	for _, l := range strings.Split(stderr, "\n") {
+		if rest, ok := strings.CutPrefix(l, "dcpieval-cache-stats "); ok {
+			line = rest
+		}
+	}
+	if err := json.Unmarshal([]byte(line), &stats); err != nil {
+		t.Fatalf("no dcpieval-cache-stats line (%v); stderr:\n%s", err, stderr)
+	}
+	if stats.Simulated != tiny.EvalSims || stats.MemHits != tiny.EvalDups {
+		t.Errorf("simulated %d, memory hits %d; pinned %d, %d", stats.Simulated, stats.MemHits, tiny.EvalSims, tiny.EvalDups)
 	}
 }
 

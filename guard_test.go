@@ -1,10 +1,20 @@
 package dcpibench
 
 import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -158,4 +168,252 @@ func TestSourceGuards(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("walked %d Go files: this test must run at the repository root", files)
 	}
+}
+
+// keptAPI lists the exported functions and methods of internal/ that no
+// program file calls and that stay all the same, one reason each. Every other
+// such name fails TestNoTestOnlyAPI. Keys are types.Func.FullName.
+var keptAPI = map[string]string{
+	// Paper mechanisms the tools do not reach yet.
+	"(*dcpi/internal/profiledb.Profile).WriteCompressed": "§4.3.3's compressed on-disk profile (DESIGN.md §5); its tests measure the saving",
+	"(*dcpi/internal/loader.Loader).Scan":                "§4.3.2's daemon startup scan of the live processes' mappings",
+	// Windows through which tests observe state the program only uses.
+	"(*dcpi/internal/mem.Sparse).Pages":     "tests check that a served result holds no process memory",
+	"(*dcpi/internal/mem.Sparse).ReadBytes": "tests compare what the timed and the functional run stored",
+	"(*dcpi/internal/mem.TLB).Capacity":     "tests check the TLB size a hardware config built",
+	"(*dcpi/internal/mem.TLB).Len":          "tests hold the resident count to the reference model",
+	"(*dcpi/internal/mem.WriteBuffer).Len":  "tests observe the entries not yet retired",
+	"(*dcpi/internal/mem.Cache).Config":     "tests check the geometry a hardware config built",
+	"(*dcpi/internal/sim.Machine).SpawnOn":  "tests pin a process to one CPU",
+	"(*dcpi/internal/par.Budget).Used":      "tests observe the worker budget's reserved slots",
+	"(*dcpi/internal/par.Budget).Total":     "tests observe the worker budget's size",
+	"(*dcpi/internal/obs.Tracer).Dropped":   "tests observe the events a full tracer dropped",
+	"dcpi/internal/alpha.LookupOp":          "tests read the assembler's mnemonic table",
+}
+
+// stdInterfaces are the standard-library interfaces through which fmt,
+// errors, encoding, net/http, io, sort, container/heap and flag call methods
+// of this tree's types; no reference in the tree shows those calls.
+var stdInterfaces = []string{
+	"fmt.Stringer", "fmt.GoStringer", "fmt.Formatter",
+	"encoding.TextMarshaler", "encoding.TextUnmarshaler", "encoding.BinaryMarshaler", "encoding.BinaryUnmarshaler",
+	"encoding/json.Marshaler", "encoding/json.Unmarshaler", "net/http.Handler",
+	"io.Reader", "io.Writer", "io.Closer", "io.WriterTo", "io.ReaderFrom",
+	"sort.Interface", "container/heap.Interface", "flag.Value",
+}
+
+// TestNoTestOnlyAPI type-checks every non-test Go file under cmd/, internal/,
+// examples/ and bench/, and fails on an exported function or method of
+// internal/ that none of them references: code that only its own tests call
+// is surface to read and keep correct that the program does not use. A
+// method counts as referenced when its type implements an interface whose
+// method of that name the program calls, or a standard-library interface
+// that declares it (String for fmt, Error for errors, ServeHTTP for
+// net/http, ...). Delete such a function with the tests that check only it,
+// or give it a line in keptAPI.
+func TestNoTestOnlyAPI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the tree")
+	}
+	var dirs []string
+	for _, root := range []string{"cmd", "internal", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			dirs = append(dirs, filepath.ToSlash(path))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newSourceChecker(t, dirs)
+
+	// Exported functions and methods declared under internal/, every
+	// function the program uses, and the interface methods among them.
+	declared := map[*types.Func]token.Position{}
+	used := map[*types.Func]bool{}
+	var ifaceMethods []*types.Func
+	for _, dir := range dirs {
+		pkg := c.check(dir)
+		if pkg == nil {
+			continue
+		}
+		if strings.HasPrefix(dir, "internal/") {
+			for _, f := range pkg.files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+						declared[pkg.info.Defs[fd.Name].(*types.Func)] = c.fset.Position(fd.Pos())
+					}
+				}
+			}
+		}
+		for _, obj := range pkg.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				fn = fn.Origin()
+				used[fn] = true
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					ifaceMethods = append(ifaceMethods, fn)
+				}
+			}
+		}
+	}
+	if len(declared) < 300 {
+		t.Fatalf("found %d exported functions under internal/: this test must run at the repository root", len(declared))
+	}
+	for _, name := range stdInterfaces {
+		dot := strings.LastIndex(name, ".")
+		pkg, err := c.Import(name[:dot])
+		if err != nil {
+			t.Fatal(err)
+		}
+		iface := pkg.Scope().Lookup(name[dot+1:]).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
+	ifaceMethods = append(ifaceMethods, types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0))
+	throughInterface := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		for _, m := range ifaceMethods {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == fn.Name() && (types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	kept := map[string]bool{}
+	var dead []string
+	for fn, pos := range declared {
+		name := fn.FullName()
+		if _, ok := keptAPI[name]; ok {
+			kept[name] = true
+			if used[fn] {
+				t.Errorf("keptAPI lists %s, which the program now calls: drop its line", name)
+			}
+			continue
+		}
+		if !used[fn] && !throughInterface(fn) {
+			dead = append(dead, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s has no caller outside _test.go files: delete it with the tests that check only it, or list it in keptAPI with the reason", d)
+	}
+	for name := range keptAPI {
+		if !kept[name] {
+			t.Errorf("keptAPI lists %s, which no longer exists: drop its line", name)
+		}
+	}
+}
+
+// sourceChecker type-checks the module's packages from source, each once, so
+// that a package's objects are the same wherever they are used; the standard
+// library comes from the export data the go command builds for it.
+type sourceChecker struct {
+	t     *testing.T
+	fset  *token.FileSet
+	build map[string]*build.Package // by directory, relative to the root
+	pkgs  map[string]*checkedPkg    // by directory; nil when it has no Go files
+	std   types.Importer
+}
+
+type checkedPkg struct {
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+func newSourceChecker(t *testing.T, dirs []string) *sourceChecker {
+	c := &sourceChecker{t: t, fset: token.NewFileSet(), build: map[string]*build.Package{}, pkgs: map[string]*checkedPkg{}}
+	std := map[string]bool{}
+	for _, name := range stdInterfaces {
+		std[name[:strings.LastIndex(name, ".")]] = true
+	}
+	for _, dir := range dirs {
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				continue
+			}
+			t.Fatalf("%s: %v", dir, err)
+		}
+		c.build[dir] = bp
+		for _, path := range bp.Imports {
+			if !strings.HasPrefix(path, "dcpi/") {
+				std[path] = true
+			}
+		}
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}
+	for path := range std {
+		args = append(args, path)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			exports[path] = file
+		}
+	}
+	c.std = importer.ForCompiler(c.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return c
+}
+
+// Import resolves an import path of the module (dcpi/..., bench/ included as
+// dcpi/bench/...) to its directory, and any other to the standard library.
+func (c *sourceChecker) Import(path string) (*types.Package, error) {
+	if dir, ok := strings.CutPrefix(path, "dcpi/"); ok {
+		if pkg := c.check(dir); pkg != nil {
+			return pkg.types, nil
+		}
+		return nil, fmt.Errorf("no Go files for %q", path)
+	}
+	return c.std.Import(path)
+}
+
+// check type-checks the non-test files of dir once.
+func (c *sourceChecker) check(dir string) *checkedPkg {
+	if pkg, ok := c.pkgs[dir]; ok {
+		return pkg
+	}
+	c.pkgs[dir] = nil
+	bp := c.build[dir]
+	if bp == nil {
+		return nil
+	}
+	pkg := &checkedPkg{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		pkg.files = append(pkg.files, f)
+	}
+	conf := types.Config{Importer: c}
+	var err error
+	if pkg.types, err = conf.Check("dcpi/"+dir, c.fset, pkg.files, pkg.info); err != nil {
+		c.t.Fatalf("type-check %s: %v", dir, err)
+	}
+	c.pkgs[dir] = pkg
+	return pkg
 }

@@ -54,9 +54,6 @@ copyloop:
 	if bne.Disp != -13 {
 		t.Errorf("bne disp = %d, want -13", bne.Disp)
 	}
-	if got := bne.BranchTarget(); got != -12*InstBytes {
-		t.Errorf("branch target offset = %d, want %d", got, -12*InstBytes)
-	}
 }
 
 func TestAssembleForwardBranchAndLocalLabels(t *testing.T) {

@@ -427,12 +427,6 @@ func TestOpPredicates(t *testing.T) {
 	if !OpBNE.IsCondBranch() || OpBR.IsCondBranch() {
 		t.Error("IsCondBranch wrong")
 	}
-	if !OpBR.IsUncondBranch() || !OpBSR.IsUncondBranch() || OpBNE.IsUncondBranch() {
-		t.Error("IsUncondBranch wrong")
-	}
-	if !OpJSR.IsCall() || !OpBSR.IsCall() || OpBR.IsCall() {
-		t.Error("IsCall wrong")
-	}
 	for _, op := range []Op{OpBR, OpBNE, OpJMP, OpRET, OpHALT, OpCALLPAL} {
 		if !op.EndsBlock() {
 			t.Errorf("%v should end a block", op)

@@ -142,9 +142,3 @@ func DecodeMeta(code []Inst) []InstMeta {
 	}
 	return out
 }
-
-// BranchTarget returns the byte offset of the branch target relative to this
-// instruction's own address. Only meaningful for branch-format instructions.
-func (in Inst) BranchTarget() int64 {
-	return int64(InstBytes) + int64(in.Disp)*InstBytes
-}

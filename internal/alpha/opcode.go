@@ -266,15 +266,8 @@ func (op Op) IsCondBranch() bool {
 	return false
 }
 
-// IsUncondBranch reports whether op is br or bsr.
-func (op Op) IsUncondBranch() bool { return op == OpBR || op == OpBSR }
-
 // IsJump reports whether op is a computed jump (jmp/jsr/ret).
 func (op Op) IsJump() bool { return op.Class() == ClassJump }
-
-// IsCall reports whether op transfers control and links a return address the
-// way a procedure call does.
-func (op Op) IsCall() bool { return op == OpBSR || op == OpJSR }
 
 // EndsBlock reports whether op terminates a basic block.
 func (op Op) EndsBlock() bool {

@@ -61,9 +61,6 @@ type Block struct {
 	Preds      []int // edge indices entering this block
 }
 
-// Len returns the number of instructions in the block.
-func (b *Block) Len() int { return b.End - b.Start }
-
 // Edge is one CFG edge. From/To are block indices, or Entry/Exit.
 type Edge struct {
 	Index int

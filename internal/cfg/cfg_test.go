@@ -28,8 +28,8 @@ p:
 	if len(g.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1", len(g.Blocks))
 	}
-	if g.Blocks[0].Len() != 3 {
-		t.Errorf("block len = %d", g.Blocks[0].Len())
+	if g.Blocks[0].End-g.Blocks[0].Start != 3 {
+		t.Errorf("block len = %d", g.Blocks[0].End-g.Blocks[0].Start)
 	}
 	// Entry edge + exit edge.
 	if len(g.Edges) != 2 {
@@ -324,8 +324,8 @@ copy:
 	if len(g.Blocks) != 3 {
 		t.Fatalf("blocks = %d", len(g.Blocks))
 	}
-	if g.Blocks[1].Len() != 5 {
-		t.Errorf("loop body len = %d", g.Blocks[1].Len())
+	if g.Blocks[1].End-g.Blocks[1].Start != 5 {
+		t.Errorf("loop body len = %d", g.Blocks[1].End-g.Blocks[1].Start)
 	}
 	if g.BlockClass[1] == g.BlockClass[0] || g.BlockClass[1] == g.BlockClass[2] {
 		t.Error("loop body class should be distinct")

@@ -184,17 +184,18 @@ func (a *App) Exit(code int) {
 }
 
 // ViewFlags declares the -db/-workload pair of a tool that reads one
-// profile database and returns the function that opens it or dies as tool.
-// Declare before flag.Parse; call after the tool's own argument checks.
-func ViewFlags(tool string) func() *dcpi.OfflineView {
+// profile database and returns the function that opens it (dcpi.OpenView)
+// or dies as tool. Declare before flag.Parse; call after the tool's own
+// argument checks.
+func ViewFlags(tool string) func() *dcpi.Result {
 	dbDir := flag.String("db", "dcpidb", "profile database directory")
 	wl := flag.String("workload", "", "workload name (defaults to database metadata)")
-	return func() *dcpi.OfflineView {
-		view, err := dcpi.OpenView(*dbDir, *wl)
+	return func() *dcpi.Result {
+		r, err := dcpi.OpenView(*dbDir, *wl)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 			os.Exit(1)
 		}
-		return view
+		return r
 	}
 }

@@ -48,7 +48,11 @@ func TestScrapeFleetExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := openStore(t)
+	dir := filepath.Join(t.TempDir(), "tsdb")
+	store, err := tsdb.Open(dir, tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := obs.NewRegistry()
 	c := New(Config{
 		Targets: targetsOf(f),
@@ -85,7 +89,7 @@ func TestScrapeFleetExactlyOnce(t *testing.T) {
 	// collector over a freshly reopened store (what a second
 	// `dcpicollect -once` invocation is) resumes from the stored
 	// high-water mark and re-ingests nothing.
-	reopened, err := tsdb.Open(store.Dir(), tsdb.Options{})
+	reopened, err := tsdb.Open(dir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ func FuzzScrapePayload(f *testing.F) {
 	f.Add([]byte(`{"machine":"`), []byte(hostileProfile(1, true)))
 
 	f.Fuzz(func(t *testing.T, epochs, profiles []byte) {
-		store, err := tsdb.Open(filepath.Join(t.TempDir(), "tsdb"), tsdb.Options{})
+		dir := filepath.Join(t.TempDir(), "tsdb")
+		store, err := tsdb.Open(dir, tsdb.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func FuzzScrapePayload(f *testing.F) {
 				t.Fatalf("stored epoch %d was not listed as sealed", p.Epoch)
 			}
 		}
-		reopened, err := tsdb.Open(store.Dir(), tsdb.Options{ReadOnly: true})
+		reopened, err := tsdb.Open(dir, tsdb.Options{ReadOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -133,7 +134,11 @@ func TestScrapeTargetIgnoringAfter(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	store := openStore(t)
+	dir := filepath.Join(t.TempDir(), "tsdb")
+	store, err := tsdb.Open(dir, tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	collector := func(db *tsdb.DB) *Collector {
 		return New(Config{Targets: []Target{{Name: "m00", URL: srv.URL}}, Retries: -1, DB: db})
 	}
@@ -146,7 +151,7 @@ func TestScrapeTargetIgnoringAfter(t *testing.T) {
 			t.Fatalf("round %d: %+v %+v", round+1, sum, c.Statuses())
 		}
 	}
-	reopened, err := tsdb.Open(store.Dir(), tsdb.Options{})
+	reopened, err := tsdb.Open(dir, tsdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

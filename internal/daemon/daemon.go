@@ -34,11 +34,9 @@ type Config struct {
 	// MergeInterval is the cycle interval between disk merges (paper: 10
 	// minutes).
 	MergeInterval int64
-	// CostPerEntry models the daemon cycles spent processing one aggregated
-	// entry (three hash lookups per the paper's §5.4 discussion). The
-	// daemon's per-sample cost is CostPerEntry divided by the aggregation
-	// factor, reproducing Table 4's inverse relation.
-	CostPerEntry int64
+	// ZeroCost makes processing an entry cost no cycles instead of
+	// costPerEntry, as driver.Config.ZeroCost does for the handler.
+	ZeroCost bool
 	// PerProcessPIDs lists processes whose samples should additionally be
 	// recorded in separate per-process profiles (paper §4.3: "Users may
 	// also request separate, per-process profiles").
@@ -58,13 +56,21 @@ func (c Config) withDefaults() Config {
 	if c.MergeInterval == 0 {
 		c.MergeInterval = 4_000_000
 	}
-	if c.CostPerEntry == 0 {
-		c.CostPerEntry = 800
-	}
-	if c.CostPerEntry < 0 {
-		c.CostPerEntry = 0 // explicit zero-cost collection
-	}
 	return c
+}
+
+// costPerEntry models the daemon cycles spent processing one aggregated
+// entry (three hash lookups per the paper's §5.4 discussion). The daemon's
+// per-sample cost is costPerEntry divided by the aggregation factor,
+// reproducing Table 4's inverse relation.
+const costPerEntry = 800
+
+// entryCost is the cycles charged for processing one entry.
+func (d *Daemon) entryCost() int64 {
+	if d.cfg.ZeroCost {
+		return 0
+	}
+	return costPerEntry
 }
 
 // Stats describes daemon activity.
@@ -287,7 +293,7 @@ func (d *Daemon) processBatch(cpu int, clock int64, kind string, entries []drive
 	}
 	d.batchHist.Observe(float64(len(entries)))
 	d.tracer.Slice("daemon", kind, obs.PIDDaemon, cpu, clock,
-		int64(len(entries))*d.cfg.CostPerEntry,
+		int64(len(entries))*d.entryCost(),
 		map[string]any{"entries": len(entries)})
 	d.tracer.Counter("daemon", "daemon_memory", obs.PIDDaemon, clock,
 		map[string]float64{"bytes": float64(d.memoryBytesLocked())})
@@ -300,7 +306,7 @@ func (d *Daemon) process(cpu int, entries []driver.Entry) {
 	for _, e := range entries {
 		d.stats.Entries++
 		d.stats.Samples += uint64(e.Count)
-		sh.pendingCost += d.cfg.CostPerEntry
+		sh.pendingCost += d.entryCost()
 
 		path, off, ok := d.classify(e.PID, e.PC)
 		if !ok {
@@ -329,11 +335,8 @@ func (d *Daemon) process(cpu int, entries []driver.Entry) {
 }
 
 // PackEdge packs an intra-image (from, to) offset pair into one profile
-// key; UnpackEdge reverses it.
+// key: from in the high 32 bits, to in the low.
 func PackEdge(from, to uint64) uint64 { return from<<32 | to }
-
-// UnpackEdge splits a packed edge key.
-func UnpackEdge(key uint64) (from, to uint64) { return key >> 32, key & 0xffffffff }
 
 func (d *Daemon) profile(sh *shard, k profKey) *profiledb.Profile {
 	p, ok := sh.profiles[k]
@@ -735,14 +738,6 @@ func (d *Daemon) trackPeakCPU(cpu int) {
 	if b := d.loadmapBytes() + d.shard(0).profileBytes(); b > d.peakBytes {
 		d.peakBytes = b
 	}
-}
-
-// ReapProcess discards loadmap state for a terminated process (the paper's
-// periodic reaping of terminated processes' data structures).
-func (d *Daemon) ReapProcess(pid uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.loadmaps, pid)
 }
 
 // NoteExit marks a process as terminated; its loadmap is reaped at the next

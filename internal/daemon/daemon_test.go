@@ -128,12 +128,12 @@ func TestPollDrainsPeriodically(t *testing.T) {
 }
 
 func TestPollChargesCost(t *testing.T) {
-	d, drv := testDaemon(t, Config{DrainInterval: 10, CostPerEntry: 123})
+	d, drv := testDaemon(t, Config{DrainInterval: 10})
 	drv.Record(0, 100, loader.UserTextBase, sim.EvCycles)
 	d.Poll(0, 0)
 	cost := d.Poll(0, 50)
-	if cost != 123 {
-		t.Errorf("poll cost = %d, want 123 (one entry)", cost)
+	if cost != costPerEntry {
+		t.Errorf("poll cost = %d, want %d (one entry)", cost, costPerEntry)
 	}
 	if c := d.Poll(0, 51); c != 0 {
 		t.Errorf("idle poll cost = %d", c)
@@ -232,7 +232,10 @@ func TestMemoryAccounting(t *testing.T) {
 	if d.PeakMemoryBytes() < grown {
 		t.Error("peak below current")
 	}
-	d.ReapProcess(100)
+	d.NoteExit(100)
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if d.MemoryBytes() >= grown {
 		t.Error("reap did not release loadmap memory")
 	}

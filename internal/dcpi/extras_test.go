@@ -1,12 +1,12 @@
 package dcpi
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
 	"dcpi/internal/analysis"
 	"dcpi/internal/cfg"
-	"dcpi/internal/daemon"
 	"dcpi/internal/sim"
 )
 
@@ -31,7 +31,7 @@ func TestDoubleSamplingProducesEdgeProfiles(t *testing.T) {
 	im, _ := r.Loader.ImageByPath("/usr/bin/compress")
 	var backEdges uint64
 	for key, n := range edge.Counts {
-		from, to := daemon.UnpackEdge(key)
+		from, to := key>>32, key&0xffffffff
 		if from >= im.Size() || to >= im.Size() {
 			t.Fatalf("edge key out of image: %#x -> %#x", from, to)
 		}
@@ -147,14 +147,13 @@ func TestOfflineView(t *testing.T) {
 		t.Fatal("no samples")
 	}
 
-	view, err := OpenView(dir, "")
+	off, err := OpenView(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Meta.Workload != "mccalpin-assign" || view.Meta.Mode != "default" {
-		t.Errorf("meta = %+v", view.Meta)
+	if off.Config.Workload != "mccalpin-assign" || off.Config.Mode != sim.ModeDefault {
+		t.Errorf("config = %+v", off.Config)
 	}
-	off := view.Result()
 	if got := off.TotalSamples(sim.EvCycles); got != liveTotal {
 		t.Errorf("offline samples = %d, live = %d", got, liveTotal)
 	}
@@ -178,6 +177,60 @@ func TestOfflineView(t *testing.T) {
 	rows := off.ProcRows()
 	if len(rows) == 0 || rows[0].Procedure == "<unknown>" {
 		t.Errorf("offline rows = %+v", rows)
+	}
+}
+
+// An offline tool reads a database with the periods the run sampled at: its
+// mean periods, and so every frequency the analysis derives from them, are
+// the live run's. That holds for the default periods, for a mean that is a
+// half, and for a database without metadata, which means the defaults.
+func TestOfflinePeriodsMatchLive(t *testing.T) {
+	compare := func(t *testing.T, live, off *Result) {
+		t.Helper()
+		if live.AvgCyclesPeriod() != off.AvgCyclesPeriod() || live.AvgEventPeriod() != off.AvgEventPeriod() {
+			t.Errorf("mean periods: live %v, %v; offline %v, %v",
+				live.AvgCyclesPeriod(), live.AvgEventPeriod(), off.AvgCyclesPeriod(), off.AvgEventPeriod())
+		}
+		livePA, err := live.AnalyzeProc("/bin/mccalpin", "copyloop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		offPA, err := off.AnalyzeProc("/bin/mccalpin", "copyloop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range livePA.Insts {
+			if l, o := livePA.Insts[i].Freq, offPA.Insts[i].Freq; l != o {
+				t.Errorf("instruction %d: frequency live %.3f, offline %.3f", i, l, o)
+			}
+		}
+	}
+	for _, period := range []sim.PeriodSpec{{}, {Base: 2048, Spread: 511}} {
+		dir := filepath.Join(t.TempDir(), "db")
+		live, err := Run(Config{Workload: "mccalpin-assign", Mode: sim.ModeDefault, Seed: 5, Scale: 0.1,
+			CyclesPeriod: period, EventPeriod: period, DBDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, err := OpenView(dir, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, live, off)
+		if period != (sim.PeriodSpec{}) {
+			continue
+		}
+		metas, err := filepath.Glob(filepath.Join(dir, "epoch-*", "epoch.meta"))
+		if err != nil || len(metas) != 1 {
+			t.Fatalf("epoch metadata files: %v, %v", metas, err)
+		}
+		if err := os.Remove(metas[0]); err != nil {
+			t.Fatal(err)
+		}
+		if off, err = OpenView(dir, "mccalpin-assign"); err != nil {
+			t.Fatal(err)
+		}
+		compare(t, live, off)
 	}
 }
 

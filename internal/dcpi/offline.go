@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dcpi/internal/loader"
-	"dcpi/internal/pipeline"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
@@ -29,21 +28,13 @@ func SetupImages(workloadName string) (*loader.Loader, error) {
 	return sh.loader, nil
 }
 
-// OfflineView resolves profiles from an on-disk database against a
-// workload's images, offering the same tool surface as a live Result.
-type OfflineView struct {
-	Loader   *loader.Loader
-	DB       *profiledb.DB
-	Meta     profiledb.Meta
-	profiles []*profiledb.Profile
-	model    pipeline.Model // the shell's, so Result.Model() works
-}
-
 // OpenView loads a database and the images of the workload recorded in its
 // metadata (or workloadName if the database has none), staged at the scale
 // the metadata records so that code generated from the scale matches what
-// was profiled.
-func OpenView(dbDir, workloadName string) (*OfflineView, error) {
+// was profiled. The result serves the same tools a live run's does; its
+// Config carries the recorded workload, mode and mean sampling periods (the
+// simulator's defaults when the database has no metadata).
+func OpenView(dbDir, workloadName string) (*Result, error) {
 	db, err := profiledb.Open(dbDir)
 	if err != nil {
 		return nil, err
@@ -52,11 +43,8 @@ func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		if workloadName == "" {
-			return nil, fmt.Errorf("dcpi: database %s has no metadata; pass a workload name", dbDir)
-		}
-		meta = profiledb.Meta{Workload: workloadName, CyclesPeriod: 62464, EventPeriod: 15360}
+	if !ok && workloadName == "" {
+		return nil, fmt.Errorf("dcpi: database %s has no metadata; pass a workload name", dbDir)
 	}
 	if workloadName != "" {
 		meta.Workload = workloadName
@@ -73,28 +61,32 @@ func OpenView(dbDir, workloadName string) (*OfflineView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OfflineView{Loader: sh.loader, DB: db, Meta: meta, profiles: profiles, model: sh.model}, nil
-}
-
-// Result adapts the view to the live-run tool surface.
-func (v *OfflineView) Result() *Result {
 	mode := sim.ModeCycles
 	for m := sim.ModeOff; m <= sim.ModeMux; m++ {
-		if m.String() == v.Meta.Mode {
+		if m.String() == meta.Mode {
 			mode = m
 		}
 	}
 	return &Result{
 		Config: Config{
-			Workload:     v.Meta.Workload,
+			Workload:     meta.Workload,
 			Mode:         mode,
-			CyclesPeriod: sim.PeriodSpec{Base: int64(v.Meta.CyclesPeriod), Spread: 1},
-			EventPeriod:  sim.PeriodSpec{Base: int64(v.Meta.EventPeriod), Spread: 1},
+			CyclesPeriod: meanPeriod(meta.CyclesPeriod),
+			EventPeriod:  meanPeriod(meta.EventPeriod),
 		},
-		Wall:     v.Meta.WallCycles,
-		Loader:   v.Loader,
-		DB:       v.DB,
-		profiles: v.profiles,
-		model:    v.model,
-	}
+		Wall:     meta.WallCycles,
+		Loader:   sh.loader,
+		DB:       db,
+		profiles: profiles,
+		model:    sh.model,
+	}, nil
+}
+
+// meanPeriod returns a period whose mean, Base + Spread/2 as
+// AvgCyclesPeriod computes it, is the recorded mean avg. A recorded mean is
+// such a sum, so it is a whole number or a half; 0 (nothing recorded) gives
+// the zero period, which means the simulator's default.
+func meanPeriod(avg float64) sim.PeriodSpec {
+	base := int64(avg)
+	return sim.PeriodSpec{Base: base, Spread: int64(2 * (avg - float64(base)))}
 }

@@ -283,18 +283,15 @@ func Run(cfg Config) (*Result, error) {
 			ZeroCost:        cfg.ZeroCostCollection,
 			Obs:             cfg.Obs,
 		})
-		dcfg := daemon.Config{
+		dmn = daemon.New(daemon.Config{
 			DB:             db,
 			DrainInterval:  cfg.DrainInterval,
 			MergeInterval:  cfg.MergeInterval,
 			PerProcessPIDs: cfg.PerProcessPIDs,
 			Fault:          cfg.Fault,
 			Obs:            cfg.Obs,
-		}
-		if cfg.ZeroCostCollection {
-			dcfg.CostPerEntry = -1
-		}
-		dmn = daemon.New(dcfg, drv)
+			ZeroCost:       cfg.ZeroCostCollection,
+		}, drv)
 		l.Notify = dmn.HandleNotification
 		l.NotifyExit = dmn.NoteExit
 		col := &collector{drv: drv, dmn: dmn}

@@ -197,12 +197,12 @@ func TestOpenViewUsesRecordedScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := dcpi.OpenView(dir, "")
+	off, err := dcpi.OpenView(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := live.Loader.ImageByPath("/usr/bin/gcc")
-	got, ok := view.Loader.ImageByPath("/usr/bin/gcc")
+	got, ok := off.Loader.ImageByPath("/usr/bin/gcc")
 	if !ok || !reflect.DeepEqual(got.Code, want.Code) {
 		t.Error("the offline view's gcc image is not the code that was profiled")
 	}

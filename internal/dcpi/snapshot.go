@@ -11,7 +11,7 @@ package dcpi
 // the §6 analysis — is a pure function of that snapshot plus the
 // workload's images, and the images come from the shell the process shares
 // between all results of the same shape (shell.go): what the workload's
-// set-up registers, with no process data, exactly what OfflineView resolves
+// set-up registers, with no process data, exactly what OpenView resolves
 // an on-disk database against. Decoding therefore costs a varint pass over
 // the blob, and returns a Result whose accessors (Profiles, ProcRows,
 // AnalyzeProc, Summarize, ...) produce byte-identical output to the freshly

@@ -1,10 +1,10 @@
 package dcpi
 
 import (
-	"math"
 	"sort"
 
 	"dcpi/internal/sim"
+	"dcpi/internal/stats"
 )
 
 // ProcRow is one dcpiprof output row: samples aggregated by procedure.
@@ -116,30 +116,16 @@ func StatsAcrossRuns(runs []map[string]uint64) []StatRow {
 		}
 	}
 	var out []StatRow
+	xs := make([]float64, len(runs))
 	for proc := range procs {
 		row := StatRow{Procedure: proc, N: len(runs), Min: ^uint64(0)}
-		var sum float64
-		for _, run := range runs {
+		for i, run := range runs {
 			v := run[proc]
 			row.Sum += v
-			sum += float64(v)
-			if v < row.Min {
-				row.Min = v
-			}
-			if v > row.Max {
-				row.Max = v
-			}
+			row.Min, row.Max = min(row.Min, v), max(row.Max, v)
+			xs[i] = float64(v)
 		}
-		row.Mean = sum / float64(len(runs))
-		var ss float64
-		for _, run := range runs {
-			d := float64(run[proc]) - row.Mean
-			ss += d * d
-		}
-		if len(runs) > 1 {
-			ss /= float64(len(runs) - 1)
-		}
-		row.StdDev = math.Sqrt(ss)
+		row.Mean, row.StdDev = stats.Mean(xs), stats.StdDev(xs)
 		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool {

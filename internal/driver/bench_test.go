@@ -68,7 +68,7 @@ func BenchmarkFlush(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.FlushCPU(0)
+		d.FlushCPUAt(0, 0)
 		b.StopTimer()
 		for j := 0; j < 16384; j++ {
 			d.Record(0, 1, uint64(j)*4, sim.EvCycles)

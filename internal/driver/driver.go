@@ -457,13 +457,10 @@ func (d *Driver) endLossEpisode(cpu int, cs *cpuState, clock int64) {
 	cs.episodeLost = 0
 }
 
-// FlushCPU implements the daemon-initiated flush of §4.2.3: an IPI sets the
-// CPU's flushing flag, the hash-table contents and the active overflow
+// FlushCPUAt implements the daemon-initiated flush of §4.2.3: an IPI sets
+// the CPU's flushing flag, the hash-table contents and the active overflow
 // buffer are copied out, and the flag is cleared. It returns the drained
-// entries.
-func (d *Driver) FlushCPU(cpu int) []Entry { return d.FlushCPUAt(cpu, 0) }
-
-// FlushCPUAt is FlushCPU stamped with the simulated clock of the flush.
+// entries; clock is the simulated time of the flush, for the trace.
 func (d *Driver) FlushCPUAt(cpu int, clock int64) []Entry {
 	cs := d.cpus[cpu]
 	cs.stats.FlushIPIs++

@@ -19,7 +19,7 @@ func TestRecordAggregates(t *testing.T) {
 	if st.Hits != 99 || st.Misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 99/1", st.Hits, st.Misses)
 	}
-	entries := d.FlushCPU(0)
+	entries := d.FlushCPUAt(0, 0)
 	if len(entries) != 1 || entries[0].Count != 100 {
 		t.Fatalf("flush = %+v", entries)
 	}
@@ -33,7 +33,7 @@ func TestDistinctEventsDistinctEntries(t *testing.T) {
 	d.Record(0, 1, 0x1000, sim.EvCycles)
 	d.Record(0, 1, 0x1000, sim.EvIMiss)
 	d.Record(0, 2, 0x1000, sim.EvCycles)
-	entries := d.FlushCPU(0)
+	entries := d.FlushCPUAt(0, 0)
 	if len(entries) != 3 {
 		t.Errorf("entries = %d, want 3 (distinct pid/event)", len(entries))
 	}
@@ -124,8 +124,8 @@ func TestPerCPUIsolation(t *testing.T) {
 	if d.Stats(0).Samples != 1 || d.Stats(1).Samples != 1 {
 		t.Error("per-CPU stats mixed")
 	}
-	e0 := d.FlushCPU(0)
-	e1 := d.FlushCPU(1)
+	e0 := d.FlushCPUAt(0, 0)
+	e1 := d.FlushCPUAt(1, 0)
 	if len(e0) != 1 || len(e1) != 1 {
 		t.Errorf("flush = %d, %d entries", len(e0), len(e1))
 	}
@@ -182,7 +182,7 @@ func TestConservationProperty(t *testing.T) {
 			d.Record(0, pid, uint64(pc)*4, sim.EvCycles)
 			fed++
 		}
-		for _, e := range d.FlushCPU(0) {
+		for _, e := range d.FlushCPUAt(0, 0) {
 			kept += uint64(e.Count)
 		}
 		return kept == fed
@@ -200,7 +200,7 @@ func TestAggregationReducesDataRate(t *testing.T) {
 	for i := 0; i < samples; i++ {
 		d.Record(0, 7, uint64(i%40)*4, sim.EvCycles) // 40 hot PCs
 	}
-	entries := d.FlushCPU(0)
+	entries := d.FlushCPUAt(0, 0)
 	if len(entries) == 0 {
 		t.Fatal("no entries")
 	}
@@ -422,7 +422,7 @@ func TestBackpressureDeferredThenRecovered(t *testing.T) {
 	}
 
 	var flushed uint64
-	for _, e := range d.FlushCPU(0) {
+	for _, e := range d.FlushCPUAt(0, 0) {
 		flushed += uint64(e.Count)
 	}
 	st = d.Stats(0)
@@ -447,7 +447,7 @@ func TestNilConsumerLossCounted(t *testing.T) {
 		t.Fatal("nil-consumer overflow not counted as Lost")
 	}
 	var flushed uint64
-	for _, e := range d.FlushCPU(0) {
+	for _, e := range d.FlushCPUAt(0, 0) {
 		flushed += uint64(e.Count)
 	}
 	if flushed+st.Lost != fed {
@@ -477,7 +477,7 @@ func TestFlushDuringRecordDirectPathLoss(t *testing.T) {
 	}
 	d.cpus[0].flushing = false
 	var kept uint64
-	for _, e := range d.FlushCPU(0) {
+	for _, e := range d.FlushCPUAt(0, 0) {
 		kept += uint64(e.Count)
 	}
 	if kept+st.Lost != 10 {
@@ -511,7 +511,7 @@ func TestConservationWithRefusals(t *testing.T) {
 				fed++
 			}
 			var flushed uint64
-			for _, e := range d.FlushCPU(0) {
+			for _, e := range d.FlushCPUAt(0, 0) {
 				flushed += uint64(e.Count)
 			}
 			return delivered+flushed+d.Stats(0).Lost == fed

@@ -107,7 +107,7 @@ func ablationTrace(o Options, wl string) ([]sim.Sample, error) {
 		Workload:           wl,
 		Scale:              scale,
 		Mode:               sim.ModeCycles,
-		Seed:               seedFor(o.SeedBase, "ablation", wl, 0),
+		Seed:               seedFor("ablation", wl, 0),
 		CyclesPeriod:       sim.PeriodSpec{Base: 448, Spread: 128},
 		TraceSamples:       true,
 		ZeroCostCollection: true,

@@ -71,12 +71,12 @@ func (a *AccuracyResult) finish() {
 // All runs are submitted up front; Figures 8 and 9 request identical
 // configurations, so a shared runner simulates the suite once for both, and
 // since a result keeps its analyses, analyses each procedure once for both.
-func forEachProcAnalysis(o Options, suite []string, mode sim.Mode,
+func forEachProcAnalysis(o Options, suite []string, sampling dcpi.Config,
 	fn func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis)) error {
 	o = o.withDefaults()
 	pending := make([]*runner.Pending, len(suite))
 	for i, wl := range suite {
-		pending[i] = o.Runner.Submit(accCfg(o, wl, mode, 0))
+		pending[i] = o.Runner.Submit(accCfg(o, wl, 0, sampling))
 	}
 	for i, wl := range suite {
 		r, err := pending[i].Wait()
@@ -112,7 +112,7 @@ func forEachProcAnalysis(o Options, suite []string, mode sim.Mode,
 func Fig8(o Options) (*AccuracyResult, error) {
 	defer o.span("Figure 8")()
 	res := newAccuracyResult()
-	err := forEachProcAnalysis(o, AccuracyWorkloads, sim.ModeCycles,
+	err := forEachProcAnalysis(o, AccuracyWorkloads, denseCycles,
 		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
 			sym := im.Symbols[s]
 			exact := r.Exact.Exec[im.ID]
@@ -147,9 +147,14 @@ func Fig8(o Options) (*AccuracyResult, error) {
 // Fig9 measures CFG edge-frequency estimate errors, weighted by true edge
 // executions (paper Figure 9; edges never receive samples directly).
 func Fig9(o Options) (*AccuracyResult, error) {
+	return fig9(o, denseCycles)
+}
+
+// fig9 is Figure 9 over the accuracy suite sampled as sampling says.
+func fig9(o Options, sampling dcpi.Config) (*AccuracyResult, error) {
 	defer o.span("Figure 9")()
 	res := newAccuracyResult()
-	err := forEachProcAnalysis(o, AccuracyWorkloads, sim.ModeCycles,
+	err := forEachProcAnalysis(o, AccuracyWorkloads, sampling,
 		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
 			sym := im.Symbols[s]
 			exact := r.Exact.Exec[im.ID]
@@ -200,9 +205,9 @@ func Fig9(o Options) (*AccuracyResult, error) {
 // split block frequencies across conditional successors directly, which is
 // exactly the improvement the paper anticipates from edge samples.
 func Fig9DoubleSampling(o Options) (*AccuracyResult, error) {
-	o = o.withDefaults()
-	o.DoubleSample = true
-	return Fig9(o)
+	sampling := denseCycles
+	sampling.DoubleSample = true
+	return fig9(o, sampling)
 }
 
 // Fig9Interpretation repeats the edge-frequency experiment with the §7
@@ -210,9 +215,9 @@ func Fig9DoubleSampling(o Options) (*AccuracyResult, error) {
 // decoded and their direction recorded, yielding edge samples without the
 // second interrupt double sampling needs.
 func Fig9Interpretation(o Options) (*AccuracyResult, error) {
-	o = o.withDefaults()
-	o.InterpretBranches = true
-	return Fig9(o)
+	sampling := denseCycles
+	sampling.InterpretBranches = true
+	return fig9(o, sampling)
 }
 
 // FormatAccuracy renders a Figure 8/9-style histogram table.

@@ -41,7 +41,7 @@ func Table4(o Options) ([]Table4Row, error) {
 			Workload:     wl,
 			Scale:        o.Scale,
 			Mode:         mode,
-			Seed:         seedFor(o.SeedBase, "table4", wl, 0),
+			Seed:         seedFor("table4", wl, 0),
 			CyclesPeriod: sim.PeriodSpec{Base: 4096, Spread: 512},
 		}
 	}
@@ -134,7 +134,7 @@ func Table5(o Options) ([]Table5Row, error) {
 	cfg := func(wl string, mode sim.Mode) dcpi.Config {
 		return dcpi.Config{
 			Workload: wl, Scale: o.Scale, Mode: mode,
-			Seed:        seedFor(o.SeedBase, "table5", wl, 0),
+			Seed:        seedFor("table5", wl, 0),
 			EphemeralDB: true,
 		}
 	}

@@ -16,7 +16,7 @@
 // # Seed derivation
 //
 // Per-run seeds are derived structurally, not additively: the seed for run
-// i of workload wl is FNV-1a(SeedBase, wl, i) (see seedFor). The profiling
+// i of workload wl is FNV-1a(seedBase, wl, i) (see seedFor). The profiling
 // mode is deliberately NOT part of the derivation: run i of a workload uses
 // one seed — one page placement — under ModeOff and under every profiling
 // configuration, so the overhead sweeps compare profiled against unprofiled
@@ -28,7 +28,7 @@
 //     therefore share one cached simulation.
 //   - Experiments that differ in any structural input get seeds that are
 //     unrelated for all practical purposes, so two sweeps whose old-style
-//     additive ranges (SeedBase+run, SeedBase+wi*100+run, SeedBase+i*7, ...)
+//     additive ranges (base+run, base+wi*100+run, base+i*7, ...)
 //     happened to overlap can no longer silently collide on a seed — and
 //     with it, on a cached run — they should not share.
 //
@@ -67,26 +67,9 @@ type Options struct {
 	Runs int
 	// Scale multiplies workload sizes. Default 0.25.
 	Scale float64
-	// SeedBase salts the structural per-run seed derivation (see the
-	// package comment); sweeps with different SeedBase values share no
-	// seeds at all.
-	SeedBase uint64
-	// DensePeriod is the sampling period for analysis-accuracy experiments
-	// (Figures 8-10); the default (~768 cycles) is the simulated
-	// equivalent of the 21064's 4K fast mode scaled to our short runs, so
-	// procedures accumulate paper-scale sample counts.
-	DensePeriod sim.PeriodSpec
-	// DenseEventPeriod is the miss-counter period for Figure 10.
-	DenseEventPeriod sim.PeriodSpec
 	// Workloads restricts the uniprocessor overhead sweeps; nil = default
 	// set.
 	Workloads []string
-	// DoubleSample enables the §7 edge-sampling prototype in the accuracy
-	// experiments (see Fig9DoubleSampling).
-	DoubleSample bool
-	// InterpretBranches enables the §7 instruction-interpretation
-	// prototype (see Fig9Interpretation).
-	InterpretBranches bool
 	// Runner schedules and caches the experiment's simulations. Callers
 	// that run several experiments (dcpieval -all, the test suite) should
 	// share one runner so identical configurations are simulated exactly
@@ -106,15 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale == 0 {
 		o.Scale = 0.25
-	}
-	if o.SeedBase == 0 {
-		o.SeedBase = 1000
-	}
-	if o.DensePeriod.Base == 0 {
-		o.DensePeriod = sim.PeriodSpec{Base: 768, Spread: 192}
-	}
-	if o.DenseEventPeriod.Base == 0 {
-		o.DenseEventPeriod = sim.PeriodSpec{Base: 384, Spread: 128}
 	}
 	if o.Workloads == nil {
 		o.Workloads = OverheadWorkloads
@@ -147,16 +121,29 @@ var Fig10Workloads = []string{
 	"compress", "go", "x11perf", "gcc", "vortex",
 }
 
+// seedBase salts every run's seed (see seedFor).
+const seedBase = 1000
+
+// densePeriod is the sampling period of the experiments that score the
+// analysis (Figures 1-3, 7-9, the loss sweep): the simulated equivalent of
+// the 21064's 4K fast mode scaled to our short runs, so procedures
+// accumulate paper-scale sample counts. denseEventPeriod is the miss
+// counters' period beside it.
+var (
+	densePeriod      = sim.PeriodSpec{Base: 768, Spread: 192}
+	denseEventPeriod = sim.PeriodSpec{Base: 384, Spread: 128}
+)
+
 // seedFor derives the seed for one run from its structural identity: the
 // experiment salt (empty for the plain per-run sweeps), workload, and run
-// index, mixed with SeedBase through FNV-1a. The profiling mode is
+// index, mixed with seedBase through FNV-1a. The profiling mode is
 // intentionally absent so run i keeps its placement across modes (paired
 // comparisons); see the package comment for why this replaces additive
-// SeedBase offsets.
-func seedFor(base uint64, salt, wl string, run int) uint64 {
+// seed offsets.
+func seedFor(salt, wl string, run int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], base)
+	binary.LittleEndian.PutUint64(b[:], seedBase)
 	h.Write(b[:])
 	h.Write([]byte(salt))
 	h.Write([]byte{0})
@@ -179,28 +166,28 @@ func modeCfg(o Options, wl string, mode sim.Mode, run int) dcpi.Config {
 		Workload: wl,
 		Scale:    o.Scale,
 		Mode:     mode,
-		Seed:     seedFor(o.SeedBase, "", wl, run),
+		Seed:     seedFor("", wl, run),
 	}
 }
 
-// accCfg is run i of the accuracy suite's dense, zero-cost,
-// exact-counting configuration. Figures 8 and 9 analyze run 0 of each
-// workload; Fig8MultiRun merges runs 0..N-1 of the same sequence, so its
-// single-run baseline is — by construction and by cache key — the very run
-// the figures analyzed.
-func accCfg(o Options, wl string, mode sim.Mode, run int) dcpi.Config {
-	return dcpi.Config{
-		Workload:           wl,
-		Scale:              o.Scale,
-		Mode:               mode,
-		Seed:               seedFor(o.SeedBase, "accuracy", wl, run),
-		CyclesPeriod:       o.DensePeriod,
-		EventPeriod:        o.DenseEventPeriod,
-		CollectExact:       true,
-		ZeroCostCollection: true,
-		DoubleSample:       o.DoubleSample,
-		InterpretBranches:  o.InterpretBranches,
-	}
+// denseCycles is the accuracy suite's sampling: CYCLES alone at the dense
+// periods (Figures 8 and 9, and the multi-run study).
+var denseCycles = dcpi.Config{Mode: sim.ModeCycles, CyclesPeriod: densePeriod, EventPeriod: denseEventPeriod}
+
+// accCfg is run i of the accuracy suite's zero-cost, exact-counting
+// configuration, sampled as sampling says: its Mode, periods and §7
+// edge-sample prototypes are kept, everything else is set here. Figures 8
+// and 9 analyze run 0 of each workload; Fig8MultiRun merges runs 0..N-1 of
+// the same sequence, so its single-run baseline is — by construction and
+// by cache key — the very run the figures analyzed.
+func accCfg(o Options, wl string, run int, sampling dcpi.Config) dcpi.Config {
+	cfg := sampling
+	cfg.Workload = wl
+	cfg.Scale = o.Scale
+	cfg.Seed = seedFor("accuracy", wl, run)
+	cfg.CollectExact = true
+	cfg.ZeroCostCollection = true
+	return cfg
 }
 
 // sectionTID hands each traced experiment its own thread lane so

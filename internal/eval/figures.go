@@ -21,8 +21,8 @@ func Fig1(o Options, w io.Writer) error {
 		Workload:     "x11perf",
 		Scale:        o.Scale,
 		Mode:         sim.ModeDefault,
-		Seed:         seedFor(o.SeedBase, "fig1", "x11perf", 0),
-		CyclesPeriod: o.DensePeriod,
+		Seed:         seedFor("fig1", "x11perf", 0),
+		CyclesPeriod: densePeriod,
 	})
 	if err != nil {
 		return fmt.Errorf("fig1: %w", err)
@@ -40,8 +40,8 @@ func Fig2(o Options, w io.Writer) error {
 		Workload:     "mccalpin-assign",
 		Scale:        o.Scale,
 		Mode:         sim.ModeCycles,
-		Seed:         seedFor(o.SeedBase, "fig2", "mccalpin-assign", 0),
-		CyclesPeriod: o.DensePeriod,
+		Seed:         seedFor("fig2", "mccalpin-assign", 0),
+		CyclesPeriod: densePeriod,
 	})
 	if err != nil {
 		return fmt.Errorf("fig2: %w", err)
@@ -64,8 +64,8 @@ func Fig7(o Options, w io.Writer) error {
 		Workload:           "mccalpin-assign",
 		Scale:              o.Scale,
 		Mode:               sim.ModeCycles,
-		Seed:               seedFor(o.SeedBase, "fig7", "mccalpin-assign", 0),
-		CyclesPeriod:       o.DensePeriod,
+		Seed:               seedFor("fig7", "mccalpin-assign", 0),
+		CyclesPeriod:       densePeriod,
 		ZeroCostCollection: true,
 	})
 	if err != nil {
@@ -92,8 +92,8 @@ func Fig3(o Options, w io.Writer) ([]*dcpi.Result, error) {
 			Workload:     "wave5",
 			Scale:        o.Scale,
 			Mode:         sim.ModeCycles,
-			Seed:         seedFor(o.SeedBase, "fig3", "wave5", i),
-			CyclesPeriod: o.DensePeriod,
+			Seed:         seedFor("fig3", "wave5", i),
+			CyclesPeriod: densePeriod,
 		})
 	}
 	var (

@@ -38,10 +38,9 @@ type Fig10Result struct {
 // The denser periods make these configurations distinct from the Figure
 // 8/9 runs, so they never falsely share cached simulations with them.
 func Fig10(o Options) (*Fig10Result, error) {
-	o = fig10Options(o)
 	defer o.span("Figure 10")()
 	res := &Fig10Result{}
-	err := forEachProcAnalysis(o, Fig10Workloads, sim.ModeDefault,
+	err := forEachProcAnalysis(o, Fig10Workloads, fig10Sampling,
 		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
 			if pa.Summary.TotalSamples < 8 {
 				return
@@ -76,12 +75,12 @@ func Fig10(o Options) (*Fig10Result, error) {
 	return res, nil
 }
 
-// fig10Options sets Figure 10's dense sampling periods.
-func fig10Options(o Options) Options {
-	o = o.withDefaults()
-	o.DensePeriod = sim.PeriodSpec{Base: 256, Spread: 64}
-	o.DenseEventPeriod = sim.PeriodSpec{Base: 64, Spread: 16}
-	return o
+// fig10Sampling is Figure 10's sampling: CYCLES and IMISS, both denser
+// than the Figure 8/9 runs.
+var fig10Sampling = dcpi.Config{
+	Mode:         sim.ModeDefault,
+	CyclesPeriod: sim.PeriodSpec{Base: 256, Spread: 64},
+	EventPeriod:  sim.PeriodSpec{Base: 64, Spread: 16},
 }
 
 // FormatFig10 renders the scatter and correlations.

@@ -71,8 +71,8 @@ func LossSweep(o Options) (*LossResult, error) {
 			Workload:           wl,
 			Scale:              scale,
 			Mode:               sim.ModeCycles,
-			Seed:               seedFor(o.SeedBase, "loss", wl, run),
-			CyclesPeriod:       o.DensePeriod,
+			Seed:               seedFor("loss", wl, run),
+			CyclesPeriod:       densePeriod,
 			ZeroCostCollection: true,
 			DriverBuckets:      buckets,
 			DriverOverflow:     overflow,

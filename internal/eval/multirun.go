@@ -46,7 +46,7 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 	pending := make([][]*runner.Pending, len(AccuracyWorkloads))
 	for wi, wl := range AccuracyWorkloads {
 		for run := 0; run < runs; run++ {
-			pending[wi] = append(pending[wi], o.Runner.Submit(accCfg(o, wl, sim.ModeCycles, run)))
+			pending[wi] = append(pending[wi], o.Runner.Submit(accCfg(o, wl, run, denseCycles)))
 		}
 	}
 

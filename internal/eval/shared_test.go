@@ -9,7 +9,6 @@ import (
 	"dcpi/internal/image"
 	"dcpi/internal/obs"
 	"dcpi/internal/runner"
-	"dcpi/internal/sim"
 )
 
 // TestSharedAnalysesEqualFresh runs Figures 10, 8 and 9 on one runner, where
@@ -64,10 +63,10 @@ func TestSharedAnalysesEqualFresh(t *testing.T) {
 		imageProcs[proc{nil, im, s}] = true
 		runs[r] = true
 	}
-	if err := forEachProcAnalysis(fig10Options(o), Fig10Workloads, sim.ModeDefault, record); err != nil {
+	if err := forEachProcAnalysis(o, Fig10Workloads, fig10Sampling, record); err != nil {
 		t.Fatal(err)
 	}
-	if err := forEachProcAnalysis(o, AccuracyWorkloads, sim.ModeCycles, record); err != nil {
+	if err := forEachProcAnalysis(o, AccuracyWorkloads, denseCycles, record); err != nil {
 		t.Fatal(err)
 	}
 	if after := counts(); after != before {

@@ -97,28 +97,9 @@ func (im *Image) MetaTable() []alpha.InstMeta {
 	return im.meta
 }
 
-// LineOf returns the source line of the instruction at byte offset off, or
-// 0 when the image has no line information.
-func (im *Image) LineOf(off uint64) int {
-	idx := int(off / alpha.InstBytes)
-	if im.Lines == nil || idx >= len(im.Lines) {
-		return 0
-	}
-	return im.Lines[idx]
-}
-
 // Size returns the image's code size in bytes.
 func (im *Image) Size() uint64 {
 	return uint64(len(im.Code)) * alpha.InstBytes
-}
-
-// InstAt returns the instruction at byte offset off.
-func (im *Image) InstAt(off uint64) (alpha.Inst, bool) {
-	idx := off / alpha.InstBytes
-	if off%alpha.InstBytes != 0 || idx >= uint64(len(im.Code)) {
-		return alpha.Inst{}, false
-	}
-	return im.Code[idx], true
 }
 
 // SymbolAt returns the procedure containing byte offset off.

@@ -46,20 +46,6 @@ func TestSymbolAt(t *testing.T) {
 	}
 }
 
-func TestInstAt(t *testing.T) {
-	im := testImage(t)
-	in, ok := im.InstAt(4)
-	if !ok || in.Op != alpha.OpADDQ {
-		t.Errorf("InstAt(4) = %v, %v", in, ok)
-	}
-	if _, ok := im.InstAt(2); ok {
-		t.Error("misaligned offset resolved")
-	}
-	if _, ok := im.InstAt(100); ok {
-		t.Error("out-of-range offset resolved")
-	}
-}
-
 func TestProcCode(t *testing.T) {
 	im := testImage(t)
 	code, off, err := im.ProcCode("second")
@@ -93,23 +79,5 @@ func TestValidateCatchesOverrun(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if KindExecutable.String() != "executable" || KindShared.String() != "shared" || KindKernel.String() != "kernel" {
 		t.Error("kind strings wrong")
-	}
-}
-
-func TestLineOf(t *testing.T) {
-	im := testImage(t)
-	// testImage's source: line 1 blank, "first:" on 2, instructions follow.
-	if got := im.LineOf(0); got == 0 {
-		t.Errorf("LineOf(0) = %d, want a real line", got)
-	}
-	if got := im.LineOf(4); got <= im.LineOf(0) {
-		t.Errorf("line numbers not increasing: %d then %d", im.LineOf(0), got)
-	}
-	if got := im.LineOf(1 << 20); got != 0 {
-		t.Errorf("LineOf(out of range) = %d", got)
-	}
-	im.Lines = nil
-	if got := im.LineOf(0); got != 0 {
-		t.Errorf("LineOf without line info = %d", got)
 	}
 }

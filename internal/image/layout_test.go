@@ -108,7 +108,7 @@ func TestWithLayoutCarriesLines(t *testing.T) {
 	// An unmodified procedure keeps its source lines at its new offsets.
 	so, _ := im.Symbol("tail")
 	sn, _ := out.Symbol("tail")
-	if got, want := out.LineOf(sn.Offset), im.LineOf(so.Offset); got != want {
+	if got, want := out.Lines[sn.Offset/alpha.InstBytes], im.Lines[so.Offset/alpha.InstBytes]; got != want {
 		t.Errorf("tail line = %d, want %d", got, want)
 	}
 	// A replaced body has no line info.
@@ -119,7 +119,7 @@ func TestWithLayoutCarriesLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr, _ := out2.Symbol("tail")
-	if got := out2.LineOf(sr.Offset); got != 0 {
+	if got := out2.Lines[sr.Offset/alpha.InstBytes]; got != 0 {
 		t.Errorf("replaced body has line %d, want 0", got)
 	}
 }

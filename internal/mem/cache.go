@@ -143,11 +143,3 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Accesses returns the total number of lookups.
 func (c *Cache) Accesses() uint64 { return c.Hits + c.Misses }
-
-// MissRate returns misses/accesses, or 0 if no accesses.
-func (c *Cache) MissRate() float64 {
-	if a := c.Accesses(); a > 0 {
-		return float64(c.Misses) / float64(a)
-	}
-	return 0
-}

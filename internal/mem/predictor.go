@@ -27,11 +27,6 @@ func (p *Predictor) index(pc uint64) int {
 	return int((pc >> 2) & p.mask)
 }
 
-// Predict returns the predicted direction for the branch at pc.
-func (p *Predictor) Predict(pc uint64) bool {
-	return p.counters[p.index(pc)] >= 2
-}
-
 // Update records the actual direction and reports whether the prediction was
 // wrong (a mispredict).
 func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
@@ -48,12 +43,4 @@ func (p *Predictor) Update(pc uint64, taken bool) (mispredicted bool) {
 		return true
 	}
 	return false
-}
-
-// MispredictRate returns mispredicts/predictions, or 0 if none.
-func (p *Predictor) MispredictRate() float64 {
-	if p.Predictions == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Predictions)
 }

@@ -91,20 +91,6 @@ func (t *TLB) Probe(asn uint32, vpage uint64) bool {
 	return hit
 }
 
-// Flush drops all translations (e.g. on a full TLB invalidate).
-func (t *TLB) Flush() {
-	clear(t.entries)
-}
-
-// FlushASN drops translations belonging to one address space.
-func (t *TLB) FlushASN(asn uint32) {
-	for i := range t.entries {
-		if t.entries[i].asn == asn {
-			t.entries[i].stamp = 0
-		}
-	}
-}
-
 // Len returns the number of resident translations.
 func (t *TLB) Len() int {
 	n := 0
@@ -118,12 +104,3 @@ func (t *TLB) Len() int {
 
 // Capacity returns the TLB's entry count.
 func (t *TLB) Capacity() int { return len(t.entries) }
-
-// MissRate returns misses/lookups, or 0 if none.
-func (t *TLB) MissRate() float64 {
-	total := t.Hits + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(total)
-}

@@ -134,19 +134,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add increments the gauge by delta (atomic read-modify-write).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -179,15 +166,6 @@ func newHistogram(bounds []float64) *Histogram {
 	h.min.init()
 	h.max.init()
 	return h
-}
-
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExpBuckets returns n bounds start, start*factor, start*factor², ...

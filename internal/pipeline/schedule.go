@@ -183,13 +183,3 @@ func (m Model) ScheduleBlock(code []alpha.Inst) []SchedInst {
 	}
 	return out
 }
-
-// BlockBestCase sums Mᵢ over the block: the "best-case" cycles the paper's
-// dcpicalc reports (Figure 2's "Best-case 8/13 = 0.62CPI").
-func BlockBestCase(sched []SchedInst) int64 {
-	var total int64
-	for _, s := range sched {
-		total += s.M
-	}
-	return total
-}

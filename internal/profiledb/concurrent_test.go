@@ -143,7 +143,7 @@ func TestConcurrentReadWhileWrite(t *testing.T) {
 	// A writer reopening the directory still recovers its current epoch
 	// (deleting stale temp files) — read-only restraint is a property of
 	// OpenReader alone, not a regression of writer recovery.
-	staleLatest := filepath.Join(w.Root(), "epoch-0040", "inflight.prof.tmp")
+	staleLatest := filepath.Join(dir, "epoch-0040", "inflight.prof.tmp")
 	if err := os.WriteFile(staleLatest, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -302,9 +302,6 @@ func parseEpochName(name string) (int, bool) {
 	return n, true
 }
 
-// Root returns the database directory.
-func (db *DB) Root() string { return db.root }
-
 // Epoch returns the current epoch number.
 func (db *DB) Epoch() int { return db.epoch }
 
@@ -376,11 +373,6 @@ func readFile(path string) (*Profile, error) {
 type RecoveryReport struct {
 	Quarantined []string // unreadable profiles renamed aside as NAME.bad
 	Removed     []string // stale temp files deleted
-}
-
-// Clean reports whether recovery found nothing to repair.
-func (r RecoveryReport) Clean() bool {
-	return len(r.Quarantined) == 0 && len(r.Removed) == 0
 }
 
 // Recover scans the current epoch for the damage a crashed writer can leave

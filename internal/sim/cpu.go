@@ -87,8 +87,8 @@ type CPU struct {
 	// same page skips the DTB lookup and the translation, and counts the DTB
 	// hit alone. That is exact on two conditions:
 	//
-	//  1. dataAccess is the DTB's only Lookup caller, and nothing in sim
-	//     flushes the DTB. So the page is resident and holds the largest
+	//  1. dataAccess is the DTB's only Lookup caller, and mem.TLB has no
+	//     flush. So the page is resident and holds the largest
 	//     stamp; a Lookup would hit, and skipping its tick++ and stamp
 	//     write leaves the order of all stamps as it was.
 	//  2. A page's frame is fixed after its first Translate, which is also
@@ -194,7 +194,7 @@ func newCPU(id int, m *Machine) *CPU {
 		// Steady-state scratch, sized once so the sample path never grows
 		// it: skewed holds at most a few miss events per issue group.
 		skewed:            make([]Event, 0, 8),
-		pmap:              mem.NewPageMapper(m.physPages, m.seed),
+		pmap:              mem.NewPageMapper(physPages, m.seed),
 		kmem:              mem.NewSparse(),
 		texts:             make(map[*image.Image]*textWindow),
 		nextMux:           math.MaxInt64,
@@ -229,7 +229,7 @@ func newCPU(id int, m *Machine) *CPU {
 	}
 	c.metaSamples = m.cfg.MetaSamples && c.cycEnabled
 	c.nextTimer = m.timerInterval
-	c.nextPoll = m.cfg.PollInterval
+	c.nextPoll = pollInterval
 	c.setNextEvent()
 	return c
 }
@@ -742,7 +742,7 @@ func (c *CPU) step() bool {
 
 	if c.clock >= c.nextEvent && c.sink != nil && c.clock >= c.nextPoll {
 		c.clock += c.sink.Poll(c.id, c.clock)
-		c.nextPoll = c.clock + c.m.cfg.PollInterval
+		c.nextPoll = c.clock + pollInterval
 		c.setNextEvent()
 	}
 

@@ -29,7 +29,7 @@ func newUnmemoized(m *Machine) *unmemoized {
 	return &unmemoized{
 		model:  m.Model,
 		dtb:    mem.NewTLB(h.DTBEntries),
-		pmap:   mem.NewPageMapper(m.physPages, m.seed),
+		pmap:   mem.NewPageMapper(physPages, m.seed),
 		dcache: mem.NewCache(h.DCache.CacheConfig("dcache")),
 		board:  mem.NewCache(h.Board.CacheConfig("board")),
 		wb:     mem.NewWriteBuffer(h.WBEntries, h.WBDrainCycles),

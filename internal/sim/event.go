@@ -164,6 +164,9 @@ type Sink interface {
 	Poll(cpu int, clock int64) (cycles int64)
 }
 
+// pollInterval is the cycles between polls of the profiling sink.
+const pollInterval = 64 * 1024
+
 // ProfileConfig configures the machine's profiling subsystem.
 type ProfileConfig struct {
 	Mode         Mode
@@ -172,7 +175,6 @@ type ProfileConfig struct {
 	EventPeriod  PeriodSpec // zero value -> DefaultEventPeriod
 	MuxInterval  int64      // cycles between mux rotations; 0 -> 1M
 	Seed         uint32     // period-randomization seed; 0 -> 1
-	PollInterval int64      // cycles between sink polls; 0 -> 64K
 	// DoubleSample turns on the paper's §7 double-sampling prototype: each
 	// CYCLES interrupt schedules a second interrupt immediately after it
 	// returns, capturing the next head instruction's PC too and yielding
@@ -200,9 +202,6 @@ func (c ProfileConfig) withDefaults() ProfileConfig {
 	}
 	if c.MuxInterval == 0 {
 		c.MuxInterval = 1 << 20
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 64 * 1024
 	}
 	return c
 }

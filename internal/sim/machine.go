@@ -15,6 +15,9 @@ import (
 	"dcpi/internal/pipeline"
 )
 
+// physPages is the simulated physical memory: 64K pages (512 MB).
+const physPages = 64 * 1024
+
 // Options configures a Machine.
 type Options struct {
 	// HW is the full hardware description (cache geometries, TLB and
@@ -28,8 +31,7 @@ type Options struct {
 
 	// Seed drives virtual-to-physical page placement; different seeds model
 	// different runs of the same workload (the wave5 variance effect).
-	Seed      uint64
-	PhysPages uint64 // 0 -> 64K pages (512 MB)
+	Seed uint64
 
 	Quantum       int64 // context-switch quantum in cycles; 0 -> 400K
 	TimerInterval int64 // timer-interrupt interval; 0 -> same as Quantum
@@ -124,7 +126,6 @@ type Machine struct {
 	timerInterval int64
 	nextCPU       int
 	simWorkers    int
-	physPages     uint64
 	seed          uint64
 
 	// running guards the spawn path and Stats: processes are created during
@@ -161,10 +162,6 @@ func NewMachine(opts Options) *Machine {
 	if ncpu == 0 {
 		ncpu = 1
 	}
-	physPages := opts.PhysPages
-	if physPages == 0 {
-		physPages = 64 * 1024
-	}
 	quantum := opts.Quantum
 	if quantum == 0 {
 		quantum = 400_000
@@ -185,7 +182,6 @@ func NewMachine(opts Options) *Machine {
 		quantum:       quantum,
 		timerInterval: timer,
 		simWorkers:    opts.SimWorkers,
-		physPages:     physPages,
 		seed:          opts.Seed,
 	}
 	if opts.CollectExact {

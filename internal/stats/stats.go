@@ -5,7 +5,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -62,37 +61,6 @@ func CI95(xs []float64) float64 {
 		return 0
 	}
 	return T95(n-1) * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// MinMax returns the extrema (0, 0 for empty input).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Correlation returns the Pearson correlation coefficient of the paired
@@ -152,20 +120,4 @@ func (h *Histogram) Add(x, weight float64) {
 func (h *Histogram) BucketLabel(i int) (lo, hi float64) {
 	lo = h.Lo + float64(i)*h.Width
 	return lo, lo + h.Width
-}
-
-// FractionWithin returns the share of weight with |x| <= bound, assuming a
-// histogram centered at zero.
-func (h *Histogram) FractionWithin(bound float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var w float64
-	for i := range h.Buckets {
-		lo, hi := h.BucketLabel(i)
-		if lo >= -bound-1e-12 && hi <= bound+1e-12 {
-			w += h.Buckets[i]
-		}
-	}
-	return w / h.Total
 }

@@ -86,10 +86,6 @@ type Point struct {
 	Period  float64
 }
 
-// Cycles returns the cycles this point attributes to its series
-// (samples × average sampling period).
-func (p Point) Cycles() float64 { return float64(p.Samples) * p.Period }
-
 // Record is the per-series part of an Append batch. Proc is empty for the
 // image-level total and names a procedure for a per-procedure breakdown
 // row.
@@ -287,9 +283,6 @@ func parseFileName(name string) (seq uint64, isBlock, ok bool) {
 
 func segName(seq uint64) string { return fmt.Sprintf("seg-%08d.tsdb", seq) }
 func blkName(seq uint64) string { return fmt.Sprintf("blk-%08d.tsdb", seq) }
-
-// Dir returns the store directory.
-func (db *DB) Dir() string { return db.dir }
 
 // Append durably writes one batch as a new raw segment and indexes its
 // points. Re-appending an epoch the store already holds is allowed (a

@@ -83,15 +83,6 @@ func Names() []string {
 	return out
 }
 
-// All returns every spec, sorted by name.
-func All() []Spec {
-	var out []Spec
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
 // newProcess assembles src into an executable image, creates a process with
 // the given shared libraries, and spawns it on the machine (if there is one).
 // The loader keeps one image per path, so only the first process of a

@@ -63,8 +63,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("names[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
-	for _, s := range All() {
-		if s.Description == "" || s.Setup == nil || s.NumCPUs < 1 {
+	for _, name := range Names() {
+		if s, _ := Get(name); s.Description == "" || s.Setup == nil || s.NumCPUs < 1 {
 			t.Errorf("spec %q incomplete", s.Name)
 		}
 	}
@@ -73,8 +73,8 @@ func TestRegistryComplete(t *testing.T) {
 // TestAllWorkloadsRunToCompletion runs every workload at tiny scale and
 // checks that every process exits without faults.
 func TestAllWorkloadsRunToCompletion(t *testing.T) {
-	for _, spec := range All() {
-		spec := spec
+	for _, name := range Names() {
+		spec, _ := Get(name)
 		t.Run(spec.Name, func(t *testing.T) {
 			m, l := runSpec(t, spec.Name, 0.05, 1<<31)
 			st := m.Stats()
@@ -157,8 +157,8 @@ func TestTimeshareSleepsAndWakes(t *testing.T) {
 // A Ctx without a machine builds a shell: set-up must produce the same
 // processes, registers and mappings as for a run, and write no memory.
 func TestSetupWithoutMachineWritesNoMemory(t *testing.T) {
-	for _, spec := range All() {
-		spec := spec
+	for _, name := range Names() {
+		spec, _ := Get(name)
 		t.Run(spec.Name, func(t *testing.T) {
 			kernel, abi := Kernel()
 			live := loader.New(kernel)
@@ -214,7 +214,8 @@ func TestStaticInstIsTheRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		tab := pipeline.NewTables(cfg.Resolved().Model)
-		for _, ws := range All() {
+		for _, wl := range Names() {
+			ws, _ := Get(wl)
 			kernel, _ := Kernel()
 			l := loader.New(kernel)
 			if err := ws.Setup(&Ctx{Loader: l, Scale: 0.05}); err != nil {
