@@ -58,6 +58,9 @@ chase:
 	ret  (ra)
 `
 
+// period is the CYCLES sampling period of the run.
+var period = sim.PeriodSpec{Base: 2048, Spread: 512}
+
 func main() {
 	// 1. Build the machine: kernel, loader, CPU.
 	kernel, abi := workload.Kernel()
@@ -76,7 +79,7 @@ func main() {
 		Profile: sim.ProfileConfig{
 			Mode:         sim.ModeCycles,
 			Sink:         sink{drv, dmn},
-			CyclesPeriod: sim.PeriodSpec{Base: 2048, Spread: 512},
+			CyclesPeriod: period,
 		},
 	})
 
@@ -127,7 +130,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pa := analysis.AnalyzeProc("chase", code, base, samples, nil, m.Model, 2304)
+	pa := analysis.AnalyzeProc("chase", code, base, samples, nil, m.Model, period.Mean())
 	fmt.Printf("\nchase: best-case %.2f CPI, actual %.2f CPI\n\n", pa.BestCaseCPI, pa.ActualCPI)
 	dcpi.FormatCalc(os.Stdout, pa)
 }

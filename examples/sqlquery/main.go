@@ -105,6 +105,9 @@ hash_probe:
 
 const rows = 20000
 
+// period is the CYCLES sampling period of both plans' runs.
+var period = sim.PeriodSpec{Base: 2048, Spread: 512}
+
 func runPlan(name, src string) (int64, *planResult) {
 	kernel, abi := workload.Kernel()
 	l := loader.New(kernel)
@@ -116,7 +119,7 @@ func runPlan(name, src string) (int64, *planResult) {
 		Profile: sim.ProfileConfig{
 			Mode:         sim.ModeCycles,
 			Sink:         planSink{drv, dmn},
-			CyclesPeriod: sim.PeriodSpec{Base: 2048, Spread: 512},
+			CyclesPeriod: period,
 		},
 	})
 	exec := image.New(name, "/usr/sbin/"+name, image.KindExecutable, alpha.MustAssemble(src))
@@ -205,7 +208,7 @@ func main() {
 		log.Fatal(err)
 	}
 	pa := analysis.AnalyzeProc("nested_loop_join", code, base, samples, nil,
-		slow.machine.Model, 2304)
+		slow.machine.Model, period.Mean())
 	fmt.Printf("nested_loop_join: best-case %.2f CPI, actual %.2f CPI\n",
 		pa.BestCaseCPI, pa.ActualCPI)
 	fmt.Printf("dcpicalc blames (Figure 4 view):\n")

@@ -121,6 +121,33 @@ func TestSourceGuards(t *testing.T) {
 			"one block layout (raw fidelity; a downsampled block is quarantined on open) and no cycle-counter read: no downsampling, its flags, or rpcc",
 		},
 		{
+			// A count of samples becomes a count of events through one mean
+			// period, and a zero period spec means one default. (bench/ is
+			// the benchmark's own module.)
+			regexp.MustCompile(`Spread\)?\s*/\s*2\b|\bDefault(Cycles|Event)Period\b`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/sim", "bench") },
+			"a second period model: a period's mean is sim.PeriodSpec.Mean, and sim.ProfileConfig.WithDefaults resolves a zero spec to its default",
+		},
+		{
+			// The accuracy suite's dense periods have one home.
+			regexp.MustCompile(`\{Base: (768|384)\b`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/sim", "bench") },
+			"dense periods written out: use sim.DenseCyclesPeriod and sim.DenseEventPeriod",
+		},
+		{
+			// Test files too: a database's recorded means are numbers, never a
+			// spec made up to have them. The class keeps this line from matching.
+			regexp.MustCompile(`\b[m]eanPeriod\b`),
+			func(f file) bool { return !in(f, "bench") },
+			"an offline Result carries the recorded means as numbers (Result.recorded): no period spec is made up from a mean",
+		},
+		{
+			// The edge-sample key is packed and unpacked beside each other.
+			regexp.MustCompile(`\bkey\s*>>\s*32\b|&\s*0xffffffff\b`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/daemon", "bench") },
+			"hand-decoded edge key: use daemon.UnpackEdge (analysis reads decoded analysis.EdgePair keys)",
+		},
+		{
 			// Work spreads over goroutines through one pool. (bench/ is the
 			// benchmark's own module and keeps its harness.)
 			regexp.MustCompile(`sync\.WaitGroup`),

@@ -12,7 +12,7 @@ import (
 // analyzeMaps runs Analyze on inputs keyed by image byte offset, the way a
 // profile holds them: imiss nil means not collected, dtb nil means not
 // monitored, and dtb counts anywhere in the procedure rule the DTB in.
-func analyzeMaps(code []alpha.Inst, base uint64, samples, imiss, dtb, edges map[uint64]uint64) *ProcAnalysis {
+func analyzeMaps(code []alpha.Inst, base uint64, samples, imiss, dtb map[uint64]uint64, edges map[EdgePair]uint64) *ProcAnalysis {
 	perInst := func(m map[uint64]uint64) []uint64 {
 		out := make([]uint64, len(code))
 		for i := range out {

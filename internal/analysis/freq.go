@@ -35,9 +35,9 @@ type Inputs struct {
 	// (IMISS samples scaled by their period); nil when not collected.
 	IMissEvents []uint64
 	// EdgeSamples holds double-sampling edge samples (paper §7) whose two
-	// ends both lie in the procedure, keyed by packed (fromOffset<<32 |
-	// toOffset) image offsets; nil when the run collected none.
-	EdgeSamples map[uint64]uint64
+	// ends both lie in the procedure, by pair; nil when the run collected
+	// none.
+	EdgeSamples map[EdgePair]uint64
 	// DTBCollected reports that data-TLB misses were monitored (the DTBMISS
 	// samples §3.2 mentions; they rotate into the mux configuration), and
 	// DTBMisses how many of those samples landed in the procedure. Because
@@ -45,6 +45,9 @@ type Inputs struct {
 	DTBCollected bool
 	DTBMisses    uint64
 }
+
+// EdgePair is a double-sampling pair's two image offsets, in issue order.
+type EdgePair struct{ From, To uint64 }
 
 // AnalyzeProc runs the full analysis of one procedure that is not part of a
 // shared image: it builds the CFG of code and analyses it with Analyze.
@@ -99,7 +102,7 @@ func Analyze(name string, g *cfg.Graph, in Inputs, model pipeline.Model, period 
 // different block B that A flows to (or A's own head, for a back edge).
 // The per-edge counts let propagation split a known block frequency across
 // otherwise-undetermined successor edges.
-func (pa *ProcAnalysis) mapEdgeSamples(edges map[uint64]uint64) {
+func (pa *ProcAnalysis) mapEdgeSamples(edges map[EdgePair]uint64) {
 	if edges == nil {
 		return
 	}
@@ -107,14 +110,12 @@ func (pa *ProcAnalysis) mapEdgeSamples(edges map[uint64]uint64) {
 	lo := pa.BaseOffset
 	hi := pa.BaseOffset + uint64(len(pa.Insts))*alpha.InstBytes
 	pa.EdgeSampleCounts = make([]uint64, len(g.Edges))
-	for key, n := range edges {
-		fromOff := key >> 32
-		toOff := key & 0xffffffff
-		if fromOff < lo || fromOff >= hi || toOff < lo || toOff >= hi {
+	for e, n := range edges {
+		if e.From < lo || e.From >= hi || e.To < lo || e.To >= hi {
 			continue
 		}
-		a := int(fromOff-lo) / alpha.InstBytes
-		b := int(toOff-lo) / alpha.InstBytes
+		a := int(e.From-lo) / alpha.InstBytes
+		b := int(e.To-lo) / alpha.InstBytes
 		ba, bb := g.BlockOfInst(a), g.BlockOfInst(b)
 		if bb != ba || b == g.Blocks[bb].Start {
 			// Find the CFG edge A->B.

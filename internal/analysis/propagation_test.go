@@ -102,9 +102,9 @@ p:
 	// samples and B ~80, but make edge samples say the skip (taken) edge
 	// carries only 10%.
 	perInst := map[int]uint64{0: 100, 1: 100, 2: 80, 3: 80, 4: 100, 5: 100}
-	edgeSamples := map[uint64]uint64{
-		(4 << 32) | 16: 10, // beq taken -> .skip head
-		(4 << 32) | 8:  90, // fallthrough -> nop arm
+	edgeSamples := map[EdgePair]uint64{
+		{From: 4, To: 16}: 10, // beq taken -> .skip head
+		{From: 4, To: 8}:  90, // fallthrough -> nop arm
 	}
 	pa := analyzeMaps(code, 0, synthSamples(0, perInst), nil, nil, edgeSamples)
 
@@ -157,10 +157,10 @@ func TestCPITimesFreqIdentity(t *testing.T) {
 // dropped rather than misattributed.
 func TestMapEdgeSamplesIgnoresOutOfRange(t *testing.T) {
 	code := alpha.MustAssemble("p:\n addq t0, 1, t1\n ret (ra)").Code
-	edges := map[uint64]uint64{
-		(999999 << 32) | 0: 5, // from outside
-		(0 << 32) | 999999: 5, // to outside
-		(0 << 32) | 4:      7, // valid: inst 0 -> inst 1 (same block, not head)
+	edges := map[EdgePair]uint64{
+		{From: 999999, To: 0}: 5, // from outside
+		{From: 0, To: 999999}: 5, // to outside
+		{From: 0, To: 4}:      7, // valid: inst 0 -> inst 1 (same block, not head)
 	}
 	pa := analyzeMaps(code, 0, map[uint64]uint64{0: 50}, nil, nil, edges)
 	if pa.EdgeSampleCounts == nil {

@@ -338,6 +338,9 @@ func (d *Daemon) process(cpu int, entries []driver.Entry) {
 // key: from in the high 32 bits, to in the low.
 func PackEdge(from, to uint64) uint64 { return from<<32 | to }
 
+// UnpackEdge returns the (from, to) offset pair PackEdge packed into key.
+func UnpackEdge(key uint64) (from, to uint64) { return key >> 32, key & 0xffffffff }
+
 func (d *Daemon) profile(sh *shard, k profKey) *profiledb.Profile {
 	p, ok := sh.profiles[k]
 	if !ok {

@@ -1,12 +1,16 @@
 package dcpi
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcpi/internal/analysis"
 	"dcpi/internal/cfg"
+	"dcpi/internal/daemon"
+	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
 )
 
@@ -31,7 +35,7 @@ func TestDoubleSamplingProducesEdgeProfiles(t *testing.T) {
 	im, _ := r.Loader.ImageByPath("/usr/bin/compress")
 	var backEdges uint64
 	for key, n := range edge.Counts {
-		from, to := key>>32, key&0xffffffff
+		from, to := daemon.UnpackEdge(key)
 		if from >= im.Size() || to >= im.Size() {
 			t.Fatalf("edge key out of image: %#x -> %#x", from, to)
 		}
@@ -182,8 +186,9 @@ func TestOfflineView(t *testing.T) {
 
 // An offline tool reads a database with the periods the run sampled at: its
 // mean periods, and so every frequency the analysis derives from them, are
-// the live run's. That holds for the default periods, for a mean that is a
-// half, and for a database without metadata, which means the defaults.
+// the live run's. That holds for the default periods, the dense ones, means
+// that are a half (dcpid -period 1008 samples at {1008, 63}), and a database
+// without metadata, which means the defaults.
 func TestOfflinePeriodsMatchLive(t *testing.T) {
 	compare := func(t *testing.T, live, off *Result) {
 		t.Helper()
@@ -205,10 +210,15 @@ func TestOfflinePeriodsMatchLive(t *testing.T) {
 			}
 		}
 	}
-	for _, period := range []sim.PeriodSpec{{}, {Base: 2048, Spread: 511}} {
+	for _, period := range [][2]sim.PeriodSpec{
+		{},
+		{{Base: 2048, Spread: 511}, {Base: 2048, Spread: 511}},
+		{sim.DenseCyclesPeriod, sim.DenseEventPeriod},
+		{{Base: 1008, Spread: 63}, {Base: 1008, Spread: 63}},
+	} {
 		dir := filepath.Join(t.TempDir(), "db")
 		live, err := Run(Config{Workload: "mccalpin-assign", Mode: sim.ModeDefault, Seed: 5, Scale: 0.1,
-			CyclesPeriod: period, EventPeriod: period, DBDir: dir})
+			CyclesPeriod: period[0], EventPeriod: period[1], DBDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +227,7 @@ func TestOfflinePeriodsMatchLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		compare(t, live, off)
-		if period != (sim.PeriodSpec{}) {
+		if period != ([2]sim.PeriodSpec{}) {
 			continue
 		}
 		metas, err := filepath.Glob(filepath.Join(dir, "epoch-*", "epoch.meta"))
@@ -231,6 +241,63 @@ func TestOfflinePeriodsMatchLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		compare(t, live, off)
+	}
+}
+
+// OpenView refuses a recorded mean period that is negative, naming the
+// database, and reads a large finite one as the number it is.
+func TestOpenViewChecksRecordedPeriods(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if _, err := Run(Config{Workload: "mccalpin-assign", Mode: sim.ModeDefault, Seed: 5, Scale: 0.1, DBDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	metas, err := filepath.Glob(filepath.Join(dir, "epoch-*", "epoch.meta"))
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("epoch metadata files: %v, %v", metas, err)
+	}
+	data, err := os.ReadFile(metas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded profiledb.Meta
+	if err := json.Unmarshal(data, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ cycles, event float64 }{{-5, 0}, {0, -5}, {1e300, 0}} {
+		meta := recorded
+		if c.cycles != 0 {
+			meta.CyclesPeriod = c.cycles
+		}
+		if c.event != 0 {
+			meta.EventPeriod = c.event
+		}
+		data, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metas[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		off, err := OpenView(dir, "")
+		if c.cycles < 0 || c.event < 0 {
+			if err == nil || !strings.Contains(err.Error(), dir) {
+				t.Errorf("periods %v, %v: OpenView error %v, want one naming %s", c.cycles, c.event, err, dir)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := off.AvgCyclesPeriod(); got != c.cycles {
+			t.Errorf("recorded mean %v read as %v", c.cycles, got)
+		}
+		pa, err := off.AnalyzeProc("/bin/mccalpin", "copyloop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := pa.Insts[0].Freq; f <= 0 {
+			t.Errorf("recorded mean %v: instruction 0's frequency %v", c.cycles, f)
+		}
 	}
 }
 

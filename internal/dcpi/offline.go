@@ -2,6 +2,7 @@ package dcpi
 
 import (
 	"fmt"
+	"math"
 
 	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
@@ -31,9 +32,9 @@ func SetupImages(workloadName string) (*loader.Loader, error) {
 // OpenView loads a database and the images of the workload recorded in its
 // metadata (or workloadName if the database has none), staged at the scale
 // the metadata records so that code generated from the scale matches what
-// was profiled. The result serves the same tools a live run's does; its
-// Config carries the recorded workload, mode and mean sampling periods (the
-// simulator's defaults when the database has no metadata).
+// was profiled. The result serves the same tools a live run's does: its
+// Config carries the recorded workload and mode, its Avg…Period the recorded
+// means (the defaults where none is; a negative or infinite one is an error).
 func OpenView(dbDir, workloadName string) (*Result, error) {
 	db, err := profiledb.Open(dbDir)
 	if err != nil {
@@ -48,6 +49,11 @@ func OpenView(dbDir, workloadName string) (*Result, error) {
 	}
 	if workloadName != "" {
 		meta.Workload = workloadName
+	}
+	for _, p := range []float64{meta.CyclesPeriod, meta.EventPeriod} {
+		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("dcpi: database %s records an invalid mean period %v", dbDir, p)
+		}
 	}
 	scale := meta.Scale
 	if scale == 0 {
@@ -68,25 +74,12 @@ func OpenView(dbDir, workloadName string) (*Result, error) {
 		}
 	}
 	return &Result{
-		Config: Config{
-			Workload:     meta.Workload,
-			Mode:         mode,
-			CyclesPeriod: meanPeriod(meta.CyclesPeriod),
-			EventPeriod:  meanPeriod(meta.EventPeriod),
-		},
+		Config:   Config{Workload: meta.Workload, Mode: mode},
+		recorded: [2]float64{meta.CyclesPeriod, meta.EventPeriod},
 		Wall:     meta.WallCycles,
 		Loader:   sh.loader,
 		DB:       db,
 		profiles: profiles,
 		model:    sh.model,
 	}, nil
-}
-
-// meanPeriod returns a period whose mean, Base + Spread/2 as
-// AvgCyclesPeriod computes it, is the recorded mean avg. A recorded mean is
-// such a sum, so it is a whole number or a half; 0 (nothing recorded) gives
-// the zero period, which means the simulator's default.
-func meanPeriod(avg float64) sim.PeriodSpec {
-	base := int64(avg)
-	return sim.PeriodSpec{Base: base, Spread: int64(2 * (avg - float64(base)))}
 }

@@ -18,6 +18,7 @@ import (
 
 	"dcpi/internal/alpha"
 	"dcpi/internal/analysis"
+	"dcpi/internal/daemon"
 	"dcpi/internal/image"
 	"dcpi/internal/sim"
 )
@@ -49,7 +50,7 @@ type imageSplit struct {
 	// edges holds, by symbol index, the edge samples whose two ends both
 	// lie in the procedure (an empty map where none do); nil without an
 	// edge profile.
-	edges []map[uint64]uint64
+	edges []map[analysis.EdgePair]uint64
 }
 
 // split returns the image's split, building it on first use.
@@ -110,23 +111,19 @@ func splitCounts(im *image.Image, counts map[uint64]uint64) (perProc, perInst []
 	return perProc, perInst
 }
 
-// splitEdges divides double-sampling pairs, keyed by packed (from<<32 | to)
-// image offsets, among the procedures holding both ends.
-func splitEdges(im *image.Image, counts map[uint64]uint64) []map[uint64]uint64 {
-	out := make([]map[uint64]uint64, len(im.Symbols))
+// splitEdges divides double-sampling pairs, keyed as daemon.PackEdge packs
+// them, among the procedures holding both ends.
+func splitEdges(im *image.Image, counts map[uint64]uint64) []map[analysis.EdgePair]uint64 {
+	out := make([]map[analysis.EdgePair]uint64, len(im.Symbols))
 	for s := range out {
-		out[s] = make(map[uint64]uint64)
+		out[s] = make(map[analysis.EdgePair]uint64)
 	}
 	for key, n := range counts {
-		s, ok := im.SymbolIndexAt(key >> 32)
-		if !ok {
-			continue
+		from, to := daemon.UnpackEdge(key)
+		s, ok := im.SymbolIndexAt(from)
+		if t, tok := im.SymbolIndexAt(to); ok && tok && t == s {
+			out[s][analysis.EdgePair{From: from, To: to}] = n
 		}
-		sym := im.Symbols[s]
-		if to := key & 0xffffffff; to < sym.Offset || to >= sym.Offset+sym.Size {
-			continue
-		}
-		out[s][key] = n
 	}
 	return out
 }

@@ -179,9 +179,10 @@ type Result struct {
 	// rewrite actually changed, independent of sampling noise.
 	MachineStats sim.Stats
 
-	model pipeline.Model // the machine model the run was measured under
-	reg   *obs.Registry  // where the tool memos count their work; may be nil
-	tools toolMemo
+	model    pipeline.Model // the machine model the run was measured under
+	recorded [2]float64     // the cycles and event means OpenView's database recorded
+	reg      *obs.Registry  // where the tool memos count their work; may be nil
+	tools    toolMemo
 }
 
 // collector adapts the driver+daemon pair to the machine's sample sink.
@@ -471,19 +472,21 @@ func (r *Result) ExactImageInsts() map[string]uint64 {
 }
 
 // AvgCyclesPeriod returns the mean sampling period of the run.
-func (r *Result) AvgCyclesPeriod() float64 {
-	p := r.Config.CyclesPeriod
-	if p.Base == 0 {
-		p = sim.DefaultCyclesPeriod
-	}
-	return float64(p.Base) + float64(p.Spread)/2
-}
+func (r *Result) AvgCyclesPeriod() float64 { return r.periodMeans()[0] }
 
 // AvgEventPeriod returns the mean event-counter period of the run.
-func (r *Result) AvgEventPeriod() float64 {
-	p := r.Config.EventPeriod
-	if p.Base == 0 {
-		p = sim.DefaultEventPeriod
+func (r *Result) AvgEventPeriod() float64 { return r.periodMeans()[1] }
+
+// periodMeans returns the run's mean cycles and event periods: those of
+// Config's periods or, for a view OpenView opened, the ones its database
+// recorded; a recorded 0 leaves Config's zero spec, the simulator's default.
+func (r *Result) periodMeans() [2]float64 {
+	p := sim.ProfileConfig{CyclesPeriod: r.Config.CyclesPeriod, EventPeriod: r.Config.EventPeriod}.WithDefaults()
+	means := [2]float64{p.CyclesPeriod.Mean(), p.EventPeriod.Mean()}
+	for i, m := range r.recorded {
+		if m != 0 {
+			means[i] = m
+		}
 	}
-	return float64(p.Base) + float64(p.Spread)/2
+	return means
 }

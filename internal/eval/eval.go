@@ -124,16 +124,6 @@ var Fig10Workloads = []string{
 // seedBase salts every run's seed (see seedFor).
 const seedBase = 1000
 
-// densePeriod is the sampling period of the experiments that score the
-// analysis (Figures 1-3, 7-9, the loss sweep): the simulated equivalent of
-// the 21064's 4K fast mode scaled to our short runs, so procedures
-// accumulate paper-scale sample counts. denseEventPeriod is the miss
-// counters' period beside it.
-var (
-	densePeriod      = sim.PeriodSpec{Base: 768, Spread: 192}
-	denseEventPeriod = sim.PeriodSpec{Base: 384, Spread: 128}
-)
-
 // seedFor derives the seed for one run from its structural identity: the
 // experiment salt (empty for the plain per-run sweeps), workload, and run
 // index, mixed with seedBase through FNV-1a. The profiling mode is
@@ -172,7 +162,7 @@ func modeCfg(o Options, wl string, mode sim.Mode, run int) dcpi.Config {
 
 // denseCycles is the accuracy suite's sampling: CYCLES alone at the dense
 // periods (Figures 8 and 9, and the multi-run study).
-var denseCycles = dcpi.Config{Mode: sim.ModeCycles, CyclesPeriod: densePeriod, EventPeriod: denseEventPeriod}
+var denseCycles = dcpi.Config{Mode: sim.ModeCycles, CyclesPeriod: sim.DenseCyclesPeriod, EventPeriod: sim.DenseEventPeriod}
 
 // accCfg is run i of the accuracy suite's zero-cost, exact-counting
 // configuration, sampled as sampling says: its Mode, periods and §7

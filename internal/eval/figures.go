@@ -22,7 +22,7 @@ func Fig1(o Options, w io.Writer) error {
 		Scale:        o.Scale,
 		Mode:         sim.ModeDefault,
 		Seed:         seedFor("fig1", "x11perf", 0),
-		CyclesPeriod: densePeriod,
+		CyclesPeriod: sim.DenseCyclesPeriod,
 	})
 	if err != nil {
 		return fmt.Errorf("fig1: %w", err)
@@ -41,7 +41,7 @@ func Fig2(o Options, w io.Writer) error {
 		Scale:        o.Scale,
 		Mode:         sim.ModeCycles,
 		Seed:         seedFor("fig2", "mccalpin-assign", 0),
-		CyclesPeriod: densePeriod,
+		CyclesPeriod: sim.DenseCyclesPeriod,
 	})
 	if err != nil {
 		return fmt.Errorf("fig2: %w", err)
@@ -65,7 +65,7 @@ func Fig7(o Options, w io.Writer) error {
 		Scale:              o.Scale,
 		Mode:               sim.ModeCycles,
 		Seed:               seedFor("fig7", "mccalpin-assign", 0),
-		CyclesPeriod:       densePeriod,
+		CyclesPeriod:       sim.DenseCyclesPeriod,
 		ZeroCostCollection: true,
 	})
 	if err != nil {
@@ -93,7 +93,7 @@ func Fig3(o Options, w io.Writer) ([]*dcpi.Result, error) {
 			Scale:        o.Scale,
 			Mode:         sim.ModeCycles,
 			Seed:         seedFor("fig3", "wave5", i),
-			CyclesPeriod: densePeriod,
+			CyclesPeriod: sim.DenseCyclesPeriod,
 		})
 	}
 	var (

@@ -72,7 +72,7 @@ func LossSweep(o Options) (*LossResult, error) {
 			Scale:              scale,
 			Mode:               sim.ModeCycles,
 			Seed:               seedFor("loss", wl, run),
-			CyclesPeriod:       densePeriod,
+			CyclesPeriod:       sim.DenseCyclesPeriod,
 			ZeroCostCollection: true,
 			DriverBuckets:      buckets,
 			DriverOverflow:     overflow,

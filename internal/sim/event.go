@@ -102,11 +102,23 @@ func (p PeriodSpec) draw(rng *carta) int64 {
 	return p.Base + int64(rng.next())%p.Spread
 }
 
-// DefaultCyclesPeriod is the paper's default: uniform in [60K, 64K) cycles.
-var DefaultCyclesPeriod = PeriodSpec{Base: 60 * 1024, Spread: 4 * 1024}
+// Mean returns the mean period, Base + Spread/2: samples times the mean
+// period estimates the events counted (paper §3.1, §6.1).
+func (p PeriodSpec) Mean() float64 {
+	return float64(p.Base) + float64(p.Spread)/2
+}
 
-// DefaultEventPeriod is the period used for miss-event counters.
-var DefaultEventPeriod = PeriodSpec{Base: 14 * 1024, Spread: 2 * 1024}
+var (
+	// DefaultCyclesPeriod is the paper's default: uniform in [60K, 64K) cycles.
+	DefaultCyclesPeriod = PeriodSpec{Base: 60 * 1024, Spread: 4 * 1024}
+	// DefaultEventPeriod is the period used for miss-event counters.
+	DefaultEventPeriod = PeriodSpec{Base: 14 * 1024, Spread: 2 * 1024}
+	// DenseCyclesPeriod and DenseEventPeriod are the periods of the runs that
+	// score the analysis (Figures 1-3, 7-9, the loss sweep, what-if sweeps):
+	// the 21064's 4K fast mode scaled to give short runs paper-scale counts.
+	DenseCyclesPeriod = PeriodSpec{Base: 768, Spread: 192}
+	DenseEventPeriod  = PeriodSpec{Base: 384, Spread: 128}
+)
 
 // Mode selects the profiling configuration, matching the paper's §5
 // evaluation configurations.
@@ -193,7 +205,9 @@ type ProfileConfig struct {
 	MetaSamples bool
 }
 
-func (c ProfileConfig) withDefaults() ProfileConfig {
+// WithDefaults returns c with its zero values defaulted: a zero period spec
+// is DefaultCyclesPeriod or DefaultEventPeriod, here and nowhere else.
+func (c ProfileConfig) WithDefaults() ProfileConfig {
 	if c.CyclesPeriod.Base == 0 {
 		c.CyclesPeriod = DefaultCyclesPeriod
 	}

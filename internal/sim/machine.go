@@ -177,7 +177,7 @@ func NewMachine(opts Options) *Machine {
 		KernelMem:     mem.NewSparse(),
 		PageMap:       mem.NewPageMapper(physPages, opts.Seed),
 		ABI:           opts.ABI,
-		cfg:           opts.Profile.withDefaults(),
+		cfg:           opts.Profile.WithDefaults(),
 		tables:        pipeline.NewTables(model),
 		quantum:       quantum,
 		timerInterval: timer,

@@ -118,10 +118,10 @@ type Options struct {
 	// Mode is forced to sim.ModeDefault — the sweep needs CYCLES samples
 	// for stall breakdowns and IMISS samples for the analysis' I-cache
 	// bound — and HW must be the default machine (grid specs are absolute).
-	// A zero CyclesPeriod defaults to the dense analysis period (~768
-	// cycles, as in the Figure 8-10 accuracy experiments): per-instruction
-	// diffing needs far more samples than the paper's production period
-	// delivers on short simulated runs.
+	// A zero CyclesPeriod defaults to the dense analysis periods
+	// (sim.DenseCyclesPeriod and DenseEventPeriod, as in the Figure 8 and 9
+	// accuracy experiments): per-instruction diffing needs far more samples
+	// than the paper's production period delivers on short simulated runs.
 	Base dcpi.Config
 
 	// Grid lists the perturbations; nil means DefaultGrid().
@@ -227,8 +227,7 @@ func Sweep(opts Options) (*Report, error) {
 	base := opts.Base
 	base.Mode = sim.ModeDefault
 	if base.CyclesPeriod.Base == 0 {
-		base.CyclesPeriod = sim.PeriodSpec{Base: 768, Spread: 192}
-		base.EventPeriod = sim.PeriodSpec{Base: 384, Spread: 128}
+		base.CyclesPeriod, base.EventPeriod = sim.DenseCyclesPeriod, sim.DenseEventPeriod
 	}
 	if !base.HW.IsDefault() {
 		return nil, fmt.Errorf("whatif: baseline must use the default machine (got %q)", base.HW.String())
