@@ -106,10 +106,10 @@ func TestSourceGuards(t *testing.T) {
 		},
 		{
 			// An aggregator reads a series' columns in place: a scan hands
-			// it one series range per window, never a copied point.
-			regexp.MustCompile(`func\((w|win) int, p Point\)`),
+			// it one series range per part, never a copied point.
+			regexp.MustCompile(`func\((w|win|p|part) int, \w+ Point\)`),
 			func(f file) bool { return !f.isTest && in(f, "internal/tsdb") },
-			"internal/tsdb: scanWindows hands fn(win, bs, j0, j1), a series' column range in one window; only Select materializes points (bs.point)",
+			"internal/tsdb: a scan hands fn(part, i, bs, j0, j1), a series' column range in one part; only Select materializes points (bs.point)",
 		},
 		{
 			// A block has one layout: every point at full fidelity, no
@@ -127,6 +127,13 @@ func TestSourceGuards(t *testing.T) {
 			regexp.MustCompile(`Spread\)?\s*/\s*2\b|\bDefault(Cycles|Event)Period\b`),
 			func(f file) bool { return !f.isTest && !in(f, "internal/sim", "bench") },
 			"a second period model: a period's mean is sim.PeriodSpec.Mean, and sim.ProfileConfig.WithDefaults resolves a zero spec to its default",
+		},
+		{
+			// A period read back from a store or a database's metadata is
+			// valid by one rule.
+			regexp.MustCompile(`math\.IsInf\(\w+, 0\).*<\s*0\b|<\s*0\b.*math\.IsInf\(\w+, 0\)`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/sim", "bench") },
+			"a second period validity rule: a stored or recorded period is checked by sim.CheckPeriod",
 		},
 		{
 			// The accuracy suite's dense periods have one home.
@@ -213,7 +220,6 @@ var keptAPI = map[string]string{
 	"(*dcpi/internal/mem.Cache).Config":     "tests check the geometry a hardware config built",
 	"(*dcpi/internal/sim.Machine).SpawnOn":  "tests pin a process to one CPU",
 	"(*dcpi/internal/par.Budget).Used":      "tests observe the worker budget's reserved slots",
-	"(*dcpi/internal/par.Budget).Total":     "tests observe the worker budget's size",
 	"(*dcpi/internal/obs.Tracer).Dropped":   "tests observe the events a full tracer dropped",
 	"dcpi/internal/alpha.LookupOp":          "tests read the assembler's mnemonic table",
 }

@@ -30,7 +30,7 @@ var apiImages = []string{"/usr/bin/wave5", "/usr/bin/gcc", "/kernel", "/lib/libc
 // exponent form and every other image's share of those epochs drops below
 // 1e-6. Compactions after epochs 8, 16 and 24 leave three blocks per early
 // machine below a six-epoch raw tail.
-func apiStore(t *testing.T) *tsdb.DB {
+func apiStore(t testing.TB) *tsdb.DB {
 	t.Helper()
 	db, err := tsdb.Open(filepath.Join(t.TempDir(), "tsdb"), tsdb.Options{})
 	if err != nil {

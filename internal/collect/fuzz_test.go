@@ -8,8 +8,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"dcpi/internal/expo"
@@ -137,6 +139,97 @@ func FuzzAnswerJSON(f *testing.F) {
 			case !bytes.Equal(got.Bytes(), want.Bytes()):
 				t.Fatalf("%T: WriteAnswer wrote\n%s\nencoding/json wrote\n%s", a, got.Bytes(), want.Bytes())
 			}
+		}
+	})
+}
+
+// FuzzQueryParams sends fuzzed image, proc, event, from, to, last, n, a
+// and b parameters through each Answer function over apiStore. Every call
+// must return an error or an answer whose epoch window is well formed and
+// whose rows lie inside it in their contract's order, and no call may
+// panic. Hostile bounds reach the scan, whose part count and row buffers
+// they size, so a window of 2^64 epochs must cost what its points cost.
+func FuzzQueryParams(f *testing.F) {
+	f.Add("/kernel", "", "", "1", "18446744073709551615", "", "", "", "")
+	f.Add("/usr/bin/gcc", "main", "imiss", "9", "3", "", "", "", "")
+	f.Add("/lib/libc.so", "", "", "", "", "18446744073709551615", "", "", "")
+	f.Add("", "", "", "", "", "", "", "0-0", "1-30")
+	f.Add("", "", "cycles", "", "", "", "9223372036854775807", "1-18446744073709551615", "18446744073709551615-18446744073709551615")
+	f.Add("/usr/bin/wave5", "(unknown)", "", "18446744073709551615", "", "", "0", "5-6", "7-7")
+	db := apiStore(f)
+	f.Fuzz(func(t *testing.T, image, proc, event, from, to, last, n, a, b string) {
+		q := url.Values{}
+		for _, kv := range [][2]string{{"image", image}, {"proc", proc}, {"event", event}, {"from", from},
+			{"to", to}, {"last", last}, {"n", n}, {"a", a}, {"b", b}} {
+			if kv[1] != "" {
+				q.Set(kv[0], kv[1])
+			}
+		}
+		limit, _ := strconv.Atoi(n)
+		window := func(what string, lo, hi uint64) {
+			if hi != 0 && lo > hi {
+				t.Fatalf("%s %v: window [%d, %d] ends before it starts", what, q, lo, hi)
+			}
+		}
+		inside := func(what string, e, lo, hi uint64) {
+			if e < max(lo, 1) || (hi != 0 && e > hi) {
+				t.Fatalf("%s %v: row at epoch %d outside [%d, %d]", what, q, e, lo, hi)
+			}
+		}
+		written := func(what string, a Answer) {
+			if err := WriteAnswer(io.Discard, a); err != nil && !errors.Is(err, errNonFinite) {
+				t.Fatalf("%s %v: %v", what, q, err)
+			}
+		}
+		ranked := func(what string, i int, cycles, prev float64, name, prevName string) {
+			if i > 0 && (cycles > prev || (cycles == prev && name <= prevName)) {
+				t.Fatalf("%s %v: row %d (%q, %v) ranks after (%q, %v)", what, q, i, name, cycles, prevName, prev)
+			}
+		}
+		if r, err := AnswerRange(db, q); err == nil {
+			window("range", r.FromEpoch, r.ToEpoch)
+			for i, row := range r.Rows {
+				inside("range", row.Epoch, r.FromEpoch, r.ToEpoch)
+				if i > 0 && row.Epoch <= r.Rows[i-1].Epoch {
+					t.Fatalf("range %v: epoch %d follows epoch %d", q, row.Epoch, r.Rows[i-1].Epoch)
+				}
+				if row.Machines < 1 {
+					t.Fatalf("range %v: epoch %d counts %d machines", q, row.Epoch, row.Machines)
+				}
+			}
+			written("range", r)
+		}
+		if r, err := AnswerTop(db, q); err == nil {
+			window("top", r.FromEpoch, r.ToEpoch)
+			for i, row := range r.Rows {
+				if i > 0 {
+					ranked("top", i, row.Cycles, r.Rows[i-1].Cycles, row.Image, r.Rows[i-1].Image)
+				}
+			}
+			if limit > 0 && len(r.Rows) > limit {
+				t.Fatalf("top %v: %d rows, n is %d", q, len(r.Rows), limit)
+			}
+			written("top", r)
+		}
+		if r, err := AnswerTopProcs(db, q); err == nil {
+			window("top procs", r.FromEpoch, r.ToEpoch)
+			for i, row := range r.Rows {
+				if i > 0 {
+					ranked("top procs", i, row.Cycles, r.Rows[i-1].Cycles, row.Proc, r.Rows[i-1].Proc)
+				}
+			}
+			written("top procs", r)
+		}
+		if r, err := AnswerDelta(db, q); err == nil {
+			window("delta a", r.AFrom, r.ATo)
+			window("delta b", r.BFrom, r.BTo)
+			for i, row := range r.Rows {
+				if i > 0 {
+					d, prev := math.Abs(row.DeltaPct), math.Abs(r.Rows[i-1].DeltaPct)
+					ranked("delta", i, d, prev, row.Image, r.Rows[i-1].Image)
+				}
+			}
+			written("delta", r)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package dcpi
 
 import (
 	"fmt"
-	"math"
 
 	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
@@ -34,7 +33,7 @@ func SetupImages(workloadName string) (*loader.Loader, error) {
 // the metadata records so that code generated from the scale matches what
 // was profiled. The result serves the same tools a live run's does: its
 // Config carries the recorded workload and mode, its Avg…Period the recorded
-// means (the defaults where none is; a negative or infinite one is an error).
+// means (the defaults where none is; one sim.CheckPeriod refuses is an error).
 func OpenView(dbDir, workloadName string) (*Result, error) {
 	db, err := profiledb.Open(dbDir)
 	if err != nil {
@@ -51,7 +50,7 @@ func OpenView(dbDir, workloadName string) (*Result, error) {
 		meta.Workload = workloadName
 	}
 	for _, p := range []float64{meta.CyclesPeriod, meta.EventPeriod} {
-		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+		if sim.CheckPeriod(p) != nil {
 			return nil, fmt.Errorf("dcpi: database %s records an invalid mean period %v", dbDir, p)
 		}
 	}

@@ -5,7 +5,10 @@
 // exact execution counts (the pixie/dcpix role) for validating the analysis.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event is a hardware performance-counter event type.
 type Event uint8
@@ -106,6 +109,17 @@ func (p PeriodSpec) draw(rng *carta) int64 {
 // period estimates the events counted (paper §3.1, §6.1).
 func (p PeriodSpec) Mean() float64 {
 	return float64(p.Base) + float64(p.Spread)/2
+}
+
+// CheckPeriod is the one validity rule for a period read back from a
+// store, a per-point period or a recorded mean: it must be finite and not
+// negative (a recorded 0 means the default). A tsdb segment or block and a
+// profile database's metadata are refused when one fails it.
+func CheckPeriod(p float64) error {
+	if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+		return fmt.Errorf("invalid period %v", p)
+	}
+	return nil
 }
 
 var (

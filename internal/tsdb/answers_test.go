@@ -144,3 +144,23 @@ func TestQueryAnswersGolden(t *testing.T) {
 		t.Errorf("query answers digest %s, want %s (testdata/query_answers.sha256)", got, want)
 	}
 }
+
+// TestQueryAnswersIndependentOfParts holds every answer TestQueryAnswersGolden
+// hashes — selects, ranges with and without procedures, both rankings and
+// share deltas — to the same digest with every scan forced into 1, 2, 3
+// and 16 parts: a part boundary may fall anywhere a fold window starts
+// without moving a byte.
+func TestQueryAnswersIndependentOfParts(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "query_answers.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	db := answersStore(t)
+	for _, parts := range []int{1, 2, 3, 16} {
+		db.testParts = parts
+		if got := answersDigest(db); got != want {
+			t.Errorf("%d parts: query answers digest %s, want %s (testdata/query_answers.sha256)", parts, got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"dcpi/internal/sim"
 )
@@ -307,4 +308,63 @@ func BenchmarkRangeQuery50kRaw(b *testing.B) {
 func BenchmarkRangeQuery50kCompact(b *testing.B) {
 	setupBig(b)
 	benchRangeBig(b, big.cmp, big.cmpBytes)
+}
+
+// BenchmarkPartSplit times each query with its scans forced into one part
+// and into two, alternating within every iteration so that both readings
+// see the same host, over stores of growing size: the smallest part size
+// at which two parts beat one is partPoints. Each store is 16 machines of
+// six images on two events over the given epochs, written as raw segments
+// and opened, so every label is one run. A sub-benchmark is named by the
+// points its largest scan reads (points/2 per part when split) and reports
+// one-part and two-part ns per query and their ratio.
+func BenchmarkPartSplit(b *testing.B) {
+	for _, epochs := range []int{64, 128, 256, 320, 384, 512} {
+		dir := filepath.Join(b.TempDir(), "tsdb")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		seq := uint64(1)
+		for m := 0; m < 16; m++ {
+			for e := 1; e <= epochs; e++ {
+				batch := bigBatch(fmt.Sprintf("m%02d", m), uint64(e))
+				if err := os.WriteFile(filepath.Join(dir, segName(seq)), EncodeSegment(&batch), 0o644); err != nil {
+					b.Fatal(err)
+				}
+				seq++
+			}
+		}
+		db, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		to, half, series := uint64(epochs), uint64(epochs/2), 16*bigImages*epochs
+		queries := []struct {
+			name   string
+			points int
+			run    func()
+		}{
+			{"range", series, func() { RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 1, to) }},
+			{"top", series, func() { TopImages(db, sim.EvCycles, 1, to, 10) }},
+			{"delta", series / 2, func() { TopDeltas(db, sim.EvCycles, 1, half, half+1, to, 10) }},
+			{"select", series / bigImages, func() { db.Select(Matcher{Image: "/usr/bin/app3", FromEpoch: 1, ToEpoch: to}) }},
+		}
+		for _, q := range queries {
+			b.Run(fmt.Sprintf("%s/points=%d", q.name, q.points), func(b *testing.B) {
+				var d [2]time.Duration
+				for i := 0; i < b.N; i++ {
+					for k := range d {
+						db.testParts = k + 1
+						start := time.Now()
+						q.run()
+						d[k] += time.Since(start)
+					}
+				}
+				b.ReportMetric(float64(d[0].Nanoseconds())/float64(b.N), "one-ns/op")
+				b.ReportMetric(float64(d[1].Nanoseconds())/float64(b.N), "two-ns/op")
+				b.ReportMetric(float64(d[1])/float64(d[0]), "two/one")
+			})
+		}
+		db.testParts = 0
+	}
 }

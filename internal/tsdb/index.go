@@ -118,6 +118,8 @@ func (e *labelChunks) scanRuns() []*bseries {
 func (db *DB) addSource(s *source) {
 	db.srcs = append(db.srcs, s)
 	db.byMachine[s.blk.machine] = append(db.byMachine[s.blk.machine], s)
+	db.machineMax[s.blk.machine] = max(db.machineMax[s.blk.machine], s.blk.maxEpoch)
+	db.fleetMax = max(db.fleetMax, s.blk.maxEpoch)
 	for i := range s.blk.series {
 		lab := &s.blk.series[i].labels
 		e := db.bySeries[*lab]
@@ -134,7 +136,8 @@ func (db *DB) addSource(s *source) {
 // removeSources drops every source in dead from srcs, byMachine and the
 // series index, filtering each affected list once however many sources
 // leave it and resetting its scan view, and deletes the entries whose
-// lists empty. Lists are filtered in place — every reader holds db.mu,
+// lists empty. It recomputes the maximum epoch of the machines it touches,
+// and the fleet's from the machines'. Lists are filtered in place — every reader holds db.mu,
 // and DeleteFunc zeroes the vacated tail so retired sources can be
 // collected. Caller holds db.mu.
 func (db *DB) removeSources(dead ...*source) {
@@ -156,9 +159,15 @@ func (db *DB) removeSources(dead ...*source) {
 	for m := range machines {
 		if rest := slices.DeleteFunc(db.byMachine[m], gone); len(rest) > 0 {
 			db.byMachine[m] = rest
+			db.machineMax[m] = maxEpoch(rest)
 		} else {
 			delete(db.byMachine, m)
+			delete(db.machineMax, m)
 		}
+	}
+	db.fleetMax = 0
+	for _, e := range db.machineMax {
+		db.fleetMax = max(db.fleetMax, e)
 	}
 	emptied := false
 	for e := range entries {

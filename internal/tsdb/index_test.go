@@ -269,3 +269,107 @@ func TestPlanIsFlatInRawTail(t *testing.T) {
 	appendEpochs(1)
 	check("a late re-scrape", entries*(blocks+1)+1, entries*int(epoch)+1)
 }
+
+// TestMaxEpochMatchesSourceWalk holds MaxEpoch and FleetMaxEpoch, which
+// read maxima the store keeps as sources come and go, to a walk of every
+// epoch every source stores: after appends and compactions, after
+// retention evicts whole machines under a size cap, and after an Open
+// that reclaims a crashed compaction's leftovers and quarantines a torn
+// file.
+func TestMaxEpochMatchesSourceWalk(t *testing.T) {
+	machines := []string{"m00", "m01", "m02", "m03"}
+	check := func(stage string, db *DB) {
+		t.Helper()
+		want := map[string]uint64{}
+		var fleet uint64
+		db.mu.Lock()
+		for _, s := range db.srcs {
+			for _, m := range s.blk.metas {
+				want[s.blk.machine] = max(want[s.blk.machine], m.epoch)
+				fleet = max(fleet, m.epoch)
+			}
+		}
+		db.mu.Unlock()
+		for _, m := range machines {
+			if got := db.MaxEpoch(m); got != want[m] {
+				t.Errorf("%s: MaxEpoch(%s) = %d, the sources hold up to %d", stage, m, got, want[m])
+			}
+		}
+		if got := db.FleetMaxEpoch(); got != fleet {
+			t.Errorf("%s: FleetMaxEpoch = %d, the sources hold up to %d", stage, got, fleet)
+		}
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEpochs := func(db *DB, from, to uint64, ms ...string) {
+		for e := from; e <= to; e++ {
+			for _, m := range ms {
+				mustAppend(t, db, procBatch(m, e))
+			}
+		}
+	}
+	check("empty", db)
+	appendEpochs(db, 1, 4, machines...)
+	appendEpochs(db, 5, 12, "m00", "m01", "m02")
+	check("appends", db)
+	mustCompact(t, db, CompactOptions{CompactAfter: 1})
+	appendEpochs(db, 13, 15, "m00", "m01")
+	check("a compaction below a raw tail", db)
+
+	// A compaction that dies after committing its first block leaves the
+	// block beside its inputs; a torn segment of another machine is
+	// quarantined on the next Open, which reclaims the inputs.
+	db.testCrashMidCompact = true
+	mustCompact(t, db, CompactOptions{CompactAfter: 1})
+	check("a crashed compaction", db)
+	db.mu.Lock()
+	torn := db.byMachine["m01"][len(db.byMachine["m01"])-1]
+	db.mu.Unlock()
+	if !torn.raw {
+		t.Fatal("m01's newest source is not a raw segment")
+	}
+	if err := os.WriteFile(torn.path, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Reclaimed == 0 || st.Quarantined != 1 {
+		t.Fatalf("reopen reclaimed %d leftovers and quarantined %d files, want some and 1", st.Reclaimed, st.Quarantined)
+	}
+	check("an Open that reclaims and quarantines", db)
+
+	// A size cap evicts the oldest sources first: m03, which stopped at
+	// epoch 4, leaves whole, and the others lose their oldest blocks.
+	capped, err := Open(dir, Options{MaxBytes: db.Stats().SizeBytes / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEpochs(capped, 16, 17, "m00", "m02")
+	if st := capped.Stats(); st.Evicted == 0 || capped.MaxEpoch("m03") != 0 {
+		t.Fatalf("retention evicted %d sources and left m03 at epoch %d; want evictions and m03 gone", st.Evicted, capped.MaxEpoch("m03"))
+	}
+	check("retention", capped)
+	mustCompact(t, capped, CompactOptions{CompactAfter: 1})
+	check("a compaction under the cap", capped)
+
+	// removeSources retires any sources: taking every one that holds the
+	// fleet's newest epoch lowers the maxima of the machines they held.
+	top := capped.FleetMaxEpoch()
+	capped.mu.Lock()
+	var newest []*source
+	for _, s := range capped.srcs {
+		if s.blk.maxEpoch == top {
+			newest = append(newest, s)
+		}
+	}
+	capped.removeSources(newest...)
+	capped.mu.Unlock()
+	if capped.FleetMaxEpoch() >= top {
+		t.Fatalf("removing the sources of epoch %d left the fleet's maximum at %d", top, capped.FleetMaxEpoch())
+	}
+	check("removing the newest sources", capped)
+}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -107,80 +108,118 @@ func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
 	return out, lo, hi
 }
 
-// queryWindows is the fan-out width of a scan: the epoch range splits
-// into up to this many contiguous windows, scanned concurrently.
+// queryWindows is rank's fold order and nothing else: a ranking sums float
+// cycles per epoch window, up to this many windows cut from the scan's
+// epoch bounds (win, winStart), and folds the windows in order, so the
+// constant fixes the bytes of every top answer until rankings sum exactly
+// (ROADMAP, "Exact sums"). How a scan fans out is partPoints' business, but
+// a part is always a run of whole fold windows, so that each window's
+// partial is summed inside one part.
 const queryWindows = 16
 
-// scanWindows runs fn over every series matching m, partitioned into up
-// to queryWindows contiguous epoch windows that are scanned concurrently
-// (worker count bounded by the process-wide par.Budget). fn(win, bs, j0,
-// j1) reads columns [j0, j1) of one series in place, never an empty range.
-// Within one window, ranges arrive in the series index's order — ascending
-// (labels, ord, sub), so a machine's series are contiguous, epochs
-// ascending within a range — and each epoch belongs to exactly one window.
-// Window boundaries depend only on the epoch bounds, never on worker count
-// or storage layout, so per-window accumulation (and any window-ordered
-// merge) is deterministic and unchanged by compaction. fn may be called
-// concurrently for different win values, never for the same one. Returns
-// the window count.
-func (db *DB) scanWindows(m Matcher, fn func(win int, bs *bseries, j0, j1 int)) int {
-	series, lo, hi := db.plan(m)
-	if len(series) == 0 || hi < lo {
-		return 0
+// partPoints is how many points one part of a scan reads before the scan
+// splits into another: a scan of n points runs in min(par.Default().Total(),
+// ceil(n/partPoints), fold windows) parts. It is the smallest part size at
+// which a range query split in two beat the same query in one part on a
+// 2-CPU host (BenchmarkPartSplit; docs/PERFORMANCE.md lists the runs):
+// below it the second goroutine's start costs more than the points it
+// takes over. TopDeltas' integer sums are cheaper per point and would want
+// a larger one.
+const partPoints = 18432
+
+// cols is one planned series' columns [j0, j1): the points it holds inside
+// a scan's epoch bounds, never none.
+type cols struct {
+	bs     *bseries
+	j0, j1 int
+}
+
+// scan is one query's plan cut into parts by the points it reads. series
+// holds, in the series index's order — ascending (labels, ord, sub), so a
+// machine's series are contiguous — every planned series with a point in
+// [lo, hi]. The epoch range splits into nwin fold windows, and the windows
+// into parts, contiguous runs of whole windows. Window and part boundaries
+// depend only on the bounds and the part count, never on worker count or
+// storage layout.
+type scan struct {
+	lo, span    uint64
+	nwin, parts int
+	points      int
+	series      []cols
+}
+
+// newScan plans m and counts its points with the two binary searches per
+// series that bound its columns, and sizes the parts from the count.
+func (db *DB) newScan(m Matcher) *scan {
+	planned, lo, hi := db.plan(m)
+	sc := &scan{lo: lo}
+	if len(planned) == 0 || hi < lo {
+		return sc
 	}
-	span := hi - lo + 1
-	nwin := queryWindows
-	if span < uint64(nwin) {
-		nwin = int(span)
+	sc.span = hi - lo + 1
+	sc.nwin = int(min(sc.span, queryWindows))
+	if sc.span >= 1<<60 {
+		sc.nwin = 1 // keep win's multiply below from overflowing
 	}
-	if span >= 1<<60 {
-		nwin = 1 // keep winOf's multiply below from overflowing
-	}
-	winOf := func(e uint64) int { return int((e - lo) * uint64(nwin) / span) }
-	// winStart is the exact inverse partition of winOf: the smallest epoch
-	// with winOf(e) == w sits ceil(span*w/nwin) above lo, so
-	// winStart(winOf(e)) <= e < winStart(winOf(e)+1) holds for every e in
-	// [lo, hi] even when span is not a multiple of nwin. A floor here
-	// would disagree with winOf on ragged spans and drop epochs that fall
-	// between the two partitions.
-	winStart := func(w int) uint64 {
-		return lo + (span*uint64(w)+uint64(nwin)-1)/uint64(nwin)
-	}
-	// Every planned series overlaps [lo, hi], so each spans at least one
-	// window. The windows' lists are cut from one array a counting pass
-	// sizes, so a scan allocates the same whatever its series count.
-	winsOf := func(bs *bseries) (int, int) {
-		return winOf(max(bs.epochs[0], lo)), winOf(min(bs.epochs[len(bs.epochs)-1], hi))
-	}
-	counts, cells := make([]int, nwin), 0
-	for _, bs := range series {
-		w0, w1 := winsOf(bs)
-		for w := w0; w <= w1; w++ {
-			counts[w]++
-		}
-		cells += w1 - w0 + 1
-	}
-	winSeries, flat := make([][]*bseries, nwin), make([]*bseries, cells)
-	for w, c := range counts {
-		winSeries[w], flat = flat[:0:c], flat[c:]
-	}
-	for _, bs := range series {
-		w0, w1 := winsOf(bs)
-		for w := w0; w <= w1; w++ {
-			winSeries[w] = append(winSeries[w], bs)
+	sc.series = make([]cols, 0, len(planned))
+	for _, bs := range planned {
+		j0 := bs.searchEpoch(lo)
+		j1 := j0 + sort.Search(len(bs.epochs)-j0, func(i int) bool { return bs.epochs[j0+i] > hi })
+		if j0 < j1 {
+			sc.series = append(sc.series, cols{bs, j0, j1})
+			sc.points += j1 - j0
 		}
 	}
-	par.Default().Each(nwin, func(w int) {
-		ws, we := winStart(w), winStart(w+1)-1
-		for _, bs := range winSeries[w] {
-			j0 := bs.searchEpoch(ws)
-			j1 := j0 + sort.Search(len(bs.epochs)-j0, func(i int) bool { return bs.epochs[j0+i] > we })
+	if sc.points > 0 {
+		sc.parts = min(par.Default().Total(), (sc.points+partPoints-1)/partPoints, sc.nwin)
+		if db.testParts > 0 {
+			sc.parts = min(db.testParts, sc.nwin)
+		}
+	}
+	return sc
+}
+
+// win is the fold window of epoch e in [lo, hi].
+func (sc *scan) win(e uint64) int { return int((e - sc.lo) * uint64(sc.nwin) / sc.span) }
+
+// winStart is the exact inverse partition of win: the smallest epoch with
+// win(e) == w sits ceil(span*w/nwin) above lo, so winStart(win(e)) <= e <
+// winStart(win(e)+1) holds for every e in [lo, hi] even when span is not a
+// multiple of nwin. A floor here would disagree with win on ragged spans
+// and drop epochs that fall between the two partitions. winStart(nwin) is
+// hi+1, which wraps to 0 when hi is the largest epoch; a part's last epoch,
+// one below it, wraps back.
+func (sc *scan) winStart(w int) uint64 {
+	return sc.lo + (sc.span*uint64(w)+uint64(sc.nwin)-1)/uint64(sc.nwin)
+}
+
+// partStart is the first epoch of part p, the start of its first window.
+func (sc *scan) partStart(p int) uint64 { return sc.winStart(p * sc.nwin / sc.parts) }
+
+// run calls fn(part, i, bs, j0, j1) once for every part and every series
+// sc.series[i] with points in the part, handing it that series' columns
+// [j0, j1) in place, never an empty range. Within one part calls arrive in
+// sc.series order, epochs ascending within a range, and each epoch belongs
+// to exactly one part. The parts run through par.Default().Each, so fn may
+// be called concurrently for different parts, never for the same one.
+func (sc *scan) run(fn func(part, i int, bs *bseries, j0, j1 int)) {
+	if sc.parts == 1 {
+		for i, c := range sc.series {
+			fn(0, i, c.bs, c.j0, c.j1)
+		}
+		return
+	}
+	par.Default().Each(sc.parts, func(p int) {
+		first, last := sc.partStart(p), sc.partStart(p+1)-1
+		for i, c := range sc.series {
+			e := c.bs.epochs
+			j0 := c.j0 + sort.Search(c.j1-c.j0, func(k int) bool { return e[c.j0+k] >= first })
+			j1 := j0 + sort.Search(c.j1-j0, func(k int) bool { return e[j0+k] > last })
 			if j0 < j1 {
-				fn(w, bs, j0, j1)
+				fn(p, i, c.bs, j0, j1)
 			}
 		}
 	})
-	return nwin
 }
 
 // Select returns every matching point in a documented, deterministic
@@ -189,25 +228,36 @@ func (db *DB) scanWindows(m Matcher, fn func(win int, bs *bseries, j0, j1 int)) 
 // — duplicates in ingestion order (segment sequence, then in-segment
 // record order). The order is a contract, not iteration luck: it is
 // stable across process restarts, worker counts, and compaction. Points
-// reach each window already in (labels, ord, sub) order, so a stable sort
-// on (epoch, labels) is all that is left to do. Select is the one query
-// that materializes points: its contract is a []Point.
+// reach each part already in (labels, ord, sub) order, epochs ascending
+// within a series, so a stable sort on the epoch alone is all that is
+// left to do; it moves a reference to each point, and the points are
+// built once, in order. Select is the one query that materializes points:
+// its contract is a []Point.
 func (db *DB) Select(m Matcher) []Point {
-	wins := make([][]Point, queryWindows)
-	n := db.scanWindows(m, func(w int, bs *bseries, j0, j1 int) {
+	type ref struct {
+		epoch uint64
+		bs    *bseries
+		j     int
+	}
+	sc := db.newScan(m)
+	if sc.points == 0 {
+		return nil
+	}
+	parts := make([][]ref, sc.parts)
+	for p := range parts {
+		parts[p] = make([]ref, 0, sc.points/sc.parts)
+	}
+	sc.run(func(p, _ int, bs *bseries, j0, j1 int) {
 		for j := j0; j < j1; j++ {
-			wins[w] = append(wins[w], bs.point(j))
+			parts[p] = append(parts[p], ref{bs.epochs[j], bs, j})
 		}
 	})
-	var out []Point
-	for _, ps := range wins[:n] {
-		sort.SliceStable(ps, func(i, j int) bool {
-			if ps[i].Epoch != ps[j].Epoch {
-				return ps[i].Epoch < ps[j].Epoch
-			}
-			return labelsLess(&ps[i].Labels, &ps[j].Labels)
-		})
-		out = append(out, ps...)
+	out := make([]Point, 0, sc.points)
+	for _, refs := range parts {
+		slices.SortStableFunc(refs, func(a, b ref) int { return cmp.Compare(a.epoch, b.epoch) })
+		for _, r := range refs {
+			out = append(out, r.bs.point(r.j))
+		}
 	}
 	return out
 }
@@ -216,7 +266,7 @@ func (db *DB) Select(m Matcher) []Point {
 func (db *DB) FleetMaxEpoch() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return maxEpoch(db.srcs)
+	return db.fleetMax
 }
 
 // RangeRow is one epoch of a fleet range query for a single image (or a
@@ -244,51 +294,65 @@ func RangeQuery(db *DB, image string, ev sim.Event, from, to uint64) []RangeRow 
 // when proc is non-empty; SharePct then reads as the procedure's slice
 // of its image's cycles rather than the image's slice of the fleet's.
 func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) []RangeRow {
-	// Each window's rows, ascending by epoch, each with the machine it
-	// counted last: a machine's series reach a window one after another,
-	// so a row counts a machine once by comparing it with the last.
+	// Each part's rows, ascending by epoch, each with the machine it
+	// counted last: a machine's series reach a part one after another, so
+	// a row counts a machine once by comparing it with the last. A part
+	// holds at most one row per epoch and one per point, so every part's
+	// rows are cut from one array sized up front.
 	type acc struct {
 		RangeRow
 		machine string
 	}
-	wins := make([][]acc, queryWindows)
-	db.scanWindows(Matcher{Image: image, Proc: proc, Event: ev, FromEpoch: from, ToEpoch: to},
-		func(w int, bs *bseries, j0, j1 int) {
-			rows := wins[w]
-			k := sort.Search(len(rows), func(i int) bool { return rows[i].Epoch >= bs.epochs[j0] })
-			for j := j0; j < j1; j++ {
-				for k < len(rows) && rows[k].Epoch < bs.epochs[j] {
-					k++
-				}
-				if k == len(rows) || rows[k].Epoch != bs.epochs[j] {
-					rows = slices.Insert(rows, k, acc{RangeRow: RangeRow{Epoch: bs.epochs[j]}})
-				}
-				r := &rows[k]
-				if r.machine != bs.labels.Machine {
-					r.machine = bs.labels.Machine
-					r.Machines++
-				}
-				r.Samples += bs.samples[j]
-				r.Cycles += bs.cycles(j)
-				r.Insts += bs.insts[j]
+	sc := db.newScan(Matcher{Image: image, Proc: proc, Event: ev, FromEpoch: from, ToEpoch: to})
+	parts, caps, total := make([][]acc, sc.parts), make([]int, sc.parts), 0
+	for p := range caps {
+		caps[p] = int(min(uint64(sc.points), sc.partStart(p+1)-sc.partStart(p)))
+		total += caps[p]
+	}
+	buf := make([]acc, total)
+	for p, c := range caps {
+		parts[p], buf = buf[:0:c], buf[c:]
+	}
+	sc.run(func(p, _ int, bs *bseries, j0, j1 int) {
+		rows := parts[p]
+		k := sort.Search(len(rows), func(i int) bool { return rows[i].Epoch >= bs.epochs[j0] })
+		for j := j0; j < j1; j++ {
+			for k < len(rows) && rows[k].Epoch < bs.epochs[j] {
+				k++
 			}
-			wins[w] = rows
-		})
-	// Windows ascend in epoch, so out is ascending and each epoch is one row.
-	out := []RangeRow{}
-	for _, rows := range wins {
+			if k == len(rows) || rows[k].Epoch != bs.epochs[j] {
+				rows = slices.Insert(rows, k, acc{RangeRow: RangeRow{Epoch: bs.epochs[j]}})
+			}
+			r := &rows[k]
+			if r.machine != bs.labels.Machine {
+				r.machine = bs.labels.Machine
+				r.Machines++
+			}
+			r.Samples += bs.samples[j]
+			r.Cycles += bs.cycles(j)
+			r.Insts += bs.insts[j]
+		}
+		parts[p] = rows
+	})
+	// Parts ascend in epoch, so out is ascending and each epoch is one row.
+	n := 0
+	for _, rows := range parts {
+		n += len(rows)
+	}
+	out := make([]RangeRow, 0, n)
+	for _, rows := range parts {
 		for _, r := range rows {
 			out = append(out, r.RangeRow)
 		}
 	}
-	// The denominator adds each epoch's cycles in its own window's scan
-	// order; only epochs that have a row are looked up.
+	// The denominator adds each epoch's cycles in its own part's scan
+	// order, the series index's; only epochs that have a row are looked up.
 	denom := Matcher{Event: ev, FromEpoch: from, ToEpoch: to}
 	if proc != "" {
 		denom.Image = image
 	}
 	totals := make([]float64, len(out))
-	db.scanWindows(denom, func(w int, bs *bseries, j0, j1 int) {
+	db.newScan(denom).run(func(_, _ int, bs *bseries, j0, j1 int) {
 		k := sort.Search(len(out), func(i int) bool { return out[i].Epoch >= bs.epochs[j0] })
 		for j := j0; j < j1; j++ {
 			for k < len(out) && out[k].Epoch < bs.epochs[j] {
@@ -371,42 +435,55 @@ func (r *rankRow) share(total float64) float64 {
 // matching m under key's name, and return the n heaviest groups (all of
 // them when n <= 0) by cycles, names breaking ties, with the cycle total
 // shares are taken against. key says, per series, whether its points count
-// toward its group's row and whether toward the total; a window looks a
-// group up only when the name changes from the series before. Per-window
-// partials fold together in window order with sorted keys, so float
-// accumulation order is deterministic.
+// toward its group's row and whether toward the total; a fold window looks
+// a group up only when the name changes from the series before. Each fold
+// window's partials are summed in scan order inside the one part that
+// holds the window, and fold together in window order with sorted keys, so
+// float accumulation order depends on neither the part count nor the
+// worker count.
 func rank(db *DB, m Matcher, n int, key func(*Labels) (name string, inRows, inTotal bool)) ([]rankRow, float64) {
 	type winAgg struct {
 		rows  map[string]*rankRow
 		last  *rankRow
 		total float64
 	}
-	aggs := make([]winAgg, queryWindows)
-	db.scanWindows(m, func(w int, bs *bseries, j0, j1 int) {
-		a := &aggs[w]
+	sc := db.newScan(m)
+	aggs := make([]winAgg, sc.nwin)
+	sc.run(func(_, _ int, bs *bseries, j0, j1 int) {
 		name, inRows, inTotal := key(&bs.labels)
-		var r *rankRow
-		if inRows {
-			if r = a.last; r == nil || r.name != name {
-				if a.rows == nil {
-					a.rows = map[string]*rankRow{}
+		// The part holds whole fold windows: each window's stretch of the
+		// range goes to that window's partial.
+		for j0 < j1 {
+			w, end := sc.win(bs.epochs[j0]), j1
+			if w+1 < sc.nwin {
+				next := sc.winStart(w + 1)
+				end = j0 + sort.Search(j1-j0, func(i int) bool { return bs.epochs[j0+i] >= next })
+			}
+			a := &aggs[w]
+			var r *rankRow
+			if inRows {
+				if r = a.last; r == nil || r.name != name {
+					if a.rows == nil {
+						a.rows = map[string]*rankRow{}
+					}
+					if r = a.rows[name]; r == nil {
+						r = &rankRow{name: name}
+						a.rows[name] = r
+					}
+					a.last = r
 				}
-				if r = a.rows[name]; r == nil {
-					r = &rankRow{name: name}
-					a.rows[name] = r
+			}
+			for j := j0; j < end; j++ {
+				c := bs.cycles(j)
+				if inTotal {
+					a.total += c
 				}
-				a.last = r
+				if r != nil {
+					r.samples += bs.samples[j]
+					r.cycles += c
+				}
 			}
-		}
-		for j := j0; j < j1; j++ {
-			c := bs.cycles(j)
-			if inTotal {
-				a.total += c
-			}
-			if r != nil {
-				r.samples += bs.samples[j]
-				r.cycles += c
-			}
+			j0 = end
 		}
 	})
 	merged := map[string]*rankRow{}
@@ -448,24 +525,27 @@ func rank(db *DB, m Matcher, n int, key func(*Labels) (name string, inRows, inTo
 // between window A and window B (both inclusive epoch ranges), reusing the
 // share-delta ranking dcpidiff applies to a pair of databases.
 func TopDeltas(db *DB, ev sim.Event, aFrom, aTo, bFrom, bTo uint64, n int) []analysis.DeltaRow {
+	// Integer partials need no fold order: each part sums into its own
+	// stretch of one array indexed by planned series, and the caller
+	// merges them by image.
 	window := func(from, to uint64) map[string]uint64 {
-		sums := make([]map[string]uint64, queryWindows)
-		db.scanWindows(Matcher{Event: ev, FromEpoch: from, ToEpoch: to},
-			func(w int, bs *bseries, j0, j1 int) {
-				var n uint64
-				for _, s := range bs.samples[j0:j1] {
-					n += s
-				}
-				if sums[w] == nil {
-					sums[w] = map[string]uint64{}
-				}
-				sums[w][bs.labels.Image] += n
-			})
-		m := map[string]uint64{}
-		for _, s := range sums {
-			for k, v := range s {
-				m[k] += v // integer sums: merge order is irrelevant
+		sc := db.newScan(Matcher{Event: ev, FromEpoch: from, ToEpoch: to})
+		ns := len(sc.series)
+		sums := make([]uint64, sc.parts*ns)
+		sc.run(func(p, i int, bs *bseries, j0, j1 int) {
+			var n uint64
+			for _, s := range bs.samples[j0:j1] {
+				n += s
 			}
+			sums[p*ns+i] = n
+		})
+		m := map[string]uint64{}
+		for i, c := range sc.series {
+			var n uint64
+			for p := range sc.parts {
+				n += sums[p*ns+i]
+			}
+			m[c.bs.labels.Image] += n
 		}
 		return m
 	}

@@ -87,15 +87,15 @@ func TestCompactionByteIdentityRaggedSpan(t *testing.T) {
 }
 
 // TestScanWindowsPartitionInvariant asserts, for raw, mixed (block plus
-// raw segments), and fully compacted stores over ragged spans, that
-// every series range scanWindows emits is non-empty and every point in it
-// satisfies winStart(w) <= p.Epoch <
-// winStart(w+1) for its window — the partition winOf assigns and
-// runWindow scans must be the same one — and that every matching point
-// is emitted exactly once. An open-ended scan of the series that stops
-// at epoch 2 must also emit the same (window, epoch) pairs at every
-// stage: its windows end where its series do, not where the blocks that
-// compaction builds around them do.
+// raw segments), and fully compacted stores over ragged spans, and for the
+// part count a scan's points give as well as 1, 2, 3 and 16 forced parts,
+// that every series range a scan emits is non-empty, that every part is a
+// run of whole fold windows — each window, as winOf assigns it and
+// winStart bounds it, is emitted from one part, and parts ascend with the
+// windows — and that every matching point is emitted exactly once. An
+// open-ended scan of the series that stops at epoch 2 must also emit the
+// same (part, epoch) pairs at every stage: its windows end where its
+// series do, not where the blocks that compaction builds around them do.
 func TestScanWindowsPartitionInvariant(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -104,51 +104,76 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 	check := func(stage string, lo, hi, stored uint64) {
 		t.Helper()
 		span := hi - lo + 1
-		nwin := uint64(queryWindows)
-		if span < nwin {
-			nwin = span
-		}
+		nwin := min(span, queryWindows)
+		winOf := func(e uint64) uint64 { return (e - lo) * nwin / span }
 		winStart := func(w uint64) uint64 { return lo + (span*w+nwin-1)/nwin }
 		var mu sync.Mutex
-		emitted := 0
-		db.scanWindows(Matcher{FromEpoch: lo, ToEpoch: hi}, func(w int, bs *bseries, j0, j1 int) {
+		type point struct {
+			bs *bseries
+			j  int
+		}
+		seen := map[point]bool{}
+		partOf := map[uint64]int{}
+		db.newScan(Matcher{FromEpoch: lo, ToEpoch: hi}).run(func(p, _ int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
 			if j0 >= j1 {
-				t.Errorf("%s [%d, %d]: empty range [%d, %d) of %v emitted from window %d", stage, lo, hi, j0, j1, bs.labels, w)
+				t.Errorf("%s [%d, %d] parts %d: empty range [%d, %d) of %v emitted from part %d", stage, lo, hi, db.testParts, j0, j1, bs.labels, p)
 			}
-			emitted += j1 - j0
-			ws, we := winStart(uint64(w)), winStart(uint64(w)+1)
-			for _, e := range bs.epochs[j0:j1] {
-				if e < ws || e >= we {
-					t.Errorf("%s [%d, %d]: epoch %d emitted from window %d = [%d, %d)",
-						stage, lo, hi, e, w, ws, we)
+			for j := j0; j < j1; j++ {
+				e := bs.epochs[j]
+				if seen[point{bs, j}] {
+					t.Errorf("%s [%d, %d] parts %d: epoch %d of %v emitted twice", stage, lo, hi, db.testParts, e, bs.labels)
 				}
+				seen[point{bs, j}] = true
+				w := winOf(e)
+				if e < lo || e > hi || e < winStart(w) || e >= winStart(w+1) {
+					t.Errorf("%s [%d, %d] parts %d: epoch %d emitted outside the bounds or its window %d = [%d, %d)",
+						stage, lo, hi, db.testParts, e, w, winStart(w), winStart(w+1))
+				}
+				if q, ok := partOf[w]; ok && q != p {
+					t.Errorf("%s [%d, %d] parts %d: window %d emitted from parts %d and %d", stage, lo, hi, db.testParts, w, q, p)
+				}
+				partOf[w] = p
 			}
 		})
-		if want := raggedPoints(lo, hi, stored); emitted != want {
-			t.Errorf("%s [%d, %d]: %d points emitted, want %d", stage, lo, hi, emitted, want)
+		for w := range nwin {
+			for v := w + 1; v < nwin; v++ {
+				if pw, ok := partOf[w]; ok {
+					if pv, ok := partOf[v]; ok && pv < pw {
+						t.Errorf("%s [%d, %d] parts %d: window %d in part %d, later window %d in part %d",
+							stage, lo, hi, db.testParts, w, pw, v, pv)
+					}
+				}
+			}
+		}
+		if want := raggedPoints(lo, hi, stored); len(seen) != want {
+			t.Errorf("%s [%d, %d] parts %d: %d points emitted, want %d", stage, lo, hi, db.testParts, len(seen), want)
 		}
 	}
 	sweep := func(stage string, stored uint64) {
-		for lo := uint64(1); lo <= 3; lo++ {
-			for hi := lo; hi <= stored; hi++ {
-				check(stage, lo, hi, stored)
+		for _, parts := range []int{0, 1, 2, 3, 16} {
+			db.testParts = parts
+			for lo := uint64(1); lo <= 3; lo++ {
+				for hi := lo; hi <= stored; hi++ {
+					check(stage, lo, hi, stored)
+				}
 			}
 		}
+		db.testParts = 0
 	}
 	type emitted struct {
-		win   int
+		part  int
 		epoch uint64
 	}
 	openEnded := func() []emitted {
 		var mu sync.Mutex
 		var out []emitted
-		db.scanWindows(Matcher{Image: "/short"}, func(w int, bs *bseries, j0, j1 int) {
+		db.newScan(Matcher{Image: "/short"}).run(func(p, _ int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, e := range bs.epochs[j0:j1] {
-				out = append(out, emitted{w, e})
+				out = append(out, emitted{p, e})
 			}
 		})
 		sort.Slice(out, func(i, j int) bool { return out[i].epoch < out[j].epoch })
@@ -374,5 +399,47 @@ func TestQueriesRaceAppendsAndCompactions(t *testing.T) {
 	wg.Wait()
 	if st := db.Stats(); st.Compactions <= 1 {
 		t.Errorf("writers compacted %d times: the race never happened", st.Compactions-1)
+	}
+}
+
+// TestScanVisitsEachSeriesOnce is the work ratchet of the scan: a 25-epoch
+// range query over a 16-machine store of blocks below a raw tail — the
+// shape of a recent query — reads fewer than partPoints points in both of
+// its scans, so each runs as one part that hands every planned series to
+// its callback once, where a scan cut into a fixed count of windows
+// however few points it reads would visit each series once per window.
+func TestScanVisitsEachSeriesOnce(t *testing.T) {
+	const machines, blocks, perBlock, tail = 16, 3, 10, 20
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := uint64(blocks*perBlock + tail)
+	for e := uint64(1); e <= last; e++ {
+		for m := 0; m < machines; m++ {
+			mustAppend(t, db, bigBatch(fmt.Sprintf("m%02d", m), e))
+		}
+		if e <= blocks*perBlock && e%perBlock == 0 {
+			mustCompact(t, db, CompactOptions{CompactAfter: 1})
+		}
+	}
+	from := last - 24
+	for _, m := range []Matcher{
+		{Image: "/usr/bin/app3", FromEpoch: from, ToEpoch: last}, // the numerator
+		{FromEpoch: from, ToEpoch: last},                         // the denominator
+	} {
+		planned, _, _ := db.plan(m)
+		visits := map[*bseries]int{}
+		calls := 0
+		var mu sync.Mutex
+		db.newScan(m).run(func(_, _ int, bs *bseries, j0, j1 int) {
+			mu.Lock()
+			defer mu.Unlock()
+			visits[bs]++
+			calls++
+		})
+		if calls != len(planned) || len(visits) != len(planned) {
+			t.Errorf("%+v: %d planned series, %d visits of %d distinct series; want one visit each", m, len(planned), calls, len(visits))
+		}
 	}
 }

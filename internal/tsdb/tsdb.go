@@ -15,10 +15,10 @@
 // index's record — and a lazily built scan view in which a label's
 // in-order raw segments are one run, so a query reads the series it
 // matches already in the order its deterministic merge needs, one per
-// block and one per raw tail, and the query engine (query.go) scans them
-// in parallel epoch windows, one series' column range at a time: the
-// aggregators read the columns in place, and only Select materializes
-// points.
+// block and one per raw tail. The query engine (query.go) counts the points
+// a query reads and scans them in as many parallel parts as those points
+// pay for, one series' column range at a time: the aggregators read the
+// columns in place, and only Select materializes points.
 // Raw versus block is a property of the file, not of the scan: a segment
 // decodes into the one-epoch block of its batch (blockFromBatch), so every
 // reader below the codecs sees one in-memory shape.
@@ -134,6 +134,8 @@ type DB struct {
 	opts        Options
 	srcs        []*source // ascending fileSeq
 	byMachine   map[string][]*source
+	machineMax  map[string]uint64 // each machine's highest stored epoch
+	fleetMax    uint64            // the highest of machineMax
 	bySeries    map[Labels]*labelChunks
 	series      []*labelChunks // the series index: bySeries's entries, ascending labelsLess
 	nextSeq     uint64
@@ -147,6 +149,9 @@ type DB struct {
 	// first block, before removing the inputs — simulating a process that
 	// died mid-compaction so tests can exercise Open's recovery.
 	testCrashMidCompact bool
+	// testParts, when positive, fixes every scan's part count (at most its
+	// fold windows), so tests can hold answers to every partition.
+	testParts int
 }
 
 // Open opens (or creates, unless ReadOnly) the store at dir, loading every
@@ -165,11 +170,12 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 	db := &DB{
-		dir:       dir,
-		opts:      opts,
-		byMachine: map[string][]*source{},
-		bySeries:  map[Labels]*labelChunks{},
-		nextSeq:   1,
+		dir:        dir,
+		opts:       opts,
+		byMachine:  map[string][]*source{},
+		machineMax: map[string]uint64{},
+		bySeries:   map[Labels]*labelChunks{},
+		nextSeq:    1,
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -432,7 +438,7 @@ func (db *DB) HasEpoch(machine string, epoch uint64) bool {
 func (db *DB) MaxEpoch(machine string) uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return maxEpoch(db.byMachine[machine])
+	return db.machineMax[machine]
 }
 
 // frameLen is the header segments and blocks share: magic, u16 version,
@@ -485,17 +491,10 @@ func decStr(d *wire.Dec) string {
 // anything but a finite, non-negative one.
 func decPeriod(d *wire.Dec, bits uint64) float64 {
 	p := math.Float64frombits(bits)
-	if err := checkPeriod(p); err != nil {
+	if err := sim.CheckPeriod(p); err != nil {
 		d.Fail(err)
 	}
 	return p
-}
-
-func checkPeriod(p float64) error {
-	if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
-		return fmt.Errorf("invalid period %v", p)
-	}
-	return nil
 }
 
 // validate is the one definition of a well-formed batch. Append refuses what
@@ -508,7 +507,7 @@ func (b *Batch) validate() error {
 	if b.Epoch == 0 {
 		return errors.New("batch needs an epoch >= 1")
 	}
-	if err := checkPeriod(b.Period); err != nil {
+	if err := sim.CheckPeriod(b.Period); err != nil {
 		return err
 	}
 	if len(b.Machine) > maxStringLen || len(b.Workload) > maxStringLen {

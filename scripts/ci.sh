@@ -28,9 +28,9 @@ go build ./...
 echo "== go test -race ./..." >&2
 go test -race -count=1 ./...
 
-echo "== benchmarks of the simulator and analysis layers run once (a set-up panic fails)" >&2
+echo "== benchmarks of the simulator, analysis and fleet-store layers run once (a set-up panic fails)" >&2
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mem ./internal/alpha ./internal/pipeline \
-	./internal/dcpi ./internal/cfg
+	./internal/dcpi ./internal/cfg ./internal/tsdb ./internal/collect
 
 echo "== dcpieval prints the same bytes with and without its profile (-pgo=off)" >&2
 # cmd/dcpieval/default.pgo changes inlining only; tier-1 holds the profiled
@@ -64,6 +64,7 @@ runcache FuzzDecodeEntry
 wire FuzzDec
 collect FuzzScrapePayload
 collect FuzzAnswerJSON
+collect FuzzQueryParams
 EOF
 
 echo "== ci.sh: all checks passed" >&2
