@@ -109,7 +109,7 @@ func TestSourceGuards(t *testing.T) {
 			// it one series range per part, never a copied point.
 			regexp.MustCompile(`func\((w|win|p|part) int, \w+ Point\)`),
 			func(f file) bool { return !f.isTest && in(f, "internal/tsdb") },
-			"internal/tsdb: a scan hands fn(part, i, bs, j0, j1), a series' column range in one part; only Select materializes points (bs.point)",
+			"internal/tsdb: a scan hands fn(part, bs, j0, j1), a series' column range in one part; only Select materializes points (bs.point)",
 		},
 		{
 			// A block has one layout: every point at full fidelity, no

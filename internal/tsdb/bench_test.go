@@ -338,7 +338,7 @@ func BenchmarkPartSplit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		to, half, series := uint64(epochs), uint64(epochs/2), 16*bigImages*epochs
+		to, series := uint64(epochs), 16*bigImages*epochs
 		queries := []struct {
 			name   string
 			points int
@@ -346,7 +346,6 @@ func BenchmarkPartSplit(b *testing.B) {
 		}{
 			{"range", series, func() { RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 1, to) }},
 			{"top", series, func() { TopImages(db, sim.EvCycles, 1, to, 10) }},
-			{"delta", series / 2, func() { TopDeltas(db, sim.EvCycles, 1, half, half+1, to, 10) }},
 			{"select", series / bigImages, func() { db.Select(Matcher{Image: "/usr/bin/app3", FromEpoch: 1, ToEpoch: to}) }},
 		}
 		for _, q := range queries {

@@ -123,8 +123,8 @@ const queryWindows = 16
 // which a range query split in two beat the same query in one part on a
 // 2-CPU host (BenchmarkPartSplit; docs/PERFORMANCE.md lists the runs):
 // below it the second goroutine's start costs more than the points it
-// takes over. TopDeltas' integer sums are cheaper per point and would want
-// a larger one.
+// takes over. TopDeltas, whose integer sums cost a fraction of that per
+// point, reads the counted ranges in one pass and never splits.
 const partPoints = 18432
 
 // cols is one planned series' columns [j0, j1): the points it holds inside
@@ -196,27 +196,27 @@ func (sc *scan) winStart(w int) uint64 {
 // partStart is the first epoch of part p, the start of its first window.
 func (sc *scan) partStart(p int) uint64 { return sc.winStart(p * sc.nwin / sc.parts) }
 
-// run calls fn(part, i, bs, j0, j1) once for every part and every series
-// sc.series[i] with points in the part, handing it that series' columns
+// run calls fn(part, bs, j0, j1) once for every part and every series of
+// sc.series with points in the part, handing it that series' columns
 // [j0, j1) in place, never an empty range. Within one part calls arrive in
 // sc.series order, epochs ascending within a range, and each epoch belongs
 // to exactly one part. The parts run through par.Default().Each, so fn may
 // be called concurrently for different parts, never for the same one.
-func (sc *scan) run(fn func(part, i int, bs *bseries, j0, j1 int)) {
+func (sc *scan) run(fn func(part int, bs *bseries, j0, j1 int)) {
 	if sc.parts == 1 {
-		for i, c := range sc.series {
-			fn(0, i, c.bs, c.j0, c.j1)
+		for _, c := range sc.series {
+			fn(0, c.bs, c.j0, c.j1)
 		}
 		return
 	}
 	par.Default().Each(sc.parts, func(p int) {
 		first, last := sc.partStart(p), sc.partStart(p+1)-1
-		for i, c := range sc.series {
+		for _, c := range sc.series {
 			e := c.bs.epochs
 			j0 := c.j0 + sort.Search(c.j1-c.j0, func(k int) bool { return e[c.j0+k] >= first })
 			j1 := j0 + sort.Search(c.j1-j0, func(k int) bool { return e[j0+k] > last })
 			if j0 < j1 {
-				fn(p, i, c.bs, j0, j1)
+				fn(p, c.bs, j0, j1)
 			}
 		}
 	})
@@ -247,7 +247,7 @@ func (db *DB) Select(m Matcher) []Point {
 	for p := range parts {
 		parts[p] = make([]ref, 0, sc.points/sc.parts)
 	}
-	sc.run(func(p, _ int, bs *bseries, j0, j1 int) {
+	sc.run(func(p int, bs *bseries, j0, j1 int) {
 		for j := j0; j < j1; j++ {
 			parts[p] = append(parts[p], ref{bs.epochs[j], bs, j})
 		}
@@ -313,7 +313,7 @@ func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) [
 	for p, c := range caps {
 		parts[p], buf = buf[:0:c], buf[c:]
 	}
-	sc.run(func(p, _ int, bs *bseries, j0, j1 int) {
+	sc.run(func(p int, bs *bseries, j0, j1 int) {
 		rows := parts[p]
 		k := sort.Search(len(rows), func(i int) bool { return rows[i].Epoch >= bs.epochs[j0] })
 		for j := j0; j < j1; j++ {
@@ -352,7 +352,7 @@ func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) [
 		denom.Image = image
 	}
 	totals := make([]float64, len(out))
-	db.newScan(denom).run(func(_, _ int, bs *bseries, j0, j1 int) {
+	db.newScan(denom).run(func(_ int, bs *bseries, j0, j1 int) {
 		k := sort.Search(len(out), func(i int) bool { return out[i].Epoch >= bs.epochs[j0] })
 		for j := j0; j < j1; j++ {
 			for k < len(out) && out[k].Epoch < bs.epochs[j] {
@@ -449,7 +449,7 @@ func rank(db *DB, m Matcher, n int, key func(*Labels) (name string, inRows, inTo
 	}
 	sc := db.newScan(m)
 	aggs := make([]winAgg, sc.nwin)
-	sc.run(func(_, _ int, bs *bseries, j0, j1 int) {
+	sc.run(func(_ int, bs *bseries, j0, j1 int) {
 		name, inRows, inTotal := key(&bs.labels)
 		// The part holds whole fold windows: each window's stretch of the
 		// range goes to that window's partial.
@@ -525,25 +525,16 @@ func rank(db *DB, m Matcher, n int, key func(*Labels) (name string, inRows, inTo
 // between window A and window B (both inclusive epoch ranges), reusing the
 // share-delta ranking dcpidiff applies to a pair of databases.
 func TopDeltas(db *DB, ev sim.Event, aFrom, aTo, bFrom, bTo uint64, n int) []analysis.DeltaRow {
-	// Integer partials need no fold order: each part sums into its own
-	// stretch of one array indexed by planned series, and the caller
-	// merges them by image.
+	// Integer sums need no fold order and no parts: the scan's counted
+	// ranges are summed straight into one map per window, in one pass on
+	// the caller. A second part never paid for its start on these sums at
+	// any size measured (docs/PERFORMANCE.md, "PR 46").
 	window := func(from, to uint64) map[string]uint64 {
-		sc := db.newScan(Matcher{Event: ev, FromEpoch: from, ToEpoch: to})
-		ns := len(sc.series)
-		sums := make([]uint64, sc.parts*ns)
-		sc.run(func(p, i int, bs *bseries, j0, j1 int) {
-			var n uint64
-			for _, s := range bs.samples[j0:j1] {
-				n += s
-			}
-			sums[p*ns+i] = n
-		})
 		m := map[string]uint64{}
-		for i, c := range sc.series {
+		for _, c := range db.newScan(Matcher{Event: ev, FromEpoch: from, ToEpoch: to}).series {
 			var n uint64
-			for p := range sc.parts {
-				n += sums[p*ns+i]
+			for _, s := range c.bs.samples[c.j0:c.j1] {
+				n += s
 			}
 			m[c.bs.labels.Image] += n
 		}

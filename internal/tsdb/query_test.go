@@ -94,8 +94,11 @@ func TestCompactionByteIdentityRaggedSpan(t *testing.T) {
 // winStart bounds it, is emitted from one part, and parts ascend with the
 // windows — and that every matching point is emitted exactly once. An
 // open-ended scan of the series that stops at epoch 2 must also emit the
-// same (part, epoch) pairs at every stage: its windows end where its
-// series do, not where the blocks that compaction builds around them do.
+// same (part, fold window, epoch) triples at every stage: its windows end
+// where its series do, not where the blocks that compaction builds around
+// them do. Its two points are one part, so the fold window is what sees a
+// moved upper bound; rank's fold order, and so every top answer's bytes,
+// hang on it.
 func TestScanWindowsPartitionInvariant(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -114,7 +117,7 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 		}
 		seen := map[point]bool{}
 		partOf := map[uint64]int{}
-		db.newScan(Matcher{FromEpoch: lo, ToEpoch: hi}).run(func(p, _ int, bs *bseries, j0, j1 int) {
+		db.newScan(Matcher{FromEpoch: lo, ToEpoch: hi}).run(func(p int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
 			if j0 >= j1 {
@@ -163,17 +166,18 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 		db.testParts = 0
 	}
 	type emitted struct {
-		part  int
-		epoch uint64
+		part, win int
+		epoch     uint64
 	}
 	openEnded := func() []emitted {
 		var mu sync.Mutex
 		var out []emitted
-		db.newScan(Matcher{Image: "/short"}).run(func(p, _ int, bs *bseries, j0, j1 int) {
+		sc := db.newScan(Matcher{Image: "/short"})
+		sc.run(func(p int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, e := range bs.epochs[j0:j1] {
-				out = append(out, emitted{p, e})
+				out = append(out, emitted{p, sc.win(e), e})
 			}
 		})
 		sort.Slice(out, func(i, j int) bool { return out[i].epoch < out[j].epoch })
@@ -182,8 +186,8 @@ func TestScanWindowsPartitionInvariant(t *testing.T) {
 	raggedFleet(t, db, 1, 17)
 	sweep("raw", 17)
 	want := openEnded()
-	if len(want) != 2 {
-		t.Fatalf("open-ended scan of /short emitted %v, want epochs 1 and 2", want)
+	if len(want) != 2 || want[0].win != 0 || want[1].win != 1 {
+		t.Fatalf("open-ended scan of /short emitted %v, want epochs 1 and 2 in fold windows 0 and 1", want)
 	}
 	// Compact epochs 1..17 into a block, then append two more raw epochs:
 	// scans now mix block series and raw points in the same windows.
@@ -432,7 +436,7 @@ func TestScanVisitsEachSeriesOnce(t *testing.T) {
 		visits := map[*bseries]int{}
 		calls := 0
 		var mu sync.Mutex
-		db.newScan(m).run(func(_, _ int, bs *bseries, j0, j1 int) {
+		db.newScan(m).run(func(_ int, bs *bseries, j0, j1 int) {
 			mu.Lock()
 			defer mu.Unlock()
 			visits[bs]++
