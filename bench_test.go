@@ -164,7 +164,11 @@ func BenchmarkFig3Wave5Stats(b *testing.B) {
 // (Figure 4).
 func BenchmarkFig4StallSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := eval.Fig4(benchOpts, io.Discard, nil); err != nil {
+		runs, err := eval.Fig3(benchOpts, io.Discard)
+		if err == nil {
+			err = eval.Fig4(io.Discard, runs)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

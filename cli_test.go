@@ -137,7 +137,9 @@ func TestCLIRejectsNegativeDriverGeometry(t *testing.T) {
 	}
 }
 
-// TestExamplesRun executes every example program end to end.
+// TestExamplesRun executes every example program end to end and holds its
+// stdout to the "examples/<name>" line of testdata/golden_sections.sha256
+// (re-recorded with -update; see update).
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples are slow")
@@ -153,13 +155,13 @@ func TestExamplesRun(t *testing.T) {
 		name := e.Name()
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command("go", "run", "./examples/"+name)
-			out, err := cmd.CombinedOutput()
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("example %s failed: %v\n%s", name, err, out)
+				t.Fatalf("example %s failed: %v\n%s%s", name, err, out, stderr.String())
 			}
-			if len(out) == 0 {
-				t.Errorf("example %s produced no output", name)
-			}
+			checkPins(t, sectionPins, []pin{{name: "examples/" + name, digest: digest(out)}})
 		})
 	}
 }

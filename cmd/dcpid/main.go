@@ -5,15 +5,15 @@
 // Usage:
 //
 //	dcpid -workload x11perf -mode default -db ./dcpidb [-seed 1] [-scale 1]
-//	dcpid -workload x11perf -stats-out metrics.json -trace-out trace.json
+//	dcpid -workload x11perf -metrics-out metrics.json -trace-out trace.json
 //	dcpid -workload x11perf -epochs 20 -listen 127.0.0.1:9111 -machine m00
 //
-// -stats-out (also spelled -metrics-out) writes the collection stack's
-// self-measurements (the paper's Table 3-5 numbers: handler-cycle
-// histogram, hash miss rate, evictions, daemon cycles/sample, database
-// bytes) as a metrics JSON artifact; -trace-out writes a Chrome-trace-format
-// JSON of the collection pipeline (openable in Perfetto). Both are written
-// on every way out, a failed run included. See docs/OBSERVABILITY.md.
+// -metrics-out writes the collection stack's self-measurements (the paper's
+// Table 3-5 numbers: handler-cycle histogram, hash miss rate, evictions,
+// daemon cycles/sample, database bytes) as a metrics JSON artifact;
+// -trace-out writes a Chrome-trace-format JSON of the collection pipeline
+// (openable in Perfetto). Both are written on every way out, a failed run
+// included. See docs/OBSERVABILITY.md.
 //
 // -epochs runs the workload repeatedly (seed+i per run), sealing one
 // database epoch per run; -listen serves the database, live stats, and

@@ -2,8 +2,9 @@
 // machine under continuous profiling, and analyze where its cycles went.
 //
 // This example wires the pieces together by hand (loader, machine, driver,
-// daemon) to show the library's composition; the higher-level dcpi.Run does
-// all of this for the built-in workloads.
+// daemon) to show the library's composition, and because its program is
+// assembled here and its pointer ring laid out in memory before it runs;
+// the higher-level dcpi.Run does all of this for the built-in workloads.
 //
 //	go run ./examples/quickstart
 package main

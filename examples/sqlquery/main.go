@@ -108,6 +108,10 @@ const rows = 20000
 // period is the CYCLES sampling period of both plans' runs.
 var period = sim.PeriodSpec{Base: 2048, Spread: 512}
 
+// runPlan profiles one plan on a machine wired by hand, as in
+// examples/quickstart: dcpi.Run runs registered workloads, and each plan
+// here is a program assembled from its source with its tables laid out in
+// memory before it starts.
 func runPlan(name, src string) (int64, *planResult) {
 	kernel, abi := workload.Kernel()
 	l := loader.New(kernel)

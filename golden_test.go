@@ -4,30 +4,272 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"dcpi/internal/dcpi"
+	"dcpi/internal/eval"
+	"dcpi/internal/runcache"
+	"dcpi/internal/runner"
 )
+
+// update re-records the digest files instead of checking them: each test
+// rewrites the lines it computes, logs old → new for each, and keeps every
+// other line; TestEvalContractStalePins drops the sections file's lines
+// that no section or example owns. The contract's sections are re-recorded
+// with
+//
+//	go test . -run TestEvalContract -update -v
+//
+// and every pin of the root package's digest files (the sections, the
+// examples, Table 2 and Figure 4) with
+//
+//	go test . -run 'TestEvalContract|TestExamplesRun|TestGolden' -update -v
+//
+// It never writes bench/testdata/pinned.json, the benchmark's own pins.
+var update = flag.Bool("update", false, "rewrite the lines of the testdata/*.sha256 digest files this run computes")
+
+// TestEvalContract holds the evaluation's output, the contract, to its pins
+// from one in-process `dcpieval -all -runs 1 -scale 0.05` (contractRun): the
+// whole stdout to the full row's eval_digest in bench/testdata/pinned.json,
+// read in place, and each of the fourteen sections to its line of
+// testdata/golden_sections.sha256, so that a moved byte names its section.
+// The whole default-scale output, eval_output.txt, is cmp'd by
+// scripts/ci.sh.
+func TestEvalContract(t *testing.T) {
+	run := contractRun(t)
+	if len(run.sections) != len(eval.Sections) {
+		t.Fatalf("-all printed %d sections, eval.Sections lists %d", len(run.sections), len(eval.Sections))
+	}
+	var all []byte
+	var got []pin
+	for _, s := range run.sections {
+		all = append(all, s.out...)
+		got = append(got, pin{name: s.header, digest: digest(s.out)})
+	}
+	checkPins(t, sectionPins, got)
+	if d, want := digest(all), benchPin(t, "full").EvalDigest; d != want {
+		t.Errorf("dcpieval -all -runs 1 -scale 0.05 stdout digest %s, bench/testdata/pinned.json's full row pins %s", d, want)
+	}
+}
+
+// TestEvalContractStalePins holds testdata/golden_sections.sha256 to the
+// pins some test checks: every line must name a header of eval.Sections
+// (TestEvalContract) or a directory under examples/ (TestExamplesRun). A
+// renamed or removed section or example leaves a line that no test reads;
+// it fails here, and -update drops it and logs it as removed. It runs after
+// TestEvalContract, so `-run TestEvalContract -update` re-records a renamed
+// header's line and drops the old one.
+func TestEvalContractStalePins(t *testing.T) {
+	owned := map[string]bool{}
+	for _, s := range eval.Sections {
+		owned[s.Header] = true
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			owned["examples/"+e.Name()] = true
+		}
+	}
+	lines, _ := readPins(t, sectionPins)
+	kept := lines[:0:0]
+	for _, l := range lines {
+		switch {
+		case owned[l.name]:
+			kept = append(kept, l)
+		case *update:
+			t.Logf("%s: removed %.12s", l.name, l.digest)
+		default:
+			t.Errorf("%s has a line for %q, which is neither a section of eval.Sections nor an example; drop it with -update", sectionPins, l.name)
+		}
+	}
+	if *update && len(kept) != len(lines) {
+		writePins(t, sectionPins, kept)
+	}
+}
+
+// contract is the contract run: each section's header and bytes, in
+// output order, and the run-cache directory it filled.
+type contract struct {
+	sections []section
+	cacheDir string
+}
+
+type section struct {
+	header string
+	out    []byte
+}
+
+// evalAll runs `dcpieval -all -runs 1 -scale 0.05` once per test process,
+// in process, through the eval.Select and eval.Run that dcpieval prints
+// with, into a run-cache directory bound to dcpi.CacheStamp() as
+// dcpieval's -cache-dir is.
+var evalAll = sync.OnceValues(func() (run contract, failed error) {
+	run.cacheDir = filepath.Join(toolDir, "eval-all-cache")
+	disk, err := runcache.Open(run.cacheDir, runcache.Options{Stamp: dcpi.CacheStamp()})
+	if err != nil {
+		return run, err
+	}
+	sched := runner.New(0)
+	sched.Disk = disk
+	eval.Run(eval.Options{Runs: 1, Scale: 0.05, Runner: sched}, eval.Select(true, 0, 0, ""),
+		func(s eval.Section, out []byte, err error) {
+			run.sections = append(run.sections, section{s.Header, out})
+			if err != nil && failed == nil {
+				failed = fmt.Errorf("%s: %w", s.Header, err)
+			}
+		})
+	return run, failed
+})
+
+// contractRun is evalAll's run, or the test's end if it could not be made.
+func contractRun(t *testing.T) contract {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("the contract run simulates")
+	}
+	run, err := evalAll()
+	if err != nil {
+		t.Fatalf("dcpieval -all -runs 1 -scale 0.05 in process: %v", err)
+	}
+	return run
+}
+
+// The digest files: one "digest  name" line per pin. A section of the
+// contract run is named by its header, an example's stdout by its directory,
+// and a dcpieval run by its command line.
+var (
+	sectionPins = filepath.Join("testdata", "golden_sections.sha256")
+	figurePins  = filepath.Join("testdata", "golden_figures.sha256")
+	table2Pins  = filepath.Join("testdata", "golden_table2.sha256")
+)
+
+// pin is one line of a digest file.
+type pin struct{ name, digest string }
+
+// checkPins holds each computed pin to the line of the same name in file
+// or, with -update, rewrites that line.
+func checkPins(t *testing.T, file string, got []pin) {
+	t.Helper()
+	lines, at := readPins(t, file)
+	for _, g := range got {
+		i, ok := at[g.name]
+		switch {
+		case *update && !ok:
+			t.Logf("%s: new → %.12s", g.name, g.digest)
+			at[g.name] = len(lines)
+			lines = append(lines, g)
+		case *update:
+			if lines[i].digest == g.digest {
+				t.Logf("%s: unchanged %.12s", g.name, g.digest)
+			} else {
+				t.Logf("%s: %.12s → %.12s", g.name, lines[i].digest, g.digest)
+			}
+			lines[i].digest = g.digest
+		case !ok:
+			t.Errorf("%s has no line for %q (digest %s); record it with -update", file, g.name, g.digest)
+		case lines[i].digest != g.digest:
+			t.Errorf("%q digest changed:\n  got  %s\n  want %s\n(re-record with -update if the change is intended)",
+				g.name, g.digest, lines[i].digest)
+		}
+	}
+	if *update {
+		writePins(t, file, lines)
+	}
+}
+
+// writePins writes lines to file, one "digest  name" line each.
+func writePins(t *testing.T, file string, lines []pin) {
+	t.Helper()
+	var b strings.Builder
+	for _, l := range lines {
+		fmt.Fprintf(&b, "%s  %s\n", l.digest, l.name)
+	}
+	if err := os.WriteFile(file, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantPin is the digest of file's line called name.
+func wantPin(t *testing.T, file, name string) string {
+	t.Helper()
+	lines, at := readPins(t, file)
+	i, ok := at[name]
+	if !ok {
+		t.Fatalf("%s has no line for %q", file, name)
+	}
+	return lines[i].digest
+}
+
+// readPins returns the lines of file, and each name's index.
+func readPins(t *testing.T, file string) ([]pin, map[string]int) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []pin
+	at := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		d, name, ok := strings.Cut(l, "  ")
+		if !ok || len(d) != 64 {
+			t.Fatalf("%s: malformed line %q", file, l)
+		}
+		at[name] = len(lines)
+		lines = append(lines, pin{name, d})
+	}
+	return lines, at
+}
+
+// digest is the hex sha256 every pin file holds.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// benchPin is one row of bench/testdata/pinned.json, read in place.
+func benchPin(t *testing.T, row string) (p struct {
+	EvalDigest string `json:"eval_digest"`
+	EvalSims   int    `json:"eval_sims"`
+	EvalDups   int    `json:"eval_dups"`
+}) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("bench", "testdata", "pinned.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(pins[row], &p); err != nil || p.EvalDigest == "" {
+		t.Fatalf("bench/testdata/pinned.json has no %s row (%v): %s", row, err, raw)
+	}
+	return p
+}
 
 // TestGoldenTable2Digest is the byte-identical determinism guard for the
 // evaluation pipeline: the simulator's hot path may be rearranged for
 // speed (pre-decoded metadata, memoized schedules, pooled buffers), but
-// `dcpieval -table 2` stdout must never change by a single byte. The
-// committed digest in testdata/golden_table2.sha256 locks the output; a
-// mismatch means an "optimization" changed simulation semantics.
-//
-// To regenerate after an intentional output change:
-//
-//	go build -o /tmp/dcpieval ./cmd/dcpieval
-//	/tmp/dcpieval -table 2 -runs 2 -scale 0.12 | sha256sum
-//
-// and update testdata/golden_table2.sha256 (and eval_output.txt, captured
-// at default -runs/-scale, alongside it).
+// `dcpieval -table 2 -runs 2 -scale 0.12` stdout must never change by a
+// single byte. The committed digest in testdata/golden_table2.sha256 locks
+// the output; a mismatch means an "optimization" changed simulation
+// semantics. After an intentional output change, re-record it with -update
+// (see update), together with eval_output.txt, which is `dcpieval -all` at
+// the default -runs and -scale.
 func TestGoldenTable2Digest(t *testing.T) {
-	goldenTable2(t)
+	bin := buildGolden(t)
+	d, _ := runEval(t, bin, goldenArgs())
+	checkPins(t, table2Pins, []pin{{evalCommand(goldenArgs()), d}})
 }
 
 // TestGoldenTable2DigestParallel runs the same golden check on a one-slot
@@ -104,39 +346,32 @@ func TestGoldenTable2DigestSharded(t *testing.T) {
 	}
 }
 
-// TestGoldenFigureDigests pins the sections whose bytes come from the §6
-// analysis, which Table 2 does not reach: Figure 2's dcpicalc listing
-// (bubbles and culprit addresses), Figure 4's dynamic-stall ranges per
-// cause, Figures 8 and 9's frequency accuracy (which analyse the same runs)
-// and Figure 10's culprit accuracy. Each line of
-// testdata/golden_figures.sha256 is a digest and the command that prints
-// it; regenerate a line with
-//
-//	go build -o /tmp/dcpieval ./cmd/dcpieval
-//	/tmp/dcpieval -fig 2 -runs 1 -scale 0.05 | sha256sum
-//
-// Each figure runs twice: cold into a fresh cache directory, then warm from
-// it, where every run is rehydrated onto a shared shell.
+// TestGoldenFigureDigests runs the standalone figures whose bytes come
+// from the §6 analysis, which Table 2 does not reach: Figure 2's dcpicalc
+// listing (bubbles and culprit addresses), Figure 4's dynamic-stall ranges
+// per cause, Figures 8 and 9's frequency accuracy (which analyse the same
+// runs) and Figure 10's culprit accuracy. Each `dcpieval -fig N -runs 1
+// -scale 0.05` runs warm from the contract run's cache directory: it must
+// rehydrate every run, simulate none, and print the bytes of its section of
+// that run, pinned in testdata/golden_sections.sha256. Figure 4 is half a
+// section, so its digest is its line of testdata/golden_figures.sha256,
+// re-recorded with -update (see update).
 func TestGoldenFigureDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden digest runs simulate")
-	}
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden_figures.sha256"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := contractRun(t)
 	bin := buildTool(t, "dcpieval")
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 3 || f[1] != "dcpieval" {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		t.Run(strings.TrimPrefix(f[2], "-")+f[3], func(t *testing.T) {
-			cacheDir := filepath.Join(t.TempDir(), "runcache")
-			args := append(f[2:len(f):len(f)], "-cache-dir", cacheDir)
-			digestCheck(t, bin, f[0], args) // cold: populates
-			if stderr := digestCheck(t, bin, f[0], args); !strings.Contains(stderr, "rehydrated from disk") {
-				t.Errorf("warm pass did not report disk hits; stderr:\n%s", stderr)
+	for _, fig := range []int{2, 4, 8, 9, 10} {
+		args := []string{"-fig", fmt.Sprint(fig), "-runs", "1", "-scale", "0.05"}
+		t.Run(fmt.Sprint("fig", fig), func(t *testing.T) {
+			d, stderr := runEval(t, bin, append(args, "-cache-dir", run.cacheDir))
+			if s := eval.Select(false, 0, fig, ""); s[0].Fig == fig {
+				if want := wantPin(t, sectionPins, s[0].Header); d != want {
+					t.Errorf("%s stdout digest %s, its section of the contract run %s", evalCommand(args), d, want)
+				}
+			} else {
+				checkPins(t, figurePins, []pin{{evalCommand(args), d}})
+			}
+			if !strings.Contains(stderr, "dcpieval: 0 simulations run") || !strings.Contains(stderr, "rehydrated from disk") {
+				t.Errorf("warm pass did not rehydrate every run; stderr:\n%s", stderr)
 			}
 		})
 	}
@@ -151,22 +386,7 @@ func TestBenchTinyPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the pinned row simulates")
 	}
-	raw, err := os.ReadFile(filepath.Join("bench", "testdata", "pinned.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pins map[string]struct {
-		EvalDigest string `json:"eval_digest"`
-		EvalSims   int    `json:"eval_sims"`
-		EvalDups   int    `json:"eval_dups"`
-	}
-	if err := json.Unmarshal(raw, &pins); err != nil {
-		t.Fatal(err)
-	}
-	tiny, ok := pins["tiny"]
-	if !ok || tiny.EvalDigest == "" {
-		t.Fatalf("bench/testdata/pinned.json has no tiny row: %s", raw)
-	}
+	tiny := benchPin(t, "tiny")
 	dir := t.TempDir()
 	args := []string{"-fig", "3", "-runs", "1", "-scale", "0.05",
 		"-cache-dir", filepath.Join(dir, "cache"), "-metrics-out", filepath.Join(dir, "m.json")}
@@ -193,19 +413,25 @@ func goldenArgs() []string {
 	return []string{"-table", "2", "-runs", "2", "-scale", "0.12"}
 }
 
-// goldenSetup builds dcpieval and loads the committed digest.
-func goldenSetup(t *testing.T) (bin, want string) {
+// evalCommand is the name a digest file gives the dcpieval run of args.
+func evalCommand(args []string) string {
+	return "dcpieval " + strings.Join(args, " ")
+}
+
+// buildGolden builds dcpieval for the Table 2 golden runs.
+func buildGolden(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("golden digest run is slow")
 	}
-	wantRaw, err := os.ReadFile(filepath.Join("testdata", "golden_table2.sha256"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = strings.Fields(string(wantRaw))[0]
+	return buildTool(t, "dcpieval")
+}
 
-	return buildTool(t, "dcpieval"), want
+// goldenSetup builds dcpieval and loads the committed Table 2 digest.
+func goldenSetup(t *testing.T) (bin, want string) {
+	t.Helper()
+	bin = buildGolden(t)
+	return bin, wantPin(t, table2Pins, evalCommand(goldenArgs()))
 }
 
 // goldenCheck runs the golden sweep with extra args, compares the stdout
@@ -219,25 +445,23 @@ func goldenCheck(t *testing.T, bin, want string, extraArgs ...string) string {
 // want, and returns stderr.
 func digestCheck(t *testing.T, bin, want string, args []string) string {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	var errBuf strings.Builder
-	cmd.Stderr = &errBuf
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("dcpieval %s: %v\nstderr:\n%s", strings.Join(args, " "), err, errBuf.String())
-	}
-	sum := sha256.Sum256(out)
-	got := hex.EncodeToString(sum[:])
+	got, stderr := runEval(t, bin, args)
 	if got != want {
-		dump := filepath.Join(t.TempDir(), "dcpieval.out")
-		os.WriteFile(dump, out, 0o644)
-		t.Errorf("dcpieval %s stdout digest changed:\n  got  %s\n  want %s\noutput saved to %s\n(see the test comment for how to regenerate if the change is intentional)",
-			strings.Join(args, " "), got, want, dump)
+		t.Errorf("%s stdout digest changed:\n  got  %s\n  want %s", evalCommand(args), got, want)
 	}
-	return errBuf.String()
+	return stderr
 }
 
-func goldenTable2(t *testing.T, extraArgs ...string) {
-	bin, want := goldenSetup(t)
-	goldenCheck(t, bin, want, extraArgs...)
+// runEval runs dcpieval with args and returns its stdout digest and its
+// stderr.
+func runEval(t *testing.T, bin string, args []string) (string, string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s: %v\nstderr:\n%s", evalCommand(args), err, stderr.String())
+	}
+	return digest(out), stderr.String()
 }

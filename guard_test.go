@@ -58,7 +58,7 @@ func TestSourceGuards(t *testing.T) {
 			// internal/cli declares the shared flags once and owns what each
 			// starts and what is written on the way to os.Exit. (bench/ is the
 			// benchmark's own module; its -trace-out is the harness's.)
-			regexp.MustCompile(`"(cpuprofile|memprofile|metrics-out|stats-out|trace-out|cache-dir|cache-max-mb)"`),
+			regexp.MustCompile(`"(cpuprofile|memprofile|metrics-out|trace-out|cache-dir|cache-max-mb)"`),
 			func(f file) bool { return !f.isTest && !in(f, "internal/cli", "bench") },
 			"shared flag declared outside internal/cli: register its group with cli.App",
 		},

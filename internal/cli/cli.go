@@ -47,11 +47,9 @@ func (a *App) ProfileFlags() {
 	flag.StringVar(&a.memProf, "memprofile", "", "write a runtime/pprof heap profile at exit to this file")
 }
 
-// ObsFlags declares -metrics-out (also spelled -stats-out) and -trace-out
-// (docs/OBSERVABILITY.md).
+// ObsFlags declares -metrics-out and -trace-out (docs/OBSERVABILITY.md).
 func (a *App) ObsFlags() {
 	flag.StringVar(&a.metrics, "metrics-out", "", "write this run's self-measurements as metrics JSON to this file")
-	flag.StringVar(&a.metrics, "stats-out", "", "the same as -metrics-out")
 	flag.StringVar(&a.trace, "trace-out", "", "write this run's event trace (Chrome trace format) to this file")
 }
 

@@ -120,12 +120,12 @@ func ablationTrace(o Options, wl string) ([]sim.Sample, error) {
 
 // FormatAblation renders the sweep.
 func FormatAblation(w io.Writer, res *AblationResult) {
-	fprintf(w, "Hash-table design sweep (§5.4) on a %s trace of %d samples\n\n",
+	fmt.Fprintf(w, "Hash-table design sweep (§5.4) on a %s trace of %d samples\n\n",
 		res.Workload, res.TraceLength)
-	fprintf(w, "%-30s %9s %9s %10s %12s %8s\n",
+	fmt.Fprintf(w, "%-30s %9s %9s %10s %12s %8s\n",
 		"design", "missrate", "probes", "evictions", "cost(cyc)", "vs base")
 	for _, r := range res.Rows {
-		fprintf(w, "%-30s %8.1f%% %9.2f %10d %12d %7.1f%%\n",
+		fmt.Fprintf(w, "%-30s %8.1f%% %9.2f %10d %12d %7.1f%%\n",
 			r.Label, 100*r.Stats.MissRate(), r.AvgProbes,
 			r.Stats.Evictions, r.Cost, 100*r.CostRatio)
 	}

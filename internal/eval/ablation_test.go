@@ -3,41 +3,40 @@ package eval
 import (
 	"bytes"
 	"os"
-	"strings"
 	"testing"
 
 	"dcpi/internal/driver"
 )
 
 // TestAblationMatchesEvalOutput pins the §5.4 section of the committed
-// eval_output.txt byte for byte. That section is produced at the default
-// scale 0.25, and the ablation raises any smaller scale to 0.25 with a fixed
-// seed, so the tiny options replay the very same trace.
+// eval_output.txt byte for byte, header and framing included, through the
+// same Select and Run that dcpieval prints it with. That section is produced
+// at the default scale 0.25, and the ablation raises any smaller scale to
+// 0.25 with a fixed seed, so the tiny options replay the very same trace.
 func TestAblationMatchesEvalOutput(t *testing.T) {
 	golden, err := os.ReadFile("../../eval_output.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const header = "==== Ablation: hash-table design space (§5.4) ====\n\n"
-	text := string(golden)
-	start := strings.Index(text, header)
+	var got []byte
+	Run(tiny, Select(false, 0, 0, "ht"), func(_ Section, out []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = out
+	})
+	header, _, _ := bytes.Cut(got, []byte("\n"))
+	start := bytes.Index(golden, header)
 	if start < 0 {
-		t.Fatalf("eval_output.txt has no %q section", strings.TrimSpace(header))
+		t.Fatalf("eval_output.txt has no %q section", header)
 	}
-	text = text[start+len(header):]
-	end := strings.Index(text, "\n====")
+	want := golden[start:]
+	end := bytes.Index(want[len(header):], []byte("\n===="))
 	if end < 0 {
 		t.Fatal("eval_output.txt: the §5.4 section is not followed by another section")
 	}
-	want := text[:end]
-
-	res, err := AblationHT(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	FormatAblation(&buf, res)
-	if got := buf.String(); got != want {
+	want = want[:len(header)+end+1]
+	if !bytes.Equal(got, want) {
 		t.Errorf("§5.4 ablation differs from eval_output.txt\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

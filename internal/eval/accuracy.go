@@ -222,26 +222,19 @@ func Fig9Interpretation(o Options) (*AccuracyResult, error) {
 
 // FormatAccuracy renders a Figure 8/9-style histogram table.
 func FormatAccuracy(w io.Writer, title string, res *AccuracyResult) {
-	fprintf(w, "%s\n\n", title)
-	fprintf(w, "%12s %10s %10s %10s\n", "error bucket", "low", "medium", "high")
+	fmt.Fprintf(w, "%s\n\n", title)
+	fmt.Fprintf(w, "%12s %10s %10s %10s\n", "error bucket", "low", "medium", "high")
 	n := len(res.Hist[analysis.ConfHigh].Buckets)
 	for i := 0; i < n; i++ {
 		lo, hi := res.Hist[analysis.ConfHigh].BucketLabel(i)
-		fprintf(w, "%5.0f..%3.0f%% ", 100*lo, 100*hi)
+		fmt.Fprintf(w, "%5.0f..%3.0f%% ", 100*lo, 100*hi)
 		for _, conf := range []analysis.Confidence{analysis.ConfLow, analysis.ConfMedium, analysis.ConfHigh} {
 			h := res.Hist[conf]
-			fprintf(w, " %9.2f%%", 100*h.Buckets[i]/maxf(res.TotalWeight, 1))
+			fmt.Fprintf(w, " %9.2f%%", 100*h.Buckets[i]/max(res.TotalWeight, 1))
 		}
-		fprintf(w, "\n")
+		fmt.Fprintf(w, "\n")
 	}
-	fprintf(w, "\nwithin  5%%: %5.1f%%\nwithin 10%%: %5.1f%%\nwithin 15%%: %5.1f%%\n",
+	fmt.Fprintf(w, "\nwithin  5%%: %5.1f%%\nwithin 10%%: %5.1f%%\nwithin 15%%: %5.1f%%\n",
 		100*res.Within5, 100*res.Within10, 100*res.Within15)
-	fprintf(w, "(%d procedures, total weight %.0f)\n", res.Procedures, res.TotalWeight)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	fmt.Fprintf(w, "(%d procedures, total weight %.0f)\n", res.Procedures, res.TotalWeight)
 }

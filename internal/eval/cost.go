@@ -97,11 +97,11 @@ func costRow(wl string, mode sim.Mode, r *dcpi.Result) Table4Row {
 
 // FormatTable4 renders Table 4.
 func FormatTable4(w io.Writer, rows []Table4Row) {
-	fprintf(w, "Table 4: time overhead components (cycles per sample)\n\n")
-	fprintf(w, "%-18s %-8s %9s %8s %8s %8s %8s %8s\n",
+	fmt.Fprintf(w, "Table 4: time overhead components (cycles per sample)\n\n")
+	fmt.Fprintf(w, "%-18s %-8s %9s %8s %8s %8s %8s %8s\n",
 		"workload", "mode", "missrate", "avgintr", "hit", "miss", "daemon", "aggfact")
 	for _, r := range rows {
-		fprintf(w, "%-18s %-8s %8.1f%% %8.0f %8.0f %8.0f %8.1f %8.1f\n",
+		fmt.Fprintf(w, "%-18s %-8s %8.1f%% %8.0f %8.0f %8.0f %8.1f %8.1f\n",
 			r.Workload, r.Mode, 100*r.MissRate, r.AvgIntr, r.HitCost, r.MissCost,
 			r.DaemonCost, r.AggFact)
 	}
@@ -169,11 +169,11 @@ func Table5(o Options) ([]Table5Row, error) {
 
 // FormatTable5 renders Table 5.
 func FormatTable5(w io.Writer, rows []Table5Row) {
-	fprintf(w, "Table 5: daemon space overhead (bytes) and profile database size\n\n")
-	fprintf(w, "%-18s %-8s %14s %12s %12s %12s %12s\n",
+	fmt.Fprintf(w, "Table 5: daemon space overhead (bytes) and profile database size\n\n")
+	fmt.Fprintf(w, "%-18s %-8s %14s %12s %12s %12s %12s\n",
 		"workload", "mode", "uptime(cyc)", "mem", "peak", "disk", "driver-kmem")
 	for _, r := range rows {
-		fprintf(w, "%-18s %-8s %14d %12d %12d %12d %12d\n",
+		fmt.Fprintf(w, "%-18s %-8s %14d %12d %12d %12d %12d\n",
 			r.Workload, r.Mode, r.UptimeCycles, r.MemoryBytes, r.PeakBytes, r.DiskBytes, r.DriverKernel)
 	}
 }

@@ -44,21 +44,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sync/atomic"
 
 	"dcpi/internal/dcpi"
 	"dcpi/internal/obs"
 	"dcpi/internal/runner"
 	"dcpi/internal/sim"
-	"dcpi/internal/workload"
 )
-
-// specFor returns a workload's registered description.
-func specFor(name string) (string, bool) {
-	s, ok := workload.Get(name)
-	return s.Description, ok
-}
 
 // Options sizes the experiments. The defaults keep a full sweep in the
 // minutes range; raise Runs/Scale for tighter confidence intervals.
@@ -211,9 +203,4 @@ func collect(pending []*runner.Pending, what string) ([]*dcpi.Result, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// fprintf is a helper that ignores write errors (text reports to buffers).
-func fprintf(w io.Writer, format string, args ...any) {
-	fmt.Fprintf(w, format, args...)
 }

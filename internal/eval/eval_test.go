@@ -281,7 +281,7 @@ func TestFigures1Through4(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := Fig4(o, &buf, runs); err != nil {
+	if err := Fig4(&buf, runs); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()

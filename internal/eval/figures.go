@@ -121,15 +121,8 @@ func Fig3(o Options, w io.Writer) ([]*dcpi.Result, error) {
 }
 
 // Fig4 writes the dcpicalc stall summary for smooth_ from the fastest of
-// the Fig3 runs (the paper's Figure 4).
-func Fig4(o Options, w io.Writer, fig3Runs []*dcpi.Result) error {
-	if len(fig3Runs) == 0 {
-		var err error
-		fig3Runs, err = Fig3(o, io.Discard)
-		if err != nil {
-			return err
-		}
-	}
+// the runs Fig3 returned (the paper's Figure 4).
+func Fig4(w io.Writer, fig3Runs []*dcpi.Result) error {
 	fastest := fig3Runs[0]
 	for _, r := range fig3Runs[1:] {
 		if r.Wall < fastest.Wall {
@@ -140,7 +133,7 @@ func Fig4(o Options, w io.Writer, fig3Runs []*dcpi.Result) error {
 	if err != nil {
 		return err
 	}
-	fprintf(w, "Summary of how cycles are spent in smooth_ (fastest of %d runs)\n\n", len(fig3Runs))
+	fmt.Fprintf(w, "Summary of how cycles are spent in smooth_ (fastest of %d runs)\n\n", len(fig3Runs))
 	dcpi.FormatSummary(w, pa)
 	return nil
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"io"
 
 	"dcpi/internal/analysis"
@@ -85,13 +86,13 @@ var fig10Sampling = dcpi.Config{
 
 // FormatFig10 renders the scatter and correlations.
 func FormatFig10(w io.Writer, res *Fig10Result) {
-	fprintf(w, "Figure 10: I-cache miss stall cycles vs IMISS events per procedure\n\n")
-	fprintf(w, "%-12s %-24s %14s %14s %14s\n", "workload", "procedure", "imiss events", "stall min", "stall max")
+	fmt.Fprintf(w, "Figure 10: I-cache miss stall cycles vs IMISS events per procedure\n\n")
+	fmt.Fprintf(w, "%-12s %-24s %14s %14s %14s\n", "workload", "procedure", "imiss events", "stall min", "stall max")
 	for _, p := range res.Points {
-		fprintf(w, "%-12s %-24s %14.0f %14.0f %14.0f\n",
+		fmt.Fprintf(w, "%-12s %-24s %14.0f %14.0f %14.0f\n",
 			p.Workload, p.Procedure, p.IMissEvents, p.StallMin, p.StallMax)
 	}
-	fprintf(w, "\ncorrelation (top of range)    r = %.3f\n", res.RTop)
-	fprintf(w, "correlation (bottom of range) r = %.3f\n", res.RBottom)
-	fprintf(w, "correlation (midpoint)        r = %.3f\n", res.RMid)
+	fmt.Fprintf(w, "\ncorrelation (top of range)    r = %.3f\n", res.RTop)
+	fmt.Fprintf(w, "correlation (bottom of range) r = %.3f\n", res.RBottom)
+	fmt.Fprintf(w, "correlation (midpoint)        r = %.3f\n", res.RMid)
 }

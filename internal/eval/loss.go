@@ -119,19 +119,19 @@ func LossSweep(o Options) (*LossResult, error) {
 
 // FormatLossSweep renders the lag sweep.
 func FormatLossSweep(w io.Writer, res *LossResult) {
-	fprintf(w, "Daemon drain lag vs. sample loss (§4.2.3) on %s, %d run(s) per point\n",
+	fmt.Fprintf(w, "Daemon drain lag vs. sample loss (§4.2.3) on %s, %d run(s) per point\n",
 		res.Workload, res.Runs)
-	fprintf(w, "%d-entry overflow buffers, %s drain interval; loss is counted, never silent\n\n",
+	fmt.Fprintf(w, "%d-entry overflow buffers, %s drain interval; loss is counted, never silent\n\n",
 		res.OverflowCap, cyc(res.DrainInterval))
-	fprintf(w, "%10s %10s %10s %10s %9s %10s %10s\n",
+	fmt.Fprintf(w, "%10s %10s %10s %10s %9s %10s %10s\n",
 		"drain lag", "recorded", "merged", "lost", "deferred", "loss rate", "conserved")
 	for _, r := range res.Rows {
-		fprintf(w, "%10s %10d %10d %10d %9d %9.4f%% %10s\n",
+		fmt.Fprintf(w, "%10s %10d %10d %10d %9d %9.4f%% %10s\n",
 			cyc(r.DrainLatency), r.Recorded, r.Merged, r.Lost, r.Deferred,
 			100*r.LossRate, conservedMark(r.Conserved))
 	}
-	fprintf(w, "\npaper: normal-operation loss stays under 0.1%%; loss grows once the lag\n")
-	fprintf(w, "window exceeds what the driver's two overflow buffers can absorb\n")
+	fmt.Fprintf(w, "\npaper: normal-operation loss stays under 0.1%%; loss grows once the lag\n")
+	fmt.Fprintf(w, "window exceeds what the driver's two overflow buffers can absorb\n")
 }
 
 // cyc renders a cycle count compactly (1.6M, 400K, 0).

@@ -142,9 +142,9 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 
 // FormatMultiRun renders the comparison.
 func FormatMultiRun(w io.Writer, res *MultiRunResult) {
-	fprintf(w, "§6.2 sample-count sensitivity: 1 run vs %d merged runs\n\n", res.Runs)
-	fprintf(w, "%-14s %10s %10s\n", "", "within 5%", "within 10%")
-	fprintf(w, "%-14s %9.1f%% %9.1f%%\n", "single run", 100*res.SingleWithin5, 100*res.SingleWithin10)
-	fprintf(w, "%-14s %9.1f%% %9.1f%%\n", fmt.Sprintf("%d runs merged", res.Runs),
+	fmt.Fprintf(w, "§6.2 sample-count sensitivity: 1 run vs %d merged runs\n\n", res.Runs)
+	fmt.Fprintf(w, "%-14s %10s %10s\n", "", "within 5%", "within 10%")
+	fmt.Fprintf(w, "%-14s %9.1f%% %9.1f%%\n", "single run", 100*res.SingleWithin5, 100*res.SingleWithin10)
+	fmt.Fprintf(w, "%-14s %9.1f%% %9.1f%%\n", fmt.Sprintf("%d runs merged", res.Runs),
 		100*res.Within5, 100*res.Within10)
 }

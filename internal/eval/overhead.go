@@ -7,6 +7,7 @@ import (
 	"dcpi/internal/runner"
 	"dcpi/internal/sim"
 	"dcpi/internal/stats"
+	"dcpi/internal/workload"
 )
 
 // Table2Row is one workload's base characterization (paper Table 2).
@@ -36,17 +37,14 @@ func Table2(o Options) ([]Table2Row, error) {
 			return nil, err
 		}
 		var times []float64
-		var desc string
 		var ncpu int
 		for _, r := range results {
 			times = append(times, float64(r.Wall))
 			ncpu = r.NumCPUs
 		}
-		if spec, ok := specFor(wl); ok {
-			desc = spec
-		}
+		spec, _ := workload.Get(wl)
 		rows = append(rows, Table2Row{
-			Workload: wl, Description: desc, NumCPUs: ncpu,
+			Workload: wl, Description: spec.Description, NumCPUs: ncpu,
 			MeanCycles: stats.Mean(times), CI95: stats.CI95(times), Runs: o.Runs,
 		})
 	}
@@ -55,10 +53,10 @@ func Table2(o Options) ([]Table2Row, error) {
 
 // FormatTable2 renders Table 2.
 func FormatTable2(w io.Writer, rows []Table2Row) {
-	fprintf(w, "Table 2: workloads and base runtimes (simulated cycles, 95%% CI)\n\n")
-	fprintf(w, "%-18s %5s %16s %14s  %s\n", "workload", "CPUs", "mean cycles", "95% CI", "description")
+	fmt.Fprintf(w, "Table 2: workloads and base runtimes (simulated cycles, 95%% CI)\n\n")
+	fmt.Fprintf(w, "%-18s %5s %16s %14s  %s\n", "workload", "CPUs", "mean cycles", "95% CI", "description")
 	for _, r := range rows {
-		fprintf(w, "%-18s %5d %16.0f %10.0f (±)  %s\n",
+		fmt.Fprintf(w, "%-18s %5d %16.0f %10.0f (±)  %s\n",
 			r.Workload, r.NumCPUs, r.MeanCycles, r.CI95, r.Description)
 	}
 }
@@ -134,15 +132,15 @@ func Table3(o Options) ([]Table3Row, error) {
 
 // FormatTable3 renders Table 3 (percent slowdown per configuration).
 func FormatTable3(w io.Writer, rows []Table3Row) {
-	fprintf(w, "Table 3: overall slowdown (percent, mean ± 95%% CI)\n\n")
-	fprintf(w, "%-18s %16s %16s %16s\n", "workload", "cycles", "default", "mux")
+	fmt.Fprintf(w, "Table 3: overall slowdown (percent, mean ± 95%% CI)\n\n")
+	fmt.Fprintf(w, "%-18s %16s %16s %16s\n", "workload", "cycles", "default", "mux")
 	for _, r := range rows {
-		fprintf(w, "%-18s", r.Workload)
+		fmt.Fprintf(w, "%-18s", r.Workload)
 		for _, mode := range Table3Modes {
 			m := r.Overhead[mode]
-			fprintf(w, "  %6.2f ±%5.2f%%", 100*m.Mean, 100*m.CI)
+			fmt.Fprintf(w, "  %6.2f ±%5.2f%%", 100*m.Mean, 100*m.CI)
 		}
-		fprintf(w, "\n")
+		fmt.Fprintf(w, "\n")
 	}
 }
 
@@ -193,18 +191,18 @@ func Fig6(o Options) ([]Fig6Series, error) {
 
 // FormatFig6 renders the distributions as mean-normalized scatter rows.
 func FormatFig6(w io.Writer, series []Fig6Series) {
-	fprintf(w, "Figure 6: distribution of running times (normalized to the base mean)\n\n")
+	fmt.Fprintf(w, "Figure 6: distribution of running times (normalized to the base mean)\n\n")
 	for _, s := range series {
 		baseMean := stats.Mean(s.Times[sim.ModeOff])
-		fprintf(w, "%s (base mean = %.0f cycles)\n", s.Workload, baseMean)
+		fmt.Fprintf(w, "%s (base mean = %.0f cycles)\n", s.Workload, baseMean)
 		for _, mode := range []sim.Mode{sim.ModeOff, sim.ModeCycles, sim.ModeDefault, sim.ModeMux} {
-			fprintf(w, "  %-8s", mode)
+			fmt.Fprintf(w, "  %-8s", mode)
 			for _, t := range s.Times[mode] {
-				fprintf(w, " %6.2f%%", 100*t/baseMean)
+				fmt.Fprintf(w, " %6.2f%%", 100*t/baseMean)
 			}
 			m := stats.Mean(s.Times[mode])
 			ci := stats.CI95(s.Times[mode])
-			fprintf(w, "   mean %.2f%% ± %.2f%%\n", 100*m/baseMean, 100*ci/baseMean)
+			fmt.Fprintf(w, "   mean %.2f%% ± %.2f%%\n", 100*m/baseMean, 100*ci/baseMean)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dcpi/internal/sim"
@@ -9,8 +10,8 @@ import (
 
 // ratchetStore is one fleet shape at a given machine count: 60 epochs of
 // six images over two events plus two procedures of the first image,
-// compacted every 20 epochs, so each machine holds three blocks.
-func ratchetStore(t *testing.T, machines int) *DB {
+// compacted every `every` epochs, so each machine holds 60/every blocks.
+func ratchetStore(t *testing.T, machines int, every uint64) *DB {
 	t.Helper()
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -24,7 +25,7 @@ func ratchetStore(t *testing.T, machines int) *DB {
 				Record{Image: "/usr/bin/app0", Proc: "loop", Event: sim.EvCycles, Samples: 7})
 			mustAppend(t, db, b)
 		}
-		if e%20 == 0 {
+		if e%every == 0 {
 			mustCompact(t, db, CompactOptions{CompactAfter: 1})
 		}
 	}
@@ -43,13 +44,53 @@ func TestQueryAllocsIndependentOfMachines(t *testing.T) {
 		"RangeQuery": func(db *DB) { RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 1, 60) },
 		"TopDeltas":  func(db *DB) { TopDeltas(db, sim.EvCycles, 1, 30, 31, 60, 10) },
 	}
-	small, large := ratchetStore(t, 8), ratchetStore(t, 32)
+	small, large := ratchetStore(t, 8, 20), ratchetStore(t, 32, 20)
 	for name, q := range queries {
 		a8 := testing.AllocsPerRun(20, func() { q(small) })
 		a32 := testing.AllocsPerRun(20, func() { q(large) })
 		t.Logf("%s: %v allocations at 8 machines, %v at 32", name, a8, a32)
 		if a32 > 1.25*a8 {
 			t.Errorf("%s allocates %v times at 32 machines, %v at 8: more than 1.25x", name, a32, a8)
+		}
+	}
+}
+
+// bytesPerRun is the heap bytes f allocates per call, averaged over n calls
+// after one warm-up call, as testing.AllocsPerRun counts allocations.
+func bytesPerRun(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestQueryAllocsIndependentOfBlocks is the ratchet's other axis: a
+// one-epoch query keeps one run per label however many blocks the store
+// holds, so over four times the blocks per machine it may allocate neither
+// more often nor more bytes. A plan or scan that sizes anything from every
+// run of a matching label, not from the runs inside the bounds, allocates
+// in proportion to the store's uptime and fails here.
+func TestQueryAllocsIndependentOfBlocks(t *testing.T) {
+	queries := map[string]func(db *DB){
+		"Select": func(db *DB) {
+			db.Select(Matcher{Machine: "m03", AnyEvent: true, AnyProc: true, FromEpoch: 30, ToEpoch: 30})
+		},
+		"RangeQuery": func(db *DB) { RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 30, 30) },
+	}
+	few, many := ratchetStore(t, 8, 20), ratchetStore(t, 8, 5)
+	for name, q := range queries {
+		a3 := testing.AllocsPerRun(20, func() { q(few) })
+		a12 := testing.AllocsPerRun(20, func() { q(many) })
+		b3 := bytesPerRun(20, func() { q(few) })
+		b12 := bytesPerRun(20, func() { q(many) })
+		t.Logf("%s: %v allocations and %d bytes at 3 blocks a machine, %v and %d at 12", name, a3, b3, a12, b12)
+		if a12 > a3 || b12 > b3 {
+			t.Errorf("%s allocates %v times and %d bytes at 12 blocks a machine, %v and %d at 3: it may not allocate more", name, a12, b12, a3, b3)
 		}
 	}
 }

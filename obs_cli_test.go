@@ -12,7 +12,7 @@ import (
 
 // TestCLIObservability checks the self-observability contract end to end:
 //
-//  1. With -stats-out/-trace-out unset, dcpid and dcpieval stdout is
+//  1. With -metrics-out/-trace-out unset, dcpid and dcpieval stdout is
 //     byte-identical to an instrumented run (zero overhead when disabled).
 //  2. The metrics JSON covers every figure printed in the dcpid summary
 //     block (handler-cycle histogram, hash miss rate, evictions, daemon
@@ -47,7 +47,7 @@ func TestCLIObservability(t *testing.T) {
 	args := []string{"-workload", "x11perf", "-mode", "default", "-db", "dcpidb",
 		"-scale", "0.15", "-seed", "1", "-period", "2048"}
 	plain := run(dirPlain, dcpid, args...)
-	instr := run(dirObs, dcpid, append(args, "-stats-out", "metrics.json", "-trace-out", "trace.json")...)
+	instr := run(dirObs, dcpid, append(args, "-metrics-out", "metrics.json", "-trace-out", "trace.json")...)
 	if plain != instr {
 		t.Errorf("dcpid stdout changed when observability enabled:\nplain:\n%s\nobs:\n%s", plain, instr)
 	}
@@ -105,25 +105,6 @@ func TestCLIObservability(t *testing.T) {
 		}
 	}
 	checkChromeTrace(t, filepath.Join(dirObs, "eval_trace.json"), "Figure 7")
-
-	// -stats-out and -metrics-out are two spellings of one flag on both
-	// binaries: each takes the other's, writes the same artifact, and
-	// leaves stdout alone.
-	dirAlias := t.TempDir()
-	if out := run(dirAlias, dcpid, append(args, "-metrics-out", "metrics.json")...); out != plain {
-		t.Errorf("dcpid stdout changed under -metrics-out:\n%s", out)
-	}
-	if m := readMetrics(t, filepath.Join(dirAlias, "metrics.json")); m.Counters["driver.samples"] != metrics.Counters["driver.samples"] {
-		t.Errorf("dcpid -metrics-out: driver.samples %d, -stats-out wrote %d",
-			m.Counters["driver.samples"], metrics.Counters["driver.samples"])
-	}
-	if out := run(dirAlias, dcpieval, append(eargs, "-stats-out", "eval_metrics.json")...); out != eplain {
-		t.Errorf("dcpieval stdout changed under -stats-out:\n%s", out)
-	}
-	if m := readMetrics(t, filepath.Join(dirAlias, "eval_metrics.json")); m.Counters["runner.simulated"] != em.Counters["runner.simulated"] {
-		t.Errorf("dcpieval -stats-out: runner.simulated %d, -metrics-out wrote %d",
-			m.Counters["runner.simulated"], em.Counters["runner.simulated"])
-	}
 
 	// The machine-readable cache-stats stderr line rides along with
 	// -metrics-out (satellite: pipelines scrape it without reading files).
@@ -289,7 +270,7 @@ func TestCLIArtifactsSurviveFailure(t *testing.T) {
 	}
 
 	if code := exitCode(dcpid, "-workload", "nosuch", "-db", "db-nosuch",
-		"-stats-out", "fail.m.json", "-trace-out", "fail.t.json"); code != 1 {
+		"-metrics-out", "fail.m.json", "-trace-out", "fail.t.json"); code != 1 {
 		t.Errorf("dcpid -workload nosuch: exit %d, want 1", code)
 	}
 	checkArtifacts("fail.m.json", "fail.t.json")
@@ -307,12 +288,12 @@ func TestCLIArtifactsSurviveFailure(t *testing.T) {
 	// writes its trace; likewise the heap profile.
 	good := []string{"-workload", "x11perf", "-scale", "0.05", "-period", "2048"}
 	if code := exitCode(dcpid, append(good, "-db", "db-1",
-		"-stats-out", "no-such-dir/m.json", "-trace-out", "ok.t.json")...); code != 1 {
-		t.Errorf("dcpid with an unwritable -stats-out: exit %d, want 1", code)
+		"-metrics-out", "no-such-dir/m.json", "-trace-out", "ok.t.json")...); code != 1 {
+		t.Errorf("dcpid with an unwritable -metrics-out: exit %d, want 1", code)
 	}
 	checkChromeTrace(t, filepath.Join(dir, "ok.t.json"), "intr:")
 	if code := exitCode(dcpid, append(good, "-db", "db-2",
-		"-memprofile", "no-such-dir/heap.prof", "-stats-out", "ok.m.json")...); code != 1 {
+		"-memprofile", "no-such-dir/heap.prof", "-metrics-out", "ok.m.json")...); code != 1 {
 		t.Errorf("dcpid with an unwritable -memprofile: exit %d, want 1", code)
 	}
 	readMetrics(t, filepath.Join(dir, "ok.m.json"))
@@ -335,7 +316,7 @@ func TestCLIParallelByDefault(t *testing.T) {
 	run := func(procs string, extra ...string) (dir, stdout string, workers float64) {
 		dir = t.TempDir()
 		args := append([]string{"-workload", "altavista", "-mode", "cycles", "-db", "db",
-			"-scale", "0.1", "-seed", "7", "-stats-out", "m.json"}, extra...)
+			"-scale", "0.1", "-seed", "7", "-metrics-out", "m.json"}, extra...)
 		cmd := exec.Command(dcpid, args...)
 		cmd.Dir = dir
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)

@@ -1,10 +1,11 @@
 #!/bin/sh
 # ci.sh — the pre-PR gate for what `go build ./... && go test ./...` (tier-1)
 # cannot say: formatting, vet, the race detector, the bench/ module (its own
-# go.mod, which ./... does not reach) and a few seconds of fuzzing per
-# target. Every end-to-end check of the binaries is a Go test in tier-1 (the
-# root package's *_cli_test.go, golden_test.go, guard_test.go and
-# cmd/dcpicollect); docs/TOOLS.md lists which test holds which check.
+# go.mod, which ./... does not reach), a few seconds of fuzzing per target,
+# and the default-scale `dcpieval -all` against eval_output.txt, too slow
+# for tier-1. Every other end-to-end check of the binaries is a Go test in
+# tier-1 (the root package's *_cli_test.go, golden_test.go, guard_test.go
+# and cmd/dcpicollect); docs/TOOLS.md lists which test holds which check.
 #
 # Usage:  ./scripts/ci.sh
 set -eu
@@ -41,6 +42,12 @@ go build -pgo=off -o "$pgotmp/nopgo" ./cmd/dcpieval
 "$pgotmp/pgo" -fig 3 -runs 1 -scale 0.05 >"$pgotmp/pgo.out"
 "$pgotmp/nopgo" -fig 3 -runs 1 -scale 0.05 >"$pgotmp/nopgo.out"
 cmp "$pgotmp/pgo.out" "$pgotmp/nopgo.out"
+
+echo "== dcpieval -all prints eval_output.txt byte for byte" >&2
+# Tier-1 pins -all at -runs 1 -scale 0.05 section by section
+# (TestEvalContract); this is the committed default-scale output, whole.
+"$pgotmp/pgo" -all >"$pgotmp/all.out"
+cmp "$pgotmp/all.out" eval_output.txt
 rm -rf "$pgotmp"
 
 echo "== bench module vets and passes its smoke test" >&2
