@@ -8,105 +8,101 @@ import (
 	"testing"
 )
 
+// cliPins are the offline tools' runs over TestCLIPipeline's two databases
+// whose stdout testdata/golden_sections.sha256 pins, named by command line,
+// in the order the file lists them. Each turns a database's per-image offset
+// profiles into per-procedure counts, the paper's §3 views.
+var cliPins = []string{
+	"dcpiprof -db db1",
+	"dcpiprof -db db1 -images",
+	"dcpistats db1 db2",
+	"dcpidiff db1 db2",
+	"dcpisum -db db1",
+	"dcpiannotate -db db2 -image /usr/bin/wave5",
+	"dcpitopixie -db db2",
+}
+
 // TestCLIPipeline exercises the tool chain the way a user would: collect
-// profiles with dcpid, then read them back with every offline tool.
+// profiles with dcpid, then read them back with every offline tool. The
+// tools run in one directory on relative database paths, so that what they
+// print does not depend on where it is; cliPins' runs are held to their
+// pins (re-recorded with -update; see update).
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline is slow")
 	}
 	dir := t.TempDir()
 	run := func(prog string, args ...string) string {
-		cmd := exec.Command(prog, args...)
-		out, err := cmd.CombinedOutput()
+		cmd := exec.Command(buildTool(t, prog), args...)
+		cmd.Dir = dir
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", filepath.Base(prog), args, err, out)
+			t.Fatalf("%s %v: %v\n%s%s", prog, args, err, out, stderr.String())
 		}
 		return string(out)
 	}
 
-	dcpid := buildTool(t, "dcpid")
-	dcpiprof := buildTool(t, "dcpiprof")
-	dcpicalc := buildTool(t, "dcpicalc")
-	dcpistats := buildTool(t, "dcpistats")
-	dcpisum := buildTool(t, "dcpisum")
-	dcpidiff := buildTool(t, "dcpidiff")
-	dcpiepoch := buildTool(t, "dcpiepoch")
-	dcpicfg := buildTool(t, "dcpicfg")
-	dcpitopixie := buildTool(t, "dcpitopixie")
-	dcpiannotate := buildTool(t, "dcpiannotate")
-	dcpilayout := buildTool(t, "dcpilayout")
-
-	db1 := filepath.Join(dir, "db1")
-	db2 := filepath.Join(dir, "db2")
-
-	out := run(dcpid, "-workload", "wave5", "-mode", "default", "-db", db1,
+	out := run("dcpid", "-workload", "wave5", "-mode", "default", "-db", "db1",
 		"-scale", "0.15", "-seed", "1", "-period", "2048")
 	if !strings.Contains(out, "finished") {
 		t.Fatalf("dcpid output: %s", out)
 	}
-	run(dcpid, "-workload", "wave5", "-mode", "default", "-db", db2,
+	run("dcpid", "-workload", "wave5", "-mode", "default", "-db", "db2",
 		"-scale", "0.15", "-seed", "9", "-period", "2048")
 
-	out = run(dcpiprof, "-db", db1)
+	outs := map[string]string{}
+	var pins []pin
+	for _, c := range cliPins {
+		args := strings.Fields(c)
+		outs[c] = run(args[0], args[1:]...)
+		pins = append(pins, pin{c, digest([]byte(outs[c]))})
+	}
+	checkPins(t, sectionPins, pins)
+
 	for _, want := range []string{"parmvr_", "smooth_", "cycles"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dcpiprof missing %q:\n%s", want, out)
+		if !strings.Contains(outs["dcpiprof -db db1"], want) {
+			t.Errorf("dcpiprof missing %q:\n%s", want, outs["dcpiprof -db db1"])
 		}
 	}
-	out = run(dcpiprof, "-db", db1, "-images")
-	if !strings.Contains(out, "/usr/bin/wave5") {
-		t.Errorf("dcpiprof -images:\n%s", out)
+	for c, want := range map[string]string{
+		"dcpiprof -db db1 -images":                   "/usr/bin/wave5",
+		"dcpistats db1 db2":                          "range%",
+		"dcpisum -db db1":                            "Whole-program summary",
+		"dcpidiff db1 db2":                           "delta",
+		"dcpitopixie -db db2":                        "parmvr_",
+		"dcpiannotate -db db2 -image /usr/bin/wave5": "smooth_:",
+	} {
+		if !strings.Contains(outs[c], want) {
+			t.Errorf("%s missing %q:\n%s", c, want, outs[c])
+		}
 	}
 
-	out = run(dcpicalc, "-db", db1, "-image", "/usr/bin/wave5", "-proc", "smooth_")
+	out = run("dcpicalc", "-db", "db1", "-image", "/usr/bin/wave5", "-proc", "smooth_")
 	if !strings.Contains(out, "Best-case") || !strings.Contains(out, "ldt") {
 		t.Errorf("dcpicalc:\n%s", out)
 	}
-	out = run(dcpicalc, "-db", db1, "-image", "/usr/bin/wave5", "-proc", "smooth_", "-summary")
+	out = run("dcpicalc", "-db", "db1", "-image", "/usr/bin/wave5", "-proc", "smooth_", "-summary")
 	if !strings.Contains(out, "Subtotal dynamic") {
 		t.Errorf("dcpicalc -summary:\n%s", out)
 	}
 
-	out = run(dcpistats, db1, db2)
-	if !strings.Contains(out, "range%") {
-		t.Errorf("dcpistats:\n%s", out)
-	}
-
-	out = run(dcpisum, "-db", db1)
-	if !strings.Contains(out, "Whole-program summary") {
-		t.Errorf("dcpisum:\n%s", out)
-	}
-
-	out = run(dcpidiff, db1, db2)
-	if !strings.Contains(out, "delta") {
-		t.Errorf("dcpidiff:\n%s", out)
-	}
-
-	out = run(dcpiepoch, "-db", db1)
+	out = run("dcpiepoch", "-db", "db1")
 	if !strings.Contains(out, "epoch 1") || !strings.Contains(out, "workload=wave5") {
 		t.Errorf("dcpiepoch:\n%s", out)
 	}
-	out = run(dcpiepoch, "-db", db1, "-new")
+	out = run("dcpiepoch", "-db", "db1", "-new")
 	if !strings.Contains(out, "epoch 2") {
 		t.Errorf("dcpiepoch -new:\n%s", out)
 	}
 
-	out = run(dcpicfg, "-db", db2, "-image", "/usr/bin/wave5", "-proc", "smooth_")
+	out = run("dcpicfg", "-db", "db2", "-image", "/usr/bin/wave5", "-proc", "smooth_")
 	if !strings.Contains(out, "digraph") {
 		t.Errorf("dcpicfg:\n%s", out)
 	}
 
-	out = run(dcpitopixie, "-db", db2)
-	if !strings.Contains(out, "parmvr_") {
-		t.Errorf("dcpitopixie:\n%s", out)
-	}
-
-	out = run(dcpiannotate, "-db", db2, "-image", "/usr/bin/wave5")
-	if !strings.Contains(out, "smooth_:") {
-		t.Errorf("dcpiannotate:\n%s", out)
-	}
-
-	out = run(dcpilayout, "-db", db2, "-image", "/usr/bin/wave5", "-proc", "smooth_", "-q")
+	out = run("dcpilayout", "-db", "db2", "-image", "/usr/bin/wave5", "-proc", "smooth_", "-q")
 	if !strings.Contains(out, "re-laid") {
 		t.Errorf("dcpilayout:\n%s", out)
 	}

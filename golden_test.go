@@ -1,6 +1,7 @@
 package dcpibench
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,15 +24,15 @@ import (
 // update re-records the digest files instead of checking them: each test
 // rewrites the lines it computes, logs old → new for each, and keeps every
 // other line; TestEvalContractStalePins drops the sections file's lines
-// that no section or example owns. The contract's sections are re-recorded
-// with
+// that no section, example or tool run owns. The contract's sections are
+// re-recorded with
 //
 //	go test . -run TestEvalContract -update -v
 //
 // and every pin of the root package's digest files (the sections, the
-// examples, Table 2 and Figure 4) with
+// examples, the offline tools, Table 2 and Figure 4) with
 //
-//	go test . -run 'TestEvalContract|TestExamplesRun|TestGolden' -update -v
+//	go test . -run 'TestEvalContract|TestExamplesRun|TestCLIPipeline|TestGolden' -update -v
 //
 // It never writes bench/testdata/pinned.json, the benchmark's own pins.
 var update = flag.Bool("update", false, "rewrite the lines of the testdata/*.sha256 digest files this run computes")
@@ -60,25 +62,15 @@ func TestEvalContract(t *testing.T) {
 }
 
 // TestEvalContractStalePins holds testdata/golden_sections.sha256 to the
-// pins some test checks: every line must name a header of eval.Sections
-// (TestEvalContract) or a directory under examples/ (TestExamplesRun). A
-// renamed or removed section or example leaves a line that no test reads;
-// it fails here, and -update drops it and logs it as removed. It runs after
+// pins some test checks: every line must be one of sectionNames. A renamed or
+// removed section, example or tool run leaves a line that no test reads; it
+// fails here, and -update drops it and logs it as removed. It runs after
 // TestEvalContract, so `-run TestEvalContract -update` re-records a renamed
 // header's line and drops the old one.
 func TestEvalContractStalePins(t *testing.T) {
 	owned := map[string]bool{}
-	for _, s := range eval.Sections {
-		owned[s.Header] = true
-	}
-	entries, err := os.ReadDir("examples")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			owned["examples/"+e.Name()] = true
-		}
+	for _, name := range sectionNames(t) {
+		owned[name] = true
 	}
 	lines, _ := readPins(t, sectionPins)
 	kept := lines[:0:0]
@@ -89,12 +81,34 @@ func TestEvalContractStalePins(t *testing.T) {
 		case *update:
 			t.Logf("%s: removed %.12s", l.name, l.digest)
 		default:
-			t.Errorf("%s has a line for %q, which is neither a section of eval.Sections nor an example; drop it with -update", sectionPins, l.name)
+			t.Errorf("%s has a line for %q, which is neither a section of eval.Sections, an example nor one of cliPins; drop it with -update", sectionPins, l.name)
 		}
 	}
 	if *update && len(kept) != len(lines) {
 		writePins(t, sectionPins, kept)
 	}
+}
+
+// sectionNames is every name testdata/golden_sections.sha256 may hold, in
+// the order the file lists them: the sections in output order
+// (TestEvalContract), the directories under examples/ (TestExamplesRun),
+// then the offline tools' runs (cliPins, TestCLIPipeline).
+func sectionNames(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, s := range eval.Sections {
+		names = append(names, s.Header)
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			names = append(names, "examples/"+e.Name())
+		}
+	}
+	return append(names, cliPins...)
 }
 
 // contract is the contract run: each section's header and bytes, in
@@ -187,9 +201,20 @@ func checkPins(t *testing.T, file string, got []pin) {
 	}
 }
 
-// writePins writes lines to file, one "digest  name" line each.
+// writePins writes lines to file, one "digest  name" line each; the
+// sections file's lines go in sectionNames' order, any other name after them.
 func writePins(t *testing.T, file string, lines []pin) {
 	t.Helper()
+	if file == sectionPins {
+		names := sectionNames(t)
+		rank := func(p pin) int {
+			if i := slices.Index(names, p.name); i >= 0 {
+				return i
+			}
+			return len(names)
+		}
+		slices.SortStableFunc(lines, func(a, b pin) int { return cmp.Compare(rank(a), rank(b)) })
+	}
 	var b strings.Builder
 	for _, l := range lines {
 		fmt.Fprintf(&b, "%s  %s\n", l.digest, l.name)

@@ -4,14 +4,19 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dcpi/internal/alpha"
 	"dcpi/internal/analysis"
 	"dcpi/internal/cfg"
 	"dcpi/internal/daemon"
+	"dcpi/internal/image"
+	"dcpi/internal/loader"
 	"dcpi/internal/profiledb"
 	"dcpi/internal/sim"
+	"dcpi/internal/workload"
 )
 
 func TestDoubleSamplingProducesEdgeProfiles(t *testing.T) {
@@ -457,5 +462,47 @@ func TestDTBMissEventRulesOutDTB(t *testing.T) {
 	}
 	if !dtbStream {
 		t.Error("streaming copy: DTB culprit missing despite real DTB misses")
+	}
+}
+
+// TestProcRowsRemainder holds dcpiprof's rows to the image's symbol table:
+// a profile of a registered image is divided among its procedures, samples
+// at no procedure's offset are one "<unknown>" row of that image, and so is
+// every sample of a profile whose image is not registered (a per-process
+// profile's "path#pid"). Edge profiles hold packed offset pairs and make no
+// row.
+func TestProcRowsRemainder(t *testing.T) {
+	kernel, _ := workload.Kernel()
+	l := loader.New(kernel)
+	im := image.New("app", "/bin/app", image.KindExecutable, alpha.MustAssemble(`
+first:
+	nop
+	ret (ra)
+second:
+	nop
+	ret (ra)
+`))
+	if _, err := l.NewProcess("app", im); err != nil {
+		t.Fatal(err)
+	}
+	r := &Result{Loader: l, profiles: []*profiledb.Profile{
+		{ImagePath: "/bin/app", Event: sim.EvCycles, Counts: map[uint64]uint64{0: 5, 6: 1, 8: 7, 12: 2, 64: 3}},
+		{ImagePath: "/bin/app", Event: sim.EvIMiss, Counts: map[uint64]uint64{4: 1, 100: 4}},
+		{ImagePath: "/bin/app", Event: sim.EvEdge, Counts: map[uint64]uint64{daemon.PackEdge(0, 8): 9}},
+		{ImagePath: "/bin/app#7", Event: sim.EvCycles, Counts: map[uint64]uint64{0: 2, 8: 1}},
+	}}
+	row := func(proc, path string, cycles, imiss uint64) ProcRow {
+		pr := ProcRow{Procedure: proc, ImagePath: path}
+		pr.Counts[sim.EvCycles], pr.Counts[sim.EvIMiss] = cycles, imiss
+		return pr
+	}
+	want := []ProcRow{
+		row("second", "/bin/app", 9, 0),
+		row("first", "/bin/app", 6, 1),
+		row("<unknown>", "/bin/app", 3, 4),
+		row("<unknown>", "/bin/app#7", 3, 0),
+	}
+	if got := r.ProcRows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ProcRows:\n%+v\nwant\n%+v", got, want)
 	}
 }

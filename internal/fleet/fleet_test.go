@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,7 +79,10 @@ func TestAdvanceEpochServesSealedEpochs(t *testing.T) {
 }
 
 // Two fleets built with the same seed serve the same bytes: machine m at
-// epoch e always produces the same counts.
+// epoch e always produces the same counts. And the bytes are pinned: the
+// SHA-256 over each machine's name and per-procedure /profiles body is
+// testdata/profiles_procs.sha256, so a change to how a profile is divided
+// among procedures, or to what the template machines sample, moves it.
 func TestSameSeedSameProfiles(t *testing.T) {
 	const k = 2
 	a, b := startFleet(t, 2), startFleet(t, 2)
@@ -87,15 +91,25 @@ func TestSameSeedSameProfiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	h := sha256.New()
 	for i, m := range a.Machines {
 		path := fmt.Sprintf("/profiles?epoch=%d&procs=1", k)
 		x, y := get(t, m.URL+path), get(t, b.Machines[i].URL+path)
+		fmt.Fprintf(h, "%s %s %d\n", m.Name, path, len(x))
+		h.Write(x)
 		if !strings.Contains(string(x), `"procs"`) {
 			t.Errorf("%s %s has no per-procedure breakdown: %.200s", m.Name, path, x)
 		}
 		if string(x) != string(y) {
 			t.Errorf("%s %s differs between two fleets of one seed:\n%s\n%s", m.Name, path, x, y)
 		}
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "profiles_procs.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), strings.TrimSpace(string(raw)); got != want {
+		t.Errorf("per-procedure /profiles digest %s, want %s (testdata/profiles_procs.sha256)", got, want)
 	}
 }
 
