@@ -42,22 +42,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcpiannotate: image %q not known\n", *img)
 		os.Exit(1)
 	}
-	prof := r.Profile(*img, ev)
-	counts := map[uint64]uint64{}
-	if prof != nil {
-		counts = prof.Counts
+	var counts map[uint64]uint64
+	var total uint64
+	if prof := r.Profile(*img, ev); prof != nil {
+		counts, total = prof.Counts, prof.Total()
 	}
+	perProc, _, _ := im.SplitCounts(counts)
 
-	fmt.Printf("image %s, event %s, %d samples\n\n", *img, ev, total(counts))
-	for _, sym := range im.Symbols {
-		var procTotal uint64
-		for off, n := range counts {
-			if off >= sym.Offset && off < sym.Offset+sym.Size {
-				procTotal += n
-			}
-		}
-		fmt.Printf("%s:  (%d samples)\n", sym.Name, procTotal)
-		if procTotal == 0 {
+	fmt.Printf("image %s, event %s, %d samples\n\n", *img, ev, total)
+	for s, sym := range im.Symbols {
+		fmt.Printf("%s:  (%d samples)\n", sym.Name, perProc[s])
+		if perProc[s] == 0 {
 			fmt.Printf("    ... %d instructions, never sampled\n\n", sym.Size/alpha.InstBytes)
 			continue
 		}
@@ -81,12 +76,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-func total(m map[uint64]uint64) uint64 {
-	var t uint64
-	for _, n := range m {
-		t += n
-	}
-	return t
 }

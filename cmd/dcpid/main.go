@@ -153,7 +153,7 @@ func main() {
 		// for per-procedure breakdowns (?procs=1). Best-effort: a workload
 		// that cannot be staged offline just serves image-level data.
 		if ld, err := dcpi.SetupImages(*wl); err == nil {
-			src.SymbolAt = ld.SymbolAt
+			src.Image = ld.ImageByPath
 		} else {
 			fmt.Fprintf(os.Stderr, "dcpid: no symbols for %s: %v\n", *wl, err)
 		}

@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	dcpieval -table 3            # Tables: 2, 3, 4, 5
-//	dcpieval -fig 2              # Figures: 1-4, 6-10
-//	dcpieval -ablation ht        # §5.4 hash-table design sweep
+//	dcpieval -table 3            # one table (-h lists the keys)
+//	dcpieval -fig 2              # one figure
+//	dcpieval -ablation ht        # one ablation
 //	dcpieval -all                # everything
 //	dcpieval -all -j 8           # ... with eight simulation workers
 //	dcpieval -all -metrics-out m.json -trace-out t.json
@@ -41,10 +41,11 @@ import (
 
 func main() {
 	app := cli.New("dcpieval")
+	tables, figs, ablations := eval.Keys()
 	var (
-		table    = flag.Int("table", 0, "regenerate a table (2-5)")
-		fig      = flag.Int("fig", 0, "regenerate a figure (1-4, 6-10)")
-		ablation = flag.String("ablation", "", "run an ablation: ht, loss")
+		table    = flag.Int("table", 0, "regenerate a table ("+tables+")")
+		fig      = flag.Int("fig", 0, "regenerate a figure ("+figs+")")
+		ablation = flag.String("ablation", "", "run an ablation: "+ablations)
 		all      = flag.Bool("all", false, "regenerate everything")
 		runs     = flag.Int("runs", 0, "runs per configuration (default 5)")
 		scale    = flag.Float64("scale", 0, "workload scale (default 0.25)")

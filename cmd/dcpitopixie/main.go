@@ -17,8 +17,9 @@ import (
 	"os"
 
 	"dcpi/internal/alpha"
+	"dcpi/internal/analysis"
 	"dcpi/internal/cli"
-	"dcpi/internal/sim"
+	"dcpi/internal/image"
 )
 
 func main() {
@@ -27,35 +28,17 @@ func main() {
 
 	r := openView()
 
-	for _, prof := range r.Profiles() {
-		if prof.Event != sim.EvCycles || prof.ImagePath == "unknown" {
-			continue
+	err := r.AnalyzeSampled(func(im *image.Image, s int, pa *analysis.ProcAnalysis) {
+		sym := im.Symbols[s]
+		for bi, b := range pa.Graph.Blocks {
+			off := sym.Offset + uint64(b.Start)*alpha.InstBytes
+			conf := pa.ClassConf[pa.Graph.BlockClass[bi]]
+			fmt.Printf("%s %s %#x %.0f %s\n",
+				im.Path, sym.Name, off, pa.BlockFreq[bi]*pa.Period, conf)
 		}
-		im, ok := r.Loader.ImageByPath(prof.ImagePath)
-		if !ok {
-			continue
-		}
-		for _, sym := range im.Symbols {
-			var procSamples uint64
-			for off, c := range prof.Counts {
-				if off >= sym.Offset && off < sym.Offset+sym.Size {
-					procSamples += c
-				}
-			}
-			if procSamples == 0 {
-				continue
-			}
-			pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcpitopixie: %s/%s: %v\n", prof.ImagePath, sym.Name, err)
-				os.Exit(1)
-			}
-			for bi, b := range pa.Graph.Blocks {
-				off := sym.Offset + uint64(b.Start)*alpha.InstBytes
-				conf := pa.ClassConf[pa.Graph.BlockClass[bi]]
-				fmt.Printf("%s %s %#x %.0f %s\n",
-					prof.ImagePath, sym.Name, off, pa.BlockFreq[bi]*pa.Period, conf)
-			}
-		}
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dcpitopixie: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -115,14 +115,9 @@ func main() {
 			samples = prof.Counts
 		}
 	}
-	for _, sym := range exec.Symbols {
-		var n uint64
-		for off, c := range samples {
-			if off >= sym.Offset && off < sym.Offset+sym.Size {
-				n += c
-			}
-		}
-		fmt.Printf("%-10s %6d samples\n", sym.Name, n)
+	perProc, _, _ := exec.SplitCounts(samples)
+	for s, sym := range exec.Symbols {
+		fmt.Printf("%-10s %6d samples\n", sym.Name, perProc[s])
 	}
 
 	// 6. Instruction-level analysis of the chase loop: the analysis should

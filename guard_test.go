@@ -155,6 +155,15 @@ func TestSourceGuards(t *testing.T) {
 			"hand-decoded edge key: use daemon.UnpackEdge (analysis reads decoded analysis.EdgePair keys)",
 		},
 		{
+			// A profile is divided among an image's procedures by one
+			// function, which the result's memo, expo's breakdown and every
+			// tool read: no per-symbol offset-range scan, no per-offset
+			// symbol lookup.
+			regexp.MustCompile(`\bSymbolAt\b|>=\s*\w+\.Offset\s*&&.*<\s*\w+\.Offset\s*\+\s*\w+\.Size`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/image") },
+			"a second per-procedure split: divide a profile with image.(*Image).SplitCounts, or read a result's dcpi.(*Result).ProcSamples",
+		},
+		{
 			// Work spreads over goroutines through one pool. (bench/ is the
 			// benchmark's own module and keeps its harness.)
 			regexp.MustCompile(`sync\.WaitGroup`),

@@ -3,9 +3,9 @@ package dcpi
 // The analysis tools read a result through two memos on it, so a sweep that
 // asks for many procedures of one run pays for each piece of work once:
 //
-//   - each image's profiles are split by procedure in one pass over each
-//     profile, however many of its procedures are then analysed
-//     (imageSplit, ProcSamples);
+//   - each image's profiles are split by procedure once, by the image's
+//     SplitCounts, however many of its procedures are then read or analysed
+//     (imageSplit: ProcSamples, InstSamples, ProcRows);
 //   - each procedure is analysed once per run (AnalyzeProc), over the CFG
 //     its image builds once for every run that shares it (image.ProcGraph).
 //
@@ -47,6 +47,8 @@ type imageSplit struct {
 	perProc [sim.NumEvents][]uint64
 	// perInst holds the samples at each instruction of the image.
 	perInst [sim.NumEvents][]uint64
+	// rest holds the samples at no procedure's offset.
+	rest [sim.NumEvents]uint64
 	// edges holds, by symbol index, the edge samples whose two ends both
 	// lie in the procedure (an empty map where none do); nil without an
 	// edge profile.
@@ -78,37 +80,11 @@ func (r *Result) split(im *image.Image) *imageSplit {
 					sp.edges = splitEdges(im, p.Counts)
 				}
 			case p.Event < sim.NumEvents && sp.perProc[p.Event] == nil:
-				sp.perProc[p.Event], sp.perInst[p.Event] = splitCounts(im, p.Counts)
+				sp.perProc[p.Event], sp.perInst[p.Event], sp.rest[p.Event] = im.SplitCounts(p.Counts)
 			}
 		}
 	})
 	return sp
-}
-
-// splitCounts divides one profile's counts, keyed by image byte offset,
-// among the image's instructions and procedures in one pass.
-func splitCounts(im *image.Image, counts map[uint64]uint64) (perProc, perInst []uint64) {
-	perInst = make([]uint64, len(im.Code))
-	var odd []uint64 // offsets that name no instruction
-	for off, n := range counts {
-		if i := off / alpha.InstBytes; off%alpha.InstBytes == 0 && i < uint64(len(perInst)) {
-			perInst[i] = n
-		} else {
-			odd = append(odd, off)
-		}
-	}
-	perProc = make([]uint64, len(im.Symbols))
-	for s, sym := range im.Symbols {
-		for _, n := range perInst[sym.Offset/alpha.InstBytes : (sym.Offset+sym.Size)/alpha.InstBytes] {
-			perProc[s] += n
-		}
-	}
-	for _, off := range odd {
-		if s, ok := im.SymbolIndexAt(off); ok {
-			perProc[s] += counts[off]
-		}
-	}
-	return perProc, perInst
 }
 
 // splitEdges divides double-sampling pairs, keyed as daemon.PackEdge packs
@@ -150,6 +126,32 @@ func (r *Result) InstSamples(imagePath string, ev sim.Event) []uint64 {
 		return nil
 	}
 	return r.split(im).perInst[ev]
+}
+
+// AnalyzeSampled hands fn the analysis (AnalyzeProc) of every procedure with
+// CYCLES samples, image by image in profile order and procedure by procedure
+// in symbol order. It stops at the first analysis that fails.
+func (r *Result) AnalyzeSampled(fn func(im *image.Image, s int, pa *analysis.ProcAnalysis)) error {
+	for _, p := range r.profiles {
+		if p.Event != sim.EvCycles {
+			continue
+		}
+		im, ok := r.Loader.ImageByPath(p.ImagePath)
+		if !ok {
+			continue
+		}
+		for s, n := range r.split(im).perProc[sim.EvCycles] {
+			if n == 0 {
+				continue
+			}
+			pa, err := r.AnalyzeProc(im.Path, im.Symbols[s].Name)
+			if err != nil {
+				return err
+			}
+			fn(im, s, pa)
+		}
+	}
+	return nil
 }
 
 // AnalyzeProc runs the full §6 analysis (frequency, CPI, culprits) for one

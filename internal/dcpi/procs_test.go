@@ -7,6 +7,7 @@ import (
 
 	"dcpi/internal/analysis"
 	"dcpi/internal/dcpi"
+	"dcpi/internal/image"
 	"dcpi/internal/sim"
 )
 
@@ -34,25 +35,11 @@ func TestToolMemosAreSharedAcrossGoroutines(t *testing.T) {
 	type proc struct{ image, name string }
 	analyzeAll := func(r *dcpi.Result) map[proc]*analysis.ProcAnalysis {
 		out := map[proc]*analysis.ProcAnalysis{}
-		for _, p := range r.Profiles() {
-			if p.Event != sim.EvCycles {
-				continue
-			}
-			im, ok := r.Loader.ImageByPath(p.ImagePath)
-			if !ok {
-				continue
-			}
-			for s, n := range r.ProcSamples(p.ImagePath, sim.EvCycles) {
-				if n == 0 {
-					continue
-				}
-				pa, err := r.AnalyzeProc(p.ImagePath, im.Symbols[s].Name)
-				if err != nil {
-					t.Error(err)
-					continue
-				}
-				out[proc{p.ImagePath, im.Symbols[s].Name}] = pa
-			}
+		err := r.AnalyzeSampled(func(im *image.Image, s int, pa *analysis.ProcAnalysis) {
+			out[proc{im.Path, im.Symbols[s].Name}] = pa
+		})
+		if err != nil {
+			t.Error(err)
 		}
 		return out
 	}

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"dcpi/internal/analysis"
+	"dcpi/internal/image"
 	"dcpi/internal/pipeline"
-	"dcpi/internal/sim"
 )
 
 // ProgramSummary aggregates where an entire run's cycles went by combining
@@ -27,44 +27,30 @@ func (r *Result) Summarize() (*ProgramSummary, error) {
 	var totalSamples float64
 	var bestW, actualW float64
 
-	for _, prof := range r.profiles {
-		if prof.Event != sim.EvCycles || prof.ImagePath == "unknown" {
-			continue
+	err := r.AnalyzeSampled(func(_ *image.Image, _ int, pa *analysis.ProcAnalysis) {
+		w := float64(pa.Summary.TotalSamples)
+		if w == 0 {
+			return
 		}
-		im, ok := r.Loader.ImageByPath(prof.ImagePath)
-		if !ok {
-			continue
+		out.Procedures++
+		totalSamples += w
+		out.TotalSamples += pa.Summary.TotalSamples
+		out.Execution += w * pa.Summary.Execution
+		out.DynTotal += w * pa.Summary.DynTotal
+		out.UnexplainedStall += w * pa.Summary.UnexplainedStall
+		out.UnexplainedGain += w * pa.Summary.UnexplainedGain
+		for c := analysis.Cause(0); c < analysis.NumCauses; c++ {
+			out.DynMin[c] += w * pa.Summary.DynMin[c]
+			out.DynMax[c] += w * pa.Summary.DynMax[c]
 		}
-		inProc := r.ProcSamples(prof.ImagePath, sim.EvCycles)
-		for s, sym := range im.Symbols {
-			if inProc[s] == 0 {
-				continue
-			}
-			pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)
-			if err != nil {
-				return nil, err
-			}
-			w := float64(pa.Summary.TotalSamples)
-			if w == 0 {
-				continue
-			}
-			out.Procedures++
-			totalSamples += w
-			out.TotalSamples += pa.Summary.TotalSamples
-			out.Execution += w * pa.Summary.Execution
-			out.DynTotal += w * pa.Summary.DynTotal
-			out.UnexplainedStall += w * pa.Summary.UnexplainedStall
-			out.UnexplainedGain += w * pa.Summary.UnexplainedGain
-			for c := analysis.Cause(0); c < analysis.NumCauses; c++ {
-				out.DynMin[c] += w * pa.Summary.DynMin[c]
-				out.DynMax[c] += w * pa.Summary.DynMax[c]
-			}
-			for k, v := range pa.Summary.Static {
-				out.Static[k] += w * v
-			}
-			bestW += w * pa.BestCaseCPI
-			actualW += w * pa.ActualCPI
+		for k, v := range pa.Summary.Static {
+			out.Static[k] += w * v
 		}
+		bestW += w * pa.BestCaseCPI
+		actualW += w * pa.ActualCPI
+	})
+	if err != nil {
+		return nil, err
 	}
 	if totalSamples > 0 {
 		inv := 1 / totalSamples

@@ -15,30 +15,39 @@ type ProcRow struct {
 }
 
 // ProcRows aggregates every profile by procedure, sorted by decreasing
-// CYCLES samples (the dcpiprof view, Figure 1).
+// CYCLES samples (the dcpiprof view, Figure 1). A registered image's rows
+// are its split (ProcSamples) and one "<unknown>" row for the samples at no
+// procedure's offset; every sample of an image that is not registered is
+// its "<unknown>" row.
 func (r *Result) ProcRows() []ProcRow {
 	type key struct{ img, proc string }
 	agg := make(map[key]*ProcRow)
+	add := func(img, proc string, ev sim.Event, n uint64) {
+		if n == 0 {
+			return
+		}
+		k := key{img, proc}
+		row, ok := agg[k]
+		if !ok {
+			row = &ProcRow{Procedure: proc, ImagePath: img}
+			agg[k] = row
+		}
+		row.Counts[ev] += n
+	}
 	for _, p := range r.profiles {
 		if p.Event == sim.EvEdge {
 			continue // packed (from, to) keys; not per-instruction offsets
 		}
 		im, ok := r.Loader.ImageByPath(p.ImagePath)
-		for off, n := range p.Counts {
-			proc := "<unknown>"
-			if ok {
-				if s, found := im.SymbolAt(off); found {
-					proc = s.Name
-				}
-			}
-			k := key{p.ImagePath, proc}
-			row, exists := agg[k]
-			if !exists {
-				row = &ProcRow{Procedure: proc, ImagePath: p.ImagePath}
-				agg[k] = row
-			}
-			row.Counts[p.Event] += n
+		if !ok {
+			add(p.ImagePath, "<unknown>", p.Event, p.Total())
+			continue
 		}
+		sp := r.split(im)
+		for s, n := range sp.perProc[p.Event] {
+			add(p.ImagePath, im.Symbols[s].Name, p.Event, n)
+		}
+		add(p.ImagePath, "<unknown>", p.Event, sp.rest[p.Event])
 	}
 	out := make([]ProcRow, 0, len(agg))
 	for _, row := range agg {

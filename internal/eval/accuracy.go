@@ -10,7 +10,6 @@ import (
 	"dcpi/internal/dcpi"
 	"dcpi/internal/image"
 	"dcpi/internal/runner"
-	"dcpi/internal/sim"
 	"dcpi/internal/stats"
 )
 
@@ -83,25 +82,9 @@ func forEachProcAnalysis(o Options, suite []string, sampling dcpi.Config,
 		if err != nil {
 			return fmt.Errorf("accuracy %s: %w", wl, err)
 		}
-		for _, prof := range r.Profiles() {
-			if prof.Event != sim.EvCycles {
-				continue
-			}
-			im, ok := r.Loader.ImageByPath(prof.ImagePath)
-			if !ok {
-				continue
-			}
-			inProc := r.ProcSamples(prof.ImagePath, sim.EvCycles)
-			for s, sym := range im.Symbols {
-				if inProc[s] == 0 {
-					continue
-				}
-				pa, err := r.AnalyzeProc(prof.ImagePath, sym.Name)
-				if err != nil {
-					return err
-				}
-				fn(r, im, s, pa)
-			}
+		err = r.AnalyzeSampled(func(im *image.Image, s int, pa *analysis.ProcAnalysis) { fn(r, im, s, pa) })
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -113,35 +96,40 @@ func Fig8(o Options) (*AccuracyResult, error) {
 	defer o.span("Figure 8")()
 	res := newAccuracyResult()
 	err := forEachProcAnalysis(o, AccuracyWorkloads, denseCycles,
-		func(r *dcpi.Result, im *image.Image, s int, pa *analysis.ProcAnalysis) {
-			sym := im.Symbols[s]
-			exact := r.Exact.Exec[im.ID]
+		func(r *dcpi.Result, im *image.Image, _ int, pa *analysis.ProcAnalysis) {
 			res.Procedures++
-			for i := range pa.Insts {
-				ia := &pa.Insts[i]
-				gi := int(sym.Offset/alpha.InstBytes) + i
-				truth := float64(exact[gi])
-				weight := float64(ia.Samples)
-				if weight == 0 {
-					continue
-				}
-				var errFrac float64
-				switch {
-				case truth == 0 && ia.Freq <= 0:
-					errFrac = 0
-				case truth == 0:
-					errFrac = 10 // clamps into the top bucket
-				default:
-					errFrac = ia.Freq/truth - 1
-				}
-				res.add(ia.Confidence, errFrac, weight)
-			}
+			res.addFreqErrors(pa, r.Exact.Exec[im.ID])
 		})
 	if err != nil {
 		return nil, err
 	}
 	res.finish()
 	return res, nil
+}
+
+// addFreqErrors adds the error of each sampled instruction's frequency
+// estimate in pa, against exact, its image's execution counts, weighted by
+// its samples (Figure 8's measure).
+func (a *AccuracyResult) addFreqErrors(pa *analysis.ProcAnalysis, exact []uint64) {
+	base := int(pa.BaseOffset / alpha.InstBytes)
+	for i := range pa.Insts {
+		ia := &pa.Insts[i]
+		weight := float64(ia.Samples)
+		if weight == 0 {
+			continue
+		}
+		truth := float64(exact[base+i])
+		var errFrac float64
+		switch {
+		case truth == 0 && ia.Freq <= 0:
+			errFrac = 0
+		case truth == 0:
+			errFrac = 10 // clamps into the top bucket
+		default:
+			errFrac = ia.Freq/truth - 1
+		}
+		a.add(ia.Confidence, errFrac, weight)
+	}
 }
 
 // Fig9 measures CFG edge-frequency estimate errors, weighted by true edge

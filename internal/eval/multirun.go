@@ -7,6 +7,7 @@ import (
 	"dcpi/internal/alpha"
 	"dcpi/internal/analysis"
 	"dcpi/internal/dcpi"
+	"dcpi/internal/image"
 	"dcpi/internal/runner"
 	"dcpi/internal/sim"
 )
@@ -66,71 +67,39 @@ func Fig8MultiRun(o Options, runs int) (*MultiRunResult, error) {
 
 		first := rds[0].r
 		model, period := first.Model(), first.AvgCyclesPeriod()
-		for _, prof := range first.Profiles() {
-			if prof.Event != sim.EvCycles {
-				continue
-			}
-			im, ok := first.Loader.ImageByPath(prof.ImagePath)
-			if !ok {
-				continue
-			}
-			// Merge samples and exact counts across runs. Images are
-			// identical across runs (same workload source), so offsets align.
-			mergedSamples := make([]uint64, len(im.Code))
-			mergedExact := make([]uint64, len(im.Code))
-			for _, rd := range rds {
-				for i, n := range rd.r.InstSamples(prof.ImagePath, sim.EvCycles) {
-					mergedSamples[i] += n
-				}
-				rim, ok := rd.r.Loader.ImageByPath(prof.ImagePath)
-				if !ok {
-					continue
-				}
-				for i, n := range rd.r.Exact.Exec[rim.ID] {
-					mergedExact[i] += n
-				}
-			}
-			singleExact := first.Exact.Exec[im.ID]
-
-			inProc := first.ProcSamples(prof.ImagePath, sim.EvCycles)
-			for s, sym := range im.Symbols {
-				if inProc[s] == 0 {
-					continue
-				}
-				// The single run is Figure 8's run 0, analysed once for both.
-				paSingle, err := first.AnalyzeProc(prof.ImagePath, sym.Name)
-				if err != nil {
-					return nil, err
-				}
-				g, _ := im.ProcGraph(s)
-				lo := sym.Offset / alpha.InstBytes
-				paMerged := analysis.Analyze(sym.Name, g,
-					analysis.Inputs{Samples: mergedSamples[lo : lo+uint64(len(g.Code))]}, model, period)
-
-				accumulate := func(res *AccuracyResult, pa *analysis.ProcAnalysis, exact []uint64) {
-					for i := range pa.Insts {
-						ia := &pa.Insts[i]
-						gi := int(sym.Offset/alpha.InstBytes) + i
-						truth := float64(exact[gi])
-						weight := float64(ia.Samples)
-						if weight == 0 {
-							continue
-						}
-						var errFrac float64
-						switch {
-						case truth == 0 && ia.Freq <= 0:
-							errFrac = 0
-						case truth == 0:
-							errFrac = 10
-						default:
-							errFrac = ia.Freq/truth - 1
-						}
-						res.add(ia.Confidence, errFrac, weight)
+		var cur *image.Image
+		var mergedSamples, mergedExact []uint64
+		// The single run is Figure 8's run 0, analysed once for both.
+		err := first.AnalyzeSampled(func(im *image.Image, s int, paSingle *analysis.ProcAnalysis) {
+			if im != cur {
+				// Merge samples and exact counts across runs. Images are
+				// identical across runs (same workload source), so offsets
+				// align.
+				cur = im
+				mergedSamples = make([]uint64, len(im.Code))
+				mergedExact = make([]uint64, len(im.Code))
+				for _, rd := range rds {
+					for i, n := range rd.r.InstSamples(im.Path, sim.EvCycles) {
+						mergedSamples[i] += n
+					}
+					rim, ok := rd.r.Loader.ImageByPath(im.Path)
+					if !ok {
+						continue
+					}
+					for i, n := range rd.r.Exact.Exec[rim.ID] {
+						mergedExact[i] += n
 					}
 				}
-				accumulate(single, paSingle, singleExact)
-				accumulate(merged, paMerged, mergedExact)
 			}
+			g, _ := im.ProcGraph(s)
+			lo := g.BaseOffset / alpha.InstBytes
+			paMerged := analysis.Analyze(im.Symbols[s].Name, g,
+				analysis.Inputs{Samples: mergedSamples[lo : lo+uint64(len(g.Code))]}, model, period)
+			single.addFreqErrors(paSingle, first.Exact.Exec[im.ID])
+			merged.addFreqErrors(paMerged, mergedExact)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	single.finish()

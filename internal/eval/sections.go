@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 )
 
 // Section is one block of dcpieval's output: "==== Header ====", a blank
@@ -37,22 +38,73 @@ var Sections = []Section{
 	{Ablation: "loss", Header: "Ablation: daemon lag vs. sample loss (§4.2.3)", Run: report(LossSweep, FormatLossSweep)},
 }
 
+// figs is the -fig values that select s alone: Figure 4 summarizes Figure
+// 3's runs, so their section answers to both.
+func (s Section) figs() []int {
+	switch s.Fig {
+	case 0:
+		return nil
+	case 3:
+		return []int{3, 4}
+	}
+	return []int{s.Fig}
+}
+
 // Select returns, in output order, the sections that all or one of table,
 // fig and ablation asks for; none when nothing matches. Figure 3 or 4 asked
 // for alone runs their shared section and prints only that figure.
 func Select(all bool, table, fig int, ablation string) []Section {
 	var out []Section
 	for _, s := range Sections {
-		half := !all && s.Fig == 3 && (fig == 3 || fig == 4)
-		if half {
+		figs := s.figs()
+		if !all && len(figs) > 1 && slices.Contains(figs, fig) {
 			s.Run = figs34(fig)
 		}
-		if all || half || s.Table != 0 && s.Table == table || s.Fig != 0 && s.Fig == fig ||
+		if all || s.Table != 0 && s.Table == table || slices.Contains(figs, fig) ||
 			s.Ablation != "" && s.Ablation == ablation {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// Keys renders, for dcpieval's flag help, the values that select a section
+// alone: the -table and -fig values as ranges ("2-5", "1-4, 6-10") and the
+// -ablation values as a list ("ht, loss").
+func Keys() (tables, figs, ablations string) {
+	var ts, fs []int
+	var as []string
+	for _, s := range Sections {
+		switch {
+		case s.Table != 0:
+			ts = append(ts, s.Table)
+		case s.Fig != 0:
+			fs = append(fs, s.figs()...)
+		default:
+			as = append(as, s.Ablation)
+		}
+	}
+	return ranges(ts), ranges(fs), strings.Join(as, ", ")
+}
+
+// ranges renders ns in increasing order, each run of consecutive numbers as
+// "lo-hi": 1 2 3 4 6 7 is "1-4, 6-7".
+func ranges(ns []int) string {
+	slices.Sort(ns)
+	var parts []string
+	for i := 0; i < len(ns); {
+		j := i
+		for j+1 < len(ns) && ns[j+1] == ns[j]+1 {
+			j++
+		}
+		if j == i {
+			parts = append(parts, fmt.Sprint(ns[i]))
+		} else {
+			parts = append(parts, fmt.Sprintf("%d-%d", ns[i], ns[j]))
+		}
+		i = j + 1
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Run starts every section at once, each on its own goroutine and all on

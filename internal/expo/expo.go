@@ -13,7 +13,7 @@
 //	                  scraper that already holds 1..N pays for what is new)
 //	/profiles?epoch=N JSON payload of one epoch's profiles (default: latest
 //	                  sealed; ?full=1 adds per-offset counts; ?procs=1 adds
-//	                  a per-procedure breakdown when the source symbolizes)
+//	                  a per-procedure breakdown when the source finds images)
 //	/stats            driver/daemon/loss counters as JSON
 //	/metrics          the obs registry as flat "name value" text
 //	                  (?format=json for the full snapshot)
@@ -43,6 +43,7 @@ import (
 
 	"dcpi/internal/daemon"
 	"dcpi/internal/driver"
+	"dcpi/internal/image"
 	"dcpi/internal/obs"
 	"dcpi/internal/profiledb"
 )
@@ -70,10 +71,11 @@ type Source struct {
 	DBDir    string               // read through one profiledb.OpenReader handle
 	Stats    func() StatsSnapshot // nil: /stats serves 404
 	Registry *obs.Registry        // nil: /metrics serves an empty body
-	// SymbolAt maps an image path and offset to the enclosing procedure's
-	// name. nil disables the /profiles?procs=1 per-procedure breakdown.
-	SymbolAt func(image string, off uint64) (string, bool)
-	Hook     func(r *http.Request) // optional per-request tap (fault injection in tests)
+	// Image finds the image a profile's path names, whose SplitCounts
+	// divides the profile among its procedures. nil disables the
+	// /profiles?procs=1 per-procedure breakdown.
+	Image func(path string) (*image.Image, bool)
+	Hook  func(r *http.Request) // optional per-request tap (fault injection in tests)
 
 	db atomic.Pointer[profiledb.DB] // set by reader once DBDir has an epoch
 }
@@ -102,9 +104,9 @@ type ProfileRecord struct {
 	// Offsets holds the raw (offset, count) pairs when ?full=1.
 	Offsets [][2]uint64 `json:"offsets,omitempty"`
 	// Procs holds the per-procedure sample breakdown when ?procs=1 and the
-	// source can symbolize. Samples that fall outside every known
-	// procedure are attributed to "(unknown)", so the breakdown always
-	// sums to Samples.
+	// source finds images: the image's split, and "(unknown)" for the
+	// samples at no procedure's offset (all of them when the source does not
+	// find the image), so the breakdown always sums to Samples.
 	Procs []ProcSample `json:"procs,omitempty"`
 }
 
@@ -274,7 +276,7 @@ func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		payload.Meta = &meta
 	}
 	full := r.URL.Query().Get("full") == "1"
-	procs := r.URL.Query().Get("procs") == "1" && src.SymbolAt != nil
+	procs := r.URL.Query().Get("procs") == "1" && src.Image != nil
 	for _, p := range profiles {
 		rec := ProfileRecord{
 			Image:   p.ImagePath,
@@ -296,12 +298,18 @@ func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 		if procs {
 			byProc := map[string]uint64{}
-			for off, cnt := range p.Counts {
-				name, ok := src.SymbolAt(p.ImagePath, off)
-				if !ok || name == "" {
-					name = "(unknown)"
+			unknown := rec.Samples
+			if im, ok := src.Image(p.ImagePath); ok {
+				var perProc []uint64
+				perProc, _, unknown = im.SplitCounts(p.Counts)
+				for s, n := range perProc {
+					if n > 0 {
+						byProc[im.Symbols[s].Name] += n
+					}
 				}
-				byProc[name] += cnt
+			}
+			if unknown > 0 {
+				byProc["(unknown)"] += unknown
 			}
 			names := make([]string, 0, len(byProc))
 			for name := range byProc {

@@ -169,7 +169,7 @@ func Start(opts Options) (*Fleet, error) {
 			Machine:  name,
 			Workload: wl,
 			DBDir:    dbDir,
-			SymbolAt: tmpls[wl].loader.SymbolAt,
+			Image:    tmpls[wl].loader.ImageByPath,
 		}))
 		if i == opts.FaultMachine {
 			handler = injectFaults(handler)

@@ -1,7 +1,7 @@
 // Package image models executable images: the unit the DCPI daemon
 // attributes samples to. An image has a path, code, and a symbol table of
-// procedures. Samples are stored per (image, offset); tools resolve offsets
-// back to procedures and instructions.
+// procedures. Samples are stored per (image, offset); SplitCounts divides
+// them among the procedures and instructions.
 package image
 
 import (
@@ -102,12 +102,37 @@ func (im *Image) Size() uint64 {
 	return uint64(len(im.Code)) * alpha.InstBytes
 }
 
-// SymbolAt returns the procedure containing byte offset off.
-func (im *Image) SymbolAt(off uint64) (alpha.Symbol, bool) {
-	if i, ok := im.SymbolIndexAt(off); ok {
-		return im.Symbols[i], true
+// SplitCounts divides one profile's counts, keyed by byte offset into the
+// image, among the image's procedures and instructions in one pass: perProc
+// by index into Symbols, perInst by instruction index, and rest, the samples
+// at no procedure's offset. It is the one place a profile is summed by
+// procedure; every tool's per-procedure view reads it.
+func (im *Image) SplitCounts(counts map[uint64]uint64) (perProc, perInst []uint64, rest uint64) {
+	perInst = make([]uint64, len(im.Code))
+	var odd []uint64 // offsets that name no instruction
+	for off, n := range counts {
+		rest += n
+		if i := off / alpha.InstBytes; off%alpha.InstBytes == 0 && i < uint64(len(perInst)) {
+			perInst[i] = n
+		} else {
+			odd = append(odd, off)
+		}
 	}
-	return alpha.Symbol{}, false
+	perProc = make([]uint64, len(im.Symbols))
+	for s, sym := range im.Symbols {
+		for _, n := range perInst[sym.Offset/alpha.InstBytes : (sym.Offset+sym.Size)/alpha.InstBytes] {
+			perProc[s] += n
+		}
+	}
+	for _, off := range odd {
+		if s, ok := im.SymbolIndexAt(off); ok {
+			perProc[s] += counts[off]
+		}
+	}
+	for _, n := range perProc {
+		rest -= n
+	}
+	return perProc, perInst, rest
 }
 
 // SymbolIndexAt returns the index in Symbols of the procedure containing

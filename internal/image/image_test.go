@@ -1,6 +1,7 @@
 package image
 
 import (
+	"reflect"
 	"testing"
 
 	"dcpi/internal/alpha"
@@ -24,25 +25,33 @@ second:
 	return im
 }
 
-func TestSymbolAt(t *testing.T) {
-	im := testImage(t)
-	cases := []struct {
-		off  uint64
-		want string
-		ok   bool
-	}{
-		{0, "first", true},
-		{4, "first", true},
-		{8, "first", true},
-		{12, "second", true},
-		{16, "second", true},
-		{20, "", false},
+// SplitCounts attributes an aligned offset to its instruction and, with an
+// unaligned one, to the procedure whose range holds it; what no procedure
+// holds is rest, whether it names an instruction between procedures or lies
+// past the code.
+func TestSplitCounts(t *testing.T) {
+	im := testImage(t) // first: offsets 0-11, second: 12-19
+	counts := map[uint64]uint64{0: 1, 4: 2, 8: 4, 6: 8, 12: 16, 16: 32, 20: 64, 22: 128}
+	perProc, perInst, rest := im.SplitCounts(counts)
+	if want := []uint64{15, 48}; !reflect.DeepEqual(perProc, want) {
+		t.Errorf("perProc = %v, want %v", perProc, want)
 	}
-	for _, tc := range cases {
-		s, ok := im.SymbolAt(tc.off)
-		if ok != tc.ok || (ok && s.Name != tc.want) {
-			t.Errorf("SymbolAt(%d) = %q, %v; want %q, %v", tc.off, s.Name, ok, tc.want, tc.ok)
-		}
+	if want := []uint64{1, 2, 4, 16, 32}; !reflect.DeepEqual(perInst, want) {
+		t.Errorf("perInst = %v, want %v", perInst, want)
+	}
+	if rest != 192 {
+		t.Errorf("rest = %d, want 192", rest)
+	}
+
+	// Only "second" is a procedure: "first"'s instructions are rest.
+	gap := *im
+	gap.Symbols = im.Symbols[1:]
+	perProc, perInst, rest = gap.SplitCounts(counts)
+	if !reflect.DeepEqual(perProc, []uint64{48}) || len(perInst) != 5 || rest != 15+192 {
+		t.Errorf("with a gap: perProc %v, perInst %v, rest %d; want [48], 5 instructions, 207", perProc, perInst, rest)
+	}
+	if perProc, perInst, rest := im.SplitCounts(nil); len(perProc) != 2 || len(perInst) != 5 || rest != 0 {
+		t.Errorf("no counts: perProc %v, perInst %v, rest %d", perProc, perInst, rest)
 	}
 }
 

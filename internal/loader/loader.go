@@ -212,17 +212,6 @@ func (l *Loader) ImageByPath(path string) (*image.Image, bool) {
 	return im, ok
 }
 
-// SymbolAt names the procedure containing byte offset off of the image
-// registered at path; false when the image or the offset is unknown.
-func (l *Loader) SymbolAt(path string, off uint64) (string, bool) {
-	im, ok := l.byPath[path]
-	if !ok {
-		return "", false
-	}
-	sym, ok := im.SymbolAt(off)
-	return sym.Name, ok
-}
-
 // Images returns all registered images.
 func (l *Loader) Images() []*image.Image {
 	out := make([]*image.Image, 0, len(l.images))

@@ -61,11 +61,9 @@ func PlanImage(res *dcpi.Result, imagePath string) (*Plan, error) {
 		return nil, fmt.Errorf("optimize: image %q has no procedure symbols", imagePath)
 	}
 
-	samples := make(map[string]uint64, len(im.Symbols))
-	for _, row := range res.ProcRows() {
-		if row.ImagePath == imagePath {
-			samples[row.Procedure] = row.Counts[sim.EvCycles]
-		}
+	samples := res.ProcSamples(imagePath, sim.EvCycles)
+	if samples == nil {
+		samples = make([]uint64, len(im.Symbols)) // no CYCLES profile: nothing sampled
 	}
 
 	// Order: the entry procedure is pinned first (execution starts at the
@@ -77,7 +75,7 @@ func PlanImage(res *dcpi.Result, imagePath string) (*Plan, error) {
 	}
 	rest := order[1:]
 	sort.SliceStable(rest, func(a, b int) bool {
-		sa, sb := samples[im.Symbols[rest[a]].Name], samples[im.Symbols[rest[b]].Name]
+		sa, sb := samples[rest[a]], samples[rest[b]]
 		if sa != sb {
 			return sa > sb
 		}
@@ -94,7 +92,7 @@ func PlanImage(res *dcpi.Result, imagePath string) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		ch := ProcChange{Name: name, Samples: samples[name]}
+		ch := ProcChange{Name: name, Samples: samples[si]}
 		if ch.Samples > 0 {
 			pa, err := res.AnalyzeProc(imagePath, name)
 			if err != nil {

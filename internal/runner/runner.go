@@ -27,8 +27,8 @@
 //     decoded result in memory and writes the same bytes to Disk; the
 //     machine that ran — process memory, driver tables, caches — is
 //     unreachable from then on. Driver, Daemon and DB are therefore nil on
-//     every result of a cacheable run; they exist only on what a direct
-//     dcpi.Run (or a run with DBDir, below) returns.
+//     every result the runner hands out; they exist only on what a direct
+//     dcpi.Run returns.
 //   - Sharded mode (Shard i of NumShards) deterministically partitions the
 //     run set by hashing content keys: runs belonging to other shards are
 //     answered with an inert placeholder result instead of simulating, so
@@ -41,10 +41,10 @@
 // (Profiles, AnalyzeProc, ProcRows, ...) only reads. That is what makes a
 // cached result safe to hand to concurrent readers.
 //
-// Runs that write an on-disk profile database (Config.DBDir != "") are
-// scheduled through the pool but never cached: the caller owns the
-// directory's lifetime (the eval suite deletes it right after reading),
-// so retaining the Result would dangle.
+// A run that writes an on-disk profile database (Config.DBDir != "") is
+// not the runner's: its caller owns the directory and reads the database
+// the run leaves, so Submit refuses it and the caller calls dcpi.Run, as
+// dcpid and the fleet do.
 package runner
 
 import (
@@ -186,16 +186,13 @@ func (p *Pending) Wait() (*dcpi.Result, error) {
 // Submit schedules a run and returns immediately. Experiments submit every
 // configuration they need up front (in their natural deterministic order)
 // and then Wait in that same order, so output is independent of worker
-// count and completion order.
+// count and completion order. A config with DBDir fails at once (see the
+// package comment).
 func (r *Runner) Submit(cfg dcpi.Config) *Pending {
-	cacheable := cfg.DBDir == ""
-	if !cacheable {
-		c := &call{done: make(chan struct{})}
-		r.noteSimulated()
-		go func() {
-			defer close(c.done)
-			r.execute(c, cfg)
-		}()
+	if cfg.DBDir != "" {
+		c := &call{done: make(chan struct{}), err: fmt.Errorf(
+			"runner: a run with DBDir %q writes a profile database its caller owns: call dcpi.Run", cfg.DBDir)}
+		close(c.done)
 		return &Pending{c: c}
 	}
 

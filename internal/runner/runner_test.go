@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,19 +107,19 @@ func TestDistinctConfigsAllSimulate(t *testing.T) {
 	}
 }
 
-func TestDiskBackedRunsAreNotCached(t *testing.T) {
+// A run that writes a profile database is its caller's: Submit refuses it,
+// naming dcpi.Run, and simulates nothing.
+func TestSubmitRefusesDBDir(t *testing.T) {
 	r := New(2)
 	var calls atomic.Int64
 	stub(r, &calls, 0)
 
 	cfg := dcpi.Config{Workload: "compress", Scale: 0.1, Mode: sim.ModeCycles, DBDir: "/tmp/dcpi-db"}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
+	if res, err := r.Run(cfg); err == nil || !strings.Contains(err.Error(), "dcpi.Run") || res != nil {
+		t.Errorf("Run with DBDir = %v, %v; want an error naming dcpi.Run", res, err)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("disk-backed run simulated %d times, want 3 (no caching)", got)
+	if got, st := calls.Load(), r.Stats(); got != 0 || st.Simulated != 0 || st.Requests() != 0 {
+		t.Errorf("refused run simulated %d times, stats %+v", got, st)
 	}
 }
 
