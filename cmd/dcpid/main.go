@@ -250,7 +250,7 @@ func main() {
 		// samples that inflate the merged side.)
 		var merged uint64
 		for _, p := range r.Profiles() {
-			if !strings.Contains(p.ImagePath, "#") {
+			if _, pid := daemon.ParseProfileName(p.ImagePath); pid == 0 {
 				merged += p.Total()
 			}
 		}

@@ -44,11 +44,10 @@ func main() {
 		}
 	}
 	var rows []row
-	var total uint64
 	for img, c := range agg {
 		rows = append(rows, row{img, c})
-		total += c
 	}
+	total := r.TotalSamples(sim.EvCycles) // a per-process row's samples are its image's too
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].cycles != rows[j].cycles {
 			return rows[i].cycles > rows[j].cycles

@@ -155,6 +155,13 @@ func TestSourceGuards(t *testing.T) {
 			"hand-decoded edge key: use daemon.UnpackEdge (analysis reads decoded analysis.EdgePair keys)",
 		},
 		{
+			// A per-process profile's name, path#pid, is built and read
+			// beside each other.
+			regexp.MustCompile(`strings\.(Contains|Cut|Index|LastIndex|Split)\w*\([^)]*["']#["']|%s#%d`),
+			func(f file) bool { return !f.isTest && !in(f, "internal/daemon", "bench") },
+			"a per-process profile name read by hand: use daemon.ParseProfileName (daemon.ProfileName builds one)",
+		},
+		{
 			// A profile is divided among an image's procedures by one
 			// function, which the result's memo, expo's breakdown and every
 			// tool read: no per-symbol offset-range scan, no per-offset

@@ -9,6 +9,8 @@ package daemon
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"dcpi/internal/driver"
@@ -344,14 +346,36 @@ func UnpackEdge(key uint64) (from, to uint64) { return key >> 32, key & 0xffffff
 func (d *Daemon) profile(sh *shard, k profKey) *profiledb.Profile {
 	p, ok := sh.profiles[k]
 	if !ok {
-		name := k.path
-		if k.pid != 0 {
-			name = fmt.Sprintf("%s#%d", k.path, k.pid)
-		}
-		p = profiledb.NewProfile(name, k.ev)
+		p = profiledb.NewProfile(ProfileName(k.path, k.pid), k.ev)
 		sh.profiles[k] = p
 	}
 	return p
+}
+
+// ProfileName names a profile of the image at path: the path itself for
+// the image's aggregate profile (pid 0), which counts each of its samples
+// once, and path#pid for the per-process profile kept for pid (paper §4.3),
+// whose samples the aggregate counts too.
+func ProfileName(path string, pid uint32) string {
+	if pid == 0 {
+		return path
+	}
+	return path + "#" + strconv.FormatUint(uint64(pid), 10)
+}
+
+// ParseProfileName is ProfileName's inverse: the image path a profile
+// named name counts samples of, and the process it was kept for, 0 for the
+// image's aggregate profile.
+func ParseProfileName(name string) (path string, pid uint32) {
+	i := strings.LastIndexByte(name, '#')
+	if i < 0 {
+		return name, 0
+	}
+	n, err := strconv.ParseUint(name[i+1:], 10, 32)
+	if err != nil || name[i+1] == '0' { // no pid ProfileName writes: 0, or a leading zero
+		return name, 0
+	}
+	return name[:i], uint32(n)
 }
 
 // Poll performs the daemon's periodic work for one CPU: draining the

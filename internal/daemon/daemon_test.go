@@ -273,3 +273,29 @@ func TestMergeWithoutDBErrors(t *testing.T) {
 		t.Error("mergeToDisk without DB should error")
 	}
 }
+
+func TestProfileNameRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		pid  uint32
+		name string
+	}{
+		{"/bin/app", 0, "/bin/app"},
+		{"/bin/app", 7, "/bin/app#7"},
+		{"/bin/a#b", 100, "/bin/a#b#100"},
+		{"/bin/app", 1<<32 - 1, "/bin/app#4294967295"},
+	} {
+		if got := ProfileName(c.path, c.pid); got != c.name {
+			t.Errorf("ProfileName(%q, %d) = %q, want %q", c.path, c.pid, got, c.name)
+		}
+		if path, pid := ParseProfileName(c.name); path != c.path || pid != c.pid {
+			t.Errorf("ParseProfileName(%q) = %q, %d; want %q, %d", c.name, path, pid, c.path, c.pid)
+		}
+	}
+	// Names ProfileName never builds are an image's aggregate profile.
+	for _, name := range []string{"/bin/app#", "/bin/app#0", "/bin/app#007", "/bin/app#+7", "/bin/app#x", "/bin/app#4294967296", "#"} {
+		if path, pid := ParseProfileName(name); path != name || pid != 0 {
+			t.Errorf("ParseProfileName(%q) = %q, %d; want the name itself and pid 0", name, path, pid)
+		}
+	}
+}

@@ -467,10 +467,11 @@ func TestDTBMissEventRulesOutDTB(t *testing.T) {
 
 // TestProcRowsRemainder holds dcpiprof's rows to the image's symbol table:
 // a profile of a registered image is divided among its procedures, samples
-// at no procedure's offset are one "<unknown>" row of that image, and so is
-// every sample of a profile whose image is not registered (a per-process
-// profile's "path#pid"). Edge profiles hold packed offset pairs and make no
-// row.
+// at no procedure's offset are one "<unknown>" row of that image, and a
+// per-process profile ("path#pid") is divided among the procedures of the
+// image at path into rows of its own. Every sample of a profile whose
+// image is not registered is its "<unknown>" row. Edge profiles hold packed
+// offset pairs and make no row.
 func TestProcRowsRemainder(t *testing.T) {
 	kernel, _ := workload.Kernel()
 	l := loader.New(kernel)
@@ -490,6 +491,7 @@ second:
 		{ImagePath: "/bin/app", Event: sim.EvIMiss, Counts: map[uint64]uint64{4: 1, 100: 4}},
 		{ImagePath: "/bin/app", Event: sim.EvEdge, Counts: map[uint64]uint64{daemon.PackEdge(0, 8): 9}},
 		{ImagePath: "/bin/app#7", Event: sim.EvCycles, Counts: map[uint64]uint64{0: 2, 8: 1}},
+		{ImagePath: "/bin/gone", Event: sim.EvCycles, Counts: map[uint64]uint64{0: 4}},
 	}}
 	row := func(proc, path string, cycles, imiss uint64) ProcRow {
 		pr := ProcRow{Procedure: proc, ImagePath: path}
@@ -499,8 +501,10 @@ second:
 	want := []ProcRow{
 		row("second", "/bin/app", 9, 0),
 		row("first", "/bin/app", 6, 1),
+		row("<unknown>", "/bin/gone", 4, 0),
 		row("<unknown>", "/bin/app", 3, 4),
-		row("<unknown>", "/bin/app#7", 3, 0),
+		row("first", "/bin/app#7", 2, 0),
+		row("second", "/bin/app#7", 1, 0),
 	}
 	if got := r.ProcRows(); !reflect.DeepEqual(got, want) {
 		t.Errorf("ProcRows:\n%+v\nwant\n%+v", got, want)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dcpi/internal/analysis"
+	"dcpi/internal/daemon"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/image"
 	"dcpi/internal/sim"
@@ -74,5 +75,59 @@ func TestToolMemosAreSharedAcrossGoroutines(t *testing.T) {
 		if !reflect.DeepEqual(pa, want[k]) {
 			t.Errorf("%v: the shared analysis differs from one made alone", k)
 		}
+	}
+}
+
+// TestPerProcessProfilesCountOnce runs with a per-process profile kept for
+// the workload's process: totals count each sample once, the per-process
+// profile's rows name the image's procedures, and each repeats no more
+// samples than its aggregate row holds.
+func TestPerProcessProfilesCountOnce(t *testing.T) {
+	r, err := dcpi.Run(dcpi.Config{Workload: "wave5", Scale: 0.1, Mode: sim.ModeCycles, Seed: 1,
+		CyclesPeriod: sim.PeriodSpec{Base: 2048}, PerProcessPIDs: []uint32{100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aggregate, perProcess uint64
+	for _, p := range r.Profiles() {
+		if _, pid := daemon.ParseProfileName(p.ImagePath); pid != 0 {
+			perProcess += p.Total()
+		} else if p.Event == sim.EvCycles {
+			aggregate += p.Total()
+		}
+	}
+	if perProcess == 0 {
+		t.Fatal("no per-process samples")
+	}
+	if got := r.TotalSamples(sim.EvCycles); got != aggregate {
+		t.Errorf("TotalSamples = %d, want the aggregate profiles' %d", got, aggregate)
+	}
+	var mapped uint64
+	for _, n := range r.ProcSampleMap() {
+		mapped += n
+	}
+	if mapped != aggregate {
+		t.Errorf("ProcSampleMap holds %d samples, want the aggregate profiles' %d", mapped, aggregate)
+	}
+	type key struct{ image, proc string }
+	rows := map[key]uint64{}
+	for _, row := range r.ProcRows() {
+		rows[key{row.ImagePath, row.Procedure}] = row.Counts[sim.EvCycles]
+	}
+	var symbolized uint64
+	for k, n := range rows {
+		path, pid := daemon.ParseProfileName(k.image)
+		if pid == 0 {
+			continue
+		}
+		if k.proc != "<unknown>" {
+			symbolized += n
+		}
+		if agg := rows[key{path, k.proc}]; n > agg {
+			t.Errorf("%s %s: %d samples, its aggregate row %d", k.image, k.proc, n, agg)
+		}
+	}
+	if symbolized == 0 {
+		t.Error("no per-process row names a procedure")
 	}
 }

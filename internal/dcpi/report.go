@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"dcpi/internal/analysis"
+	"dcpi/internal/daemon"
 	"dcpi/internal/pipeline"
 	"dcpi/internal/sim"
 )
@@ -40,7 +41,9 @@ func FormatProcList(w io.Writer, r *Result, maxRows int) {
 		if totalCycles > 0 {
 			pct = 100 * float64(cyc) / float64(totalCycles)
 		}
-		cum += pct
+		if _, pid := daemon.ParseProfileName(row.ImagePath); pid == 0 {
+			cum += pct // a per-process row repeats samples already counted
+		}
 		if totalIMiss > 0 {
 			ipct := 0.0
 			if totalIMiss > 0 {

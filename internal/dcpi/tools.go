@@ -3,6 +3,7 @@ package dcpi
 import (
 	"sort"
 
+	"dcpi/internal/daemon"
 	"dcpi/internal/sim"
 	"dcpi/internal/stats"
 )
@@ -18,7 +19,10 @@ type ProcRow struct {
 // CYCLES samples (the dcpiprof view, Figure 1). A registered image's rows
 // are its split (ProcSamples) and one "<unknown>" row for the samples at no
 // procedure's offset; every sample of an image that is not registered is
-// its "<unknown>" row.
+// its "<unknown>" row. A per-process profile (daemon.ProfileName) is split
+// against its image into rows of its own, whose image is the profile's
+// name: its samples are the aggregate's too, so ProcSampleMap and
+// TotalSamples leave them out.
 func (r *Result) ProcRows() []ProcRow {
 	type key struct{ img, proc string }
 	agg := make(map[key]*ProcRow)
@@ -38,16 +42,24 @@ func (r *Result) ProcRows() []ProcRow {
 		if p.Event == sim.EvEdge {
 			continue // packed (from, to) keys; not per-instruction offsets
 		}
-		im, ok := r.Loader.ImageByPath(p.ImagePath)
+		path, pid := daemon.ParseProfileName(p.ImagePath)
+		im, ok := r.Loader.ImageByPath(path)
 		if !ok {
 			add(p.ImagePath, "<unknown>", p.Event, p.Total())
 			continue
 		}
-		sp := r.split(im)
-		for s, n := range sp.perProc[p.Event] {
+		var perProc []uint64
+		var rest uint64
+		if pid == 0 {
+			sp := r.split(im)
+			perProc, rest = sp.perProc[p.Event], sp.rest[p.Event]
+		} else {
+			perProc, _, rest = im.SplitCounts(p.Counts)
+		}
+		for s, n := range perProc {
 			add(p.ImagePath, im.Symbols[s].Name, p.Event, n)
 		}
-		add(p.ImagePath, "<unknown>", p.Event, sp.rest[p.Event])
+		add(p.ImagePath, "<unknown>", p.Event, rest)
 	}
 	out := make([]ProcRow, 0, len(agg))
 	for _, row := range agg {
@@ -65,22 +77,24 @@ func (r *Result) ProcRows() []ProcRow {
 	return out
 }
 
-// TotalSamples sums samples of one event across all profiles.
+// TotalSamples sums samples of one event across the aggregate profiles,
+// each sample once: a per-process profile repeats samples of its image's.
 func (r *Result) TotalSamples(ev sim.Event) uint64 {
 	var t uint64
 	for _, p := range r.profiles {
-		if p.Event == ev {
+		if _, pid := daemon.ParseProfileName(p.ImagePath); p.Event == ev && pid == 0 {
 			t += p.Total()
 		}
 	}
 	return t
 }
 
-// ProcSampleMap returns procedure -> CYCLES samples for dcpistats.
+// ProcSampleMap returns procedure -> CYCLES samples for dcpistats, each
+// sample counted once (per-process rows left out).
 func (r *Result) ProcSampleMap() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, row := range r.ProcRows() {
-		if row.Counts[sim.EvCycles] > 0 {
+		if _, pid := daemon.ParseProfileName(row.ImagePath); row.Counts[sim.EvCycles] > 0 && pid == 0 {
 			out[row.Procedure] += row.Counts[sim.EvCycles]
 		}
 	}

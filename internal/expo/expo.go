@@ -255,14 +255,17 @@ func (src *Source) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	profiles, err := db.ProfilesAt(epoch)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
+	// The seal is read first: epoch.meta is written after the epoch's last
+	// profile, so profiles read after it are the sealed set, while a seal
+	// read after them could cover profiles written in between.
 	meta, hasMeta, err := db.MetaAt(epoch)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	profiles, err := db.ProfilesAt(epoch)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	payload := ProfilesPayload{

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dcpi/internal/alpha"
@@ -424,4 +425,76 @@ func TestEpochsProbeIsFlatInUptime(t *testing.T) {
 			t.Errorf("k=%d: after three scrapes, %d probes and %d listings, want 3 and 2", k, got[0], got[1])
 		}
 	}
+}
+
+// TestSealedProfilesAreComplete races a writer sealing epochs — each
+// epoch's profiles, then its epoch.meta — against a reader fetching the
+// epoch being written: a payload marked sealed carries the epoch's whole
+// profile set, however the reads interleave with the writes. Each profile
+// holds 4096 offsets, so reading an epoch's profiles takes longer than
+// writing its last profile and its seal: a server that read the seal after
+// the profiles serves some epoch sealed but short here.
+func TestSealedProfilesAreComplete(t *testing.T) {
+	const epochs, images = 20, 16
+	dir := t.TempDir()
+	db, err := profiledb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writing atomic.Int64
+	writing.Store(1)
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			for e := 1; e <= epochs; e++ {
+				writing.Store(int64(e))
+				for i := range images {
+					p := profiledb.NewProfile(fmt.Sprintf("/usr/bin/app%d", i), sim.EvCycles)
+					for off := uint64(0); off < 4096; off++ {
+						p.Add(4*off, uint64(e)+off)
+					}
+					if err := db.Update(p); err != nil {
+						return err
+					}
+				}
+				if err := db.WriteMeta(profiledb.Meta{Workload: "app", Mode: "cycles"}); err != nil {
+					return err
+				}
+				if err := db.NewEpoch(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}()
+	}()
+	h := Handler(&Source{Machine: "m00", DBDir: dir})
+	sealed, partial := 0, 0
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/profiles?epoch=%d", writing.Load()), nil))
+		if rec.Code != http.StatusOK {
+			continue
+		}
+		var got ProfilesPayload
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case got.Sealed && len(got.Profiles) != images:
+			t.Fatalf("epoch %d served as sealed with %d of its %d profiles", got.Epoch, len(got.Profiles), images)
+		case got.Sealed:
+			sealed++
+		case len(got.Profiles) < images:
+			partial++
+		}
+	}
+	t.Logf("%d sealed payloads, %d unsealed partial ones", sealed, partial)
 }

@@ -26,10 +26,10 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"dcpi/internal/daemon"
 	"dcpi/internal/dcpi"
 	"dcpi/internal/expo"
 	"dcpi/internal/loader"
@@ -210,8 +210,8 @@ func buildTemplate(wl string, seed uint64, scale float64) (*template, error) {
 	}
 	var hotSamples uint64
 	for _, p := range r.Profiles() {
-		if strings.Contains(p.ImagePath, "#") {
-			continue // per-PID duplicates of the aggregate
+		if _, pid := daemon.ParseProfileName(p.ImagePath); pid != 0 {
+			continue // per-process duplicates of the aggregate
 		}
 		pt := profileTemplate{image: p.ImagePath, event: p.Event}
 		offs := make([]uint64, 0, len(p.Counts))

@@ -31,7 +31,9 @@ import (
 // among them, and returns once every call has returned, so whatever the
 // calls wrote happens-before Do's return. Indices are claimed in ascending
 // order from one counter; with one worker Do is a plain loop on the caller.
-// It returns how many goroutines ran.
+// Do waits for calls, not for goroutines: a helper that starts after the
+// last index was claimed finds no work and exits without being waited
+// for. It returns how many goroutines ran.
 func Do(workers, n int, fn func(i int)) int {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -40,23 +42,38 @@ func Do(workers, n int, fn func(i int)) int {
 		}
 		return 1
 	}
-	var next atomic.Int64
-	loop := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	d := &doing{n: int64(n), fn: fn}
+	d.wg.Add(1)
+	loop := d.loop
 	for range workers - 1 {
-		go func() {
-			defer wg.Done()
-			loop()
-		}()
+		go loop()
 	}
 	loop()
-	wg.Wait()
+	d.wg.Wait()
 	return workers
+}
+
+// doing is one Do call's shared state: the next index to claim, and how
+// many calls have returned. Whichever goroutine brings done to n releases
+// the caller.
+type doing struct {
+	next, done atomic.Int64
+	n          int64
+	fn         func(i int)
+	wg         sync.WaitGroup
+}
+
+// loop claims and calls indices until none is left, then adds the calls
+// it made to done.
+func (d *doing) loop() {
+	var calls int64
+	for i := d.next.Add(1) - 1; i < d.n; i = d.next.Add(1) - 1 {
+		d.fn(int(i))
+		calls++
+	}
+	if calls > 0 && d.done.Add(calls) == d.n {
+		d.wg.Done()
+	}
 }
 
 // Budget is a fixed pool of worker slots. The zero value is unusable; use

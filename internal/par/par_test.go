@@ -145,3 +145,20 @@ func TestPublishMetrics(t *testing.T) {
 		t.Errorf("par.budget_used = %v", got)
 	}
 }
+
+// TestDoWaitsForCallsNotHelpers holds Do(2, 2, fn) to three allocations:
+// the call's state, its loop, and the helper goroutine, which the runtime
+// may have to create afresh when the last helper, having found no work,
+// has not run yet — AllocsPerRun runs on one P, where the caller claims
+// every index itself. Do counts the calls that returned rather than
+// waiting for every helper to exit; waiting cost a WaitGroup and a closure
+// per helper on top.
+func TestDoWaitsForCallsNotHelpers(t *testing.T) {
+	var sink [2]atomic.Int32
+	fn := func(i int) { sink[i].Add(1) }
+	allocs := testing.AllocsPerRun(200, func() { Do(2, 2, fn) })
+	t.Logf("Do(2, 2, fn): %v allocations", allocs)
+	if allocs > 3 {
+		t.Errorf("Do(2, 2, fn) allocates %v times, want at most 3", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -91,6 +92,59 @@ func TestQueryAllocsIndependentOfBlocks(t *testing.T) {
 		t.Logf("%s: %v allocations and %d bytes at 3 blocks a machine, %v and %d at 12", name, a3, b3, a12, b12)
 		if a12 > a3 || b12 > b3 {
 			t.Errorf("%s allocates %v times and %d bytes at 12 blocks a machine, %v and %d at 3: it may not allocate more", name, a12, b12, a3, b3)
+		}
+	}
+}
+
+// hostileStore holds one machine's two epochs, 1 and 1+gap, of two images
+// and one procedure of the first.
+func hostileStore(t *testing.T, gap uint64) *DB {
+	t.Helper()
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range []uint64{1, 1 + gap} {
+		n := uint64(10 * (i + 1))
+		mustAppend(t, db, Batch{Machine: "m00", Workload: "w", Epoch: e, Wall: 1 << 20, Period: 1000, Records: []Record{
+			{Image: "/usr/bin/app0", Event: sim.EvCycles, Samples: n, Insts: 100},
+			{Image: "/usr/bin/app0", Proc: "main", Event: sim.EvCycles, Samples: 4},
+			{Image: "/usr/bin/app1", Event: sim.EvCycles, Samples: 30},
+		}})
+	}
+	return db
+}
+
+// TestRangeQueryHostileBounds queries a store whose two epochs lie 2^40
+// apart up to the largest epoch: the rows are the two epochs', and the
+// bytes a query allocates do not grow with the gap between them.
+func TestRangeQueryHostileBounds(t *testing.T) {
+	const top = 1<<64 - 1
+	far := hostileStore(t, 1<<40)
+	want := map[string][]RangeRow{
+		"image": {
+			{Epoch: 1, Machines: 1, Samples: 10, Cycles: 10000, Insts: 100, CPI: 100, SharePct: 25},
+			{Epoch: 1 + 1<<40, Machines: 1, Samples: 20, Cycles: 20000, Insts: 100, CPI: 200, SharePct: 40},
+		},
+		"procedure": {
+			{Epoch: 1, Machines: 1, Samples: 4, Cycles: 4000, SharePct: 40},
+			{Epoch: 1 + 1<<40, Machines: 1, Samples: 4, Cycles: 4000, SharePct: 20},
+		},
+	}
+	queries := map[string]func(db *DB) []RangeRow{
+		"image":     func(db *DB) []RangeRow { return RangeQuery(db, "/usr/bin/app0", sim.EvCycles, 0, top) },
+		"procedure": func(db *DB) []RangeRow { return RangeQueryProc(db, "/usr/bin/app0", "main", sim.EvCycles, 0, top) },
+	}
+	near := hostileStore(t, 1<<12)
+	for name, q := range queries {
+		if got := q(far); !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s query over [0, 2^64-1]:\n%+v\nwant\n%+v", name, got, want[name])
+		}
+		b12 := bytesPerRun(20, func() { q(near) })
+		b40 := bytesPerRun(20, func() { q(far) })
+		t.Logf("%s query: %d bytes with epochs 2^12 apart, %d with 2^40", name, b12, b40)
+		if b40 > b12 {
+			t.Errorf("%s query allocates %d bytes with epochs 2^40 apart, %d with 2^12: it may not allocate more", name, b40, b12)
 		}
 	}
 }

@@ -57,26 +57,47 @@ func benchStore(b *testing.B, machines, epochs, images int) *DB {
 }
 
 // BenchmarkRangeQuery measures the fleet-wide per-image range query over
-// a 16-machine x 100-epoch store (the EXPERIMENTS.md demo shape).
+// a 16-machine x 100-epoch store (the EXPERIMENTS.md demo shape), and over
+// the shape of bench/'s fleet-query store: 16 machines x 650 epochs,
+// compacted every 100 epochs below a 50-epoch raw tail, read over its whole
+// history and over its last 25 epochs. Each sub-benchmark reports the
+// points its one scan reads: the image's, and every image's for the share.
 func BenchmarkRangeQuery(b *testing.B) {
-	db := benchStore(b, 16, 100, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 1, 100)
-		if len(rows) != 100 {
-			b.Fatalf("got %d rows", len(rows))
+	b.Run("demo", func(b *testing.B) {
+		db := benchStore(b, 16, 100, 6)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows := RangeQuery(db, "/usr/bin/app3", sim.EvCycles, 1, 100)
+			if len(rows) != 100 {
+				b.Fatalf("got %d rows", len(rows))
+			}
 		}
+		b.ReportMetric(16*100*6, "points/query")
+	})
+	db, last := tailStore(b, 16, 6, 100, 50)
+	for _, q := range []struct {
+		name     string
+		from, to uint64
+	}{{"fleet-query/full", 1, last}, {"fleet-query/last25", last - 24, last}} {
+		b.Run(q.name, func(b *testing.B) {
+			n := int(q.to - q.from + 1)
+			for i := 0; i < b.N; i++ {
+				if rows := RangeQuery(db, "/usr/bin/app3", sim.EvCycles, q.from, q.to); len(rows) != n {
+					b.Fatalf("got %d rows", len(rows))
+				}
+			}
+			b.ReportMetric(float64(16*n*bigImages), "points/query")
+		})
 	}
-	b.ReportMetric(16*100, "points/query")
 }
 
-// BenchmarkRangeQueryRawTail measures the recent range query of a
-// long-running collector's store: 16 machines, each holding six 10-epoch
-// blocks below a 50-epoch raw tail, queried over its last 25 epochs (the
-// shape of bench/'s fleet-query store). One query before the timer builds
-// the index's scan view, which later queries reuse.
-func BenchmarkRangeQueryRawTail(b *testing.B) {
-	const machines, blocks, perBlock, tail = 16, 6, 10, 50
+// tailStore is a long-running collector's store: machines each holding
+// blocks blocks of perBlock epochs below a raw tail of tail epochs, all of
+// bigBatch's images and events. It returns the store and its last epoch,
+// after one query has built the index's scan view, which later queries
+// reuse.
+func tailStore(b *testing.B, machines, blocks, perBlock, tail int) (*DB, uint64) {
+	b.Helper()
 	db, err := Open(filepath.Join(b.TempDir(), "tsdb"), Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -88,23 +109,29 @@ func BenchmarkRangeQueryRawTail(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if e <= blocks*perBlock && e%perBlock == 0 {
+		if e <= uint64(blocks*perBlock) && e%uint64(perBlock) == 0 {
 			if _, err := db.Compact(CompactOptions{CompactAfter: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	query := func() {
+	TopImages(db, sim.EvCycles, 1, last, 0)
+	return db, last
+}
+
+// BenchmarkRangeQueryRawTail measures the recent range query of a
+// long-running collector's store: 16 machines, each holding six 10-epoch
+// blocks below a 50-epoch raw tail, queried over its last 25 epochs.
+func BenchmarkRangeQueryRawTail(b *testing.B) {
+	const machines = 16
+	db, last := tailStore(b, machines, 6, 10, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if rows := RangeQuery(db, "/usr/bin/app3", sim.EvCycles, last-24, last); len(rows) != 25 {
 			b.Fatalf("got %d rows", len(rows))
 		}
 	}
-	query()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		query()
-	}
-	b.ReportMetric(machines*25, "points/query")
+	b.ReportMetric(machines*25*bigImages, "points/query")
 }
 
 // BenchmarkTopDeltas measures the two-window share-delta ranking over the

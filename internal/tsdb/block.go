@@ -76,9 +76,20 @@ func (bs *bseries) point(j int) Point {
 // without materializing the point).
 func (bs *bseries) cycles(j int) float64 { return float64(bs.samples[j]) * bs.periods[j] }
 
-// searchEpoch returns the first column index with epoch >= e.
-func (bs *bseries) searchEpoch(e uint64) int {
-	return sort.Search(len(bs.epochs), func(i int) bool { return bs.epochs[i] >= e })
+// within narrows columns [j0, j1) to those whose epochs lie in [lo, hi].
+// It binary-searches only an end that lies outside the bounds, so a series
+// a scan holds whole costs two compares.
+func (bs *bseries) within(j0, j1 int, lo, hi uint64) (int, int) {
+	e := bs.epochs
+	if j0 < j1 && e[j0] < lo {
+		a := j0
+		j0 = a + sort.Search(j1-a, func(k int) bool { return e[a+k] >= lo })
+	}
+	if j0 < j1 && e[j1-1] > hi {
+		a := j0
+		j1 = a + sort.Search(j1-a, func(k int) bool { return e[a+k] > hi })
+	}
+	return j0, j1
 }
 
 func seriesLess(a, b *Labels) bool {

@@ -27,6 +27,10 @@ type Matcher struct {
 	AnyProc   bool // when false and Proc == "", only image-level points match
 	FromEpoch uint64
 	ToEpoch   uint64
+
+	// orImage, with Proc set, matches the image-level points too: a
+	// procedure's range query reads its share's denominator in one scan.
+	orImage bool
 }
 
 // labelsMatch applies every non-epoch constraint.
@@ -41,7 +45,7 @@ func (m Matcher) labelsMatch(lab Labels) bool {
 		return false
 	}
 	if m.Proc != "" {
-		if lab.Proc != m.Proc {
+		if lab.Proc != m.Proc && (!m.orImage || lab.Proc != "") {
 			return false
 		}
 	} else if !m.AnyProc && lab.Proc != "" {
@@ -83,6 +87,7 @@ func (db *DB) plan(m Matcher) ([]*bseries, uint64, uint64) {
 	lo, hi := max(m.FromEpoch, 1), m.ToEpoch
 	var out []*bseries
 	db.mu.Lock()
+	db.plans++
 	entries := db.series
 	if m.Machine != "" {
 		i := sort.Search(len(entries), func(i int) bool { return entries[i].labels.Machine >= m.Machine })
@@ -140,9 +145,11 @@ type cols struct {
 // [lo, hi]. The epoch range splits into nwin fold windows, and the windows
 // into parts, contiguous runs of whole windows. Window and part boundaries
 // depend only on the bounds and the part count, never on worker count or
-// storage layout.
+// storage layout. first and last are the lowest and highest epoch of a
+// point the series hold.
 type scan struct {
 	lo, span    uint64
+	first, last uint64
 	nwin, parts int
 	points      int
 	series      []cols
@@ -162,12 +169,12 @@ func (db *DB) newScan(m Matcher) *scan {
 		sc.nwin = 1 // keep win's multiply below from overflowing
 	}
 	sc.series = make([]cols, 0, len(planned))
+	sc.first = hi
 	for _, bs := range planned {
-		j0 := bs.searchEpoch(lo)
-		j1 := j0 + sort.Search(len(bs.epochs)-j0, func(i int) bool { return bs.epochs[j0+i] > hi })
-		if j0 < j1 {
+		if j0, j1 := bs.within(0, len(bs.epochs), lo, hi); j0 < j1 {
 			sc.series = append(sc.series, cols{bs, j0, j1})
 			sc.points += j1 - j0
+			sc.first, sc.last = min(sc.first, bs.epochs[j0]), max(sc.last, bs.epochs[j1-1])
 		}
 	}
 	if sc.points > 0 {
@@ -196,6 +203,32 @@ func (sc *scan) winStart(w int) uint64 {
 // partStart is the first epoch of part p, the start of its first window.
 func (sc *scan) partStart(p int) uint64 { return sc.winStart(p * sc.nwin / sc.parts) }
 
+// slotsPerPoint bounds the epoch slots of a dense scan by its points: a scan
+// whose points span at most this many epochs per point numbers its slots
+// by epoch - first (every store a fleet writes, its epochs dense from 1),
+// and any other by the rank of the epoch among the scan's distinct epochs,
+// so a hostile gap between two stored epochs costs no memory.
+const slotsPerPoint = 4
+
+// slots numbers the distinct epochs of the scan's points in ascending
+// order: it returns how many slots there are, and the epoch of each slot
+// when they are not simply first, first+1, … (nil when they are).
+func (sc *scan) slots() (int, []uint64) {
+	if sc.points == 0 {
+		return 0, nil
+	}
+	if sc.last-sc.first < uint64(slotsPerPoint*sc.points) {
+		return int(sc.last-sc.first) + 1, nil
+	}
+	epochs := make([]uint64, 0, sc.points)
+	for _, c := range sc.series {
+		epochs = append(epochs, c.bs.epochs[c.j0:c.j1]...)
+	}
+	slices.Sort(epochs)
+	epochs = slices.Compact(epochs)
+	return len(epochs), epochs
+}
+
 // run calls fn(part, bs, j0, j1) once for every part and every series of
 // sc.series with points in the part, handing it that series' columns
 // [j0, j1) in place, never an empty range. Within one part calls arrive in
@@ -212,10 +245,7 @@ func (sc *scan) run(fn func(part int, bs *bseries, j0, j1 int)) {
 	par.Default().Each(sc.parts, func(p int) {
 		first, last := sc.partStart(p), sc.partStart(p+1)-1
 		for _, c := range sc.series {
-			e := c.bs.epochs
-			j0 := c.j0 + sort.Search(c.j1-c.j0, func(k int) bool { return e[c.j0+k] >= first })
-			j1 := j0 + sort.Search(c.j1-j0, func(k int) bool { return e[j0+k] > last })
-			if j0 < j1 {
+			if j0, j1 := c.bs.within(c.j0, c.j1, first, last); j0 < j1 {
 				fn(p, c.bs, j0, j1)
 			}
 		}
@@ -294,83 +324,75 @@ func RangeQuery(db *DB, image string, ev sim.Event, from, to uint64) []RangeRow 
 // when proc is non-empty; SharePct then reads as the procedure's slice
 // of its image's cycles rather than the image's slice of the fleet's.
 func RangeQueryProc(db *DB, image, proc string, ev sim.Event, from, to uint64) []RangeRow {
-	// Each part's rows, ascending by epoch, each with the machine it
-	// counted last: a machine's series reach a part one after another, so
-	// a row counts a machine once by comparing it with the last. A part
-	// holds at most one row per epoch and one per point, so every part's
-	// rows are cut from one array sized up front.
-	type acc struct {
-		RangeRow
-		machine string
-	}
-	sc := db.newScan(Matcher{Image: image, Proc: proc, Event: ev, FromEpoch: from, ToEpoch: to})
-	parts, caps, total := make([][]acc, sc.parts), make([]int, sc.parts), 0
-	for p := range caps {
-		caps[p] = int(min(uint64(sc.points), sc.partStart(p+1)-sc.partStart(p)))
-		total += caps[p]
-	}
-	buf := make([]acc, total)
-	for p, c := range caps {
-		parts[p], buf = buf[:0:c], buf[c:]
-	}
-	sc.run(func(p int, bs *bseries, j0, j1 int) {
-		rows := parts[p]
-		k := sort.Search(len(rows), func(i int) bool { return rows[i].Epoch >= bs.epochs[j0] })
-		for j := j0; j < j1; j++ {
-			for k < len(rows) && rows[k].Epoch < bs.epochs[j] {
-				k++
-			}
-			if k == len(rows) || rows[k].Epoch != bs.epochs[j] {
-				rows = slices.Insert(rows, k, acc{RangeRow: RangeRow{Epoch: bs.epochs[j]}})
-			}
-			r := &rows[k]
-			if r.machine != bs.labels.Machine {
-				r.machine = bs.labels.Machine
-				r.Machines++
-			}
-			r.Samples += bs.samples[j]
-			r.Cycles += bs.cycles(j)
-			r.Insts += bs.insts[j]
-		}
-		parts[p] = rows
-	})
-	// Parts ascend in epoch, so out is ascending and each epoch is one row.
-	n := 0
-	for _, rows := range parts {
-		n += len(rows)
-	}
-	out := make([]RangeRow, 0, n)
-	for _, rows := range parts {
-		for _, r := range rows {
-			out = append(out, r.RangeRow)
-		}
-	}
-	// The denominator adds each epoch's cycles in its own part's scan
-	// order, the series index's; only epochs that have a row are looked up.
-	denom := Matcher{Event: ev, FromEpoch: from, ToEpoch: to}
+	// One scan reads the rows' series and the denominator's: for an image,
+	// every image-level series of the event, the image's among them; for a
+	// procedure, its series and its image's image-level ones, which are
+	// disjoint. Each point adds to its epoch's slot, so each slot's floats
+	// are summed in the series index's order inside the one part that holds
+	// the epoch, whatever the part count (TestQueryAnswersGolden pins that
+	// order). A slot counts a machine once by comparing it with the last it
+	// counted: a machine's series reach a part one after another.
+	m := Matcher{Event: ev, FromEpoch: from, ToEpoch: to}
+	key := func(l *Labels) (inRow, inTotal bool) { return l.Image == image, true }
 	if proc != "" {
-		denom.Image = image
+		m.Image, m.Proc, m.orImage = image, proc, true
+		key = func(l *Labels) (bool, bool) { return l.Proc != "", l.Proc == "" }
 	}
-	totals := make([]float64, len(out))
-	db.newScan(denom).run(func(_ int, bs *bseries, j0, j1 int) {
-		k := sort.Search(len(out), func(i int) bool { return out[i].Epoch >= bs.epochs[j0] })
+	type slot struct {
+		machine        string
+		machines       int
+		samples, insts uint64
+		cycles, total  float64
+	}
+	sc := db.newScan(m)
+	n, epochs := sc.slots()
+	acc := make([]slot, n)
+	sc.run(func(_ int, bs *bseries, j0, j1 int) {
+		inRow, inTotal := key(&bs.labels)
+		k := 0
+		if epochs != nil {
+			k, _ = slices.BinarySearch(epochs, bs.epochs[j0])
+		}
 		for j := j0; j < j1; j++ {
-			for k < len(out) && out[k].Epoch < bs.epochs[j] {
-				k++
+			if epochs == nil {
+				k = int(bs.epochs[j] - sc.first)
+			} else {
+				for epochs[k] < bs.epochs[j] {
+					k++
+				}
 			}
-			if k < len(out) && out[k].Epoch == bs.epochs[j] {
-				totals[k] += bs.cycles(j)
+			s, c := &acc[k], bs.cycles(j)
+			if inTotal {
+				s.total += c
+			}
+			if inRow {
+				if s.machine != bs.labels.Machine {
+					s.machine = bs.labels.Machine
+					s.machines++
+				}
+				s.samples += bs.samples[j]
+				s.cycles += c
+				s.insts += bs.insts[j]
 			}
 		}
 	})
-	for k := range out {
-		r := &out[k]
+	out := make([]RangeRow, 0, n)
+	for k := range acc {
+		s := &acc[k]
+		if s.machines == 0 {
+			continue
+		}
+		r := RangeRow{Epoch: sc.first + uint64(k), Machines: s.machines, Samples: s.samples, Cycles: s.cycles, Insts: s.insts}
+		if epochs != nil {
+			r.Epoch = epochs[k]
+		}
 		if r.Insts > 0 {
 			r.CPI = r.Cycles / float64(r.Insts)
 		}
-		if t := totals[k]; t > 0 {
-			r.SharePct = 100 * r.Cycles / t
+		if s.total > 0 {
+			r.SharePct = 100 * r.Cycles / s.total
 		}
+		out = append(out, r)
 	}
 	return out
 }

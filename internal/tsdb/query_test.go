@@ -447,3 +447,25 @@ func TestScanVisitsEachSeriesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeQueryScansOnce holds a range query, of an image and of one of
+// its procedures, to one plan and so one scan: the rows and their share's
+// denominator are read together.
+func TestRangeQueryScansOnce(t *testing.T) {
+	db := ratchetStore(t, 4, 20)
+	plans := func() int {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return db.plans
+	}
+	for name, q := range map[string]func() []RangeRow{
+		"image":     func() []RangeRow { return RangeQuery(db, "/usr/bin/app0", sim.EvCycles, 1, 60) },
+		"procedure": func() []RangeRow { return RangeQueryProc(db, "/usr/bin/app0", "main", sim.EvCycles, 1, 60) },
+	} {
+		before := plans()
+		rows := q()
+		if n := plans() - before; n != 1 || len(rows) != 60 {
+			t.Errorf("%s query: %d plans for %d rows, want 1 for 60", name, n, len(rows))
+		}
+	}
+}

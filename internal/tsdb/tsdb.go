@@ -152,6 +152,9 @@ type DB struct {
 	// testParts, when positive, fixes every scan's part count (at most its
 	// fold windows), so tests can hold answers to every partition.
 	testParts int
+	// plans counts the plans made, one per scan, so tests can hold a query
+	// to the scans it makes.
+	plans int
 }
 
 // Open opens (or creates, unless ReadOnly) the store at dir, loading every
